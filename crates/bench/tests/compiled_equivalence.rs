@@ -14,7 +14,9 @@
 //! counters exactly — the only counters allowed to move are the three
 //! vectorization telemetry fields — and rerunning the same configuration
 //! (including under chaos faults and skew splitting) must replay those
-//! telemetry counters bit-identically.
+//! telemetry counters bit-identically. Q1, Fig. 5 and PageRank additionally
+//! pin that their fused `aggBy` runs through the columnar aggregation kernel
+//! rather than as a counted refusal.
 
 use emma::algorithms::{groupagg, pagerank, spam, tpch};
 use emma::prelude::*;
@@ -24,12 +26,14 @@ use emma_datagen::tpch::TpchSpec;
 use emma_datagen::KeyDistribution;
 use emma_engine::{BatchConfig, SkewConfig};
 
+/// Returns the vectorized leg's counters (see
+/// [`assert_vectorized_invariant`]) for workload-specific pins.
 fn assert_compiled_invariant(
     what: &str,
     program: &Program,
     catalog: &Catalog,
     flags: &OptimizerFlags,
-) {
+) -> ExecStats {
     let compiled = parallelize(program, &flags.with_compiled_eval(true));
     let interpreted = parallelize(program, &flags.with_compiled_eval(false));
     assert!(compiled.compiled_eval, "{what}: flag not plumbed through");
@@ -49,7 +53,7 @@ fn assert_compiled_invariant(
             "{what}: simulated time not bit-identical"
         );
     }
-    assert_vectorized_invariant(what, program, catalog, flags);
+    assert_vectorized_invariant(what, program, catalog, flags)
 }
 
 /// Strips the vectorization telemetry so two runs can be compared on every
@@ -67,13 +71,14 @@ fn without_vec_telemetry(stats: &ExecStats) -> ExecStats {
 /// The vectorized-tier acceptance bar, run against the scalar compiled
 /// tier on both engines and through both opt-in routes (engine knob with a
 /// small batch so multi-batch replay is exercised, and the program-level
-/// `OptimizerFlags::vectorized_eval` with the default batch size).
+/// `OptimizerFlags::vectorized_eval` with the default batch size). Returns
+/// the engine-knob run's counters on the last engine.
 fn assert_vectorized_invariant(
     what: &str,
     program: &Program,
     catalog: &Catalog,
     flags: &OptimizerFlags,
-) {
+) -> ExecStats {
     let scalar = parallelize(program, &flags.with_compiled_eval(true));
     let flagged = parallelize(
         program,
@@ -83,6 +88,7 @@ fn assert_vectorized_invariant(
         flagged.vectorized_eval && !scalar.vectorized_eval,
         "{what}: vectorized_eval flag not plumbed through"
     );
+    let mut knob_stats = None;
     for engine in [Engine::sparrow(), Engine::flamingo()] {
         let base = engine.run(&scalar, catalog).expect(what);
         let knob = engine.clone().with_vectorized_eval(BatchConfig::new(64));
@@ -116,7 +122,9 @@ fn assert_vectorized_invariant(
             a.stats, a2.stats,
             "{what}: vectorization telemetry not reproducible"
         );
+        knob_stats = Some(a.stats);
     }
+    knob_stats.expect("both engines ran")
 }
 
 #[test]
@@ -157,7 +165,18 @@ fn fig5_group_aggregation_counters_invariant_under_compiled_eval() {
         // carried key hashes — cover each.
         for fold_group in [true, false] {
             let flags = OptimizerFlags::all().with_fold_group_fusion(fold_group);
-            assert_compiled_invariant(&format!("fig5 {dist:?}"), &program, &catalog, &flags);
+            let stats =
+                assert_compiled_invariant(&format!("fig5 {dist:?}"), &program, &catalog, &flags);
+            if fold_group {
+                // The combiner counts every input row and the final
+                // projection one row per key; the rest is the merge phase's
+                // partials, which only the aggregation kernel counts.
+                assert_eq!(stats.vector_fallbacks, 0, "fig5 {dist:?}: {stats}");
+                assert!(
+                    stats.rows_vectorized > 4_000 + 100,
+                    "fig5 {dist:?}: aggBy did not run through the kernel: {stats}"
+                );
+            }
         }
     }
 }
@@ -171,7 +190,27 @@ fn tpch_q1_q4_counters_invariant_under_compiled_eval() {
     // Q1 exercises aggBy's prehashed combiner; Q4 the hash-reusing
     // repartition join plus a fused filter→flatMap chain.
     for (name, program) in [("Q1", tpch::q1_program()), ("Q4", tpch::q4_program())] {
-        assert_compiled_invariant(name, &program, &catalog, &OptimizerFlags::all());
+        let stats = assert_compiled_invariant(name, &program, &catalog, &OptimizerFlags::all());
+        assert_eq!(stats.vector_fallbacks, 0, "{name}: {stats}");
+        assert_eq!(stats.key_path_fallbacks, 0, "{name}: {stats}");
+        if name == "Q1" {
+            // Filter: every lineitem. Combiner: every kept row. Final
+            // projection: one row per group (at most six). Anything beyond
+            // is the merge phase's partials — counted only by the kernel.
+            let lineitems = catalog.get("lineitem").expect("lineitem");
+            let kept = lineitems
+                .iter()
+                .filter(|l| {
+                    l.field(emma_datagen::tpch::lineitem::SHIP_DATE)
+                        .expect("ship date")
+                        <= &Value::Int(emma_datagen::tpch::Q1_SHIP_CUTOFF)
+                })
+                .count();
+            assert!(
+                stats.rows_vectorized > (lineitems.len() + kept + 6) as u64,
+                "Q1: aggBy did not run through the kernel: {stats}"
+            );
+        }
     }
 }
 
@@ -191,7 +230,14 @@ fn pagerank_counters_invariant_under_compiled_eval() {
         skew: 1.0,
         seed: 42,
     });
-    assert_compiled_invariant("pagerank", &program, &catalog, &OptimizerFlags::all());
+    let stats = assert_compiled_invariant("pagerank", &program, &catalog, &OptimizerFlags::all());
+    // One FlatMap per iteration is a refusal by design; the per-iteration
+    // aggBy adds none — it runs through the aggregation kernel.
+    assert_eq!(
+        stats.vector_fallbacks, params.iterations as u64,
+        "pagerank: {stats}"
+    );
+    assert_eq!(stats.key_path_fallbacks, 0, "pagerank: {stats}");
 }
 
 #[test]

@@ -207,7 +207,7 @@ impl std::error::Error for ValueError {}
 
 // ---------------------------------------------------------------- equality
 
-fn float_key(f: f64) -> u64 {
+pub(crate) fn float_key(f: f64) -> u64 {
     // Canonicalize NaNs and signed zero so Eq/Hash agree.
     if f.is_nan() {
         u64::MAX

@@ -61,7 +61,7 @@ use std::sync::Arc;
 
 use crate::compiled::{CompiledEval, Op};
 use crate::expr::{BinOp, BuiltinFn, UnOp};
-use crate::value::Value;
+use crate::value::{float_key, Value};
 
 // ------------------------------------------------------------------- config
 
@@ -515,11 +515,11 @@ impl StrCol {
     }
 }
 
-/// A fully-specialized columnar program for one operator (or one fused
-/// Map/Filter chain). Immutable and shareable across worker threads; each
-/// task evaluates it with its own [`VectorScratch`].
+/// A lowered kernel sequence plus the register-file sizes it needs: the
+/// executable core shared by row-producing chains ([`VectorPipeline`]) and
+/// aggregation kernels ([`AggKernel`]), whose results stay in registers.
 #[derive(Clone, Debug)]
-pub struct VectorPipeline {
+struct Kernels {
     instrs: Vec<VInstr>,
     n_i: usize,
     n_f: usize,
@@ -527,6 +527,14 @@ pub struct VectorPipeline {
     n_s: usize,
     n_v: usize,
     n_sels: usize,
+}
+
+/// A fully-specialized columnar program for one operator (or one fused
+/// Map/Filter chain). Immutable and shareable across worker threads; each
+/// task evaluates it with its own [`VectorScratch`].
+#[derive(Clone, Debug)]
+pub struct VectorPipeline {
+    kernels: Kernels,
     /// Selection active at each stage's entry (drives the engine's
     /// per-stage row counts).
     stage_sels: Vec<SelId>,
@@ -618,13 +626,7 @@ pub fn specialize_sampled(
         OutSpec::PassThrough
     };
     Some(VectorPipeline {
-        instrs: b.instrs,
-        n_i: b.n_i,
-        n_f: b.n_f,
-        n_b: b.n_b,
-        n_s: b.n_s,
-        n_v: b.n_v,
-        n_sels: b.n_sels,
+        kernels: b.finish(),
         stage_sels,
         out_sel: sel,
         out,
@@ -1230,6 +1232,20 @@ impl<'s> Builder<'s> {
         }
     }
 
+    /// The lowered program: every kernel emitted so far plus the register
+    /// counts to size a scratch for it.
+    fn finish(self) -> Kernels {
+        Kernels {
+            instrs: self.instrs,
+            n_i: self.n_i,
+            n_f: self.n_f,
+            n_b: self.n_b,
+            n_s: self.n_s,
+            n_v: self.n_v,
+            n_sels: self.n_sels,
+        }
+    }
+
     /// Output-row materialization recipe for the final abstract value.
     fn mat_node(&mut self, v: VVal) -> Option<MatNode> {
         match v {
@@ -1320,6 +1336,25 @@ fn cmp_holds(op: BinOp, o: Ordering) -> bool {
     }
 }
 
+/// `min_of(a, b)` on floats: `if a <= b { a } else { b }` under `Value`'s
+/// total order (`total_cmp`).
+fn min_total(a: f64, b: f64) -> f64 {
+    if a.total_cmp(&b) != Ordering::Greater {
+        a
+    } else {
+        b
+    }
+}
+
+/// `max_of(a, b)` on floats: `if a >= b { a } else { b }` under `total_cmp`.
+fn max_total(a: f64, b: f64) -> f64 {
+    if a.total_cmp(&b) != Ordering::Less {
+        a
+    } else {
+        b
+    }
+}
+
 fn ensure<T: Copy + Default>(col: &mut Vec<T>, n: usize) {
     if col.len() < n {
         col.resize(n, T::default());
@@ -1332,14 +1367,8 @@ fn ensure_v(col: &mut Vec<Value>, n: usize) {
     }
 }
 
-impl VectorPipeline {
-    /// Number of fused stages this program covers.
-    pub fn n_stages(&self) -> usize {
-        self.stage_sels.len()
-    }
-
-    /// Fresh per-task scratch buffers for this program.
-    pub fn new_scratch(&self) -> VectorScratch {
+impl Kernels {
+    fn new_scratch(&self) -> VectorScratch {
         VectorScratch {
             i: vec![Vec::new(); self.n_i],
             f: vec![Vec::new(); self.n_f],
@@ -1348,6 +1377,29 @@ impl VectorPipeline {
             v: vec![Vec::new(); self.n_v],
             sels: vec![Vec::new(); self.n_sels],
         }
+    }
+
+    /// Runs every kernel over one batch, leaving the results in `s`'s
+    /// registers. `false` = the batch aborted (shape mismatch or a runtime
+    /// error on a selected lane); register contents are then unspecified.
+    fn run(&self, rows: &[Value], s: &mut VectorScratch) -> bool {
+        let n = rows.len();
+        debug_assert!(n <= u32::MAX as usize, "batch exceeds lane index width");
+        s.sels[0].clear();
+        s.sels[0].extend(0..n as u32);
+        self.instrs.iter().all(|instr| step(instr, rows, s, n))
+    }
+}
+
+impl VectorPipeline {
+    /// Number of fused stages this program covers.
+    pub fn n_stages(&self) -> usize {
+        self.stage_sels.len()
+    }
+
+    /// Fresh per-task scratch buffers for this program.
+    pub fn new_scratch(&self) -> VectorScratch {
+        self.kernels.new_scratch()
     }
 
     /// Evaluates one batch of input rows through every fused stage.
@@ -1369,15 +1421,9 @@ impl VectorPipeline {
         counts: &mut [u64],
         out: &mut Vec<Value>,
     ) -> bool {
-        let n = rows.len();
-        debug_assert!(n <= u32::MAX as usize, "batch exceeds lane index width");
         debug_assert_eq!(counts.len(), self.stage_sels.len() + 1);
-        s.sels[0].clear();
-        s.sels[0].extend(0..n as u32);
-        for instr in &self.instrs {
-            if !step(instr, rows, s, n) {
-                return false;
-            }
+        if !self.kernels.run(rows, s) {
+            return false;
         }
         for (i, &sid) in self.stage_sels.iter().enumerate() {
             counts[i] += s.sels[sid].len() as u64;
@@ -1672,19 +1718,10 @@ fn step(instr: &VInstr, rows: &[Value], s: &mut VectorScratch, n: usize) -> bool
             let (a, b) = (&s.f[*a], &s.f[*b]);
             for &l in &s.sels[*sel] {
                 let l = l as usize;
-                // `min_of(a, b)` is `if a <= b { a } else { b }` under the
-                // total order; `max_of` is `if a >= b { a } else { b }`.
-                let o = a[l].total_cmp(&b[l]);
                 d[l] = if *min {
-                    if o != Ordering::Greater {
-                        a[l]
-                    } else {
-                        b[l]
-                    }
-                } else if o != Ordering::Less {
-                    a[l]
+                    min_total(a[l], b[l])
                 } else {
-                    b[l]
+                    max_total(a[l], b[l])
                 };
             }
             s.f[*dst] = d;
@@ -2019,6 +2056,611 @@ fn load_str_dict(d: &mut StrCol, rows: &[Value], path: &[usize]) -> bool {
         d.lens.push(len);
     }
     true
+}
+
+// ------------------------------------------------------ aggregation kernels
+
+/// The combining operator of one accumulator slot — the `uni` shapes
+/// [`crate::expr::FoldOp`]'s sum/count/min/max/exists/forall emit.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum SlotOp {
+    Add,
+    Mul,
+    Min,
+    Max,
+    And,
+    Or,
+}
+
+/// One typed accumulator slot: `acc = op(acc, val)` per row of the group.
+/// `zero: Some(z)` starts a group from `op(z, first value)` (the scalar
+/// `uni(zero, s)`); `None` starts it from the first value itself — the
+/// `Null`-unit min/max, and every slot of the merge phase, where the first
+/// partial of a group is taken as is.
+#[derive(Clone, Debug)]
+enum Slot {
+    I {
+        op: SlotOp,
+        val: Reg,
+        zero: Option<i64>,
+    },
+    F {
+        op: SlotOp,
+        val: Reg,
+        zero: Option<f64>,
+    },
+    B {
+        op: SlotOp,
+        val: Reg,
+        zero: Option<bool>,
+    },
+}
+
+fn comb_i(op: SlotOp, a: i64, b: i64) -> i64 {
+    match op {
+        SlotOp::Add => a.wrapping_add(b),
+        SlotOp::Mul => a.wrapping_mul(b),
+        SlotOp::Min => a.min(b),
+        _ => a.max(b),
+    }
+}
+
+fn comb_f(op: SlotOp, a: f64, b: f64) -> f64 {
+    match op {
+        SlotOp::Add => a + b,
+        SlotOp::Mul => a * b,
+        SlotOp::Min => min_total(a, b),
+        _ => max_total(a, b),
+    }
+}
+
+fn comb_b(op: SlotOp, a: bool, b: bool) -> bool {
+    match op {
+        SlotOp::And => a && b,
+        _ => a || b,
+    }
+}
+
+/// Recognizes a slot-wise `uni`: the tuple
+/// `(op_0(a.0, b.0), …, op_n(a.n, b.n))` that
+/// [`crate::expr::FoldOp::banana_split`] emits (second component `true`), or
+/// the bare `op(a, b)` of an unsplit fold (`false`). Operand order is part of
+/// the shape: the accumulator is always the left operand.
+fn slot_ops(uni: &CompiledEval) -> Option<(Vec<SlotOp>, bool)> {
+    fn comb(op: &Op) -> Option<SlotOp> {
+        Some(match op {
+            Op::Bin(BinOp::Add) => SlotOp::Add,
+            Op::Bin(BinOp::Mul) => SlotOp::Mul,
+            Op::Bin(BinOp::And) => SlotOp::And,
+            Op::Bin(BinOp::Or) => SlotOp::Or,
+            Op::Call(BuiltinFn::MinOf, 2) => SlotOp::Min,
+            Op::Call(BuiltinFn::MaxOf, 2) => SlotOp::Max,
+            _ => return None,
+        })
+    }
+    if uni.arity != 2 {
+        return None;
+    }
+    let ops = uni.code.ops.as_slice();
+    if let [Op::Local(0), Op::Local(1), c] = ops {
+        return Some((vec![comb(c)?], false));
+    }
+    let (Op::Tuple(n), body) = ops.split_last()? else {
+        return None;
+    };
+    if *n == 0 || body.len() != 5 * n {
+        return None;
+    }
+    let mut slots = Vec::with_capacity(*n);
+    for (i, chunk) in body.chunks_exact(5).enumerate() {
+        match chunk {
+            [Op::Local(0), Op::Field(a), Op::Local(1), Op::Field(b), c] if *a == i && *b == i => {
+                slots.push(comb(c)?)
+            }
+            _ => return None,
+        }
+    }
+    Some((slots, true))
+}
+
+impl Builder<'_> {
+    /// Types one accumulator slot from its per-row value and (combiner phase)
+    /// its `zero` component; `None` when `uni` over these types would error
+    /// on every row or produce a mixed-type accumulator column.
+    fn slot(&mut self, op: SlotOp, v: VVal, zero: Option<&Value>) -> Option<Slot> {
+        use SlotOp::*;
+        self.cur_sel = 0;
+        let tr = self.resolve(v)?;
+        // `Null` is min/max's unit: `uni(Null, s)` is `s` itself.
+        let zero = match (op, zero) {
+            (Min | Max, Some(Value::Null)) => None,
+            (_, z) => z,
+        };
+        Some(match (op, tr, zero) {
+            (Add | Mul | Min | Max, TR::I(val), None) => Slot::I {
+                op,
+                val,
+                zero: None,
+            },
+            (Add | Mul | Min | Max, TR::F(val), None) => Slot::F {
+                op,
+                val,
+                zero: None,
+            },
+            (And | Or, TR::B(val), None) => Slot::B {
+                op,
+                val,
+                zero: None,
+            },
+            (Add | Mul | Min | Max, TR::I(val), Some(Value::Int(z))) => Slot::I {
+                op,
+                val,
+                zero: Some(*z),
+            },
+            // Mixed Int/Float sums and products coerce through `as_float`,
+            // so the accumulator is Float from `uni(zero, s)` on.
+            (Add | Mul, TR::I(_) | TR::F(_), Some(z @ (Value::Int(_) | Value::Float(_)))) => {
+                Slot::F {
+                    op,
+                    val: self.resolve_f(tr_val(tr))?,
+                    zero: Some(z.as_float().ok()?),
+                }
+            }
+            (Min | Max, TR::F(val), Some(Value::Float(z))) => Slot::F {
+                op,
+                val,
+                zero: Some(*z),
+            },
+            (And | Or, TR::B(val), Some(Value::Bool(z))) => Slot::B {
+                op,
+                val,
+                zero: Some(*z),
+            },
+            // Anything else errors on every row (`Null + s`) or picks
+            // operands of different types verbatim (mixed min/max).
+            _ => return None,
+        })
+    }
+}
+
+/// Whether a group key is built from typed leaves only — opaque
+/// pass-through columns (`Null`, vectors, bags) have no kernel equality.
+fn key_is_typed(m: &MatNode) -> bool {
+    match m {
+        MatNode::V(_) => false,
+        MatNode::Tup(fs) => fs.iter().all(key_is_typed),
+        _ => true,
+    }
+}
+
+/// What an [`AggKernel`] folds.
+pub enum AggInput<'a> {
+    /// The combiner phase over input rows: `key(row)` names the group,
+    /// `sng(row)` feeds the slots, and a group starts from `uni(zero, ·)`.
+    /// Each UDF is its compiled slot program plus bound capture slots.
+    Rows {
+        /// The grouping key UDF.
+        key: (&'a CompiledEval, &'a [Option<Value>]),
+        /// The fold's element function.
+        sng: (&'a CompiledEval, &'a [Option<Value>]),
+        /// The fold's (already evaluated) `zero`.
+        zero: &'a Value,
+    },
+    /// The merge phase over `(key, acc)` partials: `row.0` names the group,
+    /// `row.1` feeds the slots, and a group starts from its first partial.
+    Partials,
+}
+
+/// A whole fused `aggBy` — `key`, `sng` and `uni` together — specialized
+/// into one columnar program: `key` and `sng` run as batch kernels that
+/// leave their results in typed registers, and `uni`, recognized as
+/// slot-wise ([`slot_ops`]), folds those registers into per-group typed
+/// accumulator columns indexed by a dense first-seen group id. Immutable and
+/// shareable across worker threads; each task folds with its own
+/// [`AggState`].
+#[derive(Clone, Debug)]
+pub struct AggKernel {
+    kernels: Kernels,
+    /// Recipe for a group's key `Value` (typed leaves only).
+    key: MatNode,
+    /// The key's leaf registers when every leaf is a string column — the
+    /// candidates for group assignment by dictionary code; empty otherwise.
+    key_strs: Vec<Reg>,
+    slots: Vec<Slot>,
+    /// Whether the accumulator is a tuple of the slots (banana split) or
+    /// the single slot's bare value.
+    tuple_acc: bool,
+}
+
+/// Specializes a fused `aggBy` phase against a driver-side sample (see
+/// [`specialize_sampled`]). `None` — the caller counts a fallback and runs
+/// the scalar loop — when `key`/`sng` resist typing, the key has an opaque
+/// leaf, `uni` is not slot-wise, or a slot's operator does not fit its
+/// zero/value types.
+pub fn specialize_agg(
+    input: &AggInput<'_>,
+    uni: &CompiledEval,
+    samples: &[Value],
+) -> Option<AggKernel> {
+    let sample = samples.first()?;
+    let (ops, tuple_acc) = slot_ops(uni)?;
+    let mut b = Builder::new(samples);
+    let row = VVal::Arg {
+        path: Vec::new(),
+        shape: shape_of(sample),
+    };
+    let (key_v, val_v, zero) = match input {
+        AggInput::Rows { key, sng, zero } => {
+            if key.0.arity != 1 || sng.0.arity != 1 {
+                return None;
+            }
+            let k = b.eval_code(&key.0.code.ops, key.1, &row, 0)?;
+            let v = b.eval_code(&sng.0.code.ops, sng.1, &row, 0)?;
+            (k, v, Some(*zero))
+        }
+        AggInput::Partials => (b.field(row.clone(), 0)?, b.field(row, 1)?, None),
+    };
+    let key = b.mat_node(key_v)?;
+    if !key_is_typed(&key) {
+        return None;
+    }
+    let mut slots = Vec::with_capacity(ops.len());
+    for (i, op) in ops.into_iter().enumerate() {
+        let slot = if tuple_acc {
+            let z = match zero {
+                Some(z) => Some(z.field(i).ok()?),
+                None => None,
+            };
+            let v = b.field(val_v.clone(), i)?;
+            b.slot(op, v, z)?
+        } else {
+            b.slot(op, val_v.clone(), zero)?
+        };
+        slots.push(slot);
+    }
+    let leaves = match &key {
+        MatNode::Tup(fs) => fs.as_slice(),
+        leaf => std::slice::from_ref(leaf),
+    };
+    let key_strs: Option<Vec<Reg>> = leaves
+        .iter()
+        .map(|f| match f {
+            MatNode::S(r) => Some(*r),
+            _ => None,
+        })
+        .collect();
+    let key_strs = key_strs.unwrap_or_default();
+    Some(AggKernel {
+        kernels: b.finish(),
+        key,
+        key_strs,
+        slots,
+        tuple_acc,
+    })
+}
+
+/// One slot's per-group accumulators, indexed by group id.
+#[derive(Debug)]
+enum AccCol {
+    I(Vec<i64>),
+    F(Vec<f64>),
+    B(Vec<bool>),
+}
+
+const NO_GROUP: u32 = u32::MAX;
+
+/// Largest per-batch dictionary-code table the code fast path will build
+/// (the product of the key columns' dictionary sizes).
+const DICT_GROUPS_MAX: usize = 4096;
+
+/// Open-addressing index from a key's probe hash to its dense group id.
+/// The probe hash is private to the kernel (cheap, consistent with `Value`
+/// equality on typed leaves); the hashes partials carry downstream are the
+/// engine's own, computed once per emitted group.
+#[derive(Debug)]
+struct GroupTable {
+    /// Group id per bucket, [`NO_GROUP`] when free; a power-of-two length.
+    buckets: Vec<u32>,
+    /// Each group's probe hash, by id.
+    hashes: Vec<u64>,
+}
+
+impl GroupTable {
+    fn new() -> Self {
+        GroupTable {
+            buckets: vec![NO_GROUP; 16],
+            hashes: Vec::new(),
+        }
+    }
+
+    /// A hash's first bucket. [`mix`] leaves its entropy in the high bits
+    /// (round floats have all-zero low mantissa bits, and a multiply never
+    /// moves bits down), so the index comes from the upper half.
+    fn home(h: u64, mask: usize) -> usize {
+        (h >> 32) as usize & mask
+    }
+
+    /// The id of the group with probe hash `h` for which `same_key` holds,
+    /// or the next free id (second component `true`) when there is none.
+    fn find_or_insert(&mut self, h: u64, same_key: impl Fn(u32) -> bool) -> (u32, bool) {
+        let mask = self.buckets.len() - 1;
+        let mut i = Self::home(h, mask);
+        loop {
+            let g = self.buckets[i];
+            if g == NO_GROUP {
+                break;
+            }
+            if self.hashes[g as usize] == h && same_key(g) {
+                return (g, false);
+            }
+            i = (i + 1) & mask;
+        }
+        let g = self.hashes.len() as u32;
+        assert!(g < NO_GROUP, "group ids exhausted");
+        self.hashes.push(h);
+        self.buckets[i] = g;
+        if self.hashes.len() * 2 > self.buckets.len() {
+            let mask = self.buckets.len() * 2 - 1;
+            self.buckets.clear();
+            self.buckets.resize(mask + 1, NO_GROUP);
+            for (g, &h) in self.hashes.iter().enumerate() {
+                let mut i = Self::home(h, mask);
+                while self.buckets[i] != NO_GROUP {
+                    i = (i + 1) & mask;
+                }
+                self.buckets[i] = g as u32;
+            }
+        }
+        (g, true)
+    }
+}
+
+/// Per-task state of one [`AggKernel`] fold: the kernel scratch plus the
+/// groups seen so far — keys in first-seen order, their lookup table, and
+/// one typed accumulator column per slot.
+#[derive(Debug)]
+pub struct AggState {
+    scratch: VectorScratch,
+    keys: Vec<Value>,
+    table: GroupTable,
+    accs: Vec<AccCol>,
+    /// Per-lane group ids of the current batch.
+    gids: Vec<u32>,
+    /// Lanes of the current batch that did not create their group (a
+    /// creating lane's contribution is already in the group's initial
+    /// accumulator).
+    upd: Vec<u32>,
+    /// Per-batch memo from combined dictionary code to group id.
+    dict_gids: Vec<u32>,
+}
+
+fn mix(h: u64, x: u64) -> u64 {
+    (h.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95)
+}
+
+/// Probe hash of lane `l`'s key. Equal keys (under `Value` equality: floats
+/// by canonical NaN and signed zero) hash equally; nothing else is promised.
+fn lane_hash(m: &MatNode, s: &VectorScratch, l: usize, h: u64) -> u64 {
+    match m {
+        MatNode::I(r) => mix(h, s.i[*r][l] as u64),
+        MatNode::F(r) => mix(h, float_key(s.f[*r][l])),
+        MatNode::B(r) => mix(h, s.b[*r][l] as u64),
+        MatNode::S(r) => {
+            let bytes = s.s[*r].lane(l);
+            let mut h = mix(h, bytes.len() as u64);
+            for c in bytes.chunks(8) {
+                let mut w = [0u8; 8];
+                w[..c.len()].copy_from_slice(c);
+                h = mix(h, u64::from_le_bytes(w));
+            }
+            h
+        }
+        MatNode::V(_) => unreachable!("group keys have typed leaves only"),
+        MatNode::Tup(fs) => fs.iter().fold(h, |h, f| lane_hash(f, s, l, h)),
+    }
+}
+
+/// Whether lane `l`'s key equals the stored group key `v` (built from the
+/// same recipe, so shapes always line up) under `Value` equality.
+fn lane_eq_value(m: &MatNode, s: &VectorScratch, l: usize, v: &Value) -> bool {
+    match (m, v) {
+        (MatNode::I(r), Value::Int(x)) => s.i[*r][l] == *x,
+        (MatNode::F(r), Value::Float(x)) => float_key(s.f[*r][l]) == float_key(*x),
+        (MatNode::B(r), Value::Bool(x)) => s.b[*r][l] == *x,
+        (MatNode::S(r), Value::Str(x)) => s.s[*r].lane(l) == x.as_bytes(),
+        (MatNode::Tup(ms), Value::Tuple(vs)) => {
+            ms.len() == vs.len()
+                && ms
+                    .iter()
+                    .zip(vs.iter())
+                    .all(|(m, v)| lane_eq_value(m, s, l, v))
+        }
+        _ => false,
+    }
+}
+
+/// `acc[gid[l]] = f(acc[gid[l]], v[l])` over the updating lanes, in row
+/// order — so each group accumulates in the order the scalar loop would.
+fn fold_lanes<T: Copy>(acc: &mut [T], v: &[T], gids: &[u32], upd: &[u32], f: impl Fn(T, T) -> T) {
+    for &l in upd {
+        let l = l as usize;
+        let g = gids[l] as usize;
+        acc[g] = f(acc[g], v[l]);
+    }
+}
+
+impl AggKernel {
+    /// Fresh per-task fold state.
+    pub fn new_state(&self) -> AggState {
+        AggState {
+            scratch: self.kernels.new_scratch(),
+            keys: Vec::new(),
+            table: GroupTable::new(),
+            accs: self
+                .slots
+                .iter()
+                .map(|slot| match slot {
+                    Slot::I { .. } => AccCol::I(Vec::new()),
+                    Slot::F { .. } => AccCol::F(Vec::new()),
+                    Slot::B { .. } => AccCol::B(Vec::new()),
+                })
+                .collect(),
+            gids: Vec::new(),
+            upd: Vec::new(),
+            dict_gids: Vec::new(),
+        }
+    }
+
+    /// Folds one batch of rows into `st`'s groups.
+    ///
+    /// Returns `false` — with every group and accumulator untouched — when
+    /// the batch cannot be evaluated columnar-exactly (a row does not
+    /// conform to the specialized shape, or `key`/`sng` hit a runtime error
+    /// on some lane): everything fallible runs before the first accumulator
+    /// is written. The caller must then fold this batch and the rest of the
+    /// partition row-at-a-time through the scalar tier, seeded with
+    /// [`finish`](Self::finish)'s groups — reproducing values and the first
+    /// error in evaluation order bit-identically.
+    pub fn absorb(&self, rows: &[Value], st: &mut AggState) -> bool {
+        if !self.kernels.run(rows, &mut st.scratch) {
+            return false;
+        }
+        self.assign_groups(rows.len(), st);
+        let AggState {
+            scratch: s,
+            accs,
+            gids,
+            upd,
+            ..
+        } = st;
+        for (slot, acc) in self.slots.iter().zip(accs.iter_mut()) {
+            match (slot, acc) {
+                (Slot::I { op, val, .. }, AccCol::I(a)) => {
+                    fold_lanes(a, &s.i[*val], gids, upd, |a, b| comb_i(*op, a, b))
+                }
+                (Slot::F { op, val, .. }, AccCol::F(a)) => {
+                    fold_lanes(a, &s.f[*val], gids, upd, |a, b| comb_f(*op, a, b))
+                }
+                (Slot::B { op, val, .. }, AccCol::B(a)) => {
+                    fold_lanes(a, &s.b[*val], gids, upd, |a, b| comb_b(*op, a, b))
+                }
+                _ => unreachable!("accumulator columns are typed by their slots"),
+            }
+        }
+        true
+    }
+
+    /// Size of the combined dictionary-code space of the key columns, when
+    /// every key leaf is a string column that was dictionary-encoded for
+    /// this `n`-lane batch and the space is small enough to memoize.
+    fn code_space(&self, s: &VectorScratch, n: usize) -> Option<usize> {
+        if self.key_strs.is_empty() {
+            return None;
+        }
+        let mut w = 1usize;
+        for &r in &self.key_strs {
+            let col = &s.s[r];
+            if col.codes.len() != n {
+                return None;
+            }
+            w = w
+                .checked_mul(col.dict.len())
+                .filter(|w| *w <= DICT_GROUPS_MAX)?;
+        }
+        Some(w)
+    }
+
+    /// Assigns every lane of an evaluated batch its group id, in row order
+    /// (so ids are dense in first-seen order). A lane that opens a group
+    /// also writes the group's key and initial accumulators and is left out
+    /// of `upd`. When every key leaf is a dictionary-encoded string column
+    /// the probe runs once per distinct code combination per batch.
+    fn assign_groups(&self, n: usize, st: &mut AggState) {
+        let AggState {
+            scratch: s,
+            keys,
+            table,
+            accs,
+            gids,
+            upd,
+            dict_gids,
+        } = st;
+        gids.clear();
+        upd.clear();
+        let by_code = match self.code_space(s, n) {
+            Some(w) => {
+                dict_gids.clear();
+                dict_gids.resize(w, NO_GROUP);
+                true
+            }
+            None => false,
+        };
+        for l in 0..n {
+            let code = by_code.then(|| {
+                self.key_strs.iter().fold(0usize, |c, &r| {
+                    c * s.s[r].dict.len() + s.s[r].codes[l] as usize
+                })
+            });
+            if let Some(c) = code {
+                if dict_gids[c] != NO_GROUP {
+                    gids.push(dict_gids[c]);
+                    upd.push(l as u32);
+                    continue;
+                }
+            }
+            let h = lane_hash(&self.key, s, l, 0);
+            let (g, created) =
+                table.find_or_insert(h, |g| lane_eq_value(&self.key, s, l, &keys[g as usize]));
+            if let Some(c) = code {
+                dict_gids[c] = g;
+            }
+            gids.push(g);
+            if !created {
+                upd.push(l as u32);
+                continue;
+            }
+            keys.push(mat_value(&self.key, s, l));
+            for (slot, acc) in self.slots.iter().zip(accs.iter_mut()) {
+                match (slot, acc) {
+                    (Slot::I { op, val, zero }, AccCol::I(a)) => {
+                        let v = s.i[*val][l];
+                        a.push(zero.map_or(v, |z| comb_i(*op, z, v)));
+                    }
+                    (Slot::F { op, val, zero }, AccCol::F(a)) => {
+                        let v = s.f[*val][l];
+                        a.push(zero.map_or(v, |z| comb_f(*op, z, v)));
+                    }
+                    (Slot::B { op, val, zero }, AccCol::B(a)) => {
+                        let v = s.b[*val][l];
+                        a.push(zero.map_or(v, |z| comb_b(*op, z, v)));
+                    }
+                    _ => unreachable!("accumulator columns are typed by their slots"),
+                }
+            }
+        }
+    }
+
+    /// The folded groups as `(key, accumulator)` values in first-seen
+    /// order — the one place a group's accumulator becomes a `Value`.
+    pub fn finish(&self, st: AggState) -> Vec<(Value, Value)> {
+        let slot_value = |c: &AccCol, g: usize| match c {
+            AccCol::I(a) => Value::Int(a[g]),
+            AccCol::F(a) => Value::Float(a[g]),
+            AccCol::B(a) => Value::Bool(a[g]),
+        };
+        st.keys
+            .into_iter()
+            .enumerate()
+            .map(|(g, k)| {
+                let acc = if self.tuple_acc {
+                    Value::tuple(st.accs.iter().map(|c| slot_value(c, g)).collect::<Vec<_>>())
+                } else {
+                    slot_value(&st.accs[0], g)
+                };
+                (k, acc)
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -2552,7 +3194,8 @@ mod tests {
         let rows = str_rows();
         let vp = check_map_sampled(&lam, &rows, &rows);
         assert!(
-            vp.instrs
+            vp.kernels
+                .instrs
                 .iter()
                 .any(|i| matches!(i, VInstr::LoadS { dict: true, .. })),
             "low-cardinality sample must dictionary-encode the load"
@@ -2560,7 +3203,8 @@ mod tests {
         // A single-row sample can never clear DICT_MIN_SAMPLE.
         let vp1 = check_map_sampled(&lam, &rows[..1], &rows);
         assert!(
-            vp1.instrs
+            vp1.kernels
+                .instrs
                 .iter()
                 .all(|i| !matches!(i, VInstr::LoadS { dict: true, .. })),
             "tiny samples must not trigger dictionary encoding"
@@ -2585,6 +3229,7 @@ mod tests {
         );
         let vp = check_map_sampled(&lam, &rows, &rows);
         assert!(vp
+            .kernels
             .instrs
             .iter()
             .any(|i| matches!(i, VInstr::LoadS { dict: true, .. })));
@@ -2641,5 +3286,233 @@ mod tests {
         // The same scratch still works on a conforming batch afterwards.
         assert!(vp.run_batch(&rows, &mut scratch, &mut counts, &mut out));
         assert_eq!(out.len(), rows.len());
+    }
+
+    // -------------------------------------------------- aggregation kernels
+
+    use crate::expr::FoldOp;
+
+    fn is_even() -> Lambda {
+        Lambda::new(
+            ["x"],
+            se_bin(
+                BinOp::Eq,
+                se_bin(BinOp::Mod, x1(), ScalarExpr::lit(Value::Int(2))),
+                ScalarExpr::lit(Value::Int(0)),
+            ),
+        )
+    }
+
+    /// `sum(x.1)`, `count`, `min(x.1)` and `exists(x.1 even)` banana-split
+    /// into one fold — a Float sum over an Int column, an Int count, a
+    /// `Null`-unit minimum and a Bool slot.
+    fn four_folds() -> FoldOp {
+        let project = |f: FoldOp| FoldOp {
+            sng: Lambda::new(["x"], f.sng.apply(&[x1()])),
+            ..f
+        };
+        FoldOp::banana_split(&[
+            project(FoldOp::sum()),
+            FoldOp::count(),
+            project(FoldOp::min()),
+            FoldOp::exists(is_even()),
+        ])
+    }
+
+    #[test]
+    fn slot_wise_uni_is_recognized_structurally() {
+        use SlotOp::*;
+        let ops = |uni: &Lambda| slot_ops(&compile_lambda(uni));
+        assert_eq!(
+            ops(&four_folds().uni),
+            Some((vec![Add, Add, Min, Or], true))
+        );
+        assert_eq!(ops(&FoldOp::max().uni), Some((vec![Max], false)));
+        assert_eq!(
+            ops(&FoldOp::forall(is_even()).uni),
+            Some((vec![And], false))
+        );
+        let (a, b) = (|| ScalarExpr::var("a"), || ScalarExpr::var("b"));
+        // Slots reading a neighbour, a commuted operand order, a
+        // non-combiner operator, `min_by`'s conditional and the vector sum
+        // are all refused.
+        let crossed = ScalarExpr::Tuple(vec![
+            se_bin(BinOp::Add, se_field(a(), 0), se_field(b(), 1)),
+            se_bin(BinOp::Add, se_field(a(), 1), se_field(b(), 0)),
+        ]);
+        assert_eq!(ops(&Lambda::new(["a", "b"], crossed)), None);
+        assert_eq!(
+            ops(&Lambda::new(["a", "b"], se_bin(BinOp::Add, b(), a()))),
+            None
+        );
+        assert_eq!(
+            ops(&Lambda::new(["a", "b"], se_bin(BinOp::Sub, a(), b()))),
+            None
+        );
+        let by_key = Lambda::new(["x"], ScalarExpr::var("x"));
+        assert_eq!(ops(&FoldOp::min_by(by_key).uni), None);
+        assert_eq!(ops(&FoldOp::vec_sum(2).uni), None);
+    }
+
+    fn zero_of(fold: &FoldOp) -> Value {
+        let base = HashMap::new();
+        crate::interp::eval_scalar(
+            &fold.zero,
+            &mut crate::interp::Env::new(&base),
+            &Catalog::new(),
+        )
+        .expect("closed zero")
+    }
+
+    /// The scalar reference: `InsertionMap`-style first-seen groups folded
+    /// row at a time through the compiled `key`/`sng`/`uni`.
+    fn scalar_groups(key: &Lambda, fold: &FoldOp, rows: &[Value]) -> Vec<(Value, Value)> {
+        let (kc, sc, uc) = (
+            compile_lambda(key),
+            compile_lambda(&fold.sng),
+            compile_lambda(&fold.uni),
+        );
+        let caps = Vec::new();
+        let catalog = Catalog::new();
+        let zero = zero_of(fold);
+        let mut m = Machine::new();
+        let mut groups: Vec<(Value, Value)> = Vec::new();
+        for row in rows {
+            let k = kc
+                .eval(std::slice::from_ref(row), &caps, &mut m, &catalog)
+                .unwrap();
+            let s = sc
+                .eval(std::slice::from_ref(row), &caps, &mut m, &catalog)
+                .unwrap();
+            match groups.iter_mut().find(|(gk, _)| *gk == k) {
+                Some((_, acc)) => {
+                    *acc = uc.eval(&[acc.clone(), s], &caps, &mut m, &catalog).unwrap()
+                }
+                None => {
+                    let first = uc
+                        .eval(&[zero.clone(), s], &caps, &mut m, &catalog)
+                        .unwrap();
+                    groups.push((k, first));
+                }
+            }
+        }
+        groups
+    }
+
+    fn combiner_kernel(key: &Lambda, fold: &FoldOp, samples: &[Value]) -> Option<AggKernel> {
+        let (kc, sc, uc) = (
+            compile_lambda(key),
+            compile_lambda(&fold.sng),
+            compile_lambda(&fold.uni),
+        );
+        let zero = zero_of(fold);
+        specialize_agg(
+            &AggInput::Rows {
+                key: (&kc, &[]),
+                sng: (&sc, &[]),
+                zero: &zero,
+            },
+            &uc,
+            samples,
+        )
+    }
+
+    #[test]
+    fn agg_kernel_matches_the_scalar_fold_and_aborts_untouched() {
+        // `x.0 % x.1`: no row of `int_pair_rows` has a zero in slot 1.
+        let key = Lambda::new(["x"], se_bin(BinOp::Mod, x0(), x1()));
+        let fold = four_folds();
+        let rows = int_pair_rows(50);
+        let kernel = combiner_kernel(&key, &fold, &rows).expect("specializable fold");
+        let mut st = kernel.new_state();
+        assert!(kernel.absorb(&rows[..20], &mut st));
+        // A non-conforming lane (Float where the Int column was typed) and an
+        // erroring one (modulo by zero) both abort before any accumulator is
+        // written.
+        for bad_row in [
+            Value::tuple(vec![Value::Int(1), Value::Float(2.0)]),
+            Value::tuple(vec![Value::Int(1), Value::Int(0)]),
+        ] {
+            let mut bad = rows[20..30].to_vec();
+            bad[7] = bad_row;
+            assert!(!kernel.absorb(&bad, &mut st));
+        }
+        assert!(kernel.absorb(&rows[20..], &mut st));
+        assert_eq!(kernel.finish(st), scalar_groups(&key, &fold, &rows));
+        // Same through the merge phase: partials of two halves, merged.
+        let halves: Vec<Value> = [&rows[..25], &rows[25..]]
+            .iter()
+            .flat_map(|half| scalar_groups(&key, &fold, half))
+            .map(|(k, acc)| Value::tuple(vec![k, acc]))
+            .collect();
+        let uc = compile_lambda(&fold.uni);
+        let merge = specialize_agg(&AggInput::Partials, &uc, &halves).expect("merge kernel");
+        let mut st = merge.new_state();
+        assert!(merge.absorb(&halves, &mut st));
+        let merged = merge.finish(st);
+        let want = scalar_groups(&key, &fold, &rows);
+        assert_eq!(merged.len(), want.len());
+        for (k, acc) in &want {
+            assert!(merged.contains(&(k.clone(), acc.clone())), "{k:?}");
+        }
+    }
+
+    #[test]
+    fn dictionary_codes_assign_first_seen_group_ids() {
+        // `(x.1, x.2)` over low-cardinality strings: the sample dictionary-
+        // encodes both loads, so group ids come from code combinations —
+        // batch-local codes, partition-wide first-seen ids.
+        let key = Lambda::new(
+            ["x"],
+            ScalarExpr::Tuple(vec![x1(), se_field(ScalarExpr::var("x"), 2)]),
+        );
+        let fold = FoldOp {
+            sng: Lambda::new(["x"], x0()),
+            ..FoldOp::custom(
+                ScalarExpr::lit(Value::Int(0)),
+                Lambda::new(["x"], ScalarExpr::var("x")),
+                FoldOp::count().uni,
+            )
+        };
+        let rows = str_rows();
+        let kernel = combiner_kernel(&key, &fold, &rows).expect("specializable fold");
+        assert_eq!(kernel.key_strs.len(), 2);
+        let mut st = kernel.new_state();
+        // Later batches meet the strings in another order than the first.
+        for batch in [&rows[30..], &rows[..30]] {
+            assert!(kernel.absorb(batch, &mut st));
+        }
+        let reordered: Vec<Value> = rows[30..].iter().chain(&rows[..30]).cloned().collect();
+        assert_eq!(kernel.finish(st), scalar_groups(&key, &fold, &reordered));
+    }
+
+    #[test]
+    fn folds_whose_slots_do_not_type_are_refused() {
+        let key = Lambda::new(["x"], x0());
+        let rows = int_pair_rows(4);
+        let with_sng = |f: FoldOp, sng: ScalarExpr| FoldOp {
+            sng: Lambda::new(["x"], sng),
+            ..f
+        };
+        // `Null + s` errors on every row; the scalar tier must produce it.
+        let null_sum = FoldOp::custom(
+            ScalarExpr::lit(Value::Null),
+            Lambda::new(["x"], x1()),
+            FoldOp::sum().uni,
+        );
+        assert!(combiner_kernel(&key, &null_sum, &rows).is_none());
+        // `min` of a Float zero over an Int column picks operands verbatim.
+        let mixed_min = FoldOp::custom(
+            ScalarExpr::lit(Value::Float(0.0)),
+            Lambda::new(["x"], x1()),
+            FoldOp::min().uni,
+        );
+        assert!(combiner_kernel(&key, &mixed_min, &rows).is_none());
+        // A whole-row `min` has no single typed register.
+        assert!(combiner_kernel(&key, &FoldOp::min(), &rows).is_none());
+        // An opaque key leaf has no kernel equality.
+        let null_key = Lambda::new(["x"], ScalarExpr::lit(Value::Null));
+        assert!(combiner_kernel(&null_key, &with_sng(FoldOp::sum(), x1()), &rows).is_none());
+        assert!(combiner_kernel(&key, &with_sng(FoldOp::sum(), x1()), &rows).is_some());
     }
 }

@@ -24,7 +24,9 @@ use emma_compiler::interp::{self, Catalog, Env};
 use emma_compiler::pipeline::{AuxDef, CRValue, CStmt, CompiledProgram};
 use emma_compiler::plan::{JoinKind, JoinStrategy, Plan, SkewEligibility};
 use emma_compiler::value::{Value, ValueError};
-use emma_compiler::vectorized::{self, BatchConfig, VecStageSpec, VectorPipeline};
+use emma_compiler::vectorized::{
+    self, AggInput, AggKernel, BatchConfig, VecStageSpec, VectorPipeline,
+};
 
 use emma_compiler::plan::PipelineStage;
 
@@ -289,8 +291,12 @@ impl Engine {
     /// column kernels and evaluated over reusable scratch buffers in batches
     /// of `cfg.batch_rows` rows; every operator whose program resists static
     /// typing falls back to the scalar compiled tier and is counted in
-    /// [`ExecStats::vector_fallbacks`] — no silent slow paths. Wide-operator
-    /// key extraction (`groupBy`/`aggBy`/`distinct` routing, join build and
+    /// [`ExecStats::vector_fallbacks`] — no silent slow paths. A fused
+    /// `aggBy` whose `uni` is slot-wise (sum/count/min/max/exists/forall
+    /// slots) runs whole — `key`, `sng` and `uni`, combiner and merge —
+    /// as one columnar aggregation kernel over typed per-group accumulator
+    /// columns; one that is not is a single counted refusal. Wide-operator
+    /// key extraction (`groupBy`/`distinct` routing, join build and
     /// residual-free probe sides) batches the same way, with refusals and
     /// scalar-by-design sites counted in
     /// [`ExecStats::key_path_fallbacks`]. Rows, errors, and error order are
@@ -1032,6 +1038,28 @@ impl<'a> Session<'a> {
         }
     }
 
+    /// [`try_vectorize`](Self::try_vectorize) for one phase of a fused
+    /// `aggBy`: specializes `key`, `sng` and `uni` together into a columnar
+    /// aggregation kernel. A fold that does not specialize is one counted
+    /// `vector_fallbacks` refusal and runs the scalar loop.
+    fn try_vectorize_agg(
+        &mut self,
+        input: Option<AggInput<'_>>,
+        uni: &PreparedScalar<'_>,
+        parts: &[Arc<Vec<Value>>],
+    ) -> Option<(AggKernel, usize)> {
+        let cfg = self.vectorized?;
+        let samples = sample_rows(parts)?;
+        let kernel = match (input, compiled_parts(uni)) {
+            (Some(input), Some((uni, _))) => vectorized::specialize_agg(&input, uni, samples),
+            _ => None,
+        };
+        if kernel.is_none() {
+            self.stats.vector_fallbacks += 1;
+        }
+        kernel.map(|k| (k, cfg.batch_rows.max(1)))
+    }
+
     // ------------------------------------------------------------ statements
 
     fn exec_stmts(&mut self, stmts: &[CStmt]) -> Result<(), ExecError> {
@@ -1457,16 +1485,15 @@ impl<'a> Session<'a> {
                     })?
                 };
                 self.charge_cpu_weighted(d.total_rows(), d.max_part_rows(), f.static_cost());
-                self.charge_cpu_bytes(d.max_part_bytes(), f.static_byte_cost());
+                self.charge_cpu_bytes(|| d.max_part_bytes(), f.static_byte_cost());
                 // Folds over *materialized group values* re-scan their data;
                 // folds over small per-record bags (e.g. a vertex's neighbor
                 // list carried through a join) do not — the charge applies
                 // only when this map consumes a grouping operator's output.
                 if consumes_grouped_rows(input) {
-                    self.charge_nested_bag_folds(
-                        count_nested_bag_folds(&f.body),
-                        d.max_part_bytes(),
-                    );
+                    self.charge_nested_bag_folds(count_nested_bag_folds(&f.body), || {
+                        d.max_part_bytes()
+                    });
                 }
                 Ok(PlanResult::Bag(Partitioned {
                     parts,
@@ -1519,7 +1546,7 @@ impl<'a> Session<'a> {
                     })?
                 };
                 self.charge_cpu_weighted(d.total_rows(), d.max_part_rows(), p.static_cost());
-                self.charge_cpu_bytes(d.max_part_bytes(), p.static_byte_cost());
+                self.charge_cpu_bytes(|| d.max_part_bytes(), p.static_byte_cost());
                 // Filters preserve the physical layout.
                 Ok(PlanResult::Bag(Partitioned {
                     parts,
@@ -1560,7 +1587,7 @@ impl<'a> Session<'a> {
                     d.max_part_rows() + produced / self.dop().max(1) as u64,
                     weight,
                 );
-                self.charge_cpu_bytes(d.max_part_bytes(), body.static_byte_cost());
+                self.charge_cpu_bytes(|| d.max_part_bytes(), body.static_byte_cost());
                 Ok(PlanResult::Bag(Partitioned {
                     parts,
                     partitioning: None,
@@ -1633,7 +1660,7 @@ impl<'a> Session<'a> {
                     fold.sng.static_cost() + fold.uni.static_cost(),
                 );
                 self.charge_cpu_bytes(
-                    d.max_part_bytes(),
+                    || d.max_part_bytes(),
                     fold.sng.static_byte_cost() + fold.uni.static_byte_cost(),
                 );
                 Ok(PlanResult::Scalar(acc))
@@ -2016,12 +2043,13 @@ impl<'a> Session<'a> {
                                 f.static_cost(),
                             );
                             if grouped[i] {
-                                let mpb = if i == 0 {
-                                    d.max_part_bytes()
-                                } else {
-                                    bytes_max[i]
-                                };
-                                self.charge_nested_bag_folds(nested[i], mpb);
+                                self.charge_nested_bag_folds(nested[i], || {
+                                    if i == 0 {
+                                        d.max_part_bytes()
+                                    } else {
+                                        bytes_max[i]
+                                    }
+                                });
                             }
                         }
                         PipelineStage::Filter { p } => {
@@ -2047,14 +2075,16 @@ impl<'a> Session<'a> {
                     // sees the materialized input; later stages tracked their
                     // entry bytes via `need_bytes` — identical to what the
                     // unfused operator's materialized input would weigh.
-                    if byte_costs[i] > 0.0 {
-                        let mpb = if i == 0 {
-                            d.max_part_bytes()
-                        } else {
-                            bytes_max[i]
-                        };
-                        self.charge_cpu_bytes(mpb, byte_costs[i]);
-                    }
+                    self.charge_cpu_bytes(
+                        || {
+                            if i == 0 {
+                                d.max_part_bytes()
+                            } else {
+                                bytes_max[i]
+                            }
+                        },
+                        byte_costs[i],
+                    );
                 }
                 self.check_budget()?;
                 // A Filter preserves the physical layout; Map/FlatMap drop
@@ -2460,72 +2490,58 @@ impl<'a> Session<'a> {
         let sng_prep = self.prepare_lambda(&fold.sng, &base);
         let uni_prep = self.prepare_lambda(&fold.uni, &base);
 
-        // Key-path batch decision, made once on the driver (see
-        // [`Self::try_vectorize_key`]) so every combiner task agrees.
-        let key_vec = self.try_vectorize_key(&key_prep, sample_rows(&d.parts));
+        // Columnar decision, made once on the driver (see
+        // [`Self::try_vectorize_agg`]) so every combiner task agrees.
+        let agg_vec = {
+            let input = compiled_parts(&key_prep)
+                .zip(compiled_parts(&sng_prep))
+                .map(|(key, sng)| AggInput::Rows {
+                    key,
+                    sng,
+                    zero: &zero,
+                });
+            self.try_vectorize_agg(input, &uni_prep, &d.parts)
+        };
 
-        // Combiner phase: per-partition partial aggregation, one
-        // insertion-ordered map per partition, fanned out on the pool. The
-        // key hash is computed once per row and carried with each partial so
-        // neither the partial shuffle nor the merge phase re-hashes. When
-        // the key body specialized, each chunk's keys come from one batch
-        // kernel run and the `sng`/`uni` folds consume them row by row; an
-        // aborted chunk replays interleaved (key, sng, uni per row), so a
-        // key error reproduces in its exact interleaving position.
+        // Combiner phase: per-partition partial aggregation, fanned out on
+        // the pool. The key hash is computed once per group (kernel) or row
+        // (scalar loop) and carried with each partial so neither the partial
+        // shuffle nor the merge phase re-hashes. A specialized fold runs as
+        // one columnar kernel over typed accumulator columns; everything the
+        // kernel did not cover — the whole partition when the fold did not
+        // specialize, the tail from the first aborted batch otherwise — goes
+        // through the scalar loop in its `key`, `sng`, `uni` per-row order,
+        // seeded with the kernel's groups, so values, first-seen group order
+        // and the first error reproduce exactly.
         let catalog = self.catalog;
         let partial_lists = self.run_tasks(true, d.parts.len(), d.total_rows(), |pi| {
-            let mut cx = sng_prep.ctx(&base);
-            let mut ucx = uni_prep.ctx(&base);
-            let mut accs: InsertionMap<Value, (u64, Value)> = InsertionMap::new();
-            let (mut nvec, mut nbatches) = (0u64, 0u64);
             let part = &d.parts[pi];
-            match &key_vec {
-                Some((vp, batch_rows)) => {
-                    let mut scratch = vp.new_scratch();
-                    let mut counts = [0u64; 2];
-                    let mut keys_out: Vec<Value> = Vec::new();
-                    let mut kcx: Option<EvCtx> = None;
-                    for chunk in part.chunks((*batch_rows).max(1)) {
-                        keys_out.clear();
-                        if vp.run_batch(chunk, &mut scratch, &mut counts, &mut keys_out) {
-                            nvec += chunk.len() as u64;
-                            nbatches += 1;
-                            for (row, k) in chunk.iter().zip(keys_out.drain(..)) {
-                                agg_absorb(
-                                    k, row, &sng_prep, &uni_prep, &mut cx, &mut ucx, &zero,
-                                    &mut accs, catalog,
-                                )?;
-                            }
-                        } else {
-                            let kcx = kcx.get_or_insert_with(|| key_prep.ctx(&base2));
-                            for row in chunk {
-                                let k = key_prep.call(std::slice::from_ref(row), kcx, catalog)?;
-                                agg_absorb(
-                                    k, row, &sng_prep, &uni_prep, &mut cx, &mut ucx, &zero,
-                                    &mut accs, catalog,
-                                )?;
-                            }
-                        }
-                    }
+            let (groups, covered, nbatches) = agg_kernel_prefix(agg_vec.as_ref(), part);
+            let partials: Vec<(u64, Value)> = if covered == part.len() {
+                groups
+                    .into_iter()
+                    .map(|(k, acc)| (value_hash(&k), Value::tuple(vec![k, acc])))
+                    .collect()
+            } else {
+                let mut accs: InsertionMap<Value, (u64, Value)> = InsertionMap::new();
+                for (k, acc) in groups {
+                    let h = value_hash(&k);
+                    accs.insert_hashed(h, &k, || (h, acc));
                 }
-                None => {
-                    let mut kcx = key_prep.ctx(&base2);
-                    for row in part.iter() {
-                        let k = key_prep.call(std::slice::from_ref(row), &mut kcx, catalog)?;
-                        agg_absorb(
-                            k, row, &sng_prep, &uni_prep, &mut cx, &mut ucx, &zero, &mut accs,
-                            catalog,
-                        )?;
-                    }
+                let mut kcx = key_prep.ctx(&base2);
+                let mut cx = sng_prep.ctx(&base);
+                let mut ucx = uni_prep.ctx(&base);
+                for row in &part[covered..] {
+                    let k = key_prep.call(std::slice::from_ref(row), &mut kcx, catalog)?;
+                    agg_absorb(
+                        k, row, &sng_prep, &uni_prep, &mut cx, &mut ucx, &zero, &mut accs, catalog,
+                    )?;
                 }
-            }
-            Ok((
                 accs.into_iter()
                     .map(|(k, (h, acc))| (h, Value::tuple(vec![k, acc])))
-                    .collect::<Vec<_>>(),
-                nvec,
-                nbatches,
-            ))
+                    .collect()
+            };
+            Ok((partials, covered as u64, nbatches))
         })?;
         let mut partials: Vec<(u64, Value)> = Vec::new();
         for (list, nvec, nbatches) in partial_lists {
@@ -2539,7 +2555,7 @@ impl<'a> Session<'a> {
             key.static_cost() + fold.sng.static_cost() + fold.uni.static_cost(),
         );
         self.charge_cpu_bytes(
-            d.max_part_bytes(),
+            || d.max_part_bytes(),
             key.static_byte_cost() + fold.sng.static_byte_cost() + fold.uni.static_byte_cost(),
         );
 
@@ -2603,32 +2619,68 @@ impl<'a> Session<'a> {
             (shuffled, hash_b)
         };
 
-        // Merge phase: same insertion-ordered per-partition reduction,
-        // looking partials up by their carried hashes.
-        let merged_lists =
-            self.run_tasks(true, shuffled.parts.len(), shuffled.total_rows(), |pi| {
-                let mut ucx = uni_prep.ctx(&base);
+        // Merge phase: the same reduction over the partials, keyed by
+        // `partial.0` and combining `partial.1` with the same slot ops —
+        // columnar when the combiner's fold specialized (a refused fold was
+        // already counted there), scalar for whatever the kernel did not
+        // cover, looking partials up by their carried hashes. Each
+        // partition is drained by the one task body that runs for it (an
+        // injected failure skips the body), so the scalar loop moves keys
+        // and accumulators out of the partial rows instead of cloning them.
+        let merge_vec = match agg_vec {
+            Some(_) => self.try_vectorize_agg(Some(AggInput::Partials), &uni_prep, &shuffled.parts),
+            None => None,
+        };
+        let (merge_rows, merge_max_rows) = (shuffled.total_rows(), shuffled.max_part_rows());
+        let merge_parts = shuffled.num_parts();
+        let cells: Vec<Mutex<Option<Vec<Value>>>> = shuffled
+            .parts
+            .into_iter()
+            .map(|p| Mutex::new(Some(Arc::try_unwrap(p).unwrap_or_else(|p| p.to_vec()))))
+            .collect();
+        let merged_lists = self.run_tasks(true, merge_parts, merge_rows, |pi| {
+            let rows = cells[pi]
+                .lock()
+                .expect("partial partition lock poisoned")
+                .take()
+                .expect("partial partition drained once");
+            let (groups, covered, nbatches) = agg_kernel_prefix(merge_vec.as_ref(), &rows);
+            let merged: Vec<Value> = if covered == rows.len() {
+                groups
+                    .into_iter()
+                    .map(|(k, acc)| Value::tuple(vec![k, acc]))
+                    .collect()
+            } else {
                 let mut accs: InsertionMap<Value, Value> = InsertionMap::new();
-                for (row, &h) in shuffled.parts[pi].iter().zip(&hash_b[pi]) {
-                    let k = row.field(0)?.clone();
-                    let a = row.field(1)?.clone();
+                for (k, acc) in groups {
+                    accs.insert_hashed(value_hash(&k), &k, || acc);
+                }
+                let mut ucx = uni_prep.ctx(&base);
+                for (row, &h) in rows.into_iter().zip(&hash_b[pi]).skip(covered) {
+                    let (k, a) = split_partial(row);
                     match accs.get_mut_hashed(h, &k) {
                         Some(acc) => {
-                            let merged = uni_prep.call(&[acc.clone(), a], &mut ucx, catalog)?;
-                            *acc = merged;
+                            let prev = std::mem::replace(acc, Value::Null);
+                            *acc = uni_prep.call_owned([prev, a], &mut ucx, catalog)?;
                         }
                         None => {
                             accs.insert_hashed(h, &k, || a);
                         }
                     }
                 }
-                Ok(accs
-                    .into_iter()
+                accs.into_iter()
                     .map(|(k, acc)| Value::tuple(vec![k, acc]))
-                    .collect::<Vec<_>>())
-            })?;
-        let parts: Vec<Arc<Vec<Value>>> = merged_lists.into_iter().map(Arc::new).collect();
-        self.charge_cpu(shuffled.total_rows(), shuffled.max_part_rows());
+                    .collect()
+            };
+            Ok((merged, covered as u64, nbatches))
+        })?;
+        let mut parts: Vec<Arc<Vec<Value>>> = Vec::with_capacity(merged_lists.len());
+        for (merged, nvec, nbatches) in merged_lists {
+            self.stats.rows_vectorized += nvec;
+            self.stats.batches_executed += nbatches;
+            parts.push(Arc::new(merged));
+        }
+        self.charge_cpu(merge_rows, merge_max_rows);
         self.stats.stages += 1;
         self.stats.charge_secs(self.personality().stage_overhead);
         // A split layout routes by the two-level (primary, secondary) hash —
@@ -2638,7 +2690,7 @@ impl<'a> Session<'a> {
         } else {
             Some(Partitioning {
                 key: Lambda::new(["g"], ScalarExpr::var("g").get(0)),
-                parts: shuffled.num_parts(),
+                parts: merge_parts,
             })
         };
         Ok(PlanResult::Bag(Partitioned {
@@ -2674,11 +2726,12 @@ impl<'a> Session<'a> {
     /// is identical whichever evaluation tier ran the rows: vectorizing a
     /// string body cannot shift the simulated clock. No floor and no
     /// `records_processed` contribution (the per-call overhead is already in
-    /// the record-weighted charge); byte-free bodies charge nothing.
-    fn charge_cpu_bytes(&mut self, max_part_bytes: u64, byte_weight: f64) {
+    /// the record-weighted charge); byte-free bodies charge nothing — and
+    /// never evaluate `max_part_bytes`, a full walk of the input.
+    fn charge_cpu_bytes(&mut self, max_part_bytes: impl FnOnce() -> u64, byte_weight: f64) {
         if byte_weight > 0.0 {
             self.stats.charge_secs(
-                max_part_bytes as f64 * self.spec().cpu_per_record * byte_weight / 8.0,
+                max_part_bytes() as f64 * self.spec().cpu_per_record * byte_weight / 8.0,
             );
         }
     }
@@ -2714,13 +2767,14 @@ impl<'a> Session<'a> {
     /// Each fold over nested bag values re-scans the materialized data; when
     /// the consumer's partition outgrew worker memory, the re-scan reads
     /// spilled data with the engine's spill penalty. `max_part_bytes` is the
-    /// consumer's largest input partition.
-    fn charge_nested_bag_folds(&mut self, count: usize, max_part_bytes: u64) {
+    /// consumer's largest input partition, evaluated only when there is a
+    /// fold to charge.
+    fn charge_nested_bag_folds(&mut self, count: usize, max_part_bytes: impl FnOnce() -> u64) {
         if count == 0 {
             return;
         }
         let spec = *self.spec();
-        let max_bytes = max_part_bytes as f64;
+        let max_bytes = max_part_bytes() as f64;
         let mem = spec.mem_per_worker as f64;
         let penalty = if max_bytes > mem {
             // Re-scans of spilled first-class bag values pay the spill I/O
@@ -2809,7 +2863,7 @@ impl<'a> Session<'a> {
     fn plan_bucket_splits(&mut self, kind: Option<SplitKind>, sizes: &[u64]) -> Option<SplitPlan> {
         let cfg = self.engine.skew?;
         kind?;
-        let ratio = skew::skew_ratio(sizes);
+        let ratio = skew::observed_skew_ratio(&cfg, sizes);
         if ratio > self.stats.max_skew_ratio {
             self.stats.max_skew_ratio = ratio;
         }
@@ -3429,27 +3483,78 @@ where
     let s = sng.call(std::slice::from_ref(row), scx, catalog)?;
     match accs.get_mut_hashed(h, &k) {
         Some((_, acc)) => {
-            let merged = uni.call(&[acc.clone(), s], ucx, catalog)?;
-            *acc = merged;
+            let prev = std::mem::replace(acc, Value::Null);
+            *acc = uni.call_owned([prev, s], ucx, catalog)?;
         }
         None => {
-            let first = uni.call(&[zero.clone(), s], ucx, catalog)?;
+            let first = uni.call_owned([zero.clone(), s], ucx, catalog)?;
             accs.insert_hashed(h, &k, || (h, first));
         }
     }
     Ok(())
 }
 
+/// Folds `rows` through a columnar aggregation kernel batch by batch, up to
+/// the first batch that aborts (a non-conforming or erroring lane). Returns
+/// the groups folded so far in first-seen order, the number of leading rows
+/// they cover, and the batches run; the caller folds `rows[covered..]`
+/// through the scalar loop seeded with those groups. Without a kernel (or
+/// rows) nothing is covered.
+fn agg_kernel_prefix(
+    kernel: Option<&(AggKernel, usize)>,
+    rows: &[Value],
+) -> (Vec<(Value, Value)>, usize, u64) {
+    let Some((kernel, batch_rows)) = kernel.filter(|_| !rows.is_empty()) else {
+        return (Vec::new(), 0, 0);
+    };
+    let mut st = kernel.new_state();
+    let (mut covered, mut nbatches) = (0usize, 0u64);
+    for chunk in rows.chunks(*batch_rows) {
+        if !kernel.absorb(chunk, &mut st) {
+            break;
+        }
+        covered += chunk.len();
+        nbatches += 1;
+    }
+    (kernel.finish(st), covered, nbatches)
+}
+
+/// Splits an `aggBy` partial `(key, acc)` — built by the combiner, so always
+/// a pair — into its two fields, moving them out unless the row is shared.
+fn split_partial(row: Value) -> (Value, Value) {
+    let Value::Tuple(fs) = row else {
+        unreachable!("aggBy partials are (key, acc) tuples");
+    };
+    match Arc::try_unwrap(fs) {
+        Ok(mut owned) => {
+            let a = owned.pop().expect("partial has an accumulator");
+            let k = owned.pop().expect("partial has a key");
+            (k, a)
+        }
+        Err(fs) => (fs[0].clone(), fs[1].clone()),
+    }
+}
+
 /// The vectorized-tier view of a prepared Map/Filter stage: its compiled
 /// slot program plus bound capture slots. `None` for the interpreter tier
 /// (the batch tier requires compiled evaluation, so this is defensive).
 fn vec_spec<'s>(prep: &'s PreparedScalar<'_>, filter: bool) -> Option<VecStageSpec<'s>> {
-    match prep {
-        PreparedScalar::Compiled { code, caps } => Some(if filter {
+    compiled_parts(prep).map(|(code, caps)| {
+        if filter {
             VecStageSpec::Filter(code, caps)
         } else {
             VecStageSpec::Map(code, caps)
-        }),
+        }
+    })
+}
+
+/// A prepared UDF's compiled slot program plus bound capture slots; `None`
+/// for the interpreter tier.
+fn compiled_parts<'s>(
+    prep: &'s PreparedScalar<'_>,
+) -> Option<(&'s CompiledEval, &'s [Option<Value>])> {
+    match prep {
+        PreparedScalar::Compiled { code, caps } => Some((code, caps)),
         PreparedScalar::Interp { .. } => None,
     }
 }

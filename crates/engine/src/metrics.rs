@@ -106,7 +106,9 @@ pub struct ExecStats {
     pub split_rows_moved: u64,
     /// Worst skew ratio (`max_part_rows × parts / total_rows`) observed
     /// across skew-eligible shuffles, measured *before* splitting. 1.0 is
-    /// perfectly balanced; only tracked when skew splitting is configured.
+    /// perfectly balanced; only tracked when skew splitting is configured,
+    /// and only for layouts whose hottest partition reaches
+    /// `SkewConfig::min_part_rows` (the split's own noise floor).
     pub max_skew_ratio: f64,
     /// Rows evaluated through the vectorized columnar batch tier (requires
     /// `Engine::with_vectorized_eval`); counts each row once per fused
@@ -117,10 +119,11 @@ pub struct ExecStats {
     pub batches_executed: u64,
     /// Operators that requested vectorization but were not fully
     /// type-specializable and fell back to the scalar compiled tier —
-    /// "no silent slow paths": every fallback is visible here.
+    /// "no silent slow paths": every fallback is visible here. A fused
+    /// `aggBy` whose fold does not specialize counts once.
     pub vector_fallbacks: u64,
     /// Wide-operator key-extraction sites (shuffle routing, join build/probe
-    /// keys, `aggBy` combining, `groupBy` grouping) that evaluated their key
+    /// keys, `groupBy` grouping) that evaluated their key
     /// UDF row-at-a-time while the vectorized tier was active — either the
     /// key body resisted specialization or the site is scalar by design
     /// (stateful routing, residual-predicate probes). The key-path analogue

@@ -131,6 +131,19 @@ pub fn skew_ratio(sizes: &[u64]) -> f64 {
     max as f64 * sizes.len() as f64 / total as f64
 }
 
+/// [`skew_ratio`] with the noise floor [`plan_splits`] applies: a layout
+/// whose hottest partition is below [`SkewConfig::min_part_rows`] is never
+/// worth splitting, so its imbalance is not skew worth reporting either —
+/// a handful of post-combiner partials spread over hundreds of buckets
+/// would otherwise score in the dozens.
+pub fn observed_skew_ratio(cfg: &SkewConfig, sizes: &[u64]) -> f64 {
+    if sizes.iter().max().is_some_and(|&m| m >= cfg.min_part_rows) {
+        skew_ratio(sizes)
+    } else {
+        0.0
+    }
+}
+
 /// Plans sub-partition splits for the given per-partition row counts.
 ///
 /// Pure: the result depends only on `(cfg, sizes)`. Returns `None` when no
@@ -263,6 +276,29 @@ mod tests {
         assert_eq!(skew_ratio(&[400, 0, 0, 0]), 4.0);
         assert_eq!(skew_ratio(&[]), 0.0);
         assert_eq!(skew_ratio(&[0, 0]), 0.0);
+    }
+
+    #[test]
+    fn observed_ratio_applies_the_split_noise_floor() {
+        let cfg = SkewConfig::default(); // min_part_rows = 1024
+                                         // Below the floor: six partials over many buckets is not skew.
+        let mut partials = vec![0u64; 320];
+        partials[7] = 3;
+        partials[200] = 3;
+        assert_eq!(skew_ratio(&partials), 160.0);
+        assert_eq!(observed_skew_ratio(&cfg, &partials), 0.0);
+        assert_eq!(observed_skew_ratio(&cfg, &[1023, 1, 1, 1]), 0.0);
+        // At the floor the plain ratio is reported.
+        assert_eq!(
+            observed_skew_ratio(&cfg, &[1024, 0, 0, 0]),
+            skew_ratio(&[1024, 0, 0, 0])
+        );
+        assert_eq!(observed_skew_ratio(&cfg, &[1024, 0, 0, 0]), 4.0);
+        // All-empty and empty layouts stay 0, whatever the floor.
+        let eager = cfg.with_min_part_rows(0);
+        assert_eq!(observed_skew_ratio(&eager, &[0, 0, 0]), 0.0);
+        assert_eq!(observed_skew_ratio(&eager, &[]), 0.0);
+        assert_eq!(observed_skew_ratio(&cfg, &[0, 0, 0]), 0.0);
     }
 
     #[test]

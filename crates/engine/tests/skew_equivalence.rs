@@ -160,6 +160,14 @@ fn assert_same_results(on: &EngineRun, off: &EngineRun) {
     assert_eq!(on.scalars, off.scalars, "driver scalars");
 }
 
+/// A config that watches every layout (`min_part_rows` 1) but can never
+/// call a partition hot.
+fn never_splitting() -> SkewConfig {
+    SkewConfig::default()
+        .with_skew_factor(f64::INFINITY)
+        .with_min_part_rows(1)
+}
+
 /// Zeroes the only counter a watching-but-never-splitting config moves.
 fn without_ratio(stats: &ExecStats) -> ExecStats {
     let mut s = stats.clone();
@@ -171,13 +179,15 @@ fn without_ratio(stats: &ExecStats) -> ExecStats {
 fn splitting_off_is_the_identity() {
     // A config too strict to ever trigger must differ from no config only in
     // `max_skew_ratio` — every cost counter, including the bit pattern of
-    // `simulated_secs`, is untouched.
+    // `simulated_secs`, is untouched. (An infinite `skew_factor` never
+    // splits; a huge `min_part_rows` would also silence the ratio, which
+    // shares the split's noise floor.)
     let (p, catalog) = workload(3_000, 40, 1.4, 11);
     for compiled in [true, false] {
         let prog = compile(&p, compiled);
         let plain = tiny_engine().run(&prog, &catalog).expect("plain");
         let watching = tiny_engine()
-            .with_skew_splitting(SkewConfig::default().with_min_part_rows(u64::MAX))
+            .with_skew_splitting(never_splitting())
             .run(&prog, &catalog)
             .expect("watching");
         assert_same_results(&watching, &plain);
@@ -206,7 +216,7 @@ fn splitting_off_identity_holds_under_chaos() {
         .expect("chaos plain");
     let watching = tiny_engine()
         .with_faults(cfg)
-        .with_skew_splitting(SkewConfig::default().with_min_part_rows(u64::MAX))
+        .with_skew_splitting(never_splitting())
         .run(&prog, &catalog)
         .expect("chaos watching");
     assert!(plain.stats.tasks_failed > 0, "{}", plain.stats);

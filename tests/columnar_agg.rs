@@ -1,0 +1,445 @@
+//! Cross-tier differential harness for the columnar fused `aggBy`.
+//!
+//! For generated `filter → groupBy → folds` programs (shared generator in
+//! `tests/common/agg_programs.rs`) the reference interpreter, the scalar
+//! compiled tier and the vectorized tier must agree on every sink's values;
+//! the two engine tiers must additionally agree bit for bit on rows
+//! (including float bit patterns and which of `0.0`/`-0.0`/`NaN` represents a
+//! group), on errors, on every deterministic counter and on the simulated
+//! clock — across 1/2/4 worker threads, both dispatch modes, injected chaos
+//! and skew splitting. The batch tier's only permitted trace is its own
+//! telemetry.
+//!
+//! The deterministic tests cover the degenerate inputs (empty and singleton
+//! partitions, a mixed Int/Float column that aborts a batch mid-partition, an
+//! element function that divides by zero on one row) and pin which folds
+//! engage the aggregation kernel and which are one counted refusal.
+
+#[path = "common/agg_programs.rs"]
+mod agg_programs;
+mod common;
+
+use agg_programs::{agg_program, fold_expr, VI};
+use common::{without_vec_telemetry, MATRIX};
+use emma::algorithms::tpch;
+use emma::prelude::*;
+use emma_datagen::tpch::{lineitem as li, TpchSpec, Q1_SHIP_CUTOFF};
+use emma_engine::ParallelismMode;
+use proptest::prelude::*;
+
+fn engine() -> Engine {
+    common::tiny_engine(Personality::sparrow())
+}
+
+fn x() -> ScalarExpr {
+    ScalarExpr::var("x")
+}
+
+fn compile(p: &Program) -> CompiledProgram {
+    parallelize(p, &OptimizerFlags::all().with_compiled_eval(true))
+}
+
+/// Bit-exact value identity: `Value`'s own equality conflates `0.0` with
+/// `-0.0` and every `NaN`, which is exactly what the tiers must *not* be
+/// allowed to differ in.
+fn same_bits(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+        (Value::Int(x), Value::Int(y)) => x == y,
+        (Value::Tuple(x), Value::Tuple(y)) => {
+            x.len() == y.len() && x.iter().zip(y.iter()).all(|(p, q)| same_bits(p, q))
+        }
+        (Value::Int(_) | Value::Float(_) | Value::Tuple(_), _) => false,
+        _ => a == b,
+    }
+}
+
+fn assert_same_runs(what: &str, a: &EngineRun, b: &EngineRun) {
+    assert_eq!(a.writes.len(), b.writes.len(), "{what}: sink sets differ");
+    for (sink, rows) in &a.writes {
+        let other = &b.writes[sink];
+        assert!(
+            rows.len() == other.len() && rows.iter().zip(other).all(|(p, q)| same_bits(p, q)),
+            "{what}: sink `{sink}` differs\n  left:  {rows:?}\n  right: {other:?}"
+        );
+    }
+    assert_eq!(a.scalars, b.scalars, "{what}: scalars differ");
+}
+
+/// Canonical form for comparing against the interpreter, which may keep a
+/// different representative of a float key class and sums in another order.
+fn canon(v: &Value) -> Value {
+    match v {
+        Value::Float(f) if f.is_nan() => Value::Float(f64::NAN),
+        Value::Float(f) if *f == 0.0 => Value::Float(0.0),
+        Value::Tuple(fs) => Value::tuple(fs.iter().map(canon).collect::<Vec<_>>()),
+        other => other.clone(),
+    }
+}
+
+fn approx(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Float(x), Value::Float(y)) => {
+            x == y || (x.is_nan() && y.is_nan()) || common::approx_eq(a, b, 1e-6)
+        }
+        (Value::Tuple(x), Value::Tuple(y)) => {
+            x.len() == y.len() && x.iter().zip(y.iter()).all(|(p, q)| approx(p, q))
+        }
+        _ => common::approx_eq(a, b, 1e-6),
+    }
+}
+
+fn assert_matches_interp(what: &str, want: &RunOutput, got: &EngineRun) {
+    for (sink, rows) in &want.writes {
+        let mut xs: Vec<Value> = rows.iter().map(canon).collect();
+        let mut ys: Vec<Value> = got.writes[sink].iter().map(canon).collect();
+        xs.sort();
+        ys.sort();
+        assert!(
+            xs.len() == ys.len() && xs.iter().zip(&ys).all(|(p, q)| approx(p, q)),
+            "{what}: sink `{sink}` diverges from the interpreter\n  interp: {xs:?}\n  engine: {ys:?}"
+        );
+    }
+}
+
+/// The whole contract for one program and catalog: interpreter vs scalar
+/// compiled vs vectorized, over the matrix, with and without chaos and skew
+/// splitting. `exact_interp` is off for mixed-type columns, where `uni` is
+/// not associative across the Int/Float boundary and only the engine tiers
+/// (which fold in the same order) can be held to identical values.
+fn assert_tiers_agree(p: &Program, catalog: &Catalog, chaos_seed: u64, exact_interp: bool) {
+    let interp = Interp::new(catalog).run(p);
+    let prog = compile(p);
+    let skew_cfg = SkewConfig::default().with_min_part_rows(8);
+    for chaos in [None, Some(FaultConfig::chaos(chaos_seed))] {
+        for skew_on in [false, true] {
+            let what = format!("chaos {} skew {skew_on}", chaos.is_some());
+            let mk = |vec_on: bool, mode: ParallelismMode, threads: usize| {
+                let mut e = engine()
+                    .with_parallelism_mode(mode)
+                    .with_worker_threads(Some(threads));
+                if let Some(cfg) = chaos {
+                    e = e.with_faults(cfg);
+                }
+                if skew_on {
+                    e = e.with_skew_splitting(skew_cfg);
+                }
+                if vec_on {
+                    e = e.with_vectorized_eval(BatchConfig::new(16));
+                }
+                e.run(&prog, catalog)
+            };
+            let scalar = mk(false, ParallelismMode::Pool, 2);
+            let vec_runs: Vec<_> = MATRIX.iter().map(|&(m, t)| mk(true, m, t)).collect();
+            match &scalar {
+                Err(e) => {
+                    assert!(
+                        interp.is_err(),
+                        "{what}: engine errored but the interpreter succeeded: {e:?}"
+                    );
+                    for vr in &vec_runs {
+                        let ve = vr.as_ref().err().unwrap_or_else(|| {
+                            panic!("{what}: vectorized run succeeded where the scalar tier failed")
+                        });
+                        assert_eq!(
+                            format!("{e:?}"),
+                            format!("{ve:?}"),
+                            "{what}: error identity"
+                        );
+                    }
+                }
+                Ok(s) => {
+                    let want = interp.as_ref().expect("interp agrees the program runs");
+                    if exact_interp {
+                        assert_matches_interp(&what, want, s);
+                    }
+                    let first = vec_runs[0].as_ref().expect("vectorized run");
+                    // Conforming rows either vectorize or are a counted
+                    // refusal. (A mixed column may put its odd row first:
+                    // the tier then specializes against it and every batch
+                    // replays — engaged, but with nothing to show for it.)
+                    assert!(
+                        first.stats.rows_vectorized + first.stats.vector_fallbacks > 0
+                            || s.stats.records_processed == 0
+                            || !exact_interp,
+                        "{what}: vectorized tier neither engaged nor reported"
+                    );
+                    for vr in &vec_runs {
+                        let v = vr.as_ref().expect("vectorized run");
+                        assert_same_runs(&what, v, s);
+                        assert_eq!(without_vec_telemetry(&v.stats), s.stats, "{what}");
+                        assert_eq!(v.stats, first.stats, "{what}: telemetry replay");
+                        assert_eq!(
+                            v.stats.simulated_secs.to_bits(),
+                            s.stats.simulated_secs.to_bits(),
+                            "{what}: vectorization moved the clock"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    #[test]
+    fn cross_tier_differential_on_generated_agg_programs(
+        filter in agg_programs::filter_body(),
+        key in agg_programs::key_body(),
+        folds in agg_programs::fold_list(),
+        rows in prop::collection::vec(agg_programs::agg_row(), 0..300),
+        chaos_seed in any::<u64>(),
+    ) {
+        let catalog = Catalog::new().with("rows", rows);
+        assert_tiers_agree(&agg_program(filter, key, folds), &catalog, chaos_seed, true);
+    }
+
+    // A mixed Int/Float fold input: no scalar fold errors on it, but the
+    // typed loads do not conform, so batches abort and the rest of the
+    // partition replays through the scalar loop against the same groups.
+    #[test]
+    fn mixed_columns_abort_and_replay_identically(
+        key in agg_programs::key_body(),
+        folds in agg_programs::fold_list(),
+        rows in prop::collection::vec(agg_programs::mixed_agg_row(), 100..300),
+        chaos_seed in any::<u64>(),
+    ) {
+        let catalog = Catalog::new().with("rows", rows);
+        let keep_all = x().get(VI).eq(x().get(VI));
+        assert_tiers_agree(&agg_program(keep_all, key, folds), &catalog, chaos_seed, false);
+    }
+
+    // `sum(x.5 / x.4)` divides by the zeros of the Int column: whichever
+    // row errors first in evaluation order must be the error every tier,
+    // thread count and dispatch mode reports.
+    #[test]
+    fn element_errors_reproduce_across_tiers(
+        key in agg_programs::key_body(),
+        folds in agg_programs::fold_list(),
+        rows in prop::collection::vec(agg_programs::agg_row(), 50..300),
+        at in 0usize..10,
+        chaos_seed in any::<u64>(),
+    ) {
+        let mut folds = folds;
+        folds.insert(at.min(folds.len()), fold_expr(13, 0));
+        let catalog = Catalog::new().with("rows", rows);
+        let keep_all = x().get(VI).eq(x().get(VI));
+        assert_tiers_agree(&agg_program(keep_all, key, folds), &catalog, chaos_seed, true);
+    }
+}
+
+fn conforming_rows(n: usize) -> Vec<Value> {
+    (0..n as i64)
+        .map(|i| {
+            Value::tuple(vec![
+                Value::Int(i % 5),
+                Value::str(["a", "b", "ab"][i as usize % 3]),
+                Value::str(["", "z"][i as usize % 2]),
+                Value::Float([0.0, -0.0, f64::NAN, 1.5][i as usize % 4]),
+                Value::Int(i - 7),
+                Value::Float(i as f64 * 0.25 - 3.0),
+            ])
+        })
+        .collect()
+}
+
+/// Every fold of the infallible menu at once, keyed by a tuple of strings —
+/// the Q1 shape.
+fn all_folds_program() -> Program {
+    agg_program(
+        x().get(VI).ge(ScalarExpr::lit(Value::Int(-5))),
+        ScalarExpr::Tuple(vec![x().get(1), x().get(2)]),
+        (0u8..13).map(|w| fold_expr(w, 3)).collect(),
+    )
+}
+
+fn run_pair(p: &Program, catalog: &Catalog, batch: usize) -> (EngineRun, EngineRun) {
+    let prog = compile(p);
+    let scalar = engine().run(&prog, catalog).expect("scalar");
+    let vec = engine()
+        .with_vectorized_eval(BatchConfig::new(batch))
+        .run(&prog, catalog)
+        .expect("vectorized");
+    assert_same_runs("pair", &vec, &scalar);
+    assert_eq!(without_vec_telemetry(&vec.stats), scalar.stats);
+    assert_eq!(
+        vec.stats.simulated_secs.to_bits(),
+        scalar.stats.simulated_secs.to_bits()
+    );
+    (scalar, vec)
+}
+
+#[test]
+fn empty_and_singleton_partitions() {
+    // Eight partitions: 0 rows leaves all of them empty, 1 and 3 leave
+    // singletons beside empties, 9 mixes two-row and one-row partitions.
+    for n in [0usize, 1, 3, 9] {
+        let catalog = Catalog::new().with("rows", conforming_rows(n));
+        let p = all_folds_program();
+        assert_tiers_agree(&p, &catalog, 7, true);
+        let (_, vec) = run_pair(&p, &catalog, 4);
+        assert_eq!(vec.stats.vector_fallbacks, 0, "n={n}: {}", vec.stats);
+        assert_eq!(vec.stats.key_path_fallbacks, 0, "n={n}: {}", vec.stats);
+    }
+}
+
+#[test]
+fn every_recognized_fold_engages_the_kernel() {
+    let rows = conforming_rows(600);
+    let kept = rows
+        .iter()
+        .filter(|r| matches!(r.field(VI), Ok(Value::Int(v)) if *v >= -5))
+        .count() as u64;
+    let catalog = Catalog::new().with("rows", rows);
+    let (_, vec) = run_pair(&all_folds_program(), &catalog, 32);
+    assert_eq!(vec.stats.vector_fallbacks, 0, "{}", vec.stats);
+    assert_eq!(vec.stats.key_path_fallbacks, 0, "{}", vec.stats);
+    // The filter vectorizes all 600 rows, the combiner the kept rows and the
+    // final projection its six groups; the merge phase's partials come on
+    // top.
+    assert!(
+        vec.stats.rows_vectorized > 600 + kept + 6,
+        "aggBy rows not counted: {}",
+        vec.stats
+    );
+}
+
+#[test]
+fn mixed_column_aborts_mid_partition_and_replays() {
+    // 75 rows per partition, batches of 16: the Float at row 400 sits in the
+    // second batch of partition 5, whose tail replays through the scalar
+    // loop seeded with the first batch's groups.
+    let mut rows = conforming_rows(600);
+    if let Value::Tuple(fs) = &rows[400] {
+        let mut fs = fs.to_vec();
+        fs[VI] = Value::Float(2.5);
+        rows[400] = Value::tuple(fs);
+    }
+    let clean = Catalog::new().with("rows", conforming_rows(600));
+    let catalog = Catalog::new().with("rows", rows);
+    let p = agg_program(
+        x().get(VI).eq(x().get(VI)),
+        x().get(0),
+        (0u8..13).map(|w| fold_expr(w, 3)).collect(),
+    );
+    let (_, vec) = run_pair(&p, &catalog, 16);
+    let (_, vec_clean) = run_pair(&p, &clean, 16);
+    assert_eq!(vec.stats.vector_fallbacks, 0, "{}", vec.stats);
+    assert!(vec.stats.rows_vectorized > 0, "{}", vec.stats);
+    // Partition 5 loses its 75 − 16 trailing rows to the scalar loop (its
+    // filter batch aborts too); every other partition stays columnar.
+    assert!(
+        vec.stats.rows_vectorized < vec_clean.stats.rows_vectorized,
+        "abort did not replay: {} vs {}",
+        vec.stats,
+        vec_clean.stats
+    );
+    assert_tiers_agree(&p, &catalog, 11, false);
+}
+
+#[test]
+fn element_division_by_zero_on_one_row() {
+    // `x.4` is `i − 7`, so row 7 (and only row 7) divides by zero.
+    let catalog = Catalog::new().with("rows", conforming_rows(300));
+    let p = agg_program(
+        x().get(VI).eq(x().get(VI)),
+        x().get(1),
+        vec![fold_expr(2, 0), fold_expr(13, 0), fold_expr(0, 0)],
+    );
+    let prog = compile(&p);
+    let scalar = engine().run(&prog, &catalog).expect_err("scalar errors");
+    let vec = engine()
+        .with_vectorized_eval(BatchConfig::new(16))
+        .run(&prog, &catalog)
+        .expect_err("vectorized errors");
+    assert_eq!(format!("{scalar:?}"), format!("{vec:?}"));
+    assert!(
+        format!("{scalar:?}").contains("division by zero"),
+        "{scalar:?}"
+    );
+    assert_tiers_agree(&p, &catalog, 3, true);
+}
+
+#[test]
+fn q1_plan_runs_its_agg_by_through_the_kernel() {
+    let catalog = tpch::catalog(&TpchSpec {
+        scale: 2.0,
+        seed: 42,
+    });
+    let lineitems = catalog.get("lineitem").expect("lineitem");
+    let kept = lineitems
+        .iter()
+        .filter(|r| r.field(li::SHIP_DATE).expect("ship date") <= &Value::Int(Q1_SHIP_CUTOFF))
+        .count() as u64;
+    assert!(kept > 0);
+    let (scalar, vec) = run_pair(&tpch::q1_program(), &catalog, 256);
+    assert_eq!(vec.stats.vector_fallbacks, 0, "{}", vec.stats);
+    assert_eq!(vec.stats.key_path_fallbacks, 0, "{}", vec.stats);
+    // The filter counts every lineitem, the combiner every kept row, the
+    // final projection one row per group; what lies beyond is the merge
+    // phase's partials.
+    let groups = scalar.writes[tpch::Q1_SINK].len() as u64;
+    assert!(
+        vec.stats.rows_vectorized > lineitems.len() as u64 + kept + groups,
+        "Q1's aggBy rows not counted in rows_vectorized: {}",
+        vec.stats
+    );
+}
+
+/// A bare `aggBy` over the int key with the given fold: the source is not a
+/// vectorization site, so the fold is the only thing that can be refused.
+fn bare_agg_by(fold: FoldOp) -> Program {
+    Program::new(vec![Stmt::write(
+        "agg",
+        BagExpr::AggBy {
+            input: Box::new(BagExpr::read("rows")),
+            key: Lambda::new(["x"], x().get(0)),
+            fold,
+        },
+    )])
+}
+
+#[test]
+fn folds_that_do_not_specialize_are_exactly_one_counted_refusal() {
+    let catalog = Catalog::new().with("rows", conforming_rows(200));
+    let (a, b) = (ScalarExpr::var("a"), ScalarExpr::var("b"));
+    // Slots that read each other's neighbours are not slot-wise.
+    let crossed = FoldOp::custom(
+        ScalarExpr::Tuple(vec![
+            ScalarExpr::lit(Value::Int(0)),
+            ScalarExpr::lit(Value::Int(0)),
+        ]),
+        Lambda::new(["x"], ScalarExpr::Tuple(vec![x().get(VI), x().get(0)])),
+        Lambda::new(
+            ["a", "b"],
+            ScalarExpr::Tuple(vec![
+                a.clone().get(0).add(b.clone().get(1)),
+                a.get(1).add(b.get(0)),
+            ]),
+        ),
+    );
+    // A vector sum combines with `vec_add`, not with a typed slot op.
+    let mut vec_sum = FoldOp::vec_sum(2);
+    vec_sum.sng = Lambda::new(
+        ["x"],
+        ScalarExpr::call(
+            BuiltinFn::VecScale,
+            vec![
+                ScalarExpr::lit(Value::vector(vec![1.0, 2.0])),
+                x().get(agg_programs::VF),
+            ],
+        ),
+    );
+    for (what, fold) in [("crossed slots", crossed), ("vec_sum", vec_sum)] {
+        let (_, vec) = run_pair(&bare_agg_by(fold), &catalog, 32);
+        assert_eq!(vec.stats.vector_fallbacks, 1, "{what}: {}", vec.stats);
+        assert_eq!(vec.stats.key_path_fallbacks, 0, "{what}: {}", vec.stats);
+        assert_eq!(vec.stats.rows_vectorized, 0, "{what}: {}", vec.stats);
+    }
+    // The same bare shape with a recognized fold is no refusal at all.
+    let (_, vec) = run_pair(&bare_agg_by(FoldOp::count()), &catalog, 32);
+    assert_eq!(vec.stats.vector_fallbacks, 0, "{}", vec.stats);
+    assert!(vec.stats.rows_vectorized >= 200, "{}", vec.stats);
+}

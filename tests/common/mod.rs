@@ -3,6 +3,28 @@
 #![allow(dead_code)]
 
 use emma::prelude::*;
+use emma_engine::ParallelismMode;
+
+/// The thread-count × dispatch-mode matrix every determinism check spans.
+pub const MATRIX: [(ParallelismMode, usize); 6] = [
+    (ParallelismMode::Pool, 1),
+    (ParallelismMode::Pool, 2),
+    (ParallelismMode::Pool, 4),
+    (ParallelismMode::PerOperator, 1),
+    (ParallelismMode::PerOperator, 2),
+    (ParallelismMode::PerOperator, 4),
+];
+
+/// Zeroes the vectorization telemetry — the only counters the batch tier is
+/// allowed to move relative to a scalar run.
+pub fn without_vec_telemetry(stats: &ExecStats) -> ExecStats {
+    let mut s = stats.clone();
+    s.rows_vectorized = 0;
+    s.batches_executed = 0;
+    s.vector_fallbacks = 0;
+    s.key_path_fallbacks = 0;
+    s
+}
 
 /// A fast engine configuration for tests.
 pub fn tiny_engine(p: Personality) -> Engine {

@@ -21,19 +21,10 @@ mod common;
 #[path = "common/string_exprs.rs"]
 mod string_exprs;
 
+use common::{without_vec_telemetry, MATRIX};
 use emma::prelude::*;
 use emma_engine::ParallelismMode;
 use proptest::prelude::*;
-
-/// The thread-count × dispatch-mode matrix every determinism check spans.
-const MATRIX: [(ParallelismMode, usize); 6] = [
-    (ParallelismMode::Pool, 1),
-    (ParallelismMode::Pool, 2),
-    (ParallelismMode::Pool, 4),
-    (ParallelismMode::PerOperator, 1),
-    (ParallelismMode::PerOperator, 2),
-    (ParallelismMode::PerOperator, 4),
-];
 
 fn engine() -> Engine {
     common::tiny_engine(Personality::sparrow())
@@ -41,17 +32,6 @@ fn engine() -> Engine {
 
 fn x() -> ScalarExpr {
     ScalarExpr::var("x")
-}
-
-/// Zeroes the vectorization telemetry — the only counters the batch tier is
-/// allowed to move relative to a scalar run.
-fn without_vec_telemetry(stats: &ExecStats) -> ExecStats {
-    let mut s = stats.clone();
-    s.rows_vectorized = 0;
-    s.batches_executed = 0;
-    s.vector_fallbacks = 0;
-    s.key_path_fallbacks = 0;
-    s
 }
 
 /// The generated workload: a map, a filter, a `groupBy`, a fused

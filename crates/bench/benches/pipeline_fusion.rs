@@ -89,7 +89,6 @@ fn program(plan: Plan, fused: bool) -> CompiledProgram {
         }],
         report: OptimizationReport::default(),
         compiled_eval: true,
-        vectorized_eval: false,
     };
     if fused {
         apply_pipeline_fusion(&mut prog.body, &mut prog.report);

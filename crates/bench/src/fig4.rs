@@ -40,7 +40,6 @@ fn flags_for(config: usize) -> OptimizerFlags {
         partition_pulling: false,
         pipeline_fusion: true,
         compiled_eval: true,
-        vectorized_eval: false,
     };
     match config {
         0 | 1 => base,

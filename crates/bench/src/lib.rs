@@ -12,8 +12,6 @@
 pub mod fig4;
 pub mod fig5;
 pub mod iterative;
-pub mod lambda_chain;
-pub mod string_filter;
 pub mod table1;
 pub mod tpch_experiment;
 

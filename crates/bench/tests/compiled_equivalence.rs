@@ -1,22 +1,24 @@
-//! Acceptance check for the compiled-evaluator tiers: across the paper
-//! workloads (Fig. 4 spam classifier, Fig. 5 group aggregation, TPC-H
-//! Q1/Q4, PageRank), running UDFs through the slot-based compiled
-//! evaluators must produce exactly the same sink rows, driver scalars, and
-//! deterministic [`ExecStats`] counters — including bit-identical
-//! `simulated_secs` — as the tree-walking interpreter. Compilation is an
+//! Acceptance check for the evaluation stack: across the paper workloads
+//! (Fig. 4 spam classifier, Fig. 5 group aggregation, TPC-H Q1/Q4,
+//! PageRank), the engine's default stack — typed column kernels where a site
+//! specializes, the slot-compiled scalar tier as their replay and refusal
+//! path — must produce exactly the same sink rows, driver scalars, and
+//! deterministic [`ExecStats`] counters, including bit-identical
+//! `simulated_secs`, as the tree-walking interpreter. The stack is an
 //! evaluation tier, not a plan optimization: it may only change how fast a
 //! row is evaluated on the host, never what is computed or what the cost
 //! model charges.
 //!
-//! The vectorized batch tier is held to the same bar: with
-//! `vectorized_eval` on (by engine knob or program flag), every workload
-//! must reproduce the scalar compiled tier's rows, scalars, and cost-model
-//! counters exactly — the only counters allowed to move are the three
-//! vectorization telemetry fields — and rerunning the same configuration
-//! (including under chaos faults and skew splitting) must replay those
-//! telemetry counters bit-identically. Q1, Fig. 5 and PageRank additionally
-//! pin that their fused `aggBy` runs through the columnar aggregation kernel
-//! rather than as a counted refusal.
+//! Three legs are held to that bar against the default engine: the
+//! interpreter (`with_compiled_eval(false)`), which must also report all
+//! four tier telemetry counters as zero; the pinned scalar compiled tier
+//! (`engine.vectorized = None`); and a small batch size, so multi-batch
+//! abort-replay is exercised. The only counters allowed to differ are the
+//! four telemetry fields ([`ExecStats::without_tier_telemetry`]), and
+//! rerunning a configuration (including under chaos faults and skew
+//! splitting) must replay those bit-identically. Q1, Fig. 5 and PageRank
+//! additionally pin that their fused `aggBy` runs through the columnar
+//! aggregation kernel rather than as a counted refusal.
 
 use emma::algorithms::{groupagg, pagerank, spam, tpch};
 use emma::prelude::*;
@@ -26,8 +28,23 @@ use emma_datagen::tpch::TpchSpec;
 use emma_datagen::KeyDistribution;
 use emma_engine::{BatchConfig, SkewConfig};
 
-/// Returns the vectorized leg's counters (see
-/// [`assert_vectorized_invariant`]) for workload-specific pins.
+fn assert_same_run(what: &str, a: &EngineRun, b: &EngineRun) {
+    assert_eq!(a.writes, b.writes, "{what}: sink rows differ");
+    assert_eq!(a.scalars, b.scalars, "{what}: scalars differ");
+    assert_eq!(
+        a.stats.without_tier_telemetry(),
+        b.stats.without_tier_telemetry(),
+        "{what}: cost-model counters differ"
+    );
+    assert_eq!(
+        a.stats.simulated_secs.to_bits(),
+        b.stats.simulated_secs.to_bits(),
+        "{what}: simulated time not bit-identical"
+    );
+}
+
+/// Returns the default engine's counters on the last engine, for
+/// workload-specific pins.
 fn assert_compiled_invariant(
     what: &str,
     program: &Program,
@@ -41,90 +58,69 @@ fn assert_compiled_invariant(
         !interpreted.compiled_eval,
         "{what}: flag not plumbed through"
     );
+    let mut default_stats = None;
     for engine in [Engine::sparrow(), Engine::flamingo()] {
-        let a = engine.run(&compiled, catalog).expect(what);
-        let b = engine.run(&interpreted, catalog).expect(what);
-        assert_eq!(a.writes, b.writes, "{what}: sink rows differ");
-        assert_eq!(a.scalars, b.scalars, "{what}: scalars differ");
-        assert_eq!(a.stats, b.stats, "{what}: counters differ");
+        let default = engine.run(&compiled, catalog).expect(what);
+
+        // The spec: same run, and no tier telemetry at all.
+        let interp = engine.run(&interpreted, catalog).expect(what);
+        assert_same_run(&format!("{what}/interp"), &default, &interp);
         assert_eq!(
-            a.stats.simulated_secs.to_bits(),
-            b.stats.simulated_secs.to_bits(),
-            "{what}: simulated time not bit-identical"
+            interp.stats,
+            interp.stats.without_tier_telemetry(),
+            "{what}: the interpreter tier reported tier telemetry"
         );
-    }
-    assert_vectorized_invariant(what, program, catalog, flags)
-}
 
-/// Strips the vectorization telemetry so two runs can be compared on every
-/// *cost-model* counter: rows/bytes/stages/faults and the simulated clock
-/// must be untouched by the batch tier; only the telemetry may differ.
-fn without_vec_telemetry(stats: &ExecStats) -> ExecStats {
-    let mut s = stats.clone();
-    s.rows_vectorized = 0;
-    s.batches_executed = 0;
-    s.vector_fallbacks = 0;
-    s.key_path_fallbacks = 0;
-    s
-}
+        // The pinned scalar compiled tier: equal to the default after
+        // `without_tier_telemetry()`, and silent itself.
+        let mut scalar_engine = engine.clone();
+        scalar_engine.vectorized = None;
+        let scalar = scalar_engine.run(&compiled, catalog).expect(what);
+        assert_same_run(&format!("{what}/scalar"), &default, &scalar);
+        assert_eq!(
+            scalar.stats, interp.stats,
+            "{what}: scalar tier counters differ from the interpreter's"
+        );
 
-/// The vectorized-tier acceptance bar, run against the scalar compiled
-/// tier on both engines and through both opt-in routes (engine knob with a
-/// small batch so multi-batch replay is exercised, and the program-level
-/// `OptimizerFlags::vectorized_eval` with the default batch size). Returns
-/// the engine-knob run's counters on the last engine.
-fn assert_vectorized_invariant(
-    what: &str,
-    program: &Program,
-    catalog: &Catalog,
-    flags: &OptimizerFlags,
-) -> ExecStats {
-    let scalar = parallelize(program, &flags.with_compiled_eval(true));
-    let flagged = parallelize(
-        program,
-        &flags.with_compiled_eval(true).with_vectorized_eval(true),
-    );
-    assert!(
-        flagged.vectorized_eval && !scalar.vectorized_eval,
-        "{what}: vectorized_eval flag not plumbed through"
-    );
-    let mut knob_stats = None;
-    for engine in [Engine::sparrow(), Engine::flamingo()] {
-        let base = engine.run(&scalar, catalog).expect(what);
-        let knob = engine.clone().with_vectorized_eval(BatchConfig::new(64));
-        let a = knob.run(&scalar, catalog).expect(what);
-        let b = engine.run(&flagged, catalog).expect(what);
-        for (route, r) in [("engine knob", &a), ("program flag", &b)] {
-            assert_eq!(r.writes, base.writes, "{what}/{route}: sink rows differ");
-            assert_eq!(r.scalars, base.scalars, "{what}/{route}: scalars differ");
-            assert_eq!(
-                without_vec_telemetry(&r.stats),
-                base.stats,
-                "{what}/{route}: cost-model counters moved under vectorization"
-            );
-            assert_eq!(
-                r.stats.simulated_secs.to_bits(),
-                base.stats.simulated_secs.to_bits(),
-                "{what}/{route}: simulated time not bit-identical"
-            );
-        }
-        // No silent slow paths, no silent no-ops: with the tier on, every
-        // workload either vectorizes rows or reports its fallbacks.
+        // The batch-size setter at its default *is* the default engine,
+        // telemetry included.
+        let knob = engine
+            .clone()
+            .with_vectorized_eval(BatchConfig::default())
+            .run(&compiled, catalog)
+            .expect(what);
+        assert_same_run(&format!("{what}/default knob"), &default, &knob);
+        assert_eq!(default.stats, knob.stats, "{what}: telemetry differs");
+
+        // No silent slow paths, no silent no-ops: every workload either
+        // vectorizes rows or reports its fallbacks.
         assert!(
-            a.stats.rows_vectorized + a.stats.vector_fallbacks > 0,
+            default.stats.rows_vectorized + default.stats.vector_fallbacks > 0,
             "{what}: vectorized tier neither engaged nor reported a fallback"
         );
-        // The specialization decision is taken on the driver from a
-        // deterministic sample, so the telemetry itself must replay
-        // bit-identically.
-        let a2 = knob.run(&scalar, catalog).expect(what);
+
+        // A small batch exercises multi-batch replay. The specialization
+        // decision is taken on the driver from a deterministic sample, so
+        // the telemetry itself must replay bit-identically.
+        let small = engine.clone().with_vectorized_eval(BatchConfig::new(64));
+        let a = small.run(&compiled, catalog).expect(what);
+        assert_same_run(&format!("{what}/batch 64"), &default, &a);
+        let a2 = small.run(&compiled, catalog).expect(what);
         assert_eq!(
             a.stats, a2.stats,
             "{what}: vectorization telemetry not reproducible"
         );
-        knob_stats = Some(a.stats);
+        assert_eq!(
+            (a.stats.vector_fallbacks, a.stats.key_path_fallbacks),
+            (
+                default.stats.vector_fallbacks,
+                default.stats.key_path_fallbacks
+            ),
+            "{what}: refusals depend on the batch size"
+        );
+        default_stats = Some(default.stats);
     }
-    knob_stats.expect("both engines ran")
+    default_stats.expect("both engines ran")
 }
 
 #[test]
@@ -256,7 +252,9 @@ fn vectorized_counters_replay_bit_identically_under_chaos_and_skew() {
         let hostile = base
             .with_faults(FaultConfig::chaos(1729))
             .with_skew_splitting(SkewConfig::default().with_min_part_rows(64));
-        let scalar = hostile
+        let mut scalar_engine = hostile.clone();
+        scalar_engine.vectorized = None;
+        let scalar = scalar_engine
             .run(&compiled, &catalog)
             .expect("scalar under chaos");
         let vec_engine = hostile.with_vectorized_eval(BatchConfig::new(128));
@@ -269,7 +267,7 @@ fn vectorized_counters_replay_bit_identically_under_chaos_and_skew() {
         assert_eq!(a.writes, scalar.writes, "chaos+skew: sink rows differ");
         assert_eq!(a.scalars, scalar.scalars, "chaos+skew: scalars differ");
         assert_eq!(
-            without_vec_telemetry(&a.stats),
+            a.stats.without_tier_telemetry(),
             scalar.stats,
             "chaos+skew: cost-model counters moved under vectorization"
         );

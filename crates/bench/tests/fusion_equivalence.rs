@@ -41,7 +41,13 @@ fn assert_fusion_invariant(
         let b = engine.run(&unfused, catalog).expect(what);
         assert_eq!(a.writes, b.writes, "{what}: sink rows differ");
         assert_eq!(a.scalars, b.scalars, "{what}: scalars differ");
-        assert_eq!(a.stats, b.stats, "{what}: counters differ");
+        // Tier telemetry counts per operator execution, so it legitimately
+        // differs between one fused pass and its unfused chain.
+        assert_eq!(
+            a.stats.without_tier_telemetry(),
+            b.stats.without_tier_telemetry(),
+            "{what}: counters differ"
+        );
         assert_eq!(
             a.stats.simulated_secs.to_bits(),
             b.stats.simulated_secs.to_bits(),

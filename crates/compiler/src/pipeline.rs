@@ -45,22 +45,16 @@ pub struct OptimizerFlags {
     /// single per-partition [`Plan::Pipeline`] passes with no intermediate
     /// materialization.
     pub pipeline_fusion: bool,
-    /// Evaluate UDF lambdas through slot-compiled evaluators
-    /// ([`crate::compiled`]) instead of the reference tree-walking
-    /// interpreter. This is an engine *evaluation tier*, not one of the
-    /// paper's plan optimizations: it changes no plan, no rows, and no
-    /// deterministic cost-model counter, so it stays on even in
-    /// [`OptimizerFlags::none`] and exists purely as an escape hatch.
+    /// Evaluate UDF lambdas through the engine's compiled stack — typed
+    /// columnar kernels ([`crate::vectorized`]) wherever a site specializes,
+    /// slot-compiled evaluators ([`crate::compiled`]) as their abort-replay
+    /// and refusal path — instead of the reference tree-walking interpreter.
+    /// This is an engine *evaluation tier*, not one of the paper's plan
+    /// optimizations: it changes no plan, no rows, and no deterministic
+    /// cost-model counter, so it stays on even in [`OptimizerFlags::none`]
+    /// and exists purely as an escape hatch (`false` = run every UDF through
+    /// the spec).
     pub compiled_eval: bool,
-    /// Evaluate fully type-specializable Map/Filter/Fold bodies through
-    /// typed columnar batch kernels ([`crate::vectorized`]) on top of the
-    /// compiled tier. Like [`OptimizerFlags::compiled_eval`] this is an
-    /// engine *evaluation tier*: rows, errors, and every deterministic
-    /// cost-model counter are unchanged. Off by default (opt-in via
-    /// `Engine::with_vectorized_eval` or
-    /// [`OptimizerFlags::with_vectorized_eval`]); requires
-    /// `compiled_eval` to take effect.
-    pub vectorized_eval: bool,
 }
 
 impl OptimizerFlags {
@@ -75,8 +69,6 @@ impl OptimizerFlags {
             partition_pulling: true,
             pipeline_fusion: true,
             compiled_eval: true,
-            // Opt-in tier: off until explicitly requested.
-            vectorized_eval: false,
         }
     }
 
@@ -93,7 +85,6 @@ impl OptimizerFlags {
             pipeline_fusion: false,
             // Not a plan optimization — execution-tier toggle, see above.
             compiled_eval: true,
-            vectorized_eval: false,
         }
     }
 
@@ -152,12 +143,6 @@ impl OptimizerFlags {
     /// Builder-style toggle for the compiled-evaluator escape hatch.
     pub fn with_compiled_eval(mut self, on: bool) -> Self {
         self.compiled_eval = on;
-        self
-    }
-
-    /// Builder-style toggle for the vectorized batch-evaluation tier.
-    pub fn with_vectorized_eval(mut self, on: bool) -> Self {
-        self.vectorized_eval = on;
         self
     }
 }
@@ -343,13 +328,9 @@ pub struct CompiledProgram {
     pub body: Vec<CStmt>,
     /// Which optimizations fired.
     pub report: OptimizationReport,
-    /// Whether engines should evaluate UDFs through slot-compiled
-    /// evaluators (see [`OptimizerFlags::compiled_eval`]).
+    /// Whether engines should evaluate UDFs through the compiled stack
+    /// rather than the interpreter (see [`OptimizerFlags::compiled_eval`]).
     pub compiled_eval: bool,
-    /// Whether engines should batch-evaluate specializable UDF bodies
-    /// through typed columnar kernels (see
-    /// [`OptimizerFlags::vectorized_eval`]).
-    pub vectorized_eval: bool,
 }
 
 /// Compiles a program — the `parallelize { … }` entry point.
@@ -378,7 +359,6 @@ pub fn parallelize(p: &Program, flags: &OptimizerFlags) -> CompiledProgram {
         body,
         report,
         compiled_eval: flags.compiled_eval,
-        vectorized_eval: flags.vectorized_eval,
     }
 }
 

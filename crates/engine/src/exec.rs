@@ -62,6 +62,27 @@ struct Thunk {
     persisted: std::sync::atomic::AtomicBool,
 }
 
+/// Each thunk's captured scope owns the thunks its variables were bound to
+/// before, so the derived drop of a loop variable's last binding would nest
+/// as deep as the loop ran, on whatever stack the owner happens to be.
+/// Unlink the chain iteratively instead: a thunk reached here is dropped
+/// with an empty scope.
+impl Drop for Thunk {
+    fn drop(&mut self) {
+        let mut scopes = vec![std::mem::take(&mut self.env)];
+        while let Some(scope) = scopes.pop() {
+            // Only the last owner frees what a scope or thunk captured.
+            for binding in Arc::into_inner(scope).into_iter().flatten() {
+                if let (_, Binding::Bag(thunk)) = binding {
+                    if let Some(mut thunk) = Arc::into_inner(thunk) {
+                        scopes.push(std::mem::take(&mut thunk.env));
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Keyed state held in place on the cluster: hash-partitioned by the element
 /// key, updated point-wise, never re-shuffled — the paper's observation that
 /// PageRank "stores the vertices and their ranks already partitioned by the
@@ -165,11 +186,14 @@ pub struct Engine {
     /// consults partition sizes and leaves every counter bit-identical to an
     /// engine without the feature.
     pub skew: Option<SkewConfig>,
-    /// Opt-in vectorized batch evaluation of fully type-specializable UDF
-    /// bodies; `None` (the default) never consults the batch tier and leaves
-    /// every counter bit-identical to an engine without the feature. Only
-    /// takes effect when the program runs the compiled tier
-    /// (`CompiledProgram::compiled_eval`).
+    /// Batch size of the vectorized columnar kernels every specializable
+    /// site runs through (see [`Engine::with_vectorized_eval`]); on by
+    /// default. `None` pins the scalar compiled tier — the kernels'
+    /// abort-replay and refusal path — for differential tests: rows, errors
+    /// and every cost-model counter are the same, only the four tier
+    /// telemetry counters ([`ExecStats::without_tier_telemetry`]) stay 0.
+    /// Ignored when the program runs the interpreter
+    /// (`CompiledProgram::compiled_eval == false`).
     pub vectorized: Option<BatchConfig>,
     /// Opt-in cross-session result cache installed by the service layer
     /// ([`crate::service::SessionService`]); `None` (the default) never
@@ -199,7 +223,7 @@ impl Engine {
             faults: None,
             checkpoints: None,
             skew: None,
-            vectorized: None,
+            vectorized: Some(BatchConfig::default()),
             shared_cache: None,
             shared_session: 0,
         }
@@ -285,20 +309,21 @@ impl Engine {
         self
     }
 
-    /// Enables the vectorized batch-evaluation tier: fully
-    /// type-specializable Map/Filter/Fold-element bodies (and fused
-    /// Map/Filter pipelines) are lowered to typed `i64`/`f64`/`bool`/string
-    /// column kernels and evaluated over reusable scratch buffers in batches
-    /// of `cfg.batch_rows` rows; every operator whose program resists static
-    /// typing falls back to the scalar compiled tier and is counted in
-    /// [`ExecStats::vector_fallbacks`] — no silent slow paths. A fused
-    /// `aggBy` whose `uni` is slot-wise (sum/count/min/max/exists/forall
-    /// slots) runs whole — `key`, `sng` and `uni`, combiner and merge —
-    /// as one columnar aggregation kernel over typed per-group accumulator
-    /// columns; one that is not is a single counted refusal. Wide-operator
-    /// key extraction (`groupBy`/`distinct` routing, join build and
-    /// residual-free probe sides) batches the same way, with refusals and
-    /// scalar-by-design sites counted in
+    /// Sets the batch size of the vectorized tier, the engine's default
+    /// evaluation stack: fully type-specializable Map/Filter/Fold-element
+    /// bodies (and fused Map/Filter pipelines) are lowered to typed
+    /// `i64`/`f64`/`bool`/string column kernels and evaluated over reusable
+    /// scratch buffers in batches of `cfg.batch_rows` rows (at least 1);
+    /// every operator whose program resists static typing runs the scalar
+    /// compiled tier and is counted in [`ExecStats::vector_fallbacks`] — the
+    /// engine, not the caller, picks the tier per site, and no slow path is
+    /// silent. A fused `aggBy` whose `uni` is slot-wise
+    /// (sum/count/min/max/exists/forall slots) runs whole — `key`, `sng` and
+    /// `uni`, combiner and merge — as one columnar aggregation kernel over
+    /// typed per-group accumulator columns; one that is not is a single
+    /// counted refusal. Wide-operator key extraction (`groupBy`/`distinct`
+    /// routing, join build and residual-free probe sides) batches the same
+    /// way, with refusals and scalar-by-design sites counted in
     /// [`ExecStats::key_path_fallbacks`]. Rows, errors, and error order are
     /// preserved exactly: a batch that produces any error (or does not
     /// conform to the specialized input shape) is re-run row-at-a-time
@@ -307,9 +332,7 @@ impl Engine {
     /// from a prefix of the first non-empty input partition (shape from the
     /// first row; the extra rows only inform string dictionary encoding), so
     /// fallback counts replay bit-identically across thread counts and
-    /// dispatch modes. Off by default — without a config the batch tier is
-    /// never consulted and every counter stays bit-identical to an engine
-    /// without the feature.
+    /// dispatch modes.
     pub fn with_vectorized_eval(mut self, cfg: BatchConfig) -> Self {
         self.vectorized = Some(cfg);
         self
@@ -336,34 +359,19 @@ impl Engine {
         self
     }
 
-    /// Runs a compiled program to completion.
+    /// Runs a compiled program to completion, on the calling thread.
     ///
-    /// Execution happens on a dedicated thread with a large stack: deep
-    /// lazy-lineage chains (an uncached iterative program re-forces the
+    /// Deep lazy-lineage chains (an uncached iterative program re-forces the
     /// previous iteration's thunk from inside the current plan) recurse
-    /// proportionally to the iteration count.
+    /// proportionally to the iteration count, so a run that has used
+    /// [`CALLER_STACK_BUDGET`] of the caller's stack continues on a dedicated
+    /// thread with a large one (see [`Session::exec_plan`]). Shallow
+    /// programs — every loop-free one, and loops whose carried bags are
+    /// cached — never leave the calling thread: no spawn, no hand-off, and
+    /// every allocation of the run stays in the caller's allocator arena.
+    /// The caller must have that budget, and one operator's frames below
+    /// it, free on its stack; a default 2 MiB spawned thread has.
     pub fn run(&self, prog: &CompiledProgram, catalog: &Catalog) -> Result<EngineRun, ExecError> {
-        std::thread::scope(|scope| {
-            match std::thread::Builder::new()
-                .name("emma-engine".into())
-                .stack_size(256 * 1024 * 1024)
-                .spawn_scoped(scope, || self.run_on_current_thread(prog, catalog))
-                .expect("spawn engine thread")
-                .join()
-            {
-                Ok(result) => result,
-                // Driver-level panics (not partition tasks — those are
-                // contained per-task) re-raise with their original payload.
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        })
-    }
-
-    fn run_on_current_thread(
-        &self,
-        prog: &CompiledProgram,
-        catalog: &Catalog,
-    ) -> Result<EngineRun, ExecError> {
         let wall_start = std::time::Instant::now();
         let mut session = Session {
             engine: self,
@@ -381,21 +389,20 @@ impl Engine {
                 self.parallelism_threshold,
             ),
             compiled: prog.compiled_eval,
-            // The batch tier sits on top of the compiled tier: active only
-            // when compiled evaluation is, from either the engine knob or
-            // the program flag (knob wins on batch size).
-            vectorized: if prog.compiled_eval {
-                self.vectorized
-                    .or_else(|| prog.vectorized_eval.then(BatchConfig::default))
-            } else {
-                None
-            },
+            // The kernels are specialized from compiled slot programs, so
+            // the interpreter tier never consults them. `batch_rows` is a pub
+            // field: clamp a literal 0 here, once, for every chunking site.
+            vectorized: self
+                .vectorized
+                .filter(|_| prog.compiled_eval)
+                .map(|cfg| BatchConfig::new(cfg.batch_rows)),
             lam_cache: HashMap::new(),
             bag_cache: HashMap::new(),
             task_sites: 0,
             cache_events: 0,
             checkpoint_events: 0,
             checkpoint_bytes_written: 0,
+            caller_stack: Some(stack_mark()),
         };
         session.exec_stmts(&prog.body)?;
         let mut scalars = HashMap::new();
@@ -412,6 +419,37 @@ impl Engine {
             stats,
         })
     }
+}
+
+/// Bytes of the caller's stack a run may use before it continues on a
+/// dedicated one: small next to a default 2 MiB spawned thread (the test
+/// suites pass from 512 KiB ones), large enough that no shallow plan pays
+/// for a thread.
+const CALLER_STACK_BUDGET: usize = 256 * 1024;
+
+/// Stack of the thread a deep run continues on.
+const DEEP_STACK_BYTES: usize = 256 * 1024 * 1024;
+
+/// The address of a local one frame below the caller's: how far two calls
+/// are apart on one stack is the distance between their marks.
+#[inline(never)]
+fn stack_mark() -> usize {
+    let mark = 0u8;
+    std::hint::black_box(&mark) as *const u8 as usize
+}
+
+/// Runs `f` to completion on a fresh thread with a [`DEEP_STACK_BYTES`]
+/// stack. A panic in `f` re-raises on the caller with its original payload.
+fn on_deep_stack<R: Send>(f: impl FnOnce() -> R + Send) -> R {
+    std::thread::scope(|scope| {
+        std::thread::Builder::new()
+            .name("emma-engine".into())
+            .stack_size(DEEP_STACK_BYTES)
+            .spawn_scoped(scope, f)
+            .expect("spawn engine thread")
+            .join()
+            .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+    })
 }
 
 /// The observable outcome of a run.
@@ -569,7 +607,27 @@ impl<'p> PreparedBag<'p> {
     }
 }
 
-/// A fused pipeline stage with its UDF prepared for the active tier.
+/// One narrow (per-element, partition-local) operator's UDF, borrowed from a
+/// standalone `Map` / `Filter` / `FlatMap` node or from a fused
+/// [`PipelineStage`]: [`Session::exec_narrow`] runs both shapes.
+#[derive(Clone, Copy)]
+enum Narrow<'p> {
+    Map(&'p Lambda),
+    Filter(&'p Lambda),
+    FlatMap(&'p str, &'p BagExpr),
+}
+
+impl<'p> From<&'p PipelineStage> for Narrow<'p> {
+    fn from(stage: &'p PipelineStage) -> Self {
+        match stage {
+            PipelineStage::Map { f } => Narrow::Map(f),
+            PipelineStage::Filter { p } => Narrow::Filter(p),
+            PipelineStage::FlatMap { param, body } => Narrow::FlatMap(param, body),
+        }
+    }
+}
+
+/// A narrow stage with its UDF prepared for the active tier.
 enum PreparedStage<'p> {
     Map(PreparedScalar<'p>),
     Filter(PreparedScalar<'p>),
@@ -614,8 +672,9 @@ struct Session<'a> {
     /// Whether UDFs run through slot-compiled evaluators
     /// ([`emma_compiler::compiled`]) instead of the reference interpreter.
     compiled: bool,
-    /// Active batch config for the vectorized columnar tier
-    /// ([`emma_compiler::vectorized`]); `None` = scalar tiers only.
+    /// Batch config of the vectorized columnar tier
+    /// ([`emma_compiler::vectorized`]), `batch_rows` ≥ 1; `None` = scalar
+    /// tiers only (the interpreter, or a pinned scalar compiled tier).
     vectorized: Option<BatchConfig>,
     /// Per-run compilation memo: each distinct lambda AST is lowered once,
     /// however many operator executions (loop iterations, re-forced thunks)
@@ -640,6 +699,9 @@ struct Session<'a> {
     /// (`ExecStats::bytes_written_storage` can't serve: it also counts sink
     /// writes and spills.)
     checkpoint_bytes_written: u64,
+    /// [`stack_mark`] of [`Engine::run`] while the run is still on its
+    /// caller's stack; `None` once it continues on the deep one.
+    caller_stack: Option<usize>,
 }
 
 impl<'a> Session<'a> {
@@ -907,24 +969,6 @@ impl<'a> Session<'a> {
         }
     }
 
-    /// [`run_tasks`](Self::run_tasks) specialized to narrow row-transform
-    /// operators: applies `f` to every partition, returning the transformed
-    /// partitions in order (the fault-tolerant analogue of
-    /// [`Parallelism::run_rows`]).
-    fn run_task_rows<F>(
-        &mut self,
-        parts: &[Arc<Vec<Value>>],
-        total_rows: u64,
-        f: F,
-    ) -> Result<Vec<Arc<Vec<Value>>>, ExecError>
-    where
-        F: Fn(&[Value]) -> Result<Vec<Value>, ValueError> + Sync,
-    {
-        self.run_tasks(false, parts.len(), total_rows, |i| {
-            f(&parts[i]).map(Arc::new)
-        })
-    }
-
     // ------------------------------------------------------ UDF preparation
 
     /// Readies a scalar UDF for per-row evaluation under the active tier:
@@ -988,10 +1032,11 @@ impl<'a> Session<'a> {
 
     /// Attempts to specialize a chain of prepared Map/Filter stages for the
     /// vectorized columnar tier. Returns the kernel program plus the batch
-    /// size on success; `None` — with the fallback counted — when the tier
-    /// is active but the chain resists static typing. Inactive tier and
-    /// empty input (no sample row to type against, nothing to evaluate
-    /// either way) return `None` without counting.
+    /// size on success; `None` — with the fallback counted — when the chain
+    /// has no columnar form (`specs` is `None`: a FlatMap stage, a
+    /// byte-sampled intermediate) or resists static typing. The interpreter
+    /// tier and an empty input (no sample row to type against, no row for a
+    /// slow path to run on) return `None` without counting.
     ///
     /// Specialization runs on the driver against a prefix of the first
     /// non-empty partition (up to [`SPECIALIZE_SAMPLE_ROWS`] rows): the first
@@ -1001,18 +1046,16 @@ impl<'a> Session<'a> {
     /// replays bit-identically across thread counts and dispatch modes.
     fn try_vectorize(
         &mut self,
-        specs: &[VecStageSpec<'_>],
+        specs: Option<&[VecStageSpec<'_>]>,
         parts: &[Arc<Vec<Value>>],
     ) -> Option<(VectorPipeline, usize)> {
         let cfg = self.vectorized?;
         let samples = sample_rows(parts)?;
-        match vectorized::specialize_sampled(specs, samples) {
-            Some(vp) => Some((vp, cfg.batch_rows)),
-            None => {
-                self.stats.vector_fallbacks += 1;
-                None
-            }
+        let vp = specs.and_then(|specs| vectorized::specialize_sampled(specs, samples));
+        if vp.is_none() {
+            self.stats.vector_fallbacks += 1;
         }
+        vp.map(|vp| (vp, cfg.batch_rows))
     }
 
     /// [`try_vectorize`](Self::try_vectorize) for a wide operator's key UDF:
@@ -1057,7 +1100,7 @@ impl<'a> Session<'a> {
         if kernel.is_none() {
             self.stats.vector_fallbacks += 1;
         }
-        kernel.map(|k| (k, cfg.batch_rows.max(1)))
+        kernel.map(|k| (k, cfg.batch_rows))
     }
 
     // ------------------------------------------------------------ statements
@@ -1371,7 +1414,20 @@ impl<'a> Session<'a> {
     /// Executes a plan node, attributing its *exclusive* simulated time to
     /// its operator kind (children — including thunk forcings — are measured
     /// through their own `exec_plan` frames and subtracted).
+    ///
+    /// Every plan-level recursion (operator inputs, thunk forcings) passes
+    /// through here, so this is where a run that has used up
+    /// [`CALLER_STACK_BUDGET`] moves to the deep stack; the frames above
+    /// return to the caller's stack as they unwind.
     fn exec_plan(&mut self, plan: &Plan, env: &EnvSnapshot) -> Result<PlanResult, ExecError> {
+        if let Some(base) = self.caller_stack {
+            if stack_mark().abs_diff(base) > CALLER_STACK_BUDGET {
+                self.caller_stack = None;
+                let result = on_deep_stack(|| self.exec_plan(plan, env));
+                self.caller_stack = Some(base);
+                return result;
+            }
+        }
         let before = self.stats.simulated_secs;
         let wall_before = std::time::Instant::now();
         let saved_children = std::mem::replace(&mut self.children_inclusive, 0.0);
@@ -1446,152 +1502,10 @@ impl<'a> Session<'a> {
                     }
                 }
             }
-            Plan::Map { input, f } => {
-                let d = self.exec_bag(input, env)?;
-                let base = self.eval_base_for_lambdas(&[f], env)?;
-                self.charge_broadcast_scans(&f.body, &base, d.max_part_rows())?;
-                let f_prep = self.prepare_lambda(f, &base);
-                let catalog = self.catalog;
-                let vec_run = match vec_spec(&f_prep, false) {
-                    Some(spec) => self.try_vectorize(&[spec], &d.parts),
-                    None => None,
-                };
-                let parts = if let Some((vp, batch_rows)) = vec_run {
-                    let stages = [PreparedStage::Map(f_prep)];
-                    let bases = std::slice::from_ref(&base);
-                    let results = self.run_tasks(false, d.parts.len(), d.total_rows(), |pi| {
-                        run_vectorized_partition(
-                            &d.parts[pi],
-                            &vp,
-                            batch_rows,
-                            &stages,
-                            bases,
-                            catalog,
-                        )
-                    })?;
-                    let mut parts = Vec::with_capacity(results.len());
-                    for (rows, _counts, nvec, nbatches) in results {
-                        self.stats.rows_vectorized += nvec;
-                        self.stats.batches_executed += nbatches;
-                        parts.push(Arc::new(rows));
-                    }
-                    parts
-                } else {
-                    self.run_task_rows(&d.parts, d.total_rows(), |rows| {
-                        let mut cx = f_prep.ctx(&base);
-                        rows.iter()
-                            .map(|row| f_prep.call(std::slice::from_ref(row), &mut cx, catalog))
-                            .collect()
-                    })?
-                };
-                self.charge_cpu_weighted(d.total_rows(), d.max_part_rows(), f.static_cost());
-                self.charge_cpu_bytes(|| d.max_part_bytes(), f.static_byte_cost());
-                // Folds over *materialized group values* re-scan their data;
-                // folds over small per-record bags (e.g. a vertex's neighbor
-                // list carried through a join) do not — the charge applies
-                // only when this map consumes a grouping operator's output.
-                if consumes_grouped_rows(input) {
-                    self.charge_nested_bag_folds(count_nested_bag_folds(&f.body), || {
-                        d.max_part_bytes()
-                    });
-                }
-                Ok(PlanResult::Bag(Partitioned {
-                    parts,
-                    partitioning: None,
-                }))
-            }
-            Plan::Filter { input, p } => {
-                let d = self.exec_bag(input, env)?;
-                let base = self.eval_base_for_lambdas(&[p], env)?;
-                self.charge_broadcast_scans(&p.body, &base, d.max_part_rows())?;
-                let p_prep = self.prepare_lambda(p, &base);
-                let catalog = self.catalog;
-                let vec_run = match vec_spec(&p_prep, true) {
-                    Some(spec) => self.try_vectorize(&[spec], &d.parts),
-                    None => None,
-                };
-                let parts = if let Some((vp, batch_rows)) = vec_run {
-                    let stages = [PreparedStage::Filter(p_prep)];
-                    let bases = std::slice::from_ref(&base);
-                    let results = self.run_tasks(false, d.parts.len(), d.total_rows(), |pi| {
-                        run_vectorized_partition(
-                            &d.parts[pi],
-                            &vp,
-                            batch_rows,
-                            &stages,
-                            bases,
-                            catalog,
-                        )
-                    })?;
-                    let mut parts = Vec::with_capacity(results.len());
-                    for (rows, _counts, nvec, nbatches) in results {
-                        self.stats.rows_vectorized += nvec;
-                        self.stats.batches_executed += nbatches;
-                        parts.push(Arc::new(rows));
-                    }
-                    parts
-                } else {
-                    self.run_task_rows(&d.parts, d.total_rows(), |rows| {
-                        let mut cx = p_prep.ctx(&base);
-                        let mut out = Vec::new();
-                        for row in rows {
-                            if p_prep
-                                .call(std::slice::from_ref(row), &mut cx, catalog)?
-                                .as_bool()?
-                            {
-                                out.push(row.clone());
-                            }
-                        }
-                        Ok(out)
-                    })?
-                };
-                self.charge_cpu_weighted(d.total_rows(), d.max_part_rows(), p.static_cost());
-                self.charge_cpu_bytes(|| d.max_part_bytes(), p.static_byte_cost());
-                // Filters preserve the physical layout.
-                Ok(PlanResult::Bag(Partitioned {
-                    parts,
-                    partitioning: d.partitioning.clone(),
-                }))
-            }
+            Plan::Map { input, f } => self.exec_narrow(input, &[Narrow::Map(f)], env),
+            Plan::Filter { input, p } => self.exec_narrow(input, &[Narrow::Filter(p)], env),
             Plan::FlatMap { input, param, body } => {
-                let d = self.exec_bag(input, env)?;
-                // Bag-producing bodies have no columnar form; with the batch
-                // tier on, report the fallback instead of silently staying
-                // scalar.
-                if self.vectorized.is_some() {
-                    self.stats.vector_fallbacks += 1;
-                }
-                let base = self.eval_base_for_bag_exprs(&[body], env)?;
-                let b_prep = self.prepare_bag(param, body, &base);
-                let catalog = self.catalog;
-                let results = self.run_tasks(true, d.parts.len(), d.total_rows(), |pi| {
-                    let mut out = Vec::new();
-                    let mut cx = b_prep.ctx(&base);
-                    let mut produced = 0u64;
-                    for row in d.parts[pi].iter() {
-                        let inner = b_prep.call(row.clone(), &mut cx, catalog)?;
-                        produced += inner.len() as u64;
-                        out.extend(inner);
-                    }
-                    Ok((out, produced))
-                })?;
-                let mut produced = 0u64;
-                let mut parts = Vec::with_capacity(d.parts.len());
-                for (out, p) in results {
-                    produced += p;
-                    parts.push(Arc::new(out));
-                }
-                let weight = body.static_cost();
-                self.charge_cpu_weighted(
-                    d.total_rows() + produced,
-                    d.max_part_rows() + produced / self.dop().max(1) as u64,
-                    weight,
-                );
-                self.charge_cpu_bytes(|| d.max_part_bytes(), body.static_byte_cost());
-                Ok(PlanResult::Bag(Partitioned {
-                    parts,
-                    partitioning: None,
-                }))
+                self.exec_narrow(input, &[Narrow::FlatMap(param, body)], env)
             }
             Plan::Fold { input, fold } => {
                 let d = self.exec_bag(input, env)?;
@@ -1606,10 +1520,9 @@ impl<'a> Session<'a> {
                 // the combiner chain is inherently sequential and stays
                 // scalar.
                 let catalog = self.catalog;
-                let vec_run = match vec_spec(&sng_prep, false) {
-                    Some(spec) => self.try_vectorize(&[spec], &d.parts),
-                    None => None,
-                };
+                let sng_spec = vec_spec(&sng_prep, false);
+                let vec_run =
+                    self.try_vectorize(sng_spec.as_ref().map(std::slice::from_ref), &d.parts);
                 let partials = if let Some((vp, batch_rows)) = vec_run {
                     let results = self.run_tasks(true, d.parts.len(), d.total_rows(), |pi| {
                         fold_vectorized_partition(
@@ -1865,242 +1778,196 @@ impl<'a> Session<'a> {
                 self.exec_plan(input, env)
             }
             Plan::Pipeline { input, stages } => {
-                let d = self.exec_bag(input, env)?;
-                // Per-stage base environments, evaluated in stage order so
-                // thunk forcings, broadcasts, and cache hits/misses happen
-                // exactly as the unfused chain's would.
-                let mut bases = Vec::with_capacity(stages.len());
-                for stage in stages {
-                    let base = match stage {
-                        PipelineStage::Map { f } | PipelineStage::Filter { p: f } => {
-                            self.eval_base_for_lambdas(&[f], env)?
-                        }
-                        PipelineStage::FlatMap { body, .. } => {
-                            self.eval_base_for_bag_exprs(&[body], env)?
-                        }
-                    };
-                    bases.push(base);
-                }
-                let mut prepared: Vec<PreparedStage> = Vec::with_capacity(stages.len());
-                for (stage, base) in stages.iter().zip(&bases) {
-                    prepared.push(match stage {
-                        PipelineStage::Map { f } => {
-                            PreparedStage::Map(self.prepare_lambda(f, base))
-                        }
-                        PipelineStage::Filter { p } => {
-                            PreparedStage::Filter(self.prepare_lambda(p, base))
-                        }
-                        PipelineStage::FlatMap { param, body } => {
-                            PreparedStage::FlatMap(self.prepare_bag(param, body, base))
-                        }
-                    });
-                }
-                // The first stage's broadcast-scan charge is known before any
-                // row runs — charge it up front so a quadratic scan still
-                // aborts on the simulated clock instead of really executing.
-                // Later stages' input sizes only exist after the fused pass;
-                // their (identical) charges are issued below.
-                match &stages[0] {
-                    PipelineStage::Map { f } | PipelineStage::Filter { p: f } => {
-                        self.charge_broadcast_scans(&f.body, &bases[0], d.max_part_rows())?;
-                    }
-                    PipelineStage::FlatMap { .. } => {}
-                }
-                let nstages = stages.len();
-                // Whether stage i's input rows are materialized groups (the
-                // unfused `consumes_grouped_rows` test, looking back through
-                // fused Filter stages).
-                let grouped: Vec<bool> = (0..nstages)
-                    .map(|i| {
-                        let mut j = i;
-                        loop {
-                            if j == 0 {
-                                break consumes_grouped_rows(input);
-                            }
-                            match &stages[j - 1] {
-                                PipelineStage::Filter { .. } => j -= 1,
-                                _ => break false,
-                            }
-                        }
-                    })
-                    .collect();
-                let nested: Vec<usize> = stages
-                    .iter()
-                    .map(|s| match s {
-                        PipelineStage::Map { f } => count_nested_bag_folds(&f.body),
-                        _ => 0,
-                    })
-                    .collect();
-                // Per-stage byte weights: stages whose UDFs contain
-                // length-scaling builtins (`StrContains`) charge a byte term
-                // against their entry bytes, exactly as the unfused operator
-                // charges its materialized input.
-                let byte_costs: Vec<f64> = stages
-                    .iter()
-                    .map(|s| match s {
-                        PipelineStage::Map { f } | PipelineStage::Filter { p: f } => {
-                            f.static_byte_cost()
-                        }
-                        PipelineStage::FlatMap { body, .. } => body.static_byte_cost(),
-                    })
-                    .collect();
-                // Byte totals of an intermediate are only needed where a Map
-                // stage charges nested-bag-fold re-scans over grouped input,
-                // or where a later stage carries a byte-weighted builtin
-                // (stage 0 charges from the materialized input directly).
-                let mut need_bytes = vec![false; nstages + 1];
-                for i in 1..nstages {
-                    need_bytes[i] = (nested[i] > 0 && grouped[i]) || byte_costs[i] > 0.0;
-                }
-                let catalog = self.catalog;
-                let vec_run = if self.vectorized.is_none() {
-                    None
-                } else if prepared
-                    .iter()
-                    .any(|s| matches!(s, PreparedStage::FlatMap(_)))
-                    || need_bytes.iter().any(|b| *b)
-                {
-                    // FlatMap stages (bag-producing) and byte-sampled
-                    // intermediates (nested-bag-fold re-scans and
-                    // byte-weighted builtins past the head stage charge from
-                    // per-row sizes) have no columnar form — a visible
-                    // fallback. A byte-weighted *head* stage charges from the
-                    // materialized input and vectorizes fine.
-                    self.stats.vector_fallbacks += 1;
-                    None
-                } else {
-                    let specs: Option<Vec<VecStageSpec>> = prepared
-                        .iter()
-                        .map(|s| match s {
-                            PreparedStage::Map(p) => vec_spec(p, false),
-                            PreparedStage::Filter(p) => vec_spec(p, true),
-                            PreparedStage::FlatMap(_) => None,
-                        })
-                        .collect();
-                    match specs {
-                        Some(specs) => self.try_vectorize(&specs, &d.parts),
-                        None => None,
-                    }
-                };
-                let results = if let Some((vp, batch_rows)) = vec_run {
-                    let vec_results =
-                        self.run_tasks(false, d.parts.len(), d.total_rows(), |pi| {
-                            run_vectorized_partition(
-                                &d.parts[pi],
-                                &vp,
-                                batch_rows,
-                                &prepared,
-                                &bases,
-                                catalog,
-                            )
-                        })?;
-                    let mut results = Vec::with_capacity(vec_results.len());
-                    for (rows, counts, nvec, nbatches) in vec_results {
-                        self.stats.rows_vectorized += nvec;
-                        self.stats.batches_executed += nbatches;
-                        // need_bytes is all-false here, so the byte column
-                        // the scalar pass would have produced is all zeros.
-                        results.push((rows, counts, vec![0u64; nstages + 1]));
-                    }
-                    results
-                } else {
-                    self.run_tasks(false, d.parts.len(), d.total_rows(), |pi| {
-                        run_pipeline_partition(
-                            &d.parts[pi],
-                            &prepared,
-                            &bases,
-                            catalog,
-                            &need_bytes,
-                        )
-                    })?
-                };
-                let mut parts = Vec::with_capacity(results.len());
-                let mut counts_total = vec![0u64; nstages + 1];
-                let mut counts_max = vec![0u64; nstages + 1];
-                let mut bytes_max = vec![0u64; nstages + 1];
-                for (rows, counts, bytes) in results {
-                    for i in 0..=nstages {
-                        counts_total[i] += counts[i];
-                        counts_max[i] = counts_max[i].max(counts[i]);
-                        bytes_max[i] = bytes_max[i].max(bytes[i]);
-                    }
-                    parts.push(Arc::new(rows));
-                }
-                // Issue each stage's charges from its (now known) input
-                // sizes — the same per-operator record/byte totals the
-                // unfused chain charges, so the simulated counters agree
-                // bit for bit.
-                let dop = self.dop().max(1) as u64;
-                for (i, stage) in stages.iter().enumerate() {
-                    match stage {
-                        PipelineStage::Map { f } => {
-                            if i > 0 {
-                                self.charge_broadcast_scans(&f.body, &bases[i], counts_max[i])?;
-                            }
-                            self.charge_cpu_weighted(
-                                counts_total[i],
-                                counts_max[i],
-                                f.static_cost(),
-                            );
-                            if grouped[i] {
-                                self.charge_nested_bag_folds(nested[i], || {
-                                    if i == 0 {
-                                        d.max_part_bytes()
-                                    } else {
-                                        bytes_max[i]
-                                    }
-                                });
-                            }
-                        }
-                        PipelineStage::Filter { p } => {
-                            if i > 0 {
-                                self.charge_broadcast_scans(&p.body, &bases[i], counts_max[i])?;
-                            }
-                            self.charge_cpu_weighted(
-                                counts_total[i],
-                                counts_max[i],
-                                p.static_cost(),
-                            );
-                        }
-                        PipelineStage::FlatMap { body, .. } => {
-                            let produced = counts_total[i + 1];
-                            self.charge_cpu_weighted(
-                                counts_total[i] + produced,
-                                counts_max[i] + produced / dop,
-                                body.static_cost(),
-                            );
-                        }
-                    }
-                    // The byte term charges stage entry bytes: the head stage
-                    // sees the materialized input; later stages tracked their
-                    // entry bytes via `need_bytes` — identical to what the
-                    // unfused operator's materialized input would weigh.
-                    self.charge_cpu_bytes(
-                        || {
-                            if i == 0 {
-                                d.max_part_bytes()
-                            } else {
-                                bytes_max[i]
-                            }
-                        },
-                        byte_costs[i],
-                    );
-                }
+                let stages: Vec<Narrow> = stages.iter().map(Narrow::from).collect();
+                let out = self.exec_narrow(input, &stages, env)?;
                 self.check_budget()?;
-                // A Filter preserves the physical layout; Map/FlatMap drop
-                // it — same rule the standalone operators apply.
-                let mut partitioning = d.partitioning.clone();
-                for stage in stages {
-                    if !matches!(stage, PipelineStage::Filter { .. }) {
-                        partitioning = None;
-                    }
-                }
-                Ok(PlanResult::Bag(Partitioned {
-                    parts,
-                    partitioning,
-                }))
+                Ok(out)
             }
         }
+    }
+
+    /// Runs a chain of narrow operators over `input` in one per-partition
+    /// pass with no intermediate materialization: a fused `Plan::Pipeline`,
+    /// or a standalone `Map` / `Filter` / `FlatMap` as its one-stage case.
+    /// The engine picks the tier for the whole chain — typed column kernels
+    /// when it specializes, the scalar flat loop otherwise (a counted
+    /// refusal) — and then issues each stage's charges from its entry sizes.
+    fn exec_narrow(
+        &mut self,
+        input: &Plan,
+        stages: &[Narrow<'_>],
+        env: &EnvSnapshot,
+    ) -> Result<PlanResult, ExecError> {
+        let d = self.exec_bag(input, env)?;
+        // Per-stage base environments, evaluated in stage order so thunk
+        // forcings, broadcasts, and cache hits/misses happen exactly as the
+        // unfused chain's would.
+        let mut bases = Vec::with_capacity(stages.len());
+        for stage in stages {
+            bases.push(match *stage {
+                Narrow::Map(f) | Narrow::Filter(f) => self.eval_base_for_lambdas(&[f], env)?,
+                Narrow::FlatMap(_, body) => self.eval_base_for_bag_exprs(&[body], env)?,
+            });
+        }
+        let mut prepared: Vec<PreparedStage> = Vec::with_capacity(stages.len());
+        for (stage, base) in stages.iter().zip(&bases) {
+            prepared.push(match *stage {
+                Narrow::Map(f) => PreparedStage::Map(self.prepare_lambda(f, base)),
+                Narrow::Filter(p) => PreparedStage::Filter(self.prepare_lambda(p, base)),
+                Narrow::FlatMap(param, body) => {
+                    PreparedStage::FlatMap(self.prepare_bag(param, body, base))
+                }
+            });
+        }
+        // The first stage's broadcast-scan charge is known before any row
+        // runs — charge it up front so a quadratic scan still aborts on the
+        // simulated clock instead of really executing. Later stages' input
+        // sizes only exist after the fused pass; their (identical) charges
+        // are issued below.
+        if let Narrow::Map(f) | Narrow::Filter(f) = stages[0] {
+            self.charge_broadcast_scans(&f.body, &bases[0], d.max_part_rows())?;
+        }
+        let nstages = stages.len();
+        // Whether stage i's input rows are materialized groups (the
+        // `consumes_grouped_rows` test, looking back through fused Filter
+        // stages).
+        let grouped: Vec<bool> = (0..nstages)
+            .map(|i| {
+                let mut j = i;
+                loop {
+                    if j == 0 {
+                        break consumes_grouped_rows(input);
+                    }
+                    match stages[j - 1] {
+                        Narrow::Filter(_) => j -= 1,
+                        _ => break false,
+                    }
+                }
+            })
+            .collect();
+        let nested: Vec<usize> = stages
+            .iter()
+            .map(|s| match s {
+                Narrow::Map(f) => count_nested_bag_folds(&f.body),
+                _ => 0,
+            })
+            .collect();
+        // Per-stage byte weights: stages whose UDFs contain length-scaling
+        // builtins (`StrContains`) charge a byte term against their entry
+        // bytes.
+        let byte_costs: Vec<f64> = stages
+            .iter()
+            .map(|s| match *s {
+                Narrow::Map(f) | Narrow::Filter(f) => f.static_byte_cost(),
+                Narrow::FlatMap(_, body) => body.static_byte_cost(),
+            })
+            .collect();
+        // Byte totals of an intermediate are only needed where a Map stage
+        // charges nested-bag-fold re-scans over grouped input, or where a
+        // later stage carries a byte-weighted builtin (stage 0 charges from
+        // the materialized input directly).
+        let mut need_bytes = vec![false; nstages + 1];
+        for i in 1..nstages {
+            need_bytes[i] = (nested[i] > 0 && grouped[i]) || byte_costs[i] > 0.0;
+        }
+        // FlatMap stages (bag-producing) and byte-sampled intermediates
+        // (nested-bag-fold re-scans and byte-weighted builtins past the head
+        // stage charge from per-row sizes) have no columnar form — a counted
+        // refusal. A byte-weighted *head* stage charges from the
+        // materialized input and vectorizes fine.
+        let specs: Option<Vec<VecStageSpec>> = if need_bytes.contains(&true) {
+            None
+        } else {
+            prepared
+                .iter()
+                .map(|s| match s {
+                    PreparedStage::Map(p) => vec_spec(p, false),
+                    PreparedStage::Filter(p) => vec_spec(p, true),
+                    PreparedStage::FlatMap(_) => None,
+                })
+                .collect()
+        };
+        let vec_run = self.try_vectorize(specs.as_deref(), &d.parts);
+        let catalog = self.catalog;
+        let results = if let Some((vp, batch_rows)) = vec_run {
+            let vec_results = self.run_tasks(false, d.parts.len(), d.total_rows(), |pi| {
+                run_vectorized_partition(&d.parts[pi], &vp, batch_rows, &prepared, &bases, catalog)
+            })?;
+            let mut results = Vec::with_capacity(vec_results.len());
+            for (pass, nvec, nbatches) in vec_results {
+                self.stats.rows_vectorized += nvec;
+                self.stats.batches_executed += nbatches;
+                results.push(pass);
+            }
+            results
+        } else {
+            self.run_tasks(false, d.parts.len(), d.total_rows(), |pi| {
+                run_pipeline_partition(&d.parts[pi], &prepared, &bases, catalog, &need_bytes)
+            })?
+        };
+        let mut parts = Vec::with_capacity(results.len());
+        let mut counts_total = vec![0u64; nstages + 1];
+        let mut counts_max = vec![0u64; nstages + 1];
+        let mut bytes_max = vec![0u64; nstages + 1];
+        for (rows, counts, bytes) in results {
+            for i in 0..=nstages {
+                counts_total[i] += counts[i];
+                counts_max[i] = counts_max[i].max(counts[i]);
+                bytes_max[i] = bytes_max[i].max(bytes[i]);
+            }
+            parts.push(Arc::new(rows));
+        }
+        // Issue each stage's charges from its (now known) input sizes, on
+        // the driver, in one order whatever the chain length: record-weighted
+        // CPU, then the byte term, then nested-bag-fold re-scans — so a fused
+        // chain and its unfused operators agree on the simulated clock bit
+        // for bit, whichever tier ran the rows.
+        let dop = self.dop().max(1) as u64;
+        for (i, stage) in stages.iter().enumerate() {
+            // The head stage sees the materialized input; later stages
+            // tracked their entry bytes via `need_bytes`.
+            let entry_bytes = || {
+                if i == 0 {
+                    d.max_part_bytes()
+                } else {
+                    bytes_max[i]
+                }
+            };
+            match *stage {
+                Narrow::Map(f) | Narrow::Filter(f) => {
+                    if i > 0 {
+                        self.charge_broadcast_scans(&f.body, &bases[i], counts_max[i])?;
+                    }
+                    self.charge_cpu_weighted(counts_total[i], counts_max[i], f.static_cost());
+                }
+                Narrow::FlatMap(_, body) => {
+                    let produced = counts_total[i + 1];
+                    self.charge_cpu_weighted(
+                        counts_total[i] + produced,
+                        counts_max[i] + produced / dop,
+                        body.static_cost(),
+                    );
+                }
+            }
+            self.charge_cpu_bytes(entry_bytes, byte_costs[i]);
+            // Folds over *materialized group values* re-scan their data;
+            // folds over small per-record bags (e.g. a vertex's neighbor
+            // list carried through a join) do not — the charge applies only
+            // when the stage consumes a grouping operator's output.
+            if grouped[i] {
+                self.charge_nested_bag_folds(nested[i], entry_bytes);
+            }
+        }
+        // A Filter preserves the physical layout; Map/FlatMap drop it.
+        let partitioning = stages
+            .iter()
+            .all(|s| matches!(s, Narrow::Filter(_)))
+            .then(|| d.partitioning.clone())
+            .flatten();
+        Ok(PlanResult::Bag(Partitioned {
+            parts,
+            partitioning,
+        }))
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -3434,7 +3301,7 @@ fn batch_keys(
             let mut counts = [0u64; 2];
             let mut keys_out: Vec<Value> = Vec::new();
             let mut cx: Option<EvCtx> = None;
-            for chunk in rows.chunks((*batch_rows).max(1)) {
+            for chunk in rows.chunks(*batch_rows) {
                 keys_out.clear();
                 if vp.run_batch(chunk, &mut scratch, &mut counts, &mut keys_out) {
                     nvec += chunk.len() as u64;
@@ -3563,9 +3430,10 @@ fn compiled_parts<'s>(
 /// `batch_rows`, replaying any aborted batch (shape mismatch or a runtime
 /// error on a selected lane) row-at-a-time through the scalar stage chain —
 /// which reproduces values and the first error in evaluation order
-/// bit-identically. Returns the output rows, the per-stage entry counts
-/// (identical to the scalar pass's, whichever path each batch took), and
-/// the rows/batches that actually ran vectorized.
+/// bit-identically. Returns the same [`PartitionPass`] the scalar pass would
+/// (per-stage entry counts identical whichever path each batch took; no
+/// byte totals, since a chain that needs them never specializes), plus the
+/// rows/batches that actually ran vectorized.
 fn run_vectorized_partition<'p, 'b>(
     rows: &[Value],
     vp: &VectorPipeline,
@@ -3573,7 +3441,7 @@ fn run_vectorized_partition<'p, 'b>(
     stages: &'b [PreparedStage<'p>],
     bases: &'b [HashMap<String, Value>],
     catalog: &Catalog,
-) -> Result<(Vec<Value>, Vec<u64>, u64, u64), ValueError>
+) -> Result<(PartitionPass, u64, u64), ValueError>
 where
     'p: 'b,
 {
@@ -3587,7 +3455,7 @@ where
     // Scalar replay contexts are built lazily: a partition whose every
     // batch vectorizes never allocates them.
     let mut ctxs: Option<Vec<EvCtx<'b>>> = None;
-    for batch in rows.chunks(batch_rows.max(1)) {
+    for batch in rows.chunks(batch_rows) {
         if vp.run_batch(batch, &mut scratch, &mut counts, &mut out) {
             nvec += batch.len() as u64;
             nbatches += 1;
@@ -3606,7 +3474,7 @@ where
             )?;
         }
     }
-    Ok((out, counts, nvec, nbatches))
+    Ok(((out, counts, bytes), nvec, nbatches))
 }
 
 /// The vectorized fold kernel for one partition: the element function runs
@@ -3634,7 +3502,7 @@ fn fold_vectorized_partition(
     let mut buf: Vec<Value> = Vec::new();
     let mut counts = [0u64; 2];
     let (mut nvec, mut nbatches) = (0u64, 0u64);
-    for batch in rows.chunks(batch_rows.max(1)) {
+    for batch in rows.chunks(batch_rows) {
         buf.clear();
         if vp.run_batch(batch, &mut scratch, &mut counts, &mut buf) {
             nvec += batch.len() as u64;
@@ -3702,15 +3570,15 @@ where
     Ok(())
 }
 
+/// Output rows plus the per-stage row and byte counters of one partition.
+type PartitionPass = (Vec<Value>, Vec<u64>, Vec<u64>);
+
 /// Runs every fused stage over one partition in a single pass: each row is
 /// pushed through the whole stage chain with no intermediate collection
 /// materialized. Returns the output rows plus, per stage boundary `i`, the
 /// number of rows that entered stage `i` (`counts[nstages]` = output rows)
 /// and — where `need_bytes[i]` — their byte total, so the caller can issue
 /// exactly the charges the unfused chain would.
-/// Output rows plus the per-stage row and byte counters of one partition.
-type PartitionPass = (Vec<Value>, Vec<u64>, Vec<u64>);
-
 fn run_pipeline_partition<'p, 'b>(
     rows: &[Value],
     stages: &'b [PreparedStage<'p>],

@@ -110,17 +110,17 @@ pub struct ExecStats {
     /// and only for layouts whose hottest partition reaches
     /// `SkewConfig::min_part_rows` (the split's own noise floor).
     pub max_skew_ratio: f64,
-    /// Rows evaluated through the vectorized columnar batch tier (requires
-    /// `Engine::with_vectorized_eval`); counts each row once per fused
-    /// vectorized operator chain it passed through. Rows replayed through
+    /// Rows evaluated through the vectorized columnar batch tier; counts
+    /// each row once per fused vectorized operator chain it passed through. Rows replayed through
     /// the scalar tier after a batch abort are not counted.
     pub rows_vectorized: u64,
     /// Columnar batches executed successfully by the vectorized tier.
     pub batches_executed: u64,
-    /// Operators that requested vectorization but were not fully
-    /// type-specializable and fell back to the scalar compiled tier —
-    /// "no silent slow paths": every fallback is visible here. A fused
-    /// `aggBy` whose fold does not specialize counts once.
+    /// Operator executions over a non-empty input that were not fully
+    /// type-specializable (or have no columnar form, like FlatMap) and ran
+    /// the scalar compiled tier — "no silent slow paths": every refusal is
+    /// visible here. A fused `aggBy` whose fold does not specialize counts
+    /// once.
     pub vector_fallbacks: u64,
     /// Wide-operator key-extraction sites (shuffle routing, join build/probe
     /// keys, `groupBy` grouping) that evaluated their key
@@ -157,6 +157,23 @@ impl ExecStats {
         );
         self.sim_attos += (secs * ATTOS_PER_SEC).round() as u128;
         self.simulated_secs = self.sim_attos as f64 / ATTOS_PER_SEC;
+    }
+
+    /// A copy with the four evaluation-tier telemetry counters
+    /// (`rows_vectorized`, `batches_executed`, `vector_fallbacks`,
+    /// `key_path_fallbacks`) zeroed. They record which tier ran each site —
+    /// the only fields allowed to differ between the default stack, a pinned
+    /// scalar tier (`Engine::vectorized = None`) and the interpreter, or
+    /// between two plan shapes of one program — so differential tests
+    /// compare everything else with `==`.
+    pub fn without_tier_telemetry(&self) -> ExecStats {
+        ExecStats {
+            rows_vectorized: 0,
+            batches_executed: 0,
+            vector_fallbacks: 0,
+            key_path_fallbacks: 0,
+            ..self.clone()
+        }
     }
 
     /// The exact fixed-point clock, in attoseconds. Lets the service layer

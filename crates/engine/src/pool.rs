@@ -13,8 +13,9 @@
 //! * [`ParallelismMode::Pool`] (the default) routes all per-partition work —
 //!   narrow operators, fused pipelines, fold partials, `aggBy` combiners,
 //!   shuffle bucketing, and join build/probe — through the persistent pool.
-//! * [`ParallelismMode::PerOperator`] reproduces the seed behavior exactly:
-//!   a fresh thread scope per narrow operator, everything else serial.
+//! * [`ParallelismMode::PerOperator`] reproduces the seed's dispatch: a
+//!   fresh thread scope per narrow pass (Map, Filter, FlatMap, fused
+//!   pipelines — one engine path), everything else serial.
 //!
 //! Determinism: tasks are indexed by partition, results land in
 //! per-partition slots, and error selection takes the **lowest-index**
@@ -27,8 +28,6 @@ use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
-
-use emma_compiler::value::ValueError;
 
 /// The outcome of one contained task: `Ok` with the closure's value, or the
 /// caught panic payload (same shape as [`std::thread::Result`]).
@@ -256,105 +255,6 @@ impl Parallelism {
         self.threads > 1 && total_rows >= self.threshold
     }
 
-    /// Index-addressed fan-out with per-slot results and lowest-index-wins
-    /// error selection. Runs serially when below the row gate (or in
-    /// per-operator mode without a scope — see `run_rows`).
-    fn map_indexed<T, F>(&self, n: usize, f: F) -> Result<Vec<T>, ValueError>
-    where
-        T: Send,
-        F: Fn(usize) -> Result<T, ValueError> + Sync,
-    {
-        let slots: Vec<Mutex<Option<Result<T, ValueError>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        match &self.pool {
-            Some(pool) => pool.run(n, &|i| {
-                *slots[i].lock().unwrap() = Some(f(i));
-            }),
-            None => {
-                // Per-operator mode reaches `map_indexed` only via
-                // `run_rows`, which provides its own scoped threads; a
-                // missing pool here means single-threaded.
-                for (i, slot) in slots.iter().enumerate() {
-                    *slot.lock().unwrap() = Some(f(i));
-                }
-            }
-        }
-        slots
-            .into_iter()
-            .map(|s| s.into_inner().unwrap().expect("task slot filled"))
-            .collect()
-    }
-
-    /// Parallel per-partition work for **wide** operators (fold partials,
-    /// `aggBy` combining, shuffle bucketing, join probing). Serial in
-    /// per-operator mode — the seed engine never parallelized these — and
-    /// serial below the row gate.
-    pub fn run_wide<T, F>(&self, n: usize, total_rows: u64, f: F) -> Result<Vec<T>, ValueError>
-    where
-        T: Send,
-        F: Fn(usize) -> Result<T, ValueError> + Sync,
-    {
-        if self.mode == ParallelismMode::PerOperator || !self.gate(total_rows) {
-            return (0..n).map(f).collect();
-        }
-        self.map_indexed(n, f)
-    }
-
-    /// Parallel index-addressed work for **narrow** (partition-local) passes:
-    /// fans out in *both* modes — per-operator mode spawns the seed's fresh
-    /// thread scope, pool mode dispatches to the persistent pool. Serial
-    /// below the row gate.
-    pub fn run_indexed<T, F>(&self, n: usize, total_rows: u64, f: F) -> Result<Vec<T>, ValueError>
-    where
-        T: Send,
-        F: Fn(usize) -> Result<T, ValueError> + Sync,
-    {
-        if !self.gate(total_rows) {
-            return (0..n).map(f).collect();
-        }
-        if self.mode == ParallelismMode::PerOperator {
-            // Seed behavior: a fresh scope per operator call, work-stealing
-            // over partition indices.
-            let threads = self.threads.min(n.max(1));
-            let slots: Vec<Mutex<Option<Result<T, ValueError>>>> =
-                (0..n).map(|_| Mutex::new(None)).collect();
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            return;
-                        }
-                        *slots[i].lock().unwrap() = Some(f(i));
-                    });
-                }
-            });
-            return slots
-                .into_iter()
-                .map(|s| s.into_inner().unwrap().expect("partition slot filled"))
-                .collect();
-        }
-        self.map_indexed(n, f)
-    }
-
-    /// Parallel row-transform for **narrow** operators: applies `f` to every
-    /// partition, returning the transformed partitions in order.
-    pub fn run_rows<F>(
-        &self,
-        parts: &[Arc<Vec<emma_compiler::value::Value>>],
-        total_rows: u64,
-        f: F,
-    ) -> Result<Vec<Arc<Vec<emma_compiler::value::Value>>>, ValueError>
-    where
-        F: Fn(
-                &[emma_compiler::value::Value],
-            ) -> Result<Vec<emma_compiler::value::Value>, ValueError>
-            + Sync,
-    {
-        self.run_indexed(parts.len(), total_rows, |i| f(&parts[i]).map(Arc::new))
-    }
-
     /// Index-addressed fan-out with **per-task panic containment**: every
     /// task settles and the result vector holds each task's value or its
     /// caught panic payload, in index order. This is the substrate of the
@@ -362,11 +262,12 @@ impl Parallelism {
     /// down the batch, and the executor decides per slot whether to surface,
     /// convert, or retry.
     ///
-    /// `wide` selects the same serial/parallel policy as
-    /// [`Parallelism::run_wide`] vs. [`Parallelism::run_indexed`]: wide
-    /// operators stay serial in per-operator mode (the seed never
-    /// parallelized them), narrow ones fan out in both modes. Below the row
-    /// gate everything runs serially. The policy only moves work between
+    /// `wide` selects the serial/parallel policy: wide operators (fold
+    /// partials, `aggBy` combining, shuffle bucketing, join probing) stay
+    /// serial in per-operator mode (the seed never parallelized them),
+    /// narrow passes fan out in both modes — per-operator mode spawns the
+    /// seed's fresh thread scope, pool mode dispatches to the persistent
+    /// pool. Below the row gate everything runs serially. The policy only moves work between
     /// threads — the settled outcomes are identical either way. That
     /// property is what lets the fault-tolerant executor vary `total_rows`
     /// per retry wave (gating on the surviving partitions' share of the
@@ -401,7 +302,7 @@ impl Parallelism {
             Some(pool) => pool.run(n, &fill),
             None => {
                 // Per-operator narrow path: fresh scope, work-stealing over
-                // partition indices (same shape as `run_indexed`).
+                // partition indices.
                 let threads = self.threads.min(n.max(1));
                 let next = AtomicUsize::new(0);
                 std::thread::scope(|scope| {
@@ -564,37 +465,35 @@ mod tests {
         }
     }
 
+    /// Settled results come back in task order, so the engine's in-order
+    /// scan surfaces the lowest-index error whatever the scheduling.
     #[test]
     fn wide_errors_pick_lowest_index() {
         let par = Parallelism::new(ParallelismMode::Pool, Some(4), 0);
-        let r: Result<Vec<u64>, _> = par.run_wide(10, u64::MAX, |i| {
+        let settled = par.run_settled(true, 10, u64::MAX, |i| {
             if i >= 5 {
-                Err(ValueError::Unknown(format!("fail {i}")))
+                Err(format!("fail {i}"))
             } else {
                 Ok(i as u64)
             }
         });
-        assert_eq!(r.unwrap_err(), ValueError::Unknown("fail 5".into()));
+        let r: Result<Vec<u64>, String> = settled
+            .into_iter()
+            .map(|s| s.expect("no task panicked"))
+            .collect();
+        assert_eq!(r.unwrap_err(), "fail 5");
     }
 
     #[test]
-    fn run_rows_preserves_partition_order() {
+    fn run_settled_preserves_partition_order() {
         let par = Parallelism::new(ParallelismMode::Pool, Some(4), 0);
-        let parts: Vec<Arc<Vec<emma_compiler::value::Value>>> = (0..6)
-            .map(|p| {
-                Arc::new(
-                    (0..4)
-                        .map(|i| emma_compiler::value::Value::Int(p * 10 + i))
-                        .collect::<Vec<_>>(),
-                )
-            })
+        let parts: Vec<Vec<i64>> = (0..6)
+            .map(|p| (0..4).map(|i| p * 10 + i).collect())
             .collect();
-        let out = par
-            .run_rows(&parts, u64::MAX, |rows| Ok(rows.to_vec()))
-            .unwrap();
+        let out = par.run_settled(false, parts.len(), u64::MAX, |i| parts[i].clone());
         assert_eq!(out.len(), 6);
         for (a, b) in out.iter().zip(&parts) {
-            assert_eq!(a, b);
+            assert_eq!(a.as_ref().expect("no task panicked"), b);
         }
     }
 }

@@ -350,7 +350,11 @@ fn writes_charge_storage_and_record_rows() {
 fn vec_differential(p: &Program, catalog: &Catalog) {
     let expected = Interp::new(catalog).run(p).expect("interp");
     let compiled = parallelize(p, &OptimizerFlags::all().with_compiled_eval(true));
-    let scalar = engine().run(&compiled, catalog).expect("scalar engine");
+    let mut scalar_engine = engine();
+    scalar_engine.vectorized = None;
+    let scalar = scalar_engine
+        .run(&compiled, catalog)
+        .expect("scalar engine");
     let vec = engine()
         .with_vectorized_eval(emma_engine::BatchConfig::new(64))
         .run(&compiled, catalog)
@@ -476,6 +480,57 @@ fn empty_and_undersized_batches_flow_through_string_kernels() {
     }
 }
 
+// Regression: FlatMap (standalone or as a fused stage) has no columnar form
+// and used to count a `vector_fallbacks` refusal before looking at its input,
+// while every other site returns uncounted on an empty one — no rows means no
+// slow path ran. One refusal per operator execution that saw a row; none
+// otherwise.
+#[test]
+fn flat_map_refusal_is_counted_only_when_a_row_exists() {
+    use emma_compiler::physical_pipeline::apply_pipeline_fusion;
+    use emma_compiler::pipeline::{CStmt, CompiledProgram, OptimizationReport};
+    use emma_compiler::plan::Plan;
+    // Hand-built plans: the comprehension normalizer would rewrite a quoted
+    // `flatMap` over a literal bag into a cross.
+    let flat_map = |input: Plan| Plan::FlatMap {
+        input: Box::new(input),
+        param: "x".into(),
+        body: BagExpr::values(vec![Value::Int(0), Value::Int(1)]).map(Lambda::new(
+            ["d"],
+            ScalarExpr::var("x").add(ScalarExpr::var("d")),
+        )),
+    };
+    let source = || Plan::Source { name: "xs".into() };
+    let program = |plan: Plan| CompiledProgram {
+        body: vec![CStmt::Write {
+            sink: "out".into(),
+            plan,
+        }],
+        report: OptimizationReport::default(),
+        compiled_eval: true,
+    };
+    let standalone = program(flat_map(source()));
+    let mut fused = program(flat_map(Plan::Map {
+        input: Box::new(source()),
+        f: Lambda::new(["x"], ScalarExpr::var("x").add(ScalarExpr::lit(1))),
+    }));
+    apply_pipeline_fusion(&mut fused.body, &mut fused.report);
+    assert_eq!(fused.report.pipelines_fused, 1);
+    for (what, prog) in [("standalone", &standalone), ("fused", &fused)] {
+        for (rows, refusals) in [(0i64, 0u64), (1, 1)] {
+            let catalog = Catalog::new().with("xs", (0..rows).map(Value::Int).collect());
+            let run = engine().run(prog, &catalog).expect("run");
+            assert_eq!(run.writes["out"].len() as i64, 2 * rows, "{what}");
+            assert_eq!(
+                run.stats.vector_fallbacks, refusals,
+                "{what}, {rows} row(s): {}",
+                run.stats
+            );
+            assert_eq!(run.stats.rows_vectorized, 0, "{what}: {}", run.stats);
+        }
+    }
+}
+
 // Regression (ill-formed timeout budgets): `with_timeout` used to pass NaN,
 // negative, and zero budgets straight into `simulated_secs > budget` — a NaN
 // budget made the comparison silently never fire, turning a nonsense config
@@ -511,4 +566,64 @@ fn degenerate_timeout_budgets_fire_deterministically() {
         .run(&compiled, &catalog)
         .expect("infinite budget never fires");
     assert_eq!(run.writes["out"].len(), 1_000);
+}
+
+// `Engine::run` executes on its caller's thread and moves to a deep stack
+// only once the run has used its share of the caller's. An uncached loop
+// whose lineage chain is forced at the end recurses once per iteration: from
+// a caller with 512 KiB, which the chain alone would overflow, the run must
+// complete, with the rows and stats of a run from a roomy stack. A cached
+// loop forces one level at a time but its bindings still chain one thunk per
+// iteration, so it is dropping them that must not recurse.
+#[test]
+fn deep_lineage_runs_from_a_small_caller_stack() {
+    let catalog = Catalog::new().with("xs", (0..8).map(Value::Int).collect());
+    // `ys = ys.map(_ + 1)` per iteration; `observe` also counts `ys` in the
+    // loop, which forces (and, cached, memoizes) it every iteration.
+    let program = |iterations: i64, observe: bool| {
+        let mut body = vec![
+            Stmt::assign(
+                "ys",
+                BagExpr::var("ys").map(Lambda::new(
+                    ["y"],
+                    ScalarExpr::var("y").add(ScalarExpr::lit(1i64)),
+                )),
+            ),
+            Stmt::assign("i", ScalarExpr::var("i").add(ScalarExpr::lit(1i64))),
+        ];
+        if observe {
+            body.push(Stmt::assign("n", BagExpr::var("ys").count()));
+        }
+        Program::new(vec![
+            Stmt::var("ys", BagExpr::read("xs")),
+            Stmt::var("i", ScalarExpr::lit(0i64)),
+            Stmt::var("n", ScalarExpr::lit(0i64)),
+            Stmt::while_loop(ScalarExpr::var("i").lt(ScalarExpr::lit(iterations)), body),
+            Stmt::write("out", BagExpr::var("ys")),
+        ])
+    };
+    let run_on = |stack_bytes: usize, compiled: &_| {
+        std::thread::scope(|scope| {
+            std::thread::Builder::new()
+                .stack_size(stack_bytes)
+                .spawn_scoped(scope, || engine().run(compiled, &catalog).expect("engine"))
+                .expect("spawn")
+                .join()
+                .expect("the run must not overflow its caller's stack")
+        })
+    };
+    for (iterations, observe, caching) in [(1_000, false, false), (5_000, true, true)] {
+        let flags = OptimizerFlags::all().with_caching(caching);
+        let compiled = parallelize(&program(iterations, observe), &flags);
+        let small = run_on(512 * 1024, &compiled);
+        let roomy = run_on(64 * 1024 * 1024, &compiled);
+        let expected: Vec<Value> = (0..8).map(|x| Value::Int(x + iterations)).collect();
+        assert_eq!(
+            Value::bag(small.writes["out"].clone()),
+            Value::bag(expected)
+        );
+        assert_eq!(small.stats, roomy.stats);
+        assert_eq!(small.stats.iterations, iterations as u64);
+        assert_eq!(small.stats.cache_hits > 0, caching, "{}", small.stats);
+    }
 }

@@ -2,7 +2,14 @@
 //! identical to executing the unfused operator chain — same output rows in
 //! the same order, and bit-identical deterministic counters (`ExecStats`
 //! equality covers `simulated_secs` via the exact attosecond accumulator,
-//! all byte/record counters, stages, and cache hit/miss counts).
+//! all byte/record counters, stages, and cache hit/miss counts). Two plan
+//! shapes of one program are compared without the tier telemetry, which
+//! counts per operator execution; two runs of one plan are compared with it.
+//!
+//! A standalone `Map` / `Filter` / `FlatMap` is the one-stage case of the
+//! same engine path: it must agree with a hand-built one-stage
+//! `Plan::Pipeline` on rows, layout, counters and clock bits, and a
+//! timed-out single `Map` keeps firing where it always did.
 //!
 //! The same invariance must hold across thread-dispatch modes: the
 //! persistent worker pool and the legacy per-operator scopes (and serial
@@ -14,9 +21,9 @@ use emma_compiler::expr::{FoldOp, Lambda, ScalarExpr};
 use emma_compiler::interp::Catalog;
 use emma_compiler::physical_pipeline::apply_pipeline_fusion;
 use emma_compiler::pipeline::{CStmt, CompiledProgram, OptimizationReport};
-use emma_compiler::plan::Plan;
+use emma_compiler::plan::{PipelineStage, Plan};
 use emma_compiler::value::Value;
-use emma_engine::{Engine, EngineRun, ParallelismMode};
+use emma_engine::{Engine, EngineRun, ExecError, ParallelismMode};
 use proptest::prelude::*;
 
 /// One randomly drawn narrow operator over `Int` rows.
@@ -93,12 +100,8 @@ fn op_strategy() -> impl Strategy<Value = NarrowOp> {
     ]
 }
 
-/// Wraps a chain of narrow ops over `Source(xs)` into a one-write program.
-fn chain_program(ops: &[NarrowOp]) -> CompiledProgram {
-    let mut plan = Plan::Source { name: "xs".into() };
-    for op in ops {
-        plan = op.apply(plan);
-    }
+/// A one-write program around a hand-built plan.
+fn write_program(plan: Plan) -> CompiledProgram {
     CompiledProgram {
         body: vec![CStmt::Write {
             sink: "out".into(),
@@ -106,8 +109,16 @@ fn chain_program(ops: &[NarrowOp]) -> CompiledProgram {
         }],
         report: OptimizationReport::default(),
         compiled_eval: true,
-        vectorized_eval: false,
     }
+}
+
+/// Wraps a chain of narrow ops over `Source(xs)` into a one-write program.
+fn chain_program(ops: &[NarrowOp]) -> CompiledProgram {
+    let mut plan = Plan::Source { name: "xs".into() };
+    for op in ops {
+        plan = op.apply(plan);
+    }
+    write_program(plan)
 }
 
 fn fused_clone(prog: &CompiledProgram) -> CompiledProgram {
@@ -120,16 +131,27 @@ fn run(engine: &Engine, prog: &CompiledProgram, catalog: &Catalog) -> EngineRun 
     engine.run(prog, catalog).expect("run failed")
 }
 
-/// Output rows and the deterministic counters must match exactly.
+/// Two plan shapes of one program: output rows and the deterministic
+/// counters must match exactly.
 fn assert_equivalent(a: &EngineRun, b: &EngineRun, what: &str) {
     assert_eq!(a.writes, b.writes, "{what}: sink rows differ");
     assert_eq!(a.scalars, b.scalars, "{what}: scalars differ");
-    assert_eq!(a.stats, b.stats, "{what}: deterministic counters differ");
+    assert_eq!(
+        a.stats.without_tier_telemetry(),
+        b.stats.without_tier_telemetry(),
+        "{what}: deterministic counters differ"
+    );
     assert_eq!(
         a.stats.simulated_secs.to_bits(),
         b.stats.simulated_secs.to_bits(),
         "{what}: simulated time not bit-identical"
     );
+}
+
+/// Two runs of one plan: the tier telemetry must replay as well.
+fn assert_identical(a: &EngineRun, b: &EngineRun, what: &str) {
+    assert_equivalent(a, b, what);
+    assert_eq!(a.stats, b.stats, "{what}: tier telemetry differs");
 }
 
 /// A pool engine that fans out even on a single-core machine and for tiny
@@ -178,7 +200,7 @@ proptest! {
         let catalog =
             Catalog::new().with("xs", rows.into_iter().map(Value::Int).collect::<Vec<_>>());
         let prog = fused_clone(&chain_program(&ops));
-        assert_equivalent(
+        assert_identical(
             &run(&pool_engine(), &prog, &catalog),
             &run(&per_op_engine(), &prog, &catalog),
             "pool vs per-operator",
@@ -194,7 +216,7 @@ proptest! {
             Catalog::new().with("xs", rows.into_iter().map(Value::Int).collect::<Vec<_>>());
         let prog = fused_clone(&chain_program(&ops));
         let serial = pool_engine().with_parallelism_threshold(u64::MAX);
-        assert_equivalent(
+        assert_identical(
             &run(&pool_engine(), &prog, &catalog),
             &run(&serial, &prog, &catalog),
             "parallel vs serial gate",
@@ -234,15 +256,7 @@ fn grouped_input_pipeline_matches_unfused() {
         input: Box::new(filtered),
         f: Lambda::new(["t"], var("t").get(1)),
     };
-    let unfused = CompiledProgram {
-        body: vec![CStmt::Write {
-            sink: "out".into(),
-            plan: projected,
-        }],
-        report: OptimizationReport::default(),
-        compiled_eval: true,
-        vectorized_eval: false,
-    };
+    let unfused = write_program(projected);
     let fused = fused_clone(&unfused);
     assert_eq!(fused.report.pipelines_fused, 1);
     assert_eq!(fused.report.pipeline_stages_fused, 3);
@@ -277,5 +291,149 @@ fn empty_input_pipeline_matches_unfused() {
         &run(&engine, &fused, &catalog),
         &run(&engine, &unfused, &catalog),
         "empty input",
+    );
+}
+
+/// Rewrites a standalone narrow operator into the one-stage pipeline that
+/// carries the same UDF (the fusion pass itself only fuses chains of two or
+/// more).
+fn one_stage(plan: Plan) -> Plan {
+    let (input, stage) = match plan {
+        Plan::Map { input, f } => (input, PipelineStage::Map { f }),
+        Plan::Filter { input, p } => (input, PipelineStage::Filter { p }),
+        Plan::FlatMap { input, param, body } => (input, PipelineStage::FlatMap { param, body }),
+        other => panic!("not a narrow operator: {other:?}"),
+    };
+    Plan::Pipeline {
+        input,
+        stages: vec![stage],
+    }
+}
+
+/// `groupBy(x => x)` over `op` over `repartition(x => x)`: whether `op`
+/// kept the physical layout decides whether the trailing shuffle is elided,
+/// so the layout rule shows up in the counters.
+fn layout_probe(op: Plan) -> Plan {
+    Plan::GroupBy {
+        input: Box::new(op),
+        key: Lambda::new(["x"], var("x")),
+    }
+}
+
+fn repartitioned_xs() -> Plan {
+    Plan::Repartition {
+        input: Box::new(Plan::Source { name: "xs".into() }),
+        key: Lambda::new(["x"], var("x")),
+    }
+}
+
+/// Every single-operator shape against its hand-built one-stage pipeline:
+/// rows, layout, counters (tier telemetry included — both are one operator
+/// execution) and clock bits.
+#[test]
+fn single_operator_equals_one_stage_pipeline() {
+    let ints = |n: i64| -> Vec<Value> { (0..n).map(|i| Value::Int(i % 23 - 5)).collect() };
+    let strs: Vec<Value> = (0..300)
+        .map(|i| {
+            Value::tuple(vec![
+                Value::Int(i),
+                Value::str(["xzzy", "abc", ""][i as usize % 3]),
+            ])
+        })
+        .collect();
+    let kv: Vec<Value> = (0..500)
+        .map(|i| Value::tuple(vec![Value::Int(i % 37), Value::Int(i % 11)]))
+        .collect();
+    let contains = Plan::Map {
+        input: Box::new(Plan::Source { name: "xs".into() }),
+        f: Lambda::new(
+            ["x"],
+            ScalarExpr::call(
+                emma_compiler::expr::BuiltinFn::StrContains,
+                vec![var("x").get(1), ScalarExpr::lit(Value::str("zz"))],
+            ),
+        ),
+    };
+    // A Map folding each group's nested bag: the nested-fold re-scan charge
+    // and the byte term both read the head stage's entry bytes.
+    let grouped_fold = Plan::Map {
+        input: Box::new(Plan::GroupBy {
+            input: Box::new(Plan::Source { name: "xs".into() }),
+            key: Lambda::new(["t"], var("t").get(0)),
+        }),
+        f: Lambda::new(
+            ["g"],
+            ScalarExpr::Tuple(vec![
+                var("g").get(0),
+                BagExpr::of_value(var("g").get(1))
+                    .map(Lambda::new(["t"], var("t").get(1)))
+                    .fold(FoldOp::sum()),
+            ]),
+        ),
+    };
+    let narrow = [
+        NarrowOp::MapAdd(0),
+        NarrowOp::FilterGt(-100),
+        NarrowOp::FlatMapPair,
+    ];
+    let mut cases: Vec<(String, Plan, Vec<Value>)> = Vec::new();
+    for op in narrow {
+        for n in [0, 400] {
+            cases.push((
+                format!("{op:?} × {n}"),
+                op.apply(repartitioned_xs()),
+                ints(n),
+            ));
+        }
+    }
+    cases.push(("contains map".into(), contains, strs));
+    cases.push(("grouped nested fold".into(), grouped_fold, kv));
+
+    let mut shuffled = std::collections::HashMap::new();
+    for (what, op, rows) in cases {
+        let catalog = Catalog::new().with("xs", rows);
+        let standalone = write_program(layout_probe(op.clone()));
+        let pipelined = write_program(layout_probe(one_stage(op)));
+        for engine in [pool_engine(), per_op_engine()] {
+            let a = run(&engine, &standalone, &catalog);
+            assert_identical(&a, &run(&engine, &pipelined, &catalog), &what);
+            shuffled.insert(what.clone(), a.stats.bytes_shuffled);
+        }
+    }
+    // The layout rule is live: over the same 400 rows a Filter keeps the
+    // repartitioned layout (the trailing shuffle is elided), a Map drops it.
+    assert!(
+        shuffled["FilterGt(-100) × 400"] < shuffled["MapAdd(0) × 400"],
+        "{shuffled:?}"
+    );
+}
+
+/// Where `ExecError::Timeout` fires for a single `Map` whose own charge
+/// exhausts the budget. A standalone operator has no budget check of its
+/// own: the sink's check reports it, after the write charge, so `at_secs` is
+/// the whole run's clock. The `Plan::Pipeline` arm checks as it returns.
+#[test]
+fn timed_out_single_map_fires_where_it_did() {
+    let catalog = Catalog::new().with("xs", (0..5_000).map(Value::Int).collect::<Vec<_>>());
+    let map = NarrowOp::MapAdd(1).apply(Plan::Source { name: "xs".into() });
+    let standalone = write_program(map.clone());
+    let pipelined = write_program(one_stage(map));
+    let full = run(&Engine::sparrow(), &standalone, &catalog);
+    // A budget the source fits in and the Map's own CPU charge overruns.
+    let budget = full.stats.op_secs["Source"] + full.stats.op_secs["Map"] / 2.0;
+    let at =
+        |prog: &CompiledProgram| match Engine::sparrow().with_timeout(budget).run(prog, &catalog) {
+            Err(ExecError::Timeout { at_secs, .. }) => at_secs,
+            other => panic!("expected a timeout, got {other:?}"),
+        };
+    assert_eq!(
+        at(&standalone).to_bits(),
+        full.stats.simulated_secs.to_bits()
+    );
+    let early = at(&pipelined);
+    assert!(
+        budget < early && early < full.stats.simulated_secs,
+        "{budget} < {early} < {}",
+        full.stats.simulated_secs
     );
 }

@@ -337,17 +337,6 @@ fn split_sub_partitions_retry_independently_under_chaos() {
     );
 }
 
-/// Zeroes the vectorization telemetry — the only counters the batch tier is
-/// allowed to move relative to a scalar run.
-fn without_vec_telemetry(stats: &ExecStats) -> ExecStats {
-    let mut s = stats.clone();
-    s.rows_vectorized = 0;
-    s.batches_executed = 0;
-    s.vector_fallbacks = 0;
-    s.key_path_fallbacks = 0;
-    s
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -385,7 +374,9 @@ proptest! {
         ]);
         let prog = compile(&program, true);
         let cfg = SkewConfig::default().with_min_part_rows(32);
-        let scalar = tiny_engine().with_skew_splitting(cfg).run(&prog, &catalog);
+        let mut scalar_engine = tiny_engine().with_skew_splitting(cfg);
+        scalar_engine.vectorized = None;
+        let scalar = scalar_engine.run(&prog, &catalog);
         let mut vec_runs = Vec::new();
         for (mode, threads) in MATRIX {
             let engine = tiny_engine()
@@ -415,7 +406,7 @@ proptest! {
                     let v = vr.as_ref().expect("vectorized run");
                     prop_assert_eq!(&v.writes, &s.writes);
                     prop_assert_eq!(&v.scalars, &s.scalars);
-                    prop_assert_eq!(without_vec_telemetry(&v.stats), s.stats.clone());
+                    prop_assert_eq!(v.stats.without_tier_telemetry(), s.stats.clone());
                     prop_assert_eq!(&v.stats, &first.stats);
                     prop_assert_eq!(
                         v.stats.simulated_secs.to_bits(),

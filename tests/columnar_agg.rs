@@ -20,7 +20,7 @@ mod agg_programs;
 mod common;
 
 use agg_programs::{agg_program, fold_expr, VI};
-use common::{without_vec_telemetry, MATRIX};
+use common::{scalar_tier, MATRIX};
 use emma::algorithms::tpch;
 use emma::prelude::*;
 use emma_datagen::tpch::{lineitem as li, TpchSpec, Q1_SHIP_CUTOFF};
@@ -124,9 +124,7 @@ fn assert_tiers_agree(p: &Program, catalog: &Catalog, chaos_seed: u64, exact_int
                 if skew_on {
                     e = e.with_skew_splitting(skew_cfg);
                 }
-                if vec_on {
-                    e = e.with_vectorized_eval(BatchConfig::new(16));
-                }
+                e.vectorized = vec_on.then(|| BatchConfig::new(16));
                 e.run(&prog, catalog)
             };
             let scalar = mk(false, ParallelismMode::Pool, 2);
@@ -167,7 +165,7 @@ fn assert_tiers_agree(p: &Program, catalog: &Catalog, chaos_seed: u64, exact_int
                     for vr in &vec_runs {
                         let v = vr.as_ref().expect("vectorized run");
                         assert_same_runs(&what, v, s);
-                        assert_eq!(without_vec_telemetry(&v.stats), s.stats, "{what}");
+                        assert_eq!(v.stats.without_tier_telemetry(), s.stats, "{what}");
                         assert_eq!(v.stats, first.stats, "{what}: telemetry replay");
                         assert_eq!(
                             v.stats.simulated_secs.to_bits(),
@@ -257,13 +255,13 @@ fn all_folds_program() -> Program {
 
 fn run_pair(p: &Program, catalog: &Catalog, batch: usize) -> (EngineRun, EngineRun) {
     let prog = compile(p);
-    let scalar = engine().run(&prog, catalog).expect("scalar");
+    let scalar = scalar_tier(engine()).run(&prog, catalog).expect("scalar");
     let vec = engine()
         .with_vectorized_eval(BatchConfig::new(batch))
         .run(&prog, catalog)
         .expect("vectorized");
     assert_same_runs("pair", &vec, &scalar);
-    assert_eq!(without_vec_telemetry(&vec.stats), scalar.stats);
+    assert_eq!(vec.stats.without_tier_telemetry(), scalar.stats);
     assert_eq!(
         vec.stats.simulated_secs.to_bits(),
         scalar.stats.simulated_secs.to_bits()
@@ -349,7 +347,9 @@ fn element_division_by_zero_on_one_row() {
         vec![fold_expr(2, 0), fold_expr(13, 0), fold_expr(0, 0)],
     );
     let prog = compile(&p);
-    let scalar = engine().run(&prog, &catalog).expect_err("scalar errors");
+    let scalar = scalar_tier(engine())
+        .run(&prog, &catalog)
+        .expect_err("scalar errors");
     let vec = engine()
         .with_vectorized_eval(BatchConfig::new(16))
         .run(&prog, &catalog)

@@ -15,15 +15,11 @@ pub const MATRIX: [(ParallelismMode, usize); 6] = [
     (ParallelismMode::PerOperator, 4),
 ];
 
-/// Zeroes the vectorization telemetry — the only counters the batch tier is
-/// allowed to move relative to a scalar run.
-pub fn without_vec_telemetry(stats: &ExecStats) -> ExecStats {
-    let mut s = stats.clone();
-    s.rows_vectorized = 0;
-    s.batches_executed = 0;
-    s.vector_fallbacks = 0;
-    s.key_path_fallbacks = 0;
-    s
+/// Pins the scalar compiled tier — the kernels' replay and refusal path —
+/// as the baseline the default stack is compared against.
+pub fn scalar_tier(mut e: Engine) -> Engine {
+    e.vectorized = None;
+    e
 }
 
 /// A fast engine configuration for tests.

@@ -21,7 +21,7 @@ mod common;
 #[path = "common/string_exprs.rs"]
 mod string_exprs;
 
-use common::{without_vec_telemetry, MATRIX};
+use common::{scalar_tier, MATRIX};
 use emma::prelude::*;
 use emma_engine::ParallelismMode;
 use proptest::prelude::*;
@@ -129,9 +129,7 @@ proptest! {
                     if skew_on {
                         e = e.with_skew_splitting(skew_cfg);
                     }
-                    if vec_on {
-                        e = e.with_vectorized_eval(BatchConfig::new(64));
-                    }
+                    e.vectorized = vec_on.then(|| BatchConfig::new(64));
                     e.run(&prog, &catalog)
                 };
                 let scalar = mk(false, ParallelismMode::Pool, 2);
@@ -188,7 +186,7 @@ proptest! {
                             let v = vr.as_ref().expect("vectorized run");
                             prop_assert_eq!(&v.writes, &s.writes);
                             prop_assert_eq!(&v.scalars, &s.scalars);
-                            prop_assert_eq!(without_vec_telemetry(&v.stats), s.stats.clone());
+                            prop_assert_eq!(v.stats.without_tier_telemetry(), s.stats.clone());
                             prop_assert_eq!(&v.stats, &first.stats);
                             prop_assert_eq!(
                                 v.stats.simulated_secs.to_bits(),
@@ -262,19 +260,94 @@ fn fully_vectorized_string_plan_reports_zero_fallbacks() {
         ),
     ]);
     let prog = parallelize(&p, &OptimizerFlags::all().with_compiled_eval(true));
-    let scalar = engine().run(&prog, &catalog).expect("scalar");
+    let scalar = scalar_tier(engine()).run(&prog, &catalog).expect("scalar");
     let vec = engine()
         .with_vectorized_eval(BatchConfig::new(256))
         .run(&prog, &catalog)
         .expect("vectorized");
     assert_eq!(vec.stats.vector_fallbacks, 0, "{}", vec.stats);
     assert_eq!(vec.stats.key_path_fallbacks, 0, "{}", vec.stats);
-    assert!(vec.stats.rows_vectorized > 0, "{}", vec.stats);
+    // Every row enters the `contains` head stage's kernel, and every row
+    // the aggregation kernel's combiner.
+    assert!(vec.stats.rows_vectorized >= 2 * 3_000, "{}", vec.stats);
     assert_eq!(vec.writes, scalar.writes);
     assert_eq!(
         vec.stats.simulated_secs.to_bits(),
         scalar.stats.simulated_secs.to_bits()
     );
+}
+
+/// The numeric side of the same pin: a fused Map/Filter chain over
+/// `(i64, i64)` rows built from the shapes of real scoring UDFs — a branchy
+/// tuple rewrite, a multi-term predicate, `min`/`abs` builtins, a collapse to
+/// a scalar score and a round of integer hashing — runs every row through
+/// the kernels of the default engine with no refusal on either counter.
+#[test]
+fn numeric_chain_fully_vectorizes_by_default() {
+    const ROWS: i64 = 5_000;
+    let lit = |k: i64| ScalarExpr::lit(Value::Int(k));
+    let (t0, t1) = (|| x().get(0), || x().get(1));
+    let catalog = Catalog::new().with(
+        "xs",
+        (0..ROWS)
+            .map(|i| Value::tuple(vec![Value::Int(i % 1_000), Value::Int((i * 7) % 100)]))
+            .collect::<Vec<_>>(),
+    );
+    let chain = BagExpr::read("xs")
+        .map(Lambda::new(
+            ["x"],
+            ScalarExpr::If(
+                Box::new(t0().rem(lit(3)).eq(lit(0))),
+                Box::new(ScalarExpr::Tuple(vec![
+                    t0().mul(lit(2)).add(t1()).sub(lit(7)),
+                    t1().add(lit(1)),
+                ])),
+                Box::new(ScalarExpr::Tuple(vec![
+                    t0().add(lit(3)),
+                    t1().mul(lit(3)).rem(lit(101)),
+                ])),
+            ),
+        ))
+        .filter(Lambda::new(
+            ["x"],
+            t0().add(t1())
+                .rem(lit(17))
+                .ne(lit(3))
+                .and(t0().mul(lit(3)).sub(t1()).gt(lit(-1_000_000))),
+        ))
+        .map(Lambda::new(
+            ["x"],
+            ScalarExpr::call(
+                BuiltinFn::MinOf,
+                vec![
+                    t0().mul(t0().rem(lit(7)).add(lit(3)))
+                        .add(ScalarExpr::call(BuiltinFn::Abs, vec![t0().sub(t1())])),
+                    lit(1 << 20),
+                ],
+            )
+            .add(t1().mul(lit(31)))
+            .rem(lit(1_000_003)),
+        ))
+        .map(Lambda::new(
+            ["x"],
+            x().mul(lit(3))
+                .add(lit(11))
+                .rem(lit(65_521))
+                .add(x().rem(lit(7)).mul(x().rem(lit(13)))),
+        ))
+        .filter(Lambda::new(
+            ["x"],
+            x().rem(lit(251)).ne(lit(0)).or(x().ge(lit(0))),
+        ));
+    let p = Program::new(vec![Stmt::write("out", chain)]);
+    let prog = parallelize(&p, &OptimizerFlags::all());
+    assert!(prog.report.pipelines_fused >= 1);
+    let run = engine().run(&prog, &catalog).expect("default engine");
+    assert!(run.stats.rows_vectorized >= ROWS as u64, "{}", run.stats);
+    assert_eq!(run.stats.vector_fallbacks, 0, "{}", run.stats);
+    assert_eq!(run.stats.key_path_fallbacks, 0, "{}", run.stats);
+    let scalar = scalar_tier(engine()).run(&prog, &catalog).expect("scalar");
+    assert_eq!(run.writes, scalar.writes);
 }
 
 /// A map body carrying a nested fold resists specialization: the refusal
@@ -292,7 +365,7 @@ fn non_specializable_string_body_bumps_vector_fallbacks() {
         BagExpr::read("rows").map(Lambda::new(["x"], nested)),
     )]);
     let prog = parallelize(&p, &OptimizerFlags::all().with_compiled_eval(true));
-    let scalar = engine().run(&prog, &catalog).expect("scalar");
+    let scalar = scalar_tier(engine()).run(&prog, &catalog).expect("scalar");
     let vec = engine()
         .with_vectorized_eval(BatchConfig::new(128))
         .run(&prog, &catalog)
@@ -331,7 +404,7 @@ fn residual_probe_is_scalar_by_design_and_counted() {
         BagExpr::read("rows").flat_map(BagLambda::new("x", join_inner)),
     )]);
     let prog = parallelize(&p, &OptimizerFlags::all().with_compiled_eval(true));
-    let scalar = engine().run(&prog, &catalog).expect("scalar");
+    let scalar = scalar_tier(engine()).run(&prog, &catalog).expect("scalar");
     let vec = engine()
         .with_vectorized_eval(BatchConfig::new(128))
         .run(&prog, &catalog)
@@ -377,9 +450,7 @@ fn strcontains_cost_is_length_aware_and_tier_identical() {
         let catalog = Catalog::new().with("rows", rows(len));
         let prog = parallelize(p, &OptimizerFlags::all().with_compiled_eval(true));
         let mut e = engine();
-        if vec_on {
-            e = e.with_vectorized_eval(BatchConfig::new(256));
-        }
+        e.vectorized = vec_on.then(|| BatchConfig::new(256));
         e.run(&prog, &catalog).expect("run")
     };
     // Tier bit-identity at both lengths.

@@ -12,10 +12,9 @@
 //! generation — notably broadcast vs. repartition joins — are resolved here,
 //! when actual input sizes are known.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::Arc;
-
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use emma_compiler::bag_expr::BagExpr;
 use emma_compiler::compiled::{self, CompiledBag, CompiledEval, Machine};
@@ -321,9 +320,9 @@ impl Engine {
     /// (sum/count/min/max/exists/forall slots) runs whole — `key`, `sng` and
     /// `uni`, combiner and merge — as one columnar aggregation kernel over
     /// typed per-group accumulator columns; one that is not is a single
-    /// counted refusal. Wide-operator key extraction (`groupBy`/`distinct`
-    /// routing, join build and residual-free probe sides) batches the same
-    /// way, with refusals and scalar-by-design sites counted in
+    /// counted refusal. Every keyed operator's key extraction (shuffle
+    /// routing, `groupBy`, both join sides, stateful create/update) batches
+    /// the same way; a site whose key body does not specialize is counted in
     /// [`ExecStats::key_path_fallbacks`]. Rows, errors, and error order are
     /// preserved exactly: a batch that produces any error (or does not
     /// conform to the specialized input shape) is re-run row-at-a-time
@@ -646,12 +645,101 @@ impl<'p> PreparedStage<'p> {
     }
 }
 
-/// Shuffle output keys, carried per output partition in row order as
-/// `(hash, key)` pairs so downstream consumers (hash-join build/probe,
-/// `aggBy` combining, group materialization, stateful routing) never
-/// re-evaluate the key UDF or re-hash. `None` when the input layout already
-/// satisfied the requested partitioning (no shuffle ran).
-type KeyCarriage = Option<Vec<Vec<(u64, Value)>>>;
+/// Rows and batches a task body ran through typed kernels. Every body passed
+/// to [`Session::run_tasks`] reports into the one it is handed, and driver
+/// loops into a local one; [`Session::tally`] is the only place the two
+/// telemetry counters grow. A body runs exactly once per partition, so the
+/// sums do not depend on the schedule.
+#[derive(Default)]
+struct Tally {
+    rows: u64,
+    batches: u64,
+}
+
+impl Tally {
+    fn batch(&mut self, rows: usize) {
+        self.rows += rows as u64;
+        self.batches += 1;
+    }
+}
+
+/// Where a keyed operator wants its input rows ([`Session::keyed`]).
+enum Placement {
+    /// Where they are: both sides of a broadcast join.
+    InPlace,
+    /// Hash-partitioned by the key — a shuffle, unless the layout already
+    /// satisfies it — with hot buckets split if a flavor is given.
+    Hashed(Option<SplitKind>),
+}
+
+/// The one input shape of every keyed operator (`groupBy`, both join sides,
+/// stateful create/update): the partitions, a row-aligned `(hash, key)` list
+/// per partition ([`Keyed::keys`]) and the skew split the shuffle applied.
+///
+/// Who evaluates a key, and who raises its error, is decided here and
+/// nowhere else. When rows moved, the shuffle evaluated every key and raised
+/// the first error itself. When the layout already satisfied the key, the
+/// same batched evaluator runs where the consumer asks for a partition's
+/// keys — in its existing task wave or driver loop — and hands back the
+/// error-free prefix plus the error that ended it. The consumer raises that
+/// error when its loop reaches the row, so an error of its own UDF at an
+/// earlier row still comes first, as in a row-at-a-time interleaving.
+struct Keyed<'p> {
+    data: Partitioned,
+    keys: Keys<'p>,
+    split: Option<SplitPlan>,
+}
+
+enum Keys<'p> {
+    Routed(Vec<Vec<(u64, Value)>>),
+    InPlace(KeyEval<'p>),
+}
+
+impl Keyed<'_> {
+    /// The keys of partition `pi`, aligned with its rows.
+    fn keys(&self, pi: usize, catalog: &Catalog, tally: &mut Tally) -> PartKeys<'_> {
+        match &self.keys {
+            Keys::Routed(all) => PartKeys {
+                keys: Cow::Borrowed(&all[pi]),
+                err: None,
+            },
+            Keys::InPlace(eval) => eval.keys(&self.data.parts[pi], catalog, tally),
+        }
+    }
+}
+
+/// One partition's `(hash, key)` pairs: row-aligned up to the first row whose
+/// key raised, then that error.
+struct PartKeys<'k> {
+    keys: Cow<'k, [(u64, Value)]>,
+    err: Option<ValueError>,
+}
+
+impl PartKeys<'_> {
+    /// One item per row, for `rows.zip(keys.iter())`: the pairs, then the
+    /// error at the row that raised it.
+    fn iter(&self) -> impl Iterator<Item = Result<&(u64, Value), ValueError>> {
+        self.keys.iter().map(Ok).chain(self.err.clone().map(Err))
+    }
+}
+
+/// A key UDF readied for batch evaluation: prepared for the active tier over
+/// its own base scope, with the driver's specialize-or-refuse decision.
+struct KeyEval<'p> {
+    prep: PreparedScalar<'p>,
+    vec: Option<(VectorPipeline, usize)>,
+    base: HashMap<String, Value>,
+}
+
+impl KeyEval<'_> {
+    fn keys(&self, rows: &[Value], catalog: &Catalog, tally: &mut Tally) -> PartKeys<'static> {
+        let (keys, err) = batch_keys(rows, self, catalog, tally);
+        PartKeys {
+            keys: Cow::Owned(keys),
+            err,
+        }
+    }
+}
 
 struct Session<'a> {
     engine: &'a Engine,
@@ -807,14 +895,23 @@ impl<'a> Session<'a> {
     ) -> Result<Vec<T>, ExecError>
     where
         T: Send,
-        F: Fn(usize) -> Result<T, ValueError> + Sync,
+        F: Fn(usize, &mut Tally) -> Result<T, ValueError> + Sync,
     {
+        // Each body reports the rows it ran through kernels into a tally of
+        // its own, folded in as its task settles.
+        let f = |pi: usize| {
+            let mut tally = Tally::default();
+            f(pi, &mut tally).map(|v| (v, tally))
+        };
         let Some(cfg) = self.fault_cfg() else {
-            let settled = self.par.run_settled(wide, n, total_rows, &f);
+            let settled = self.par.run_settled(wide, n, total_rows, f);
             let mut out = Vec::with_capacity(n);
             for s in settled {
                 match s {
-                    Ok(Ok(v)) => out.push(v),
+                    Ok(Ok((v, tally))) => {
+                        self.tally(tally);
+                        out.push(v);
+                    }
                     Ok(Err(e)) => return Err(ExecError::Eval(e)),
                     Err(payload) => {
                         self.stats.tasks_failed += 1;
@@ -869,7 +966,10 @@ impl<'a> Session<'a> {
             for (wi, s) in settled.into_iter().enumerate() {
                 let pi = pending[wi];
                 match s {
-                    Ok(Ok(v)) => results[pi] = Some(v),
+                    Ok(Ok((v, tally))) => {
+                        self.tally(tally);
+                        results[pi] = Some(v);
+                    }
                     Ok(Err(TaskError::Injected)) => {
                         self.stats.tasks_failed += 1;
                         failed.push(pi);
@@ -967,6 +1067,12 @@ impl<'a> Session<'a> {
             pending = failed;
             attempt += 1;
         }
+    }
+
+    /// Folds a task body's (or driver loop's) kernel telemetry into the run's.
+    fn tally(&mut self, t: Tally) {
+        self.stats.rows_vectorized += t.rows;
+        self.stats.batches_executed += t.batches;
     }
 
     // ------------------------------------------------------ UDF preparation
@@ -1206,35 +1312,23 @@ impl<'a> Session<'a> {
                     .skew
                     .is_some()
                     .then_some(SplitKind::KeyPreserving);
-                let (shuffled, carried, split) = self.shuffle_keyed_split(d, key, &env, kind)?;
-                // When the shuffle was elided (layout already satisfied) the
-                // create loop below re-derives keys serially while building
-                // the driver-resident state maps — scalar by design, counted
-                // so the refusal is visible in telemetry.
-                if carried.is_none() && self.vectorized.is_some() && shuffled.total_rows() > 0 {
-                    self.stats.key_path_fallbacks += 1;
-                }
-                let base = self.eval_base_for_lambdas(&[key], &env)?;
-                let key_prep = self.prepare_lambda(key, &base);
-                let mut cx = key_prep.ctx(&base);
-                let mut parts = Vec::with_capacity(shuffled.parts.len());
-                for (pi, part) in shuffled.parts.iter().enumerate() {
+                let keyed = self.keyed(d, key, &env, Placement::Hashed(kind))?;
+                let mut tally = Tally::default();
+                let mut parts = Vec::with_capacity(keyed.data.parts.len());
+                for (pi, part) in keyed.data.parts.iter().enumerate() {
+                    let keys = keyed.keys(pi, self.catalog, &mut tally);
                     let mut order: Vec<Value> = Vec::new();
                     let mut entries: HashMap<Value, Value> = HashMap::new();
-                    for (ri, row) in part.iter().enumerate() {
-                        // The shuffle already evaluated the key for this row.
-                        let k = match &carried {
-                            Some(keys) => keys[pi][ri].1.clone(),
-                            None => key_prep
-                                .call(std::slice::from_ref(row), &mut cx, self.catalog)
-                                .map_err(ExecError::Eval)?,
-                        };
+                    for (row, hk) in part.iter().zip(keys.iter()) {
+                        let (_, k) = hk.map_err(ExecError::Eval)?;
                         if entries.insert(k.clone(), row.clone()).is_none() {
-                            order.push(k);
+                            order.push(k.clone());
                         }
                     }
                     parts.push((order, entries));
                 }
+                self.tally(tally);
+                let split = keyed.split;
                 self.env.insert(
                     name.clone(),
                     Binding::Stateful(Arc::new(Mutex::new(EngineState {
@@ -1256,14 +1350,7 @@ impl<'a> Session<'a> {
                 let msgs = self.exec_bag(messages, &env)?;
                 // Route messages to their state elements: a shuffle on the
                 // message key, colocated with the state partitioning.
-                let (routed, carried) = self.shuffle_keyed(msgs, message_key, &env)?;
-                // Without carried keys the update loop interleaves key
-                // evaluation with in-place state lookups and the update UDF —
-                // a key batch would surface a later row's key error before an
-                // earlier row's update error. Scalar by design, counted.
-                if carried.is_none() && self.vectorized.is_some() && routed.total_rows() > 0 {
-                    self.stats.key_path_fallbacks += 1;
-                }
+                let routed = self.keyed(msgs, message_key, &env, Placement::Hashed(None))?;
                 let state_binding =
                     self.env.get(state).cloned().ok_or_else(|| {
                         ExecError::Eval(ValueError::UnboundVariable(state.clone()))
@@ -1273,39 +1360,26 @@ impl<'a> Session<'a> {
                         "`{state}` is not a stateful bag"
                     ))));
                 };
-                let base = self.eval_base_for_lambdas(&[message_key, update], &env)?;
-                let mk_prep = self.prepare_lambda(message_key, &base);
+                let base = self.eval_base_for_lambdas(&[update], &env)?;
                 let up_prep = self.prepare_lambda(update, &base);
-                let mut mcx = mk_prep.ctx(&base);
                 let mut ucx = up_prep.ctx(&base);
+                let mut tally = Tally::default();
                 let mut st = cell.lock().unwrap();
                 let nparts = st.parts.len().max(1);
                 let mut delta_parts: Vec<Vec<Value>> = vec![Vec::new(); nparts];
                 let mut processed = 0u64;
-                for (pi, part) in routed.parts.iter().enumerate() {
+                for (pi, part) in routed.data.parts.iter().enumerate() {
+                    let keys = routed.keys(pi, self.catalog, &mut tally);
                     let mut changed_keys: Vec<Value> = Vec::new();
                     let mut changed: HashMap<Value, (usize, Value)> = HashMap::new();
-                    for (mi, msg) in part.iter().enumerate() {
+                    for (msg, hk) in part.iter().zip(keys.iter()) {
                         processed += 1;
-                        // The routing shuffle already evaluated the key (and
-                        // its hash, which the split routing reuses).
-                        let (h, k) = match &carried {
-                            Some(keys) => {
-                                let (h, k) = &keys[pi][mi];
-                                (*h, k.clone())
-                            }
-                            None => {
-                                let k = mk_prep
-                                    .call(std::slice::from_ref(msg), &mut mcx, self.catalog)
-                                    .map_err(ExecError::Eval)?;
-                                (value_hash(&k), k)
-                            }
-                        };
+                        let (h, k) = hk.map_err(ExecError::Eval)?;
                         // State was hash-partitioned by key with the same
                         // partition count (plus the secondary split hash when
                         // the creating shuffle split), so the entry is local.
-                        let slot = st.slot_for(pi, h);
-                        let Some(current) = st.parts[slot].1.get(&k) else {
+                        let slot = st.slot_for(pi, *h);
+                        let Some(current) = st.parts[slot].1.get(k) else {
                             continue;
                         };
                         let new = up_prep
@@ -1314,7 +1388,7 @@ impl<'a> Session<'a> {
                         if !new.is_null() {
                             st.parts[slot].1.insert(k.clone(), new.clone());
                             if changed.insert(k.clone(), (slot, new)).is_none() {
-                                changed_keys.push(k);
+                                changed_keys.push(k.clone());
                             }
                         }
                     }
@@ -1333,6 +1407,7 @@ impl<'a> Session<'a> {
                     Some(Partitioning { key, parts: nparts })
                 };
                 drop(st);
+                self.tally(tally);
                 self.charge_cpu(processed, processed / self.dop().max(1) as u64);
                 let delta_data = Partitioned {
                     parts: delta_parts.into_iter().map(Arc::new).collect(),
@@ -1523,38 +1598,19 @@ impl<'a> Session<'a> {
                 let sng_spec = vec_spec(&sng_prep, false);
                 let vec_run =
                     self.try_vectorize(sng_spec.as_ref().map(std::slice::from_ref), &d.parts);
-                let partials = if let Some((vp, batch_rows)) = vec_run {
-                    let results = self.run_tasks(true, d.parts.len(), d.total_rows(), |pi| {
-                        fold_vectorized_partition(
+                let partials =
+                    self.run_tasks(true, d.parts.len(), d.total_rows(), |pi, tally| {
+                        fold_partition(
                             &d.parts[pi],
-                            &vp,
-                            batch_rows,
+                            vec_run.as_ref(),
                             &sng_prep,
                             &uni_prep,
                             &base,
                             zero.clone(),
                             catalog,
+                            tally,
                         )
                     })?;
-                    let mut partials = Vec::with_capacity(results.len());
-                    for (acc, nvec, nbatches) in results {
-                        self.stats.rows_vectorized += nvec;
-                        self.stats.batches_executed += nbatches;
-                        partials.push(acc);
-                    }
-                    partials
-                } else {
-                    self.run_tasks(true, d.parts.len(), d.total_rows(), |pi| {
-                        let mut scx = sng_prep.ctx(&base);
-                        let mut ucx = uni_prep.ctx(&base);
-                        let mut acc = zero.clone();
-                        for row in d.parts[pi].iter() {
-                            let s = sng_prep.call(std::slice::from_ref(row), &mut scx, catalog)?;
-                            acc = uni_prep.call_owned([acc, s], &mut ucx, catalog)?;
-                        }
-                        Ok(acc)
-                    })?
-                };
                 let partial_bytes: u64 = partials.iter().map(Value::approx_bytes).sum();
                 let mut acc = zero;
                 let mut ucx = uni_prep.ctx(&base);
@@ -1629,70 +1685,29 @@ impl<'a> Session<'a> {
             Plan::GroupBy { input, key } => {
                 let d = self.exec_bag(input, env)?;
                 let kind = self.split_kind(plan.skew_eligibility());
-                let (shuffled, carried, split) = self.shuffle_keyed_split(d, key, env, kind)?;
-                if let Some(sp) = split {
-                    let keys = carried.expect("a split implies the shuffle ran");
-                    return self.exec_group_by_split(shuffled, keys, &sp);
+                let keyed = self.keyed(d, key, env, Placement::Hashed(kind))?;
+                if keyed.split.is_some() {
+                    return self.exec_group_by_split(keyed);
                 }
                 // Materialize groups per partition; charge memory pressure.
-                let base = self.eval_base_for_lambdas(&[key], env)?;
-                let key_prep = self.prepare_lambda(key, &base);
-                // When the input layout already satisfied the partitioning
-                // the shuffle early-returned without evaluating keys — so
-                // extract them here, batch-at-a-time when the key body
-                // specializes, scalar otherwise. Keys are evaluated in
-                // partition-then-row order either way, and grouping itself
-                // never errors, so the first error is unchanged.
-                let keyed: Vec<Vec<(u64, Value)>> = match carried {
-                    Some(keys) => keys,
-                    None => {
-                        let key_vec =
-                            self.try_vectorize_key(&key_prep, sample_rows(&shuffled.parts));
-                        let mut all = Vec::with_capacity(shuffled.parts.len());
-                        for part in &shuffled.parts {
-                            let (hks, nvec, nbatches) =
-                                batch_keys(part, key_vec.as_ref(), &key_prep, &base, self.catalog)
-                                    .map_err(ExecError::Eval)?;
-                            self.stats.rows_vectorized += nvec;
-                            self.stats.batches_executed += nbatches;
-                            all.push(hks);
-                        }
-                        all
-                    }
-                };
-                let mut parts = Vec::with_capacity(shuffled.parts.len());
-                for (pi, part) in shuffled.parts.iter().enumerate() {
-                    let mut order: Vec<Value> = Vec::new();
-                    let mut groups: HashMap<Value, Vec<Value>> = HashMap::new();
-                    for (ri, row) in part.iter().enumerate() {
-                        // The shuffle (or the pre-pass above) already
-                        // evaluated the key for this row.
-                        let k = keyed[pi][ri].1.clone();
-                        let e = groups.entry(k.clone()).or_default();
-                        if e.is_empty() {
-                            order.push(k);
-                        }
-                        e.push(row.clone());
-                    }
-                    let rows: Vec<Value> = order
-                        .into_iter()
-                        .map(|k| {
-                            let vs = groups.remove(&k).unwrap_or_default();
-                            Value::tuple(vec![k, Value::bag(vs)])
-                        })
-                        .collect();
-                    parts.push(Arc::new(rows));
+                let mut tally = Tally::default();
+                let mut parts = Vec::with_capacity(keyed.data.parts.len());
+                for (pi, part) in keyed.data.parts.iter().enumerate() {
+                    let keys = keyed.keys(pi, self.catalog, &mut tally);
+                    let groups = FirstSeen::of_rows(part, &keys).map_err(ExecError::Eval)?;
+                    parts.push(Arc::new(groups.into_rows()));
                 }
-                let out = Partitioned {
+                self.tally(tally);
+                let shuffled = &keyed.data;
+                self.charge_group_materialization(shuffled);
+                self.charge_cpu(shuffled.total_rows(), shuffled.max_part_rows());
+                Ok(PlanResult::Bag(Partitioned {
                     parts,
                     partitioning: Some(Partitioning {
                         key: Lambda::new(["g"], ScalarExpr::var("g").get(0)),
                         parts: shuffled.num_parts(),
                     }),
-                };
-                self.charge_group_materialization(&shuffled);
-                self.charge_cpu(shuffled.total_rows(), shuffled.max_part_rows());
-                Ok(PlanResult::Bag(out))
+                }))
             }
             Plan::AggBy { input, key, fold } => {
                 let d = self.exec_bag(input, env)?;
@@ -1713,8 +1728,8 @@ impl<'a> Session<'a> {
                 let identity = Lambda::new(["x"], ScalarExpr::var("x"));
                 let l = self.exec_bag(left, env)?;
                 let r = self.exec_bag(right, env)?;
-                let ls = self.shuffle(l, &identity, env)?;
-                let rs = self.shuffle(r, &identity, env)?;
+                let ls = self.shuffle(l, &identity, env, None)?;
+                let rs = self.shuffle(r, &identity, env, None)?;
                 let mut parts = Vec::with_capacity(ls.parts.len());
                 for (lp, rp) in ls.parts.iter().zip(rs.parts.iter()) {
                     let mut budget: HashMap<&Value, usize> = HashMap::new();
@@ -1748,7 +1763,7 @@ impl<'a> Session<'a> {
                 // Key-preserving split keeps all copies of a row in one
                 // sub-partition, so per-partition dedup stays exact.
                 let kind = self.split_kind(plan.skew_eligibility());
-                let (s, _carried, _split) = self.shuffle_keyed_split(d, &identity, env, kind)?;
+                let s = self.shuffle(d, &identity, env, kind)?;
                 let mut parts = Vec::with_capacity(s.parts.len());
                 for part in &s.parts {
                     let mut seen = std::collections::HashSet::new();
@@ -1769,7 +1784,7 @@ impl<'a> Session<'a> {
             }
             Plan::Repartition { input, key } => {
                 let d = self.exec_bag(input, env)?;
-                let s = self.shuffle(d, key, env)?;
+                let s = self.shuffle(d, key, env, None)?;
                 Ok(PlanResult::Bag(s))
             }
             Plan::Cache { input } => {
@@ -1889,22 +1904,13 @@ impl<'a> Session<'a> {
         };
         let vec_run = self.try_vectorize(specs.as_deref(), &d.parts);
         let catalog = self.catalog;
-        let results = if let Some((vp, batch_rows)) = vec_run {
-            let vec_results = self.run_tasks(false, d.parts.len(), d.total_rows(), |pi| {
-                run_vectorized_partition(&d.parts[pi], &vp, batch_rows, &prepared, &bases, catalog)
-            })?;
-            let mut results = Vec::with_capacity(vec_results.len());
-            for (pass, nvec, nbatches) in vec_results {
-                self.stats.rows_vectorized += nvec;
-                self.stats.batches_executed += nbatches;
-                results.push(pass);
+        let results = self.run_tasks(false, d.parts.len(), d.total_rows(), |pi, tally| {
+            let rows = &d.parts[pi];
+            match &vec_run {
+                Some(vec) => run_vectorized_partition(rows, vec, &prepared, &bases, catalog, tally),
+                None => run_pipeline_partition(rows, &prepared, &bases, catalog, &need_bytes),
             }
-            results
-        } else {
-            self.run_tasks(false, d.parts.len(), d.total_rows(), |pi| {
-                run_pipeline_partition(&d.parts[pi], &prepared, &bases, catalog, &need_bytes)
-            })?
-        };
+        })?;
         let mut parts = Vec::with_capacity(results.len());
         let mut counts_total = vec![0u64; nstages + 1];
         let mut counts_max = vec![0u64; nstages + 1];
@@ -1985,11 +1991,7 @@ impl<'a> Session<'a> {
     ) -> Result<PlanResult, ExecError> {
         let l = self.exec_bag(left, env)?;
         let r = self.exec_bag(right, env)?;
-        let mut lams: Vec<&Lambda> = vec![lkey, rkey];
-        if let Some(res) = residual {
-            lams.push(res);
-        }
-        let base = self.eval_base_for_lambdas(&lams, env)?;
+        let base = self.eval_base_for_lambdas(residual.as_slice(), env)?;
 
         // Just-in-time strategy resolution from actual input sizes.
         let strategy = match strategy {
@@ -2006,37 +2008,38 @@ impl<'a> Session<'a> {
         self.stats.stages += 1;
         self.stats.charge_secs(self.personality().stage_overhead);
 
-        let (lwork, rrows_by_part, lkeys, rkeys, lsplit): (
-            Partitioned,
-            Vec<Vec<Value>>,
-            KeyCarriage,
-            KeyCarriage,
-            Option<SplitPlan>,
-        ) = match strategy {
+        let (probe, build) = match strategy {
             JoinStrategy::Broadcast => {
-                // Ship the entire right side to every node; left stays put.
+                // Ship the entire right side to every node, as one build
+                // partition every probe task reads; left stays put.
                 self.stats
                     .charge_secs(r.total_bytes() as f64 / self.spec().net_bw);
                 self.charge_broadcast(r.total_bytes());
-                let rows = r.collect_rows();
-                let n = l.parts.len();
-                (l, vec![rows; n], None, None, None)
+                let whole = Partitioned {
+                    parts: vec![Arc::new(r.collect_rows())],
+                    partitioning: None,
+                };
+                (
+                    self.keyed(l, lkey, env, Placement::InPlace)?,
+                    self.keyed(whole, rkey, env, Placement::InPlace)?,
+                )
             }
             JoinStrategy::Repartition | JoinStrategy::Auto => {
                 // Only the probe (left) side splits — the build side's
                 // partitions are replicated across their bucket's
                 // sub-partitions instead, which is the classic skew-join
                 // move when the build side is the small one.
-                let (ls, lk, lsp) = self.shuffle_keyed_split(l, lkey, env, probe_split)?;
-                let (rs, rk) = self.shuffle_keyed(r, rkey, env)?;
-                if let Some(sp) = &lsp {
+                let probe = self.keyed(l, lkey, env, Placement::Hashed(probe_split))?;
+                let build = self.keyed(r, rkey, env, Placement::Hashed(None))?;
+                if let Some(sp) = &probe.split {
                     // Each extra probe sub-partition re-reads its bucket's
                     // build partition from the shuffle output: charge the
                     // replicated bytes like the network motion they are.
                     let mut extra = 0u64;
                     for (b, &w) in sp.ways.iter().enumerate() {
                         if w > 1 {
-                            let bytes: u64 = rs.parts[b].iter().map(Value::approx_bytes).sum();
+                            let bytes: u64 =
+                                build.data.parts[b].iter().map(Value::approx_bytes).sum();
                             extra += bytes * (w as u64 - 1);
                         }
                     }
@@ -2047,115 +2050,51 @@ impl<'a> Session<'a> {
                             .charge_secs(extra as f64 / (spec.net_bw * spec.nodes as f64));
                     }
                 }
-                // The shuffle output is uniquely owned — move the right rows
-                // out instead of cloning them partition by partition.
-                let rparts: Vec<Vec<Value>> = rs
-                    .parts
-                    .into_iter()
-                    .map(|p| Arc::try_unwrap(p).unwrap_or_else(|shared| shared.as_ref().clone()))
-                    .collect();
-                (ls, rparts, lk, rk, lsp)
+                (probe, build)
             }
         };
-
-        let lk_prep = self.prepare_lambda(lkey, &base);
-        let rk_prep = self.prepare_lambda(rkey, &base);
         let res_prep = residual.map(|res| self.prepare_lambda(res, &base));
 
-        // Key-path batch decisions, made on the driver before the probe
-        // tasks fan out so the specialize-or-refuse outcome replays
-        // bit-identically. Carried keys (repartition) skip key evaluation
-        // entirely — nothing to vectorize, nothing to count. A residual
-        // predicate interleaves its own errors with the probe key's in row
-        // order, so the probe loop stays scalar by design there — counted.
-        let rk_vec = match &rkeys {
-            None => self.try_vectorize_key(
-                &rk_prep,
-                sample_rows_of(rrows_by_part.iter().map(|p| p.as_slice())),
-            ),
-            Some(_) => None,
-        };
-        let lk_vec = match (&lkeys, residual) {
-            (None, None) => self.try_vectorize_key(&lk_prep, sample_rows(&lwork.parts)),
-            (None, Some(_)) => {
-                if self.vectorized.is_some() && lwork.total_rows() > 0 {
-                    self.stats.key_path_fallbacks += 1;
-                }
-                None
-            }
-            (Some(_), _) => None,
-        };
-
-        // Build hash tables on the right, probe with the left — one
-        // build+probe task per left partition, fanned out on the pool.
-        // After a repartition the key hashes rode along from the shuffle, so
-        // build and probe never re-evaluate a key UDF or re-hash; the table
-        // maps hash → right-row slots (ascending slot order = the per-key
-        // match order the keyed table produced), with collisions resolved by
-        // key equality at probe time.
+        // Build a hash table per build partition, probe with the left — one
+        // probe task per left partition, fanned out on the pool. A build
+        // partition's keys and table (hash → row slots in ascending order =
+        // the per-key match order, collisions resolved by key equality at
+        // probe time) are made once, by the first probe task that reads it,
+        // and shared with the rest: every task of a broadcast join, every
+        // sub-partition of a split bucket. A build-key error is what each of
+        // those tasks returns, before it looks at a probe row.
+        type BuildTable<'k> = (PartKeys<'k>, HashMap<u64, Vec<usize>>);
+        let tables: Vec<OnceLock<Result<BuildTable<'_>, ValueError>>> =
+            build.data.parts.iter().map(|_| OnceLock::new()).collect();
         let catalog = self.catalog;
-        let probe_rows: u64 =
-            lwork.total_rows() + rrows_by_part.iter().map(|p| p.len() as u64).sum::<u64>();
-        let outs = self.run_tasks(true, lwork.parts.len(), probe_rows, |pi| {
-            let mut lcx = lk_prep.ctx(&base);
-            let mut rescx = res_prep.as_ref().map(|p| p.ctx(&base));
-            let (mut nvec, mut nbatches) = (0u64, 0u64);
-            let lpart = &lwork.parts[pi];
+        let lwork = &probe.data;
+        let probe_rows = lwork.total_rows() + build.data.total_rows();
+        let outs = self.run_tasks(true, lwork.parts.len(), probe_rows, |pi, tally| {
             // Under a probe split, every sub-partition of a hot bucket reads
             // that bucket's (replicated) build partition.
-            let ri = match &lsplit {
+            let ri = match &probe.split {
                 Some(sp) => sp.parent(pi),
-                None => pi.min(rrows_by_part.len() - 1),
+                None => pi.min(tables.len() - 1),
             };
-            let rrows = &rrows_by_part[ri];
-            let computed: Vec<(u64, Value)>;
-            let rkv: &[(u64, Value)] = match &rkeys {
-                Some(keys) => &keys[ri],
-                None => {
-                    // The build completes before any probe, so batching the
-                    // build keys cannot reorder errors across the phases.
-                    let (hks, nv, nb) =
-                        batch_keys(rrows, rk_vec.as_ref(), &rk_prep, &base, catalog)?;
-                    nvec += nv;
-                    nbatches += nb;
-                    computed = hks;
-                    &computed
+            let rrows = &build.data.parts[ri];
+            let built = tables[ri].get_or_init(|| {
+                let keys = build.keys(ri, catalog, tally);
+                let mut table: HashMap<u64, Vec<usize>> = HashMap::new();
+                for (slot, hk) in keys.iter().enumerate() {
+                    table.entry(hk?.0).or_default().push(slot);
                 }
-            };
-            let mut table: HashMap<u64, Vec<usize>> = HashMap::new();
-            for (slot, (h, _)) in rkv.iter().enumerate() {
-                table.entry(*h).or_default().push(slot);
-            }
-            let lkeys_part: Option<&[(u64, Value)]> =
-                lkeys.as_ref().map(|keys| keys[pi].as_slice());
-            // Residual-free probes may batch the probe keys up front: the
-            // probe key UDF is then the loop's only error source, so the
-            // first error in row order is preserved.
-            let lhks: Option<Vec<(u64, Value)>> = match &lk_vec {
-                Some(_) => {
-                    let (hks, nv, nb) =
-                        batch_keys(lpart.as_slice(), lk_vec.as_ref(), &lk_prep, &base, catalog)?;
-                    nvec += nv;
-                    nbatches += nb;
-                    Some(hks)
-                }
-                None => None,
-            };
+                Ok((keys, table))
+            });
+            let (rkeys, table) = built.as_ref().map_err(Clone::clone)?;
+            let lkeys = probe.keys(pi, catalog, tally);
+            let mut rescx = res_prep.as_ref().map(|p| p.ctx(&base));
             let mut out = Vec::new();
-            for (li, lrow) in lpart.iter().enumerate() {
-                let lk_owned: Value;
-                let (h, k): (u64, &Value) = match (lkeys_part, &lhks) {
-                    (Some(keys), _) => (keys[li].0, &keys[li].1),
-                    (None, Some(keys)) => (keys[li].0, &keys[li].1),
-                    (None, None) => {
-                        lk_owned = lk_prep.call(std::slice::from_ref(lrow), &mut lcx, catalog)?;
-                        (value_hash(&lk_owned), &lk_owned)
-                    }
-                };
-                let slots = table.get(&h).map(Vec::as_slice).unwrap_or(&[]);
+            for (lrow, hk) in lwork.parts[pi].iter().zip(lkeys.iter()) {
+                let (h, k) = hk?;
+                let slots = table.get(h).map(Vec::as_slice).unwrap_or(&[]);
                 let mut any = false;
                 for &slot in slots {
-                    if rkv[slot].1 != *k {
+                    if rkeys.keys[slot].1 != *k {
                         continue;
                     }
                     let rrow = &rrows[slot];
@@ -2175,49 +2114,26 @@ impl<'a> Session<'a> {
                     }
                 }
                 match kind {
-                    JoinKind::Inner => {}
-                    JoinKind::LeftSemi => {
-                        if any {
-                            out.push(lrow.clone());
-                        }
-                    }
-                    JoinKind::LeftAnti => {
-                        if !any {
-                            out.push(lrow.clone());
-                        }
-                    }
+                    JoinKind::LeftSemi if any => out.push(lrow.clone()),
+                    JoinKind::LeftAnti if !any => out.push(lrow.clone()),
+                    _ => {}
                 }
             }
-            Ok((out, nvec, nbatches))
+            Ok(out)
         })?;
-        let mut parts = Vec::with_capacity(outs.len());
-        let mut produced = 0u64;
-        for (out, nvec, nbatches) in outs {
-            self.stats.rows_vectorized += nvec;
-            self.stats.batches_executed += nbatches;
-            produced += out.len() as u64;
-            parts.push(Arc::new(out));
-        }
+        let produced: u64 = outs.iter().map(|out| out.len() as u64).sum();
         self.charge_cpu(
             lwork.total_rows() + produced,
             lwork.max_part_rows() + produced / self.dop().max(1) as u64,
         );
-        // Semi/anti joins preserve the left layout under repartition — but a
-        // split probe layout is two-level-hashed, so advertise nothing.
-        let partitioning = if lsplit.is_some() {
-            None
-        } else {
-            match (kind, strategy) {
-                (JoinKind::LeftSemi | JoinKind::LeftAnti, JoinStrategy::Repartition) => {
-                    Some(Partitioning {
-                        key: lkey.clone(),
-                        parts: parts.len(),
-                    })
-                }
-                (JoinKind::LeftSemi | JoinKind::LeftAnti, _) => lwork.partitioning.clone(),
-                _ => None,
-            }
-        };
+        // Semi/anti joins keep their probe rows where they are, so they keep
+        // the probe layout's claim: the left key after a repartition, the
+        // left input's own under broadcast, none if the probe side was split
+        // (two-level-hashed).
+        let partitioning = (kind != JoinKind::Inner)
+            .then(|| lwork.partitioning.clone())
+            .flatten();
+        let parts = outs.into_iter().map(Arc::new).collect();
         Ok(PlanResult::Bag(Partitioned {
             parts,
             partitioning,
@@ -2235,36 +2151,18 @@ impl<'a> Session<'a> {
     /// materialization pressure is paid on the balanced sub-partition layout,
     /// which is the point of splitting (a hot reducer's superlinear spill
     /// penalty becomes several in-memory sub-reducers).
-    fn exec_group_by_split(
-        &mut self,
-        shuffled: Partitioned,
-        keys: Vec<Vec<(u64, Value)>>,
-        plan: &SplitPlan,
-    ) -> Result<PlanResult, ExecError> {
+    fn exec_group_by_split(&mut self, keyed: Keyed<'_>) -> Result<PlanResult, ExecError> {
+        let plan = keyed.split.as_ref().expect("the caller saw a split");
+        let shuffled = &keyed.data;
         // Phase 1: local grouping per sub-partition, first-occurrence order.
-        // Keys rode along with the shuffle, so no UDF re-evaluation.
-        type PartialGroups = Vec<(Value, Vec<Value>)>;
-        let mut grouped: Vec<PartialGroups> =
-            self.run_tasks(true, shuffled.parts.len(), shuffled.total_rows(), |pi| {
-                let mut order: Vec<Value> = Vec::new();
-                let mut groups: HashMap<Value, Vec<Value>> = HashMap::new();
-                for (ri, row) in shuffled.parts[pi].iter().enumerate() {
-                    let k = &keys[pi][ri].1;
-                    let e = groups.entry(k.clone()).or_default();
-                    if e.is_empty() {
-                        order.push(k.clone());
-                    }
-                    e.push(row.clone());
-                }
-                Ok(order
-                    .into_iter()
-                    .map(|k| {
-                        let vs = groups.remove(&k).unwrap_or_default();
-                        (k, vs)
-                    })
-                    .collect::<PartialGroups>())
-            })?;
-        self.charge_group_materialization(&shuffled);
+        let catalog = self.catalog;
+        let mut grouped: Vec<FirstSeen> = self.run_tasks(
+            true,
+            shuffled.parts.len(),
+            shuffled.total_rows(),
+            |pi, tally| FirstSeen::of_rows(&shuffled.parts[pi], &keyed.keys(pi, catalog, tally)),
+        )?;
+        self.charge_group_materialization(shuffled);
         self.charge_cpu(shuffled.total_rows(), shuffled.max_part_rows());
         // Phase 2: sub-partitions 1.. of each split bucket physically move
         // to the bucket's merging reducer — the key-preserving secondary
@@ -2306,25 +2204,13 @@ impl<'a> Session<'a> {
         let mut parts = Vec::with_capacity(plan.ways.len());
         for (b, &w) in plan.ways.iter().enumerate() {
             let off = plan.offsets[b];
-            let mut order: Vec<Value> = Vec::new();
-            let mut groups: HashMap<Value, Vec<Value>> = HashMap::new();
-            for j in 0..w {
-                for (k, mut vs) in std::mem::take(&mut grouped[off + j]) {
-                    let e = groups.entry(k.clone()).or_default();
-                    if e.is_empty() {
-                        order.push(k);
-                    }
-                    e.append(&mut vs);
+            let mut merged = std::mem::take(&mut grouped[off]);
+            for chunk in &mut grouped[off + 1..off + w] {
+                for (k, mut run) in std::mem::take(chunk).groups {
+                    merged.group(&k).append(&mut run);
                 }
             }
-            let rows: Vec<Value> = order
-                .into_iter()
-                .map(|k| {
-                    let vs = groups.remove(&k).unwrap_or_default();
-                    Value::tuple(vec![k, Value::bag(vs)])
-                })
-                .collect();
-            parts.push(Arc::new(rows));
+            parts.push(Arc::new(merged.into_rows()));
         }
         // The merge appends pre-grouped run vectors — no key UDF, no per-row
         // hashing — so it carries the memcpy-class minimum record weight,
@@ -2381,9 +2267,9 @@ impl<'a> Session<'a> {
         // seeded with the kernel's groups, so values, first-seen group order
         // and the first error reproduce exactly.
         let catalog = self.catalog;
-        let partial_lists = self.run_tasks(true, d.parts.len(), d.total_rows(), |pi| {
+        let partial_lists = self.run_tasks(true, d.parts.len(), d.total_rows(), |pi, tally| {
             let part = &d.parts[pi];
-            let (groups, covered, nbatches) = agg_kernel_prefix(agg_vec.as_ref(), part);
+            let (groups, covered) = agg_kernel_prefix(agg_vec.as_ref(), part, tally);
             let partials: Vec<(u64, Value)> = if covered == part.len() {
                 groups
                     .into_iter()
@@ -2408,14 +2294,8 @@ impl<'a> Session<'a> {
                     .map(|(k, (h, acc))| (h, Value::tuple(vec![k, acc])))
                     .collect()
             };
-            Ok((partials, covered as u64, nbatches))
+            Ok(partials)
         })?;
-        let mut partials: Vec<(u64, Value)> = Vec::new();
-        for (list, nvec, nbatches) in partial_lists {
-            self.stats.rows_vectorized += nvec;
-            self.stats.batches_executed += nbatches;
-            partials.extend(list);
-        }
         self.charge_cpu_weighted(
             d.total_rows(),
             d.max_part_rows(),
@@ -2426,65 +2306,19 @@ impl<'a> Session<'a> {
             key.static_byte_cost() + fold.sng.static_byte_cost() + fold.uni.static_byte_cost(),
         );
 
-        // Shuffle only the partial aggregates (one per key per partition),
-        // bucketed directly by the hashes the combiner carried — the generic
-        // shuffle would re-evaluate a `t.0` key extractor on every partial
-        // and re-hash. Bucket order over the flattened partials equals the
-        // generic path's partition-spliced order, and the charges are issued
-        // by the same [`charge_shuffle`](Self::charge_shuffle).
-        let parts_n = self.dop();
-        let mut rows_b: Vec<Vec<Value>> = (0..parts_n).map(|_| Vec::new()).collect();
-        let mut hash_b: Vec<Vec<u64>> = (0..parts_n).map(|_| Vec::new()).collect();
-        for (h, row) in partials {
-            let b = (h % parts_n as u64) as usize;
-            rows_b[b].push(row);
-            hash_b[b].push(h);
-        }
-        // Skew-aware split of the partial shuffle. Because the combiner
-        // already collapsed each partition to one partial per key, partial
-        // buckets are rarely skewed — but heavy key *cardinality* skew still
-        // concentrates partials, and the key-preserving secondary hash keeps
-        // every copy of a key in the same sub-partition so the merge phase
-        // stays a plain per-partition reduction.
-        let sizes: Vec<u64> = rows_b.iter().map(|b| b.len() as u64).collect();
-        let agg_split = self.plan_bucket_splits(split, &sizes);
-        let (shuffled, hash_b) = if let Some(sp) = &agg_split {
-            let mut rows_s: Vec<Vec<Value>> = (0..sp.output_parts).map(|_| Vec::new()).collect();
-            let mut hash_s: Vec<Vec<u64>> = (0..sp.output_parts).map(|_| Vec::new()).collect();
-            let mut moved = 0u64;
-            for (b, (rows, hashes)) in rows_b.into_iter().zip(hash_b).enumerate() {
-                let w = sp.ways[b];
-                let off = sp.offsets[b];
-                for (row, h) in rows.into_iter().zip(hashes) {
-                    let sub = if w > 1 {
-                        (skew::sub_hash(h) % w as u64) as usize
-                    } else {
-                        0
-                    };
-                    moved += u64::from(sub != 0);
-                    rows_s[off + sub].push(row);
-                    hash_s[off + sub].push(h);
-                }
-            }
-            self.stats.partitions_split += sp.partitions_split();
-            self.stats.split_rows_moved += moved;
-            let shuffled = Partitioned {
-                parts: rows_s.into_iter().map(Arc::new).collect(),
-                partitioning: None,
-            };
-            self.charge_shuffle(&shuffled, sp.output_parts);
-            (shuffled, hash_s)
-        } else {
-            let shuffled = Partitioned {
-                parts: rows_b.into_iter().map(Arc::new).collect(),
-                partitioning: Some(Partitioning {
-                    key: Lambda::new(["t"], ScalarExpr::var("t").get(0)),
-                    parts: parts_n,
-                }),
-            };
-            self.charge_shuffle(&shuffled, parts_n);
-            (shuffled, hash_b)
-        };
+        // Shuffle only the partial aggregates (one per key per partition)
+        // through the generic shuffle's routing, bucketed by the hashes the
+        // combiner carried instead of by a `t.0` key extractor re-evaluated
+        // and re-hashed on every partial. Because the combiner already
+        // collapsed each partition to one partial per key, partial buckets
+        // are rarely skewed — but heavy key *cardinality* skew still
+        // concentrates partials, and the key-preserving split keeps every
+        // copy of a key in one sub-partition, so the merge phase stays a
+        // plain per-partition reduction.
+        let partials = partial_lists.into_iter().flatten().map(|(h, row)| (row, h));
+        let routed = bucket(partials, self.dop());
+        let partial_key = Lambda::new(["t"], ScalarExpr::var("t").get(0));
+        let (shuffled, hash_b, agg_split) = self.land(vec![routed], partial_key, split);
 
         // Merge phase: the same reduction over the partials, keyed by
         // `partial.0` and combining `partial.1` with the same slot ops —
@@ -2505,13 +2339,13 @@ impl<'a> Session<'a> {
             .into_iter()
             .map(|p| Mutex::new(Some(Arc::try_unwrap(p).unwrap_or_else(|p| p.to_vec()))))
             .collect();
-        let merged_lists = self.run_tasks(true, merge_parts, merge_rows, |pi| {
+        let merged_lists = self.run_tasks(true, merge_parts, merge_rows, |pi, tally| {
             let rows = cells[pi]
                 .lock()
                 .expect("partial partition lock poisoned")
                 .take()
                 .expect("partial partition drained once");
-            let (groups, covered, nbatches) = agg_kernel_prefix(merge_vec.as_ref(), &rows);
+            let (groups, covered) = agg_kernel_prefix(merge_vec.as_ref(), &rows, tally);
             let merged: Vec<Value> = if covered == rows.len() {
                 groups
                     .into_iter()
@@ -2539,29 +2373,19 @@ impl<'a> Session<'a> {
                     .map(|(k, acc)| Value::tuple(vec![k, acc]))
                     .collect()
             };
-            Ok((merged, covered as u64, nbatches))
+            Ok(Arc::new(merged))
         })?;
-        let mut parts: Vec<Arc<Vec<Value>>> = Vec::with_capacity(merged_lists.len());
-        for (merged, nvec, nbatches) in merged_lists {
-            self.stats.rows_vectorized += nvec;
-            self.stats.batches_executed += nbatches;
-            parts.push(Arc::new(merged));
-        }
         self.charge_cpu(merge_rows, merge_max_rows);
         self.stats.stages += 1;
         self.stats.charge_secs(self.personality().stage_overhead);
         // A split layout routes by the two-level (primary, secondary) hash —
         // it is not plain hash-partitioning, so advertise nothing.
-        let partitioning = if agg_split.is_some() {
-            None
-        } else {
-            Some(Partitioning {
-                key: Lambda::new(["g"], ScalarExpr::var("g").get(0)),
-                parts: merge_parts,
-            })
-        };
+        let partitioning = agg_split.is_none().then(|| Partitioning {
+            key: Lambda::new(["g"], ScalarExpr::var("g").get(0)),
+            parts: merge_parts,
+        });
         Ok(PlanResult::Bag(Partitioned {
-            parts,
+            parts: merged_lists,
             partitioning,
         }))
     }
@@ -2684,32 +2508,21 @@ impl<'a> Session<'a> {
         }
     }
 
-    /// Hash-repartitions a dataset by a key, charging shuffle costs with
-    /// skew awareness. No-op (and no charge) if the layout already matches.
+    /// Hash-repartitions a dataset by a key for a consumer that reads no
+    /// keys (`distinct`, `minus`, `Repartition`), charging shuffle costs with
+    /// skew awareness. When the layout already matches nothing moves, and no
+    /// key evaluator is built, sampled or counted.
     fn shuffle(
         &mut self,
         d: Partitioned,
         key: &Lambda,
         env: &EnvSnapshot,
+        split: Option<SplitKind>,
     ) -> Result<Partitioned, ExecError> {
-        Ok(self.shuffle_keyed(d, key, env)?.0)
-    }
-
-    /// [`shuffle`](Self::shuffle), additionally returning the `(hash, key)`
-    /// pairs it computed, aligned row-for-row with the output partitions —
-    /// so consumers reuse them instead of re-evaluating the key UDF.
-    ///
-    /// Rows move: uniquely-owned input partitions are drained in place
-    /// (`Arc::try_unwrap`), so only shared inputs — cached thunk results
-    /// still referenced elsewhere — pay a per-row clone.
-    fn shuffle_keyed(
-        &mut self,
-        d: Partitioned,
-        key: &Lambda,
-        env: &EnvSnapshot,
-    ) -> Result<(Partitioned, KeyCarriage), ExecError> {
-        let (out, carried, _) = self.shuffle_keyed_split(d, key, env, None)?;
-        Ok((out, carried))
+        if placed_by(&d, key, self.dop()) {
+            return Ok(d);
+        }
+        Ok(self.keyed(d, key, env, Placement::Hashed(split))?.data)
     }
 
     /// Maps a consumer's [`SkewEligibility`] to the split flavor the shuffle
@@ -2737,38 +2550,44 @@ impl<'a> Session<'a> {
         skew::plan_splits(&cfg, sizes)
     }
 
-    /// [`shuffle_keyed`](Self::shuffle_keyed) with skew-aware splitting: when
-    /// `split` names an eligible flavor and the engine has a [`SkewConfig`],
-    /// hot output partitions are split into sub-partitions (contiguous row
-    /// chunks for [`SplitKind::Balanced`], secondary key-hash routing for
-    /// [`SplitKind::KeyPreserving`]) and the returned [`SplitPlan`] tells the
-    /// consumer which sub-partitions belong to which original bucket. A split
-    /// layout carries `partitioning: None` — it is two-level-hashed and must
-    /// never satisfy a plain partitioning request. Shuffle costs are charged
-    /// on the layout that actually lands (the split one), which is smaller at
-    /// the hottest receiver but pays more per-file seeks.
-    fn shuffle_keyed_split(
+    /// Puts `d` where a keyed operator wants it and says how its keys are
+    /// read ([`Keyed`]). The specialize-or-refuse decision for the key body
+    /// is taken here, on the driver, from a sample of `d` before any row
+    /// moves — pure in the simulated layout, so it (and a
+    /// `key_path_fallbacks` bump) replays bit-identically across schedules.
+    ///
+    /// A layout that already satisfies the placement is handed back as it
+    /// is, with the evaluator for the consumer to run. Otherwise rows move:
+    /// one bucketing task per source partition evaluates its keys, raising
+    /// the first key error, and routes each row with its `(hash, key)` pair.
+    /// Uniquely-owned input partitions are drained in place, so only shared
+    /// inputs — cached thunk results still referenced elsewhere — pay a
+    /// per-row clone. A retried task never double-drains an owned source:
+    /// an injected failure skips the task body, so the drain happens once,
+    /// on the first attempt that executes.
+    fn keyed<'p>(
         &mut self,
         d: Partitioned,
-        key: &Lambda,
+        key: &'p Lambda,
         env: &EnvSnapshot,
-        split: Option<SplitKind>,
-    ) -> Result<(Partitioned, KeyCarriage, Option<SplitPlan>), ExecError> {
+        placement: Placement,
+    ) -> Result<Keyed<'p>, ExecError> {
         let parts_n = self.dop();
-        if let Some(p) = &d.partitioning {
-            if p.satisfies(key, parts_n) {
-                return Ok((d, None, None));
-            }
-        }
         let base = self.eval_base_for_lambdas(&[key], env)?;
+        let prep = self.prepare_lambda(key, &base);
+        let vec = self.try_vectorize_key(&prep, sample_rows(&d.parts));
+        let eval = KeyEval { prep, vec, base };
+        let split = match placement {
+            Placement::Hashed(split) if !placed_by(&d, key, parts_n) => split,
+            _ => {
+                return Ok(Keyed {
+                    data: d,
+                    keys: Keys::InPlace(eval),
+                    split: None,
+                })
+            }
+        };
         let total_rows = d.total_rows();
-        let nsrc = d.parts.len();
-        let key_prep = self.prepare_lambda(key, &base);
-        // Key-path batch decision, on the driver before the partitions are
-        // consumed into sources — pure in the simulated layout, so the
-        // specialize-or-refuse outcome (and the `key_path_fallbacks` bump)
-        // replays bit-identically across schedules.
-        let key_vec = self.try_vectorize_key(&key_prep, sample_rows(&d.parts));
         enum Source {
             Owned(Mutex<Option<Vec<Value>>>),
             Shared(Arc<Vec<Value>>),
@@ -2781,74 +2600,83 @@ impl<'a> Session<'a> {
                 Err(shared) => Source::Shared(shared),
             })
             .collect();
-        // Bucket each source partition on the pool, then splice the
-        // per-partition buckets together in partition order — the same row
-        // order the serial loop produced. Keys come from `batch_keys`
-        // (vectorized when the key body specialized, scalar otherwise),
-        // then rows zip with their aligned `(hash, key)` side-array to
-        // route into buckets.
-        // A retried bucketing task never double-drains an owned source:
-        // an injected failure skips the task body entirely (the attempt's
-        // work is "lost"), so the drain happens exactly once — on the first
-        // attempt that actually executes.
         let catalog = self.catalog;
-        let bucket_lists = self.run_tasks(true, nsrc, total_rows, |pi| {
-            let mut rows_b: Vec<Vec<Value>> = (0..parts_n).map(|_| Vec::new()).collect();
-            let mut keys_b: Vec<Vec<(u64, Value)>> = (0..parts_n).map(|_| Vec::new()).collect();
+        let bucket_lists = self.run_tasks(true, sources.len(), total_rows, |pi, tally| {
             let rows: Vec<Value> = match &sources[pi] {
                 Source::Owned(cell) => cell.lock().unwrap().take().expect("partition drained once"),
                 Source::Shared(part) => part.to_vec(),
             };
-            let (hks, nvec, nbatches) =
-                batch_keys(&rows, key_vec.as_ref(), &key_prep, &base, catalog)?;
-            for (row, (h, k)) in rows.into_iter().zip(hks) {
-                let b = (h % parts_n as u64) as usize;
-                rows_b[b].push(row);
-                keys_b[b].push((h, k));
+            let keys = eval.keys(&rows, catalog, tally);
+            match keys.err {
+                Some(e) => Err(e),
+                None => Ok(bucket(
+                    rows.into_iter().zip(keys.keys.into_owned()),
+                    parts_n,
+                )),
             }
-            Ok((rows_b, keys_b, nvec, nbatches))
         })?;
-        let mut buckets: Vec<Vec<Value>> = (0..parts_n).map(|_| Vec::new()).collect();
-        let mut keys: Vec<Vec<(u64, Value)>> = (0..parts_n).map(|_| Vec::new()).collect();
-        for (local_rows, local_keys, nvec, nbatches) in bucket_lists {
-            self.stats.rows_vectorized += nvec;
-            self.stats.batches_executed += nbatches;
+        let (data, keys, split) = self.land(bucket_lists, key.clone(), split);
+        Ok(Keyed {
+            data,
+            keys: Keys::Routed(keys),
+            split,
+        })
+    }
+
+    /// The routing half of every shuffle, generic over what rides next to
+    /// each row (the `(hash, key)` pair of a keyed shuffle, the bare hash of
+    /// an `aggBy` partial): splices the per-source bucket lists in source
+    /// order — the row order a serial loop produces — splits hot buckets if
+    /// `split` names a flavor and the engine has a [`SkewConfig`] (the
+    /// returned [`SplitPlan`] says which sub-partitions belong to which
+    /// bucket), and charges the shuffle on the layout that lands: a split
+    /// one is smaller at the hottest receiver but pays more per-file seeks.
+    /// It carries `partitioning: None` — two-level-hashed, it must never
+    /// satisfy a plain partitioning request.
+    fn land<S: KeyHash>(
+        &mut self,
+        lists: Vec<Buckets<S>>,
+        key: Lambda,
+        split: Option<SplitKind>,
+    ) -> (Partitioned, Vec<Vec<S>>, Option<SplitPlan>) {
+        let parts_n = self.dop();
+        let mut lists = lists.into_iter();
+        let (mut buckets, mut side) = lists.next().unwrap_or_else(|| bucket([], parts_n));
+        for (local_rows, local_side) in lists {
             for (b, mut rows) in local_rows.into_iter().enumerate() {
                 buckets[b].append(&mut rows);
             }
-            for (b, mut ks) in local_keys.into_iter().enumerate() {
-                keys[b].append(&mut ks);
+            for (b, mut s) in local_side.into_iter().enumerate() {
+                side[b].append(&mut s);
             }
         }
         let sizes: Vec<u64> = buckets.iter().map(|b| b.len() as u64).collect();
-        if let Some(plan) = self.plan_bucket_splits(split, &sizes) {
-            let kind = split.expect("a split plan implies an eligible flavor");
-            let (split_buckets, split_keys, moved) = apply_split(&plan, kind, buckets, keys);
-            self.stats.partitions_split += plan.partitions_split();
-            self.stats.split_rows_moved += moved;
-            let out = Partitioned {
-                parts: split_buckets.into_iter().map(Arc::new).collect(),
-                partitioning: None,
-            };
-            self.charge_shuffle(&out, plan.output_parts);
-            return Ok((out, Some(split_keys), Some(plan)));
-        }
-        let out = Partitioned {
-            parts: buckets.into_iter().map(Arc::new).collect(),
-            partitioning: Some(Partitioning {
-                key: key.clone(),
+        let plan = self.plan_bucket_splits(split, &sizes);
+        let partitioning = match (&plan, split) {
+            (Some(plan), Some(kind)) => {
+                let moved;
+                (buckets, side, moved) = apply_split(plan, kind, buckets, side);
+                self.stats.partitions_split += plan.partitions_split();
+                self.stats.split_rows_moved += moved;
+                None
+            }
+            _ => Some(Partitioning {
+                key,
                 parts: parts_n,
             }),
         };
-        self.charge_shuffle(&out, parts_n);
-        Ok((out, Some(keys), None))
+        let out = Partitioned {
+            parts: buckets.into_iter().map(Arc::new).collect(),
+            partitioning,
+        };
+        self.charge_shuffle(&out);
+        (out, side, plan)
     }
 
-    /// The shuffle cost charges, shared by [`shuffle_keyed`](Self::shuffle_keyed)
-    /// and the `aggBy` partial-aggregate shuffle (which buckets by hashes the
-    /// combiner already computed).
-    fn charge_shuffle(&mut self, out: &Partitioned, parts_n: usize) {
+    /// The shuffle cost charges, on the layout that landed.
+    fn charge_shuffle(&mut self, out: &Partitioned) {
         let spec = *self.spec();
+        let parts_n = out.parts.len();
         let total = out.total_bytes();
         self.stats.bytes_shuffled += total;
         // Stage time = max over receiving nodes; skew dominates balance.
@@ -3174,9 +3002,50 @@ impl<'a> Session<'a> {
     }
 }
 
+/// What rides next to a row through a shuffle: at least the key hash that
+/// routes it.
+trait KeyHash {
+    fn key_hash(&self) -> u64;
+}
+
+impl KeyHash for u64 {
+    fn key_hash(&self) -> u64 {
+        *self
+    }
+}
+
+impl KeyHash for (u64, Value) {
+    fn key_hash(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Rows bucketed by `hash % parts`, and what rode next to them, row-aligned.
+type Buckets<S> = (Vec<Vec<Value>>, Vec<Vec<S>>);
+
+/// Routes each row to the bucket of its key hash, in input order.
+fn bucket<S: KeyHash>(items: impl IntoIterator<Item = (Value, S)>, parts_n: usize) -> Buckets<S> {
+    let mut rows_b: Vec<Vec<Value>> = (0..parts_n).map(|_| Vec::new()).collect();
+    let mut side_b: Vec<Vec<S>> = (0..parts_n).map(|_| Vec::new()).collect();
+    for (row, s) in items {
+        let b = (s.key_hash() % parts_n as u64) as usize;
+        rows_b[b].push(row);
+        side_b[b].push(s);
+    }
+    (rows_b, side_b)
+}
+
+/// Whether `d` is already hash-partitioned by `key` into `parts_n` parts.
+fn placed_by(d: &Partitioned, key: &Lambda, parts_n: usize) -> bool {
+    d.partitioning
+        .as_ref()
+        .is_some_and(|p| p.satisfies(key, parts_n))
+}
+
 /// Applies a [`SplitPlan`] to freshly bucketed shuffle output, producing the
-/// sub-partitioned layout (rows and carried keys stay row-aligned) plus the
-/// number of rows placed outside their bucket's first sub-partition.
+/// sub-partitioned layout (rows and what rides next to them stay
+/// row-aligned) plus the number of rows placed outside their bucket's first
+/// sub-partition.
 ///
 /// [`SplitKind::Balanced`] cuts a hot bucket into contiguous, near-equal row
 /// chunks — concatenating the sub-partitions in slot order reproduces the
@@ -3186,35 +3055,31 @@ impl<'a> Session<'a> {
 /// copy of a key lands in the same sub-partition (required by per-key
 /// consumers like `aggBy` merge, `Distinct`, and stateful routing) at the
 /// price of weaker balancing — a single dominant key stays whole.
-/// Sub-partitioned rows, their row-aligned carried keys, and the number of
-/// rows that left their bucket's first sub-partition.
-type SplitBuckets = (Vec<Vec<Value>>, Vec<Vec<(u64, Value)>>, u64);
-
-fn apply_split(
+fn apply_split<S: KeyHash>(
     plan: &SplitPlan,
     kind: SplitKind,
     buckets: Vec<Vec<Value>>,
-    keys: Vec<Vec<(u64, Value)>>,
-) -> SplitBuckets {
+    side: Vec<Vec<S>>,
+) -> (Vec<Vec<Value>>, Vec<Vec<S>>, u64) {
     let mut out_rows: Vec<Vec<Value>> = Vec::with_capacity(plan.output_parts);
-    let mut out_keys: Vec<Vec<(u64, Value)>> = Vec::with_capacity(plan.output_parts);
+    let mut out_side: Vec<Vec<S>> = Vec::with_capacity(plan.output_parts);
     let mut moved = 0u64;
-    for ((b, rows), ks) in buckets.into_iter().enumerate().zip(keys) {
+    for ((b, rows), ss) in buckets.into_iter().enumerate().zip(side) {
         let w = plan.ways[b];
         if w <= 1 {
             out_rows.push(rows);
-            out_keys.push(ks);
+            out_side.push(ss);
             continue;
         }
         match kind {
             SplitKind::Balanced => {
                 let n = rows.len();
                 let mut rows_iter = rows.into_iter();
-                let mut keys_iter = ks.into_iter();
+                let mut side_iter = ss.into_iter();
                 for j in 0..w {
                     let len = (j + 1) * n / w - j * n / w;
                     out_rows.push(rows_iter.by_ref().take(len).collect());
-                    out_keys.push(keys_iter.by_ref().take(len).collect());
+                    out_side.push(side_iter.by_ref().take(len).collect());
                     if j > 0 {
                         moved += len as u64;
                     }
@@ -3222,21 +3087,62 @@ fn apply_split(
             }
             SplitKind::KeyPreserving => {
                 let mut sub_rows: Vec<Vec<Value>> = (0..w).map(|_| Vec::new()).collect();
-                let mut sub_keys: Vec<Vec<(u64, Value)>> = (0..w).map(|_| Vec::new()).collect();
-                for (row, (h, k)) in rows.into_iter().zip(ks) {
-                    let sub = (skew::sub_hash(h) % w as u64) as usize;
+                let mut sub_side: Vec<Vec<S>> = (0..w).map(|_| Vec::new()).collect();
+                for (row, s) in rows.into_iter().zip(ss) {
+                    let sub = (skew::sub_hash(s.key_hash()) % w as u64) as usize;
                     if sub != 0 {
                         moved += 1;
                     }
                     sub_rows[sub].push(row);
-                    sub_keys[sub].push((h, k));
+                    sub_side[sub].push(s);
                 }
                 out_rows.extend(sub_rows);
-                out_keys.extend(sub_keys);
+                out_side.extend(sub_side);
             }
         }
     }
-    (out_rows, out_keys, moved)
+    (out_rows, out_side, moved)
+}
+
+/// Rows grouped by key in first-occurrence order: the one grouping structure
+/// behind `groupBy`, whether a partition is grouped whole on the driver, a
+/// sub-partition in a task, or a split bucket's partial groups are merged.
+#[derive(Default)]
+struct FirstSeen {
+    slots: HashMap<Value, usize>,
+    groups: Vec<(Value, Vec<Value>)>,
+}
+
+impl FirstSeen {
+    /// The group of `k`, opened behind every group seen so far if it is new.
+    fn group(&mut self, k: &Value) -> &mut Vec<Value> {
+        let slot = match self.slots.get(k) {
+            Some(&slot) => slot,
+            None => {
+                self.slots.insert(k.clone(), self.groups.len());
+                self.groups.push((k.clone(), Vec::new()));
+                self.groups.len() - 1
+            }
+        };
+        &mut self.groups[slot].1
+    }
+
+    /// Groups one partition's rows by their row-aligned keys.
+    fn of_rows(rows: &[Value], keys: &PartKeys<'_>) -> Result<Self, ValueError> {
+        let mut groups = FirstSeen::default();
+        for (row, hk) in rows.iter().zip(keys.iter()) {
+            groups.group(&hk?.1).push(row.clone());
+        }
+        Ok(groups)
+    }
+
+    /// The `(key, {{values}})` rows, in first-occurrence order.
+    fn into_rows(self) -> Vec<Value> {
+        self.groups
+            .into_iter()
+            .map(|(k, vs)| Value::tuple(vec![k, Value::bag(vs)]))
+            .collect()
+    }
 }
 
 /// Whether a plan's output rows are materialized `(key, {{values}})` groups
@@ -3262,69 +3168,63 @@ const SPECIALIZE_SAMPLE_ROWS: usize = 64;
 /// Deterministic in the simulated partition layout — thread count and
 /// dispatch mode never enter. `None` when every partition is empty.
 fn sample_rows(parts: &[Arc<Vec<Value>>]) -> Option<&[Value]> {
-    sample_rows_of(parts.iter().map(|p| p.as_slice()))
-}
-
-/// [`sample_rows`] over any partition representation.
-fn sample_rows_of<'a, I: IntoIterator<Item = &'a [Value]>>(parts: I) -> Option<&'a [Value]> {
     parts
-        .into_iter()
+        .iter()
         .find(|p| !p.is_empty())
         .map(|p| &p[..p.len().min(SPECIALIZE_SAMPLE_ROWS)])
 }
 
-/// Row-aligned `(hash, key)` pairs plus the rows/batches that ran
-/// vectorized, as produced by [`batch_keys`].
-type BatchedKeys = (Vec<(u64, Value)>, u64, u64);
-
 /// Evaluates a key UDF over `rows` — batch-at-a-time through the vectorized
-/// tier when `key_vec` carries a specialized key program, row-at-a-time
-/// otherwise — returning the row-aligned `(hash, key)` side-array plus the
-/// rows/batches that actually ran vectorized. An aborted batch (shape
-/// mismatch or an erroring lane) replays row-at-a-time through the scalar
-/// tier, so key values and the first error in row order reproduce
-/// bit-identically; since a key-extraction loop's only error source is the
-/// key UDF itself, batching cannot reorder errors. Shared by the shuffle
-/// router, the join build/probe sides, and `groupBy` grouping.
+/// tier when the key body specialized, row-at-a-time otherwise — returning
+/// the row-aligned `(hash, key)` pairs up to the first row whose key raised,
+/// and that error. An aborted batch (shape mismatch or an erroring lane)
+/// replays row-at-a-time through the scalar tier, so key values and the
+/// first error in row order reproduce bit-identically. A key UDF reads only
+/// its own row, so evaluating it ahead of the rows' consumer changes
+/// nothing the consumer can observe.
 fn batch_keys(
     rows: &[Value],
-    key_vec: Option<&(VectorPipeline, usize)>,
-    key_prep: &PreparedScalar<'_>,
-    base: &HashMap<String, Value>,
+    eval: &KeyEval<'_>,
     catalog: &Catalog,
-) -> Result<BatchedKeys, ValueError> {
-    let mut hks: Vec<(u64, Value)> = Vec::with_capacity(rows.len());
-    let (mut nvec, mut nbatches) = (0u64, 0u64);
-    match key_vec {
-        Some((vp, batch_rows)) => {
-            let mut scratch = vp.new_scratch();
-            let mut counts = [0u64; 2];
-            let mut keys_out: Vec<Value> = Vec::new();
-            let mut cx: Option<EvCtx> = None;
-            for chunk in rows.chunks(*batch_rows) {
-                keys_out.clear();
-                if vp.run_batch(chunk, &mut scratch, &mut counts, &mut keys_out) {
-                    nvec += chunk.len() as u64;
-                    nbatches += 1;
-                    hks.extend(keys_out.drain(..).map(|k| (value_hash(&k), k)));
-                } else {
-                    let cx = cx.get_or_insert_with(|| key_prep.ctx(base));
-                    for row in chunk {
-                        let k = key_prep.call(std::slice::from_ref(row), cx, catalog)?;
-                        hks.push((value_hash(&k), k));
-                    }
-                }
-            }
-        }
-        None => {
-            let mut cx = key_prep.ctx(base);
-            for row in rows {
-                let k = key_prep.call(std::slice::from_ref(row), &mut cx, catalog)?;
+    tally: &mut Tally,
+) -> (Vec<(u64, Value)>, Option<ValueError>) {
+    /// Pushes pairs until a key raises.
+    fn fill(
+        rows: &[Value],
+        eval: &KeyEval<'_>,
+        catalog: &Catalog,
+        tally: &mut Tally,
+        hks: &mut Vec<(u64, Value)>,
+    ) -> Result<(), ValueError> {
+        let mut cx: Option<EvCtx> = None;
+        let mut scalar = |chunk: &[Value], hks: &mut Vec<(u64, Value)>| {
+            let cx = cx.get_or_insert_with(|| eval.prep.ctx(&eval.base));
+            for row in chunk {
+                let k = eval.prep.call(std::slice::from_ref(row), cx, catalog)?;
                 hks.push((value_hash(&k), k));
             }
+            Ok(())
+        };
+        let Some((vp, batch_rows)) = &eval.vec else {
+            return scalar(rows, hks);
+        };
+        let mut scratch = vp.new_scratch();
+        let mut counts = [0u64; 2];
+        let mut keys_out: Vec<Value> = Vec::new();
+        for chunk in rows.chunks(*batch_rows) {
+            keys_out.clear();
+            if vp.run_batch(chunk, &mut scratch, &mut counts, &mut keys_out) {
+                tally.batch(chunk.len());
+                hks.extend(keys_out.drain(..).map(|k| (value_hash(&k), k)));
+            } else {
+                scalar(chunk, hks)?;
+            }
         }
+        Ok(())
     }
-    Ok((hks, nvec, nbatches))
+    let mut hks: Vec<(u64, Value)> = Vec::with_capacity(rows.len());
+    let err = fill(rows, eval, catalog, tally, &mut hks).err();
+    (hks, err)
 }
 
 /// One `aggBy` combiner step: fold `row`'s contribution into the partial
@@ -3363,27 +3263,28 @@ where
 
 /// Folds `rows` through a columnar aggregation kernel batch by batch, up to
 /// the first batch that aborts (a non-conforming or erroring lane). Returns
-/// the groups folded so far in first-seen order, the number of leading rows
-/// they cover, and the batches run; the caller folds `rows[covered..]`
-/// through the scalar loop seeded with those groups. Without a kernel (or
-/// rows) nothing is covered.
+/// the groups folded so far in first-seen order and the number of leading
+/// rows they cover; the caller folds `rows[covered..]` through the scalar
+/// loop seeded with those groups. Without a kernel (or rows) nothing is
+/// covered.
 fn agg_kernel_prefix(
     kernel: Option<&(AggKernel, usize)>,
     rows: &[Value],
-) -> (Vec<(Value, Value)>, usize, u64) {
+    tally: &mut Tally,
+) -> (Vec<(Value, Value)>, usize) {
     let Some((kernel, batch_rows)) = kernel.filter(|_| !rows.is_empty()) else {
-        return (Vec::new(), 0, 0);
+        return (Vec::new(), 0);
     };
     let mut st = kernel.new_state();
-    let (mut covered, mut nbatches) = (0usize, 0u64);
+    let mut covered = 0usize;
     for chunk in rows.chunks(*batch_rows) {
         if !kernel.absorb(chunk, &mut st) {
             break;
         }
         covered += chunk.len();
-        nbatches += 1;
+        tally.batch(chunk.len());
     }
-    (kernel.finish(st), covered, nbatches)
+    (kernel.finish(st), covered)
 }
 
 /// Splits an `aggBy` partial `(key, acc)` — built by the combiner, so always
@@ -3432,16 +3333,15 @@ fn compiled_parts<'s>(
 /// which reproduces values and the first error in evaluation order
 /// bit-identically. Returns the same [`PartitionPass`] the scalar pass would
 /// (per-stage entry counts identical whichever path each batch took; no
-/// byte totals, since a chain that needs them never specializes), plus the
-/// rows/batches that actually ran vectorized.
+/// byte totals, since a chain that needs them never specializes).
 fn run_vectorized_partition<'p, 'b>(
     rows: &[Value],
-    vp: &VectorPipeline,
-    batch_rows: usize,
+    (vp, batch_rows): &(VectorPipeline, usize),
     stages: &'b [PreparedStage<'p>],
     bases: &'b [HashMap<String, Value>],
     catalog: &Catalog,
-) -> Result<(PartitionPass, u64, u64), ValueError>
+    tally: &mut Tally,
+) -> Result<PartitionPass, ValueError>
 where
     'p: 'b,
 {
@@ -3451,14 +3351,12 @@ where
     let mut bytes = vec![0u64; nstages + 1];
     let need_bytes = vec![false; nstages + 1];
     let mut out = Vec::new();
-    let (mut nvec, mut nbatches) = (0u64, 0u64);
     // Scalar replay contexts are built lazily: a partition whose every
     // batch vectorizes never allocates them.
     let mut ctxs: Option<Vec<EvCtx<'b>>> = None;
-    for batch in rows.chunks(batch_rows) {
+    for batch in rows.chunks(*batch_rows) {
         if vp.run_batch(batch, &mut scratch, &mut counts, &mut out) {
-            nvec += batch.len() as u64;
-            nbatches += 1;
+            tally.batch(batch.len());
         } else {
             let ctxs = ctxs
                 .get_or_insert_with(|| stages.iter().zip(bases).map(|(s, b)| s.ctx(b)).collect());
@@ -3474,51 +3372,50 @@ where
             )?;
         }
     }
-    Ok(((out, counts, bytes), nvec, nbatches))
+    Ok((out, counts, bytes))
 }
 
-/// The vectorized fold kernel for one partition: the element function runs
-/// as a columnar batch first, then the (inherently sequential) combiner
-/// chain drains the batch's outputs in row order. An aborted batch replays
-/// the scalar *interleaved* loop from the batch-entry accumulator —
-/// re-deriving the element values for already-combined rows is free of
-/// observable effects (UDFs are pure), so the first error in the reference
-/// `sng/uni` interleaving order reproduces exactly.
+/// Folds one partition. A specialized element function runs as a columnar
+/// batch first, then the (inherently sequential) combiner chain drains the
+/// batch's outputs in row order. An aborted batch — and every row when `sng`
+/// did not specialize — runs the scalar *interleaved* loop from the
+/// batch-entry accumulator: re-deriving the element values for
+/// already-combined rows is free of observable effects (UDFs are pure), so
+/// the first error in the reference `sng/uni` interleaving order reproduces
+/// exactly.
 #[allow(clippy::too_many_arguments)]
-fn fold_vectorized_partition(
+fn fold_partition(
     rows: &[Value],
-    vp: &VectorPipeline,
-    batch_rows: usize,
+    sng_vec: Option<&(VectorPipeline, usize)>,
     sng: &PreparedScalar<'_>,
     uni: &PreparedScalar<'_>,
     base: &HashMap<String, Value>,
     zero: Value,
     catalog: &Catalog,
-) -> Result<(Value, u64, u64), ValueError> {
-    let mut scratch = vp.new_scratch();
+    tally: &mut Tally,
+) -> Result<Value, ValueError> {
+    let mut kernel = sng_vec.map(|(vp, _)| (vp, vp.new_scratch(), Vec::new()));
     let mut ucx = uni.ctx(base);
     let mut scx: Option<EvCtx> = None;
     let mut acc = zero;
-    let mut buf: Vec<Value> = Vec::new();
-    let mut counts = [0u64; 2];
-    let (mut nvec, mut nbatches) = (0u64, 0u64);
-    for batch in rows.chunks(batch_rows) {
-        buf.clear();
-        if vp.run_batch(batch, &mut scratch, &mut counts, &mut buf) {
-            nvec += batch.len() as u64;
-            nbatches += 1;
-            for s in buf.drain(..) {
-                acc = uni.call_owned([acc, s], &mut ucx, catalog)?;
-            }
-        } else {
-            let scx = scx.get_or_insert_with(|| sng.ctx(base));
-            for row in batch {
-                let s = sng.call(std::slice::from_ref(row), scx, catalog)?;
-                acc = uni.call_owned([acc, s], &mut ucx, catalog)?;
+    for batch in rows.chunks(sng_vec.map_or(usize::MAX, |(_, n)| *n)) {
+        if let Some((vp, scratch, buf)) = &mut kernel {
+            buf.clear();
+            if vp.run_batch(batch, scratch, &mut [0u64; 2], buf) {
+                tally.batch(batch.len());
+                for s in buf.drain(..) {
+                    acc = uni.call_owned([acc, s], &mut ucx, catalog)?;
+                }
+                continue;
             }
         }
+        let scx = scx.get_or_insert_with(|| sng.ctx(base));
+        for row in batch {
+            let s = sng.call(std::slice::from_ref(row), scx, catalog)?;
+            acc = uni.call_owned([acc, s], &mut ucx, catalog)?;
+        }
     }
-    Ok((acc, nvec, nbatches))
+    Ok(acc)
 }
 
 /// The scalar flat loop over a Map/Filter-only stage chain: each row stays

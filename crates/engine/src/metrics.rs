@@ -122,12 +122,10 @@ pub struct ExecStats {
     /// visible here. A fused `aggBy` whose fold does not specialize counts
     /// once.
     pub vector_fallbacks: u64,
-    /// Wide-operator key-extraction sites (shuffle routing, join build/probe
-    /// keys, `groupBy` grouping) that evaluated their key
-    /// UDF row-at-a-time while the vectorized tier was active — either the
-    /// key body resisted specialization or the site is scalar by design
-    /// (stateful routing, residual-predicate probes). The key-path analogue
-    /// of `vector_fallbacks`.
+    /// Keyed-operator sites (a shuffle, `groupBy`, a join side, stateful
+    /// create/update) over a non-empty input whose key body resisted
+    /// specialization while the vectorized tier was active, so its keys were
+    /// evaluated row-at-a-time. The key-path analogue of `vector_fallbacks`.
     pub key_path_fallbacks: u64,
 }
 

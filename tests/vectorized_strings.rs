@@ -13,9 +13,9 @@
 //!
 //! The deterministic tests pin the refusal counters site by site: a fully
 //! string-vectorizable plan reports zero fallbacks, a non-specializable map
-//! body bumps `vector_fallbacks`, a residual-predicate probe (scalar by
-//! design) bumps `key_path_fallbacks`, and the length-aware `contains` cost
-//! is identical across tiers while growing with input bytes.
+//! body bumps `vector_fallbacks`, and the length-aware `contains` cost is
+//! identical across tiers while growing with input bytes. The key-path
+//! counter is pinned per keyed site in `tests/keyed_operators.rs`.
 
 mod common;
 #[path = "common/string_exprs.rs"]
@@ -372,44 +372,6 @@ fn non_specializable_string_body_bumps_vector_fallbacks() {
         .expect("vectorized");
     assert!(vec.stats.vector_fallbacks >= 1, "{}", vec.stats);
     assert_eq!(vec.stats.key_path_fallbacks, 0, "{}", vec.stats);
-    assert_eq!(vec.writes, scalar.writes);
-    assert_eq!(
-        vec.stats.simulated_secs.to_bits(),
-        scalar.stats.simulated_secs.to_bits()
-    );
-}
-
-/// A join with a residual predicate keeps its probe loop scalar by design
-/// (residual errors interleave with probe-key errors in row order); the
-/// site must be visible in `key_path_fallbacks`.
-#[test]
-fn residual_probe_is_scalar_by_design_and_counted() {
-    let catalog = Catalog::new().with("rows", email_rows(600)).with(
-        "dims",
-        vec![
-            Value::tuple(vec![Value::str("gmail.com"), Value::Int(3)]),
-            Value::tuple(vec![Value::str("dev.null"), Value::Int(5)]),
-        ],
-    );
-    let join_inner = BagExpr::read("dims")
-        .filter(Lambda::new(
-            ["d"],
-            x().get(2)
-                .eq(ScalarExpr::var("d").get(0))
-                .and(x().get(3).lt(ScalarExpr::var("d").get(1))),
-        ))
-        .map(Lambda::new(["d"], ScalarExpr::var("d").get(1)));
-    let p = Program::new(vec![Stmt::write(
-        "joined",
-        BagExpr::read("rows").flat_map(BagLambda::new("x", join_inner)),
-    )]);
-    let prog = parallelize(&p, &OptimizerFlags::all().with_compiled_eval(true));
-    let scalar = scalar_tier(engine()).run(&prog, &catalog).expect("scalar");
-    let vec = engine()
-        .with_vectorized_eval(BatchConfig::new(128))
-        .run(&prog, &catalog)
-        .expect("vectorized");
-    assert!(vec.stats.key_path_fallbacks >= 1, "{}", vec.stats);
     assert_eq!(vec.writes, scalar.writes);
     assert_eq!(
         vec.stats.simulated_secs.to_bits(),

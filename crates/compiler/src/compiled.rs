@@ -24,6 +24,13 @@
 //!   array executed over a value stack ([`Machine`]); `If` becomes
 //!   conditional jumps so only the taken branch is evaluated, exactly as in
 //!   the interpreter.
+//! - **Nested data by reference.** A `Var.f.g.h` chain walks references from
+//!   its slot and clones only the leaf ([`walk_fields`]); a nested bag that
+//!   is a fold's, `map`'s, `filter`'s or FlatMap body's source is iterated
+//!   through its own `Arc` ([`Rows`]), never copied per evaluation; and a
+//!   fold whose compiled `sng` is the identity or a constant, or whose `uni`
+//!   is one operator over its parameters, skips those slot programs — the
+//!   count shape is the source's length ([`CFold::new`]).
 //!
 //! The reference interpreter stays untouched as the executable
 //! specification: compiled evaluation reuses [`interp::eval_binop`] and
@@ -32,6 +39,7 @@
 //! arbitrary expression trees — values *and* errors.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::bag_expr::BagExpr;
 use crate::expr::{BinOp, BuiltinFn, FoldOp, Lambda, ScalarExpr, UnOp};
@@ -91,13 +99,56 @@ pub(crate) struct CLam {
     code: Code,
 }
 
-/// A compiled reified fold (`ScalarExpr::Fold`).
+/// A compiled reified fold (`ScalarExpr::Fold`), with the shape of its step
+/// read once off the compiled `zero`/`sng`/`uni` code (see [`CFold::new`]).
 #[derive(Clone, Debug)]
 pub(crate) struct CFold {
     bag: CBagNode,
     zero: Code,
     sng: CLam,
     uni: CLam,
+    sng_shape: SngShape,
+    /// `Some(op)` when `uni` is `op` applied to its two parameters in order.
+    uni_bin: Option<BinOp>,
+    /// `fold(0, _ ⟼ 1, +)`: the result is the source's length.
+    counts: bool,
+}
+
+/// What a fold's `sng` does with its element, when that is readable from
+/// its code: only `Run` needs the slot program executed per element.
+#[derive(Clone, Debug)]
+enum SngShape {
+    Identity,
+    Const(Value),
+    Run,
+}
+
+impl CFold {
+    /// Classifies the step from the *compiled code*, never from the label
+    /// [`FoldOp::kind`] — a fold is free to carry any tag over any lambdas.
+    fn new(bag: CBagNode, zero: Code, sng: CLam, uni: CLam) -> Self {
+        let sng_shape = match sng.code.ops.as_slice() {
+            [Op::Local(s)] if sng.slots == [*s] => SngShape::Identity,
+            [Op::Const(v)] if sng.slots.len() == 1 => SngShape::Const(v.clone()),
+            _ => SngShape::Run,
+        };
+        let uni_bin = match uni.code.ops.as_slice() {
+            [Op::Local(a), Op::Local(b), Op::Bin(op)] if uni.slots == [*a, *b] => Some(*op),
+            _ => None,
+        };
+        let counts = matches!(zero.ops.as_slice(), [Op::Const(Value::Int(0))])
+            && matches!(sng_shape, SngShape::Const(Value::Int(1)))
+            && uni_bin == Some(BinOp::Add);
+        CFold {
+            bag,
+            zero,
+            sng,
+            uni,
+            sng_shape,
+            uni_bin,
+            counts,
+        }
+    }
 }
 
 /// A compiled bag expression, mirroring [`BagExpr`] with pre-resolved
@@ -263,14 +314,18 @@ impl CompiledBag {
     }
 
     /// Evaluates the compiled bag body with the element parameter bound to
-    /// `arg`, yielding the produced rows.
+    /// `arg` and then hands each produced row to `sink`, in order. The body
+    /// is evaluated whole before the first row is handed over, so an error
+    /// in it precedes any error of `sink`; a body that is a nested bag of
+    /// the row is read in place.
     pub fn eval(
         &self,
         arg: Value,
         caps: &[Option<Value>],
         m: &mut Machine,
         catalog: &Catalog,
-    ) -> Result<Vec<Value>, ValueError> {
+        mut sink: impl FnMut(Value) -> Result<(), ValueError>,
+    ) -> Result<(), ValueError> {
         m.ensure_locals(self.n_locals);
         m.stack.clear();
         m.locals[0] = arg;
@@ -279,7 +334,7 @@ impl CompiledBag {
             caps,
             catalog,
         };
-        rt.bag(&self.body, m)
+        rt.rows(&self.body, m)?.try_fold((), |(), row| sink(row))
     }
 }
 
@@ -501,12 +556,12 @@ impl<'e> Compiler<'e> {
     }
 
     fn compile_fold(&mut self, bag: &'e BagExpr, fold: &'e FoldOp) -> CFold {
-        CFold {
-            bag: self.compile_bag(bag),
-            zero: self.compile_code(&fold.zero),
-            sng: self.compile_lam(&fold.sng),
-            uni: self.compile_lam(&fold.uni),
-        }
+        CFold::new(
+            self.compile_bag(bag),
+            self.compile_code(&fold.zero),
+            self.compile_lam(&fold.sng),
+            self.compile_lam(&fold.uni),
+        )
     }
 
     fn compile_lam(&mut self, lam: &'e Lambda) -> CLam {
@@ -589,6 +644,54 @@ fn const_eval(e: &ScalarExpr) -> Result<Value, ValueError> {
 
 // --------------------------------------------------------------- evaluator
 
+/// Follows the `Field` ops after `pc` from `v` by reference, leaving `pc` on
+/// the last one taken: a `Var.f.g.h` chain clones only its leaf. Whatever
+/// precedes them in straight-line code reaches those ops next anyway, so a
+/// chain that is also a jump target (an `If` join) reads the same.
+fn walk_fields<'v>(mut v: &'v Value, ops: &[Op], pc: &mut usize) -> Result<&'v Value, ValueError> {
+    while let Some(Op::Field(i)) = ops.get(*pc + 1) {
+        v = v.field(*i)?;
+        *pc += 1;
+    }
+    Ok(v)
+}
+
+/// The rows a bag node evaluated to: computed for this evaluation, or a
+/// nested bag still inside the value that carries it.
+enum Rows {
+    Owned(Vec<Value>),
+    Shared(Arc<Vec<Value>>),
+}
+
+impl Rows {
+    fn len(&self) -> usize {
+        match self {
+            Rows::Owned(v) => v.len(),
+            Rows::Shared(a) => a.len(),
+        }
+    }
+
+    fn into_vec(self) -> Vec<Value> {
+        match self {
+            Rows::Owned(v) => v,
+            Rows::Shared(a) => Arc::try_unwrap(a).unwrap_or_else(|a| a.to_vec()),
+        }
+    }
+
+    /// Folds the rows in order — computed rows by move, shared ones by a
+    /// clone of just that row — stopping at the first error.
+    fn try_fold<A>(
+        self,
+        init: A,
+        f: impl FnMut(A, Value) -> Result<A, ValueError>,
+    ) -> Result<A, ValueError> {
+        match self {
+            Rows::Owned(v) => v.into_iter().try_fold(init, f),
+            Rows::Shared(a) => a.iter().cloned().try_fold(init, f),
+        }
+    }
+}
+
 /// Per-evaluation context threaded through opcode execution.
 struct Rt<'r> {
     captures: &'r [String],
@@ -605,13 +708,13 @@ impl Rt<'_> {
                 Op::Const(v) => m.stack.push(v.clone()),
                 Op::Fail(e) => return Err(e.clone()),
                 Op::Local(slot) => {
-                    let v = m.locals[*slot].clone();
+                    let v = walk_fields(&m.locals[*slot], ops, &mut pc)?.clone();
                     m.stack.push(v);
                 }
-                Op::Capture(c) => match &self.caps[*c] {
-                    Some(v) => m.stack.push(v.clone()),
-                    None => return Err(ValueError::UnboundVariable(self.captures[*c].clone())),
-                },
+                Op::Capture(c) => {
+                    let v = walk_fields(self.capture(*c)?, ops, &mut pc)?.clone();
+                    m.stack.push(v);
+                }
                 Op::Field(i) => {
                     let v = m.stack.pop().expect("operand on stack");
                     m.stack.push(v.field(*i)?.clone());
@@ -682,51 +785,77 @@ impl Rt<'_> {
         self.run(&lam.code, m)
     }
 
+    fn capture(&self, c: usize) -> Result<&Value, ValueError> {
+        self.caps[c]
+            .as_ref()
+            .ok_or_else(|| ValueError::UnboundVariable(self.captures[c].clone()))
+    }
+
     fn fold(&self, f: &CFold, m: &mut Machine) -> Result<Value, ValueError> {
-        let elems = self.bag(&f.bag, m)?;
-        let mut acc = self.run(&f.zero, m)?;
-        for x in elems {
-            let part = self.apply1(&f.sng, x, m)?;
-            acc = self.apply2(&f.uni, acc, part, m)?;
+        let elems = self.rows(&f.bag, m)?;
+        if f.counts {
+            return Ok(Value::Int(elems.len() as i64));
         }
-        Ok(acc)
+        let zero = self.run(&f.zero, m)?;
+        elems.try_fold(zero, |acc, x| {
+            let part = match &f.sng_shape {
+                SngShape::Identity => x,
+                SngShape::Const(v) => v.clone(),
+                SngShape::Run => self.apply1(&f.sng, x, m)?,
+            };
+            match f.uni_bin {
+                Some(op) => interp::eval_binop(op, acc, part),
+                None => self.apply2(&f.uni, acc, part, m),
+            }
+        })
+    }
+
+    /// The rows of a bag node without copying a nested bag: a bag-valued
+    /// local, capture or scalar result is read through its own `Arc`.
+    fn rows(&self, b: &CBagNode, m: &mut Machine) -> Result<Rows, ValueError> {
+        let v = match b {
+            CBagNode::RefLocal(slot) => m.locals[*slot].clone(),
+            CBagNode::RefCapture(c) => self.capture(*c)?.clone(),
+            CBagNode::OfValue(code) => self.run(code, m)?,
+            _ => return Ok(Rows::Owned(self.bag(b, m)?)),
+        };
+        match v {
+            Value::Bag(rows) => Ok(Rows::Shared(rows)),
+            other => Err(ValueError::type_mismatch("Bag", &other)),
+        }
     }
 
     fn bag(&self, b: &CBagNode, m: &mut Machine) -> Result<Vec<Value>, ValueError> {
         match b {
             CBagNode::Read(source) => self.catalog.get(source).cloned(),
             CBagNode::Values(vs) => Ok(vs.clone()),
-            CBagNode::RefLocal(slot) => {
-                let v = m.locals[*slot].clone();
-                Ok(v.as_bag()?.to_vec())
+            CBagNode::RefLocal(_) | CBagNode::RefCapture(_) | CBagNode::OfValue(_) => {
+                Ok(self.rows(b, m)?.into_vec())
             }
-            CBagNode::RefCapture(c) => match &self.caps[*c] {
-                Some(v) => Ok(v.as_bag()?.to_vec()),
-                None => Err(ValueError::UnboundVariable(self.captures[*c].clone())),
-            },
-            CBagNode::OfValue(code) => Ok(self.run(code, m)?.as_bag()?.to_vec()),
             CBagNode::Map { input, f } => {
-                let xs = self.bag(input, m)?;
-                xs.into_iter().map(|x| self.apply1(f, x, m)).collect()
+                let xs = self.rows(input, m)?;
+                let out = Vec::with_capacity(xs.len());
+                xs.try_fold(out, |mut out, x| {
+                    out.push(self.apply1(f, x, m)?);
+                    Ok(out)
+                })
             }
             CBagNode::Filter { input, p } => {
-                let xs = self.bag(input, m)?;
-                let mut out = Vec::new();
-                for x in xs {
+                self.rows(input, m)?.try_fold(Vec::new(), |mut out, x| {
                     if self.apply1(p, x.clone(), m)?.as_bool()? {
                         out.push(x);
                     }
-                }
-                Ok(out)
+                    Ok(out)
+                })
             }
             CBagNode::FlatMap { input, slot, body } => {
-                let xs = self.bag(input, m)?;
-                let mut out = Vec::new();
-                for x in xs {
+                self.rows(input, m)?.try_fold(Vec::new(), |out, x| {
                     m.locals[*slot] = x;
-                    out.extend(self.bag(body, m)?);
-                }
-                Ok(out)
+                    self.rows(body, m)?.try_fold(out, |mut out, y| {
+                        out.push(y);
+                        Ok(out)
+                    })
+                })
             }
             CBagNode::GroupBy { input, key } => {
                 let xs = self.bag(input, m)?;
@@ -966,8 +1095,12 @@ mod tests {
         let compiled = compile_bag_body("x", &body);
         let caps = compiled.bind(&base);
         let mut m = Machine::new();
-        let got = compiled.eval(row, &caps, &mut m, &catalog);
-        assert_eq!(want, got);
+        let mut got = Vec::new();
+        let res = compiled.eval(row, &caps, &mut m, &catalog, |v| {
+            got.push(v);
+            Ok(())
+        });
+        assert_eq!(want, res.map(|()| got));
     }
 
     #[test]

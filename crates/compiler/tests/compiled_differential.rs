@@ -18,7 +18,7 @@ use std::collections::HashMap;
 
 use emma_compiler::bag_expr::{BagExpr, BagLambda};
 use emma_compiler::compiled::{compile_bag_body, compile_lambda, Machine};
-use emma_compiler::expr::{BuiltinFn, FoldOp, Lambda, ScalarExpr};
+use emma_compiler::expr::{BuiltinFn, FoldKind, FoldOp, Lambda, ScalarExpr};
 use emma_compiler::interp::{self, Catalog, Env};
 use emma_compiler::value::{Value, ValueError};
 use emma_compiler::vectorized::{specialize, specialize_sampled, VecStageSpec};
@@ -48,7 +48,24 @@ fn value_strategy() -> impl Strategy<Value = Value> {
         .prop_map(Value::Float),
         "[a-z]{0,6}".prop_map(Value::str),
         prop::collection::vec((-4i64..=4).prop_map(Value::Int), 0..3).prop_map(Value::tuple),
+        // A row that carries nested bags: `x.0` and `x.1.0` are bags of
+        // mixed elements, `x.1.1` is not a bag, `x.2` is out of range.
+        (nested_bag_strategy(), nested_bag_strategy())
+            .prop_map(|(a, b)| { Value::tuple(vec![a, Value::tuple(vec![b, Value::Int(9)])]) }),
     ]
+}
+
+/// Nested bags of every input class the closed-form folds must survive:
+/// empty, singleton, ints, floats, and mixed types that make `uni` raise.
+fn nested_bag_strategy() -> impl Strategy<Value = Value> {
+    let elem = prop_oneof![
+        (-4i64..=4).prop_map(Value::Int),
+        (-4i64..=4).prop_map(Value::Int),
+        prop_oneof![Just(-2.5f64), Just(0.0f64), Just(1.5f64)].prop_map(Value::Float),
+        Just(Value::str("s")),
+        Just(Value::Null),
+    ];
+    prop::collection::vec(elem, 0..5).prop_map(Value::bag)
 }
 
 fn leaf_strategy() -> impl Strategy<Value = ScalarExpr> {
@@ -58,24 +75,84 @@ fn leaf_strategy() -> impl Strategy<Value = ScalarExpr> {
     ]
 }
 
+/// Every `FoldOp` constructor, `f` filling the ones that take a lambda. The
+/// two customs are shapes no closed form may claim: a `sng` that must run
+/// under a `uni` that is not one operator, and a `uni` that is one operator
+/// over its parameters *swapped*.
+fn fold_ops(f: &Lambda) -> Vec<FoldOp> {
+    let (a, b) = (|| ScalarExpr::var("a"), || ScalarExpr::var("b"));
+    vec![
+        FoldOp::sum(),
+        FoldOp::count(),
+        FoldOp::min(),
+        FoldOp::max(),
+        FoldOp::exists(f.clone()),
+        FoldOp::forall(f.clone()),
+        FoldOp::is_empty(),
+        FoldOp::min_by(f.clone()),
+        FoldOp::max_by(f.clone()),
+        FoldOp::banana_split(&[FoldOp::sum(), FoldOp::count()]),
+        FoldOp::custom(
+            ScalarExpr::lit(1i64),
+            f.clone(),
+            Lambda::new(["a", "b"], a().add(b().mul(ScalarExpr::lit(2i64)))),
+        ),
+        FoldOp::custom(
+            ScalarExpr::lit(0i64),
+            Lambda::new(["e"], ScalarExpr::var("e")),
+            Lambda::new(["a", "b"], b().sub(a())),
+        ),
+    ]
+}
+
+/// `root` as a fold source: bare, or under a `map` / `filter` chain.
+fn fold_sources(root: BagExpr, body: &ScalarExpr, pred: &ScalarExpr) -> Vec<BagExpr> {
+    let el = || Lambda::new(["e"], body.clone());
+    let p = || Lambda::new(["e"], pred.clone());
+    vec![
+        root.clone(),
+        root.clone().map(el()),
+        root.clone().filter(p()),
+        root.clone().filter(p()).map(el()),
+        root.map(el()).filter(p()),
+    ]
+}
+
 /// A fold whose input bag, binder lambda, and aggregate are all drawn from
-/// generated parts. The binder is named `e`, shadowing any outer `e`.
+/// generated parts: every [`fold_ops`] constructor over every
+/// [`fold_sources`] chain rooted at a literal bag, a captured bag (`b0`), a
+/// captured non-bag (`b1`), an unbound name, or a field path into the row.
+/// The binder is named `e`, shadowing any outer `e`.
 fn fold_strategy(inner: BoxedStrategy<ScalarExpr>) -> impl Strategy<Value = ScalarExpr> {
-    let bag = prop_oneof![
+    let root = prop_oneof![
         prop::collection::vec((-5i64..=5).prop_map(Value::Int), 0..4).prop_map(BagExpr::values),
         Just(BagExpr::Ref { name: "b0".into() }),
+        Just(BagExpr::Ref { name: "b1".into() }),
         Just(BagExpr::Ref {
             name: "miss".into()
         }),
+        (0usize..3).prop_map(|i| BagExpr::of_value(ScalarExpr::var("x").get(i))),
+        (0usize..2).prop_map(|j| BagExpr::of_value(ScalarExpr::var("x").get(1).get(j))),
     ];
-    (bag, inner.clone(), inner, 0u8..4).prop_map(|(bag, body, pred, which)| match which {
-        0 => bag.map(Lambda::new(["e"], body)).fold(FoldOp::sum()),
-        1 => bag.filter(Lambda::new(["e"], pred)).fold(FoldOp::count()),
-        2 => bag
-            .flat_map(BagLambda::new("e", BagExpr::of_value(body)))
-            .fold(FoldOp::max()),
-        _ => ScalarExpr::BagOf(Box::new(bag.map(Lambda::new(["e"], body)).distinct())),
-    })
+    let n_ops = fold_ops(&Lambda::new(["e"], ScalarExpr::var("e"))).len();
+    (
+        root,
+        inner.clone(),
+        inner.clone(),
+        inner,
+        0..n_ops + 2,
+        0usize..5,
+    )
+        .prop_map(|(root, body, pred, key, which, chain)| {
+            let source = fold_sources(root.clone(), &body, &pred).swap_remove(chain);
+            match fold_ops(&Lambda::new(["e"], key)).into_iter().nth(which) {
+                Some(op) => source.fold(op),
+                None if which % 2 == 0 => root
+                    .flat_map(BagLambda::new("e", BagExpr::of_value(body)))
+                    .fold(FoldOp::max()),
+                None => ScalarExpr::BagOf(Box::new(source.distinct())),
+            }
+        })
 }
 
 fn expr_strategy() -> BoxedStrategy<ScalarExpr> {
@@ -134,24 +211,33 @@ fn base_scope() -> HashMap<String, Value> {
 /// Evaluates `lam` on `args` through both tiers and asserts the full
 /// `Result<Value, ValueError>` is identical.
 fn assert_tiers_agree(lam: &Lambda, args: &[Value]) -> Result<(), TestCaseError> {
-    let base = base_scope();
+    assert_tiers_agree_in(lam, args, &base_scope()).map(|_| ())
+}
+
+/// [`assert_tiers_agree`] over a given base scope; hands back the outcome
+/// both tiers agreed on.
+fn assert_tiers_agree_in(
+    lam: &Lambda,
+    args: &[Value],
+    base: &HashMap<String, Value>,
+) -> Result<Result<Value, ValueError>, TestCaseError> {
     let catalog = Catalog::new().with("xs", (0..6).map(Value::Int).collect::<Vec<_>>());
 
-    let mut env = Env::new(&base);
+    let mut env = Env::new(base);
     let want: Result<Value, ValueError> = interp::eval_lambda(lam, args, &mut env, &catalog);
 
     let compiled = compile_lambda(lam);
-    let caps = compiled.bind(&base);
+    let caps = compiled.bind(base);
     let mut m = Machine::new();
     let got = compiled.eval(args, &caps, &mut m, &catalog);
 
-    prop_assert_eq!(&want, &got, "tier divergence on {:?}", lam);
+    prop_assert_eq!(&want, &got, "tier divergence on {:?} over {:?}", lam, args);
 
     // Machines are reused across rows by the engine: a second evaluation on
     // the same machine must not be affected by leftover state.
     let again = compiled.eval(args, &caps, &mut m, &catalog);
     prop_assert_eq!(&want, &again, "machine reuse divergence on {:?}", lam);
-    Ok(())
+    Ok(want)
 }
 
 /// Runs a single Map/Filter stage over `rows` through the vectorized tier
@@ -308,9 +394,13 @@ proptest! {
         let compiled = compile_bag_body("x", &body);
         let caps = compiled.bind(&base);
         let mut m = Machine::new();
-        let got = compiled.eval(arg, &caps, &mut m, &catalog);
+        let mut got = Vec::new();
+        let res = compiled.eval(arg, &caps, &mut m, &catalog, |row| {
+            got.push(row);
+            Ok(())
+        });
 
-        prop_assert_eq!(want, got, "bag tier divergence on {:?}", body);
+        prop_assert_eq!(want, res.map(|()| got), "bag tier divergence on {:?}", body);
     }
 
     #[test]
@@ -458,4 +548,217 @@ fn batch_abort_replay_reproduces_first_error_in_row_order() {
         matches!(&replayed, ValueError::Arithmetic(m) if m.contains("modulo")),
         "row 0 fails at the modulo, got {replayed:?}"
     );
+}
+
+/// The whole grid the generator samples from, walked cell by cell: every
+/// [`fold_ops`] constructor × every [`fold_sources`] chain over a field path
+/// into the row and over a captured bag × every input class, with a benign
+/// and a raising element function. The raising one fails at position 2 of
+/// the `raiser` input with a modulo by zero and at position 3 with a type
+/// mismatch, so a tier that evaluates elements out of order, or skips one it
+/// should have run, reports the wrong error.
+#[test]
+fn fold_grid_agrees_on_values_and_errors() {
+    let e = || ScalarExpr::var("e");
+    let inputs = [
+        ("empty", Value::bag(vec![])),
+        ("singleton", Value::bag(vec![Value::Int(5)])),
+        ("ints", Value::bag([3i64, 1, 2].map(Value::Int))),
+        ("floats", Value::bag([1.5, -2.5, 4.0].map(Value::Float))),
+        (
+            "mixed",
+            Value::bag(vec![
+                Value::Int(1),
+                Value::str("s"),
+                Value::Float(2.0),
+                Value::Bool(true),
+            ]),
+        ),
+        ("non-bag", Value::Int(7)),
+        (
+            "raiser",
+            Value::bag(vec![
+                Value::Int(4),
+                Value::Int(2),
+                Value::Int(0),
+                Value::str("s"),
+                Value::Int(1),
+            ]),
+        ),
+    ];
+    let element_fns = [
+        (
+            e().mul(ScalarExpr::lit(2i64)),
+            e().gt(ScalarExpr::lit(1i64)),
+        ),
+        (
+            ScalarExpr::lit(12i64).rem(e()),
+            ScalarExpr::lit(12i64).rem(e()).eq(ScalarExpr::lit(0i64)),
+        ),
+    ];
+    let roots = [
+        BagExpr::of_value(ScalarExpr::var("x").get(1).get(0)),
+        BagExpr::Ref { name: "bag".into() },
+    ];
+    let (mut cells, mut values, mut errors) = (0, 0, 0);
+    for (name, input) in &inputs {
+        let row = Value::tuple(vec![
+            Value::Int(0),
+            Value::tuple(vec![input.clone(), Value::Int(9)]),
+        ]);
+        let mut base = base_scope();
+        base.insert("bag".to_string(), input.clone());
+        for (body, pred) in &element_fns {
+            for root in &roots {
+                for source in fold_sources(root.clone(), body, pred) {
+                    for op in fold_ops(&Lambda::new(["e"], pred.clone())) {
+                        let lam = Lambda::new(["x"], source.clone().fold(op));
+                        match assert_tiers_agree_in(&lam, std::slice::from_ref(&row), &base)
+                            .unwrap_or_else(|err| panic!("input {name}: {err}"))
+                        {
+                            Ok(_) => values += 1,
+                            Err(_) => errors += 1,
+                        }
+                        cells += 1;
+                    }
+                }
+            }
+        }
+    }
+    // The grid is only a test of both contracts if it reaches both.
+    assert_eq!(cells, 7 * 2 * 2 * 5 * 12);
+    assert!(
+        values > cells / 4 && errors > cells / 4,
+        "{values} values, {errors} errors"
+    );
+
+    // First-error order, pinned on one cell: the `raiser` input under a
+    // raising `sng` fails at position 2, not at position 3.
+    let lam = Lambda::new(
+        ["x"],
+        roots[0]
+            .clone()
+            .fold(FoldOp::exists(Lambda::new(["e"], element_fns[1].1.clone()))),
+    );
+    let row = Value::tuple(vec![Value::Int(0), Value::tuple(vec![inputs[6].1.clone()])]);
+    let got = assert_tiers_agree_in(&lam, &[row], &base_scope()).unwrap();
+    assert!(
+        matches!(&got, Err(ValueError::Arithmetic(m)) if m.contains("modulo")),
+        "position 2 raises first, got {got:?}"
+    );
+}
+
+/// The closed forms are recognized from the compiled `zero`/`sng`/`uni`
+/// code. A fold may carry any [`FoldKind`] over any lambdas, so one
+/// *labelled* `Count` whose lambdas are not count's must evaluate its own
+/// lambdas — this fails if recognition is ever switched to `FoldOp::kind`.
+#[test]
+fn a_fold_labelled_count_evaluates_its_own_lambdas() {
+    let (a, b, e) = (
+        || ScalarExpr::var("a"),
+        || ScalarExpr::var("b"),
+        || ScalarExpr::var("e"),
+    );
+    let one = || Lambda::new(["e"], ScalarExpr::lit(1i64));
+    let plus = || Lambda::new(["a", "b"], a().add(b()));
+    let labelled = |zero: i64, sng: Lambda, uni: Lambda| FoldOp {
+        kind: FoldKind::Count,
+        zero: Box::new(ScalarExpr::lit(zero)),
+        sng,
+        uni,
+    };
+    let cases = [
+        // 10 - 2 - 4 - 6, not 3.
+        (
+            labelled(
+                10,
+                Lambda::new(["e"], e().mul(ScalarExpr::lit(2i64))),
+                Lambda::new(["a", "b"], a().sub(b())),
+            ),
+            -2,
+        ),
+        // Count's `sng` and `uni` over another zero: 5 + 3.
+        (labelled(5, one(), plus()), 8),
+        // Count's `zero` and `sng` under another operator: 0 * 1 * 1 * 1.
+        (labelled(0, one(), Lambda::new(["a", "b"], a().mul(b()))), 0),
+        // Count's `zero` and `uni` over another constant: 2 + 2 + 2.
+        (
+            labelled(0, Lambda::new(["e"], ScalarExpr::lit(2i64)), plus()),
+            6,
+        ),
+        // And the converse: count's lambdas under another label still count.
+        (
+            FoldOp {
+                kind: FoldKind::Custom,
+                ..FoldOp::count()
+            },
+            3,
+        ),
+    ];
+    let row = Value::tuple(vec![Value::bag([1i64, 2, 3].map(Value::Int))]);
+    for (op, want) in cases {
+        let lam = Lambda::new(
+            ["x"],
+            BagExpr::of_value(ScalarExpr::var("x").get(0)).fold(op),
+        );
+        let got = assert_tiers_agree_in(&lam, std::slice::from_ref(&row), &base_scope()).unwrap();
+        assert_eq!(got, Ok(Value::Int(want)), "{lam:?}");
+    }
+}
+
+/// A `Var.f.g.h` chain is walked by reference and only its leaf cloned.
+/// Breaking the chain at each hop — a non-tuple (`TypeMismatch`) or a short
+/// tuple (`FieldOutOfRange`) — must raise what the interpreter raises, from
+/// a parameter and from a capture, and so must a chain whose field ops are
+/// an `If` join point: the else branch falls into them, the then branch
+/// jumps to them.
+#[test]
+fn field_chains_break_like_the_interpreter() {
+    let int = Value::Int;
+    let t = |vs: Vec<Value>| Value::tuple(vs);
+    let rows = [
+        t(vec![t(vec![int(0), t(vec![int(1), int(2), int(3)])])]), // x.0.1.2 = 3
+        int(5),                                                    // hop 1: not a tuple
+        t(vec![]),                                                 // hop 1: out of range
+        t(vec![int(5)]),                                           // hop 2: not a tuple
+        t(vec![t(vec![int(0)])]),                                  // hop 2: out of range
+        t(vec![t(vec![int(0), int(5)])]),                          // hop 3: not a tuple
+        t(vec![t(vec![int(0), t(vec![int(1), int(2)])])]),         // hop 3: out of range
+    ];
+    let chain = |root: ScalarExpr| root.get(0).get(1).get(2);
+    let joined = |c: ScalarExpr| {
+        ScalarExpr::If(
+            Box::new(c),
+            Box::new(ScalarExpr::var("x").get(0)),
+            Box::new(ScalarExpr::var("y")),
+        )
+        .get(1)
+        .get(2)
+    };
+    let mut kinds = std::collections::HashSet::new();
+    for x in &rows {
+        let mut base = base_scope();
+        base.insert("cap".to_string(), x.clone());
+        for y in &rows {
+            let args = [x.clone(), y.clone()];
+            for body in [
+                chain(ScalarExpr::var("x")),
+                chain(ScalarExpr::var("cap")),
+                chain(ScalarExpr::var("miss")),
+                joined(ScalarExpr::lit(true)),
+                joined(ScalarExpr::lit(false)),
+                joined(ScalarExpr::var("y").get(0).eq(ScalarExpr::var("x").get(0))),
+            ] {
+                let lam = Lambda::new(["x", "y"], body);
+                kinds.insert(match assert_tiers_agree_in(&lam, &args, &base).unwrap() {
+                    Ok(_) => "value",
+                    Err(ValueError::TypeMismatch { .. }) => "mismatch",
+                    Err(ValueError::FieldOutOfRange { .. }) => "range",
+                    Err(ValueError::UnboundVariable(_)) => "unbound",
+                    Err(other) => panic!("unexpected {other:?}"),
+                });
+            }
+        }
+    }
+    assert_eq!(kinds.len(), 4, "the rows reach every outcome: {kinds:?}");
 }

@@ -78,12 +78,16 @@ impl Partitioned {
         self.parts.iter().map(|p| p.len() as u64).sum()
     }
 
-    /// Total approximate serialized bytes.
-    pub fn total_bytes(&self) -> u64 {
+    /// Approximate serialized bytes of each partition: one walk of the rows.
+    pub(crate) fn part_bytes(&self) -> impl Iterator<Item = u64> + '_ {
         self.parts
             .iter()
-            .map(|p| p.iter().map(Value::approx_bytes).sum::<u64>())
-            .sum()
+            .map(|p| p.iter().map(Value::approx_bytes).sum())
+    }
+
+    /// Total approximate serialized bytes.
+    pub fn total_bytes(&self) -> u64 {
+        self.part_bytes().sum()
     }
 
     /// Rows in the largest partition (per-slot CPU time driver).
@@ -93,28 +97,7 @@ impl Partitioned {
 
     /// Bytes of the largest partition (skew measurement).
     pub fn max_part_bytes(&self) -> u64 {
-        self.parts
-            .iter()
-            .map(|p| p.iter().map(Value::approx_bytes).sum::<u64>())
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Bytes received by the most loaded *node* when consecutive runs of
-    /// `cores` partitions are placed on the same node — the quantity that
-    /// bounds shuffle time (networks are per-node, and per-partition
-    /// variance averages out within a node).
-    pub fn max_node_bytes(&self, cores: usize) -> u64 {
-        let cores = cores.max(1);
-        self.parts
-            .chunks(cores)
-            .map(|node| {
-                node.iter()
-                    .map(|p| p.iter().map(Value::approx_bytes).sum::<u64>())
-                    .sum::<u64>()
-            })
-            .max()
-            .unwrap_or(0)
+        self.part_bytes().max().unwrap_or(0)
     }
 
     /// Gathers all rows into one vector (the `collect` data motion).

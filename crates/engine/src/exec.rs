@@ -584,22 +584,26 @@ impl<'p> PreparedBag<'p> {
         }
     }
 
-    /// Evaluates the body with the element parameter bound to `row`.
+    /// Evaluates the body with the element parameter bound to `row`, then
+    /// hands each produced row to `sink` ([`CompiledBag::eval`]).
     fn call<'b>(
         &self,
         row: Value,
         cx: &mut EvCtx<'b>,
         catalog: &Catalog,
-    ) -> Result<Vec<Value>, ValueError>
+        mut sink: impl FnMut(Value) -> Result<(), ValueError>,
+    ) -> Result<(), ValueError>
     where
         'p: 'b,
     {
         match (self, cx) {
             (PreparedBag::Interp { param, body, .. }, EvCtx::Env(env)) => {
-                interp::eval_bag_with_binding(body, param, row, env, catalog)
+                interp::eval_bag_with_binding(body, param, row, env, catalog)?
+                    .into_iter()
+                    .try_for_each(sink)
             }
             (PreparedBag::Compiled { code, caps }, EvCtx::Machine(m)) => {
-                code.eval(row, caps, m, catalog)
+                code.eval(row, caps, m, catalog, &mut sink)
             }
             _ => unreachable!("context built by a different evaluation tier"),
         }
@@ -1993,10 +1997,13 @@ impl<'a> Session<'a> {
         let r = self.exec_bag(right, env)?;
         let base = self.eval_base_for_lambdas(residual.as_slice(), env)?;
 
-        // Just-in-time strategy resolution from actual input sizes.
+        // Just-in-time strategy resolution from actual input sizes; the
+        // right side is walked for its bytes at most once.
+        let r_bytes = std::cell::OnceCell::new();
+        let r_bytes = || *r_bytes.get_or_init(|| r.total_bytes());
         let strategy = match strategy {
             JoinStrategy::Auto => {
-                if r.total_bytes() <= self.spec().broadcast_threshold {
+                if r_bytes() <= self.spec().broadcast_threshold {
                     JoinStrategy::Broadcast
                 } else {
                     JoinStrategy::Repartition
@@ -2013,8 +2020,8 @@ impl<'a> Session<'a> {
                 // Ship the entire right side to every node, as one build
                 // partition every probe task reads; left stays put.
                 self.stats
-                    .charge_secs(r.total_bytes() as f64 / self.spec().net_bw);
-                self.charge_broadcast(r.total_bytes());
+                    .charge_secs(r_bytes() as f64 / self.spec().net_bw);
+                self.charge_broadcast(r_bytes());
                 let whole = Partitioned {
                     parts: vec![Arc::new(r.collect_rows())],
                     partitioning: None,
@@ -2270,11 +2277,14 @@ impl<'a> Session<'a> {
         let partial_lists = self.run_tasks(true, d.parts.len(), d.total_rows(), |pi, tally| {
             let part = &d.parts[pi];
             let (groups, covered) = agg_kernel_prefix(agg_vec.as_ref(), part, tally);
-            let partials: Vec<(u64, Value)> = if covered == part.len() {
+            let partials: (Vec<Value>, Vec<u64>) = if covered == part.len() {
                 groups
                     .into_iter()
-                    .map(|(k, acc)| (value_hash(&k), Value::tuple(vec![k, acc])))
-                    .collect()
+                    .map(|(k, acc)| {
+                        let h = value_hash(&k);
+                        (Value::tuple(vec![k, acc]), h)
+                    })
+                    .unzip()
             } else {
                 let mut accs: InsertionMap<Value, (u64, Value)> = InsertionMap::new();
                 for (k, acc) in groups {
@@ -2291,8 +2301,8 @@ impl<'a> Session<'a> {
                     )?;
                 }
                 accs.into_iter()
-                    .map(|(k, (h, acc))| (h, Value::tuple(vec![k, acc])))
-                    .collect()
+                    .map(|(k, (h, acc))| (Value::tuple(vec![k, acc]), h))
+                    .unzip()
             };
             Ok(partials)
         })?;
@@ -2315,10 +2325,8 @@ impl<'a> Session<'a> {
         // concentrates partials, and the key-preserving split keeps every
         // copy of a key in one sub-partition, so the merge phase stays a
         // plain per-partition reduction.
-        let partials = partial_lists.into_iter().flatten().map(|(h, row)| (row, h));
-        let routed = bucket(partials, self.dop());
         let partial_key = Lambda::new(["t"], ScalarExpr::var("t").get(0));
-        let (shuffled, hash_b, agg_split) = self.land(vec![routed], partial_key, split);
+        let (shuffled, hash_b, agg_split) = self.land(partial_lists, partial_key, split);
 
         // Merge phase: the same reduction over the partials, keyed by
         // `partial.0` and combining `partial.1` with the same slot ops —
@@ -2601,7 +2609,7 @@ impl<'a> Session<'a> {
             })
             .collect();
         let catalog = self.catalog;
-        let bucket_lists = self.run_tasks(true, sources.len(), total_rows, |pi, tally| {
+        let routed = self.run_tasks(true, sources.len(), total_rows, |pi, tally| {
             let rows: Vec<Value> = match &sources[pi] {
                 Source::Owned(cell) => cell.lock().unwrap().take().expect("partition drained once"),
                 Source::Shared(part) => part.to_vec(),
@@ -2609,13 +2617,10 @@ impl<'a> Session<'a> {
             let keys = eval.keys(&rows, catalog, tally);
             match keys.err {
                 Some(e) => Err(e),
-                None => Ok(bucket(
-                    rows.into_iter().zip(keys.keys.into_owned()),
-                    parts_n,
-                )),
+                None => Ok((rows, keys.keys.into_owned())),
             }
         })?;
-        let (data, keys, split) = self.land(bucket_lists, key.clone(), split);
+        let (data, keys, split) = self.land(routed, key.clone(), split);
         Ok(Keyed {
             data,
             keys: Keys::Routed(keys),
@@ -2625,32 +2630,46 @@ impl<'a> Session<'a> {
 
     /// The routing half of every shuffle, generic over what rides next to
     /// each row (the `(hash, key)` pair of a keyed shuffle, the bare hash of
-    /// an `aggBy` partial): splices the per-source bucket lists in source
-    /// order — the row order a serial loop produces — splits hot buckets if
-    /// `split` names a flavor and the engine has a [`SkewConfig`] (the
-    /// returned [`SplitPlan`] says which sub-partitions belong to which
-    /// bucket), and charges the shuffle on the layout that lands: a split
-    /// one is smaller at the hottest receiver but pays more per-file seeks.
-    /// It carries `partitioning: None` — two-level-hashed, it must never
-    /// satisfy a plain partitioning request.
+    /// an `aggBy` partial). `sources` holds each source task's rows and what
+    /// rode with them, row-aligned: destinations (`hash % dop`) are counted,
+    /// allocated once at their exact size, and filled by one scatter in
+    /// source order — so a destination holds source 0's rows for it, then
+    /// source 1's, each in row order: the order a serial loop produces, and
+    /// the one `apply_split`, the groupBy merge and the join probe rely on.
+    /// Hot buckets are then split if `split` names a flavor and the engine
+    /// has a [`SkewConfig`] (the returned [`SplitPlan`] says which
+    /// sub-partitions belong to which bucket), and the shuffle is charged on
+    /// the layout that lands: a split one is smaller at the hottest receiver
+    /// but pays more per-file seeks. It carries `partitioning: None` —
+    /// two-level-hashed, it must never satisfy a plain partitioning request.
     fn land<S: KeyHash>(
         &mut self,
-        lists: Vec<Buckets<S>>,
+        sources: Vec<(Vec<Value>, Vec<S>)>,
         key: Lambda,
         split: Option<SplitKind>,
     ) -> (Partitioned, Vec<Vec<S>>, Option<SplitPlan>) {
         let parts_n = self.dop();
-        let mut lists = lists.into_iter();
-        let (mut buckets, mut side) = lists.next().unwrap_or_else(|| bucket([], parts_n));
-        for (local_rows, local_side) in lists {
-            for (b, mut rows) in local_rows.into_iter().enumerate() {
-                buckets[b].append(&mut rows);
-            }
-            for (b, mut s) in local_side.into_iter().enumerate() {
-                side[b].append(&mut s);
-            }
+        let dest = |s: &S| (s.key_hash() % parts_n as u64) as usize;
+        let mut sizes = vec![0u64; parts_n];
+        for s in sources.iter().flat_map(|(_, side)| side) {
+            sizes[dest(s)] += 1;
         }
-        let sizes: Vec<u64> = buckets.iter().map(|b| b.len() as u64).collect();
+        let mut buckets: Vec<Vec<Value>> = sizes
+            .iter()
+            .map(|&n| Vec::with_capacity(n as usize))
+            .collect();
+        let mut side: Vec<Vec<S>> = sizes
+            .iter()
+            .map(|&n| Vec::with_capacity(n as usize))
+            .collect();
+        for (row, s) in sources
+            .into_iter()
+            .flat_map(|(rows, side)| rows.into_iter().zip(side))
+        {
+            let b = dest(&s);
+            buckets[b].push(row);
+            side[b].push(s);
+        }
         let plan = self.plan_bucket_splits(split, &sizes);
         let partitioning = match (&plan, split) {
             (Some(plan), Some(kind)) => {
@@ -2677,11 +2696,20 @@ impl<'a> Session<'a> {
     fn charge_shuffle(&mut self, out: &Partitioned) {
         let spec = *self.spec();
         let parts_n = out.parts.len();
-        let total = out.total_bytes();
+        // One walk of the rows: total and per-node maximum both come from
+        // the per-partition sums. Consecutive runs of `cores_per_node`
+        // partitions share a node, and networks are per node.
+        let part_bytes: Vec<u64> = out.part_bytes().collect();
+        let total: u64 = part_bytes.iter().sum();
+        let max_node = part_bytes
+            .chunks(spec.cores_per_node.max(1))
+            .map(|node| node.iter().sum::<u64>())
+            .max()
+            .unwrap_or(0);
         self.stats.bytes_shuffled += total;
         // Stage time = max over receiving nodes; skew dominates balance.
         let balanced = total as f64 / (spec.net_bw * spec.nodes as f64);
-        let skewed = out.max_node_bytes(spec.cores_per_node) as f64 / spec.net_bw;
+        let skewed = max_node as f64 / spec.net_bw;
         // Large shuffles materialize M×R files; the per-file seeks are what
         // bends Spark's no-fusion curves superlinear in the DOP (Fig. 5).
         let seeks = if total > crate::cluster::SHUFFLE_FILE_CUTOFF {
@@ -3018,21 +3046,6 @@ impl KeyHash for (u64, Value) {
     fn key_hash(&self) -> u64 {
         self.0
     }
-}
-
-/// Rows bucketed by `hash % parts`, and what rode next to them, row-aligned.
-type Buckets<S> = (Vec<Vec<Value>>, Vec<Vec<S>>);
-
-/// Routes each row to the bucket of its key hash, in input order.
-fn bucket<S: KeyHash>(items: impl IntoIterator<Item = (Value, S)>, parts_n: usize) -> Buckets<S> {
-    let mut rows_b: Vec<Vec<Value>> = (0..parts_n).map(|_| Vec::new()).collect();
-    let mut side_b: Vec<Vec<S>> = (0..parts_n).map(|_| Vec::new()).collect();
-    for (row, s) in items {
-        let b = (s.key_hash() % parts_n as u64) as usize;
-        rows_b[b].push(row);
-        side_b[b].push(s);
-    }
-    (rows_b, side_b)
 }
 
 /// Whether `d` is already hash-partitioned by `key` into `parts_n` parts.
@@ -3502,7 +3515,6 @@ where
         for row in rows {
             push_row(
                 row.clone(),
-                0,
                 stages,
                 &mut ctxs,
                 catalog,
@@ -3530,11 +3542,13 @@ where
     Ok((out, counts, bytes))
 }
 
-/// Pushes one row into stage `i` of a fused pipeline (and onward).
+/// Pushes one row into the first of `stages` (and onward); every slice is
+/// the suffix that belongs to those stages, `counts` / `bytes` / `need_bytes`
+/// one longer for the output boundary. A FlatMap stage's context stays
+/// borrowed by its body while the rows it produced run the stages after it.
 #[allow(clippy::too_many_arguments)]
 fn push_row<'p, 'b>(
     row: Value,
-    i: usize,
     stages: &'b [PreparedStage<'p>],
     ctxs: &mut [EvCtx<'b>],
     catalog: &Catalog,
@@ -3546,66 +3560,27 @@ fn push_row<'p, 'b>(
 where
     'p: 'b,
 {
-    counts[i] += 1;
-    if need_bytes[i] {
-        bytes[i] += row.approx_bytes();
+    counts[0] += 1;
+    if need_bytes[0] {
+        bytes[0] += row.approx_bytes();
     }
-    let Some(stage) = stages.get(i) else {
+    let (Some((stage, stages)), Some((cx, ctxs))) = (stages.split_first(), ctxs.split_first_mut())
+    else {
         out.push(row);
         return Ok(());
     };
+    let (need_bytes, counts, bytes) = (&need_bytes[1..], &mut counts[1..], &mut bytes[1..]);
+    let mut next = |v| push_row(v, stages, ctxs, catalog, need_bytes, counts, bytes, out);
     match stage {
-        PreparedStage::Map(f) => {
-            let v = f.call_owned([row], &mut ctxs[i], catalog)?;
-            push_row(
-                v,
-                i + 1,
-                stages,
-                ctxs,
-                catalog,
-                need_bytes,
-                counts,
-                bytes,
-                out,
-            )
-        }
+        PreparedStage::Map(f) => next(f.call_owned([row], cx, catalog)?),
         PreparedStage::Filter(p) => {
-            let keep = p
-                .call(std::slice::from_ref(&row), &mut ctxs[i], catalog)?
-                .as_bool()?;
-            if keep {
-                push_row(
-                    row,
-                    i + 1,
-                    stages,
-                    ctxs,
-                    catalog,
-                    need_bytes,
-                    counts,
-                    bytes,
-                    out,
-                )
+            if p.call(std::slice::from_ref(&row), cx, catalog)?.as_bool()? {
+                next(row)
             } else {
                 Ok(())
             }
         }
-        PreparedStage::FlatMap(b) => {
-            let inner = b.call(row, &mut ctxs[i], catalog)?;
-            for v in inner {
-                push_row(
-                    v,
-                    i + 1,
-                    stages,
-                    ctxs,
-                    catalog,
-                    need_bytes,
-                    counts,
-                    bytes,
-                    out,
-                )?;
-            }
-            Ok(())
-        }
+        PreparedStage::FlatMap(b) => b.call(row, cx, catalog, next),
     }
 }
 

@@ -146,6 +146,73 @@ fn pagerank_differential_across_flags() {
     }
 }
 
+/// The two iterative programs may get faster only by doing the same work
+/// faster. On the default tier, the pinned scalar tier and at batch 64 they
+/// give the interpreter's rows and — exactly — the records, stages,
+/// refusals and simulated clock written here from the commit before the
+/// scalar tier started reading nested bags by reference: a change that moves
+/// stage structure or the fallback count fails here, not in a benchmark.
+#[test]
+fn iterative_programs_do_the_same_work_on_every_tier() {
+    let gspec = small_graph();
+    let params = pagerank::PagerankParams {
+        iterations: 5,
+        num_pages: gspec.vertices,
+        ..Default::default()
+    };
+    // (records_processed, stages, vector_fallbacks, simulated_secs bits)
+    let cases = [
+        (
+            pagerank::program(&params),
+            pagerank::catalog(&gspec),
+            (8475u64, 23u64, 5u64, 4617844881388415361u64),
+        ),
+        (
+            cc::stateful_program(),
+            cc::catalog(&gspec),
+            (6695, 47, 11, 4621502485543244773),
+        ),
+    ];
+    for (program, catalog, (records, stages, fallbacks, clock)) in cases {
+        let expected = Interp::new(&catalog).run(&program).expect("interp run");
+        let compiled = parallelize(&program, &OptimizerFlags::all());
+        let engine = || tiny_engine(Personality::sparrow());
+        let default = engine().run(&compiled, &catalog).expect("default tier");
+        for (sink, rows) in &expected.writes {
+            assert!(
+                approx_rows_eq(rows, &default.writes[sink], 1e-6),
+                "sink `{sink}`"
+            );
+        }
+        let tiers = [
+            ("default", engine(), fallbacks),
+            // The pinned scalar tier never asks the kernels, so none refuse.
+            ("scalar", scalar_tier(engine()), 0),
+            (
+                "batch 64",
+                engine().with_vectorized_eval(BatchConfig::new(64)),
+                fallbacks,
+            ),
+        ];
+        for (tier, engine, fallbacks) in tiers {
+            let run = engine.run(&compiled, &catalog).expect("engine run");
+            assert_eq!(run.writes, default.writes, "{tier}: rows");
+            let got = (
+                run.stats.records_processed,
+                run.stats.stages,
+                run.stats.vector_fallbacks,
+                run.stats.simulated_secs.to_bits(),
+            );
+            assert_eq!(
+                got,
+                (records, stages, fallbacks, clock),
+                "{tier}: {}",
+                run.stats
+            );
+        }
+    }
+}
+
 #[test]
 fn pagerank_ranks_form_a_distribution_and_favor_popular_vertices() {
     let gspec = small_graph();

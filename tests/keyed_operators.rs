@@ -237,11 +237,31 @@ fn run(
     body: &[CStmt],
     catalog: &Catalog,
     tier: Tier,
+    schedule: (ParallelismMode, usize),
+    chaos: bool,
+    skew: bool,
+) -> Result<EngineRun, ExecError> {
+    run_on(
+        ClusterSpec::tiny(),
+        body,
+        catalog,
+        tier,
+        schedule,
+        chaos,
+        skew,
+    )
+}
+
+fn run_on(
+    spec: ClusterSpec,
+    body: &[CStmt],
+    catalog: &Catalog,
+    tier: Tier,
     (mode, threads): (ParallelismMode, usize),
     chaos: bool,
     skew: bool,
 ) -> Result<EngineRun, ExecError> {
-    let mut e = common::tiny_engine(Personality::sparrow())
+    let mut e = Engine::new(spec, Personality::sparrow())
         .with_parallelism_mode(mode)
         .with_worker_threads(Some(threads))
         // Fan out even over a few hundred rows.
@@ -267,10 +287,21 @@ fn run(
 /// same chaos and skew setting, and that outcome to `expect` (`None`: the
 /// program runs; `Some(msg)`: it raises that arithmetic error).
 fn check(name: &str, body: &[CStmt], catalog: &Catalog, expect: Option<&str>) {
+    check_on(ClusterSpec::tiny(), name, body, catalog, expect)
+}
+
+fn check_on(
+    spec: ClusterSpec,
+    name: &str,
+    body: &[CStmt],
+    catalog: &Catalog,
+    expect: Option<&str>,
+) {
+    let run = |tier, m, chaos, skew| run_on(spec, body, catalog, tier, m, chaos, skew);
     for chaos in [false, true] {
         for skew in [false, true] {
             let at = format!("{name} (chaos {chaos}, skew {skew})");
-            let reference = run(body, catalog, Tier::Interp, MATRIX[0], chaos, skew);
+            let reference = run(Tier::Interp, MATRIX[0], chaos, skew);
             match (&reference, expect) {
                 (Ok(_), None) => {}
                 (Err(ExecError::Eval(ValueError::Arithmetic(got))), Some(want)) => {
@@ -279,10 +310,7 @@ fn check(name: &str, body: &[CStmt], catalog: &Catalog, expect: Option<&str>) {
                 (other, _) => panic!("{at}: expected {expect:?}, got {:?}", other.as_ref().err()),
             }
             for tier in TIERS {
-                let runs: Vec<_> = MATRIX
-                    .iter()
-                    .map(|&m| run(body, catalog, tier, m, chaos, skew))
-                    .collect();
+                let runs: Vec<_> = MATRIX.iter().map(|&m| run(tier, m, chaos, skew)).collect();
                 for (r, m) in runs.iter().zip(MATRIX) {
                     let at = format!("{at}, {tier:?} on {m:?}");
                     match (r, &reference, &runs[0]) {
@@ -605,6 +633,122 @@ fn empty_partitions_and_an_all_empty_input() {
             .expect("runs")
             .stats;
         assert_eq!(stats.without_tier_telemetry(), stats, "{stats}");
+    }
+}
+
+/// The shuffle counts each destination, allocates it once and scatters the
+/// rows in source order. Inputs that scheme must survive: far fewer rows than
+/// destinations, no rows at all, source partitions a cache still holds (so
+/// they are copied, not drained), and hot buckets split both ways — with the
+/// order inside every destination still the source order.
+#[test]
+fn the_scatter_keeps_source_order_on_sparse_shared_and_split_inputs() {
+    let key = plain_key();
+    let wide = ClusterSpec::tiny().with_nodes(160);
+    assert_eq!(wide.dop(), 320);
+    let few: Vec<Value> = (0..3i64)
+        .map(|i| Value::tuple(vec![Value::Int(i % 2), Value::Int(i)]))
+        .collect();
+    let sparse = Catalog::new().with("l", few.clone()).with("r", few);
+    let body = all_consumers("l", "r", &key);
+    check_on(wide, "3 rows over 320", &body, &sparse, None);
+    let nothing = Catalog::new().with("l", vec![]).with("r", vec![]);
+    check_on(wide, "nothing over 320", &body, &nothing, None);
+
+    // One cached bag feeds every kind of shuffle — balanced splits under
+    // `Repartition` / `groupBy` / the join probe, key-preserving ones under
+    // `distinct` / `aggBy` — and is then written out itself.
+    let cached = || Box::new(Plan::RefBag { name: "c".into() });
+    let body = vec![
+        CStmt::Bind {
+            name: "c".into(),
+            kind: BindKind::Val,
+            value: CRValue::Bag(Plan::Cache { input: src("left") }),
+        },
+        write(
+            "placed",
+            Plan::Repartition {
+                input: cached(),
+                key: key.clone(),
+            },
+        ),
+        write(
+            "groups",
+            Plan::GroupBy {
+                input: cached(),
+                key: key.clone(),
+            },
+        ),
+        write(
+            "joined",
+            Plan::Join {
+                left: cached(),
+                right: src("right"),
+                lkey: key.clone(),
+                rkey: key.clone(),
+                residual: None,
+                kind: JoinKind::Inner,
+                strategy: JoinStrategy::Repartition,
+            },
+        ),
+        write("distinct", Plan::Distinct { input: cached() }),
+        write(
+            "agg",
+            Plan::AggBy {
+                input: cached(),
+                key: key.clone(),
+                fold: FoldOp::count(),
+            },
+        ),
+        snapshot("cached", "c"),
+    ];
+    let catalog = catalog(Scenario::Clean);
+    for spec in [ClusterSpec::tiny(), wide] {
+        check_on(
+            spec,
+            &format!("shared sources over {}", spec.dop()),
+            &body,
+            &catalog,
+            None,
+        );
+        for skew in [false, true] {
+            let run =
+                run_on(spec, &body, &catalog, Tier::Default, MATRIX[0], false, skew).expect("runs");
+            assert_eq!(run.stats.partitions_split > 0, skew, "{}", run.stats);
+            assert_eq!(
+                run.writes["cached"],
+                left_rows(Scenario::Clean),
+                "a shared source was drained"
+            );
+            // Sources are contiguous chunks of the input, so source order is
+            // `x.1` order: ascending per key wherever rows of a key meet (a
+            // join repeats a probe row once per match).
+            let ascending = |rows: &[Value], what: &str| {
+                let mut last = std::collections::HashMap::new();
+                for row in rows {
+                    let (k, i) = (
+                        row.field(0).unwrap().clone(),
+                        row.field(1).unwrap().as_int().unwrap(),
+                    );
+                    if let Some(prev) = last.insert(k, i) {
+                        assert!(
+                            prev <= i,
+                            "{what}, skew {skew}: row {i} landed behind row {prev}"
+                        );
+                    }
+                }
+            };
+            assert_eq!(run.writes["placed"].len(), LEFT_ROWS as usize);
+            ascending(&run.writes["placed"], "placed");
+            for group in &run.writes["groups"] {
+                ascending(group.field(1).unwrap().as_bag().unwrap(), "group");
+            }
+            let probes: Vec<Value> = run.writes["joined"]
+                .iter()
+                .map(|pair| pair.field(0).unwrap().clone())
+                .collect();
+            ascending(&probes, "join probe");
+        }
     }
 }
 

@@ -14,7 +14,9 @@
 //!    nested folds over broadcast bags); and
 //! 3. the driver-side evaluator for scalar control-flow expressions.
 
+use std::any::{Any, TypeId};
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::bag_expr::BagExpr;
 use crate::expr::{BinOp, BuiltinFn, FoldOp, Lambda, ScalarExpr, UnOp};
@@ -24,7 +26,41 @@ use crate::value::{Value, ValueError};
 /// Named input datasets (the storage layer the program `read`s from).
 #[derive(Clone, Debug, Default)]
 pub struct Catalog {
-    datasets: HashMap<String, Vec<Value>>,
+    datasets: HashMap<String, Dataset>,
+}
+
+/// What a reader built from a dataset's rows, by its type and the partition
+/// count it asked for.
+type Derived = HashMap<(TypeId, usize), Arc<dyn Any + Send + Sync>>;
+
+/// One dataset: its rows and what readers derived from them
+/// ([`Catalog::derived`]). Both go when the name is registered again.
+struct Dataset {
+    rows: Vec<Value>,
+    derived: Mutex<Derived>,
+}
+
+impl Dataset {
+    fn derived(&self) -> MutexGuard<'_, Derived> {
+        // Entries are inserted whole, so the map is valid whatever panicked.
+        self.derived.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Clone for Dataset {
+    /// Equal rows: what was derived from them stays shared.
+    fn clone(&self) -> Self {
+        Dataset {
+            rows: self.rows.clone(),
+            derived: Mutex::new(self.derived().clone()),
+        }
+    }
+}
+
+impl std::fmt::Debug for Dataset {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.rows.fmt(f)
+    }
 }
 
 impl Catalog {
@@ -35,21 +71,47 @@ impl Catalog {
 
     /// Registers a dataset under `name` (replacing any previous one).
     pub fn insert(&mut self, name: impl Into<String>, rows: Vec<Value>) -> &mut Self {
-        self.datasets.insert(name.into(), rows);
+        let derived = Mutex::default();
+        self.datasets.insert(name.into(), Dataset { rows, derived });
         self
     }
 
     /// Builder-style registration.
     pub fn with(mut self, name: impl Into<String>, rows: Vec<Value>) -> Self {
-        self.datasets.insert(name.into(), rows);
+        self.insert(name, rows);
         self
     }
 
     /// Looks up a dataset.
     pub fn get(&self, name: &str) -> Result<&Vec<Value>, ValueError> {
+        self.dataset(name).map(|d| &d.rows)
+    }
+
+    fn dataset(&self, name: &str) -> Result<&Dataset, ValueError> {
         self.datasets
             .get(name)
             .ok_or_else(|| ValueError::Unknown(format!("dataset `{name}`")))
+    }
+
+    /// What a reader derives from dataset `name` for `parts` partitions — an
+    /// engine's physical layout of it, say: built from the rows by the first
+    /// caller that asks for this `T` and `parts`, shared by every later one,
+    /// and dropped when [`insert`](Self::insert) replaces the name. Callers
+    /// asking at once wait for the one that builds.
+    pub fn derived<T: Any + Send + Sync>(
+        &self,
+        name: &str,
+        parts: usize,
+        build: impl FnOnce(&[Value]) -> T,
+    ) -> Result<Arc<T>, ValueError> {
+        let dataset = self.dataset(name)?;
+        let entry = Arc::clone(
+            dataset
+                .derived()
+                .entry((TypeId::of::<T>(), parts))
+                .or_insert_with(|| Arc::new(build(&dataset.rows))),
+        );
+        Ok(entry.downcast().expect("keyed by the type it holds"))
     }
 
     /// Names of all registered datasets.

@@ -4,13 +4,21 @@
 //! *partitioning metadata* — if the rows were hash-distributed by some key,
 //! the key is remembered so later operators (joins, aggregations, and the
 //! partition-pulling optimization) can skip redundant shuffles.
+//!
+//! A partition ([`Part`]) knows its bytes: the cost model charges shuffles,
+//! broadcasts, cache and storage traffic in serialized bytes, and a
+//! partition's rows are walked for them at most once — by whoever asks
+//! first, for every holder — and the widths travel with the rows through a
+//! shuffle, so its destinations are born measured.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
 use emma_compiler::expr::Lambda;
-use emma_compiler::value::Value;
+use emma_compiler::interp::Catalog;
+use emma_compiler::value::{Value, ValueError};
 
 /// Hash partitioning metadata.
 #[derive(Clone, Debug)]
@@ -28,11 +36,154 @@ impl Partitioning {
     }
 }
 
+/// Serialized width of one row: the only call of [`Value::approx_bytes`] on
+/// partition rows outside the fused pipeline's byte-weighted stages.
+fn width(row: &Value) -> u64 {
+    row.approx_bytes()
+}
+
+/// The stored width of a row too wide for `u32`: its true width is taken
+/// from the row again wherever a sum needs it.
+const WIDE: u32 = u32::MAX;
+
+/// The serialized width of each row of a partition, and their sum.
+#[derive(Clone, Debug, Default)]
+struct Widths {
+    per_row: Vec<u32>,
+    total: u64,
+}
+
+impl Widths {
+    /// The one walk of a partition's rows.
+    fn of(rows: &[Value]) -> Self {
+        #[cfg(test)]
+        tests::WALKS.with(|n| n.set(n.get() + 1));
+        let mut widths = Widths {
+            per_row: Vec::with_capacity(rows.len()),
+            total: 0,
+        };
+        for row in rows {
+            let w = width(row);
+            widths.per_row.push(u32::try_from(w).unwrap_or(WIDE));
+            widths.total += w;
+        }
+        widths
+    }
+}
+
+#[derive(Clone, Debug, Default)]
+struct Block {
+    rows: Vec<Value>,
+    widths: OnceLock<Widths>,
+}
+
+/// One partition: shared, immutable rows (it derefs to `[Value]`) and — once
+/// anyone has asked — their serialized widths. Clones share both, so a
+/// partition a cache, a thunk memo and a consumer all hold is measured once.
+#[derive(Clone, Debug, Default)]
+pub struct Part(Arc<Block>);
+
+impl From<Vec<Value>> for Part {
+    fn from(rows: Vec<Value>) -> Self {
+        Part(Arc::new(Block {
+            rows,
+            widths: OnceLock::new(),
+        }))
+    }
+}
+
+impl Deref for Part {
+    type Target = [Value];
+
+    fn deref(&self) -> &[Value] {
+        &self.0.rows
+    }
+}
+
+impl Part {
+    fn widths(&self) -> &Widths {
+        self.0.widths.get_or_init(|| Widths::of(&self.0.rows))
+    }
+
+    /// Approximate serialized bytes of the rows: walks them if no holder of
+    /// this partition has before.
+    pub fn bytes(&self) -> u64 {
+        self.widths().total
+    }
+
+    /// The rows: moved out if this is the last holder, copied otherwise.
+    pub fn into_rows(self) -> Vec<Value> {
+        Arc::try_unwrap(self.0).map_or_else(|shared| shared.rows.clone(), |block| block.rows)
+    }
+
+    /// The rows and their widths, to be scattered ([`Measured::drain`]):
+    /// moved out if this is the last holder, copied otherwise.
+    pub(crate) fn into_measured(self) -> Measured {
+        let Block { rows, widths } = Arc::unwrap_or_clone(self.0);
+        let widths = widths.into_inner().unwrap_or_else(|| Widths::of(&rows));
+        Measured { rows, widths }
+    }
+}
+
+/// A partition under construction whose rows arrive with their widths — a
+/// shuffle destination — or one taken apart to be scattered.
+#[derive(Default)]
+pub(crate) struct Measured {
+    rows: Vec<Value>,
+    widths: Widths,
+}
+
+impl Measured {
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        Measured {
+            rows: Vec::with_capacity(n),
+            widths: Widths {
+                per_row: Vec::with_capacity(n),
+                total: 0,
+            },
+        }
+    }
+
+    /// Appends a row with the stored width [`Measured::drain`] gave for it.
+    pub(crate) fn push(&mut self, row: Value, w: u32) {
+        self.widths.total += if w == WIDE { width(&row) } else { u64::from(w) };
+        self.widths.per_row.push(w);
+        self.rows.push(row);
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// The rows in order, each with its stored width.
+    pub(crate) fn drain(self) -> impl Iterator<Item = (Value, u32)> {
+        self.rows.into_iter().zip(self.widths.per_row)
+    }
+
+    /// The partition, born measured.
+    pub(crate) fn finish(self) -> Part {
+        debug_assert_eq!(self.widths.total, self.rows.iter().map(width).sum::<u64>());
+        Part(Arc::new(Block {
+            rows: self.rows,
+            widths: OnceLock::from(self.widths),
+        }))
+    }
+}
+
+impl FromIterator<(Value, u32)> for Measured {
+    fn from_iter<I: IntoIterator<Item = (Value, u32)>>(rows: I) -> Self {
+        let rows = rows.into_iter();
+        let mut measured = Measured::with_capacity(rows.size_hint().0);
+        rows.for_each(|(row, w)| measured.push(row, w));
+        measured
+    }
+}
+
 /// A distributed bag: rows split across partitions.
 #[derive(Clone, Debug, Default)]
 pub struct Partitioned {
     /// The partitions (cheaply clonable).
-    pub parts: Vec<Arc<Vec<Value>>>,
+    pub parts: Vec<Part>,
     /// Hash-partitioning metadata, if the layout is known.
     pub partitioning: Option<Partitioning>,
 }
@@ -45,25 +196,43 @@ pub fn value_hash(v: &Value) -> u64 {
 }
 
 impl Partitioned {
-    /// Splits rows round-robin into `n` partitions (block layout — no
-    /// partitioning metadata).
+    /// Splits rows into `n` contiguous blocks of `⌈len / n⌉` rows (block
+    /// layout — no partitioning metadata).
     pub fn from_rows(rows: Vec<Value>, n: usize) -> Self {
         let n = n.max(1);
-        let mut parts: Vec<Vec<Value>> = (0..n).map(|_| Vec::new()).collect();
         let chunk = rows.len().div_ceil(n).max(1);
-        for (i, row) in rows.into_iter().enumerate() {
-            parts[(i / chunk).min(n - 1)].push(row);
-        }
+        let mut rows = rows.into_iter();
+        let parts = (0..n)
+            .map(|_| {
+                let mut block = Vec::with_capacity(chunk.min(rows.len()));
+                block.extend(rows.by_ref().take(chunk));
+                block.into()
+            })
+            .collect();
         Partitioned {
-            parts: parts.into_iter().map(Arc::new).collect(),
+            parts,
             partitioning: None,
         }
     }
 
-    /// A single empty partition.
+    /// Dataset `name` in the block layout of [`Partitioned::from_rows`],
+    /// measured. The catalog keeps what is built here until the name is
+    /// replaced, so every later read of the dataset at this partition count
+    /// — the next run's `Source`, a scan from inside a UDF — shares the
+    /// blocks and their bytes in O(partitions).
+    pub(crate) fn of_dataset(catalog: &Catalog, name: &str, n: usize) -> Result<Self, ValueError> {
+        let blocks = catalog.derived(name, n, |rows| {
+            let d = Partitioned::from_rows(rows.to_vec(), n);
+            d.total_bytes();
+            d
+        })?;
+        Ok(Partitioned::clone(&blocks))
+    }
+
+    /// `n` empty partitions.
     pub fn empty(n: usize) -> Self {
         Partitioned {
-            parts: (0..n.max(1)).map(|_| Arc::new(Vec::new())).collect(),
+            parts: (0..n.max(1)).map(|_| Part::default()).collect(),
             partitioning: None,
         }
     }
@@ -78,11 +247,9 @@ impl Partitioned {
         self.parts.iter().map(|p| p.len() as u64).sum()
     }
 
-    /// Approximate serialized bytes of each partition: one walk of the rows.
+    /// Approximate serialized bytes of each partition ([`Part::bytes`]).
     pub(crate) fn part_bytes(&self) -> impl Iterator<Item = u64> + '_ {
-        self.parts
-            .iter()
-            .map(|p| p.iter().map(Value::approx_bytes).sum())
+        self.parts.iter().map(Part::bytes)
     }
 
     /// Total approximate serialized bytes.
@@ -114,9 +281,23 @@ impl Partitioned {
 mod tests {
     use super::*;
     use emma_compiler::expr::ScalarExpr;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Walks of a partition's rows ([`Widths::of`]) made by this thread.
+        pub(super) static WALKS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    fn walks() -> usize {
+        WALKS.with(Cell::get)
+    }
 
     fn ints(n: i64) -> Vec<Value> {
         (0..n).map(Value::Int).collect()
+    }
+
+    fn fresh_walk(rows: &[Value]) -> u64 {
+        rows.iter().map(Value::approx_bytes).sum()
     }
 
     #[test]
@@ -124,9 +305,22 @@ mod tests {
         let p = Partitioned::from_rows(ints(10), 3);
         assert_eq!(p.num_parts(), 3);
         assert_eq!(p.total_rows(), 10);
-        let mut all = p.collect_rows();
-        all.sort();
-        assert_eq!(all, ints(10));
+        assert_eq!(p.collect_rows(), ints(10));
+    }
+
+    #[test]
+    fn from_rows_cuts_contiguous_blocks_sized_exactly() {
+        let lens = |d: &Partitioned| d.parts.iter().map(|p| p.len()).collect::<Vec<_>>();
+        assert_eq!(lens(&Partitioned::from_rows(ints(10), 3)), [4, 4, 2]);
+        assert_eq!(lens(&Partitioned::from_rows(ints(9), 3)), [3, 3, 3]);
+        assert_eq!(lens(&Partitioned::from_rows(ints(0), 2)), [0, 0]);
+        assert_eq!(lens(&Partitioned::from_rows(ints(5), 0)), [5]);
+        let sparse = Partitioned::from_rows(ints(3), 320);
+        assert_eq!(sparse.num_parts(), 320);
+        assert_eq!(lens(&sparse)[..4], [1, 1, 1, 0]);
+        for block in &Partitioned::from_rows(ints(1000), 7).parts {
+            assert_eq!(block.0.rows.capacity(), block.len());
+        }
     }
 
     #[test]
@@ -134,6 +328,7 @@ mod tests {
         let p = Partitioned::empty(4);
         assert_eq!(p.num_parts(), 4);
         assert_eq!(p.total_rows(), 0);
+        assert_eq!(p.total_bytes(), 0);
     }
 
     #[test]
@@ -148,9 +343,104 @@ mod tests {
     }
 
     #[test]
-    fn byte_accounting_is_positive() {
+    fn byte_accounting_is_a_walk_of_the_rows() {
         let p = Partitioned::from_rows(ints(100), 4);
-        assert!(p.total_bytes() >= 800);
-        assert!(p.max_part_bytes() <= p.total_bytes());
+        assert_eq!(p.total_bytes(), 800);
+        assert_eq!(p.max_part_bytes(), 200);
+    }
+
+    #[test]
+    fn a_part_held_by_two_owners_is_measured_once() {
+        let cached = Partitioned::from_rows(ints(100), 4);
+        let consumer = cached.clone();
+        let before = walks();
+        assert_eq!(cached.total_bytes(), 800);
+        assert_eq!(walks() - before, 4, "one walk per partition");
+        assert_eq!(consumer.total_bytes(), 800);
+        assert_eq!(consumer.max_part_bytes(), 200);
+        assert_eq!(cached.total_bytes(), 800);
+        assert_eq!(walks() - before, 4, "a second holder walked again");
+    }
+
+    #[test]
+    fn a_row_wider_than_the_width_type_does_not_wrap() {
+        // 8200 references to one 64 Ki-float vector: cheap to measure.
+        let wide = Value::bag(vec![Value::vector(vec![0.0; 1 << 16]); 8200]);
+        assert!(wide.approx_bytes() > u64::from(u32::MAX));
+        let rows = vec![Value::Int(1), wide, Value::str("abc")];
+        let want = fresh_walk(&rows);
+        let part = Part::from(rows);
+        assert_eq!(part.bytes(), want);
+        // ... nor when its width is carried through a scatter.
+        let mut dest = Measured::default();
+        for (row, w) in part.into_measured().drain() {
+            dest.push(row, w);
+        }
+        assert_eq!(dest.finish().bytes(), want);
+    }
+
+    #[test]
+    fn scattered_partitions_are_born_measured_from_either_kind_of_source() {
+        let rows = vec![
+            Value::Int(1),
+            Value::str("abc"),
+            Value::Null,
+            Value::bag(ints(9)),
+        ];
+        let owned = Part::from(rows.clone());
+        let shared = Part::from(rows.clone());
+        let holder = shared.clone();
+        shared.bytes();
+        let before = walks();
+        // An unmeasured source is walked once, a measured one not at all;
+        // neither destination ever is.
+        let mut dests = [Measured::default(), Measured::default()];
+        for source in [owned, shared] {
+            for (i, (row, w)) in source.into_measured().drain().enumerate() {
+                dests[i % 2].push(row, w);
+            }
+        }
+        for (i, dest) in dests.into_iter().enumerate() {
+            let dest = dest.finish();
+            assert_eq!(dest.len(), 4);
+            assert_eq!(dest.bytes(), fresh_walk(&dest), "destination {i}");
+        }
+        assert_eq!(walks() - before, 1);
+        assert_eq!(&*holder, &rows[..], "a shared source was drained");
+    }
+
+    #[test]
+    fn into_rows_moves_from_the_last_holder_and_copies_otherwise() {
+        let part = Part::from(ints(3));
+        let holder = part.clone();
+        assert_eq!(part.into_rows(), ints(3));
+        assert_eq!(&*holder, &ints(3)[..]);
+        assert_eq!(holder.into_rows(), ints(3));
+    }
+
+    #[test]
+    fn the_catalog_keeps_a_dataset_s_blocks_until_the_name_is_replaced() {
+        let mut catalog = Catalog::new().with("xs", ints(100));
+        let before = walks();
+        let first = Partitioned::of_dataset(&catalog, "xs", 4).unwrap();
+        assert_eq!(walks() - before, 4);
+        let second = Partitioned::of_dataset(&catalog, "xs", 4).unwrap();
+        assert_eq!((first.total_bytes(), second.total_bytes()), (800, 800));
+        assert_eq!(walks() - before, 4, "the second read walked the rows");
+        for (a, b) in first.parts.iter().zip(&second.parts) {
+            assert!(Arc::ptr_eq(&a.0, &b.0), "the second read copied a block");
+        }
+        // Another partition count is another layout.
+        let other = Partitioned::of_dataset(&catalog, "xs", 5).unwrap();
+        assert_eq!((other.num_parts(), other.total_bytes()), (5, 800));
+        // A clone of the catalog holds equal rows, so it shares the blocks.
+        let cloned = Partitioned::of_dataset(&catalog.clone(), "xs", 4).unwrap();
+        assert!(Arc::ptr_eq(&cloned.parts[0].0, &first.parts[0].0));
+
+        catalog.insert("xs", ints(10));
+        let replaced = Partitioned::of_dataset(&catalog, "xs", 4).unwrap();
+        assert_eq!(replaced.collect_rows(), ints(10));
+        assert_eq!(replaced.total_bytes(), 80);
+        assert!(Partitioned::of_dataset(&catalog, "ys", 4).is_err());
     }
 }

@@ -30,7 +30,7 @@ use emma_compiler::vectorized::{
 use emma_compiler::plan::PipelineStage;
 
 use crate::cluster::{ClusterSpec, Personality};
-use crate::dataset::{value_hash, Partitioned, Partitioning};
+use crate::dataset::{value_hash, Measured, Part, Partitioned, Partitioning};
 use crate::fault::{self, CheckpointConfig, FaultConfig, SpeculationPolicy, TaskError, TaskFault};
 use crate::metrics::{ExecError, ExecStats};
 use crate::ordmap::InsertionMap;
@@ -99,11 +99,11 @@ struct EngineState {
 
 impl EngineState {
     fn snapshot(&self, key: &Lambda) -> Partitioned {
-        let parts: Vec<Arc<Vec<Value>>> = self
+        let parts: Vec<Part> = self
             .parts
             .iter()
             .map(|(order, entries)| {
-                Arc::new(order.iter().map(|k| entries[k].clone()).collect::<Vec<_>>())
+                Part::from(order.iter().map(|k| entries[k].clone()).collect::<Vec<_>>())
             })
             .collect();
         let n = parts.len();
@@ -1157,7 +1157,7 @@ impl<'a> Session<'a> {
     fn try_vectorize(
         &mut self,
         specs: Option<&[VecStageSpec<'_>]>,
-        parts: &[Arc<Vec<Value>>],
+        parts: &[Part],
     ) -> Option<(VectorPipeline, usize)> {
         let cfg = self.vectorized?;
         let samples = sample_rows(parts)?;
@@ -1199,7 +1199,7 @@ impl<'a> Session<'a> {
         &mut self,
         input: Option<AggInput<'_>>,
         uni: &PreparedScalar<'_>,
-        parts: &[Arc<Vec<Value>>],
+        parts: &[Part],
     ) -> Option<(AggKernel, usize)> {
         let cfg = self.vectorized?;
         let samples = sample_rows(parts)?;
@@ -1414,7 +1414,7 @@ impl<'a> Session<'a> {
                 self.tally(tally);
                 self.charge_cpu(processed, processed / self.dop().max(1) as u64);
                 let delta_data = Partitioned {
-                    parts: delta_parts.into_iter().map(Arc::new).collect(),
+                    parts: delta_parts.into_iter().map(Part::from).collect(),
                     partitioning: delta_partitioning,
                 };
                 // Bind the delta as an already-materialized bag. The plan is
@@ -1528,8 +1528,8 @@ impl<'a> Session<'a> {
         let spec = *self.spec();
         match plan {
             Plan::Source { name } => {
-                let rows = self.catalog.get(name).map_err(ExecError::Eval)?.clone();
-                let d = Partitioned::from_rows(rows, self.dop());
+                let d = Partitioned::of_dataset(self.catalog, name, self.dop())
+                    .map_err(ExecError::Eval)?;
                 let bytes = d.total_bytes();
                 self.stats.bytes_read_storage += bytes;
                 self.stats.stages += 1;
@@ -1615,10 +1615,13 @@ impl<'a> Session<'a> {
                             tally,
                         )
                     })?;
-                let partial_bytes: u64 = partials.iter().map(Value::approx_bytes).sum();
+                // The partials are one more partition: the one shipped to the
+                // driver.
+                let partials = Part::from(partials);
+                let partial_bytes = partials.bytes();
                 let mut acc = zero;
                 let mut ucx = uni_prep.ctx(&base);
-                for p in partials {
+                for p in partials.into_rows() {
                     acc = uni_prep
                         .call_owned([acc, p], &mut ucx, self.catalog)
                         .map_err(ExecError::Eval)?;
@@ -1676,7 +1679,7 @@ impl<'a> Session<'a> {
                         }
                     }
                     produced += out.len() as u64;
-                    parts.push(Arc::new(out));
+                    parts.push(out.into());
                 }
                 self.stats.stages += 1;
                 self.stats.charge_secs(self.personality().stage_overhead);
@@ -1699,7 +1702,7 @@ impl<'a> Session<'a> {
                 for (pi, part) in keyed.data.parts.iter().enumerate() {
                     let keys = keyed.keys(pi, self.catalog, &mut tally);
                     let groups = FirstSeen::of_rows(part, &keys).map_err(ExecError::Eval)?;
-                    parts.push(Arc::new(groups.into_rows()));
+                    parts.push(groups.into_rows().into());
                 }
                 self.tally(tally);
                 let shuffled = &keyed.data;
@@ -1751,7 +1754,7 @@ impl<'a> Session<'a> {
                         })
                         .cloned()
                         .collect();
-                    parts.push(Arc::new(out));
+                    parts.push(out.into());
                 }
                 self.stats.stages += 1;
                 self.stats.charge_secs(self.personality().stage_overhead);
@@ -1776,7 +1779,7 @@ impl<'a> Session<'a> {
                         .filter(|v| seen.insert((*v).clone()))
                         .cloned()
                         .collect();
-                    parts.push(Arc::new(out));
+                    parts.push(out.into());
                 }
                 self.stats.stages += 1;
                 self.stats.charge_secs(self.personality().stage_overhead);
@@ -1925,7 +1928,7 @@ impl<'a> Session<'a> {
                 counts_max[i] = counts_max[i].max(counts[i]);
                 bytes_max[i] = bytes_max[i].max(bytes[i]);
             }
-            parts.push(Arc::new(rows));
+            parts.push(rows.into());
         }
         // Issue each stage's charges from its (now known) input sizes, on
         // the driver, in one order whatever the chain length: record-weighted
@@ -1997,13 +2000,11 @@ impl<'a> Session<'a> {
         let r = self.exec_bag(right, env)?;
         let base = self.eval_base_for_lambdas(residual.as_slice(), env)?;
 
-        // Just-in-time strategy resolution from actual input sizes; the
-        // right side is walked for its bytes at most once.
-        let r_bytes = std::cell::OnceCell::new();
-        let r_bytes = || *r_bytes.get_or_init(|| r.total_bytes());
+        // Just-in-time strategy resolution from actual input sizes. What
+        // this measures of the right side, its shuffle then carries.
         let strategy = match strategy {
             JoinStrategy::Auto => {
-                if r_bytes() <= self.spec().broadcast_threshold {
+                if r.total_bytes() <= self.spec().broadcast_threshold {
                     JoinStrategy::Broadcast
                 } else {
                     JoinStrategy::Repartition
@@ -2019,11 +2020,11 @@ impl<'a> Session<'a> {
             JoinStrategy::Broadcast => {
                 // Ship the entire right side to every node, as one build
                 // partition every probe task reads; left stays put.
-                self.stats
-                    .charge_secs(r_bytes() as f64 / self.spec().net_bw);
-                self.charge_broadcast(r_bytes());
+                let r_bytes = r.total_bytes();
+                self.stats.charge_secs(r_bytes as f64 / self.spec().net_bw);
+                self.charge_broadcast(r_bytes);
                 let whole = Partitioned {
-                    parts: vec![Arc::new(r.collect_rows())],
+                    parts: vec![r.collect_rows().into()],
                     partitioning: None,
                 };
                 (
@@ -2042,14 +2043,10 @@ impl<'a> Session<'a> {
                     // Each extra probe sub-partition re-reads its bucket's
                     // build partition from the shuffle output: charge the
                     // replicated bytes like the network motion they are.
-                    let mut extra = 0u64;
-                    for (b, &w) in sp.ways.iter().enumerate() {
-                        if w > 1 {
-                            let bytes: u64 =
-                                build.data.parts[b].iter().map(Value::approx_bytes).sum();
-                            extra += bytes * (w as u64 - 1);
-                        }
-                    }
+                    let extra: u64 = (sp.ways.iter().zip(&build.data.parts))
+                        .filter(|(&w, _)| w > 1)
+                        .map(|(&w, part)| part.bytes() * (w as u64 - 1))
+                        .sum();
                     if extra > 0 {
                         let spec = *self.spec();
                         self.stats.bytes_shuffled += extra;
@@ -2140,7 +2137,7 @@ impl<'a> Session<'a> {
         let partitioning = (kind != JoinKind::Inner)
             .then(|| lwork.partitioning.clone())
             .flatten();
-        let parts = outs.into_iter().map(Arc::new).collect();
+        let parts = outs.into_iter().map(Part::from).collect();
         Ok(PlanResult::Bag(Partitioned {
             parts,
             partitioning,
@@ -2184,15 +2181,9 @@ impl<'a> Session<'a> {
                 continue;
             }
             let off = plan.offsets[b];
-            let bytes: u64 = (1..w)
-                .map(|j| {
-                    shuffled.parts[off + j]
-                        .iter()
-                        .map(Value::approx_bytes)
-                        .sum::<u64>()
-                })
-                .sum();
-            let rows: u64 = (1..w).map(|j| shuffled.parts[off + j].len() as u64).sum();
+            let moved = &shuffled.parts[off + 1..off + w];
+            let bytes: u64 = moved.iter().map(Part::bytes).sum();
+            let rows: u64 = moved.iter().map(|p| p.len() as u64).sum();
             moved_bytes += bytes;
             moved_rows += rows;
             max_receiver = max_receiver.max(bytes);
@@ -2217,7 +2208,7 @@ impl<'a> Session<'a> {
                     merged.group(&k).append(&mut run);
                 }
             }
-            parts.push(Arc::new(merged.into_rows()));
+            parts.push(merged.into_rows().into());
         }
         // The merge appends pre-grouped run vectors — no key UDF, no per-row
         // hashing — so it carries the memcpy-class minimum record weight,
@@ -2277,7 +2268,7 @@ impl<'a> Session<'a> {
         let partial_lists = self.run_tasks(true, d.parts.len(), d.total_rows(), |pi, tally| {
             let part = &d.parts[pi];
             let (groups, covered) = agg_kernel_prefix(agg_vec.as_ref(), part, tally);
-            let partials: (Vec<Value>, Vec<u64>) = if covered == part.len() {
+            let (partials, hashes): (Vec<Value>, Vec<u64>) = if covered == part.len() {
                 groups
                     .into_iter()
                     .map(|(k, acc)| {
@@ -2304,7 +2295,10 @@ impl<'a> Session<'a> {
                     .map(|(k, (h, acc))| (Value::tuple(vec![k, acc]), h))
                     .unzip()
             };
-            Ok(partials)
+            // Measured here, by the task that just built them.
+            let partials = Part::from(partials);
+            partials.bytes();
+            Ok((partials, hashes))
         })?;
         self.charge_cpu_weighted(
             d.total_rows(),
@@ -2345,7 +2339,7 @@ impl<'a> Session<'a> {
         let cells: Vec<Mutex<Option<Vec<Value>>>> = shuffled
             .parts
             .into_iter()
-            .map(|p| Mutex::new(Some(Arc::try_unwrap(p).unwrap_or_else(|p| p.to_vec()))))
+            .map(|p| Mutex::new(Some(p.into_rows())))
             .collect();
         let merged_lists = self.run_tasks(true, merge_parts, merge_rows, |pi, tally| {
             let rows = cells[pi]
@@ -2381,7 +2375,7 @@ impl<'a> Session<'a> {
                     .map(|(k, acc)| Value::tuple(vec![k, acc]))
                     .collect()
             };
-            Ok(Arc::new(merged))
+            Ok(Part::from(merged))
         })?;
         self.charge_cpu(merge_rows, merge_max_rows);
         self.stats.stages += 1;
@@ -2496,11 +2490,13 @@ impl<'a> Session<'a> {
         // regardless of skew (sort runs / hash spill files).
         let spec = *self.spec();
         let passes = self.personality().group_materialize_passes;
-        self.stats.charge_secs(
-            shuffled.total_bytes() as f64 * passes / (spec.disk_bw * spec.nodes as f64),
-        );
+        let (total, max_bytes) = shuffled
+            .part_bytes()
+            .fold((0, 0), |(total, max), b| (total + b, max.max(b)));
+        self.stats
+            .charge_secs(total as f64 * passes / (spec.disk_bw * spec.nodes as f64));
         let mem = self.spec().mem_per_worker as f64;
-        let max_bytes = shuffled.max_part_bytes() as f64;
+        let max_bytes = max_bytes as f64;
         if max_bytes > mem {
             let ratio = max_bytes / mem;
             let over = max_bytes - mem;
@@ -2567,12 +2563,9 @@ impl<'a> Session<'a> {
     /// A layout that already satisfies the placement is handed back as it
     /// is, with the evaluator for the consumer to run. Otherwise rows move:
     /// one bucketing task per source partition evaluates its keys, raising
-    /// the first key error, and routes each row with its `(hash, key)` pair.
-    /// Uniquely-owned input partitions are drained in place, so only shared
-    /// inputs — cached thunk results still referenced elsewhere — pay a
-    /// per-row clone. A retried task never double-drains an owned source:
-    /// an injected failure skips the task body, so the drain happens once,
-    /// on the first attempt that executes.
+    /// the first key error, and — unless a holder of the partition already
+    /// has — measures the rows it has just read; [`Session::land`] then
+    /// routes each row with its `(hash, key)` pair and its width.
     fn keyed<'p>(
         &mut self,
         d: Partitioned,
@@ -2595,31 +2588,21 @@ impl<'a> Session<'a> {
                 })
             }
         };
-        let total_rows = d.total_rows();
-        enum Source {
-            Owned(Mutex<Option<Vec<Value>>>),
-            Shared(Arc<Vec<Value>>),
-        }
-        let sources: Vec<Source> = d
-            .parts
-            .into_iter()
-            .map(|p| match Arc::try_unwrap(p) {
-                Ok(rows) => Source::Owned(Mutex::new(Some(rows))),
-                Err(shared) => Source::Shared(shared),
-            })
-            .collect();
         let catalog = self.catalog;
-        let routed = self.run_tasks(true, sources.len(), total_rows, |pi, tally| {
-            let rows: Vec<Value> = match &sources[pi] {
-                Source::Owned(cell) => cell.lock().unwrap().take().expect("partition drained once"),
-                Source::Shared(part) => part.to_vec(),
-            };
-            let keys = eval.keys(&rows, catalog, tally);
+        let keys = self.run_tasks(true, d.parts.len(), d.total_rows(), |pi, tally| {
+            let part = &d.parts[pi];
+            let keys = eval.keys(part, catalog, tally);
             match keys.err {
                 Some(e) => Err(e),
-                None => Ok((rows, keys.keys.into_owned())),
+                None => {
+                    // Measured while the key pass has it in cache, unless a
+                    // holder already did.
+                    part.bytes();
+                    Ok(keys.keys.into_owned())
+                }
             }
         })?;
+        let routed = d.parts.into_iter().zip(keys).collect();
         let (data, keys, split) = self.land(routed, key.clone(), split);
         Ok(Keyed {
             data,
@@ -2630,12 +2613,15 @@ impl<'a> Session<'a> {
 
     /// The routing half of every shuffle, generic over what rides next to
     /// each row (the `(hash, key)` pair of a keyed shuffle, the bare hash of
-    /// an `aggBy` partial). `sources` holds each source task's rows and what
-    /// rode with them, row-aligned: destinations (`hash % dop`) are counted,
-    /// allocated once at their exact size, and filled by one scatter in
-    /// source order — so a destination holds source 0's rows for it, then
+    /// an `aggBy` partial). `sources` holds each source partition and what
+    /// rides with its rows, row-aligned: destinations (`hash % dop`) are
+    /// counted, allocated once at their exact size, and filled by one scatter
+    /// in source order — so a destination holds source 0's rows for it, then
     /// source 1's, each in row order: the order a serial loop produces, and
     /// the one `apply_split`, the groupBy merge and the join probe rely on.
+    /// Each row's width is scattered with it, so every destination is born
+    /// measured and no charge below walks a row. A source no one else holds
+    /// is drained; one a cache still references pays a per-row clone.
     /// Hot buckets are then split if `split` names a flavor and the engine
     /// has a [`SkewConfig`] (the returned [`SplitPlan`] says which
     /// sub-partitions belong to which bucket), and the shuffle is charged on
@@ -2644,7 +2630,7 @@ impl<'a> Session<'a> {
     /// two-level-hashed, it must never satisfy a plain partitioning request.
     fn land<S: KeyHash>(
         &mut self,
-        sources: Vec<(Vec<Value>, Vec<S>)>,
+        sources: Vec<(Part, Vec<S>)>,
         key: Lambda,
         split: Option<SplitKind>,
     ) -> (Partitioned, Vec<Vec<S>>, Option<SplitPlan>) {
@@ -2654,20 +2640,20 @@ impl<'a> Session<'a> {
         for s in sources.iter().flat_map(|(_, side)| side) {
             sizes[dest(s)] += 1;
         }
-        let mut buckets: Vec<Vec<Value>> = sizes
+        let mut buckets: Vec<Measured> = sizes
             .iter()
-            .map(|&n| Vec::with_capacity(n as usize))
+            .map(|&n| Measured::with_capacity(n as usize))
             .collect();
         let mut side: Vec<Vec<S>> = sizes
             .iter()
             .map(|&n| Vec::with_capacity(n as usize))
             .collect();
-        for (row, s) in sources
+        for ((row, w), s) in sources
             .into_iter()
-            .flat_map(|(rows, side)| rows.into_iter().zip(side))
+            .flat_map(|(part, side)| part.into_measured().drain().zip(side))
         {
             let b = dest(&s);
-            buckets[b].push(row);
+            buckets[b].push(row, w);
             side[b].push(s);
         }
         let plan = self.plan_bucket_splits(split, &sizes);
@@ -2685,7 +2671,7 @@ impl<'a> Session<'a> {
             }),
         };
         let out = Partitioned {
-            parts: buckets.into_iter().map(Arc::new).collect(),
+            parts: buckets.into_iter().map(Measured::finish).collect(),
             partitioning,
         };
         self.charge_shuffle(&out);
@@ -2696,8 +2682,8 @@ impl<'a> Session<'a> {
     fn charge_shuffle(&mut self, out: &Partitioned) {
         let spec = *self.spec();
         let parts_n = out.parts.len();
-        // One walk of the rows: total and per-node maximum both come from
-        // the per-partition sums. Consecutive runs of `cores_per_node`
+        // Total and per-node maximum both come from the per-partition sums
+        // the scatter carried. Consecutive runs of `cores_per_node`
         // partitions share a node, and networks are per node.
         let part_bytes: Vec<u64> = out.part_bytes().collect();
         let total: u64 = part_bytes.iter().sum();
@@ -2883,27 +2869,29 @@ impl<'a> Session<'a> {
 
     fn charge_cache_read(&mut self, d: &Partitioned) {
         let spec = *self.spec();
+        let bytes = d.total_bytes();
         if self.personality().in_memory_cache {
             // Memory-speed re-scan: an order of magnitude above disk.
             self.stats
-                .charge_secs(d.total_bytes() as f64 / (spec.disk_bw * spec.nodes as f64 * 10.0));
+                .charge_secs(bytes as f64 / (spec.disk_bw * spec.nodes as f64 * 10.0));
         } else {
             // HDFS-backed cache: pay the full storage read.
-            self.stats.bytes_read_storage += d.total_bytes();
+            self.stats.bytes_read_storage += bytes;
             self.stats
-                .charge_secs(d.total_bytes() as f64 / (spec.disk_bw * spec.nodes as f64));
+                .charge_secs(bytes as f64 / (spec.disk_bw * spec.nodes as f64));
         }
     }
 
     fn charge_cache_write(&mut self, d: &Partitioned) {
         let spec = *self.spec();
+        let bytes = d.total_bytes();
         if self.personality().in_memory_cache {
             self.stats
-                .charge_secs(d.total_bytes() as f64 / (spec.disk_bw * spec.nodes as f64 * 10.0));
+                .charge_secs(bytes as f64 / (spec.disk_bw * spec.nodes as f64 * 10.0));
         } else {
-            self.stats.bytes_written_storage += d.total_bytes();
+            self.stats.bytes_written_storage += bytes;
             self.stats
-                .charge_secs(d.total_bytes() as f64 / (spec.disk_bw * spec.nodes as f64));
+                .charge_secs(bytes as f64 / (spec.disk_bw * spec.nodes as f64));
         }
     }
 
@@ -3018,8 +3006,8 @@ impl<'a> Session<'a> {
             }
             // A dataset scanned from inside a UDF must be shipped to every
             // worker: storage read + broadcast.
-            if let Ok(rows) = self.catalog.get(&src) {
-                let bytes: u64 = rows.iter().map(Value::approx_bytes).sum();
+            if let Ok(d) = Partitioned::of_dataset(self.catalog, &src, self.dop()) {
+                let bytes = d.total_bytes();
                 self.stats.bytes_read_storage += bytes;
                 self.stats
                     .charge_secs(bytes as f64 / (self.spec().disk_bw * self.spec().nodes as f64));
@@ -3057,8 +3045,9 @@ fn placed_by(d: &Partitioned, key: &Lambda, parts_n: usize) -> bool {
 
 /// Applies a [`SplitPlan`] to freshly bucketed shuffle output, producing the
 /// sub-partitioned layout (rows and what rides next to them stay
-/// row-aligned) plus the number of rows placed outside their bucket's first
-/// sub-partition.
+/// row-aligned, and each row keeps its width, so sub-partitions are born
+/// measured like the buckets they came from) plus the number of rows placed
+/// outside their bucket's first sub-partition.
 ///
 /// [`SplitKind::Balanced`] cuts a hot bucket into contiguous, near-equal row
 /// chunks — concatenating the sub-partitions in slot order reproduces the
@@ -3071,10 +3060,10 @@ fn placed_by(d: &Partitioned, key: &Lambda, parts_n: usize) -> bool {
 fn apply_split<S: KeyHash>(
     plan: &SplitPlan,
     kind: SplitKind,
-    buckets: Vec<Vec<Value>>,
+    buckets: Vec<Measured>,
     side: Vec<Vec<S>>,
-) -> (Vec<Vec<Value>>, Vec<Vec<S>>, u64) {
-    let mut out_rows: Vec<Vec<Value>> = Vec::with_capacity(plan.output_parts);
+) -> (Vec<Measured>, Vec<Vec<S>>, u64) {
+    let mut out_rows: Vec<Measured> = Vec::with_capacity(plan.output_parts);
     let mut out_side: Vec<Vec<S>> = Vec::with_capacity(plan.output_parts);
     let mut moved = 0u64;
     for ((b, rows), ss) in buckets.into_iter().enumerate().zip(side) {
@@ -3087,7 +3076,7 @@ fn apply_split<S: KeyHash>(
         match kind {
             SplitKind::Balanced => {
                 let n = rows.len();
-                let mut rows_iter = rows.into_iter();
+                let mut rows_iter = rows.drain();
                 let mut side_iter = ss.into_iter();
                 for j in 0..w {
                     let len = (j + 1) * n / w - j * n / w;
@@ -3099,14 +3088,14 @@ fn apply_split<S: KeyHash>(
                 }
             }
             SplitKind::KeyPreserving => {
-                let mut sub_rows: Vec<Vec<Value>> = (0..w).map(|_| Vec::new()).collect();
+                let mut sub_rows: Vec<Measured> = (0..w).map(|_| Measured::default()).collect();
                 let mut sub_side: Vec<Vec<S>> = (0..w).map(|_| Vec::new()).collect();
-                for (row, s) in rows.into_iter().zip(ss) {
+                for ((row, width), s) in rows.drain().zip(ss) {
                     let sub = (skew::sub_hash(s.key_hash()) % w as u64) as usize;
                     if sub != 0 {
                         moved += 1;
                     }
-                    sub_rows[sub].push(row);
+                    sub_rows[sub].push(row, width);
                     sub_side[sub].push(s);
                 }
                 out_rows.extend(sub_rows);
@@ -3180,7 +3169,7 @@ const SPECIALIZE_SAMPLE_ROWS: usize = 64;
 /// [`SPECIALIZE_SAMPLE_ROWS`] rows) of the first non-empty partition.
 /// Deterministic in the simulated partition layout — thread count and
 /// dispatch mode never enter. `None` when every partition is empty.
-fn sample_rows(parts: &[Arc<Vec<Value>>]) -> Option<&[Value]> {
+fn sample_rows(parts: &[Part]) -> Option<&[Value]> {
     parts
         .iter()
         .find(|p| !p.is_empty())

@@ -15,6 +15,11 @@
 //! the same rows, the same error, the same cost-model counters and the same
 //! simulated-clock bits across threads × dispatch modes × chaos × skew. The
 //! pins at the bottom say which sites batch and what a refusal counts.
+//!
+//! The same matrix holds the byte accounting: a partition carries its
+//! serialized size from whoever measured it first, through every shuffle,
+//! to whatever charges it — and what is carried is always a fresh walk of
+//! the rows, on a catalog read for the first time or the tenth.
 
 mod common;
 
@@ -22,7 +27,7 @@ use common::{scalar_tier, MATRIX};
 use emma::prelude::*;
 use emma_compiler::pipeline::{BindKind, CRValue, CStmt};
 use emma_compiler::plan::{JoinKind, JoinStrategy};
-use emma_engine::ParallelismMode;
+use emma_engine::{ParallelismMode, Partitioned};
 
 // ------------------------------------------------------------------ data
 
@@ -316,6 +321,13 @@ fn check_on(
                     match (r, &reference, &runs[0]) {
                         (Ok(r), Ok(want), Ok(first)) => {
                             assert_eq!(r.writes, want.writes, "{at}: rows");
+                            // Sinks are the only storage writes here, each
+                            // charged from the bytes its partitions carried.
+                            assert_eq!(
+                                r.stats.bytes_written_storage,
+                                r.writes.values().map(|rows| walk(rows)).sum::<u64>(),
+                                "{at}: a sink's carried bytes are not a walk of its rows"
+                            );
                             assert_eq!(r.scalars, want.scalars, "{at}: scalars");
                             assert_eq!(
                                 r.stats.without_tier_telemetry(),
@@ -342,6 +354,11 @@ fn check_on(
             }
         }
     }
+}
+
+/// The serialized size of `rows`, walked afresh.
+fn walk(rows: &[Value]) -> u64 {
+    rows.iter().map(Value::approx_bytes).sum()
 }
 
 fn catalog(s: Scenario) -> Catalog {
@@ -750,6 +767,218 @@ fn the_scatter_keeps_source_order_on_sparse_shared_and_split_inputs() {
             ascending(&probes, "join probe");
         }
     }
+}
+
+// ------------------------------------------------------- byte accounting
+
+/// Every keyed operator over `input`, each output repartitioned once more
+/// (by `x.1`, which no layout satisfies) and written: the sink is charged
+/// from the bytes that last scatter carried into its destinations.
+fn repartitioned_outputs(tag: &str, input: &dyn Fn() -> Box<Plan>, right: &str) -> Vec<CStmt> {
+    let key = plain_key();
+    let outputs = [
+        (
+            "placed",
+            Plan::Repartition {
+                input: input(),
+                key: key.clone(),
+            },
+        ),
+        (
+            "groups",
+            Plan::GroupBy {
+                input: input(),
+                key: key.clone(),
+            },
+        ),
+        (
+            "joined",
+            Plan::Join {
+                left: input(),
+                right: src(right),
+                lkey: key.clone(),
+                rkey: key.clone(),
+                residual: None,
+                kind: JoinKind::Inner,
+                strategy: JoinStrategy::Repartition,
+            },
+        ),
+        ("distinct", Plan::Distinct { input: input() }),
+        (
+            "agg",
+            Plan::AggBy {
+                input: input(),
+                key: key.clone(),
+                fold: FoldOp::count(),
+            },
+        ),
+    ];
+    outputs
+        .into_iter()
+        .map(|(what, plan)| {
+            write(
+                &format!("{tag}_{what}"),
+                Plan::Repartition {
+                    input: Box::new(plan),
+                    key: Lambda::new(["x"], var("x").get(1)),
+                },
+            )
+        })
+        .collect()
+}
+
+/// [`repartitioned_outputs`] over a source nobody else holds (its partitions
+/// are drained) and over a cached bag (they are copied, and measured once for
+/// the cache and every consumer).
+fn owned_and_shared(left: &str, right: &str) -> Vec<CStmt> {
+    let mut body = vec![CStmt::Bind {
+        name: "c".into(),
+        kind: BindKind::Val,
+        value: CRValue::Bag(Plan::Cache { input: src(left) }),
+    }];
+    body.extend(repartitioned_outputs("owned", &|| src(left), right));
+    let cached = || Box::new(Plan::RefBag { name: "c".into() });
+    body.extend(repartitioned_outputs("shared", &cached, right));
+    body.push(snapshot("cached", "c"));
+    body
+}
+
+/// A partition's bytes are measured once and carried: from the catalog's
+/// blocks or the bucketing wave, through the scatter and either kind of
+/// split, into every charge. `check` holds each sink's charge to a fresh walk
+/// of its rows on every tier, schedule, chaos and skew setting (and the
+/// engine's debug assertion every scattered partition); without chaos and
+/// skew the shuffle and storage counters are the exact sums below.
+#[test]
+fn carried_bytes_equal_a_fresh_walk_of_the_rows() {
+    let wide = ClusterSpec::tiny().with_nodes(160);
+    let few: Vec<Value> = (0..3i64)
+        .map(|i| Value::tuple(vec![Value::Int(i % 2), Value::Int(i)]))
+        .collect();
+    let sparse = Catalog::new().with("l", few.clone()).with("r", few);
+    let nothing = Catalog::new().with("l", vec![]).with("r", vec![]);
+    let body = owned_and_shared("l", "r");
+    check_on(wide, "bytes, 3 rows over 320", &body, &sparse, None);
+    check_on(wide, "bytes, nothing over 320", &body, &nothing, None);
+
+    let body = owned_and_shared("left", "right");
+    let catalog = catalog(Scenario::Clean);
+    let (l, r) = (
+        walk(&left_rows(Scenario::Clean)),
+        walk(&right_rows(Scenario::Clean)),
+    );
+    for spec in [ClusterSpec::tiny(), wide] {
+        let at = format!("bytes over {}", spec.dop());
+        check_on(spec, &at, &body, &catalog, None);
+        let run = run_on(
+            spec,
+            &body,
+            &catalog,
+            Tier::Default,
+            MATRIX[0],
+            false,
+            false,
+        )
+        .expect("runs");
+        // `left` feeds the cache and the five owned consumers, `right` the
+        // two joins.
+        assert_eq!(run.stats.bytes_read_storage, 6 * l + 2 * r, "{at}");
+        // One `(key, count)` partial per key and source block.
+        let partials: u64 = Partitioned::from_rows(left_rows(Scenario::Clean), spec.dop())
+            .parts
+            .iter()
+            .map(|block| {
+                let keys: std::collections::HashSet<_> =
+                    block.iter().map(|row| row.field(0).unwrap()).collect();
+                keys.len() as u64 * Value::tuple(vec![Value::Int(0), Value::Int(0)]).approx_bytes()
+            })
+            .sum();
+        // Each operator's own shuffle, then its output's.
+        let mut shuffled = 0;
+        for tag in ["owned", "shared"] {
+            let out = |what: &str| walk(&run.writes[&format!("{tag}_{what}")]);
+            shuffled += (l + out("placed"))
+                + (l + out("groups"))
+                + (l + r + out("joined"))
+                + (l + out("distinct"))
+                + (partials + out("agg"));
+        }
+        assert_eq!(run.stats.bytes_shuffled, shuffled, "{at}");
+    }
+}
+
+/// `left` read by a `Source`, `right` scanned from inside a UDF: each row of
+/// the output counts the rows of `right`.
+fn source_and_udf_read() -> Vec<CStmt> {
+    let rows_of_right = ScalarExpr::Fold(
+        Box::new(BagExpr::Read {
+            source: "right".into(),
+        }),
+        Box::new(FoldOp::count()),
+    );
+    vec![write(
+        "out",
+        Plan::Map {
+            input: src("left"),
+            f: Lambda::new(
+                ["x"],
+                ScalarExpr::Tuple(vec![var("x").get(1), rows_of_right]),
+            ),
+        },
+    )]
+}
+
+/// The catalog keeps each dataset's blocks and their bytes from the first
+/// run that reads it; the second run shares them and must not be able to
+/// tell.
+#[test]
+fn a_second_run_on_the_same_catalog_repeats_the_first() {
+    let mut body = owned_and_shared("left", "right");
+    body.extend(source_and_udf_read());
+    for tier in TIERS {
+        for skew in [false, true] {
+            let catalog = catalog(Scenario::Clean);
+            let run = || run(&body, &catalog, tier, MATRIX[1], false, skew).expect("runs");
+            let (first, second) = (run(), run());
+            let at = format!("{tier:?}, skew {skew}");
+            assert_eq!(first.stats, second.stats, "{at}: a counter or the clock");
+            assert_eq!(first.writes, second.writes, "{at}: rows");
+        }
+    }
+}
+
+/// Registering a name again replaces what the catalog kept for it: the next
+/// run sees the new rows and is charged their bytes, whether a `Source` or a
+/// UDF reads them.
+#[test]
+fn replacing_a_dataset_replaces_its_blocks_and_bytes() {
+    let body = source_and_udf_read();
+    let mut catalog = catalog(Scenario::Clean);
+    let read = |catalog: &Catalog| {
+        let run = run(&body, catalog, Tier::Default, MATRIX[0], false, false).expect("runs");
+        let rows_of_right = run.writes["out"][0].field(1).unwrap().as_int().unwrap();
+        (
+            run.writes["out"].len(),
+            rows_of_right,
+            run.stats.bytes_read_storage,
+        )
+    };
+    let (l, r) = (
+        walk(&left_rows(Scenario::Clean)),
+        walk(&right_rows(Scenario::Clean)),
+    );
+    assert_eq!(read(&catalog), (LEFT_ROWS as usize, 40, l + r));
+    assert_eq!(read(&catalog), (LEFT_ROWS as usize, 40, l + r));
+
+    let fewer = right_rows(Scenario::Clean)[..7].to_vec();
+    catalog.insert("right", fewer.clone());
+    assert_eq!(read(&catalog), (LEFT_ROWS as usize, 7, l + walk(&fewer)));
+
+    let wider: Vec<Value> = (0..5i64)
+        .map(|i| Value::tuple(vec![Value::Int(i), Value::Int(i), Value::str("wider")]))
+        .collect();
+    catalog.insert("left", wider.clone());
+    assert_eq!(read(&catalog), (5, 7, walk(&wider) + walk(&fewer)));
 }
 
 #[test]

@@ -13,6 +13,15 @@
 //!
 //! Design points:
 //!
+//! - **A column's type is a value.** Every column is a [`Col`]: a type tag
+//!   ([`Ty`], one per register file of the scratch) plus a register. The
+//!   instruction set ([`VInstr`]) is keyed by operation — load, splat, one
+//!   unary and one binary compute instruction carrying an op enum, merge —
+//!   and [`step`] dispatches `(op, operand type)` once per batch to a
+//!   handful of generic lane helpers that own the take / selected-lane loop
+//!   / put-back; the per-lane code of a kernel is one closure. A new column
+//!   type is one `Ty`, its load and its materialization; a new kernel is one
+//!   builder rule and one closure.
 //! - **Specialization is all-or-nothing per program.** [`specialize`]
 //!   returns `None` the moment any opcode resists typing (vector ops,
 //!   nested folds, bag construction, an unbound capture, a static type
@@ -57,7 +66,6 @@
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::Arc;
 
 use crate::compiled::{CompiledEval, Op};
 use crate::expr::{BinOp, BuiltinFn, UnOp};
@@ -88,30 +96,60 @@ impl BatchConfig {
     }
 }
 
-// ------------------------------------------------------------------- shapes
+// ------------------------------------------------------------- column types
+
+/// The type tag of a column: which of the scratch's register files it lives
+/// in. Everything that depends on a column's type — its load, the kernels
+/// defined on it, its merge, its materialization — dispatches on this value.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Ty {
+    I,
+    F,
+    B,
+    /// A string: an offset+bytes arena column ([`StrCol`]).
+    S,
+    /// A type the kernels cannot compute on (Null, Vector, Bag): an opaque
+    /// pass-through `Value` column, usable only in output tuples.
+    V,
+}
+
+/// Number of [`Ty`] tags (register files).
+const N_TYS: usize = 5;
+
+/// The column type of a non-tuple value.
+fn leaf_ty(v: &Value) -> Ty {
+    match v {
+        Value::Int(_) => Ty::I,
+        Value::Float(_) => Ty::F,
+        Value::Bool(_) => Ty::B,
+        Value::Str(_) => Ty::S,
+        _ => Ty::V,
+    }
+}
+
+type Reg = usize;
+type SelId = usize;
+
+/// A typed column: register `reg` of file `ty`. The one column reference —
+/// on the abstract stack ([`VVal`]), in kernels ([`VInstr`]), in output
+/// recipes ([`MatNode`]) and in accumulator slots ([`Slot`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Col {
+    ty: Ty,
+    reg: Reg,
+}
 
 /// The statically inferred layout of one input-row component.
 #[derive(Clone, Debug, PartialEq, Eq)]
 enum Shape {
-    I64,
-    F64,
-    Bool,
-    /// A string slot: loads into an offset+bytes arena column.
-    Str,
-    /// A type the kernels cannot compute on (Null, Vector, Bag): loadable
-    /// only as an opaque pass-through `Value` column.
-    Other,
+    Leaf(Ty),
     Tuple(Vec<Shape>),
 }
 
 fn shape_of(v: &Value) -> Shape {
     match v {
-        Value::Int(_) => Shape::I64,
-        Value::Float(_) => Shape::F64,
-        Value::Bool(_) => Shape::Bool,
-        Value::Str(_) => Shape::Str,
         Value::Tuple(fs) => Shape::Tuple(fs.iter().map(shape_of).collect()),
-        _ => Shape::Other,
+        leaf => Shape::Leaf(leaf_ty(leaf)),
     }
 }
 
@@ -129,8 +167,47 @@ fn path_get<'v>(row: &'v Value, path: &[usize]) -> Option<&'v Value> {
 
 // ------------------------------------------------------------ kernel program
 
-type Reg = usize;
-type SelId = usize;
+/// The unary compute kernels. The builder decides which operand types each
+/// is emitted on; [`step`] holds one closure per `(op, operand type)`.
+#[derive(Clone, Copy, Debug)]
+enum Op1 {
+    /// The `as_float` Int→Float coercion.
+    Cast,
+    /// Plain (non-wrapping) negation, matching the scalar tier.
+    Neg,
+    Not,
+    Abs,
+    Sqrt,
+    /// `HashOf` over a typed column — hashes the equivalent `Value`, so the
+    /// result is bit-identical to the interpreter's. Dictionary-encoded
+    /// string columns hash once per distinct value.
+    Hash,
+    /// `str_len`: the byte length, exactly the interpreter's `len() as i64`.
+    StrLen,
+}
+
+/// The binary compute kernels; both operands have the same type (the
+/// builder coerces mixed Int/Float operands through [`Op1::Cast`]).
+///
+/// `Bin` carries the scalar operator: wrapping integer Add/Sub/Mul (the
+/// interpreter's `wrapping_*`); float Div, where a selected lane with
+/// divisor `0.0` aborts the batch; the Euclidean remainder Mod, where a
+/// selected lane with modulus 0 aborts the batch; strict And/Or over bool
+/// columns; and the six comparisons — floats compare Eq/Ne via `Value`'s
+/// `float_key` equality (NaNs equal, ±0 equal) and order via `total_cmp`,
+/// strings by content (bytewise `str::cmp`, `Value::Str`'s order).
+#[derive(Clone, Copy, Debug)]
+enum Op2 {
+    Bin(BinOp),
+    /// `min_of`; floats via `total_cmp`, matching `Value`'s total order.
+    Min,
+    /// `max_of`; floats via `total_cmp`.
+    Max,
+    /// `str_contains(a, b)`: byte-level substring search, equivalent to
+    /// `str::contains` on valid UTF-8. A dictionary-encoded haystack with a
+    /// uniform needle searches once per distinct value.
+    Contains,
+}
 
 /// One column kernel. Loads and splats cover the whole batch (loads double
 /// as the per-batch shape check); compute kernels touch only the lanes of
@@ -138,165 +215,30 @@ type SelId = usize;
 /// for the lanes the scalar semantics would evaluate.
 #[derive(Clone, Debug)]
 enum VInstr {
-    LoadI {
-        dst: Reg,
+    /// Loads the row component at `path` into a column of `dst`'s type.
+    /// `dict` (string columns only) additionally dictionary-encodes it —
+    /// decided at specialization time from the driver-side sample, so the
+    /// decision replays across runs.
+    Load {
+        dst: Col,
         path: Vec<usize>,
+        dict: bool,
     },
-    LoadF {
-        dst: Reg,
-        path: Vec<usize>,
-    },
-    LoadB {
-        dst: Reg,
-        path: Vec<usize>,
-    },
-    LoadV {
-        dst: Reg,
-        path: Vec<usize>,
-    },
-    SplatI {
-        dst: Reg,
-        v: i64,
-    },
-    SplatF {
-        dst: Reg,
-        v: f64,
-    },
-    SplatB {
-        dst: Reg,
-        v: bool,
-    },
-    SplatV {
-        dst: Reg,
-        v: Value,
-    },
-    /// Wrapping integer Add/Sub/Mul (the interpreter's `wrapping_*`).
-    ArithI {
+    /// Broadcasts a constant into every lane (for a string: one arena entry
+    /// that is also the column's single dictionary entry).
+    Splat { dst: Col, v: Value },
+    Un {
         sel: SelId,
-        op: BinOp,
-        dst: Reg,
-        a: Reg,
-        b: Reg,
+        op: Op1,
+        dst: Col,
+        a: Col,
     },
-    ArithF {
+    Bin {
         sel: SelId,
-        op: BinOp,
-        dst: Reg,
-        a: Reg,
-        b: Reg,
-    },
-    /// Float division; a selected lane with divisor `0.0` aborts the batch.
-    DivF {
-        sel: SelId,
-        dst: Reg,
-        a: Reg,
-        b: Reg,
-    },
-    /// Euclidean remainder; a selected lane with modulus 0 aborts the batch.
-    ModI {
-        sel: SelId,
-        dst: Reg,
-        a: Reg,
-        b: Reg,
-    },
-    /// The `as_float` Int→Float coercion.
-    CastF {
-        sel: SelId,
-        dst: Reg,
-        a: Reg,
-    },
-    NegI {
-        sel: SelId,
-        dst: Reg,
-        a: Reg,
-    },
-    NegF {
-        sel: SelId,
-        dst: Reg,
-        a: Reg,
-    },
-    NotB {
-        sel: SelId,
-        dst: Reg,
-        a: Reg,
-    },
-    AbsI {
-        sel: SelId,
-        dst: Reg,
-        a: Reg,
-    },
-    AbsF {
-        sel: SelId,
-        dst: Reg,
-        a: Reg,
-    },
-    SqrtF {
-        sel: SelId,
-        dst: Reg,
-        a: Reg,
-    },
-    MinMaxI {
-        sel: SelId,
-        min: bool,
-        dst: Reg,
-        a: Reg,
-        b: Reg,
-    },
-    /// Float min/max via `total_cmp`, matching `Value`'s total order.
-    MinMaxF {
-        sel: SelId,
-        min: bool,
-        dst: Reg,
-        a: Reg,
-        b: Reg,
-    },
-    /// `HashOf` over a typed column — hashes the equivalent `Value`, so the
-    /// result is bit-identical to the interpreter's.
-    HashI {
-        sel: SelId,
-        dst: Reg,
-        a: Reg,
-    },
-    HashF {
-        sel: SelId,
-        dst: Reg,
-        a: Reg,
-    },
-    HashB {
-        sel: SelId,
-        dst: Reg,
-        a: Reg,
-    },
-    CmpI {
-        sel: SelId,
-        op: BinOp,
-        dst: Reg,
-        a: Reg,
-        b: Reg,
-    },
-    /// Float comparison: Eq/Ne via `Value`'s `float_key` equality (NaNs
-    /// equal, ±0 equal), ordering via `total_cmp`.
-    CmpF {
-        sel: SelId,
-        op: BinOp,
-        dst: Reg,
-        a: Reg,
-        b: Reg,
-    },
-    CmpB {
-        sel: SelId,
-        op: BinOp,
-        dst: Reg,
-        a: Reg,
-        b: Reg,
-    },
-    /// Strict And (`and: true`) / Or over bool columns.
-    BoolB {
-        sel: SelId,
-        and: bool,
-        dst: Reg,
-        a: Reg,
-        b: Reg,
+        op: Op2,
+        dst: Col,
+        a: Col,
+        b: Col,
     },
     /// Structured `If`: split the parent selection by a condition column
     /// into the lanes taking each branch.
@@ -306,30 +248,10 @@ enum VInstr {
         then_sel: SelId,
         else_sel: SelId,
     },
-    /// Merge the two branch results of an `If` back into one column.
-    MergeI {
-        dst: Reg,
-        ts: SelId,
-        t: Reg,
-        es: SelId,
-        e: Reg,
-    },
-    MergeF {
-        dst: Reg,
-        ts: SelId,
-        t: Reg,
-        es: SelId,
-        e: Reg,
-    },
-    MergeB {
-        dst: Reg,
-        ts: SelId,
-        t: Reg,
-        es: SelId,
-        e: Reg,
-    },
-    MergeV {
-        dst: Reg,
+    /// Merge the two branch results of an `If` (columns of `dst`'s type)
+    /// back into one column.
+    Merge {
+        dst: Col,
         ts: SelId,
         t: Reg,
         es: SelId,
@@ -341,68 +263,12 @@ enum VInstr {
         pred: Reg,
         dst: SelId,
     },
-    /// Loads a `Str` component into an offset+bytes arena column. `dict`
-    /// additionally dictionary-encodes it — decided at specialization time
-    /// from the driver-side sample, so the decision replays across runs.
-    LoadS {
-        dst: Reg,
-        path: Vec<usize>,
-        dict: bool,
-    },
-    /// Broadcasts one string into every lane (single dictionary entry).
-    SplatS {
-        dst: Reg,
-        v: Arc<str>,
-    },
-    /// `str_len`: the byte length, exactly the interpreter's `len() as i64`.
-    StrLenS {
-        sel: SelId,
-        dst: Reg,
-        a: Reg,
-    },
-    /// `str_contains(a, b)`: byte-level substring search, equivalent to
-    /// `str::contains` on valid UTF-8. A dictionary-encoded haystack with a
-    /// uniform needle searches once per distinct value.
-    StrContainsS {
-        sel: SelId,
-        dst: Reg,
-        a: Reg,
-        b: Reg,
-    },
-    /// String comparison: `Value::Str` equality is content equality and its
-    /// order is bytewise `str::cmp`, so both are byte-slice comparisons.
-    CmpS {
-        sel: SelId,
-        op: BinOp,
-        dst: Reg,
-        a: Reg,
-        b: Reg,
-    },
-    /// `HashOf` over a string column, bit-identical to hashing the
-    /// equivalent `Value::Str`; dictionary-encoded columns hash once per
-    /// distinct value.
-    HashS {
-        sel: SelId,
-        dst: Reg,
-        a: Reg,
-    },
-    MergeS {
-        dst: Reg,
-        ts: SelId,
-        t: Reg,
-        es: SelId,
-        e: Reg,
-    },
 }
 
-/// A typed column reference on the abstract stack during specialization.
+/// A value on the abstract stack during specialization.
 #[derive(Clone, Debug)]
 enum VVal {
-    I(Reg),
-    F(Reg),
-    B(Reg),
-    S(Reg),
-    V(Reg),
+    Col(Col),
     Tup(Vec<VVal>),
     /// A not-yet-loaded input component; loads are emitted lazily on first
     /// use (and memoized), so untouched fields cost nothing per batch.
@@ -412,34 +278,10 @@ enum VVal {
     },
 }
 
-/// A resolved (register-backed) column.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum TR {
-    I(Reg),
-    F(Reg),
-    B(Reg),
-    S(Reg),
-    V(Reg),
-}
-
-fn tr_val(tr: TR) -> VVal {
-    match tr {
-        TR::I(r) => VVal::I(r),
-        TR::F(r) => VVal::F(r),
-        TR::B(r) => VVal::B(r),
-        TR::S(r) => VVal::S(r),
-        TR::V(r) => VVal::V(r),
-    }
-}
-
 /// Recipe for materializing output rows from columns.
 #[derive(Clone, Debug)]
 enum MatNode {
-    I(Reg),
-    F(Reg),
-    B(Reg),
-    S(Reg),
-    V(Reg),
+    Col(Col),
     Tup(Vec<MatNode>),
 }
 
@@ -502,6 +344,14 @@ impl StrCol {
         &self.bytes[s as usize..(s + len) as usize]
     }
 
+    /// `f` of every dictionary entry, by code: the once-per-distinct-value
+    /// half of a dictionary fast path (lanes then gather through `codes`).
+    fn per_entry<D>(&self, f: impl Fn(&[u8]) -> D) -> Vec<D> {
+        (0..self.dict.len())
+            .map(|c| f(self.dict_entry(c)))
+            .collect()
+    }
+
     /// Appends `b` to the arena, returning its range — `None` when the
     /// arena would outgrow the `u32` offset width (the caller aborts the
     /// batch and the scalar tier replays it).
@@ -521,11 +371,8 @@ impl StrCol {
 #[derive(Clone, Debug)]
 struct Kernels {
     instrs: Vec<VInstr>,
-    n_i: usize,
-    n_f: usize,
-    n_b: usize,
-    n_s: usize,
-    n_v: usize,
+    /// Registers per file, indexed by [`Ty`].
+    n_regs: [usize; N_TYS],
     n_sels: usize,
 }
 
@@ -552,6 +399,19 @@ pub struct VectorScratch {
     s: Vec<StrCol>,
     v: Vec<Vec<Value>>,
     sels: Vec<Vec<u32>>,
+}
+
+impl VectorScratch {
+    fn new(n_regs: &[usize; N_TYS], n_sels: usize) -> Self {
+        VectorScratch {
+            i: vec![Vec::new(); n_regs[Ty::I as usize]],
+            f: vec![Vec::new(); n_regs[Ty::F as usize]],
+            b: vec![Vec::new(); n_regs[Ty::B as usize]],
+            s: vec![StrCol::default(); n_regs[Ty::S as usize]],
+            v: vec![Vec::new(); n_regs[Ty::V as usize]],
+            sels: vec![Vec::new(); n_sels],
+        }
+    }
 }
 
 // ----------------------------------------------------------- type inference
@@ -606,10 +466,7 @@ pub fn specialize_sampled(
                 // The scalar filter applies `as_bool` to the result; a
                 // non-Bool static type errors on every row — let the
                 // scalar tier produce that error.
-                let pred = match b.resolve(p)? {
-                    TR::B(r) => r,
-                    _ => return None,
-                };
+                let pred = b.resolve_bool(p)?;
                 let dst = b.new_sel();
                 b.instrs.push(VInstr::FilterApply {
                     parent: sel,
@@ -642,18 +499,15 @@ struct Builder<'s> {
     /// decisions from all of them).
     samples: &'s [Value],
     instrs: Vec<VInstr>,
-    n_i: usize,
-    n_f: usize,
-    n_b: usize,
-    n_s: usize,
-    n_v: usize,
+    /// Registers allocated so far in each file, indexed by [`Ty`].
+    n_regs: [usize; N_TYS],
     n_sels: usize,
     /// Selection the currently-lowered expression evaluates under (branch
     /// bodies narrow it); every compute kernel is tagged with it.
     cur_sel: SelId,
     /// Loads memoized by field path, so a component is loaded (and shape-
     /// checked) once per batch however often the programs reference it.
-    loads: HashMap<Vec<usize>, TR>,
+    loads: HashMap<Vec<usize>, Col>,
 }
 
 impl<'s> Builder<'s> {
@@ -661,11 +515,7 @@ impl<'s> Builder<'s> {
         Builder {
             samples,
             instrs: Vec::new(),
-            n_i: 0,
-            n_f: 0,
-            n_b: 0,
-            n_s: 0,
-            n_v: 0,
+            n_regs: [0; N_TYS],
             n_sels: 1, // sel 0 = the full batch
             cur_sel: 0,
             loads: HashMap::new(),
@@ -691,29 +541,35 @@ impl<'s> Builder<'s> {
         total >= DICT_MIN_SAMPLE && seen.len() * 2 <= total
     }
 
-    fn new_i(&mut self) -> Reg {
-        self.n_i += 1;
-        self.n_i - 1
+    /// A fresh register of file `ty`. Registers are single-assignment: each
+    /// is the `dst` of exactly one kernel.
+    fn new_reg(&mut self, ty: Ty) -> Col {
+        let reg = self.n_regs[ty as usize];
+        self.n_regs[ty as usize] += 1;
+        Col { ty, reg }
     }
-    fn new_f(&mut self) -> Reg {
-        self.n_f += 1;
-        self.n_f - 1
-    }
-    fn new_b(&mut self) -> Reg {
-        self.n_b += 1;
-        self.n_b - 1
-    }
-    fn new_s(&mut self) -> Reg {
-        self.n_s += 1;
-        self.n_s - 1
-    }
-    fn new_v(&mut self) -> Reg {
-        self.n_v += 1;
-        self.n_v - 1
-    }
+
     fn new_sel(&mut self) -> SelId {
         self.n_sels += 1;
         self.n_sels - 1
+    }
+
+    /// Emits `dst = op(a)` under the current selection into a fresh `ty`
+    /// register.
+    fn emit_un(&mut self, op: Op1, ty: Ty, a: Col) -> Col {
+        let dst = self.new_reg(ty);
+        let sel = self.cur_sel;
+        self.instrs.push(VInstr::Un { sel, op, dst, a });
+        dst
+    }
+
+    /// Emits `dst = op(a, b)` under the current selection into a fresh `ty`
+    /// register.
+    fn emit_bin(&mut self, op: Op2, ty: Ty, a: Col, b: Col) -> Col {
+        let dst = self.new_reg(ty);
+        let sel = self.cur_sel;
+        self.instrs.push(VInstr::Bin { sel, op, dst, a, b });
+        dst
     }
 
     /// Abstractly evaluates a compiled program; `None` = not specializable.
@@ -740,7 +596,7 @@ impl<'s> Builder<'s> {
         let mut pc = range.start;
         while pc < range.end {
             match &ops[pc] {
-                Op::Const(v) => stack.push(self.splat(v)?),
+                Op::Const(v) => stack.push(self.splat(v)),
                 // A statically failing program errors on every row it
                 // evaluates — the scalar fallback reproduces it per row.
                 Op::Fail(_) => return None,
@@ -751,7 +607,7 @@ impl<'s> Builder<'s> {
                     stack.push(input.clone());
                 }
                 Op::Capture(c) => match &caps[*c] {
-                    Some(v) => stack.push(self.splat(v)?),
+                    Some(v) => stack.push(self.splat(v)),
                     // An unbound capture errors whenever read; fall back.
                     None => return None,
                 },
@@ -762,16 +618,16 @@ impl<'s> Builder<'s> {
                 Op::Bin(op) => {
                     let r = stack.pop()?;
                     let l = stack.pop()?;
-                    stack.push(self.bin(*op, l, r)?);
+                    stack.push(VVal::Col(self.bin(*op, l, r)?));
                 }
                 Op::Un(op) => {
                     let a = stack.pop()?;
-                    stack.push(self.un(*op, a)?);
+                    stack.push(VVal::Col(self.un(*op, a)?));
                 }
                 Op::Call(f, n) => {
                     let at = stack.len().checked_sub(*n)?;
                     let args: Vec<VVal> = stack.drain(at..).collect();
-                    stack.push(self.call(*f, args)?);
+                    stack.push(VVal::Col(self.call(*f, args)?));
                 }
                 Op::Tuple(n) => {
                     let at = stack.len().checked_sub(*n)?;
@@ -789,11 +645,8 @@ impl<'s> Builder<'s> {
                         Op::Jump(end) if *end >= else_at && *end <= range.end => *end,
                         _ => return None,
                     };
-                    let cond = match self.resolve(stack.pop()?)? {
-                        TR::B(r) => r,
-                        // Non-Bool condition: `as_bool` errors per row.
-                        _ => return None,
-                    };
+                    // Non-Bool condition: `as_bool` errors per row.
+                    let cond = self.resolve_bool(stack.pop()?)?;
                     let then_sel = self.new_sel();
                     let else_sel = self.new_sel();
                     self.instrs.push(VInstr::SelSplit {
@@ -826,46 +679,16 @@ impl<'s> Builder<'s> {
     }
 
     /// Broadcasts a constant (folded literal or bound capture) into columns.
-    fn splat(&mut self, v: &Value) -> Option<VVal> {
-        Some(match v {
-            Value::Int(i) => {
-                let dst = self.new_i();
-                self.instrs.push(VInstr::SplatI { dst, v: *i });
-                VVal::I(dst)
-            }
-            Value::Float(f) => {
-                let dst = self.new_f();
-                self.instrs.push(VInstr::SplatF { dst, v: *f });
-                VVal::F(dst)
-            }
-            Value::Bool(b) => {
-                let dst = self.new_b();
-                self.instrs.push(VInstr::SplatB { dst, v: *b });
-                VVal::B(dst)
-            }
-            Value::Str(st) => {
-                let dst = self.new_s();
-                self.instrs.push(VInstr::SplatS { dst, v: st.clone() });
-                VVal::S(dst)
-            }
-            Value::Tuple(fs) => {
-                let mut parts = Vec::with_capacity(fs.len());
-                for f in fs.iter() {
-                    parts.push(self.splat(f)?);
-                }
-                VVal::Tup(parts)
-            }
-            // Opaque pass-through (Null, Vector, Bag): usable only in
-            // output tuples, never as a kernel operand.
-            other => {
-                let dst = self.new_v();
-                self.instrs.push(VInstr::SplatV {
-                    dst,
-                    v: other.clone(),
-                });
-                VVal::V(dst)
-            }
-        })
+    /// A non-scalar, non-tuple constant (Null, Vector, Bag) becomes an
+    /// opaque pass-through column: usable only in output tuples, never as a
+    /// kernel operand.
+    fn splat(&mut self, v: &Value) -> VVal {
+        if let Value::Tuple(fs) = v {
+            return VVal::Tup(fs.iter().map(|f| self.splat(f)).collect());
+        }
+        let dst = self.new_reg(leaf_ty(v));
+        self.instrs.push(VInstr::Splat { dst, v: v.clone() });
+        VVal::Col(dst)
     }
 
     fn field(&mut self, v: VVal, i: usize) -> Option<VVal> {
@@ -889,292 +712,113 @@ impl<'s> Builder<'s> {
                 _ => None,
             },
             // Field access on a non-tuple errors per row.
-            _ => None,
+            VVal::Col(_) => None,
         }
     }
 
-    /// Resolves an abstract value to a concrete column register, emitting a
+    /// Resolves an abstract value to a concrete column, emitting a
     /// (memoized) load for input components. Whole-tuple values have no
     /// single register — callers that need one reject instead.
-    fn resolve(&mut self, v: VVal) -> Option<TR> {
+    fn resolve(&mut self, v: VVal) -> Option<Col> {
         match v {
-            VVal::I(r) => Some(TR::I(r)),
-            VVal::F(r) => Some(TR::F(r)),
-            VVal::B(r) => Some(TR::B(r)),
-            VVal::S(r) => Some(TR::S(r)),
-            VVal::V(r) => Some(TR::V(r)),
-            VVal::Tup(_) => None,
-            VVal::Arg { path, shape } => {
-                if let Some(tr) = self.loads.get(&path) {
-                    return Some(*tr);
+            VVal::Col(c) => Some(c),
+            VVal::Arg {
+                path,
+                shape: Shape::Leaf(ty),
+            } => {
+                if let Some(c) = self.loads.get(&path) {
+                    return Some(*c);
                 }
-                let tr = match shape {
-                    Shape::I64 => {
-                        let dst = self.new_i();
-                        self.instrs.push(VInstr::LoadI {
-                            dst,
-                            path: path.clone(),
-                        });
-                        TR::I(dst)
-                    }
-                    Shape::F64 => {
-                        let dst = self.new_f();
-                        self.instrs.push(VInstr::LoadF {
-                            dst,
-                            path: path.clone(),
-                        });
-                        TR::F(dst)
-                    }
-                    Shape::Bool => {
-                        let dst = self.new_b();
-                        self.instrs.push(VInstr::LoadB {
-                            dst,
-                            path: path.clone(),
-                        });
-                        TR::B(dst)
-                    }
-                    Shape::Str => {
-                        let dict = self.dict_for_path(&path);
-                        let dst = self.new_s();
-                        self.instrs.push(VInstr::LoadS {
-                            dst,
-                            path: path.clone(),
-                            dict,
-                        });
-                        TR::S(dst)
-                    }
-                    Shape::Other => {
-                        let dst = self.new_v();
-                        self.instrs.push(VInstr::LoadV {
-                            dst,
-                            path: path.clone(),
-                        });
-                        TR::V(dst)
-                    }
-                    Shape::Tuple(_) => return None,
-                };
-                self.loads.insert(path, tr);
-                Some(tr)
-            }
-        }
-    }
-
-    /// Resolves to a float column, coercing Int→Float where the scalar
-    /// semantics would (`as_float`).
-    fn resolve_f(&mut self, v: VVal) -> Option<Reg> {
-        match self.resolve(v)? {
-            TR::F(r) => Some(r),
-            TR::I(r) => {
-                let dst = self.new_f();
-                self.instrs.push(VInstr::CastF {
-                    sel: self.cur_sel,
+                let dst = self.new_reg(ty);
+                let dict = ty == Ty::S && self.dict_for_path(&path);
+                self.instrs.push(VInstr::Load {
                     dst,
-                    a: r,
+                    path: path.clone(),
+                    dict,
                 });
+                self.loads.insert(path, dst);
                 Some(dst)
             }
+            VVal::Tup(_) | VVal::Arg { .. } => None,
+        }
+    }
+
+    /// Resolves to a `Bool` column's register; `None` for any other type.
+    fn resolve_bool(&mut self, v: VVal) -> Option<Reg> {
+        self.resolve(v).filter(|c| c.ty == Ty::B).map(|c| c.reg)
+    }
+
+    /// A float column holding `c`, coercing Int→Float where the scalar
+    /// semantics would (`as_float`); `None` for non-numeric columns.
+    fn float_of(&mut self, c: Col) -> Option<Col> {
+        match c.ty {
+            Ty::F => Some(c),
+            Ty::I => Some(self.emit_un(Op1::Cast, Ty::F, c)),
             _ => None,
         }
     }
 
-    fn bin(&mut self, op: BinOp, l: VVal, r: VVal) -> Option<VVal> {
-        use BinOp::*;
-        let sel = self.cur_sel;
-        match op {
-            Add | Sub | Mul => {
-                let (lt, rt) = (self.resolve(l)?, self.resolve(r)?);
-                match (lt, rt) {
-                    (TR::I(a), TR::I(b)) => {
-                        let dst = self.new_i();
-                        self.instrs.push(VInstr::ArithI { sel, op, dst, a, b });
-                        Some(VVal::I(dst))
-                    }
-                    (TR::I(_) | TR::F(_), TR::I(_) | TR::F(_)) => {
-                        let a = self.resolve_f(tr_val(lt))?;
-                        let b = self.resolve_f(tr_val(rt))?;
-                        let dst = self.new_f();
-                        self.instrs.push(VInstr::ArithF { sel, op, dst, a, b });
-                        Some(VVal::F(dst))
-                    }
-                    // Vector arithmetic, strings, etc. stay scalar.
-                    _ => None,
-                }
-            }
-            Div => {
-                // Vector/scalar division stays scalar: resolve_f rejects
-                // non-numeric columns.
-                let a = self.resolve_f(l)?;
-                let b = self.resolve_f(r)?;
-                let dst = self.new_f();
-                self.instrs.push(VInstr::DivF { sel, dst, a, b });
-                Some(VVal::F(dst))
-            }
-            Mod => match (self.resolve(l)?, self.resolve(r)?) {
-                (TR::I(a), TR::I(b)) => {
-                    let dst = self.new_i();
-                    self.instrs.push(VInstr::ModI { sel, dst, a, b });
-                    Some(VVal::I(dst))
-                }
-                // `Mod` is strict on Int (`as_int`): anything else errors.
-                _ => None,
-            },
-            Eq | Ne | Lt | Le | Gt | Ge => {
-                let (lt, rt) = (self.resolve(l)?, self.resolve(r)?);
-                match (lt, rt) {
-                    (TR::I(a), TR::I(b)) => {
-                        let dst = self.new_b();
-                        self.instrs.push(VInstr::CmpI { sel, op, dst, a, b });
-                        Some(VVal::B(dst))
-                    }
-                    (TR::I(_) | TR::F(_), TR::I(_) | TR::F(_)) => {
-                        // Mixed Int/Float comparison coerces through f64,
-                        // matching `Value`'s cross-type order.
-                        let a = self.resolve_f(tr_val(lt))?;
-                        let b = self.resolve_f(tr_val(rt))?;
-                        let dst = self.new_b();
-                        self.instrs.push(VInstr::CmpF { sel, op, dst, a, b });
-                        Some(VVal::B(dst))
-                    }
-                    (TR::B(a), TR::B(b)) => {
-                        let dst = self.new_b();
-                        self.instrs.push(VInstr::CmpB { sel, op, dst, a, b });
-                        Some(VVal::B(dst))
-                    }
-                    (TR::S(a), TR::S(b)) => {
-                        let dst = self.new_b();
-                        self.instrs.push(VInstr::CmpS { sel, op, dst, a, b });
-                        Some(VVal::B(dst))
-                    }
-                    // Cross-rank comparisons (and tuple equality) stay
-                    // scalar.
-                    _ => None,
-                }
-            }
-            And | Or => match (self.resolve(l)?, self.resolve(r)?) {
-                (TR::B(a), TR::B(b)) => {
-                    let dst = self.new_b();
-                    self.instrs.push(VInstr::BoolB {
-                        sel,
-                        and: matches!(op, And),
-                        dst,
-                        a,
-                        b,
-                    });
-                    Some(VVal::B(dst))
-                }
-                _ => None,
-            },
-        }
+    fn bin(&mut self, op: BinOp, l: VVal, r: VVal) -> Option<Col> {
+        use {BinOp::*, Ty::*};
+        let (a, b) = (self.resolve(l)?, self.resolve(r)?);
+        let cmp = matches!(op, Eq | Ne | Lt | Le | Gt | Ge);
+        // The operand type the kernel runs on.
+        let on = match (op, a.ty, b.ty) {
+            // `Mod` is strict on Int (`as_int`): anything else errors.
+            (Add | Sub | Mul | Mod, I, I) => I,
+            // Mixed Int/Float arithmetic coerces through f64 and division
+            // is always float; vector arithmetic, strings, etc. stay scalar.
+            (Add | Sub | Mul | Div, I | F, I | F) => F,
+            (_, I, I) | (_, B, B) | (_, S, S) if cmp => a.ty,
+            // Mixed Int/Float comparison coerces through f64, matching
+            // `Value`'s cross-type order; cross-rank comparisons (and tuple
+            // equality) stay scalar.
+            (_, I | F, I | F) if cmp => F,
+            (And | Or, B, B) => B,
+            _ => return None,
+        };
+        let (a, b) = match on {
+            F => (self.float_of(a)?, self.float_of(b)?),
+            _ => (a, b),
+        };
+        Some(self.emit_bin(Op2::Bin(op), if cmp { B } else { on }, a, b))
     }
 
-    fn un(&mut self, op: UnOp, a: VVal) -> Option<VVal> {
-        let sel = self.cur_sel;
-        match (op, self.resolve(a)?) {
-            (UnOp::Not, TR::B(a)) => {
-                let dst = self.new_b();
-                self.instrs.push(VInstr::NotB { sel, dst, a });
-                Some(VVal::B(dst))
-            }
-            (UnOp::Neg, TR::I(a)) => {
-                let dst = self.new_i();
-                self.instrs.push(VInstr::NegI { sel, dst, a });
-                Some(VVal::I(dst))
-            }
-            (UnOp::Neg, TR::F(a)) => {
-                let dst = self.new_f();
-                self.instrs.push(VInstr::NegF { sel, dst, a });
-                Some(VVal::F(dst))
-            }
+    fn un(&mut self, op: UnOp, a: VVal) -> Option<Col> {
+        let a = self.resolve(a)?;
+        match (op, a.ty) {
+            (UnOp::Not, Ty::B) => Some(self.emit_un(Op1::Not, Ty::B, a)),
+            (UnOp::Neg, Ty::I | Ty::F) => Some(self.emit_un(Op1::Neg, a.ty, a)),
             _ => None,
         }
     }
 
-    fn call(&mut self, f: BuiltinFn, mut args: Vec<VVal>) -> Option<VVal> {
-        let sel = self.cur_sel;
-        match f {
-            BuiltinFn::Sqrt => {
-                let a = self.resolve_f(args.pop()?)?;
-                let dst = self.new_f();
-                self.instrs.push(VInstr::SqrtF { sel, dst, a });
-                Some(VVal::F(dst))
+    fn call(&mut self, f: BuiltinFn, mut args: Vec<VVal>) -> Option<Col> {
+        use Ty::*;
+        let b = args.pop().and_then(|v| self.resolve(v))?;
+        match (f, b.ty) {
+            (BuiltinFn::Sqrt, I | F) => {
+                let a = self.float_of(b)?;
+                Some(self.emit_un(Op1::Sqrt, F, a))
             }
-            BuiltinFn::Abs => match self.resolve(args.pop()?)? {
-                TR::I(a) => {
-                    let dst = self.new_i();
-                    self.instrs.push(VInstr::AbsI { sel, dst, a });
-                    Some(VVal::I(dst))
-                }
-                TR::F(a) => {
-                    let dst = self.new_f();
-                    self.instrs.push(VInstr::AbsF { sel, dst, a });
-                    Some(VVal::F(dst))
-                }
-                _ => None,
-            },
-            BuiltinFn::MinOf | BuiltinFn::MaxOf => {
-                let r = args.pop()?;
-                let l = args.pop()?;
-                let min = matches!(f, BuiltinFn::MinOf);
-                match (self.resolve(l)?, self.resolve(r)?) {
-                    (TR::I(a), TR::I(b)) => {
-                        let dst = self.new_i();
-                        self.instrs.push(VInstr::MinMaxI {
-                            sel,
-                            min,
-                            dst,
-                            a,
-                            b,
-                        });
-                        Some(VVal::I(dst))
-                    }
-                    (TR::F(a), TR::F(b)) => {
-                        let dst = self.new_f();
-                        self.instrs.push(VInstr::MinMaxF {
-                            sel,
-                            min,
-                            dst,
-                            a,
-                            b,
-                        });
-                        Some(VVal::F(dst))
-                    }
-                    // Mixed Int/Float min/max picks one operand verbatim —
-                    // a mixed-type output column; Null-as-unit likewise.
-                    _ => None,
-                }
+            (BuiltinFn::Abs, I | F) => Some(self.emit_un(Op1::Abs, b.ty, b)),
+            (BuiltinFn::HashOf, I | F | B | S) => Some(self.emit_un(Op1::Hash, I, b)),
+            // `str_len` on a non-string errors per row (`as_str`).
+            (BuiltinFn::StrLen, S) => Some(self.emit_un(Op1::StrLen, I, b)),
+            (BuiltinFn::MinOf | BuiltinFn::MaxOf, I | F) => {
+                let a = args.pop().and_then(|v| self.resolve(v))?;
+                let op = match f {
+                    BuiltinFn::MinOf => Op2::Min,
+                    _ => Op2::Max,
+                };
+                // Mixed Int/Float min/max picks one operand verbatim — a
+                // mixed-type output column; Null-as-unit likewise.
+                (a.ty == b.ty).then(|| self.emit_bin(op, a.ty, a, b))
             }
-            BuiltinFn::HashOf => {
-                let dst = self.new_i();
-                match self.resolve(args.pop()?)? {
-                    TR::I(a) => self.instrs.push(VInstr::HashI { sel, dst, a }),
-                    TR::F(a) => self.instrs.push(VInstr::HashF { sel, dst, a }),
-                    TR::B(a) => self.instrs.push(VInstr::HashB { sel, dst, a }),
-                    TR::S(a) => self.instrs.push(VInstr::HashS { sel, dst, a }),
-                    _ => return None,
-                }
-                Some(VVal::I(dst))
-            }
-            BuiltinFn::StrLen => match self.resolve(args.pop()?)? {
-                TR::S(a) => {
-                    let dst = self.new_i();
-                    self.instrs.push(VInstr::StrLenS { sel, dst, a });
-                    Some(VVal::I(dst))
-                }
-                // `str_len` on a non-string errors per row (`as_str`).
-                _ => None,
-            },
-            BuiltinFn::StrContains => {
-                let needle = args.pop()?;
-                let hay = args.pop()?;
-                match (self.resolve(hay)?, self.resolve(needle)?) {
-                    (TR::S(a), TR::S(b)) => {
-                        let dst = self.new_b();
-                        self.instrs.push(VInstr::StrContainsS { sel, dst, a, b });
-                        Some(VVal::B(dst))
-                    }
-                    // Non-string operands error per row (`as_str`).
-                    _ => None,
-                }
+            (BuiltinFn::StrContains, S) => {
+                let hay = args.pop().and_then(|v| self.resolve(v))?;
+                // Non-string operands error per row (`as_str`).
+                (hay.ty == S).then(|| self.emit_bin(Op2::Contains, B, hay, b))
             }
             // Vector builtins stay scalar.
             _ => None,
@@ -1192,42 +836,26 @@ impl<'s> Builder<'s> {
                 Some(VVal::Tup(out))
             }
             (t, e) => {
-                let (tr, er) = (self.resolve(t)?, self.resolve(e)?);
-                if tr == er {
+                let (t, e) = (self.resolve(t)?, self.resolve(e)?);
+                if t == e {
                     // Both branches yield the same column (e.g. the same
                     // input field): no merge needed.
-                    return Some(tr_val(tr));
+                    return Some(VVal::Col(t));
                 }
-                match (tr, er) {
-                    (TR::I(t), TR::I(e)) => {
-                        let dst = self.new_i();
-                        self.instrs.push(VInstr::MergeI { dst, ts, t, es, e });
-                        Some(VVal::I(dst))
-                    }
-                    (TR::F(t), TR::F(e)) => {
-                        let dst = self.new_f();
-                        self.instrs.push(VInstr::MergeF { dst, ts, t, es, e });
-                        Some(VVal::F(dst))
-                    }
-                    (TR::B(t), TR::B(e)) => {
-                        let dst = self.new_b();
-                        self.instrs.push(VInstr::MergeB { dst, ts, t, es, e });
-                        Some(VVal::B(dst))
-                    }
-                    (TR::S(t), TR::S(e)) => {
-                        let dst = self.new_s();
-                        self.instrs.push(VInstr::MergeS { dst, ts, t, es, e });
-                        Some(VVal::S(dst))
-                    }
-                    (TR::V(t), TR::V(e)) => {
-                        let dst = self.new_v();
-                        self.instrs.push(VInstr::MergeV { dst, ts, t, es, e });
-                        Some(VVal::V(dst))
-                    }
+                if t.ty != e.ty {
                     // Branches of different static types would produce a
                     // mixed-type column.
-                    _ => None,
+                    return None;
                 }
+                let dst = self.new_reg(t.ty);
+                self.instrs.push(VInstr::Merge {
+                    dst,
+                    ts,
+                    t: t.reg,
+                    es,
+                    e: e.reg,
+                });
+                Some(VVal::Col(dst))
             }
         }
     }
@@ -1237,11 +865,7 @@ impl<'s> Builder<'s> {
     fn finish(self) -> Kernels {
         Kernels {
             instrs: self.instrs,
-            n_i: self.n_i,
-            n_f: self.n_f,
-            n_b: self.n_b,
-            n_s: self.n_s,
-            n_v: self.n_v,
+            n_regs: self.n_regs,
             n_sels: self.n_sels,
         }
     }
@@ -1271,13 +895,7 @@ impl<'s> Builder<'s> {
                 }
                 Some(MatNode::Tup(out))
             }
-            v => Some(match self.resolve(v)? {
-                TR::I(r) => MatNode::I(r),
-                TR::F(r) => MatNode::F(r),
-                TR::B(r) => MatNode::B(r),
-                TR::S(r) => MatNode::S(r),
-                TR::V(r) => MatNode::V(r),
-            }),
+            v => self.resolve(v).map(MatNode::Col),
         }
     }
 }
@@ -1355,28 +973,9 @@ fn max_total(a: f64, b: f64) -> f64 {
     }
 }
 
-fn ensure<T: Copy + Default>(col: &mut Vec<T>, n: usize) {
-    if col.len() < n {
-        col.resize(n, T::default());
-    }
-}
-
-fn ensure_v(col: &mut Vec<Value>, n: usize) {
-    if col.len() < n {
-        col.resize(n, Value::Null);
-    }
-}
-
 impl Kernels {
     fn new_scratch(&self) -> VectorScratch {
-        VectorScratch {
-            i: vec![Vec::new(); self.n_i],
-            f: vec![Vec::new(); self.n_f],
-            b: vec![Vec::new(); self.n_b],
-            s: vec![StrCol::default(); self.n_s],
-            v: vec![Vec::new(); self.n_v],
-            sels: vec![Vec::new(); self.n_sels],
-        }
+        VectorScratch::new(&self.n_regs, self.n_sels)
     }
 
     /// Runs every kernel over one batch, leaving the results in `s`'s
@@ -1449,355 +1048,339 @@ impl VectorPipeline {
     }
 }
 
+/// Lane `l` of the columns of `m` as one `Value` — a column type's
+/// materialization.
 fn mat_value(m: &MatNode, s: &VectorScratch, l: usize) -> Value {
     match m {
-        MatNode::I(r) => Value::Int(s.i[*r][l]),
-        MatNode::F(r) => Value::Float(s.f[*r][l]),
-        MatNode::B(r) => Value::Bool(s.b[*r][l]),
-        MatNode::S(r) => Value::str(
-            std::str::from_utf8(s.s[*r].lane(l)).expect("string arena holds whole UTF-8 strings"),
-        ),
-        MatNode::V(r) => s.v[*r][l].clone(),
+        MatNode::Col(c) => match c.ty {
+            Ty::I => Value::Int(s.i[c.reg][l]),
+            Ty::F => Value::Float(s.f[c.reg][l]),
+            Ty::B => Value::Bool(s.b[c.reg][l]),
+            Ty::S => Value::str(
+                std::str::from_utf8(s.s[c.reg].lane(l))
+                    .expect("string arena holds whole UTF-8 strings"),
+            ),
+            Ty::V => s.v[c.reg][l].clone(),
+        },
         MatNode::Tup(fs) => Value::tuple(fs.iter().map(|f| mat_value(f, s, l)).collect::<Vec<_>>()),
     }
 }
 
+/// A lane type with a `Vec`-per-register file in the scratch: the three
+/// scalars the kernels compute on, and the opaque pass-through `Value`.
+/// (Strings live in [`StrCol`] arenas and have their own load, splat and
+/// merge.)
+trait Lane: Clone + 'static {
+    /// What the never-read lanes of a freshly grown column hold.
+    const FILL: Self;
+    fn file(s: &VectorScratch) -> &[Vec<Self>];
+    fn file_mut(s: &mut VectorScratch) -> &mut [Vec<Self>];
+    /// The lane a row component of this type loads as; `None` when the
+    /// component does not conform.
+    fn load(v: &Value) -> Option<Self>;
+}
+
+macro_rules! lane {
+    ($t:ty, $file:ident, $fill:expr, $pat:pat => $lane:expr) => {
+        impl Lane for $t {
+            const FILL: Self = $fill;
+            fn file(s: &VectorScratch) -> &[Vec<Self>] {
+                &s.$file
+            }
+            fn file_mut(s: &mut VectorScratch) -> &mut [Vec<Self>] {
+                &mut s.$file
+            }
+            #[allow(unreachable_patterns)]
+            fn load(v: &Value) -> Option<Self> {
+                match v {
+                    $pat => Some($lane),
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+lane!(i64, i, 0, Value::Int(x) => *x);
+lane!(f64, f, 0.0, Value::Float(x) => *x);
+lane!(bool, b, false, Value::Bool(x) => *x);
+lane!(Value, v, Value::Null, x => x.clone());
+
+/// Loads the component at `path` of every row into register `dst` — the
+/// whole batch, whatever the selection — and doubles as the per-batch shape
+/// check: `false` when some row's component is not a `T`.
+fn load<T: Lane>(s: &mut VectorScratch, dst: Reg, rows: &[Value], path: &[usize]) -> bool {
+    let d = &mut T::file_mut(s)[dst];
+    d.clear();
+    d.reserve(rows.len());
+    rows.iter()
+        .all(|row| match path_get(row, path).and_then(T::load) {
+            Some(v) => {
+                d.push(v);
+                true
+            }
+            None => false,
+        })
+}
+
+/// Broadcasts the constant `v` into every lane of register `dst`.
+fn splat<T: Lane>(s: &mut VectorScratch, n: usize, dst: Reg, v: &Value) -> bool {
+    let d = &mut T::file_mut(s)[dst];
+    d.clear();
+    d.resize(n, T::load(v).expect(SPLAT_TYPING));
+    true
+}
+
+const SPLAT_TYPING: &str = "a splat's register is typed by its constant";
+
+/// [`splat`] for a string: one arena entry every lane points at, which is
+/// also the column's single dictionary entry.
+fn splat_str(d: &mut StrCol, n: usize, v: &Value) -> bool {
+    d.clear();
+    let Some((start, len)) = d.push_bytes(v.as_str().expect(SPLAT_TYPING).as_bytes()) else {
+        return false; // single string wider than the arena
+    };
+    d.starts.resize(n, start);
+    d.lens.resize(n, len);
+    d.codes.resize(n, 0);
+    d.dict.push((start, len));
+    true
+}
+
+/// Where a compute kernel runs: the batch size, the selection, the
+/// destination register and the operand registers (`b == a` for a unary
+/// kernel). Which files the registers index is the helper's type
+/// parameters.
+#[derive(Clone, Copy)]
+struct At {
+    n: usize,
+    sel: SelId,
+    dst: Reg,
+    a: Reg,
+    b: Reg,
+}
+
+/// Hands `body` register `dst`, grown to `n` lanes, next to the rest of the
+/// scratch. A kernel whose destination shares a register file with its
+/// operands needs the destination column moved out while it runs — the
+/// builder is single-assignment, so `dst` never aliases an operand.
+fn write<D: Lane>(
+    s: &mut VectorScratch,
+    n: usize,
+    dst: Reg,
+    body: impl FnOnce(&VectorScratch, &mut [D]) -> bool,
+) -> bool {
+    let mut d = std::mem::take(&mut D::file_mut(s)[dst]);
+    if d.len() < n {
+        d.resize(n, D::FILL);
+    }
+    let ok = body(s, &mut d);
+    D::file_mut(s)[dst] = d;
+    ok
+}
+
+/// `dst[l] = f(a[l], b[l])` over the selected lanes; the first lane where
+/// `f` is `None` aborts the batch (`false`).
+fn try_binary<A: Lane + Copy, D: Lane>(
+    s: &mut VectorScratch,
+    at: At,
+    f: impl Fn(A, A) -> Option<D>,
+) -> bool {
+    write(s, at.n, at.dst, |s, d| {
+        let (a, b) = (&A::file(s)[at.a], &A::file(s)[at.b]);
+        s.sels[at.sel].iter().all(|&l| {
+            let l = l as usize;
+            f(a[l], b[l]).map(|v| d[l] = v).is_some()
+        })
+    })
+}
+
+/// `dst[l] = f(a[l], b[l])` over the selected lanes.
+fn binary<A: Lane + Copy, D: Lane>(s: &mut VectorScratch, at: At, f: impl Fn(A, A) -> D) -> bool {
+    try_binary(s, at, |x, y| Some(f(x, y)))
+}
+
+/// `dst[l] = f(a[l])` over the selected lanes.
+fn unary<A: Lane + Copy, D: Lane>(s: &mut VectorScratch, at: At, f: impl Fn(A) -> D) -> bool {
+    write(s, at.n, at.dst, |s, d| {
+        let a = &A::file(s)[at.a];
+        for &l in &s.sels[at.sel] {
+            d[l as usize] = f(a[l as usize]);
+        }
+        true
+    })
+}
+
+/// `dst[l] = f(a, b, l)` over the selected lanes: the form of the string
+/// kernels, which read their operand columns' arena ranges and dictionary
+/// codes rather than one `Lane` per lane.
+fn str_lanes<D: Lane>(
+    s: &mut VectorScratch,
+    at: At,
+    f: impl Fn(&StrCol, &StrCol, usize) -> D,
+) -> bool {
+    write(s, at.n, at.dst, |s, d| {
+        let (a, b) = (&s.s[at.a], &s.s[at.b]);
+        for &l in &s.sels[at.sel] {
+            d[l as usize] = f(a, b, l as usize);
+        }
+        true
+    })
+}
+
+/// Merges the two branch results of an `If` — `(selection, register)` per
+/// arm — back into register `dst`.
+fn merge<T: Lane>(s: &mut VectorScratch, n: usize, dst: Reg, arms: [(SelId, Reg); 2]) -> bool {
+    write(s, n, dst, |s, d: &mut [T]| {
+        for (sel, src) in arms {
+            let src = &T::file(s)[src];
+            for &l in &s.sels[sel] {
+                d[l as usize] = src[l as usize].clone();
+            }
+        }
+        true
+    })
+}
+
+/// [`merge`] for string columns: each taken lane's bytes are copied into
+/// `dst`'s own arena; `false` when that arena would outgrow `u32` offsets.
+fn merge_str(s: &mut VectorScratch, n: usize, dst: Reg, arms: [(SelId, Reg); 2]) -> bool {
+    let mut d = std::mem::take(&mut s.s[dst]);
+    d.clear();
+    d.starts.resize(n, 0);
+    d.lens.resize(n, 0);
+    let ok = arms.iter().all(|&(sel, src)| {
+        let src = &s.s[src];
+        s.sels[sel].iter().all(|&l| {
+            let l = l as usize;
+            match d.push_bytes(src.lane(l)) {
+                Some((start, len)) => {
+                    d.starts[l] = start;
+                    d.lens[l] = len;
+                    true
+                }
+                None => false,
+            }
+        })
+    });
+    s.s[dst] = d;
+    ok
+}
+
 /// Executes one kernel; `false` aborts the batch (shape mismatch or a
-/// runtime error on a selected lane). Binary kernels whose destination
-/// shares a register file with their operands temporarily move the
-/// destination column out — the builder is single-assignment, so `dst`
-/// never aliases `a`/`b`.
+/// runtime error on a selected lane). The `(op, operand type)` dispatch
+/// happens here, once per batch: each arm hands its per-lane closure to a
+/// lane helper, which owns the loop.
 fn step(instr: &VInstr, rows: &[Value], s: &mut VectorScratch, n: usize) -> bool {
-    use VInstr::*;
+    use {BinOp::*, Ty::*};
+    const TYPING: &str = "the builder emits a kernel only on the operand types it is defined on";
     match instr {
-        LoadI { dst, path } => {
-            let mut d = std::mem::take(&mut s.i[*dst]);
-            d.clear();
-            d.reserve(n);
-            let mut ok = true;
-            for row in rows {
-                match path_get(row, path) {
-                    Some(Value::Int(v)) => d.push(*v),
-                    _ => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            s.i[*dst] = d;
-            return ok;
-        }
-        LoadF { dst, path } => {
-            let mut d = std::mem::take(&mut s.f[*dst]);
-            d.clear();
-            d.reserve(n);
-            let mut ok = true;
-            for row in rows {
-                match path_get(row, path) {
-                    Some(Value::Float(v)) => d.push(*v),
-                    _ => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            s.f[*dst] = d;
-            return ok;
-        }
-        LoadB { dst, path } => {
-            let mut d = std::mem::take(&mut s.b[*dst]);
-            d.clear();
-            d.reserve(n);
-            let mut ok = true;
-            for row in rows {
-                match path_get(row, path) {
-                    Some(Value::Bool(v)) => d.push(*v),
-                    _ => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            s.b[*dst] = d;
-            return ok;
-        }
-        LoadV { dst, path } => {
-            let mut d = std::mem::take(&mut s.v[*dst]);
-            d.clear();
-            d.reserve(n);
-            let mut ok = true;
-            for row in rows {
-                match path_get(row, path) {
-                    Some(v) => d.push(v.clone()),
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            s.v[*dst] = d;
-            return ok;
-        }
-        SplatI { dst, v } => {
-            let d = &mut s.i[*dst];
-            d.clear();
-            d.resize(n, *v);
-        }
-        SplatF { dst, v } => {
-            let d = &mut s.f[*dst];
-            d.clear();
-            d.resize(n, *v);
-        }
-        SplatB { dst, v } => {
-            let d = &mut s.b[*dst];
-            d.clear();
-            d.resize(n, *v);
-        }
-        SplatV { dst, v } => {
-            let d = &mut s.v[*dst];
-            d.clear();
-            d.resize(n, v.clone());
-        }
-        ArithI { sel, op, dst, a, b } => {
-            let mut d = std::mem::take(&mut s.i[*dst]);
-            ensure(&mut d, n);
-            let (a, b) = (&s.i[*a], &s.i[*b]);
-            for &l in &s.sels[*sel] {
-                let l = l as usize;
-                d[l] = match op {
-                    BinOp::Add => a[l].wrapping_add(b[l]),
-                    BinOp::Sub => a[l].wrapping_sub(b[l]),
-                    _ => a[l].wrapping_mul(b[l]),
-                };
-            }
-            s.i[*dst] = d;
-        }
-        ArithF { sel, op, dst, a, b } => {
-            let mut d = std::mem::take(&mut s.f[*dst]);
-            ensure(&mut d, n);
-            let (a, b) = (&s.f[*a], &s.f[*b]);
-            for &l in &s.sels[*sel] {
-                let l = l as usize;
-                d[l] = match op {
-                    BinOp::Add => a[l] + b[l],
-                    BinOp::Sub => a[l] - b[l],
-                    _ => a[l] * b[l],
-                };
-            }
-            s.f[*dst] = d;
-        }
-        DivF { sel, dst, a, b } => {
-            let mut d = std::mem::take(&mut s.f[*dst]);
-            ensure(&mut d, n);
-            let mut ok = true;
-            {
-                let (a, b) = (&s.f[*a], &s.f[*b]);
-                for &l in &s.sels[*sel] {
-                    let l = l as usize;
-                    if b[l] == 0.0 {
-                        ok = false;
-                        break;
-                    }
-                    d[l] = a[l] / b[l];
-                }
-            }
-            s.f[*dst] = d;
-            return ok;
-        }
-        ModI { sel, dst, a, b } => {
-            let mut d = std::mem::take(&mut s.i[*dst]);
-            ensure(&mut d, n);
-            let mut ok = true;
-            {
-                let (a, b) = (&s.i[*a], &s.i[*b]);
-                for &l in &s.sels[*sel] {
-                    let l = l as usize;
-                    if b[l] == 0 {
-                        ok = false;
-                        break;
-                    }
-                    d[l] = a[l].rem_euclid(b[l]);
-                }
-            }
-            s.i[*dst] = d;
-            return ok;
-        }
-        CastF { sel, dst, a } => {
-            ensure(&mut s.f[*dst], n);
-            for &l in &s.sels[*sel] {
-                let l = l as usize;
-                s.f[*dst][l] = s.i[*a][l] as f64;
-            }
-        }
-        NegI { sel, dst, a } => {
-            let mut d = std::mem::take(&mut s.i[*dst]);
-            ensure(&mut d, n);
-            let a = &s.i[*a];
-            for &l in &s.sels[*sel] {
-                let l = l as usize;
-                // Plain (non-wrapping) negation, matching the scalar tier.
-                d[l] = -a[l];
-            }
-            s.i[*dst] = d;
-        }
-        NegF { sel, dst, a } => {
-            let mut d = std::mem::take(&mut s.f[*dst]);
-            ensure(&mut d, n);
-            let a = &s.f[*a];
-            for &l in &s.sels[*sel] {
-                let l = l as usize;
-                d[l] = -a[l];
-            }
-            s.f[*dst] = d;
-        }
-        NotB { sel, dst, a } => {
-            let mut d = std::mem::take(&mut s.b[*dst]);
-            ensure(&mut d, n);
-            let a = &s.b[*a];
-            for &l in &s.sels[*sel] {
-                let l = l as usize;
-                d[l] = !a[l];
-            }
-            s.b[*dst] = d;
-        }
-        AbsI { sel, dst, a } => {
-            let mut d = std::mem::take(&mut s.i[*dst]);
-            ensure(&mut d, n);
-            let a = &s.i[*a];
-            for &l in &s.sels[*sel] {
-                let l = l as usize;
-                d[l] = a[l].abs();
-            }
-            s.i[*dst] = d;
-        }
-        AbsF { sel, dst, a } => {
-            let mut d = std::mem::take(&mut s.f[*dst]);
-            ensure(&mut d, n);
-            let a = &s.f[*a];
-            for &l in &s.sels[*sel] {
-                let l = l as usize;
-                d[l] = a[l].abs();
-            }
-            s.f[*dst] = d;
-        }
-        SqrtF { sel, dst, a } => {
-            let mut d = std::mem::take(&mut s.f[*dst]);
-            ensure(&mut d, n);
-            let a = &s.f[*a];
-            for &l in &s.sels[*sel] {
-                let l = l as usize;
-                d[l] = a[l].sqrt();
-            }
-            s.f[*dst] = d;
-        }
-        MinMaxI {
-            sel,
-            min,
-            dst,
-            a,
-            b,
-        } => {
-            let mut d = std::mem::take(&mut s.i[*dst]);
-            ensure(&mut d, n);
-            let (a, b) = (&s.i[*a], &s.i[*b]);
-            for &l in &s.sels[*sel] {
-                let l = l as usize;
-                d[l] = if *min { a[l].min(b[l]) } else { a[l].max(b[l]) };
-            }
-            s.i[*dst] = d;
-        }
-        MinMaxF {
-            sel,
-            min,
-            dst,
-            a,
-            b,
-        } => {
-            let mut d = std::mem::take(&mut s.f[*dst]);
-            ensure(&mut d, n);
-            let (a, b) = (&s.f[*a], &s.f[*b]);
-            for &l in &s.sels[*sel] {
-                let l = l as usize;
-                d[l] = if *min {
-                    min_total(a[l], b[l])
+        VInstr::Load { dst, path, dict } => match dst.ty {
+            I => load::<i64>(s, dst.reg, rows, path),
+            F => load::<f64>(s, dst.reg, rows, path),
+            B => load::<bool>(s, dst.reg, rows, path),
+            V => load::<Value>(s, dst.reg, rows, path),
+            S => {
+                let d = &mut s.s[dst.reg];
+                d.clear();
+                d.starts.reserve(n);
+                d.lens.reserve(n);
+                if *dict {
+                    load_str_dict(d, rows, path)
                 } else {
-                    max_total(a[l], b[l])
-                };
+                    load_str_plain(d, rows, path)
+                }
             }
-            s.f[*dst] = d;
-        }
-        HashI { sel, dst, a } => {
-            let mut d = std::mem::take(&mut s.i[*dst]);
-            ensure(&mut d, n);
-            let a = &s.i[*a];
-            for &l in &s.sels[*sel] {
-                let l = l as usize;
-                d[l] = hash_value(&Value::Int(a[l]));
-            }
-            s.i[*dst] = d;
-        }
-        HashF { sel, dst, a } => {
-            ensure(&mut s.i[*dst], n);
-            for &l in &s.sels[*sel] {
-                let l = l as usize;
-                s.i[*dst][l] = hash_value(&Value::Float(s.f[*a][l]));
-            }
-        }
-        HashB { sel, dst, a } => {
-            ensure(&mut s.i[*dst], n);
-            for &l in &s.sels[*sel] {
-                let l = l as usize;
-                s.i[*dst][l] = hash_value(&Value::Bool(s.b[*a][l]));
-            }
-        }
-        CmpI { sel, op, dst, a, b } => {
-            ensure(&mut s.b[*dst], n);
-            for &l in &s.sels[*sel] {
-                let l = l as usize;
-                s.b[*dst][l] = cmp_holds(*op, s.i[*a][l].cmp(&s.i[*b][l]));
-            }
-        }
-        CmpF { sel, op, dst, a, b } => {
-            ensure(&mut s.b[*dst], n);
-            for &l in &s.sels[*sel] {
-                let l = l as usize;
-                let (x, y) = (s.f[*a][l], s.f[*b][l]);
-                s.b[*dst][l] = match op {
-                    // Value equality on floats goes through `float_key`
-                    // (all NaNs equal, ±0 equal) — not `total_cmp`.
-                    BinOp::Eq => Value::Float(x) == Value::Float(y),
-                    BinOp::Ne => Value::Float(x) != Value::Float(y),
-                    _ => cmp_holds(*op, x.total_cmp(&y)),
-                };
+        },
+        VInstr::Splat { dst, v } => match dst.ty {
+            I => splat::<i64>(s, n, dst.reg, v),
+            F => splat::<f64>(s, n, dst.reg, v),
+            B => splat::<bool>(s, n, dst.reg, v),
+            V => splat::<Value>(s, n, dst.reg, v),
+            S => splat_str(&mut s.s[dst.reg], n, v),
+        },
+        VInstr::Un { sel, op, dst, a } => {
+            let at = At {
+                n,
+                sel: *sel,
+                dst: dst.reg,
+                a: a.reg,
+                b: a.reg,
+            };
+            match (op, a.ty) {
+                (Op1::Cast, I) => unary(s, at, |x: i64| x as f64),
+                (Op1::Neg, I) => unary(s, at, |x: i64| -x),
+                (Op1::Neg, F) => unary(s, at, |x: f64| -x),
+                (Op1::Not, B) => unary(s, at, |x: bool| !x),
+                (Op1::Abs, I) => unary(s, at, i64::abs),
+                (Op1::Abs, F) => unary(s, at, f64::abs),
+                (Op1::Sqrt, F) => unary(s, at, f64::sqrt),
+                (Op1::Hash, I) => unary(s, at, |x: i64| hash_value(&Value::Int(x))),
+                (Op1::Hash, F) => unary(s, at, |x: f64| hash_value(&Value::Float(x))),
+                (Op1::Hash, B) => unary(s, at, |x: bool| hash_value(&Value::Bool(x))),
+                (Op1::Hash, S) if s.s[at.a].dict.is_empty() => {
+                    str_lanes(s, at, |a, _, l| hash_str_bytes(a.lane(l)))
+                }
+                (Op1::Hash, S) => {
+                    let per = s.s[at.a].per_entry(hash_str_bytes);
+                    str_lanes(s, at, |a, _, l| per[a.codes[l] as usize])
+                }
+                (Op1::StrLen, S) => str_lanes(s, at, |a, _, l| a.lens[l] as i64),
+                _ => unreachable!("{TYPING}"),
             }
         }
-        CmpB { sel, op, dst, a, b } => {
-            let mut d = std::mem::take(&mut s.b[*dst]);
-            ensure(&mut d, n);
-            let (a, b) = (&s.b[*a], &s.b[*b]);
-            for &l in &s.sels[*sel] {
-                let l = l as usize;
-                d[l] = cmp_holds(*op, a[l].cmp(&b[l]));
+        VInstr::Bin { sel, op, dst, a, b } => {
+            let at = At {
+                n,
+                sel: *sel,
+                dst: dst.reg,
+                a: a.reg,
+                b: b.reg,
+            };
+            match (*op, a.ty) {
+                (Op2::Bin(Add), I) => binary(s, at, i64::wrapping_add),
+                (Op2::Bin(Sub), I) => binary(s, at, i64::wrapping_sub),
+                (Op2::Bin(Mul), I) => binary(s, at, i64::wrapping_mul),
+                (Op2::Bin(Mod), I) => {
+                    try_binary(s, at, |x: i64, y: i64| (y != 0).then(|| x.rem_euclid(y)))
+                }
+                (Op2::Bin(Add), F) => binary(s, at, |x: f64, y: f64| x + y),
+                (Op2::Bin(Sub), F) => binary(s, at, |x: f64, y: f64| x - y),
+                (Op2::Bin(Mul), F) => binary(s, at, |x: f64, y: f64| x * y),
+                (Op2::Bin(Div), F) => try_binary(s, at, |x: f64, y: f64| (y != 0.0).then(|| x / y)),
+                (Op2::Min, I) => binary(s, at, i64::min),
+                (Op2::Max, I) => binary(s, at, i64::max),
+                (Op2::Min, F) => binary(s, at, min_total),
+                (Op2::Max, F) => binary(s, at, max_total),
+                (Op2::Bin(And), B) => binary(s, at, |x: bool, y: bool| x && y),
+                (Op2::Bin(Or), B) => binary(s, at, |x: bool, y: bool| x || y),
+                // Value equality on floats goes through `float_key` (all
+                // NaNs equal, ±0 equal) — not `total_cmp`.
+                (Op2::Bin(Eq), F) => binary(s, at, |x: f64, y: f64| float_key(x) == float_key(y)),
+                (Op2::Bin(Ne), F) => binary(s, at, |x: f64, y: f64| float_key(x) != float_key(y)),
+                // What is left of `Bin` are the comparisons.
+                (Op2::Bin(op), I) => binary(s, at, |x: i64, y: i64| cmp_holds(op, x.cmp(&y))),
+                (Op2::Bin(op), F) => binary(s, at, |x: f64, y: f64| cmp_holds(op, x.total_cmp(&y))),
+                (Op2::Bin(op), B) => binary(s, at, |x: bool, y: bool| cmp_holds(op, x.cmp(&y))),
+                // `Value::Str` equality is content equality and its order
+                // is bytewise, so one byte-slice `cmp` covers every
+                // comparison operator.
+                (Op2::Bin(op), S) => {
+                    str_lanes(s, at, |a, b, l| cmp_holds(op, a.lane(l).cmp(b.lane(l))))
+                }
+                // Uniform needle over a dictionary-encoded haystack: search
+                // once per distinct value, gather through codes.
+                (Op2::Contains, S) if !s.s[at.a].dict.is_empty() && s.s[at.b].dict.len() == 1 => {
+                    let needle = s.s[at.b].dict_entry(0);
+                    let per = s.s[at.a].per_entry(|hay| contains_bytes(hay, needle));
+                    str_lanes(s, at, |a, _, l| per[a.codes[l] as usize])
+                }
+                (Op2::Contains, S) => {
+                    str_lanes(s, at, |a, b, l| contains_bytes(a.lane(l), b.lane(l)))
+                }
+                _ => unreachable!("{TYPING}"),
             }
-            s.b[*dst] = d;
         }
-        BoolB {
-            sel,
-            and,
-            dst,
-            a,
-            b,
-        } => {
-            let mut d = std::mem::take(&mut s.b[*dst]);
-            ensure(&mut d, n);
-            let (a, b) = (&s.b[*a], &s.b[*b]);
-            for &l in &s.sels[*sel] {
-                let l = l as usize;
-                d[l] = if *and { a[l] && b[l] } else { a[l] || b[l] };
-            }
-            s.b[*dst] = d;
-        }
-        SelSplit {
+        VInstr::SelSplit {
             parent,
             cond,
             then_sel,
@@ -1817,52 +1400,19 @@ fn step(instr: &VInstr, rows: &[Value], s: &mut VectorScratch, n: usize) -> bool
             }
             s.sels[*then_sel] = ts;
             s.sels[*else_sel] = es;
+            true
         }
-        MergeI { dst, ts, t, es, e } => {
-            let mut d = std::mem::take(&mut s.i[*dst]);
-            ensure(&mut d, n);
-            for &l in &s.sels[*ts] {
-                d[l as usize] = s.i[*t][l as usize];
+        VInstr::Merge { dst, ts, t, es, e } => {
+            let arms = [(*ts, *t), (*es, *e)];
+            match dst.ty {
+                I => merge::<i64>(s, n, dst.reg, arms),
+                F => merge::<f64>(s, n, dst.reg, arms),
+                B => merge::<bool>(s, n, dst.reg, arms),
+                V => merge::<Value>(s, n, dst.reg, arms),
+                S => merge_str(s, n, dst.reg, arms),
             }
-            for &l in &s.sels[*es] {
-                d[l as usize] = s.i[*e][l as usize];
-            }
-            s.i[*dst] = d;
         }
-        MergeF { dst, ts, t, es, e } => {
-            let mut d = std::mem::take(&mut s.f[*dst]);
-            ensure(&mut d, n);
-            for &l in &s.sels[*ts] {
-                d[l as usize] = s.f[*t][l as usize];
-            }
-            for &l in &s.sels[*es] {
-                d[l as usize] = s.f[*e][l as usize];
-            }
-            s.f[*dst] = d;
-        }
-        MergeB { dst, ts, t, es, e } => {
-            let mut d = std::mem::take(&mut s.b[*dst]);
-            ensure(&mut d, n);
-            for &l in &s.sels[*ts] {
-                d[l as usize] = s.b[*t][l as usize];
-            }
-            for &l in &s.sels[*es] {
-                d[l as usize] = s.b[*e][l as usize];
-            }
-            s.b[*dst] = d;
-        }
-        MergeV { dst, ts, t, es, e } => {
-            let mut d = std::mem::take(&mut s.v[*dst]);
-            ensure_v(&mut d, n);
-            for &l in &s.sels[*ts] {
-                d[l as usize] = s.v[*t][l as usize].clone();
-            }
-            for &l in &s.sels[*es] {
-                d[l as usize] = s.v[*e][l as usize].clone();
-            }
-            s.v[*dst] = d;
-        }
-        FilterApply { parent, pred, dst } => {
+        VInstr::FilterApply { parent, pred, dst } => {
             let mut d = std::mem::take(&mut s.sels[*dst]);
             d.clear();
             let pred = &s.b[*pred];
@@ -1872,135 +1422,13 @@ fn step(instr: &VInstr, rows: &[Value], s: &mut VectorScratch, n: usize) -> bool
                 }
             }
             s.sels[*dst] = d;
-        }
-        LoadS { dst, path, dict } => {
-            let mut d = std::mem::take(&mut s.s[*dst]);
-            d.clear();
-            d.starts.reserve(n);
-            d.lens.reserve(n);
-            let ok = if *dict {
-                load_str_dict(&mut d, rows, path)
-            } else {
-                load_str_plain(&mut d, rows, path)
-            };
-            s.s[*dst] = d;
-            return ok;
-        }
-        SplatS { dst, v } => {
-            let d = &mut s.s[*dst];
-            d.clear();
-            let (start, len) = match d.push_bytes(v.as_bytes()) {
-                Some(r) => r,
-                None => return false, // single string wider than the arena
-            };
-            d.starts.resize(n, start);
-            d.lens.resize(n, len);
-            d.codes.resize(n, 0);
-            d.dict.push((start, len));
-        }
-        StrLenS { sel, dst, a } => {
-            let mut d = std::mem::take(&mut s.i[*dst]);
-            ensure(&mut d, n);
-            let a = &s.s[*a];
-            for &l in &s.sels[*sel] {
-                let l = l as usize;
-                d[l] = a.lens[l] as i64;
-            }
-            s.i[*dst] = d;
-        }
-        StrContainsS { sel, dst, a, b } => {
-            let mut d = std::mem::take(&mut s.b[*dst]);
-            ensure(&mut d, n);
-            {
-                let (a, b) = (&s.s[*a], &s.s[*b]);
-                if !a.dict.is_empty() && b.dict.len() == 1 {
-                    // Uniform needle over a dictionary-encoded haystack:
-                    // search once per distinct value, gather through codes.
-                    let needle = b.dict_entry(0);
-                    let per: Vec<bool> = (0..a.dict.len())
-                        .map(|c| contains_bytes(a.dict_entry(c), needle))
-                        .collect();
-                    for &l in &s.sels[*sel] {
-                        let l = l as usize;
-                        d[l] = per[a.codes[l] as usize];
-                    }
-                } else {
-                    for &l in &s.sels[*sel] {
-                        let l = l as usize;
-                        d[l] = contains_bytes(a.lane(l), b.lane(l));
-                    }
-                }
-            }
-            s.b[*dst] = d;
-        }
-        CmpS { sel, op, dst, a, b } => {
-            let mut d = std::mem::take(&mut s.b[*dst]);
-            ensure(&mut d, n);
-            {
-                let (a, b) = (&s.s[*a], &s.s[*b]);
-                for &l in &s.sels[*sel] {
-                    let l = l as usize;
-                    // `Value::Str` equality is content equality and its
-                    // order is bytewise, so one byte-slice `cmp` covers
-                    // every comparison operator.
-                    d[l] = cmp_holds(*op, a.lane(l).cmp(b.lane(l)));
-                }
-            }
-            s.b[*dst] = d;
-        }
-        HashS { sel, dst, a } => {
-            let mut d = std::mem::take(&mut s.i[*dst]);
-            ensure(&mut d, n);
-            {
-                let a = &s.s[*a];
-                if a.dict.is_empty() {
-                    for &l in &s.sels[*sel] {
-                        let l = l as usize;
-                        d[l] = hash_str_bytes(a.lane(l));
-                    }
-                } else {
-                    let per: Vec<i64> = (0..a.dict.len())
-                        .map(|c| hash_str_bytes(a.dict_entry(c)))
-                        .collect();
-                    for &l in &s.sels[*sel] {
-                        let l = l as usize;
-                        d[l] = per[a.codes[l] as usize];
-                    }
-                }
-            }
-            s.i[*dst] = d;
-        }
-        MergeS { dst, ts, t, es, e } => {
-            let mut d = std::mem::take(&mut s.s[*dst]);
-            d.clear();
-            d.starts.resize(n, 0);
-            d.lens.resize(n, 0);
-            let mut ok = true;
-            'merge: for (sid, src) in [(*ts, *t), (*es, *e)] {
-                let src = &s.s[src];
-                for &l in &s.sels[sid] {
-                    let l = l as usize;
-                    match d.push_bytes(src.lane(l)) {
-                        Some((start, len)) => {
-                            d.starts[l] = start;
-                            d.lens[l] = len;
-                        }
-                        None => {
-                            ok = false;
-                            break 'merge;
-                        }
-                    }
-                }
-            }
-            s.s[*dst] = d;
-            return ok;
+            true
         }
     }
-    true
 }
 
-/// [`VInstr::LoadS`] without dictionary encoding: every lane's bytes go
-/// into the arena back-to-back.
+/// A string [`VInstr::Load`] without dictionary encoding: every lane's
+/// bytes go into the arena back-to-back.
 fn load_str_plain(d: &mut StrCol, rows: &[Value], path: &[usize]) -> bool {
     for row in rows {
         match path_get(row, path) {
@@ -2017,8 +1445,8 @@ fn load_str_plain(d: &mut StrCol, rows: &[Value], path: &[usize]) -> bool {
     true
 }
 
-/// [`VInstr::LoadS`] with dictionary encoding: each distinct string is
-/// stored once (first-appearance order); lanes carry codes plus ranges
+/// A string [`VInstr::Load`] with dictionary encoding: each distinct string
+/// is stored once (first-appearance order); lanes carry codes plus ranges
 /// shared with their dictionary entry.
 fn load_str_dict(d: &mut StrCol, rows: &[Value], path: &[usize]) -> bool {
     use std::hash::Hasher;
@@ -2072,53 +1500,19 @@ enum SlotOp {
     Or,
 }
 
-/// One typed accumulator slot: `acc = op(acc, val)` per row of the group.
-/// `zero: Some(z)` starts a group from `op(z, first value)` (the scalar
-/// `uni(zero, s)`); `None` starts it from the first value itself — the
-/// `Null`-unit min/max, and every slot of the merge phase, where the first
-/// partial of a group is taken as is.
+/// One typed accumulator slot: `acc = op(acc, val)` per row of the group,
+/// where `acc` is register `acc` of `val`'s file in [`AggState::accs`],
+/// indexed by group id. `zero: Some(z)` (a constant of `val`'s type) starts
+/// a group from `op(z, first value)` (the scalar `uni(zero, s)`); `None`
+/// starts it from the first value itself — the `Null`-unit min/max, and
+/// every slot of the merge phase, where the first partial of a group is
+/// taken as is.
 #[derive(Clone, Debug)]
-enum Slot {
-    I {
-        op: SlotOp,
-        val: Reg,
-        zero: Option<i64>,
-    },
-    F {
-        op: SlotOp,
-        val: Reg,
-        zero: Option<f64>,
-    },
-    B {
-        op: SlotOp,
-        val: Reg,
-        zero: Option<bool>,
-    },
-}
-
-fn comb_i(op: SlotOp, a: i64, b: i64) -> i64 {
-    match op {
-        SlotOp::Add => a.wrapping_add(b),
-        SlotOp::Mul => a.wrapping_mul(b),
-        SlotOp::Min => a.min(b),
-        _ => a.max(b),
-    }
-}
-
-fn comb_f(op: SlotOp, a: f64, b: f64) -> f64 {
-    match op {
-        SlotOp::Add => a + b,
-        SlotOp::Mul => a * b,
-        SlotOp::Min => min_total(a, b),
-        _ => max_total(a, b),
-    }
-}
-
-fn comb_b(op: SlotOp, a: bool, b: bool) -> bool {
-    match op {
-        SlotOp::And => a && b,
-        _ => a || b,
-    }
+struct Slot {
+    op: SlotOp,
+    val: Col,
+    acc: Reg,
+    zero: Option<Value>,
 }
 
 /// Recognizes a slot-wise `uni`: the tuple
@@ -2165,57 +1559,27 @@ fn slot_ops(uni: &CompiledEval) -> Option<(Vec<SlotOp>, bool)> {
 
 impl Builder<'_> {
     /// Types one accumulator slot from its per-row value and (combiner phase)
-    /// its `zero` component; `None` when `uni` over these types would error
-    /// on every row or produce a mixed-type accumulator column.
-    fn slot(&mut self, op: SlotOp, v: VVal, zero: Option<&Value>) -> Option<Slot> {
-        use SlotOp::*;
+    /// its `zero` component, as the slot's value column and typed zero;
+    /// `None` when `uni` over these types would error on every row or
+    /// produce a mixed-type accumulator column.
+    fn slot(&mut self, op: SlotOp, v: VVal, zero: Option<&Value>) -> Option<(Col, Option<Value>)> {
+        use {SlotOp::*, Ty::*};
         self.cur_sel = 0;
-        let tr = self.resolve(v)?;
+        let val = self.resolve(v)?;
+        let logical = matches!(op, And | Or);
         // `Null` is min/max's unit: `uni(Null, s)` is `s` itself.
-        let zero = match (op, zero) {
-            (Min | Max, Some(Value::Null)) => None,
-            (_, z) => z,
-        };
-        Some(match (op, tr, zero) {
-            (Add | Mul | Min | Max, TR::I(val), None) => Slot::I {
-                op,
-                val,
-                zero: None,
-            },
-            (Add | Mul | Min | Max, TR::F(val), None) => Slot::F {
-                op,
-                val,
-                zero: None,
-            },
-            (And | Or, TR::B(val), None) => Slot::B {
-                op,
-                val,
-                zero: None,
-            },
-            (Add | Mul | Min | Max, TR::I(val), Some(Value::Int(z))) => Slot::I {
-                op,
-                val,
-                zero: Some(*z),
-            },
+        let zero = zero.filter(|z| !(matches!(op, Min | Max) && matches!(z, Value::Null)));
+        Some(match (val.ty, zero) {
+            (I | F, None) if !logical => (val, None),
+            (B, None) if logical => (val, None),
+            (I, Some(z @ Value::Int(_))) if !logical => (val, Some(z.clone())),
             // Mixed Int/Float sums and products coerce through `as_float`,
             // so the accumulator is Float from `uni(zero, s)` on.
-            (Add | Mul, TR::I(_) | TR::F(_), Some(z @ (Value::Int(_) | Value::Float(_)))) => {
-                Slot::F {
-                    op,
-                    val: self.resolve_f(tr_val(tr))?,
-                    zero: Some(z.as_float().ok()?),
-                }
+            (I | F, Some(z @ (Value::Int(_) | Value::Float(_)))) if matches!(op, Add | Mul) => {
+                (self.float_of(val)?, Some(Value::Float(z.as_float().ok()?)))
             }
-            (Min | Max, TR::F(val), Some(Value::Float(z))) => Slot::F {
-                op,
-                val,
-                zero: Some(*z),
-            },
-            (And | Or, TR::B(val), Some(Value::Bool(z))) => Slot::B {
-                op,
-                val,
-                zero: Some(*z),
-            },
+            (F, Some(z @ Value::Float(_))) if !logical => (val, Some(z.clone())),
+            (B, Some(z @ Value::Bool(_))) if logical => (val, Some(z.clone())),
             // Anything else errors on every row (`Null + s`) or picks
             // operands of different types verbatim (mixed min/max).
             _ => return None,
@@ -2227,9 +1591,8 @@ impl Builder<'_> {
 /// pass-through columns (`Null`, vectors, bags) have no kernel equality.
 fn key_is_typed(m: &MatNode) -> bool {
     match m {
-        MatNode::V(_) => false,
+        MatNode::Col(c) => c.ty != Ty::V,
         MatNode::Tup(fs) => fs.iter().all(key_is_typed),
-        _ => true,
     }
 }
 
@@ -2267,9 +1630,12 @@ pub struct AggKernel {
     /// candidates for group assignment by dictionary code; empty otherwise.
     key_strs: Vec<Reg>,
     slots: Vec<Slot>,
-    /// Whether the accumulator is a tuple of the slots (banana split) or
-    /// the single slot's bare value.
-    tuple_acc: bool,
+    /// Recipe for a group's accumulator `Value` from the slots' columns in
+    /// [`AggState::accs`]: their tuple (banana split) or the single slot's
+    /// bare value.
+    acc: MatNode,
+    /// Accumulator registers per file, indexed by [`Ty`].
+    n_accs: [usize; N_TYS],
 }
 
 /// Specializes a fused `aggBy` phase against a driver-side sample (see
@@ -2305,8 +1671,9 @@ pub fn specialize_agg(
         return None;
     }
     let mut slots = Vec::with_capacity(ops.len());
+    let mut n_accs = [0; N_TYS];
     for (i, op) in ops.into_iter().enumerate() {
-        let slot = if tuple_acc {
+        let (val, zero) = if tuple_acc {
             let z = match zero {
                 Some(z) => Some(z.field(i).ok()?),
                 None => None,
@@ -2316,8 +1683,21 @@ pub fn specialize_agg(
         } else {
             b.slot(op, val_v.clone(), zero)?
         };
-        slots.push(slot);
+        let acc = n_accs[val.ty as usize];
+        n_accs[val.ty as usize] += 1;
+        slots.push(Slot { op, val, acc, zero });
     }
+    let mut accs = slots.iter().map(|s| {
+        MatNode::Col(Col {
+            ty: s.val.ty,
+            reg: s.acc,
+        })
+    });
+    let acc = if tuple_acc {
+        MatNode::Tup(accs.collect())
+    } else {
+        accs.next()?
+    };
     let leaves = match &key {
         MatNode::Tup(fs) => fs.as_slice(),
         leaf => std::slice::from_ref(leaf),
@@ -2325,26 +1705,18 @@ pub fn specialize_agg(
     let key_strs: Option<Vec<Reg>> = leaves
         .iter()
         .map(|f| match f {
-            MatNode::S(r) => Some(*r),
+            MatNode::Col(Col { ty: Ty::S, reg }) => Some(*reg),
             _ => None,
         })
         .collect();
-    let key_strs = key_strs.unwrap_or_default();
     Some(AggKernel {
         kernels: b.finish(),
         key,
-        key_strs,
+        key_strs: key_strs.unwrap_or_default(),
         slots,
-        tuple_acc,
+        acc,
+        n_accs,
     })
-}
-
-/// One slot's per-group accumulators, indexed by group id.
-#[derive(Debug)]
-enum AccCol {
-    I(Vec<i64>),
-    F(Vec<f64>),
-    B(Vec<bool>),
 }
 
 const NO_GROUP: u32 = u32::MAX;
@@ -2423,13 +1795,12 @@ pub struct AggState {
     scratch: VectorScratch,
     keys: Vec<Value>,
     table: GroupTable,
-    accs: Vec<AccCol>,
+    /// The slots' accumulator columns, indexed by group id — register files
+    /// like the scratch's, so a slot names its column by a [`Col`] and a
+    /// group's accumulator materializes like an output row.
+    accs: VectorScratch,
     /// Per-lane group ids of the current batch.
     gids: Vec<u32>,
-    /// Lanes of the current batch that did not create their group (a
-    /// creating lane's contribution is already in the group's initial
-    /// accumulator).
-    upd: Vec<u32>,
     /// Per-batch memo from combined dictionary code to group id.
     dict_gids: Vec<u32>,
 }
@@ -2442,20 +1813,22 @@ fn mix(h: u64, x: u64) -> u64 {
 /// by canonical NaN and signed zero) hash equally; nothing else is promised.
 fn lane_hash(m: &MatNode, s: &VectorScratch, l: usize, h: u64) -> u64 {
     match m {
-        MatNode::I(r) => mix(h, s.i[*r][l] as u64),
-        MatNode::F(r) => mix(h, float_key(s.f[*r][l])),
-        MatNode::B(r) => mix(h, s.b[*r][l] as u64),
-        MatNode::S(r) => {
-            let bytes = s.s[*r].lane(l);
-            let mut h = mix(h, bytes.len() as u64);
-            for c in bytes.chunks(8) {
-                let mut w = [0u8; 8];
-                w[..c.len()].copy_from_slice(c);
-                h = mix(h, u64::from_le_bytes(w));
+        MatNode::Col(c) => match c.ty {
+            Ty::I => mix(h, s.i[c.reg][l] as u64),
+            Ty::F => mix(h, float_key(s.f[c.reg][l])),
+            Ty::B => mix(h, s.b[c.reg][l] as u64),
+            Ty::S => {
+                let bytes = s.s[c.reg].lane(l);
+                let mut h = mix(h, bytes.len() as u64);
+                for c in bytes.chunks(8) {
+                    let mut w = [0u8; 8];
+                    w[..c.len()].copy_from_slice(c);
+                    h = mix(h, u64::from_le_bytes(w));
+                }
+                h
             }
-            h
-        }
-        MatNode::V(_) => unreachable!("group keys have typed leaves only"),
+            Ty::V => unreachable!("group keys have typed leaves only"),
+        },
         MatNode::Tup(fs) => fs.iter().fold(h, |h, f| lane_hash(f, s, l, h)),
     }
 }
@@ -2464,10 +1837,13 @@ fn lane_hash(m: &MatNode, s: &VectorScratch, l: usize, h: u64) -> u64 {
 /// same recipe, so shapes always line up) under `Value` equality.
 fn lane_eq_value(m: &MatNode, s: &VectorScratch, l: usize, v: &Value) -> bool {
     match (m, v) {
-        (MatNode::I(r), Value::Int(x)) => s.i[*r][l] == *x,
-        (MatNode::F(r), Value::Float(x)) => float_key(s.f[*r][l]) == float_key(*x),
-        (MatNode::B(r), Value::Bool(x)) => s.b[*r][l] == *x,
-        (MatNode::S(r), Value::Str(x)) => s.s[*r].lane(l) == x.as_bytes(),
+        (MatNode::Col(c), v) => match (c.ty, v) {
+            (Ty::I, Value::Int(x)) => s.i[c.reg][l] == *x,
+            (Ty::F, Value::Float(x)) => float_key(s.f[c.reg][l]) == float_key(*x),
+            (Ty::B, Value::Bool(x)) => s.b[c.reg][l] == *x,
+            (Ty::S, Value::Str(x)) => s.s[c.reg].lane(l) == x.as_bytes(),
+            _ => false,
+        },
         (MatNode::Tup(ms), Value::Tuple(vs)) => {
             ms.len() == vs.len()
                 && ms
@@ -2479,13 +1855,32 @@ fn lane_eq_value(m: &MatNode, s: &VectorScratch, l: usize, v: &Value) -> bool {
     }
 }
 
-/// `acc[gid[l]] = f(acc[gid[l]], v[l])` over the updating lanes, in row
-/// order — so each group accumulates in the order the scalar loop would.
-fn fold_lanes<T: Copy>(acc: &mut [T], v: &[T], gids: &[u32], upd: &[u32], f: impl Fn(T, T) -> T) {
-    for &l in upd {
-        let l = l as usize;
-        let g = gids[l] as usize;
-        acc[g] = f(acc[g], v[l]);
+/// Folds one slot's value column into its accumulator column, in row order
+/// — so each group accumulates in the order the scalar loop would. Group
+/// ids are dense in first-seen order, so the lane whose id is one past the
+/// column is the lane that opened that group: it starts the accumulator
+/// from `uni(zero, value)` (or the bare value); every other lane folds
+/// `acc[gid[l]] = f(acc[gid[l]], v[l])`.
+fn fold_slot<T: Lane + Copy>(
+    accs: &mut VectorScratch,
+    s: &VectorScratch,
+    slot: &Slot,
+    gids: &[u32],
+    f: impl Fn(T, T) -> T,
+) {
+    let zero = slot
+        .zero
+        .as_ref()
+        .map(|z| T::load(z).expect("`Builder::slot` types the zero"));
+    let acc = &mut T::file_mut(accs)[slot.acc];
+    let v = &T::file(s)[slot.val.reg];
+    for (l, &g) in gids.iter().enumerate() {
+        let g = g as usize;
+        if g == acc.len() {
+            acc.push(zero.map_or(v[l], |z| f(z, v[l])));
+        } else {
+            acc[g] = f(acc[g], v[l]);
+        }
     }
 }
 
@@ -2496,17 +1891,8 @@ impl AggKernel {
             scratch: self.kernels.new_scratch(),
             keys: Vec::new(),
             table: GroupTable::new(),
-            accs: self
-                .slots
-                .iter()
-                .map(|slot| match slot {
-                    Slot::I { .. } => AccCol::I(Vec::new()),
-                    Slot::F { .. } => AccCol::F(Vec::new()),
-                    Slot::B { .. } => AccCol::B(Vec::new()),
-                })
-                .collect(),
+            accs: VectorScratch::new(&self.n_accs, 0),
             gids: Vec::new(),
-            upd: Vec::new(),
             dict_gids: Vec::new(),
         }
     }
@@ -2522,29 +1908,26 @@ impl AggKernel {
     /// [`finish`](Self::finish)'s groups — reproducing values and the first
     /// error in evaluation order bit-identically.
     pub fn absorb(&self, rows: &[Value], st: &mut AggState) -> bool {
+        use {SlotOp::*, Ty::*};
         if !self.kernels.run(rows, &mut st.scratch) {
             return false;
         }
         self.assign_groups(rows.len(), st);
-        let AggState {
-            scratch: s,
-            accs,
-            gids,
-            upd,
-            ..
-        } = st;
-        for (slot, acc) in self.slots.iter().zip(accs.iter_mut()) {
-            match (slot, acc) {
-                (Slot::I { op, val, .. }, AccCol::I(a)) => {
-                    fold_lanes(a, &s.i[*val], gids, upd, |a, b| comb_i(*op, a, b))
-                }
-                (Slot::F { op, val, .. }, AccCol::F(a)) => {
-                    fold_lanes(a, &s.f[*val], gids, upd, |a, b| comb_f(*op, a, b))
-                }
-                (Slot::B { op, val, .. }, AccCol::B(a)) => {
-                    fold_lanes(a, &s.b[*val], gids, upd, |a, b| comb_b(*op, a, b))
-                }
-                _ => unreachable!("accumulator columns are typed by their slots"),
+        let (s, accs, gids) = (&st.scratch, &mut st.accs, &st.gids);
+        for slot in &self.slots {
+            match (slot.op, slot.val.ty) {
+                // Wrapping, like the scalar tier's integer `+` and `*`.
+                (Add, I) => fold_slot(accs, s, slot, gids, i64::wrapping_add),
+                (Mul, I) => fold_slot(accs, s, slot, gids, i64::wrapping_mul),
+                (Min, I) => fold_slot(accs, s, slot, gids, i64::min),
+                (Max, I) => fold_slot(accs, s, slot, gids, i64::max),
+                (Add, F) => fold_slot(accs, s, slot, gids, |a: f64, b: f64| a + b),
+                (Mul, F) => fold_slot(accs, s, slot, gids, |a: f64, b: f64| a * b),
+                (Min, F) => fold_slot(accs, s, slot, gids, min_total),
+                (Max, F) => fold_slot(accs, s, slot, gids, max_total),
+                (And, B) => fold_slot(accs, s, slot, gids, |a: bool, b: bool| a && b),
+                (Or, B) => fold_slot(accs, s, slot, gids, |a: bool, b: bool| a || b),
+                _ => unreachable!("`Builder::slot` pairs each operator with the types it folds"),
             }
         }
         true
@@ -2571,22 +1954,20 @@ impl AggKernel {
     }
 
     /// Assigns every lane of an evaluated batch its group id, in row order
-    /// (so ids are dense in first-seen order). A lane that opens a group
-    /// also writes the group's key and initial accumulators and is left out
-    /// of `upd`. When every key leaf is a dictionary-encoded string column
-    /// the probe runs once per distinct code combination per batch.
+    /// (so ids are dense in first-seen order); a lane that opens a group
+    /// also writes the group's key. When every key leaf is a
+    /// dictionary-encoded string column the probe runs once per distinct
+    /// code combination per batch.
     fn assign_groups(&self, n: usize, st: &mut AggState) {
         let AggState {
             scratch: s,
             keys,
             table,
-            accs,
             gids,
-            upd,
             dict_gids,
+            ..
         } = st;
         gids.clear();
-        upd.clear();
         let by_code = match self.code_space(s, n) {
             Some(w) => {
                 dict_gids.clear();
@@ -2604,7 +1985,6 @@ impl AggKernel {
             if let Some(c) = code {
                 if dict_gids[c] != NO_GROUP {
                     gids.push(dict_gids[c]);
-                    upd.push(l as u32);
                     continue;
                 }
             }
@@ -2615,27 +1995,8 @@ impl AggKernel {
                 dict_gids[c] = g;
             }
             gids.push(g);
-            if !created {
-                upd.push(l as u32);
-                continue;
-            }
-            keys.push(mat_value(&self.key, s, l));
-            for (slot, acc) in self.slots.iter().zip(accs.iter_mut()) {
-                match (slot, acc) {
-                    (Slot::I { op, val, zero }, AccCol::I(a)) => {
-                        let v = s.i[*val][l];
-                        a.push(zero.map_or(v, |z| comb_i(*op, z, v)));
-                    }
-                    (Slot::F { op, val, zero }, AccCol::F(a)) => {
-                        let v = s.f[*val][l];
-                        a.push(zero.map_or(v, |z| comb_f(*op, z, v)));
-                    }
-                    (Slot::B { op, val, zero }, AccCol::B(a)) => {
-                        let v = s.b[*val][l];
-                        a.push(zero.map_or(v, |z| comb_b(*op, z, v)));
-                    }
-                    _ => unreachable!("accumulator columns are typed by their slots"),
-                }
+            if created {
+                keys.push(mat_value(&self.key, s, l));
             }
         }
     }
@@ -2643,22 +2004,11 @@ impl AggKernel {
     /// The folded groups as `(key, accumulator)` values in first-seen
     /// order — the one place a group's accumulator becomes a `Value`.
     pub fn finish(&self, st: AggState) -> Vec<(Value, Value)> {
-        let slot_value = |c: &AccCol, g: usize| match c {
-            AccCol::I(a) => Value::Int(a[g]),
-            AccCol::F(a) => Value::Float(a[g]),
-            AccCol::B(a) => Value::Bool(a[g]),
-        };
+        let accs = &st.accs;
         st.keys
             .into_iter()
             .enumerate()
-            .map(|(g, k)| {
-                let acc = if self.tuple_acc {
-                    Value::tuple(st.accs.iter().map(|c| slot_value(c, g)).collect::<Vec<_>>())
-                } else {
-                    slot_value(&st.accs[0], g)
-                };
-                (k, acc)
-            })
+            .map(|(g, k)| (k, mat_value(&self.acc, accs, g)))
             .collect()
     }
 }
@@ -3197,7 +2547,7 @@ mod tests {
             vp.kernels
                 .instrs
                 .iter()
-                .any(|i| matches!(i, VInstr::LoadS { dict: true, .. })),
+                .any(|i| matches!(i, VInstr::Load { dict: true, .. })),
             "low-cardinality sample must dictionary-encode the load"
         );
         // A single-row sample can never clear DICT_MIN_SAMPLE.
@@ -3206,7 +2556,7 @@ mod tests {
             vp1.kernels
                 .instrs
                 .iter()
-                .all(|i| !matches!(i, VInstr::LoadS { dict: true, .. })),
+                .all(|i| !matches!(i, VInstr::Load { dict: true, .. })),
             "tiny samples must not trigger dictionary encoding"
         );
     }
@@ -3232,7 +2582,7 @@ mod tests {
             .kernels
             .instrs
             .iter()
-            .any(|i| matches!(i, VInstr::LoadS { dict: true, .. })));
+            .any(|i| matches!(i, VInstr::Load { dict: true, .. })));
     }
 
     #[test]

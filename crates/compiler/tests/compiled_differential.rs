@@ -648,6 +648,373 @@ fn fold_grid_agrees_on_values_and_errors() {
     );
 }
 
+/// What a stage chain does to a batch of rows: the output rows plus the rows
+/// that entered each stage (last = output rows), or the first error in row
+/// order.
+type Pass = Result<(Vec<Value>, Vec<u64>), ValueError>;
+
+/// The row-at-a-time pass over a `(is_filter, lambda)` chain — the engine's
+/// scalar loop — with `eval(stage, row)` supplying the tier.
+fn scalar_pass(
+    stages: &[(bool, Lambda)],
+    rows: &[Value],
+    mut eval: impl FnMut(usize, &Value) -> Result<Value, ValueError>,
+) -> Pass {
+    let mut counts = vec![0u64; stages.len() + 1];
+    let mut out = Vec::new();
+    'rows: for row in rows {
+        let mut cur = row.clone();
+        for (i, (filter, _)) in stages.iter().enumerate() {
+            counts[i] += 1;
+            let v = eval(i, &cur)?;
+            if !*filter {
+                cur = v;
+            } else if !v.as_bool()? {
+                continue 'rows;
+            }
+        }
+        counts[stages.len()] += 1;
+        out.push(cur);
+    }
+    Ok((out, counts))
+}
+
+/// Runs one grid cell through the three tiers and holds them to one
+/// outcome: values (compared through `Debug`, so `-0.0` is not `0.0`), the
+/// first error in row order, and per-stage counts. The chain must
+/// specialize, and its batch must abort exactly when a selected lane raises
+/// — leaving `counts` and `out` untouched for the replay.
+fn assert_cell(
+    cell: &str,
+    stages: &[(bool, Lambda)],
+    rows: &[Value],
+    base: &HashMap<String, Value>,
+) -> Pass {
+    let catalog = Catalog::new();
+    let want = scalar_pass(stages, rows, |i, row| {
+        interp::eval_lambda(
+            &stages[i].1,
+            std::slice::from_ref(row),
+            &mut Env::new(base),
+            &catalog,
+        )
+    });
+    let compiled: Vec<_> = stages.iter().map(|(_, lam)| compile_lambda(lam)).collect();
+    let caps: Vec<_> = compiled.iter().map(|c| c.bind(base)).collect();
+    let mut m = Machine::new();
+    let scalar = scalar_pass(stages, rows, |i, row| {
+        compiled[i].eval(std::slice::from_ref(row), &caps[i], &mut m, &catalog)
+    });
+    assert_eq!(
+        format!("{want:?}"),
+        format!("{scalar:?}"),
+        "{cell}: scalar tier vs interpreter"
+    );
+
+    let specs: Vec<_> = stages
+        .iter()
+        .zip(compiled.iter().zip(&caps))
+        .map(|((filter, _), (code, caps))| match filter {
+            true => VecStageSpec::Filter(code, caps),
+            false => VecStageSpec::Map(code, caps),
+        })
+        .collect();
+    let vp = specialize_sampled(&specs, rows).unwrap_or_else(|| panic!("{cell}: must specialize"));
+    let mut scratch = vp.new_scratch();
+    let mut counts = vec![0u64; vp.n_stages() + 1];
+    let mut out = Vec::new();
+    let ran = vp.run_batch(rows, &mut scratch, &mut counts, &mut out);
+    assert_eq!(
+        ran,
+        want.is_ok(),
+        "{cell}: a batch aborts iff a selected lane raises"
+    );
+    if ran {
+        assert_eq!(
+            format!("{want:?}"),
+            format!("{:?}", Pass::Ok((out, counts))),
+            "{cell}: kernels"
+        );
+    } else {
+        assert!(
+            out.is_empty() && counts.iter().all(|&c| c == 0),
+            "{cell}: abort wrote outputs"
+        );
+    }
+    want
+}
+
+/// Every kernel instantiation, by name: each `(operation, operand type)`
+/// pair the builder can emit — arithmetic with Int/Float coercion, `Div` and
+/// `Mod`, the six comparisons on Int / Float (NaN, ±0.0) / mixed / Bool /
+/// Str, the logical and unary operators, the builtins, string kernels over
+/// plain and dictionary-encoded columns, constants and captures of every
+/// column type including an opaque one, and `If` merges of each of the five
+/// column types. The proptest suites draw these at random; the grid makes
+/// each one a case that fails under its own name.
+///
+/// Each cell `K` runs (a) under the full selection, (b) inside one arm of an
+/// `If` whose other arm would raise on exactly the lanes that take `K`'s,
+/// (c) after a `Filter` stage that drops the one lane that would raise, and
+/// (d) with that lane selected — alone, where the batch aborts only if `K`
+/// itself divides by the lane's zero, and next to a kernel that always does.
+#[test]
+fn kernel_grid_agrees_on_values_errors_and_counts() {
+    use BuiltinFn::*;
+    let lit = |v: Value| ScalarExpr::Lit(v);
+    let fld = |i: usize| ScalarExpr::var("x").get(i);
+    let call = |f: BuiltinFn, args: &[&ScalarExpr]| {
+        ScalarExpr::call(f, args.iter().map(|a| (*a).clone()).collect())
+    };
+    let ite = |c: &ScalarExpr, t: &ScalarExpr, e: &ScalarExpr| {
+        ScalarExpr::If(
+            Box::new(c.clone()),
+            Box::new(t.clone()),
+            Box::new(e.clone()),
+        )
+    };
+    // The row: two Ints (`j` never 0), two Floats (`g` never 0), two Bools,
+    // a high-cardinality Str (plain arena), a low-cardinality Str
+    // (dictionary-encoded under the whole-batch sample), an opaque
+    // component, `guard` (0 exactly where `p` holds), and the divisors `z` /
+    // `h` that are zero only on the poison row.
+    let [i, j, f, g, p, q, s, t, o, guard, z, h] = std::array::from_fn(fld);
+    let ints = [0, 1, -7, i64::MAX, 42, -1, 6, i64::MAX - 1, 3, -100, 9, 2];
+    let floats = [
+        1.5,
+        -0.0,
+        0.0,
+        f64::NAN,
+        f64::INFINITY,
+        -2.25,
+        1e300,
+        4.0,
+        f64::NAN,
+        0.5,
+        -1.0,
+        9.0,
+    ];
+    let gs = [
+        2.0,
+        0.5,
+        f64::NAN,
+        -1.0,
+        f64::INFINITY,
+        3.0,
+        1.5,
+        -0.25,
+        f64::NAN,
+        8.0,
+        1e-300,
+        9.0,
+    ];
+    let row = |n: usize, poison: bool| {
+        let p = !n.is_multiple_of(3);
+        Value::tuple(vec![
+            Value::Int(ints[n]),
+            Value::Int([3, -2, 5][n % 3]),
+            Value::Float(floats[n]),
+            Value::Float(gs[n]),
+            Value::Bool(p),
+            Value::Bool(n.is_multiple_of(2)),
+            Value::str(format!("k{n}-{}", "ab".repeat(n % 4))),
+            Value::str(["spam", "ham", ""][n % 3]),
+            if n.is_multiple_of(2) {
+                Value::Null
+            } else {
+                Value::vector(vec![n as f64])
+            },
+            Value::Int(!p as i64),
+            Value::Int(if poison { 0 } else { 4 }),
+            Value::Float(if poison { -0.0 } else { 0.5 }),
+        ])
+    };
+    let clean: Vec<Value> = (0..12).map(|n| row(n, false)).collect();
+    let mut poisoned = clean.clone();
+    poisoned.insert(5, row(5, true));
+
+    let mut base = base_scope();
+    base.insert("cI".into(), Value::Int(3));
+    base.insert("cF".into(), Value::Float(-0.5));
+    base.insert("cB".into(), Value::Bool(true));
+    base.insert("cS".into(), Value::str("am"));
+    base.insert("cV".into(), Value::bag(vec![Value::Int(1)]));
+    base.insert(
+        "cT".into(),
+        Value::tuple(vec![Value::Int(2), Value::str("ham")]),
+    );
+    let cap = ScalarExpr::var;
+
+    let mut cells: Vec<(String, ScalarExpr)> = Vec::new();
+    let mut cell = |name: String, k: ScalarExpr| cells.push((name, k));
+    type Bin = fn(ScalarExpr, ScalarExpr) -> ScalarExpr;
+    let arith: [(&str, Bin); 4] = [
+        ("add", ScalarExpr::add),
+        ("sub", ScalarExpr::sub),
+        ("mul", ScalarExpr::mul),
+        ("div", ScalarExpr::div),
+    ];
+    let cmps: [(&str, Bin); 6] = [
+        ("eq", ScalarExpr::eq),
+        ("ne", ScalarExpr::ne),
+        ("lt", ScalarExpr::lt),
+        ("le", ScalarExpr::le),
+        ("gt", ScalarExpr::gt),
+        ("ge", ScalarExpr::ge),
+    ];
+    for (name, op) in arith {
+        for (tys, l, r) in [
+            ("II", &i, &j),
+            ("FF", &f, &g),
+            ("IF", &i, &g),
+            ("FI", &f, &j),
+        ] {
+            cell(format!("{name} {tys}"), op(l.clone(), r.clone()));
+        }
+    }
+    cell("mod II".into(), i.clone().rem(j.clone()));
+    cell("mod I by z".into(), i.clone().rem(z.clone()));
+    cell("div I by z".into(), i.clone().div(z.clone()));
+    cell("div F by h".into(), f.clone().div(h.clone()));
+    let zero = lit(Value::Float(0.0));
+    let neg_zero = lit(Value::Float(-0.0));
+    let spam = lit(Value::str("spam"));
+    for (name, op) in cmps {
+        for (tys, l, r) in [
+            ("II", &i, &j),
+            ("FF", &f, &g),
+            ("F +0", &f, &zero),
+            ("F -0", &f, &neg_zero),
+            ("IF", &i, &f),
+            ("FI", &g, &j),
+            ("BB", &p, &q),
+            ("SS", &s, &t),
+            ("S const", &t, &spam),
+        ] {
+            cell(format!("{name} {tys}"), op(l.clone(), r.clone()));
+        }
+    }
+    cell("and".into(), p.clone().and(q.clone()));
+    cell("or".into(), p.clone().or(q.clone()));
+    cell("not".into(), p.clone().not());
+    for (ty, a, b) in [("I", &i, &j), ("F", &f, &g)] {
+        cell(
+            format!("neg {ty}"),
+            ScalarExpr::UnOp(emma_compiler::expr::UnOp::Neg, Box::new(a.clone())),
+        );
+        cell(format!("abs {ty}"), call(Abs, &[a]));
+        cell(format!("sqrt {ty}"), call(Sqrt, &[a]));
+        cell(format!("min {ty}"), call(MinOf, &[a, b]));
+        cell(format!("max {ty}"), call(MaxOf, &[a, b]));
+    }
+    let merged_s = ite(&q, &s, &t);
+    for (ty, a) in [
+        ("I", &i),
+        ("F", &f),
+        ("B", &p),
+        ("S plain", &s),
+        ("S dict", &t),
+        ("S const", &spam),
+        ("S merged", &merged_s),
+    ] {
+        cell(format!("hash {ty}"), call(HashOf, &[a]));
+    }
+    for (ty, a) in [("plain", &s), ("dict", &t), ("merged", &merged_s)] {
+        cell(format!("str_len {ty}"), call(StrLen, &[a]));
+    }
+    let am = lit(Value::str("am"));
+    for (tys, hay, needle) in [
+        ("plain/const", &s, &am),
+        ("dict/const", &t, &am),
+        ("dict/capture", &t, &cap("cS")),
+        ("dict/lane", &t, &s),
+        ("plain/dict", &s, &t),
+        ("const/dict", &spam, &t),
+        ("merged/const", &merged_s, &am),
+    ] {
+        cell(
+            format!("str_contains {tys}"),
+            call(StrContains, &[hay, needle]),
+        );
+    }
+    cell("const I".into(), i.clone().add(lit(Value::Int(2))));
+    cell("const F".into(), f.clone().mul(lit(Value::Float(0.5))));
+    cell("const B".into(), p.clone().and(lit(Value::Bool(true))));
+    cell(
+        "const opaque".into(),
+        ScalarExpr::Tuple(vec![i.clone(), lit(Value::Null)]),
+    );
+    let nested = Value::tuple(vec![Value::Int(1), Value::str("u"), Value::Null]);
+    cell(
+        "const tuple".into(),
+        ScalarExpr::Tuple(vec![p.clone(), lit(nested)]),
+    );
+    cell("capture I".into(), cap("cI").mul(i.clone()));
+    cell("capture F".into(), cap("cF").add(f.clone()));
+    cell("capture B".into(), q.clone().or(cap("cB")));
+    cell("capture S".into(), cap("cS").lt(t.clone()));
+    cell(
+        "capture opaque".into(),
+        ScalarExpr::Tuple(vec![cap("cV"), s.clone()]),
+    );
+    cell("capture tuple".into(), cap("cT").get(1).eq(t.clone()));
+    cell(
+        "field tuple".into(),
+        ScalarExpr::Tuple(vec![t.clone(), o.clone(), g.clone()]),
+    );
+    for (ty, a, b) in [
+        ("I", &i, &j),
+        ("F", &f, &g),
+        ("B", &q, &p.clone().not()),
+        ("S", &s, &t),
+        ("S const", &t, &spam),
+        ("V", &o, &lit(Value::Null)),
+        ("V capture", &cap("cV"), &o),
+        (
+            "tuple",
+            &ScalarExpr::Tuple(vec![i.clone(), s.clone()]),
+            &ScalarExpr::Tuple(vec![j.clone(), t.clone()]),
+        ),
+    ] {
+        cell(format!("merge {ty}"), ite(&q, a, b));
+    }
+
+    // Raises on the poison row only, and after `K` in evaluation order.
+    let raise = i.clone().rem(z.clone());
+    let alive = z.clone().ne(lit(Value::Int(0)));
+    let never = i.clone().rem(guard.clone()).eq(lit(Value::Int(0)));
+    let map = |body: ScalarExpr| (false, Lambda::new(["x"], body));
+    let (n_cells, mut fallible) = (cells.len(), 0);
+    for (name, k) in cells {
+        let full = assert_cell(&format!("{name} / full"), &[map(k.clone())], &clean, &base)
+            .unwrap_or_else(|e| panic!("{name}: raises on clean rows: {e:?}"));
+        let in_arm = ite(&p, &k, &ite(&never, &k, &k));
+        let armed = assert_cell(&format!("{name} / if-arm"), &[map(in_arm)], &clean, &base);
+        assert_eq!(
+            format!("{full:?}"),
+            format!("{:?}", armed.unwrap()),
+            "{name}: `If` changed `K`"
+        );
+        let both = ScalarExpr::Tuple(vec![k.clone(), raise.clone()]);
+        let filtered = [
+            (true, Lambda::new(["x"], q.clone().and(alive.clone()))),
+            map(both.clone()),
+        ];
+        let (_, counts) = assert_cell(&format!("{name} / filtered"), &filtered, &poisoned, &base)
+            .unwrap_or_else(|e| panic!("{name}: a filtered-out lane raised: {e:?}"));
+        assert_eq!(counts, [13, 6, 6], "{name}: per-stage counts");
+        // Alone, only `K`'s own `Div` / `Mod` can abort the batch; next to
+        // `raise`, every cell does.
+        let alone = assert_cell(&format!("{name} / poisoned"), &[map(k)], &poisoned, &base);
+        fallible += alone.is_err() as usize;
+        let err = assert_cell(&format!("{name} / aborted"), &[map(both)], &poisoned, &base)
+            .expect_err("the poison lane is selected");
+        assert!(matches!(&err, ValueError::Arithmetic(_)), "{name}: {err:?}");
+    }
+    assert_eq!(fallible, 3, "mod I by z, div I by z, div F by h");
+    assert_eq!(n_cells, 16 + 4 + 54 + 3 + 10 + 7 + 3 + 7 + 12 + 8);
+}
+
 /// The closed forms are recognized from the compiled `zero`/`sng`/`uni`
 /// code. A fold may carry any [`FoldKind`] over any lambdas, so one
 /// *labelled* `Count` whose lambdas are not count's must evaluate its own

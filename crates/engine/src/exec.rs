@@ -1140,75 +1140,35 @@ impl<'a> Session<'a> {
 
     // ------------------------------------------------- vectorized batch tier
 
-    /// Attempts to specialize a chain of prepared Map/Filter stages for the
-    /// vectorized columnar tier. Returns the kernel program plus the batch
-    /// size on success; `None` — with the fallback counted — when the chain
-    /// has no columnar form (`specs` is `None`: a FlatMap stage, a
-    /// byte-sampled intermediate) or resists static typing. The interpreter
-    /// tier and an empty input (no sample row to type against, no row for a
-    /// slow path to run on) return `None` without counting.
+    /// The driver's specialize-or-refuse decision for one site of the
+    /// vectorized columnar tier: runs `specialize` — a chain of prepared
+    /// Map/Filter stages, a wide operator's key UDF, or one phase of a fused
+    /// `aggBy` (`key`, `sng` and `uni` together) — against the driver-side
+    /// sample and returns the kernel program plus the batch size. A site
+    /// with no columnar form (a FlatMap stage, a byte-sampled intermediate,
+    /// a fold that is not slot-wise) or one that resists static typing is
+    /// `None` with one refusal counted in `refusals`:
+    /// [`ExecStats::vector_fallbacks`], or its key-path analogue
+    /// [`ExecStats::key_path_fallbacks`]. The interpreter tier and an empty
+    /// input (no sample row to type against, no row for a slow path to run
+    /// on) return `None` without counting.
     ///
-    /// Specialization runs on the driver against a prefix of the first
-    /// non-empty partition (up to [`SPECIALIZE_SAMPLE_ROWS`] rows): the first
-    /// row defines the column shapes, the rest inform the string-column
-    /// dictionary-encoding decision. The partition layout is a pure function
-    /// of the simulated cluster, so the decision (and `vector_fallbacks`)
-    /// replays bit-identically across thread counts and dispatch modes.
-    fn try_vectorize(
+    /// `samples` is a prefix of the first non-empty partition
+    /// ([`sample_rows`]): the first row defines the column shapes, the rest
+    /// inform the string-column dictionary-encoding decision. The partition
+    /// layout is a pure function of the simulated cluster, so the decision
+    /// (and the counter) replays bit-identically across thread counts and
+    /// dispatch modes.
+    fn try_vectorize<K>(
         &mut self,
-        specs: Option<&[VecStageSpec<'_>]>,
-        parts: &[Part],
-    ) -> Option<(VectorPipeline, usize)> {
-        let cfg = self.vectorized?;
-        let samples = sample_rows(parts)?;
-        let vp = specs.and_then(|specs| vectorized::specialize_sampled(specs, samples));
-        if vp.is_none() {
-            self.stats.vector_fallbacks += 1;
-        }
-        vp.map(|vp| (vp, cfg.batch_rows))
-    }
-
-    /// [`try_vectorize`](Self::try_vectorize) for a wide operator's key UDF:
-    /// a refused key body is counted in the key-path analogue,
-    /// [`ExecStats::key_path_fallbacks`], instead of `vector_fallbacks`.
-    /// `samples` is a driver-chosen row prefix of the operator's input (see
-    /// [`sample_rows`]); an empty input returns `None` without counting —
-    /// no rows means no slow path ran.
-    fn try_vectorize_key(
-        &mut self,
-        prep: &PreparedScalar<'_>,
         samples: Option<&[Value]>,
-    ) -> Option<(VectorPipeline, usize)> {
+        refusals: fn(&mut ExecStats) -> &mut u64,
+        specialize: impl FnOnce(&[Value]) -> Option<K>,
+    ) -> Option<(K, usize)> {
         let cfg = self.vectorized?;
-        let samples = samples?;
-        let spec = vec_spec(prep, false)?;
-        match vectorized::specialize_sampled(&[spec], samples) {
-            Some(vp) => Some((vp, cfg.batch_rows)),
-            None => {
-                self.stats.key_path_fallbacks += 1;
-                None
-            }
-        }
-    }
-
-    /// [`try_vectorize`](Self::try_vectorize) for one phase of a fused
-    /// `aggBy`: specializes `key`, `sng` and `uni` together into a columnar
-    /// aggregation kernel. A fold that does not specialize is one counted
-    /// `vector_fallbacks` refusal and runs the scalar loop.
-    fn try_vectorize_agg(
-        &mut self,
-        input: Option<AggInput<'_>>,
-        uni: &PreparedScalar<'_>,
-        parts: &[Part],
-    ) -> Option<(AggKernel, usize)> {
-        let cfg = self.vectorized?;
-        let samples = sample_rows(parts)?;
-        let kernel = match (input, compiled_parts(uni)) {
-            (Some(input), Some((uni, _))) => vectorized::specialize_agg(&input, uni, samples),
-            _ => None,
-        };
+        let kernel = specialize(samples?);
         if kernel.is_none() {
-            self.stats.vector_fallbacks += 1;
+            *refusals(&mut self.stats) += 1;
         }
         kernel.map(|k| (k, cfg.batch_rows))
     }
@@ -1224,8 +1184,7 @@ impl<'a> Session<'a> {
 
     fn exec_stmt(&mut self, s: &CStmt) -> Result<(), ExecError> {
         match s {
-            CStmt::Bind { name, value, kind } => {
-                let _ = kind;
+            CStmt::Bind { name, value, .. } => {
                 match value {
                     CRValue::Bag(plan) => {
                         let (inner, cached) = strip_cache(plan);
@@ -1599,9 +1558,11 @@ impl<'a> Session<'a> {
                 // the combiner chain is inherently sequential and stays
                 // scalar.
                 let catalog = self.catalog;
-                let sng_spec = vec_spec(&sng_prep, false);
-                let vec_run =
-                    self.try_vectorize(sng_spec.as_ref().map(std::slice::from_ref), &d.parts);
+                let vec_run = self.try_vectorize(
+                    sample_rows(&d.parts),
+                    |st| &mut st.vector_fallbacks,
+                    |rows| vectorized::specialize_sampled(&[vec_spec(&sng_prep, false)?], rows),
+                );
                 let partials =
                     self.run_tasks(true, d.parts.len(), d.total_rows(), |pi, tally| {
                         fold_partition(
@@ -1909,14 +1870,15 @@ impl<'a> Session<'a> {
                 })
                 .collect()
         };
-        let vec_run = self.try_vectorize(specs.as_deref(), &d.parts);
+        let vec_run = self.try_vectorize(
+            sample_rows(&d.parts),
+            |st| &mut st.vector_fallbacks,
+            |rows| vectorized::specialize_sampled(specs.as_deref()?, rows),
+        );
         let catalog = self.catalog;
         let results = self.run_tasks(false, d.parts.len(), d.total_rows(), |pi, tally| {
-            let rows = &d.parts[pi];
-            match &vec_run {
-                Some(vec) => run_vectorized_partition(rows, vec, &prepared, &bases, catalog, tally),
-                None => run_pipeline_partition(rows, &prepared, &bases, catalog, &need_bytes),
-            }
+            let (rows, vec) = (&d.parts[pi], vec_run.as_ref());
+            run_pipeline_partition(rows, vec, &prepared, &bases, catalog, &need_bytes, tally)
         })?;
         let mut parts = Vec::with_capacity(results.len());
         let mut counts_total = vec![0u64; nstages + 1];
@@ -2242,17 +2204,19 @@ impl<'a> Session<'a> {
         let uni_prep = self.prepare_lambda(&fold.uni, &base);
 
         // Columnar decision, made once on the driver (see
-        // [`Self::try_vectorize_agg`]) so every combiner task agrees.
-        let agg_vec = {
-            let input = compiled_parts(&key_prep)
-                .zip(compiled_parts(&sng_prep))
-                .map(|(key, sng)| AggInput::Rows {
-                    key,
-                    sng,
+        // [`Self::try_vectorize`]) so every combiner task agrees.
+        let agg_vec = self.try_vectorize(
+            sample_rows(&d.parts),
+            |st| &mut st.vector_fallbacks,
+            |rows| {
+                let input = AggInput::Rows {
+                    key: compiled_parts(&key_prep)?,
+                    sng: compiled_parts(&sng_prep)?,
                     zero: &zero,
-                });
-            self.try_vectorize_agg(input, &uni_prep, &d.parts)
-        };
+                };
+                vectorized::specialize_agg(&input, compiled_parts(&uni_prep)?.0, rows)
+            },
+        );
 
         // Combiner phase: per-partition partial aggregation, fanned out on
         // the pool. The key hash is computed once per group (kernel) or row
@@ -2331,7 +2295,14 @@ impl<'a> Session<'a> {
         // injected failure skips the body), so the scalar loop moves keys
         // and accumulators out of the partial rows instead of cloning them.
         let merge_vec = match agg_vec {
-            Some(_) => self.try_vectorize_agg(Some(AggInput::Partials), &uni_prep, &shuffled.parts),
+            Some(_) => self.try_vectorize(
+                sample_rows(&shuffled.parts),
+                |st| &mut st.vector_fallbacks,
+                |rows| {
+                    let uni = compiled_parts(&uni_prep)?.0;
+                    vectorized::specialize_agg(&AggInput::Partials, uni, rows)
+                },
+            ),
             None => None,
         };
         let (merge_rows, merge_max_rows) = (shuffled.total_rows(), shuffled.max_part_rows());
@@ -2576,7 +2547,11 @@ impl<'a> Session<'a> {
         let parts_n = self.dop();
         let base = self.eval_base_for_lambdas(&[key], env)?;
         let prep = self.prepare_lambda(key, &base);
-        let vec = self.try_vectorize_key(&prep, sample_rows(&d.parts));
+        let vec = self.try_vectorize(
+            sample_rows(&d.parts),
+            |st| &mut st.key_path_fallbacks,
+            |rows| vectorized::specialize_sampled(&[vec_spec(&prep, false)?], rows),
+        );
         let eval = KeyEval { prep, vec, base };
         let split = match placement {
             Placement::Hashed(split) if !placed_by(&d, key, parts_n) => split,
@@ -2747,14 +2722,8 @@ impl<'a> Session<'a> {
                             }
                             *thunk.memo.lock().unwrap() = None;
                             self.stats.recomputed_plan_nodes += thunk.plan.lineage_size() as u64;
-                            let splits_before = self.stats.partitions_split;
-                            let result = self.exec_bag(&thunk.plan.clone(), &thunk.env.clone())?;
-                            self.stats.cache_misses += 1;
+                            let result = self.materialize(thunk)?;
                             self.stats.recomputed_partitions += result.parts.len() as u64;
-                            self.charge_cache_write(&result);
-                            let split = self.stats.partitions_split > splits_before;
-                            self.maybe_checkpoint(thunk, &result, split);
-                            *thunk.memo.lock().unwrap() = Some(result.clone());
                             return Ok(result);
                         }
                     }
@@ -2786,22 +2755,31 @@ impl<'a> Session<'a> {
                     return Ok(data);
                 }
             }
-            let splits_before = self.stats.partitions_split;
-            let result = self.exec_bag(&thunk.plan.clone(), &thunk.env.clone())?;
-            self.stats.cache_misses += 1;
-            self.charge_cache_write(&result);
-            let split = self.stats.partitions_split > splits_before;
-            self.maybe_checkpoint(thunk, &result, split);
+            let result = self.materialize(thunk)?;
             if let Some((cache, fp)) = shared {
                 cache.insert(fp, &thunk.plan, result.clone(), self.engine.shared_session);
             }
-            *thunk.memo.lock().unwrap() = Some(result.clone());
             Ok(result)
         } else {
             // Lazy lineage: every force recomputes from scratch.
             self.stats.cache_misses += 1;
             self.exec_bag(&thunk.plan.clone(), &thunk.env.clone())
         }
+    }
+
+    /// Materializes a cached thunk — first use, or again after an eviction:
+    /// executes its plan, counts the miss, charges the cache write, offers
+    /// the result to the checkpoint policy (noting whether a skew split
+    /// happened under it) and memoizes it.
+    fn materialize(&mut self, thunk: &Arc<Thunk>) -> Result<Partitioned, ExecError> {
+        let splits_before = self.stats.partitions_split;
+        let result = self.exec_bag(&thunk.plan.clone(), &thunk.env.clone())?;
+        self.stats.cache_misses += 1;
+        self.charge_cache_write(&result);
+        let split = self.stats.partitions_split > splits_before;
+        self.maybe_checkpoint(thunk, &result, split);
+        *thunk.memo.lock().unwrap() = Some(result.clone());
+        Ok(result)
     }
 
     /// Persists an eligible cache write to simulated durable storage under
@@ -3176,12 +3154,55 @@ fn sample_rows(parts: &[Part]) -> Option<&[Value]> {
         .map(|p| &p[..p.len().min(SPECIALIZE_SAMPLE_ROWS)])
 }
 
+/// One chunk's outcome in [`batch_or_replay`].
+enum Chunk<'a> {
+    /// The kernels evaluated the chunk and appended their output rows.
+    Ran,
+    /// The kernels aborted on these input rows (or the site has none): the
+    /// scalar tier evaluates them row-at-a-time.
+    Replay(&'a [Value]),
+}
+
+/// The one loop every consumer of a [`VectorPipeline`] runs: `rows` in
+/// chunks of `batch_rows`, each through the kernels — adding to the
+/// per-stage counts and appending to the output rows, both returned at the
+/// end — with a successful batch tallied and an aborted one (shape mismatch
+/// or a runtime error on a selected lane) handed to `each` for replay
+/// through the scalar tier, which reproduces values and the first error in
+/// evaluation order bit-identically. An abort leaves counts and rows
+/// untouched and `each` gets both either way, so the two paths write the
+/// same outputs. Without a kernel program the rows are one replayed chunk.
+/// Scalar replay contexts are `each`'s to build lazily: a partition whose
+/// every batch vectorizes never allocates them.
+fn batch_or_replay<E>(
+    rows: &[Value],
+    vec: Option<&(VectorPipeline, usize)>,
+    nstages: usize,
+    tally: &mut Tally,
+    mut each: impl FnMut(Chunk<'_>, &mut [u64], &mut Vec<Value>) -> Result<(), E>,
+) -> Result<(Vec<Value>, Vec<u64>), E> {
+    let mut kernel = vec.map(|(vp, _)| (vp, vp.new_scratch()));
+    let mut counts = vec![0u64; nstages + 1];
+    let mut out = Vec::new();
+    for chunk in rows.chunks(vec.map_or(usize::MAX, |(_, n)| *n)) {
+        let ran = kernel
+            .as_mut()
+            .is_some_and(|(vp, scratch)| vp.run_batch(chunk, scratch, &mut counts, &mut out));
+        let outcome = if ran {
+            tally.batch(chunk.len());
+            Chunk::Ran
+        } else {
+            Chunk::Replay(chunk)
+        };
+        each(outcome, &mut counts, &mut out)?;
+    }
+    Ok((out, counts))
+}
+
 /// Evaluates a key UDF over `rows` — batch-at-a-time through the vectorized
-/// tier when the key body specialized, row-at-a-time otherwise — returning
-/// the row-aligned `(hash, key)` pairs up to the first row whose key raised,
-/// and that error. An aborted batch (shape mismatch or an erroring lane)
-/// replays row-at-a-time through the scalar tier, so key values and the
-/// first error in row order reproduce bit-identically. A key UDF reads only
+/// tier when the key body specialized, row-at-a-time otherwise
+/// ([`batch_or_replay`]) — returning the row-aligned `(hash, key)` pairs up
+/// to the first row whose key raised, and that error. A key UDF reads only
 /// its own row, so evaluating it ahead of the rows' consumer changes
 /// nothing the consumer can observe.
 fn batch_keys(
@@ -3190,42 +3211,22 @@ fn batch_keys(
     catalog: &Catalog,
     tally: &mut Tally,
 ) -> (Vec<(u64, Value)>, Option<ValueError>) {
-    /// Pushes pairs until a key raises.
-    fn fill(
-        rows: &[Value],
-        eval: &KeyEval<'_>,
-        catalog: &Catalog,
-        tally: &mut Tally,
-        hks: &mut Vec<(u64, Value)>,
-    ) -> Result<(), ValueError> {
-        let mut cx: Option<EvCtx> = None;
-        let mut scalar = |chunk: &[Value], hks: &mut Vec<(u64, Value)>| {
-            let cx = cx.get_or_insert_with(|| eval.prep.ctx(&eval.base));
-            for row in chunk {
-                let k = eval.prep.call(std::slice::from_ref(row), cx, catalog)?;
-                hks.push((value_hash(&k), k));
-            }
-            Ok(())
-        };
-        let Some((vp, batch_rows)) = &eval.vec else {
-            return scalar(rows, hks);
-        };
-        let mut scratch = vp.new_scratch();
-        let mut counts = [0u64; 2];
-        let mut keys_out: Vec<Value> = Vec::new();
-        for chunk in rows.chunks(*batch_rows) {
-            keys_out.clear();
-            if vp.run_batch(chunk, &mut scratch, &mut counts, &mut keys_out) {
-                tally.batch(chunk.len());
-                hks.extend(keys_out.drain(..).map(|k| (value_hash(&k), k)));
-            } else {
-                scalar(chunk, hks)?;
+    let mut hks: Vec<(u64, Value)> = Vec::with_capacity(rows.len());
+    let mut cx: Option<EvCtx> = None;
+    let err = batch_or_replay(rows, eval.vec.as_ref(), 1, tally, |chunk, _, keys| {
+        match chunk {
+            Chunk::Ran => hks.extend(keys.drain(..).map(|k| (value_hash(&k), k))),
+            Chunk::Replay(chunk) => {
+                let cx = cx.get_or_insert_with(|| eval.prep.ctx(&eval.base));
+                for row in chunk {
+                    let k = eval.prep.call(std::slice::from_ref(row), cx, catalog)?;
+                    hks.push((value_hash(&k), k));
+                }
             }
         }
         Ok(())
-    }
-    let mut hks: Vec<(u64, Value)> = Vec::with_capacity(rows.len());
-    let err = fill(rows, eval, catalog, tally, &mut hks).err();
+    })
+    .err();
     (hks, err)
 }
 
@@ -3329,62 +3330,14 @@ fn compiled_parts<'s>(
     }
 }
 
-/// Runs a specialized columnar chain over one partition in batches of
-/// `batch_rows`, replaying any aborted batch (shape mismatch or a runtime
-/// error on a selected lane) row-at-a-time through the scalar stage chain —
-/// which reproduces values and the first error in evaluation order
-/// bit-identically. Returns the same [`PartitionPass`] the scalar pass would
-/// (per-stage entry counts identical whichever path each batch took; no
-/// byte totals, since a chain that needs them never specializes).
-fn run_vectorized_partition<'p, 'b>(
-    rows: &[Value],
-    (vp, batch_rows): &(VectorPipeline, usize),
-    stages: &'b [PreparedStage<'p>],
-    bases: &'b [HashMap<String, Value>],
-    catalog: &Catalog,
-    tally: &mut Tally,
-) -> Result<PartitionPass, ValueError>
-where
-    'p: 'b,
-{
-    let nstages = stages.len();
-    let mut scratch = vp.new_scratch();
-    let mut counts = vec![0u64; nstages + 1];
-    let mut bytes = vec![0u64; nstages + 1];
-    let need_bytes = vec![false; nstages + 1];
-    let mut out = Vec::new();
-    // Scalar replay contexts are built lazily: a partition whose every
-    // batch vectorizes never allocates them.
-    let mut ctxs: Option<Vec<EvCtx<'b>>> = None;
-    for batch in rows.chunks(*batch_rows) {
-        if vp.run_batch(batch, &mut scratch, &mut counts, &mut out) {
-            tally.batch(batch.len());
-        } else {
-            let ctxs = ctxs
-                .get_or_insert_with(|| stages.iter().zip(bases).map(|(s, b)| s.ctx(b)).collect());
-            run_scalar_chain(
-                batch,
-                stages,
-                ctxs,
-                catalog,
-                &need_bytes,
-                &mut counts,
-                &mut bytes,
-                &mut out,
-            )?;
-        }
-    }
-    Ok((out, counts, bytes))
-}
-
 /// Folds one partition. A specialized element function runs as a columnar
-/// batch first, then the (inherently sequential) combiner chain drains the
-/// batch's outputs in row order. An aborted batch — and every row when `sng`
-/// did not specialize — runs the scalar *interleaved* loop from the
-/// batch-entry accumulator: re-deriving the element values for
-/// already-combined rows is free of observable effects (UDFs are pure), so
-/// the first error in the reference `sng/uni` interleaving order reproduces
-/// exactly.
+/// batch first ([`batch_or_replay`]), then the (inherently sequential)
+/// combiner chain drains the batch's outputs in row order. An aborted batch
+/// — and every row when `sng` did not specialize — runs the scalar
+/// *interleaved* loop from the batch-entry accumulator: re-deriving the
+/// element values for already-combined rows is free of observable effects
+/// (UDFs are pure), so the first error in the reference `sng/uni`
+/// interleaving order reproduces exactly.
 #[allow(clippy::too_many_arguments)]
 fn fold_partition(
     rows: &[Value],
@@ -3396,27 +3349,24 @@ fn fold_partition(
     catalog: &Catalog,
     tally: &mut Tally,
 ) -> Result<Value, ValueError> {
-    let mut kernel = sng_vec.map(|(vp, _)| (vp, vp.new_scratch(), Vec::new()));
     let mut ucx = uni.ctx(base);
     let mut scx: Option<EvCtx> = None;
     let mut acc = zero;
-    for batch in rows.chunks(sng_vec.map_or(usize::MAX, |(_, n)| *n)) {
-        if let Some((vp, scratch, buf)) = &mut kernel {
-            buf.clear();
-            if vp.run_batch(batch, scratch, &mut [0u64; 2], buf) {
-                tally.batch(batch.len());
-                for s in buf.drain(..) {
-                    acc = uni.call_owned([acc, s], &mut ucx, catalog)?;
-                }
-                continue;
-            }
+    let mut combine = |acc: &mut Value, s: Value| {
+        let prev = std::mem::replace(acc, Value::Null);
+        uni.call_owned([prev, s], &mut ucx, catalog)
+            .map(|next| *acc = next)
+    };
+    batch_or_replay(rows, sng_vec, 1, tally, |chunk, _, buf| match chunk {
+        Chunk::Ran => buf.drain(..).try_for_each(|s| combine(&mut acc, s)),
+        Chunk::Replay(batch) => {
+            let scx = scx.get_or_insert_with(|| sng.ctx(base));
+            batch.iter().try_for_each(|row| {
+                let s = sng.call(std::slice::from_ref(row), scx, catalog)?;
+                combine(&mut acc, s)
+            })
         }
-        let scx = scx.get_or_insert_with(|| sng.ctx(base));
-        for row in batch {
-            let s = sng.call(std::slice::from_ref(row), scx, catalog)?;
-            acc = uni.call_owned([acc, s], &mut ucx, catalog)?;
-        }
-    }
+    })?;
     Ok(acc)
 }
 
@@ -3477,57 +3427,47 @@ type PartitionPass = (Vec<Value>, Vec<u64>, Vec<u64>);
 /// materialized. Returns the output rows plus, per stage boundary `i`, the
 /// number of rows that entered stage `i` (`counts[nstages]` = output rows)
 /// and — where `need_bytes[i]` — their byte total, so the caller can issue
-/// exactly the charges the unfused chain would.
+/// exactly the charges the unfused chain would. A specialized chain (`vec`)
+/// runs columnar, batch by batch, and only an aborted batch takes the scalar
+/// pass ([`batch_or_replay`]): the per-stage entry counts are identical
+/// whichever path each batch took, and there are no byte totals to keep,
+/// since a chain that needs them never specializes.
 fn run_pipeline_partition<'p, 'b>(
     rows: &[Value],
+    vec: Option<&(VectorPipeline, usize)>,
     stages: &'b [PreparedStage<'p>],
     bases: &'b [HashMap<String, Value>],
     catalog: &Catalog,
     need_bytes: &[bool],
+    tally: &mut Tally,
 ) -> Result<PartitionPass, ValueError>
 where
     'p: 'b,
 {
-    let nstages = stages.len();
-    let mut ctxs: Vec<EvCtx<'b>> = stages
+    let mut bytes = vec![0u64; stages.len() + 1];
+    let mut ctxs: Option<Vec<EvCtx<'b>>> = None;
+    let flat_map = stages
         .iter()
-        .zip(bases)
-        .map(|(stage, base)| stage.ctx(base))
-        .collect();
-    let mut counts = vec![0u64; nstages + 1];
-    let mut bytes = vec![0u64; nstages + 1];
-    let mut out = Vec::new();
-    if stages
-        .iter()
-        .any(|s| matches!(s, PreparedStage::FlatMap(_)))
-    {
-        for row in rows {
-            push_row(
-                row.clone(),
-                stages,
-                &mut ctxs,
-                catalog,
-                need_bytes,
-                &mut counts,
-                &mut bytes,
-                &mut out,
-            )?;
+        .any(|s| matches!(s, PreparedStage::FlatMap(_)));
+    let (out, counts) = batch_or_replay(rows, vec, stages.len(), tally, |chunk, counts, out| {
+        let Chunk::Replay(rows) = chunk else {
+            return Ok(());
+        };
+        let ctxs =
+            ctxs.get_or_insert_with(|| stages.iter().zip(bases).map(|(s, b)| s.ctx(b)).collect());
+        if flat_map {
+            let bytes = &mut bytes;
+            return rows.iter().cloned().try_for_each(|row| {
+                push_row(row, stages, ctxs, catalog, need_bytes, counts, bytes, out)
+            });
         }
-        return Ok((out, counts, bytes));
-    }
-    // Map/Filter-only chains (the common fused shape) run as one flat loop:
-    // each row stays in a register-resident local through every stage, with
-    // no per-stage recursion.
-    run_scalar_chain(
-        rows,
-        stages,
-        &mut ctxs,
-        catalog,
-        need_bytes,
-        &mut counts,
-        &mut bytes,
-        &mut out,
-    )?;
+        // Map/Filter-only chains (the common fused shape) run as one flat
+        // loop: each row stays in a register-resident local through every
+        // stage, with no per-stage recursion.
+        run_scalar_chain(
+            rows, stages, ctxs, catalog, need_bytes, counts, &mut bytes, out,
+        )
+    })?;
     Ok((out, counts, bytes))
 }
 

@@ -225,12 +225,6 @@ impl FaultConfig {
         self
     }
 
-    /// Sets the launch cost of one speculative backup copy.
-    pub fn with_speculation_overhead_secs(mut self, secs: f64) -> Self {
-        self.speculation_overhead_secs = secs;
-        self
-    }
-
     /// Selects which stragglers get backup copies (see [`SpeculationPolicy`]).
     pub fn with_speculation_policy(mut self, policy: SpeculationPolicy) -> Self {
         self.speculation_policy = policy;
@@ -365,12 +359,6 @@ impl CheckpointConfig {
         self.policy = policy;
         self
     }
-
-    /// Sets the minimum lineage size of a persistable cache site.
-    pub fn with_min_lineage(mut self, n: usize) -> Self {
-        self.min_lineage = n;
-        self
-    }
 }
 
 /// How checkpoint sites are chosen among the eligible cache writes. Both
@@ -456,12 +444,6 @@ impl CostDrivenConfig {
     /// Sets the score multiplier for sites downstream of a skew split.
     pub fn with_skew_boost(mut self, boost: f64) -> Self {
         self.skew_boost = boost;
-        self
-    }
-
-    /// Sets the pseudo-count weight of the configured eviction prior.
-    pub fn with_risk_prior_weight(mut self, w: f64) -> Self {
-        self.risk_prior_weight = w;
         self
     }
 
@@ -690,10 +672,6 @@ mod tests {
         );
         assert_eq!(CheckpointConfig::default().min_lineage, 2);
         assert_eq!(
-            CheckpointConfig::default().with_min_lineage(7).min_lineage,
-            7
-        );
-        assert_eq!(
             CheckpointConfig::default().policy,
             CheckpointPolicy::EveryN(1)
         );
@@ -720,7 +698,10 @@ mod tests {
         assert_eq!(cfg.eviction_risk(0, 0, -3.0), 0.0);
         // Zero prior weight: pure observed rate, and the empty case is the
         // clamped prior instead of 0/0.
-        let raw = cfg.with_risk_prior_weight(0.0);
+        let raw = CostDrivenConfig {
+            risk_prior_weight: 0.0,
+            ..cfg
+        };
         assert_eq!(raw.eviction_risk(1, 4, 0.9), 0.25);
         assert_eq!(raw.eviction_risk(0, 0, 0.9), 0.9);
     }

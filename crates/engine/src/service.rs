@@ -438,8 +438,7 @@ impl Estimator<'_> {
                 (r * 0.5, b * 0.5)
             }
             Plan::Fold { input, .. } => {
-                let (_, b) = self.plan(input, mult);
-                let _ = b;
+                self.plan(input, mult);
                 (1.0, DEFAULT_ROW_BYTES)
             }
             Plan::Plus { left, right } => {

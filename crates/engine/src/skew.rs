@@ -54,12 +54,6 @@ impl SkewConfig {
         self
     }
 
-    /// Overrides the maximum split fan-out.
-    pub fn with_split_ways(mut self, ways: usize) -> Self {
-        self.split_ways = ways;
-        self
-    }
-
     /// Overrides the minimum row count below which partitions never split.
     pub fn with_min_part_rows(mut self, rows: u64) -> Self {
         self.min_part_rows = rows;
@@ -248,9 +242,10 @@ mod tests {
 
     #[test]
     fn fan_out_clamps_to_split_ways() {
-        let cfg = SkewConfig::default()
-            .with_split_ways(4)
-            .with_min_part_rows(1);
+        let cfg = SkewConfig {
+            split_ways: 4,
+            ..SkewConfig::default().with_min_part_rows(1)
+        };
         let plan = plan_splits(&cfg, &[10_000, 10, 10, 10]).unwrap();
         assert_eq!(plan.ways[0], 4);
     }
@@ -329,10 +324,8 @@ mod tests {
 
     #[test]
     fn splits_never_exceed_row_count() {
-        let cfg = SkewConfig::default()
-            .with_split_ways(8)
-            .with_min_part_rows(1);
-        // Hot by ratio but only 3 rows: fan-out must not exceed 3.
+        let cfg = SkewConfig::default().with_min_part_rows(1); // split_ways = 8
+                                                               // Hot by ratio but only 3 rows: fan-out must not exceed 3.
         let plan = plan_splits(&cfg, &[3, 0, 0, 0]).unwrap();
         assert_eq!(plan.ways[0], 3);
     }

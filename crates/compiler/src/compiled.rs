@@ -744,8 +744,8 @@ impl Rt<'_> {
                 }
                 Op::Tuple(n) => {
                     let at = m.stack.len() - n;
-                    let vs: Vec<Value> = m.stack.drain(at..).collect();
-                    m.stack.push(Value::tuple(vs));
+                    let vs: Arc<[Value]> = m.stack.drain(at..).collect();
+                    m.stack.push(Value::Tuple(vs));
                 }
                 Op::JumpIfFalse(target) => {
                     let c = m.stack.pop().expect("operand on stack").as_bool()?;
@@ -873,7 +873,7 @@ impl Rt<'_> {
                     .into_iter()
                     .map(|k| {
                         let values = groups.remove(&k).unwrap_or_default();
-                        Value::tuple(vec![k, Value::bag(values)])
+                        Value::tuple([k, Value::bag(values)])
                     })
                     .collect())
             }
@@ -907,7 +907,7 @@ impl Rt<'_> {
                     .into_iter()
                     .map(|k| {
                         let acc = accs.remove(&k).expect("key recorded in order");
-                        Value::tuple(vec![k, acc])
+                        Value::tuple([k, acc])
                     })
                     .collect())
             }

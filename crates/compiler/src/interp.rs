@@ -218,11 +218,14 @@ pub fn eval_scalar<'a>(
             eval_builtin(*f, &vs)
         }
         ScalarExpr::Tuple(args) => {
-            let mut vs = Vec::with_capacity(args.len());
-            for a in args {
-                vs.push(eval_scalar(a, env, catalog)?);
+            // One block, filled in place: collecting the fallible field
+            // evaluations would go through a `Vec` and copy it.
+            let mut vs: Arc<[Value]> = std::iter::repeat_n(Value::Null, args.len()).collect();
+            let fields = Arc::get_mut(&mut vs).expect("a fresh tuple is unshared");
+            for (field, a) in fields.iter_mut().zip(args) {
+                *field = eval_scalar(a, env, catalog)?;
             }
-            Ok(Value::tuple(vs))
+            Ok(Value::Tuple(vs))
         }
         ScalarExpr::If(c, t, el) => {
             if eval_scalar(c, env, catalog)?.as_bool()? {
@@ -341,7 +344,7 @@ pub fn eval_bag<'a>(
                 .into_iter()
                 .map(|k| {
                     let values = groups.remove(&k).unwrap_or_default();
-                    Value::tuple(vec![k, Value::bag(values)])
+                    Value::tuple([k, Value::bag(values)])
                 })
                 .collect())
         }
@@ -369,7 +372,7 @@ pub fn eval_bag<'a>(
                 .into_iter()
                 .map(|k| {
                     let acc = accs.remove(&k).expect("key recorded in order");
-                    Value::tuple(vec![k, acc])
+                    Value::tuple([k, acc])
                 })
                 .collect())
         }
@@ -418,11 +421,8 @@ pub fn eval_binop(op: BinOp, l: Value, r: Value) -> Result<Value, ValueError> {
                         b.len()
                     )));
                 }
-                Ok(Value::vector(
-                    a.iter()
-                        .zip(b.iter())
-                        .map(|(x, y)| x + y)
-                        .collect::<Vec<_>>(),
+                Ok(Value::Vector(
+                    a.iter().zip(b.iter()).map(|(x, y)| x + y).collect(),
                 ))
             }
             _ => Ok(Value::Float(l.as_float()? + r.as_float()?)),
@@ -435,11 +435,11 @@ pub fn eval_binop(op: BinOp, l: Value, r: Value) -> Result<Value, ValueError> {
             (Value::Int(a), Value::Int(b)) => Ok(Value::Int(a.wrapping_mul(*b))),
             (Value::Vector(a), _) => {
                 let s = r.as_float()?;
-                Ok(Value::vector(a.iter().map(|x| x * s).collect::<Vec<_>>()))
+                Ok(Value::Vector(a.iter().map(|x| x * s).collect()))
             }
             (_, Value::Vector(b)) => {
                 let s = l.as_float()?;
-                Ok(Value::vector(b.iter().map(|x| x * s).collect::<Vec<_>>()))
+                Ok(Value::Vector(b.iter().map(|x| x * s).collect()))
             }
             _ => Ok(Value::Float(l.as_float()? * r.as_float()?)),
         },
@@ -449,7 +449,7 @@ pub fn eval_binop(op: BinOp, l: Value, r: Value) -> Result<Value, ValueError> {
                 if s == 0.0 {
                     return Err(ValueError::Arithmetic("vector division by zero".into()));
                 }
-                Ok(Value::vector(a.iter().map(|x| x / s).collect::<Vec<_>>()))
+                Ok(Value::Vector(a.iter().map(|x| x / s).collect()))
             }
             _ => {
                 let d = r.as_float()?;

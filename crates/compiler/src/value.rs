@@ -9,6 +9,13 @@
 //! `Value` implements total equality and hashing (floats compare by bit
 //! pattern, `NaN == NaN`) so values can serve as grouping and join keys, and
 //! a total order for `min`/`max`-style folds.
+//!
+//! **Layout rule.** A value whose size is fixed once it is built is *one*
+//! heap block: a tuple is an `Arc<[Value]>` and a vector an `Arc<[f64]>`,
+//! refcounts and elements in the same allocation, built in place from an
+//! array or an exact-size iterator. A bag stays `Arc<Vec<Value>>`: bags are
+//! grown by `push`, and sealing one into a slice would cost a copy of every
+//! row. `Value` is 24 bytes either way (`Str` is already a fat pointer).
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -29,9 +36,9 @@ pub enum Value {
     /// Immutable string (cheap to clone; rows are cloned across operators).
     Str(Arc<str>),
     /// Dense numeric vector (k-means positions, feature vectors).
-    Vector(Arc<Vec<f64>>),
+    Vector(Arc<[f64]>),
     /// Positional tuple / struct.
-    Tuple(Arc<Vec<Value>>),
+    Tuple(Arc<[Value]>),
     /// A nested bag of values (group values, driver-side sequences).
     Bag(Arc<Vec<Value>>),
 }
@@ -42,14 +49,17 @@ impl Value {
         Value::Str(Arc::from(s.as_ref()))
     }
 
-    /// Convenience constructor for tuples.
-    pub fn tuple(fields: impl Into<Vec<Value>>) -> Value {
-        Value::Tuple(Arc::new(fields.into()))
+    /// Convenience constructor for tuples. An array, or an `Arc<[Value]>`
+    /// collected from an iterator whose length std trusts (a slice, range
+    /// or `drain` iterator through `map`), is the one allocation; a `Vec`
+    /// is copied into a fresh block.
+    pub fn tuple(fields: impl Into<Arc<[Value]>>) -> Value {
+        Value::Tuple(fields.into())
     }
 
-    /// Convenience constructor for vectors.
-    pub fn vector(v: impl Into<Vec<f64>>) -> Value {
-        Value::Vector(Arc::new(v.into()))
+    /// Convenience constructor for vectors (same rule as [`Value::tuple`]).
+    pub fn vector(v: impl Into<Arc<[f64]>>) -> Value {
+        Value::Vector(v.into())
     }
 
     /// Convenience constructor for bags.

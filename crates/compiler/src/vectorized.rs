@@ -1062,7 +1062,7 @@ fn mat_value(m: &MatNode, s: &VectorScratch, l: usize) -> Value {
             ),
             Ty::V => s.v[c.reg][l].clone(),
         },
-        MatNode::Tup(fs) => Value::tuple(fs.iter().map(|f| mat_value(f, s, l)).collect::<Vec<_>>()),
+        MatNode::Tup(fs) => Value::Tuple(fs.iter().map(|f| mat_value(f, s, l)).collect()),
     }
 }
 

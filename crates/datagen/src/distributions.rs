@@ -107,11 +107,7 @@ pub fn keyed_tuples(n: usize, num_keys: i64, dist: KeyDistribution, seed: u64) -
             let payload: String = (0..payload_len)
                 .map(|_| (b'a' + rng.gen_range(0..26u8)) as char)
                 .collect();
-            Value::tuple(vec![
-                Value::Int(key),
-                Value::Int(value),
-                Value::str(payload),
-            ])
+            Value::tuple([Value::Int(key), Value::Int(value), Value::str(payload)])
         })
         .collect()
 }

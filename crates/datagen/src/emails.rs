@@ -75,7 +75,7 @@ pub fn generate(spec: &EmailSpec) -> (Vec<Value>, Vec<Value>) {
     let mut rng = StdRng::seed_from_u64(spec.seed);
     let blacklist: Vec<Value> = (0..spec.blacklist)
         .map(|i| {
-            Value::tuple(vec![
+            Value::tuple([
                 Value::Int(i as i64), // IPs 0..blacklist are blacklisted
                 Value::str(rand_string(&mut rng, spec.info_bytes)),
             ])
@@ -84,7 +84,7 @@ pub fn generate(spec: &EmailSpec) -> (Vec<Value>, Vec<Value>) {
     let emails: Vec<Value> = (0..spec.emails)
         .map(|_| {
             let ip = rng.gen_range(0..spec.ip_domain);
-            Value::tuple(vec![
+            Value::tuple([
                 Value::Int(ip),
                 Value::str(rand_string(&mut rng, 12)),
                 Value::str(rand_string(&mut rng, spec.body_bytes)),

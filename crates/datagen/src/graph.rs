@@ -81,7 +81,7 @@ pub fn adjacency(spec: &GraphSpec) -> Vec<Value> {
                     targets.push(Value::Int(t as i64));
                 }
             }
-            Value::tuple(vec![Value::Int(v as i64), Value::bag(targets)])
+            Value::tuple([Value::Int(v as i64), Value::bag(targets)])
         })
         .collect()
 }
@@ -97,7 +97,7 @@ pub fn edges(adjacency_rows: &[Value]) -> Vec<Value> {
             .as_bag()
             .expect("bag")
         {
-            out.push(Value::tuple(vec![src.clone(), dst.clone()]));
+            out.push(Value::tuple([src.clone(), dst.clone()]));
         }
     }
     out

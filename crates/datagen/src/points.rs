@@ -3,6 +3,8 @@
 //! are Gaussian blobs around `k` well-separated true centers, so Lloyd's
 //! algorithm converges in a handful of iterations.
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -52,7 +54,7 @@ pub fn generate(spec: &PointsSpec) -> (Vec<Value>, Vec<Vec<f64>>) {
     let points = (0..spec.n)
         .map(|i| {
             let c = &centers[i % spec.k];
-            let pos: Vec<f64> = c
+            let pos: Arc<[f64]> = c
                 .iter()
                 .map(|x| {
                     // Sum of uniforms ≈ Gaussian noise.
@@ -61,7 +63,7 @@ pub fn generate(spec: &PointsSpec) -> (Vec<Value>, Vec<Vec<f64>>) {
                     x + noise * spec.stddev
                 })
                 .collect();
-            Value::tuple(vec![Value::Int(i as i64), Value::vector(pos)])
+            Value::tuple([Value::Int(i as i64), Value::vector(pos)])
         })
         .collect();
     (points, centers)
@@ -72,8 +74,8 @@ pub fn generate(spec: &PointsSpec) -> (Vec<Value>, Vec<Vec<f64>>) {
 pub fn initial_centroids(spec: &PointsSpec) -> Vec<Value> {
     (0..spec.k)
         .map(|c| {
-            let pos: Vec<f64> = (0..spec.dims).map(|d| (c * 10 + d) as f64 + 2.5).collect();
-            Value::tuple(vec![Value::Int(c as i64), Value::vector(pos)])
+            let pos: Arc<[f64]> = (0..spec.dims).map(|d| (c * 10 + d) as f64 + 2.5).collect();
+            Value::tuple([Value::Int(c as i64), Value::vector(pos)])
         })
         .collect()
 }

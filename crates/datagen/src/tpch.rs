@@ -88,7 +88,7 @@ pub fn generate(spec: &TpchSpec) -> (Vec<Value>, Vec<Value>) {
     let num_orders = ((1_500.0 * spec.scale) as usize).max(1);
     let orders_rows: Vec<Value> = (0..num_orders)
         .map(|k| {
-            Value::tuple(vec![
+            Value::tuple([
                 Value::Int(k as i64),
                 Value::Int(rng.gen_range(DATE_MIN..DATE_MAX)),
                 Value::str(PRIORITIES[rng.gen_range(0..PRIORITIES.len())]),
@@ -110,7 +110,7 @@ pub fn generate(spec: &TpchSpec) -> (Vec<Value>, Vec<Value>) {
             let receipt = ship + rng.gen_range(1..31);
             let quantity = rng.gen_range(1..51) as f64;
             let price = quantity * rng.gen_range(900.0..110_000.0) / 50.0;
-            lineitems.push(Value::tuple(vec![
+            lineitems.push(Value::tuple([
                 okey.clone(),
                 Value::Float(quantity),
                 Value::Float((price * 100.0).round() / 100.0),

@@ -1636,7 +1636,7 @@ impl<'a> Session<'a> {
                     let mut out = Vec::with_capacity(part.len() * r_rows.len());
                     for lrow in part.iter() {
                         for rrow in &r_rows {
-                            out.push(Value::tuple(vec![lrow.clone(), rrow.clone()]));
+                            out.push(Value::tuple([lrow.clone(), rrow.clone()]));
                         }
                     }
                     produced += out.len() as u64;
@@ -2073,7 +2073,7 @@ impl<'a> Session<'a> {
                     if pass {
                         any = true;
                         if kind == JoinKind::Inner {
-                            out.push(Value::tuple(vec![lrow.clone(), rrow.clone()]));
+                            out.push(Value::tuple([lrow.clone(), rrow.clone()]));
                         } else {
                             break;
                         }
@@ -2237,7 +2237,7 @@ impl<'a> Session<'a> {
                     .into_iter()
                     .map(|(k, acc)| {
                         let h = value_hash(&k);
-                        (Value::tuple(vec![k, acc]), h)
+                        (Value::tuple([k, acc]), h)
                     })
                     .unzip()
             } else {
@@ -2256,7 +2256,7 @@ impl<'a> Session<'a> {
                     )?;
                 }
                 accs.into_iter()
-                    .map(|(k, (h, acc))| (Value::tuple(vec![k, acc]), h))
+                    .map(|(k, (h, acc))| (Value::tuple([k, acc]), h))
                     .unzip()
             };
             // Measured here, by the task that just built them.
@@ -2322,7 +2322,7 @@ impl<'a> Session<'a> {
             let merged: Vec<Value> = if covered == rows.len() {
                 groups
                     .into_iter()
-                    .map(|(k, acc)| Value::tuple(vec![k, acc]))
+                    .map(|(k, acc)| Value::tuple([k, acc]))
                     .collect()
             } else {
                 let mut accs: InsertionMap<Value, Value> = InsertionMap::new();
@@ -2343,7 +2343,7 @@ impl<'a> Session<'a> {
                     }
                 }
                 accs.into_iter()
-                    .map(|(k, acc)| Value::tuple(vec![k, acc]))
+                    .map(|(k, acc)| Value::tuple([k, acc]))
                     .collect()
             };
             Ok(Part::from(merged))
@@ -3120,7 +3120,7 @@ impl FirstSeen {
     fn into_rows(self) -> Vec<Value> {
         self.groups
             .into_iter()
-            .map(|(k, vs)| Value::tuple(vec![k, Value::bag(vs)]))
+            .map(|(k, vs)| Value::tuple([k, Value::bag(vs)]))
             .collect()
     }
 }
@@ -3293,16 +3293,15 @@ fn agg_kernel_prefix(
 /// Splits an `aggBy` partial `(key, acc)` — built by the combiner, so always
 /// a pair — into its two fields, moving them out unless the row is shared.
 fn split_partial(row: Value) -> (Value, Value) {
-    let Value::Tuple(fs) = row else {
+    let Value::Tuple(mut fs) = row else {
         unreachable!("aggBy partials are (key, acc) tuples");
     };
-    match Arc::try_unwrap(fs) {
-        Ok(mut owned) => {
-            let a = owned.pop().expect("partial has an accumulator");
-            let k = owned.pop().expect("partial has a key");
-            (k, a)
-        }
-        Err(fs) => (fs[0].clone(), fs[1].clone()),
+    match Arc::get_mut(&mut fs) {
+        Some([k, a]) => (
+            std::mem::replace(k, Value::Null),
+            std::mem::replace(a, Value::Null),
+        ),
+        _ => (fs[0].clone(), fs[1].clone()),
     }
 }
 
@@ -3673,5 +3672,35 @@ fn collect_reads_in_bag(b: &BagExpr, out: &mut Vec<String>) {
             collect_reads_in_bag(r, out);
         }
         BagExpr::Distinct(e) => collect_reads_in_bag(e, out),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn key_block(k: &Value) -> &Arc<[Value]> {
+        match k {
+            Value::Tuple(fs) => fs,
+            other => panic!("expected a tuple key, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn split_partial_moves_a_unique_partial_and_clones_a_shared_one() {
+        let key = || Value::tuple([Value::Int(1), Value::str("k")]);
+        let acc = Value::Float(2.5);
+
+        let (k, a) = split_partial(Value::tuple([key(), acc.clone()]));
+        assert_eq!((&k, &a), (&key(), &acc));
+        assert_eq!(Arc::strong_count(key_block(&k)), 1);
+
+        let cached = Value::tuple([key(), acc.clone()]);
+        let (k, a) = split_partial(cached.clone());
+        assert_eq!((&k, &a), (&key(), &acc));
+        assert_eq!(cached, Value::tuple([key(), acc.clone()]));
+        let kept = cached.field(0).unwrap();
+        assert!(Arc::ptr_eq(key_block(&k), key_block(kept)));
+        assert_eq!(Arc::strong_count(key_block(&k)), 2);
     }
 }

@@ -95,7 +95,7 @@ pub fn catalog(spec: &GraphSpec) -> Catalog {
     let reversed: Vec<_> = edges
         .iter()
         .map(|e| {
-            emma_compiler::value::Value::tuple(vec![
+            emma_compiler::value::Value::tuple([
                 e.field(1).expect("dst").clone(),
                 e.field(0).expect("src").clone(),
             ])

@@ -8,76 +8,25 @@
 
 use emma::prelude::*;
 use emma_bench::print_table;
-use emma_compiler::pipeline::CStmt;
+use emma_compiler::pipeline::{CStmt, CTermMut};
 use emma_compiler::plan::{JoinStrategy, Plan};
 use emma_datagen::emails::{self, EmailSpec};
 
 /// Pins every Auto join in a compiled program to the given strategy.
 fn pin_strategy(body: &mut [CStmt], strategy: JoinStrategy) {
     fn pin_plan(plan: &mut Plan, strategy: JoinStrategy) {
-        if let Plan::Join {
-            strategy: s,
-            left,
-            right,
-            ..
-        } = plan
-        {
+        if let Plan::Join { strategy: s, .. } = plan {
             *s = strategy;
-            pin_plan(left, strategy);
-            pin_plan(right, strategy);
-            return;
         }
-        match plan {
-            Plan::Map { input, .. }
-            | Plan::FlatMap { input, .. }
-            | Plan::Filter { input, .. }
-            | Plan::GroupBy { input, .. }
-            | Plan::AggBy { input, .. }
-            | Plan::Fold { input, .. }
-            | Plan::Distinct { input }
-            | Plan::Cache { input }
-            | Plan::Repartition { input, .. } => pin_plan(input, strategy),
-            Plan::Cross { left, right }
-            | Plan::Plus { left, right }
-            | Plan::Minus { left, right } => {
-                pin_plan(left, strategy);
-                pin_plan(right, strategy);
-            }
-            _ => {}
-        }
+        plan.children_mut().for_each(|c| pin_plan(c, strategy));
     }
     for s in body.iter_mut() {
-        match s {
-            CStmt::Bind { value, .. } => match value {
-                emma_compiler::pipeline::CRValue::Bag(p) => pin_plan(p, strategy),
-                emma_compiler::pipeline::CRValue::Scalar { pre, .. } => {
-                    for a in pre.iter_mut() {
-                        pin_plan(&mut a.plan, strategy);
-                    }
-                }
-            },
-            CStmt::While { pre, body, .. } | CStmt::ForEach { pre, body, .. } => {
-                for a in pre.iter_mut() {
-                    pin_plan(&mut a.plan, strategy);
-                }
-                pin_strategy(body, strategy);
+        s.for_each_term_mut(|t| {
+            if let CTermMut::Plan(plan) = t {
+                pin_plan(plan, strategy)
             }
-            CStmt::If {
-                pre,
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                for a in pre.iter_mut() {
-                    pin_plan(&mut a.plan, strategy);
-                }
-                pin_strategy(then_branch, strategy);
-                pin_strategy(else_branch, strategy);
-            }
-            CStmt::Write { plan, .. } => pin_plan(plan, strategy),
-            CStmt::StatefulCreate { plan, .. } => pin_plan(plan, strategy),
-            CStmt::StatefulUpdate { messages, .. } => pin_plan(messages, strategy),
-        }
+        });
+        s.blocks_mut().for_each(|b| pin_strategy(b, strategy));
     }
 }
 

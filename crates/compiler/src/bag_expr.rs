@@ -15,7 +15,7 @@
 use std::collections::HashSet;
 use std::fmt;
 
-use crate::expr::{FoldOp, Lambda, ScalarExpr};
+use crate::expr::{FoldOp, Lambda, ScalarExpr, Term, TermMut};
 use crate::value::Value;
 
 /// A lambda whose body is a bag (the shape of `flatMap` arguments).
@@ -282,226 +282,80 @@ impl BagExpr {
 
     /// Free variables (bag refs *and* scalar vars) of this expression.
     pub fn free_vars(&self) -> HashSet<String> {
-        let mut out = HashSet::new();
-        self.collect_free_vars(&mut HashSet::new(), &mut out);
-        out
-    }
-
-    pub(crate) fn collect_free_vars(&self, bound: &mut HashSet<String>, out: &mut HashSet<String>) {
-        match self {
-            BagExpr::Read { .. } | BagExpr::Values(_) => {}
-            BagExpr::Ref { name } => {
-                if !bound.contains(name) {
-                    out.insert(name.clone());
-                }
-            }
-            BagExpr::OfValue(e) => e.collect_free_vars(bound, out),
-            BagExpr::Map { input, f } | BagExpr::Filter { input, p: f } => {
-                input.collect_free_vars(bound, out);
-                collect_lambda_free_vars(f, bound, out);
-            }
-            BagExpr::GroupBy { input, key } => {
-                input.collect_free_vars(bound, out);
-                collect_lambda_free_vars(key, bound, out);
-            }
-            BagExpr::AggBy { input, key, fold } => {
-                input.collect_free_vars(bound, out);
-                collect_lambda_free_vars(key, bound, out);
-                fold.zero.collect_free_vars(bound, out);
-                collect_lambda_free_vars(&fold.sng, bound, out);
-                collect_lambda_free_vars(&fold.uni, bound, out);
-            }
-            BagExpr::FlatMap { input, f } => {
-                input.collect_free_vars(bound, out);
-                let fresh = bound.insert(f.param.clone());
-                f.body.collect_free_vars(bound, out);
-                if fresh {
-                    bound.remove(&f.param);
-                }
-            }
-            BagExpr::Plus(l, r) | BagExpr::Minus(l, r) => {
-                l.collect_free_vars(bound, out);
-                r.collect_free_vars(bound, out);
-            }
-            BagExpr::Distinct(e) => e.collect_free_vars(bound, out),
-        }
+        Term::Bag(self).free_vars()
     }
 
     /// Substitutes `replacement` for free occurrences of scalar variable
     /// `name` inside lambdas and nested scalar expressions.
     pub fn substitute(&self, name: &str, replacement: &ScalarExpr) -> BagExpr {
-        use crate::expr::substitute_in_lambda as sil;
-        match self {
-            BagExpr::Read { .. } | BagExpr::Values(_) | BagExpr::Ref { .. } => self.clone(),
-            BagExpr::OfValue(e) => BagExpr::OfValue(Box::new(e.substitute(name, replacement))),
-            BagExpr::Map { input, f } => BagExpr::Map {
-                input: Box::new(input.substitute(name, replacement)),
-                f: sil(f, name, replacement),
-            },
-            BagExpr::Filter { input, p } => BagExpr::Filter {
-                input: Box::new(input.substitute(name, replacement)),
-                p: sil(p, name, replacement),
-            },
-            BagExpr::FlatMap { input, f } => BagExpr::FlatMap {
-                input: Box::new(input.substitute(name, replacement)),
-                f: if f.param == name {
-                    f.clone()
-                } else {
-                    Box::new(BagLambda {
-                        param: f.param.clone(),
-                        body: f.body.substitute(name, replacement),
-                    })
-                },
-            },
-            BagExpr::GroupBy { input, key } => BagExpr::GroupBy {
-                input: Box::new(input.substitute(name, replacement)),
-                key: sil(key, name, replacement),
-            },
-            BagExpr::AggBy { input, key, fold } => BagExpr::AggBy {
-                input: Box::new(input.substitute(name, replacement)),
-                key: sil(key, name, replacement),
-                fold: FoldOp {
-                    kind: fold.kind.clone(),
-                    zero: Box::new(fold.zero.substitute(name, replacement)),
-                    sng: sil(&fold.sng, name, replacement),
-                    uni: sil(&fold.uni, name, replacement),
-                },
-            },
-            BagExpr::Plus(l, r) => BagExpr::Plus(
-                Box::new(l.substitute(name, replacement)),
-                Box::new(r.substitute(name, replacement)),
-            ),
-            BagExpr::Minus(l, r) => BagExpr::Minus(
-                Box::new(l.substitute(name, replacement)),
-                Box::new(r.substitute(name, replacement)),
-            ),
-            BagExpr::Distinct(e) => BagExpr::Distinct(Box::new(e.substitute(name, replacement))),
-        }
+        let mut b = self.clone();
+        TermMut::Bag(&mut b).substitute(name, replacement);
+        b
     }
 
     /// Replaces a bag `Ref { name }` with another bag expression (used by the
     /// inlining pass of Section 4.1).
     pub fn substitute_ref(&self, name: &str, replacement: &BagExpr) -> BagExpr {
+        let mut b = self.clone();
+        TermMut::Bag(&mut b).substitute_ref(name, replacement);
+        b
+    }
+
+    /// The direct sub-terms in evaluation order (see [`Term`]).
+    pub fn for_each_child<'a>(&'a self, mut visit: impl FnMut(Term<'a>)) {
         match self {
-            BagExpr::Ref { name: n } if n == name => replacement.clone(),
-            BagExpr::Read { .. } | BagExpr::Values(_) | BagExpr::Ref { .. } => self.clone(),
-            BagExpr::OfValue(e) => {
-                BagExpr::OfValue(Box::new(substitute_ref_in_scalar(e, name, replacement)))
+            BagExpr::Read { .. } | BagExpr::Values(_) | BagExpr::Ref { .. } => {}
+            BagExpr::OfValue(e) => visit(Term::Scalar(e)),
+            BagExpr::Map { input, f: lam }
+            | BagExpr::Filter { input, p: lam }
+            | BagExpr::GroupBy { input, key: lam } => {
+                visit(Term::Bag(input));
+                visit(Term::Lambda(lam));
             }
-            BagExpr::Map { input, f } => BagExpr::Map {
-                input: Box::new(input.substitute_ref(name, replacement)),
-                f: Lambda {
-                    params: f.params.clone(),
-                    body: substitute_ref_in_scalar(&f.body, name, replacement),
-                },
-            },
-            BagExpr::Filter { input, p } => BagExpr::Filter {
-                input: Box::new(input.substitute_ref(name, replacement)),
-                p: Lambda {
-                    params: p.params.clone(),
-                    body: substitute_ref_in_scalar(&p.body, name, replacement),
-                },
-            },
-            BagExpr::FlatMap { input, f } => BagExpr::FlatMap {
-                input: Box::new(input.substitute_ref(name, replacement)),
-                f: Box::new(BagLambda {
-                    param: f.param.clone(),
-                    body: f.body.substitute_ref(name, replacement),
-                }),
-            },
-            BagExpr::GroupBy { input, key } => BagExpr::GroupBy {
-                input: Box::new(input.substitute_ref(name, replacement)),
-                key: key.clone(),
-            },
-            BagExpr::AggBy { input, key, fold } => BagExpr::AggBy {
-                input: Box::new(input.substitute_ref(name, replacement)),
-                key: key.clone(),
-                fold: fold.clone(),
-            },
-            BagExpr::Plus(l, r) => BagExpr::Plus(
-                Box::new(l.substitute_ref(name, replacement)),
-                Box::new(r.substitute_ref(name, replacement)),
-            ),
-            BagExpr::Minus(l, r) => BagExpr::Minus(
-                Box::new(l.substitute_ref(name, replacement)),
-                Box::new(r.substitute_ref(name, replacement)),
-            ),
-            BagExpr::Distinct(e) => {
-                BagExpr::Distinct(Box::new(e.substitute_ref(name, replacement)))
+            BagExpr::FlatMap { input, f } => {
+                visit(Term::Bag(input));
+                visit(Term::BagLambda(&f.param, &f.body));
             }
+            BagExpr::AggBy { input, key, fold } => {
+                visit(Term::Bag(input));
+                visit(Term::Lambda(key));
+                fold.terms().into_iter().for_each(visit)
+            }
+            BagExpr::Plus(l, r) | BagExpr::Minus(l, r) => {
+                visit(Term::Bag(l));
+                visit(Term::Bag(r));
+            }
+            BagExpr::Distinct(e) => visit(Term::Bag(e)),
         }
     }
-}
 
-/// Replaces bag refs inside a scalar expression (descends into folds and
-/// nested bags).
-pub(crate) fn substitute_ref_in_scalar(
-    e: &ScalarExpr,
-    name: &str,
-    replacement: &BagExpr,
-) -> ScalarExpr {
-    match e {
-        ScalarExpr::Lit(_) | ScalarExpr::Var(_) => e.clone(),
-        ScalarExpr::Field(inner, i) => ScalarExpr::Field(
-            Box::new(substitute_ref_in_scalar(inner, name, replacement)),
-            *i,
-        ),
-        ScalarExpr::BinOp(op, l, r) => ScalarExpr::BinOp(
-            *op,
-            Box::new(substitute_ref_in_scalar(l, name, replacement)),
-            Box::new(substitute_ref_in_scalar(r, name, replacement)),
-        ),
-        ScalarExpr::UnOp(op, inner) => ScalarExpr::UnOp(
-            *op,
-            Box::new(substitute_ref_in_scalar(inner, name, replacement)),
-        ),
-        ScalarExpr::Call(f, args) => ScalarExpr::Call(
-            *f,
-            args.iter()
-                .map(|a| substitute_ref_in_scalar(a, name, replacement))
-                .collect(),
-        ),
-        ScalarExpr::Tuple(args) => ScalarExpr::Tuple(
-            args.iter()
-                .map(|a| substitute_ref_in_scalar(a, name, replacement))
-                .collect(),
-        ),
-        ScalarExpr::If(c, t, el) => ScalarExpr::If(
-            Box::new(substitute_ref_in_scalar(c, name, replacement)),
-            Box::new(substitute_ref_in_scalar(t, name, replacement)),
-            Box::new(substitute_ref_in_scalar(el, name, replacement)),
-        ),
-        ScalarExpr::Fold(bag, fold) => ScalarExpr::Fold(
-            Box::new(bag.substitute_ref(name, replacement)),
-            Box::new(FoldOp {
-                kind: fold.kind.clone(),
-                zero: Box::new(substitute_ref_in_scalar(&fold.zero, name, replacement)),
-                sng: Lambda {
-                    params: fold.sng.params.clone(),
-                    body: substitute_ref_in_scalar(&fold.sng.body, name, replacement),
-                },
-                uni: Lambda {
-                    params: fold.uni.params.clone(),
-                    body: substitute_ref_in_scalar(&fold.uni.body, name, replacement),
-                },
-            }),
-        ),
-        ScalarExpr::BagOf(bag) => {
-            ScalarExpr::BagOf(Box::new(bag.substitute_ref(name, replacement)))
+    /// The `&mut` twin of [`BagExpr::for_each_child`].
+    pub fn for_each_child_mut<'a>(&'a mut self, mut visit: impl FnMut(TermMut<'a>)) {
+        match self {
+            BagExpr::Read { .. } | BagExpr::Values(_) | BagExpr::Ref { .. } => {}
+            BagExpr::OfValue(e) => visit(TermMut::Scalar(e)),
+            BagExpr::Map { input, f: lam }
+            | BagExpr::Filter { input, p: lam }
+            | BagExpr::GroupBy { input, key: lam } => {
+                visit(TermMut::Bag(input));
+                visit(TermMut::Lambda(lam));
+            }
+            BagExpr::FlatMap { input, f } => {
+                visit(TermMut::Bag(input));
+                let BagLambda { param, body } = &mut **f;
+                visit(TermMut::BagLambda(param, body));
+            }
+            BagExpr::AggBy { input, key, fold } => {
+                visit(TermMut::Bag(input));
+                visit(TermMut::Lambda(key));
+                fold.terms_mut().into_iter().for_each(visit)
+            }
+            BagExpr::Plus(l, r) | BagExpr::Minus(l, r) => {
+                visit(TermMut::Bag(l));
+                visit(TermMut::Bag(r));
+            }
+            BagExpr::Distinct(e) => visit(TermMut::Bag(e)),
         }
-    }
-}
-
-fn collect_lambda_free_vars(lam: &Lambda, bound: &mut HashSet<String>, out: &mut HashSet<String>) {
-    let added: Vec<String> = lam
-        .params
-        .iter()
-        .filter(|p| bound.insert((*p).clone()))
-        .cloned()
-        .collect();
-    lam.body.collect_free_vars(bound, out);
-    for p in added {
-        bound.remove(&p);
     }
 }
 

@@ -42,7 +42,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::bag_expr::BagExpr;
-use crate::expr::{BinOp, BuiltinFn, FoldOp, Lambda, ScalarExpr, UnOp};
+use crate::expr::{BinOp, BuiltinFn, FoldOp, Lambda, ScalarExpr, Term, UnOp};
 use crate::interp::{self, Catalog, Env};
 use crate::value::{Value, ValueError};
 
@@ -374,70 +374,19 @@ pub fn compile_bag_body(param: &str, body: &BagExpr) -> CompiledBag {
 
 // ------------------------------------------------------- name collection
 
-/// Collects every variable name referenced anywhere in a scalar expression
-/// (including names bound within it), borrowed from the expression. Used by
-/// the engine to [`Env::prefetch`] base-scope bindings on the interpreted
-/// path; prefetching bound names is harmless because later binder pushes
-/// shadow them.
-pub fn scalar_var_names<'e>(e: &'e ScalarExpr, out: &mut Vec<&'e str>) {
-    match e {
-        ScalarExpr::Lit(_) => {}
-        ScalarExpr::Var(n) => out.push(n),
-        ScalarExpr::Field(inner, _) | ScalarExpr::UnOp(_, inner) => scalar_var_names(inner, out),
-        ScalarExpr::BinOp(_, l, r) => {
-            scalar_var_names(l, out);
-            scalar_var_names(r, out);
+/// Every variable and bag-reference name at or below `t` (including names
+/// bound within it), pre-order, borrowed from the term. Used by the engine
+/// to [`Env::prefetch`] base-scope bindings on the interpreted path;
+/// prefetching bound names is harmless because later binder pushes shadow
+/// them.
+pub fn var_names(t: Term<'_>) -> Vec<&str> {
+    let mut out = Vec::new();
+    t.walk(&mut |t| {
+        if let Term::Scalar(ScalarExpr::Var(n)) | Term::Bag(BagExpr::Ref { name: n }) = t {
+            out.push(n.as_str());
         }
-        ScalarExpr::Call(_, args) | ScalarExpr::Tuple(args) => {
-            for a in args {
-                scalar_var_names(a, out);
-            }
-        }
-        ScalarExpr::If(c, t, el) => {
-            scalar_var_names(c, out);
-            scalar_var_names(t, out);
-            scalar_var_names(el, out);
-        }
-        ScalarExpr::Fold(bag, fold) => {
-            bag_var_names(bag, out);
-            scalar_var_names(&fold.zero, out);
-            scalar_var_names(&fold.sng.body, out);
-            scalar_var_names(&fold.uni.body, out);
-        }
-        ScalarExpr::BagOf(bag) => bag_var_names(bag, out),
-    }
-}
-
-/// Collects every variable name referenced anywhere in a bag expression
-/// (see [`scalar_var_names`]).
-pub fn bag_var_names<'e>(b: &'e BagExpr, out: &mut Vec<&'e str>) {
-    match b {
-        BagExpr::Read { .. } | BagExpr::Values(_) => {}
-        BagExpr::Ref { name } => out.push(name),
-        BagExpr::OfValue(e) => scalar_var_names(e, out),
-        BagExpr::Map { input, f }
-        | BagExpr::Filter { input, p: f }
-        | BagExpr::GroupBy { input, key: f } => {
-            bag_var_names(input, out);
-            scalar_var_names(&f.body, out);
-        }
-        BagExpr::FlatMap { input, f } => {
-            bag_var_names(input, out);
-            bag_var_names(&f.body, out);
-        }
-        BagExpr::AggBy { input, key, fold } => {
-            bag_var_names(input, out);
-            scalar_var_names(&key.body, out);
-            scalar_var_names(&fold.zero, out);
-            scalar_var_names(&fold.sng.body, out);
-            scalar_var_names(&fold.uni.body, out);
-        }
-        BagExpr::Plus(l, r) | BagExpr::Minus(l, r) => {
-            bag_var_names(l, out);
-            bag_var_names(r, out);
-        }
-        BagExpr::Distinct(e) => bag_var_names(e, out),
-    }
+    });
+    out
 }
 
 // ---------------------------------------------------------------- compiler
@@ -623,14 +572,15 @@ impl<'e> Compiler<'e> {
 /// True when the subtree references no variables and contains no bag
 /// computation — i.e. it evaluates to the same result in any environment.
 fn is_closed(e: &ScalarExpr) -> bool {
-    match e {
-        ScalarExpr::Lit(_) => true,
-        ScalarExpr::Var(_) | ScalarExpr::Fold(..) | ScalarExpr::BagOf(_) => false,
-        ScalarExpr::Field(inner, _) | ScalarExpr::UnOp(_, inner) => is_closed(inner),
-        ScalarExpr::BinOp(_, l, r) => is_closed(l) && is_closed(r),
-        ScalarExpr::Call(_, args) | ScalarExpr::Tuple(args) => args.iter().all(is_closed),
-        ScalarExpr::If(c, t, el) => is_closed(c) && is_closed(t) && is_closed(el),
+    if matches!(
+        e,
+        ScalarExpr::Var(_) | ScalarExpr::Fold(..) | ScalarExpr::BagOf(_)
+    ) {
+        return false;
     }
+    let mut closed = true;
+    e.for_each_child(|c| closed = closed && matches!(c, Term::Scalar(c) if is_closed(c)));
+    closed
 }
 
 /// Evaluates a closed subtree with the reference interpreter, so folding

@@ -24,7 +24,7 @@ use std::collections::HashSet;
 use std::fmt;
 
 use crate::bag_expr::BagExpr;
-use crate::expr::{BinOp, FoldKind, FoldOp, Lambda, ScalarExpr, UnOp};
+use crate::expr::{BinOp, FoldKind, FoldOp, Lambda, ScalarExpr, TermMut, UnOp};
 use crate::freshen::NameGen;
 
 /// The monad a comprehension constructs its result in.
@@ -319,9 +319,11 @@ fn unnest_generator(
                     }
                 }
                 for q in &c.quals[i + 1..] {
-                    new_quals.push(substitute_in_qual(q, &var, &head_expr));
+                    let mut q = q.clone();
+                    substitute_in_qual(&mut q, &var, &head_expr);
+                    new_quals.push(q);
                 }
-                c.head = c.head.substitute(&var, &head_expr);
+                TermMut::Scalar(&mut c.head).substitute(&var, &head_expr);
                 c.quals = new_quals;
                 stats.fusions += 1;
                 return true;
@@ -548,25 +550,18 @@ fn go(quals: &[Qual], head: &ScalarExpr, flatten: bool, gen: &mut NameGen) -> Ba
     }
 }
 
-fn substitute_in_qual(q: &Qual, var: &str, replacement: &ScalarExpr) -> Qual {
+fn substitute_in_qual(q: &mut Qual, var: &str, replacement: &ScalarExpr) {
     match q {
-        Qual::Guard(g) => Qual::Guard(g.substitute(var, replacement)),
-        Qual::Gen(g) => Qual::Gen(Generator {
-            var: g.var.clone(),
-            semi: g.semi,
-            source: match &g.source {
-                GenSource::Atom(b) => GenSource::Atom(b.substitute(var, replacement)),
-                GenSource::Comp(c) => GenSource::Comp(Box::new(Comprehension {
-                    head: c.head.substitute(var, replacement),
-                    quals: c
-                        .quals
-                        .iter()
-                        .map(|q| substitute_in_qual(q, var, replacement))
-                        .collect(),
-                    monad: c.monad.clone(),
-                })),
-            },
-        }),
+        Qual::Guard(g) => TermMut::Scalar(g).substitute(var, replacement),
+        Qual::Gen(g) => match &mut g.source {
+            GenSource::Atom(b) => TermMut::Bag(b).substitute(var, replacement),
+            GenSource::Comp(c) => {
+                TermMut::Scalar(&mut c.head).substitute(var, replacement);
+                for q in &mut c.quals {
+                    substitute_in_qual(q, var, replacement);
+                }
+            }
+        },
     }
 }
 

@@ -377,6 +377,24 @@ impl FoldOp {
             uni,
         }
     }
+
+    /// The fold's terms in order: `zero`, `sng`, `uni`.
+    pub fn terms(&self) -> [Term<'_>; 3] {
+        [
+            Term::Scalar(&self.zero),
+            Term::Lambda(&self.sng),
+            Term::Lambda(&self.uni),
+        ]
+    }
+
+    /// The `&mut` twin of [`FoldOp::terms`].
+    pub fn terms_mut(&mut self) -> [TermMut<'_>; 3] {
+        [
+            TermMut::Scalar(&mut self.zero),
+            TermMut::Lambda(&mut self.sng),
+            TermMut::Lambda(&mut self.uni),
+        ]
+    }
 }
 
 /// A lambda: named parameters over a scalar body.
@@ -397,7 +415,8 @@ impl Lambda {
         }
     }
 
-    /// Beta-reduction: substitutes `args` for the parameters in the body.
+    /// Beta-reduction: substitutes `args` for the parameters in the body,
+    /// one parameter after the other, in one copy of the body.
     ///
     /// Assumes globally fresh binder names (see [`crate::freshen`]), so no
     /// capture checks are needed at the call sites inside the compiler.
@@ -411,18 +430,14 @@ impl Lambda {
         );
         let mut body = self.body.clone();
         for (p, a) in self.params.iter().zip(args) {
-            body = body.substitute(p, a);
+            TermMut::Scalar(&mut body).substitute(p, a);
         }
         body
     }
 
     /// Free variables of the lambda (body free vars minus parameters).
     pub fn free_vars(&self) -> HashSet<String> {
-        let mut fv = self.body.free_vars();
-        for p in &self.params {
-            fv.remove(p);
-        }
-        fv
+        Term::Lambda(self).free_vars()
     }
 
     /// Static CPU cost of one application of this lambda (see
@@ -447,11 +462,10 @@ impl Lambda {
             return false;
         }
         let canon = |lam: &Lambda| {
-            let mut body = lam.body.clone();
-            for (i, p) in lam.params.iter().enumerate() {
-                body = body.substitute(p, &ScalarExpr::var(format!("§{i}")));
-            }
-            body
+            let args: Vec<ScalarExpr> = (0..lam.params.len())
+                .map(|i| ScalarExpr::var(format!("§{i}")))
+                .collect();
+            lam.apply(&args)
         };
         canon(self) == canon(other)
     }
@@ -650,53 +664,7 @@ impl ScalarExpr {
     /// expressions. Driver variables referenced inside dataflow UDFs show up
     /// here — the seed of broadcast insertion (paper Fig. 3b).
     pub fn free_vars(&self) -> HashSet<String> {
-        let mut out = HashSet::new();
-        self.collect_free_vars(&mut HashSet::new(), &mut out);
-        out
-    }
-
-    pub(crate) fn collect_free_vars(&self, bound: &mut HashSet<String>, out: &mut HashSet<String>) {
-        match self {
-            ScalarExpr::Lit(_) => {}
-            ScalarExpr::Var(name) => {
-                if !bound.contains(name) {
-                    out.insert(name.clone());
-                }
-            }
-            ScalarExpr::Field(e, _) => e.collect_free_vars(bound, out),
-            ScalarExpr::BinOp(_, l, r) => {
-                l.collect_free_vars(bound, out);
-                r.collect_free_vars(bound, out);
-            }
-            ScalarExpr::UnOp(_, e) => e.collect_free_vars(bound, out),
-            ScalarExpr::Call(_, args) | ScalarExpr::Tuple(args) => {
-                for a in args {
-                    a.collect_free_vars(bound, out);
-                }
-            }
-            ScalarExpr::If(c, t, e) => {
-                c.collect_free_vars(bound, out);
-                t.collect_free_vars(bound, out);
-                e.collect_free_vars(bound, out);
-            }
-            ScalarExpr::Fold(bag, fold) => {
-                bag.collect_free_vars(bound, out);
-                fold.zero.collect_free_vars(bound, out);
-                for lam in [&fold.sng, &fold.uni] {
-                    let added: Vec<String> = lam
-                        .params
-                        .iter()
-                        .filter(|p| bound.insert((*p).clone()))
-                        .cloned()
-                        .collect();
-                    lam.body.collect_free_vars(bound, out);
-                    for p in added {
-                        bound.remove(&p);
-                    }
-                }
-            }
-            ScalarExpr::BagOf(bag) => bag.collect_free_vars(bound, out),
-        }
+        Term::Scalar(self).free_vars()
     }
 
     /// Substitutes `replacement` for free occurrences of `name`.
@@ -704,66 +672,191 @@ impl ScalarExpr {
     /// Binders are assumed globally fresh (see [`crate::freshen`]); the
     /// substitution still respects shadowing binders for robustness.
     pub fn substitute(&self, name: &str, replacement: &ScalarExpr) -> ScalarExpr {
+        let mut e = self.clone();
+        TermMut::Scalar(&mut e).substitute(name, replacement);
+        e
+    }
+
+    /// The direct sub-terms in evaluation order (see [`Term`]).
+    pub fn for_each_child<'a>(&'a self, mut visit: impl FnMut(Term<'a>)) {
         match self {
-            ScalarExpr::Lit(v) => ScalarExpr::Lit(v.clone()),
-            ScalarExpr::Var(n) => {
-                if n == name {
-                    replacement.clone()
-                } else {
-                    self.clone()
-                }
+            ScalarExpr::Lit(_) | ScalarExpr::Var(_) => {}
+            ScalarExpr::Field(e, _) | ScalarExpr::UnOp(_, e) => visit(Term::Scalar(e)),
+            ScalarExpr::BinOp(_, l, r) => [l, r].into_iter().for_each(|e| visit(Term::Scalar(e))),
+            ScalarExpr::Call(_, args) | ScalarExpr::Tuple(args) => {
+                args.iter().for_each(|e| visit(Term::Scalar(e)))
             }
-            ScalarExpr::Field(e, i) => {
-                ScalarExpr::Field(Box::new(e.substitute(name, replacement)), *i)
+            ScalarExpr::If(c, t, e) => [c, t, e].into_iter().for_each(|e| visit(Term::Scalar(e))),
+            ScalarExpr::Fold(bag, fold) => {
+                visit(Term::Bag(bag));
+                fold.terms().into_iter().for_each(visit)
             }
-            ScalarExpr::BinOp(op, l, r) => ScalarExpr::BinOp(
-                *op,
-                Box::new(l.substitute(name, replacement)),
-                Box::new(r.substitute(name, replacement)),
-            ),
-            ScalarExpr::UnOp(op, e) => {
-                ScalarExpr::UnOp(*op, Box::new(e.substitute(name, replacement)))
+            ScalarExpr::BagOf(bag) => visit(Term::Bag(bag)),
+        }
+    }
+
+    /// The `&mut` twin of [`ScalarExpr::for_each_child`].
+    pub fn for_each_child_mut<'a>(&'a mut self, mut visit: impl FnMut(TermMut<'a>)) {
+        match self {
+            ScalarExpr::Lit(_) | ScalarExpr::Var(_) => {}
+            ScalarExpr::Field(e, _) | ScalarExpr::UnOp(_, e) => visit(TermMut::Scalar(e)),
+            ScalarExpr::BinOp(_, l, r) => {
+                [l, r].into_iter().for_each(|e| visit(TermMut::Scalar(e)))
             }
-            ScalarExpr::Call(f, args) => ScalarExpr::Call(
-                *f,
-                args.iter()
-                    .map(|a| a.substitute(name, replacement))
-                    .collect(),
-            ),
-            ScalarExpr::Tuple(args) => ScalarExpr::Tuple(
-                args.iter()
-                    .map(|a| a.substitute(name, replacement))
-                    .collect(),
-            ),
-            ScalarExpr::If(c, t, e) => ScalarExpr::If(
-                Box::new(c.substitute(name, replacement)),
-                Box::new(t.substitute(name, replacement)),
-                Box::new(e.substitute(name, replacement)),
-            ),
-            ScalarExpr::Fold(bag, fold) => ScalarExpr::Fold(
-                Box::new(bag.substitute(name, replacement)),
-                Box::new(FoldOp {
-                    kind: fold.kind.clone(),
-                    zero: Box::new(fold.zero.substitute(name, replacement)),
-                    sng: substitute_in_lambda(&fold.sng, name, replacement),
-                    uni: substitute_in_lambda(&fold.uni, name, replacement),
-                }),
-            ),
-            ScalarExpr::BagOf(bag) => {
-                ScalarExpr::BagOf(Box::new(bag.substitute(name, replacement)))
+            ScalarExpr::Call(_, args) | ScalarExpr::Tuple(args) => {
+                args.iter_mut().for_each(|e| visit(TermMut::Scalar(e)))
             }
+            ScalarExpr::If(c, t, e) => [c, t, e]
+                .into_iter()
+                .for_each(|e| visit(TermMut::Scalar(e))),
+            ScalarExpr::Fold(bag, fold) => {
+                visit(TermMut::Bag(bag));
+                fold.terms_mut().into_iter().for_each(visit)
+            }
+            ScalarExpr::BagOf(bag) => visit(TermMut::Bag(bag)),
         }
     }
 }
 
-/// Substitution under a lambda binder, respecting shadowing.
-pub(crate) fn substitute_in_lambda(lam: &Lambda, name: &str, replacement: &ScalarExpr) -> Lambda {
-    if lam.params.iter().any(|p| p == name) {
-        lam.clone()
-    } else {
-        Lambda {
-            params: lam.params.clone(),
-            body: lam.body.substitute(name, replacement),
+/// One node of the quoted IR, as its parent holds it.
+///
+/// Every structural walker of the compiler and the engine — free variables,
+/// substitution, freshening, bag references, catalog reads — is written once
+/// over this type: [`ScalarExpr::for_each_child`] and
+/// [`BagExpr::for_each_child`] are the only places that spell out which
+/// sub-terms a node has. The order is evaluation order (`Fold`: bag, zero,
+/// `sng`, `uni`; `AggBy`: input, key, zero, `sng`, `uni`; `FlatMap`: input,
+/// then its binder), which is also the order fresh names are handed out in.
+///
+/// Lambdas are terms of their own, so a binder-aware walker sees their
+/// parameters ([`Term::binders`]) before it enters the body, and a
+/// binder-blind one simply recurses into the body.
+#[derive(Clone, Copy, Debug)]
+pub enum Term<'a> {
+    /// A scalar expression.
+    Scalar(&'a ScalarExpr),
+    /// A bag expression.
+    Bag(&'a BagExpr),
+    /// A lambda; its child is its body.
+    Lambda(&'a Lambda),
+    /// A `flatMap` binder — the element variable and the bag-valued body.
+    BagLambda(&'a String, &'a BagExpr),
+}
+
+/// The `&mut` twin of [`Term`], for in-place rewrites.
+#[derive(Debug)]
+pub enum TermMut<'a> {
+    /// A scalar expression.
+    Scalar(&'a mut ScalarExpr),
+    /// A bag expression.
+    Bag(&'a mut BagExpr),
+    /// A lambda; its child is its body.
+    Lambda(&'a mut Lambda),
+    /// A `flatMap` binder — the element variable and the bag-valued body.
+    BagLambda(&'a mut String, &'a mut BagExpr),
+}
+
+impl<'a> Term<'a> {
+    /// The direct sub-terms, in evaluation order.
+    pub fn for_each_child(self, mut visit: impl FnMut(Term<'a>)) {
+        match self {
+            Term::Scalar(e) => e.for_each_child(visit),
+            Term::Bag(b) => b.for_each_child(visit),
+            Term::Lambda(lam) => visit(Term::Scalar(&lam.body)),
+            Term::BagLambda(_, body) => visit(Term::Bag(body)),
+        }
+    }
+
+    /// Visits this term and every term below it, pre-order. Binder-blind:
+    /// a lambda is visited, then its body.
+    pub fn walk(self, visit: &mut impl FnMut(Term<'a>)) {
+        visit(self);
+        self.for_each_child(|c| c.walk(visit));
+    }
+
+    /// The names this term binds in its children.
+    pub fn binders(self) -> &'a [String] {
+        match self {
+            Term::Lambda(lam) => &lam.params,
+            Term::BagLambda(param, _) => std::slice::from_ref(param),
+            Term::Scalar(_) | Term::Bag(_) => &[],
+        }
+    }
+
+    /// Free variables: scalar `Var`s and bag `Ref`s not bound inside this
+    /// term.
+    pub fn free_vars(self) -> HashSet<String> {
+        let mut out = HashSet::new();
+        self.collect_free_vars(&mut Vec::new(), &mut out);
+        out
+    }
+
+    fn collect_free_vars(self, bound: &mut Vec<&'a str>, out: &mut HashSet<String>) {
+        if let Term::Scalar(ScalarExpr::Var(name)) | Term::Bag(BagExpr::Ref { name }) = self {
+            if !bound.contains(&name.as_str()) {
+                out.insert(name.clone());
+            }
+            return;
+        }
+        let depth = bound.len();
+        bound.extend(self.binders().iter().map(String::as_str));
+        self.for_each_child(|c| c.collect_free_vars(bound, out));
+        bound.truncate(depth);
+    }
+
+    /// Every bag `Ref` name at or below this term, pre-order (binder-blind).
+    pub fn for_each_bag_ref(self, mut visit: impl FnMut(&'a str)) {
+        self.walk(&mut |t| {
+            if let Term::Bag(BagExpr::Ref { name }) = t {
+                visit(name)
+            }
+        });
+    }
+}
+
+impl<'a> TermMut<'a> {
+    /// The direct sub-terms, in evaluation order.
+    pub fn for_each_child(self, mut visit: impl FnMut(TermMut<'a>)) {
+        match self {
+            TermMut::Scalar(e) => e.for_each_child_mut(visit),
+            TermMut::Bag(b) => b.for_each_child_mut(visit),
+            TermMut::Lambda(lam) => visit(TermMut::Scalar(&mut lam.body)),
+            TermMut::BagLambda(_, body) => visit(TermMut::Bag(body)),
+        }
+    }
+
+    /// The names this term binds in its children.
+    pub fn binders(&mut self) -> &mut [String] {
+        match self {
+            TermMut::Lambda(lam) => &mut lam.params,
+            TermMut::BagLambda(param, _) => std::slice::from_mut(&mut **param),
+            TermMut::Scalar(_) | TermMut::Bag(_) => &mut [],
+        }
+    }
+
+    /// Replaces free occurrences of the scalar variable `name` with
+    /// `replacement`, in place. A binder of `name` shadows it.
+    pub fn substitute(mut self, name: &str, replacement: &ScalarExpr) {
+        if let TermMut::Scalar(e) = &mut self {
+            if matches!(&**e, ScalarExpr::Var(n) if n == name) {
+                **e = replacement.clone();
+                return;
+            }
+        }
+        if !self.binders().iter().any(|p| p == name) {
+            self.for_each_child(|c| c.substitute(name, replacement));
+        }
+    }
+
+    /// Replaces every bag `Ref { name }` with `replacement`, in place — the
+    /// inlining of Section 4.1. Binder-blind: driver bag names are never
+    /// rebound inside a term.
+    pub fn substitute_ref(self, name: &str, replacement: &BagExpr) {
+        match self {
+            TermMut::Bag(b) if matches!(&*b, BagExpr::Ref { name: n } if n == name) => {
+                *b = replacement.clone()
+            }
+            t => t.for_each_child(|c| c.substitute_ref(name, replacement)),
         }
     }
 }

@@ -10,9 +10,9 @@
 
 use std::collections::HashMap;
 
-use crate::bag_expr::{BagExpr, BagLambda};
-use crate::expr::{FoldOp, Lambda, ScalarExpr};
-use crate::program::{Program, RValue, Stmt};
+use crate::bag_expr::BagExpr;
+use crate::expr::{ScalarExpr, TermMut};
+use crate::program::{Program, Stmt};
 
 /// Monotone counter handing out fresh binder names.
 #[derive(Debug, Default)]
@@ -39,260 +39,57 @@ type Scope = HashMap<String, String>;
 
 /// Freshens all binders in a program.
 pub fn freshen_program(p: &Program, gen: &mut NameGen) -> Program {
-    Program {
-        body: freshen_stmts(&p.body, &Scope::new(), gen),
+    let mut p = p.clone();
+    freshen_stmts(&mut p.body, gen);
+    p
+}
+
+fn freshen_stmts(stmts: &mut [Stmt], gen: &mut NameGen) {
+    for s in stmts {
+        // Statement-level names (bindings, the ForEach variable) live in the
+        // driver's single global scope: not renamed.
+        s.for_each_term_mut(|t| freshen(t, &mut Vec::new(), gen));
+        s.blocks_mut().for_each(|b| freshen_stmts(b, gen));
     }
 }
 
-fn freshen_stmts(stmts: &[Stmt], scope: &Scope, gen: &mut NameGen) -> Vec<Stmt> {
-    stmts
-        .iter()
-        .map(|s| match s {
-            Stmt::ValDef { name, value } => Stmt::ValDef {
-                name: name.clone(),
-                value: freshen_rvalue(value, scope, gen),
-            },
-            Stmt::VarDef { name, value } => Stmt::VarDef {
-                name: name.clone(),
-                value: freshen_rvalue(value, scope, gen),
-            },
-            Stmt::Assign { name, value } => Stmt::Assign {
-                name: name.clone(),
-                value: freshen_rvalue(value, scope, gen),
-            },
-            Stmt::While { cond, body } => Stmt::While {
-                cond: freshen_scalar(cond, scope, gen),
-                body: freshen_stmts(body, scope, gen),
-            },
-            Stmt::ForEach { var, seq, body } => Stmt::ForEach {
-                // The ForEach variable is a driver-level binding: not renamed.
-                var: var.clone(),
-                seq: freshen_scalar(seq, scope, gen),
-                body: freshen_stmts(body, scope, gen),
-            },
-            Stmt::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => Stmt::If {
-                cond: freshen_scalar(cond, scope, gen),
-                then_branch: freshen_stmts(then_branch, scope, gen),
-                else_branch: freshen_stmts(else_branch, scope, gen),
-            },
-            Stmt::Write { sink, bag } => Stmt::Write {
-                sink: sink.clone(),
-                bag: freshen_bag(bag, scope, gen),
-            },
-            Stmt::StatefulCreate { name, init, key } => Stmt::StatefulCreate {
-                name: name.clone(),
-                init: freshen_bag(init, scope, gen),
-                key: freshen_lambda(key, scope, gen),
-            },
-            Stmt::StatefulUpdate {
-                state,
-                delta,
-                messages,
-                message_key,
-                update,
-            } => Stmt::StatefulUpdate {
-                state: state.clone(),
-                delta: delta.clone(),
-                messages: freshen_bag(messages, scope, gen),
-                message_key: freshen_lambda(message_key, scope, gen),
-                update: freshen_lambda(update, scope, gen),
-            },
-        })
-        .collect()
-}
-
-fn freshen_rvalue(v: &RValue, scope: &Scope, gen: &mut NameGen) -> RValue {
-    match v {
-        RValue::Bag(b) => RValue::Bag(freshen_bag(b, scope, gen)),
-        RValue::Scalar(e) => RValue::Scalar(freshen_scalar(e, scope, gen)),
-    }
-}
-
-/// Freshens binders in a standalone bag expression.
+/// Freshens binders in a standalone bag expression; `scope` renames the
+/// variables it maps.
 pub fn freshen_bag(b: &BagExpr, scope: &Scope, gen: &mut NameGen) -> BagExpr {
-    match b {
-        BagExpr::Read { .. } | BagExpr::Values(_) => b.clone(),
-        BagExpr::Ref { name } => BagExpr::Ref {
-            // A Ref may point at a renamed binder (e.g. inside a flatMap body
-            // the bound element is referenced as a bag — not typical, but
-            // keep the lookup for uniformity).
-            name: scope.get(name).cloned().unwrap_or_else(|| name.clone()),
-        },
-        BagExpr::OfValue(e) => BagExpr::OfValue(Box::new(freshen_scalar(e, scope, gen))),
-        BagExpr::Map { input, f } => BagExpr::Map {
-            input: Box::new(freshen_bag(input, scope, gen)),
-            f: freshen_lambda(f, scope, gen),
-        },
-        BagExpr::Filter { input, p } => BagExpr::Filter {
-            input: Box::new(freshen_bag(input, scope, gen)),
-            p: freshen_lambda(p, scope, gen),
-        },
-        BagExpr::FlatMap { input, f } => {
-            let input = freshen_bag(input, scope, gen);
-            let fresh = gen.fresh(&f.param);
-            let mut inner = scope.clone();
-            inner.insert(f.param.clone(), fresh.clone());
-            BagExpr::FlatMap {
-                input: Box::new(input),
-                f: Box::new(BagLambda {
-                    param: fresh,
-                    body: freshen_bag(&f.body, &inner, gen),
-                }),
-            }
-        }
-        BagExpr::GroupBy { input, key } => BagExpr::GroupBy {
-            input: Box::new(freshen_bag(input, scope, gen)),
-            key: freshen_lambda(key, scope, gen),
-        },
-        BagExpr::AggBy { input, key, fold } => BagExpr::AggBy {
-            input: Box::new(freshen_bag(input, scope, gen)),
-            key: freshen_lambda(key, scope, gen),
-            fold: freshen_fold(fold, scope, gen),
-        },
-        BagExpr::Plus(l, r) => BagExpr::Plus(
-            Box::new(freshen_bag(l, scope, gen)),
-            Box::new(freshen_bag(r, scope, gen)),
-        ),
-        BagExpr::Minus(l, r) => BagExpr::Minus(
-            Box::new(freshen_bag(l, scope, gen)),
-            Box::new(freshen_bag(r, scope, gen)),
-        ),
-        BagExpr::Distinct(e) => BagExpr::Distinct(Box::new(freshen_bag(e, scope, gen))),
-    }
+    let mut b = b.clone();
+    let mut scope: Vec<(String, String)> = scope.clone().into_iter().collect();
+    freshen(TermMut::Bag(&mut b), &mut scope, gen);
+    b
 }
 
-/// Freshens binders in a scalar expression.
-pub fn freshen_scalar(e: &ScalarExpr, scope: &Scope, gen: &mut NameGen) -> ScalarExpr {
-    match e {
-        ScalarExpr::Lit(_) => e.clone(),
-        ScalarExpr::Var(n) => ScalarExpr::Var(scope.get(n).cloned().unwrap_or_else(|| n.clone())),
-        ScalarExpr::Field(inner, i) => {
-            ScalarExpr::Field(Box::new(freshen_scalar(inner, scope, gen)), *i)
+/// Renames every binder below `t` in visit order, and every variable or bag
+/// reference to the innermost in-scope binder of its name. `scope` is a
+/// stack of (original, fresh) pairs.
+fn freshen(mut t: TermMut<'_>, scope: &mut Vec<(String, String)>, gen: &mut NameGen) {
+    if let TermMut::Scalar(ScalarExpr::Var(name)) | TermMut::Bag(BagExpr::Ref { name }) = &mut t {
+        if let Some((_, fresh)) = scope.iter().rev().find(|(old, _)| old == name) {
+            name.clone_from(fresh);
         }
-        ScalarExpr::BinOp(op, l, r) => ScalarExpr::BinOp(
-            *op,
-            Box::new(freshen_scalar(l, scope, gen)),
-            Box::new(freshen_scalar(r, scope, gen)),
-        ),
-        ScalarExpr::UnOp(op, inner) => {
-            ScalarExpr::UnOp(*op, Box::new(freshen_scalar(inner, scope, gen)))
-        }
-        ScalarExpr::Call(f, args) => ScalarExpr::Call(
-            *f,
-            args.iter().map(|a| freshen_scalar(a, scope, gen)).collect(),
-        ),
-        ScalarExpr::Tuple(args) => {
-            ScalarExpr::Tuple(args.iter().map(|a| freshen_scalar(a, scope, gen)).collect())
-        }
-        ScalarExpr::If(c, t, el) => ScalarExpr::If(
-            Box::new(freshen_scalar(c, scope, gen)),
-            Box::new(freshen_scalar(t, scope, gen)),
-            Box::new(freshen_scalar(el, scope, gen)),
-        ),
-        ScalarExpr::Fold(bag, fold) => ScalarExpr::Fold(
-            Box::new(freshen_bag(bag, scope, gen)),
-            Box::new(freshen_fold(fold, scope, gen)),
-        ),
-        ScalarExpr::BagOf(bag) => ScalarExpr::BagOf(Box::new(freshen_bag(bag, scope, gen))),
+        return;
     }
-}
-
-fn freshen_fold(fold: &FoldOp, scope: &Scope, gen: &mut NameGen) -> FoldOp {
-    FoldOp {
-        kind: fold.kind.clone(),
-        zero: Box::new(freshen_scalar(&fold.zero, scope, gen)),
-        sng: freshen_lambda(&fold.sng, scope, gen),
-        uni: freshen_lambda(&fold.uni, scope, gen),
+    let depth = scope.len();
+    for p in t.binders() {
+        let fresh = gen.fresh(p);
+        scope.push((std::mem::replace(p, fresh.clone()), fresh));
     }
-}
-
-fn freshen_lambda(lam: &Lambda, scope: &Scope, gen: &mut NameGen) -> Lambda {
-    let mut inner = scope.clone();
-    let params: Vec<String> = lam
-        .params
-        .iter()
-        .map(|p| {
-            let fresh = gen.fresh(p);
-            inner.insert(p.clone(), fresh.clone());
-            fresh
-        })
-        .collect();
-    Lambda {
-        params,
-        body: freshen_scalar(&lam.body, &inner, gen),
-    }
+    t.for_each_child(|c| freshen(c, scope, gen));
+    scope.truncate(depth);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expr::{FoldOp, Lambda, Term};
     use std::collections::HashSet;
 
     /// Collects all binder names in a bag expression.
     fn binders(b: &BagExpr, out: &mut Vec<String>) {
-        match b {
-            BagExpr::Read { .. } | BagExpr::Values(_) | BagExpr::Ref { .. } => {}
-            BagExpr::OfValue(e) => binders_scalar(e, out),
-            BagExpr::Map { input, f } | BagExpr::Filter { input, p: f } => {
-                binders(input, out);
-                out.extend(f.params.iter().cloned());
-                binders_scalar(&f.body, out);
-            }
-            BagExpr::FlatMap { input, f } => {
-                binders(input, out);
-                out.push(f.param.clone());
-                binders(&f.body, out);
-            }
-            BagExpr::GroupBy { input, key } => {
-                binders(input, out);
-                out.extend(key.params.iter().cloned());
-                binders_scalar(&key.body, out);
-            }
-            BagExpr::AggBy { input, key, fold } => {
-                binders(input, out);
-                out.extend(key.params.iter().cloned());
-                out.extend(fold.sng.params.iter().cloned());
-                out.extend(fold.uni.params.iter().cloned());
-            }
-            BagExpr::Plus(l, r) | BagExpr::Minus(l, r) => {
-                binders(l, out);
-                binders(r, out);
-            }
-            BagExpr::Distinct(e) => binders(e, out),
-        }
-    }
-
-    fn binders_scalar(e: &ScalarExpr, out: &mut Vec<String>) {
-        match e {
-            ScalarExpr::Fold(bag, fold) => {
-                binders(bag, out);
-                out.extend(fold.sng.params.iter().cloned());
-                out.extend(fold.uni.params.iter().cloned());
-                binders_scalar(&fold.sng.body, out);
-                binders_scalar(&fold.uni.body, out);
-            }
-            ScalarExpr::BagOf(bag) => binders(bag, out),
-            ScalarExpr::Field(inner, _) | ScalarExpr::UnOp(_, inner) => binders_scalar(inner, out),
-            ScalarExpr::BinOp(_, l, r) => {
-                binders_scalar(l, out);
-                binders_scalar(r, out);
-            }
-            ScalarExpr::Call(_, args) | ScalarExpr::Tuple(args) => {
-                for a in args {
-                    binders_scalar(a, out);
-                }
-            }
-            ScalarExpr::If(c, t, el) => {
-                binders_scalar(c, out);
-                binders_scalar(t, out);
-                binders_scalar(el, out);
-            }
-            ScalarExpr::Lit(_) | ScalarExpr::Var(_) => {}
-        }
+        Term::Bag(b).walk(&mut |t| out.extend(t.binders().iter().cloned()));
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use crate::bag_expr::BagExpr;
 use crate::comprehension::{Comprehension, GenSource, Qual};
-use crate::expr::{FoldOp, Lambda, ScalarExpr};
+use crate::expr::{FoldOp, Lambda, ScalarExpr, TermMut};
 use crate::freshen::NameGen;
 
 /// Attempts fold-group fusion on every groupBy generator of the (normalized)
@@ -78,19 +78,16 @@ pub fn fuse_fold_group(c: &mut Comprehension, gen: &mut NameGen) -> usize {
             fold: composite,
         });
         let mut counter = 0usize;
-        let new_head = rewrite(&c.head, &gvar, &mut counter);
-        let mut new_quals = c.quals.clone();
-        for q in &mut new_quals {
+        rewrite(&mut c.head, &gvar, &mut counter);
+        for q in &mut c.quals {
             if let Qual::Guard(e) = q {
-                *e = rewrite(e, &gvar, &mut counter);
+                rewrite(e, &gvar, &mut counter);
             }
         }
         debug_assert_eq!(counter, folds.len(), "rewrite must visit every fold");
-        if let Qual::Gen(g) = &mut new_quals[qi] {
+        if let Qual::Gen(g) = &mut c.quals[qi] {
             g.source = new_source;
         }
-        c.head = new_head;
-        c.quals = new_quals;
         fused += 1;
     }
     fused
@@ -160,37 +157,19 @@ fn collect(e: &ScalarExpr, gvar: &str, folds: &mut Vec<(BagExpr, FoldOp)>) -> bo
 
 /// Rewrites collected fold terms to aggregate-slot projections
 /// `g.1.i` in discovery order (must mirror [`collect`]'s traversal).
-fn rewrite(e: &ScalarExpr, gvar: &str, counter: &mut usize) -> ScalarExpr {
+fn rewrite(e: &mut ScalarExpr, gvar: &str, counter: &mut usize) {
     match e {
         ScalarExpr::Fold(bag, _) if chain_rooted_at_values(bag, gvar) => {
-            let slot = *counter;
+            *e = ScalarExpr::var(gvar).get(1).get(*counter);
             *counter += 1;
-            ScalarExpr::var(gvar).get(1).get(slot)
         }
-        ScalarExpr::Lit(_) | ScalarExpr::Var(_) => e.clone(),
-        ScalarExpr::Field(inner, i) => {
-            ScalarExpr::Field(Box::new(rewrite(inner, gvar, counter)), *i)
-        }
-        ScalarExpr::UnOp(op, inner) => {
-            ScalarExpr::UnOp(*op, Box::new(rewrite(inner, gvar, counter)))
-        }
-        ScalarExpr::BinOp(op, l, r) => ScalarExpr::BinOp(
-            *op,
-            Box::new(rewrite(l, gvar, counter)),
-            Box::new(rewrite(r, gvar, counter)),
-        ),
-        ScalarExpr::Call(f, args) => {
-            ScalarExpr::Call(*f, args.iter().map(|a| rewrite(a, gvar, counter)).collect())
-        }
-        ScalarExpr::Tuple(args) => {
-            ScalarExpr::Tuple(args.iter().map(|a| rewrite(a, gvar, counter)).collect())
-        }
-        ScalarExpr::If(c, t, el) => ScalarExpr::If(
-            Box::new(rewrite(c, gvar, counter)),
-            Box::new(rewrite(t, gvar, counter)),
-            Box::new(rewrite(el, gvar, counter)),
-        ),
-        ScalarExpr::Fold(_, _) | ScalarExpr::BagOf(_) => e.clone(),
+        ScalarExpr::Fold(_, _) | ScalarExpr::BagOf(_) => {}
+        // Every other node's children are scalars.
+        _ => e.for_each_child_mut(|c| {
+            if let TermMut::Scalar(c) = c {
+                rewrite(c, gvar, counter)
+            }
+        }),
     }
 }
 

@@ -28,7 +28,7 @@ use crate::comprehension::{
     desugar, normalize, resugar, resugar_fold, Comprehension, GenSource, Monad, NormalizeOpts,
     Qual, SemiKind,
 };
-use crate::expr::{BinOp, FoldOp, Lambda, ScalarExpr};
+use crate::expr::{BinOp, FoldOp, Lambda, ScalarExpr, TermMut};
 use crate::freshen::NameGen;
 use crate::fusion::fuse_fold_group;
 use crate::pipeline::{OptimizationReport, OptimizerFlags};
@@ -702,13 +702,13 @@ fn substitute_everywhere(
     var: &str,
     replacement: &ScalarExpr,
 ) {
-    *head = head.substitute(var, replacement);
+    TermMut::Scalar(head).substitute(var, replacement);
     for g in guards.iter_mut() {
-        *g = g.substitute(var, replacement);
+        TermMut::Scalar(g).substitute(var, replacement);
     }
     for g in gens.iter_mut() {
         if let GState::Dep { src, .. } = g {
-            *src = src.substitute(var, replacement);
+            TermMut::Bag(src).substitute(var, replacement);
         }
     }
 }

@@ -12,7 +12,7 @@
 //!   hash partitioning is enforced at the *producer*, before the loop (and
 //!   before the cache), so the per-iteration shuffle is paid only once.
 
-use crate::pipeline::{AuxDef, CRValue, CStmt, OptimizationReport};
+use crate::pipeline::{CRValue, CStmt, CTerm, OptimizationReport};
 use crate::plan::Plan;
 
 // ------------------------------------------------------------------ caching
@@ -42,25 +42,15 @@ pub fn apply_caching(body: &mut [CStmt], report: &mut OptimizationReport) {
 
 fn collect_bound_bag_names(body: &[CStmt], out: &mut Vec<String>) {
     for s in body {
-        match s {
-            CStmt::Bind {
-                name,
-                value: CRValue::Bag(_),
-                ..
-            } => out.push(name.clone()),
-            CStmt::While { body, .. } | CStmt::ForEach { body, .. } => {
-                collect_bound_bag_names(body, out)
-            }
-            CStmt::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                collect_bound_bag_names(then_branch, out);
-                collect_bound_bag_names(else_branch, out);
-            }
-            _ => {}
+        if let CStmt::Bind {
+            name,
+            value: CRValue::Bag(_),
+            ..
+        } = s
+        {
+            out.push(name.clone());
         }
+        s.blocks().for_each(|b| collect_bound_bag_names(b, out));
     }
 }
 
@@ -79,67 +69,34 @@ fn wrap_binds(body: &mut [CStmt], name: &str, wrapped: &mut bool) {
                 };
                 *wrapped = true;
             }
-            CStmt::While { body, .. } | CStmt::ForEach { body, .. } => {
-                wrap_binds(body, name, wrapped)
-            }
-            CStmt::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                wrap_binds(then_branch, name, wrapped);
-                wrap_binds(else_branch, name, wrapped);
-            }
-            _ => {}
+            _ => s.blocks_mut().for_each(|b| wrap_binds(b, name, wrapped)),
         }
     }
 }
 
-/// Weighted reference count of bag `name` in a compiled statement; references
-/// inside nested loops are weighted double (they repeat per iteration).
+/// Weighted reference count of bag `name` in a compiled statement — in its
+/// plans and in the lambdas it holds; references inside nested loops are
+/// weighted double (they repeat per iteration).
 fn ref_weight(s: &CStmt, name: &str, factor: usize) -> usize {
-    let plan_refs = |p: &Plan| p.bag_refs().iter().filter(|r| r.as_str() == name).count();
-    let aux_refs = |pre: &[AuxDef]| pre.iter().map(|a| plan_refs(&a.plan)).sum::<usize>();
+    let mut own = 0;
+    s.for_each_term(|t| match t {
+        CTerm::Plan(p) => own += p.bag_refs().iter().filter(|r| *r == name).count(),
+        CTerm::Term(t) => t.for_each_bag_ref(|r| own += usize::from(r == name)),
+    });
+    let nested = |body: &[CStmt], factor| -> usize {
+        body.iter().map(|s| ref_weight(s, name, factor)).sum()
+    };
     match s {
-        CStmt::Bind { value, .. } => match value {
-            CRValue::Bag(p) => factor * plan_refs(p),
-            CRValue::Scalar { pre, .. } => factor * aux_refs(pre),
-        },
-        CStmt::While { pre, body, .. } => {
-            let mut n = 2 * factor * aux_refs(pre);
-            for s in body {
-                n += ref_weight(s, name, 2 * factor);
-            }
-            n
-        }
-        CStmt::ForEach { pre, body, .. } => {
-            let mut n = factor * aux_refs(pre);
-            for s in body {
-                n += ref_weight(s, name, 2 * factor);
-            }
-            n
-        }
+        // A while condition's thunks re-run on every iteration.
+        CStmt::While { body, .. } => 2 * factor * own + nested(body, 2 * factor),
+        CStmt::ForEach { body, .. } => factor * own + nested(body, 2 * factor),
+        // Branches are alternatives; count the heavier one.
         CStmt::If {
-            pre,
             then_branch,
             else_branch,
             ..
-        } => {
-            let n = factor * aux_refs(pre);
-            // Branches are alternatives; count the heavier one.
-            let t: usize = then_branch
-                .iter()
-                .map(|s| ref_weight(s, name, factor))
-                .sum();
-            let e: usize = else_branch
-                .iter()
-                .map(|s| ref_weight(s, name, factor))
-                .sum();
-            n + t.max(e)
-        }
-        CStmt::Write { plan, .. } => factor * plan_refs(plan),
-        CStmt::StatefulCreate { plan, .. } => factor * plan_refs(plan),
-        CStmt::StatefulUpdate { messages, .. } => factor * plan_refs(messages),
+        } => factor * own + nested(then_branch, factor).max(nested(else_branch, factor)),
+        _ => factor * own,
     }
 }
 
@@ -167,37 +124,13 @@ pub fn apply_partition_pulling(body: &mut [CStmt], report: &mut OptimizationRepo
 
 fn collect_candidates(body: &[CStmt], in_loop: bool, out: &mut Vec<PullCandidate>) {
     for s in body {
-        match s {
-            CStmt::While { pre, body, .. } | CStmt::ForEach { pre, body, .. } => {
-                for a in pre {
-                    collect_from_plan(&a.plan, true, out);
-                }
-                collect_candidates(body, true, out);
+        let in_loop = in_loop || matches!(s, CStmt::While { .. } | CStmt::ForEach { .. });
+        s.for_each_term(|t| {
+            if let CTerm::Plan(p) = t {
+                collect_from_plan(p, in_loop, out)
             }
-            CStmt::If {
-                pre,
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                for a in pre {
-                    collect_from_plan(&a.plan, in_loop, out);
-                }
-                collect_candidates(then_branch, in_loop, out);
-                collect_candidates(else_branch, in_loop, out);
-            }
-            CStmt::Bind { value, .. } => match value {
-                CRValue::Bag(p) => collect_from_plan(p, in_loop, out),
-                CRValue::Scalar { pre, .. } => {
-                    for a in pre {
-                        collect_from_plan(&a.plan, in_loop, out);
-                    }
-                }
-            },
-            CStmt::Write { plan, .. } => collect_from_plan(plan, in_loop, out),
-            CStmt::StatefulCreate { plan, .. } => collect_from_plan(plan, in_loop, out),
-            CStmt::StatefulUpdate { messages, .. } => collect_from_plan(messages, in_loop, out),
-        }
+        });
+        s.blocks().for_each(|b| collect_candidates(b, in_loop, out));
     }
 }
 
@@ -252,18 +185,7 @@ fn enforce(body: &mut [CStmt], candidates: &[PullCandidate], report: &mut Optimi
                     }
                 }
             }
-            CStmt::While { body, .. } | CStmt::ForEach { body, .. } => {
-                enforce(body, candidates, report)
-            }
-            CStmt::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                enforce(then_branch, candidates, report);
-                enforce(else_branch, candidates, report);
-            }
-            _ => {}
+            _ => s.blocks_mut().for_each(|b| enforce(b, candidates, report)),
         }
     }
 }

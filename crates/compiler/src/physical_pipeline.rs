@@ -20,55 +20,20 @@
 //! the unfused semantics — including the simulated cost accounting —
 //! bit for bit.
 
-use crate::pipeline::{AuxDef, CRValue, CStmt, OptimizationReport};
+use crate::pipeline::{CStmt, CTermMut, OptimizationReport};
 use crate::plan::{PipelineStage, Plan};
 
 /// Rewrites every plan embedded in the compiled body, fusing narrow chains.
 pub fn apply_pipeline_fusion(body: &mut [CStmt], report: &mut OptimizationReport) {
     for stmt in body {
-        fuse_stmt(stmt, report);
+        stmt.for_each_term_mut(|t| {
+            if let CTermMut::Plan(plan) = t {
+                fuse_in_place(plan, report)
+            }
+        });
+        stmt.blocks_mut()
+            .for_each(|b| apply_pipeline_fusion(b, report));
     }
-}
-
-fn fuse_stmt(stmt: &mut CStmt, report: &mut OptimizationReport) {
-    match stmt {
-        CStmt::Bind { value, .. } => match value {
-            CRValue::Bag(plan) => fuse_in_place(plan, report),
-            CRValue::Scalar { pre, .. } => fuse_aux(pre, report),
-        },
-        CStmt::While { pre, body, .. } => {
-            fuse_aux(pre, report);
-            apply_pipeline_fusion(body, report);
-        }
-        CStmt::ForEach { pre, body, .. } => {
-            fuse_aux(pre, report);
-            apply_pipeline_fusion(body, report);
-        }
-        CStmt::If {
-            pre,
-            then_branch,
-            else_branch,
-            ..
-        } => {
-            fuse_aux(pre, report);
-            apply_pipeline_fusion(then_branch, report);
-            apply_pipeline_fusion(else_branch, report);
-        }
-        CStmt::Write { plan, .. } => fuse_in_place(plan, report),
-        CStmt::StatefulCreate { plan, .. } => fuse_in_place(plan, report),
-        CStmt::StatefulUpdate { messages, .. } => fuse_in_place(messages, report),
-    }
-}
-
-fn fuse_aux(defs: &mut [AuxDef], report: &mut OptimizationReport) {
-    for def in defs {
-        fuse_in_place(&mut def.plan, report);
-    }
-}
-
-fn fuse_in_place(plan: &mut Plan, report: &mut OptimizationReport) {
-    let owned = std::mem::replace(plan, Plan::Literal { rows: vec![] });
-    *plan = fuse_plan(owned, report);
 }
 
 /// True if the node is a narrow, partition-local, per-element operator.
@@ -79,143 +44,55 @@ fn is_narrow(plan: &Plan) -> bool {
     )
 }
 
-/// Bottom-up fusion: collapse the maximal narrow chain rooted at `plan`
-/// (if it has ≥ 2 operators), then recurse below the chain.
-fn fuse_plan(plan: Plan, report: &mut OptimizationReport) -> Plan {
-    if is_narrow(&plan) {
-        // Walk down the chain, collecting stages downstream-first.
-        let mut rev_stages = Vec::new();
-        let mut cur = plan;
-        while is_narrow(&cur) {
-            cur = match cur {
-                Plan::Map { input, f } => {
-                    rev_stages.push(PipelineStage::Map { f });
-                    *input
-                }
-                Plan::Filter { input, p } => {
-                    rev_stages.push(PipelineStage::Filter { p });
-                    *input
-                }
-                Plan::FlatMap { input, param, body } => {
-                    rev_stages.push(PipelineStage::FlatMap { param, body });
-                    *input
-                }
-                _ => unreachable!("is_narrow admits only Map/Filter/FlatMap"),
-            };
-        }
-        let source = fuse_plan(cur, report);
-        if rev_stages.len() >= 2 {
-            report.pipelines_fused += 1;
-            report.pipeline_stages_fused += rev_stages.len();
-            rev_stages.reverse();
-            return Plan::Pipeline {
-                input: Box::new(source),
-                stages: rev_stages,
-            };
-        }
-        // A lone narrow operator: rebuild it unchanged over its fused input.
-        return match rev_stages.pop().expect("chain has one stage") {
-            PipelineStage::Map { f } => Plan::Map {
-                input: Box::new(source),
-                f,
-            },
-            PipelineStage::Filter { p } => Plan::Filter {
-                input: Box::new(source),
-                p,
-            },
-            PipelineStage::FlatMap { param, body } => Plan::FlatMap {
-                input: Box::new(source),
-                param,
-                body,
-            },
+/// Collapses the maximal narrow chain rooted at `plan` into a
+/// [`Plan::Pipeline`] if it has ≥ 2 operators, and fuses below it.
+fn fuse_in_place(plan: &mut Plan, report: &mut OptimizationReport) {
+    let len = std::iter::successors(Some(&*plan), |p| p.children().next())
+        .take_while(|p| is_narrow(p))
+        .count();
+    if len < 2 {
+        plan.children_mut().for_each(|c| fuse_in_place(c, report));
+        return;
+    }
+    // Walk down the chain, collecting stages downstream-first.
+    let mut stages = Vec::with_capacity(len);
+    let mut source = std::mem::replace(plan, Plan::Literal { rows: vec![] });
+    while is_narrow(&source) {
+        source = match source {
+            Plan::Map { input, f } => {
+                stages.push(PipelineStage::Map { f });
+                *input
+            }
+            Plan::Filter { input, p } => {
+                stages.push(PipelineStage::Filter { p });
+                *input
+            }
+            Plan::FlatMap { input, param, body } => {
+                stages.push(PipelineStage::FlatMap { param, body });
+                *input
+            }
+            _ => unreachable!("is_narrow admits only Map/Filter/FlatMap"),
         };
     }
-    fuse_plan_below(plan, report)
-}
-
-/// Recurses into the children of a non-narrow node.
-fn fuse_plan_below(plan: Plan, report: &mut OptimizationReport) -> Plan {
-    match plan {
-        leaf @ (Plan::Source { .. }
-        | Plan::Literal { .. }
-        | Plan::RefBag { .. }
-        | Plan::OfScalar { .. }) => leaf,
-        Plan::Map { input, f } => Plan::Map {
-            input: Box::new(fuse_plan(*input, report)),
-            f,
-        },
-        Plan::Filter { input, p } => Plan::Filter {
-            input: Box::new(fuse_plan(*input, report)),
-            p,
-        },
-        Plan::FlatMap { input, param, body } => Plan::FlatMap {
-            input: Box::new(fuse_plan(*input, report)),
-            param,
-            body,
-        },
-        Plan::Join {
-            left,
-            right,
-            lkey,
-            rkey,
-            residual,
-            kind,
-            strategy,
-        } => Plan::Join {
-            left: Box::new(fuse_plan(*left, report)),
-            right: Box::new(fuse_plan(*right, report)),
-            lkey,
-            rkey,
-            residual,
-            kind,
-            strategy,
-        },
-        Plan::Cross { left, right } => Plan::Cross {
-            left: Box::new(fuse_plan(*left, report)),
-            right: Box::new(fuse_plan(*right, report)),
-        },
-        Plan::GroupBy { input, key } => Plan::GroupBy {
-            input: Box::new(fuse_plan(*input, report)),
-            key,
-        },
-        Plan::AggBy { input, key, fold } => Plan::AggBy {
-            input: Box::new(fuse_plan(*input, report)),
-            key,
-            fold,
-        },
-        Plan::Fold { input, fold } => Plan::Fold {
-            input: Box::new(fuse_plan(*input, report)),
-            fold,
-        },
-        Plan::Plus { left, right } => Plan::Plus {
-            left: Box::new(fuse_plan(*left, report)),
-            right: Box::new(fuse_plan(*right, report)),
-        },
-        Plan::Minus { left, right } => Plan::Minus {
-            left: Box::new(fuse_plan(*left, report)),
-            right: Box::new(fuse_plan(*right, report)),
-        },
-        Plan::Distinct { input } => Plan::Distinct {
-            input: Box::new(fuse_plan(*input, report)),
-        },
-        Plan::Cache { input } => Plan::Cache {
-            input: Box::new(fuse_plan(*input, report)),
-        },
-        Plan::Repartition { input, key } => Plan::Repartition {
-            input: Box::new(fuse_plan(*input, report)),
-            key,
-        },
-        Plan::Pipeline { input, stages } => Plan::Pipeline {
-            input: Box::new(fuse_plan(*input, report)),
-            stages,
-        },
-    }
+    fuse_in_place(&mut source, report);
+    report.pipelines_fused += 1;
+    report.pipeline_stages_fused += len;
+    stages.reverse();
+    *plan = Plan::Pipeline {
+        input: Box::new(source),
+        stages,
+    };
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::expr::{Lambda, ScalarExpr};
+
+    fn fuse_plan(mut plan: Plan, report: &mut OptimizationReport) -> Plan {
+        fuse_in_place(&mut plan, report);
+        plan
+    }
 
     fn src() -> Plan {
         Plan::Source { name: "xs".into() }

@@ -16,8 +16,8 @@
 
 use std::fmt;
 
-use crate::bag_expr::{substitute_ref_in_scalar, BagExpr};
-use crate::expr::ScalarExpr;
+use crate::bag_expr::BagExpr;
+use crate::expr::{ScalarExpr, Term, TermMut};
 use crate::freshen::{freshen_program, NameGen};
 use crate::lower::{lower_bag, lower_fold};
 use crate::physical;
@@ -321,6 +321,136 @@ pub enum CStmt {
     },
 }
 
+/// One term a compiled statement holds (see [`CStmt::for_each_term`]).
+#[derive(Clone, Copy, Debug)]
+pub enum CTerm<'a> {
+    /// An embedded dataflow: a bound bag, a thunk, a sink's or a state's
+    /// input.
+    Plan(&'a Plan),
+    /// A driver expression or a stateful statement's lambda.
+    Term(Term<'a>),
+}
+
+/// The `&mut` twin of [`CTerm`].
+#[derive(Debug)]
+pub enum CTermMut<'a> {
+    /// An embedded dataflow.
+    Plan(&'a mut Plan),
+    /// A driver expression or a stateful statement's lambda.
+    Term(TermMut<'a>),
+}
+
+impl CStmt {
+    /// The terms this statement holds itself, in execution order: thunks
+    /// before the expression that reads them, a stateful statement's plan
+    /// before its lambdas. Nested blocks are [`CStmt::blocks`].
+    pub fn for_each_term<'a>(&'a self, mut visit: impl FnMut(CTerm<'a>)) {
+        match self {
+            CStmt::Bind {
+                value: CRValue::Bag(plan),
+                ..
+            }
+            | CStmt::Write { plan, .. } => visit(CTerm::Plan(plan)),
+            CStmt::Bind {
+                value: CRValue::Scalar { pre, expr },
+                ..
+            }
+            | CStmt::While {
+                pre, cond: expr, ..
+            }
+            | CStmt::ForEach { pre, seq: expr, .. }
+            | CStmt::If {
+                pre, cond: expr, ..
+            } => {
+                pre.iter().for_each(|a| visit(CTerm::Plan(&a.plan)));
+                visit(CTerm::Term(Term::Scalar(expr)));
+            }
+            CStmt::StatefulCreate { plan, key, .. } => {
+                visit(CTerm::Plan(plan));
+                visit(CTerm::Term(Term::Lambda(key)));
+            }
+            CStmt::StatefulUpdate {
+                messages,
+                message_key,
+                update,
+                ..
+            } => {
+                visit(CTerm::Plan(messages));
+                visit(CTerm::Term(Term::Lambda(message_key)));
+                visit(CTerm::Term(Term::Lambda(update)));
+            }
+        }
+    }
+
+    /// The `&mut` twin of [`CStmt::for_each_term`].
+    pub fn for_each_term_mut(&mut self, mut visit: impl FnMut(CTermMut<'_>)) {
+        match self {
+            CStmt::Bind {
+                value: CRValue::Bag(plan),
+                ..
+            }
+            | CStmt::Write { plan, .. } => visit(CTermMut::Plan(plan)),
+            CStmt::Bind {
+                value: CRValue::Scalar { pre, expr },
+                ..
+            }
+            | CStmt::While {
+                pre, cond: expr, ..
+            }
+            | CStmt::ForEach { pre, seq: expr, .. }
+            | CStmt::If {
+                pre, cond: expr, ..
+            } => {
+                pre.iter_mut()
+                    .for_each(|a| visit(CTermMut::Plan(&mut a.plan)));
+                visit(CTermMut::Term(TermMut::Scalar(expr)));
+            }
+            CStmt::StatefulCreate { plan, key, .. } => {
+                visit(CTermMut::Plan(plan));
+                visit(CTermMut::Term(TermMut::Lambda(key)));
+            }
+            CStmt::StatefulUpdate {
+                messages,
+                message_key,
+                update,
+                ..
+            } => {
+                visit(CTermMut::Plan(messages));
+                visit(CTermMut::Term(TermMut::Lambda(message_key)));
+                visit(CTermMut::Term(TermMut::Lambda(update)));
+            }
+        }
+    }
+
+    /// The nested statement blocks: a loop's body, a conditional's branches.
+    pub fn blocks(&self) -> impl Iterator<Item = &Vec<CStmt>> {
+        let (first, second) = match self {
+            CStmt::While { body, .. } | CStmt::ForEach { body, .. } => (Some(body), None),
+            CStmt::If {
+                then_branch,
+                else_branch,
+                ..
+            } => (Some(then_branch), Some(else_branch)),
+            _ => (None, None),
+        };
+        first.into_iter().chain(second)
+    }
+
+    /// The `&mut` twin of [`CStmt::blocks`].
+    pub fn blocks_mut(&mut self) -> impl Iterator<Item = &mut Vec<CStmt>> {
+        let (first, second) = match self {
+            CStmt::While { body, .. } | CStmt::ForEach { body, .. } => (Some(body), None),
+            CStmt::If {
+                then_branch,
+                else_branch,
+                ..
+            } => (Some(then_branch), Some(else_branch)),
+            _ => (None, None),
+        };
+        first.into_iter().chain(second)
+    }
+}
+
 /// A compiled program: driver control flow with embedded dataflow plans.
 #[derive(Clone, Debug)]
 pub struct CompiledProgram {
@@ -478,65 +608,41 @@ fn extract_dataflows(
     report: &mut OptimizationReport,
 ) -> (Vec<AuxDef>, ScalarExpr) {
     let mut pre = Vec::new();
-    let expr = extract_rec(e, flags, gen, report, &mut pre);
+    let mut expr = e.clone();
+    extract_rec(&mut expr, flags, gen, report, &mut pre);
     (pre, expr)
 }
 
 fn extract_rec(
-    e: &ScalarExpr,
+    e: &mut ScalarExpr,
     flags: &OptimizerFlags,
     gen: &mut NameGen,
     report: &mut OptimizationReport,
     pre: &mut Vec<AuxDef>,
-) -> ScalarExpr {
-    match e {
+) {
+    let (name, plan) = match e {
         ScalarExpr::Fold(bag, op) => {
             let name = gen.fresh("agg");
-            let plan = lower_fold(bag, op, flags, gen, report);
-            pre.push(AuxDef {
-                name: name.clone(),
-                plan,
-            });
-            ScalarExpr::var(name)
+            (name, lower_fold(bag, op, flags, gen, report))
         }
         ScalarExpr::BagOf(bag) => {
             let name = gen.fresh("bag");
-            let plan = lower_bag(bag, flags, gen, report);
-            pre.push(AuxDef {
-                name: name.clone(),
-                plan,
-            });
-            ScalarExpr::var(name)
+            (name, lower_bag(bag, flags, gen, report))
         }
-        ScalarExpr::Lit(_) | ScalarExpr::Var(_) => e.clone(),
-        ScalarExpr::Field(inner, i) => {
-            ScalarExpr::Field(Box::new(extract_rec(inner, flags, gen, report, pre)), *i)
+        // Every other node's children are scalars.
+        _ => {
+            return e.for_each_child_mut(|c| {
+                if let TermMut::Scalar(c) = c {
+                    extract_rec(c, flags, gen, report, pre)
+                }
+            })
         }
-        ScalarExpr::UnOp(op, inner) => {
-            ScalarExpr::UnOp(*op, Box::new(extract_rec(inner, flags, gen, report, pre)))
-        }
-        ScalarExpr::BinOp(op, l, r) => ScalarExpr::BinOp(
-            *op,
-            Box::new(extract_rec(l, flags, gen, report, pre)),
-            Box::new(extract_rec(r, flags, gen, report, pre)),
-        ),
-        ScalarExpr::Call(f, args) => ScalarExpr::Call(
-            *f,
-            args.iter()
-                .map(|a| extract_rec(a, flags, gen, report, pre))
-                .collect(),
-        ),
-        ScalarExpr::Tuple(args) => ScalarExpr::Tuple(
-            args.iter()
-                .map(|a| extract_rec(a, flags, gen, report, pre))
-                .collect(),
-        ),
-        ScalarExpr::If(c, t, el) => ScalarExpr::If(
-            Box::new(extract_rec(c, flags, gen, report, pre)),
-            Box::new(extract_rec(t, flags, gen, report, pre)),
-            Box::new(extract_rec(el, flags, gen, report, pre)),
-        ),
-    }
+    };
+    pre.push(AuxDef {
+        name: name.clone(),
+        plan,
+    });
+    *e = ScalarExpr::var(name);
 }
 
 // ---------------------------------------------------------------- inlining
@@ -575,116 +681,32 @@ fn inline_single_use(stmts: &mut Vec<Stmt>, report: &mut OptimizationReport) {
     }
     // Recurse into nested scopes.
     for s in stmts.iter_mut() {
-        match s {
-            Stmt::While { body, .. } | Stmt::ForEach { body, .. } => {
-                inline_single_use(body, report)
-            }
-            Stmt::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                inline_single_use(then_branch, report);
-                inline_single_use(else_branch, report);
-            }
-            _ => {}
-        }
+        s.blocks_mut().for_each(|b| inline_single_use(b, report));
     }
 }
 
 /// Counts references to bag `name` in a statement:
 /// (direct occurrences, occurrences inside nested loops).
-pub(crate) fn count_refs_in_stmt(s: &Stmt, name: &str) -> (usize, usize) {
-    fn in_rvalue(v: &RValue, name: &str) -> usize {
-        match v {
-            RValue::Bag(b) => count_refs_in_bag(b, name),
-            RValue::Scalar(e) => count_refs_in_scalar(e, name),
-        }
+fn count_refs_in_stmt(s: &Stmt, name: &str) -> (usize, usize) {
+    let mut own = 0;
+    s.for_each_term(|t| t.for_each_bag_ref(|r| own += usize::from(r == name)));
+    let (mut outside, mut inside) = (0, 0);
+    for s in s.blocks().flatten() {
+        let (o, l) = count_refs_in_stmt(s, name);
+        outside += o;
+        inside += l;
     }
     match s {
-        Stmt::ValDef { value, .. } | Stmt::VarDef { value, .. } | Stmt::Assign { value, .. } => {
-            (in_rvalue(value, name), 0)
-        }
-        Stmt::While { cond, body } => {
-            let mut inside = count_refs_in_scalar(cond, name);
-            for s in body {
-                let (o, l) = count_refs_in_stmt(s, name);
-                inside += o + l;
-            }
-            (0, inside)
-        }
-        Stmt::ForEach { seq, body, .. } => {
-            let mut inside = 0;
-            for s in body {
-                let (o, l) = count_refs_in_stmt(s, name);
-                inside += o + l;
-            }
-            (count_refs_in_scalar(seq, name), inside)
-        }
-        Stmt::If {
-            cond,
-            then_branch,
-            else_branch,
-        } => {
-            let mut outside = count_refs_in_scalar(cond, name);
-            let mut inside = 0;
-            for s in then_branch.iter().chain(else_branch) {
-                let (o, l) = count_refs_in_stmt(s, name);
-                outside += o;
-                inside += l;
-            }
-            (outside, inside)
-        }
-        Stmt::Write { bag, .. } => (count_refs_in_bag(bag, name), 0),
-        Stmt::StatefulCreate { init, .. } => (count_refs_in_bag(init, name), 0),
-        Stmt::StatefulUpdate { messages, .. } => (count_refs_in_bag(messages, name), 0),
+        // A while condition is re-evaluated on every iteration.
+        Stmt::While { .. } => (0, own + outside + inside),
+        Stmt::ForEach { .. } => (own, outside + inside),
+        _ => (own + outside, inside),
     }
-}
-
-pub(crate) fn count_refs_in_bag(b: &BagExpr, name: &str) -> usize {
-    let mut refs = Vec::new();
-    crate::plan::collect_bagexpr_refs(b, &mut refs);
-    refs.iter().filter(|r| r.as_str() == name).count()
-}
-
-pub(crate) fn count_refs_in_scalar(e: &ScalarExpr, name: &str) -> usize {
-    let mut refs = Vec::new();
-    crate::plan::collect_scalar_bag_refs(e, &mut refs);
-    refs.iter().filter(|r| r.as_str() == name).count()
 }
 
 fn substitute_ref_in_stmt(s: &mut Stmt, name: &str, def: &BagExpr) {
-    match s {
-        Stmt::ValDef { value, .. } | Stmt::VarDef { value, .. } | Stmt::Assign { value, .. } => {
-            match value {
-                RValue::Bag(b) => *b = b.substitute_ref(name, def),
-                RValue::Scalar(e) => *e = substitute_ref_in_scalar(e, name, def),
-            }
-        }
-        Stmt::While { cond, body } => {
-            *cond = substitute_ref_in_scalar(cond, name, def);
-            for s in body {
-                substitute_ref_in_stmt(s, name, def);
-            }
-        }
-        Stmt::ForEach { seq, body, .. } => {
-            *seq = substitute_ref_in_scalar(seq, name, def);
-            for s in body {
-                substitute_ref_in_stmt(s, name, def);
-            }
-        }
-        Stmt::If {
-            cond,
-            then_branch,
-            else_branch,
-        } => {
-            *cond = substitute_ref_in_scalar(cond, name, def);
-            for s in then_branch.iter_mut().chain(else_branch.iter_mut()) {
-                substitute_ref_in_stmt(s, name, def);
-            }
-        }
-        Stmt::Write { bag, .. } => *bag = bag.substitute_ref(name, def),
-        Stmt::StatefulCreate { init, .. } => *init = init.substitute_ref(name, def),
-        Stmt::StatefulUpdate { messages, .. } => *messages = messages.substitute_ref(name, def),
+    s.for_each_term_mut(|t| t.substitute_ref(name, def));
+    for s in s.blocks_mut().flatten() {
+        substitute_ref_in_stmt(s, name, def);
     }
 }

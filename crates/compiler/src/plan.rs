@@ -14,7 +14,7 @@ use std::collections::HashSet;
 use std::fmt;
 
 use crate::bag_expr::BagExpr;
-use crate::expr::{FoldOp, Lambda, ScalarExpr};
+use crate::expr::{FoldOp, Lambda, ScalarExpr, Term};
 use crate::value::Value;
 
 /// Join multiplicity semantics.
@@ -64,6 +64,14 @@ pub enum PipelineStage {
 }
 
 impl PipelineStage {
+    /// The stage's UDF.
+    pub fn term(&self) -> Term<'_> {
+        match self {
+            PipelineStage::Map { f } | PipelineStage::Filter { p: f } => Term::Lambda(f),
+            PipelineStage::FlatMap { param, body } => Term::BagLambda(param, body),
+        }
+    }
+
     /// Operator name of the standalone node this stage was fused from.
     pub fn op_name(&self) -> &'static str {
         match self {
@@ -212,13 +220,13 @@ pub enum Plan {
 }
 
 impl Plan {
-    /// Child plans, for generic traversals.
-    pub fn children(&self) -> Vec<&Plan> {
-        match self {
+    /// Child plans, for generic traversals (no allocation).
+    pub fn children(&self) -> impl Iterator<Item = &Plan> {
+        let (first, second): (Option<&Plan>, Option<&Plan>) = match self {
             Plan::Source { .. }
             | Plan::Literal { .. }
             | Plan::RefBag { .. }
-            | Plan::OfScalar { .. } => vec![],
+            | Plan::OfScalar { .. } => (None, None),
             Plan::Map { input, .. }
             | Plan::FlatMap { input, .. }
             | Plan::Filter { input, .. }
@@ -228,12 +236,38 @@ impl Plan {
             | Plan::Distinct { input }
             | Plan::Cache { input }
             | Plan::Repartition { input, .. }
-            | Plan::Pipeline { input, .. } => vec![input],
+            | Plan::Pipeline { input, .. } => (Some(input), None),
             Plan::Join { left, right, .. }
             | Plan::Cross { left, right }
             | Plan::Plus { left, right }
-            | Plan::Minus { left, right } => vec![left, right],
-        }
+            | Plan::Minus { left, right } => (Some(left), Some(right)),
+        };
+        first.into_iter().chain(second)
+    }
+
+    /// The `&mut` twin of [`Plan::children`].
+    pub fn children_mut(&mut self) -> impl Iterator<Item = &mut Plan> {
+        let (first, second): (Option<&mut Plan>, Option<&mut Plan>) = match self {
+            Plan::Source { .. }
+            | Plan::Literal { .. }
+            | Plan::RefBag { .. }
+            | Plan::OfScalar { .. } => (None, None),
+            Plan::Map { input, .. }
+            | Plan::FlatMap { input, .. }
+            | Plan::Filter { input, .. }
+            | Plan::GroupBy { input, .. }
+            | Plan::AggBy { input, .. }
+            | Plan::Fold { input, .. }
+            | Plan::Distinct { input }
+            | Plan::Cache { input }
+            | Plan::Repartition { input, .. }
+            | Plan::Pipeline { input, .. } => (Some(input), None),
+            Plan::Join { left, right, .. }
+            | Plan::Cross { left, right }
+            | Plan::Plus { left, right }
+            | Plan::Minus { left, right } => (Some(left), Some(right)),
+        };
+        first.into_iter().chain(second)
     }
 
     /// Visits every node in the plan tree (pre-order).
@@ -244,54 +278,53 @@ impl Plan {
         }
     }
 
-    /// All driver-bag references in this plan: `RefBag` inputs *and*
-    /// `BagExpr::Ref`s hidden inside UDF lambdas (the latter become
-    /// broadcasts at runtime — paper Fig. 3b, "Driver to UDFs").
-    pub fn bag_refs(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        self.visit(&mut |p| match p {
-            Plan::RefBag { name } => out.push(name.clone()),
-            Plan::OfScalar { expr } => collect_scalar_bag_refs(expr, &mut out),
-            Plan::Map { f, .. } | Plan::Filter { p: f, .. } => {
-                collect_scalar_bag_refs(&f.body, &mut out)
-            }
-            Plan::FlatMap { body, .. } => collect_bagexpr_refs(body, &mut out),
+    /// The UDF terms this node embeds (not its children's), in evaluation
+    /// order: a driver-side expression, key extractors, a join's residual,
+    /// a fold's `zero` / `sng` / `uni`, every fused stage's UDF.
+    pub fn for_each_term<'a>(&'a self, mut visit: impl FnMut(Term<'a>)) {
+        match self {
+            Plan::OfScalar { expr } => visit(Term::Scalar(expr)),
+            Plan::Map { f, .. }
+            | Plan::Filter { p: f, .. }
+            | Plan::GroupBy { key: f, .. }
+            | Plan::Repartition { key: f, .. } => visit(Term::Lambda(f)),
+            Plan::FlatMap { param, body, .. } => visit(Term::BagLambda(param, body)),
             Plan::Join {
                 lkey,
                 rkey,
                 residual,
                 ..
-            } => {
-                collect_scalar_bag_refs(&lkey.body, &mut out);
-                collect_scalar_bag_refs(&rkey.body, &mut out);
-                if let Some(r) = residual {
-                    collect_scalar_bag_refs(&r.body, &mut out);
-                }
-            }
-            Plan::GroupBy { key, .. } => collect_scalar_bag_refs(&key.body, &mut out),
+            } => [lkey, rkey]
+                .into_iter()
+                .chain(residual)
+                .for_each(|f| visit(Term::Lambda(f))),
             Plan::AggBy { key, fold, .. } => {
-                collect_scalar_bag_refs(&key.body, &mut out);
-                collect_scalar_bag_refs(&fold.zero, &mut out);
-                collect_scalar_bag_refs(&fold.sng.body, &mut out);
-                collect_scalar_bag_refs(&fold.uni.body, &mut out);
+                visit(Term::Lambda(key));
+                fold.terms().into_iter().for_each(visit)
             }
-            Plan::Fold { fold, .. } => {
-                collect_scalar_bag_refs(&fold.zero, &mut out);
-                collect_scalar_bag_refs(&fold.sng.body, &mut out);
-                collect_scalar_bag_refs(&fold.uni.body, &mut out);
+            Plan::Fold { fold, .. } => fold.terms().into_iter().for_each(visit),
+            Plan::Pipeline { stages, .. } => stages.iter().for_each(|s| visit(s.term())),
+            Plan::Source { .. }
+            | Plan::Literal { .. }
+            | Plan::RefBag { .. }
+            | Plan::Cross { .. }
+            | Plan::Plus { .. }
+            | Plan::Minus { .. }
+            | Plan::Distinct { .. }
+            | Plan::Cache { .. } => {}
+        }
+    }
+
+    /// All driver-bag references in this plan: `RefBag` inputs *and*
+    /// `BagExpr::Ref`s hidden inside UDF lambdas (the latter become
+    /// broadcasts at runtime — paper Fig. 3b, "Driver to UDFs").
+    pub fn bag_refs(&self) -> Vec<String> {
+        let mut out = Vec::new();
+        self.visit(&mut |p| {
+            if let Plan::RefBag { name } = p {
+                out.push(name.clone());
             }
-            Plan::Repartition { key, .. } => collect_scalar_bag_refs(&key.body, &mut out),
-            Plan::Pipeline { stages, .. } => {
-                for stage in stages {
-                    match stage {
-                        PipelineStage::Map { f } | PipelineStage::Filter { p: f } => {
-                            collect_scalar_bag_refs(&f.body, &mut out)
-                        }
-                        PipelineStage::FlatMap { body, .. } => collect_bagexpr_refs(body, &mut out),
-                    }
-                }
-            }
-            _ => {}
+            p.for_each_term(|t| t.for_each_bag_ref(|r| out.push(r.to_string())));
         });
         out
     }
@@ -300,60 +333,7 @@ impl Plan {
     /// broadcast to workers as read-only variables.
     pub fn free_scalar_vars(&self) -> HashSet<String> {
         let mut out = HashSet::new();
-        self.visit(&mut |p| {
-            let mut lams: Vec<&Lambda> = Vec::new();
-            match p {
-                Plan::Map { f, .. } | Plan::Filter { p: f, .. } => lams.push(f),
-                Plan::FlatMap { param, body, .. } => {
-                    let mut fv = body.free_vars();
-                    fv.remove(param);
-                    out.extend(fv);
-                }
-                Plan::Join {
-                    lkey,
-                    rkey,
-                    residual,
-                    ..
-                } => {
-                    lams.push(lkey);
-                    lams.push(rkey);
-                    if let Some(r) = residual {
-                        lams.push(r);
-                    }
-                }
-                Plan::GroupBy { key, .. } | Plan::Repartition { key, .. } => lams.push(key),
-                Plan::AggBy { key, fold, .. } => {
-                    lams.push(key);
-                    out.extend(fold.zero.free_vars());
-                    lams.push(&fold.sng);
-                    lams.push(&fold.uni);
-                }
-                Plan::Fold { fold, .. } => {
-                    out.extend(fold.zero.free_vars());
-                    lams.push(&fold.sng);
-                    lams.push(&fold.uni);
-                }
-                Plan::OfScalar { expr } => out.extend(expr.free_vars()),
-                Plan::Pipeline { stages, .. } => {
-                    for stage in stages {
-                        match stage {
-                            PipelineStage::Map { f } | PipelineStage::Filter { p: f } => {
-                                lams.push(f)
-                            }
-                            PipelineStage::FlatMap { param, body } => {
-                                let mut fv = body.free_vars();
-                                fv.remove(param);
-                                out.extend(fv);
-                            }
-                        }
-                    }
-                }
-                _ => {}
-            }
-            for lam in lams {
-                out.extend(lam.free_vars());
-            }
-        });
+        self.visit(&mut |p| p.for_each_term(|t| out.extend(t.free_vars())));
         out
     }
 
@@ -507,68 +487,6 @@ pub enum SkewEligibility {
     KeyPreserving,
     /// The operator's input shuffle must not be split.
     Ineligible,
-}
-
-pub(crate) fn collect_scalar_bag_refs(e: &ScalarExpr, out: &mut Vec<String>) {
-    match e {
-        ScalarExpr::Lit(_) | ScalarExpr::Var(_) => {}
-        ScalarExpr::Field(inner, _) | ScalarExpr::UnOp(_, inner) => {
-            collect_scalar_bag_refs(inner, out)
-        }
-        ScalarExpr::BinOp(_, l, r) => {
-            collect_scalar_bag_refs(l, out);
-            collect_scalar_bag_refs(r, out);
-        }
-        ScalarExpr::Call(_, args) | ScalarExpr::Tuple(args) => {
-            for a in args {
-                collect_scalar_bag_refs(a, out);
-            }
-        }
-        ScalarExpr::If(c, t, el) => {
-            collect_scalar_bag_refs(c, out);
-            collect_scalar_bag_refs(t, out);
-            collect_scalar_bag_refs(el, out);
-        }
-        ScalarExpr::Fold(bag, fold) => {
-            collect_bagexpr_refs(bag, out);
-            collect_scalar_bag_refs(&fold.zero, out);
-            collect_scalar_bag_refs(&fold.sng.body, out);
-            collect_scalar_bag_refs(&fold.uni.body, out);
-        }
-        ScalarExpr::BagOf(bag) => collect_bagexpr_refs(bag, out),
-    }
-}
-
-pub(crate) fn collect_bagexpr_refs(b: &BagExpr, out: &mut Vec<String>) {
-    match b {
-        BagExpr::Read { .. } | BagExpr::Values(_) => {}
-        BagExpr::Ref { name } => out.push(name.clone()),
-        BagExpr::OfValue(e) => collect_scalar_bag_refs(e, out),
-        BagExpr::Map { input, f } | BagExpr::Filter { input, p: f } => {
-            collect_bagexpr_refs(input, out);
-            collect_scalar_bag_refs(&f.body, out);
-        }
-        BagExpr::FlatMap { input, f } => {
-            collect_bagexpr_refs(input, out);
-            collect_bagexpr_refs(&f.body, out);
-        }
-        BagExpr::GroupBy { input, key } => {
-            collect_bagexpr_refs(input, out);
-            collect_scalar_bag_refs(&key.body, out);
-        }
-        BagExpr::AggBy { input, key, fold } => {
-            collect_bagexpr_refs(input, out);
-            collect_scalar_bag_refs(&key.body, out);
-            collect_scalar_bag_refs(&fold.zero, out);
-            collect_scalar_bag_refs(&fold.sng.body, out);
-            collect_scalar_bag_refs(&fold.uni.body, out);
-        }
-        BagExpr::Plus(l, r) | BagExpr::Minus(l, r) => {
-            collect_bagexpr_refs(l, out);
-            collect_bagexpr_refs(r, out);
-        }
-        BagExpr::Distinct(e) => collect_bagexpr_refs(e, out),
-    }
 }
 
 impl fmt::Display for Plan {

@@ -12,7 +12,7 @@
 use std::fmt;
 
 use crate::bag_expr::BagExpr;
-use crate::expr::{Lambda, ScalarExpr};
+use crate::expr::{Lambda, ScalarExpr, Term, TermMut};
 
 /// The right-hand side of a binding: either a bag-typed dataflow expression
 /// or a scalar driver expression (which may itself contain terminal folds
@@ -212,6 +212,96 @@ impl Stmt {
             message_key,
             update,
         }
+    }
+
+    /// The terms this statement holds itself, in source order: a binding's
+    /// value, a condition or loop sequence, a sink's bag, a stateful
+    /// statement's bag and its lambdas. Nested blocks are [`Stmt::blocks`].
+    pub fn for_each_term<'a>(&'a self, mut visit: impl FnMut(Term<'a>)) {
+        match self {
+            Stmt::ValDef { value, .. }
+            | Stmt::VarDef { value, .. }
+            | Stmt::Assign { value, .. } => visit(match value {
+                RValue::Bag(b) => Term::Bag(b),
+                RValue::Scalar(e) => Term::Scalar(e),
+            }),
+            Stmt::While { cond: e, .. }
+            | Stmt::ForEach { seq: e, .. }
+            | Stmt::If { cond: e, .. } => visit(Term::Scalar(e)),
+            Stmt::Write { bag, .. } => visit(Term::Bag(bag)),
+            Stmt::StatefulCreate { init, key, .. } => {
+                visit(Term::Bag(init));
+                visit(Term::Lambda(key));
+            }
+            Stmt::StatefulUpdate {
+                messages,
+                message_key,
+                update,
+                ..
+            } => {
+                visit(Term::Bag(messages));
+                visit(Term::Lambda(message_key));
+                visit(Term::Lambda(update));
+            }
+        }
+    }
+
+    /// The `&mut` twin of [`Stmt::for_each_term`].
+    pub fn for_each_term_mut(&mut self, mut visit: impl FnMut(TermMut<'_>)) {
+        match self {
+            Stmt::ValDef { value, .. }
+            | Stmt::VarDef { value, .. }
+            | Stmt::Assign { value, .. } => visit(match value {
+                RValue::Bag(b) => TermMut::Bag(b),
+                RValue::Scalar(e) => TermMut::Scalar(e),
+            }),
+            Stmt::While { cond: e, .. }
+            | Stmt::ForEach { seq: e, .. }
+            | Stmt::If { cond: e, .. } => visit(TermMut::Scalar(e)),
+            Stmt::Write { bag, .. } => visit(TermMut::Bag(bag)),
+            Stmt::StatefulCreate { init, key, .. } => {
+                visit(TermMut::Bag(init));
+                visit(TermMut::Lambda(key));
+            }
+            Stmt::StatefulUpdate {
+                messages,
+                message_key,
+                update,
+                ..
+            } => {
+                visit(TermMut::Bag(messages));
+                visit(TermMut::Lambda(message_key));
+                visit(TermMut::Lambda(update));
+            }
+        }
+    }
+
+    /// The nested statement blocks: a loop's body, a conditional's branches.
+    pub fn blocks(&self) -> impl Iterator<Item = &Vec<Stmt>> {
+        let (first, second) = match self {
+            Stmt::While { body, .. } | Stmt::ForEach { body, .. } => (Some(body), None),
+            Stmt::If {
+                then_branch,
+                else_branch,
+                ..
+            } => (Some(then_branch), Some(else_branch)),
+            _ => (None, None),
+        };
+        first.into_iter().chain(second)
+    }
+
+    /// The `&mut` twin of [`Stmt::blocks`].
+    pub fn blocks_mut(&mut self) -> impl Iterator<Item = &mut Vec<Stmt>> {
+        let (first, second) = match self {
+            Stmt::While { body, .. } | Stmt::ForEach { body, .. } => (Some(body), None),
+            Stmt::If {
+                then_branch,
+                else_branch,
+                ..
+            } => (Some(then_branch), Some(else_branch)),
+            _ => (None, None),
+        };
+        first.into_iter().chain(second)
     }
 }
 

@@ -2,13 +2,14 @@
 //! pipeline: for randomly generated operator chains `e`,
 //! `desugar(normalize(resugar(e)))` must be observationally equal to `e`
 //! under the reference interpreter, and fold-group fusion must never change
-//! results.
+//! results. The same chains check the IR walkers: substitution, bag-ref
+//! inlining and freshening.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use emma_compiler::bag_expr::{BagExpr, BagLambda};
 use emma_compiler::comprehension::{desugar, normalize, resugar, NormalizeOpts};
-use emma_compiler::expr::{FoldOp, Lambda, ScalarExpr};
+use emma_compiler::expr::{FoldOp, Lambda, ScalarExpr, Term};
 use emma_compiler::freshen::{freshen_bag, NameGen};
 use emma_compiler::fusion::fuse_fold_group;
 use emma_compiler::interp::{eval_bag, Catalog, Env};
@@ -56,8 +57,23 @@ fn predicate_over(v: &'static str) -> impl Strategy<Value = ScalarExpr> {
     })
 }
 
+/// `drv.exists(z => z == e)`: reads the driver bag `drv`.
+fn in_driver_bag(e: ScalarExpr) -> ScalarExpr {
+    BagExpr::var("drv").exists(Lambda::new(["z"], ScalarExpr::var("z").eq(e)))
+}
+
+/// `if (c) 1 else 0`.
+fn indicator(c: ScalarExpr) -> ScalarExpr {
+    ScalarExpr::If(
+        Box::new(c),
+        Box::new(ScalarExpr::lit(1i64)),
+        Box::new(ScalarExpr::lit(0i64)),
+    )
+}
+
 /// Random operator chains (the "comprehendable terms" of Section 4.1):
-/// maps, filters, and flatMap-joins over the two tables.
+/// maps, filters, flatMap-joins (one of them with nested binders), and
+/// groupings whose key and per-group fold read the driver bag `drv`.
 fn chain() -> impl Strategy<Value = BagExpr> {
     let source = prop_oneof![Just(BagExpr::read("a")), Just(BagExpr::read("b"))];
     source.prop_recursive(4, 16, 2, |inner| {
@@ -85,6 +101,57 @@ fn chain() -> impl Strategy<Value = BagExpr> {
                         )),
                 ))
             }),
+            // nested flatMap binders; the inner `o` shadows the outer one
+            inner.clone().prop_map(|b| {
+                b.flat_map(BagLambda::new(
+                    "o",
+                    BagExpr::read("b")
+                        .filter(Lambda::new(
+                            ["i"],
+                            ScalarExpr::var("o").get(0).eq(ScalarExpr::var("i").get(0)),
+                        ))
+                        .flat_map(BagLambda::new(
+                            "o",
+                            BagExpr::read("a")
+                                .filter(Lambda::new(
+                                    ["j"],
+                                    ScalarExpr::var("j")
+                                        .get(0)
+                                        .eq(ScalarExpr::var("o").get(1))
+                                        .and(ScalarExpr::var("j").get(1).lt(ScalarExpr::lit(3i64))),
+                                ))
+                                .map(Lambda::new(
+                                    ["j"],
+                                    ScalarExpr::Tuple(vec![
+                                        ScalarExpr::var("o").get(0),
+                                        ScalarExpr::var("j").get(1),
+                                    ]),
+                                )),
+                        )),
+                ))
+            }),
+            // groupBy whose key reads `drv`, then a per-group fold whose
+            // `sng` reads it too: (key, #values whose field 1 is in drv)
+            inner.clone().prop_map(|b| {
+                b.group_by(Lambda::new(
+                    ["v"],
+                    indicator(in_driver_bag(ScalarExpr::var("v").get(0))),
+                ))
+                .map(Lambda::new(
+                    ["g"],
+                    ScalarExpr::Tuple(vec![
+                        ScalarExpr::var("g").get(0),
+                        BagExpr::of_value(ScalarExpr::var("g").get(1)).fold(FoldOp::custom(
+                            ScalarExpr::lit(0i64),
+                            Lambda::new(
+                                ["x"],
+                                indicator(in_driver_bag(ScalarExpr::var("x").get(1))),
+                            ),
+                            Lambda::new(["p", "q"], ScalarExpr::var("p").add(ScalarExpr::var("q"))),
+                        )),
+                    ]),
+                ))
+            }),
             // exists-filter against table b (kept as a guard: desugar cannot
             // reify semi-joins, so the round trip runs without exists
             // unnesting — the engine tests cover that path)
@@ -101,8 +168,28 @@ fn chain() -> impl Strategy<Value = BagExpr> {
     })
 }
 
+/// Bags to inline for `drv`: closed ones and one that reads `drv` itself.
+fn driver_def() -> impl Strategy<Value = BagExpr> {
+    prop_oneof![
+        Just(BagExpr::read("a").map(Lambda::new(["w"], ScalarExpr::var("w").get(1)))),
+        Just(BagExpr::values(vec![Value::Int(3)])),
+        Just(BagExpr::var("drv").filter(Lambda::new(
+            ["w"],
+            ScalarExpr::var("w").gt(ScalarExpr::lit(2i64)),
+        ))),
+    ]
+}
+
+/// Every binder name in `e`, collected with the IR visitor.
+fn binders(e: &BagExpr) -> Vec<String> {
+    let mut out = Vec::new();
+    Term::Bag(e).walk(&mut |t| out.extend(t.binders().iter().cloned()));
+    out
+}
+
 fn eval(e: &BagExpr, cat: &Catalog) -> Vec<Value> {
-    let base = HashMap::new();
+    let drv = Value::bag(vec![Value::Int(1), Value::Int(3), Value::Int(5)]);
+    let base = HashMap::from([("drv".to_string(), drv)]);
     let mut env = Env::new(&base);
     eval_bag(e, &mut env, cat).expect("evaluation succeeds")
 }
@@ -177,5 +264,35 @@ proptest! {
         let fresh = freshen_bag(&e, &HashMap::new(), &mut gen);
         let after = eval(&fresh, &cat);
         prop_assert_eq!(Value::bag(before), Value::bag(after));
+    }
+
+    #[test]
+    fn inlining_a_bag_leaves_it_free_only_through_its_definition(
+        e in chain(),
+        def in driver_def(),
+    ) {
+        let inlined = e.substitute_ref("drv", &def);
+        prop_assert_eq!(
+            inlined.free_vars().contains("drv"),
+            e.free_vars().contains("drv") && def.free_vars().contains("drv")
+        );
+    }
+
+    #[test]
+    fn substituting_a_name_for_itself_is_the_identity(e in chain()) {
+        for name in ["v", "o", "i", "j", "g", "x", "z"] {
+            prop_assert_eq!(&e.substitute(name, &ScalarExpr::var(name)), &e);
+        }
+        prop_assert_eq!(&e.substitute_ref("drv", &BagExpr::var("drv")), &e);
+    }
+
+    #[test]
+    fn freshening_keeps_free_variables_and_makes_binders_unique(e in chain()) {
+        let mut gen = NameGen::new();
+        let fresh = freshen_bag(&e, &HashMap::new(), &mut gen);
+        prop_assert_eq!(fresh.free_vars(), e.free_vars());
+        let names = binders(&fresh);
+        let unique: HashSet<&String> = names.iter().collect();
+        prop_assert_eq!(unique.len(), names.len(), "binders not unique: {:?}", names);
     }
 }

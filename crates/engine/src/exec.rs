@@ -18,7 +18,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use emma_compiler::bag_expr::BagExpr;
 use emma_compiler::compiled::{self, CompiledBag, CompiledEval, Machine};
-use emma_compiler::expr::{FoldOp, Lambda, ScalarExpr};
+use emma_compiler::expr::{FoldOp, Lambda, ScalarExpr, Term};
 use emma_compiler::interp::{self, Catalog, Env};
 use emma_compiler::pipeline::{AuxDef, CRValue, CStmt, CompiledProgram};
 use emma_compiler::plan::{JoinKind, JoinStrategy, Plan, SkewEligibility};
@@ -1101,8 +1101,7 @@ impl<'a> Session<'a> {
             let caps = code.bind(base);
             PreparedScalar::Compiled { code, caps }
         } else {
-            let mut prefetch = Vec::new();
-            compiled::scalar_var_names(&lam.body, &mut prefetch);
+            let prefetch = compiled::var_names(Term::Lambda(lam));
             PreparedScalar::Interp { lam, prefetch }
         }
     }
@@ -1128,8 +1127,7 @@ impl<'a> Session<'a> {
             let caps = code.bind(base);
             PreparedBag::Compiled { code, caps }
         } else {
-            let mut prefetch = Vec::new();
-            compiled::bag_var_names(body, &mut prefetch);
+            let prefetch = compiled::var_names(Term::Bag(body));
             PreparedBag::Interp {
                 param,
                 body,
@@ -1323,7 +1321,7 @@ impl<'a> Session<'a> {
                         "`{state}` is not a stateful bag"
                     ))));
                 };
-                let base = self.eval_base_for_lambdas(&[update], &env)?;
+                let base = self.eval_base(&[Term::Lambda(update)], &env)?;
                 let up_prep = self.prepare_lambda(update, &base);
                 let mut ucx = up_prep.ctx(&base);
                 let mut tally = Tally::default();
@@ -1506,7 +1504,7 @@ impl<'a> Session<'a> {
                 Ok(PlanResult::Bag(d))
             }
             Plan::OfScalar { expr } => {
-                let base = self.eval_base_for_exprs(&[expr], env)?;
+                let base = self.eval_base(&[Term::Scalar(expr)], env)?;
                 let mut ev = Env::new(&base);
                 let v =
                     interp::eval_scalar(expr, &mut ev, self.catalog).map_err(ExecError::Eval)?;
@@ -1547,7 +1545,7 @@ impl<'a> Session<'a> {
             }
             Plan::Fold { input, fold } => {
                 let d = self.exec_bag(input, env)?;
-                let base = self.eval_base_for_fold(fold, env)?;
+                let base = self.eval_base(&fold.terms(), env)?;
                 let mut ev = Env::new(&base);
                 let zero = interp::eval_scalar(&fold.zero, &mut ev, self.catalog)
                     .map_err(ExecError::Eval)?;
@@ -1788,8 +1786,8 @@ impl<'a> Session<'a> {
         let mut bases = Vec::with_capacity(stages.len());
         for stage in stages {
             bases.push(match *stage {
-                Narrow::Map(f) | Narrow::Filter(f) => self.eval_base_for_lambdas(&[f], env)?,
-                Narrow::FlatMap(_, body) => self.eval_base_for_bag_exprs(&[body], env)?,
+                Narrow::Map(f) | Narrow::Filter(f) => self.eval_base(&[Term::Lambda(f)], env)?,
+                Narrow::FlatMap(_, body) => self.eval_base(&[Term::Bag(body)], env)?,
             });
         }
         let mut prepared: Vec<PreparedStage> = Vec::with_capacity(stages.len());
@@ -1960,7 +1958,7 @@ impl<'a> Session<'a> {
     ) -> Result<PlanResult, ExecError> {
         let l = self.exec_bag(left, env)?;
         let r = self.exec_bag(right, env)?;
-        let base = self.eval_base_for_lambdas(residual.as_slice(), env)?;
+        let base = self.eval_base(residual.map(Term::Lambda).as_slice(), env)?;
 
         // Just-in-time strategy resolution from actual input sizes. What
         // this measures of the right side, its shuffle then carries.
@@ -2194,8 +2192,8 @@ impl<'a> Session<'a> {
         split: Option<SplitKind>,
         env: &EnvSnapshot,
     ) -> Result<PlanResult, ExecError> {
-        let base = self.eval_base_for_fold(fold, env)?;
-        let base2 = self.eval_base_for_lambdas(&[key], env)?;
+        let base = self.eval_base(&fold.terms(), env)?;
+        let base2 = self.eval_base(&[Term::Lambda(key)], env)?;
         let mut ev = Env::new(&base);
         let zero =
             interp::eval_scalar(&fold.zero, &mut ev, self.catalog).map_err(ExecError::Eval)?;
@@ -2545,7 +2543,7 @@ impl<'a> Session<'a> {
         placement: Placement,
     ) -> Result<Keyed<'p>, ExecError> {
         let parts_n = self.dop();
-        let base = self.eval_base_for_lambdas(&[key], env)?;
+        let base = self.eval_base(&[Term::Lambda(key)], env)?;
         let prep = self.prepare_lambda(key, &base);
         let vec = self.try_vectorize(
             sample_rows(&d.parts),
@@ -2875,73 +2873,25 @@ impl<'a> Session<'a> {
 
     // -------------------------------------------- broadcasts for UDF capture
 
-    /// Builds the base evaluation environment for a set of lambdas, charging
-    /// a broadcast for every driver bag (and every catalog dataset read
-    /// directly inside a UDF — physically the same data motion).
-    fn eval_base_for_lambdas(
+    /// Builds the base evaluation environment for a site's UDF terms,
+    /// charging a broadcast for every driver bag they capture (and every
+    /// catalog dataset read directly inside them — physically the same data
+    /// motion).
+    fn eval_base(
         &mut self,
-        lams: &[&Lambda],
+        terms: &[Term<'_>],
         env: &EnvSnapshot,
     ) -> Result<HashMap<String, Value>, ExecError> {
         let mut names: Vec<String> = Vec::new();
-        let mut reads: Vec<String> = Vec::new();
-        for lam in lams {
-            names.extend(lam.free_vars());
-            collect_reads_in_scalar(&lam.body, &mut reads);
+        let mut reads: Vec<&str> = Vec::new();
+        for t in terms {
+            names.extend(t.free_vars());
+            t.walk(&mut |t| {
+                if let Term::Bag(BagExpr::Read { source }) = t {
+                    reads.push(source)
+                }
+            });
         }
-        self.build_base(names, reads, env)
-    }
-
-    fn eval_base_for_exprs(
-        &mut self,
-        exprs: &[&ScalarExpr],
-        env: &EnvSnapshot,
-    ) -> Result<HashMap<String, Value>, ExecError> {
-        let mut names: Vec<String> = Vec::new();
-        let mut reads: Vec<String> = Vec::new();
-        for e in exprs {
-            names.extend(e.free_vars());
-            collect_reads_in_scalar(e, &mut reads);
-        }
-        self.build_base(names, reads, env)
-    }
-
-    fn eval_base_for_bag_exprs(
-        &mut self,
-        bodies: &[&BagExpr],
-        env: &EnvSnapshot,
-    ) -> Result<HashMap<String, Value>, ExecError> {
-        let mut names: Vec<String> = Vec::new();
-        let mut reads: Vec<String> = Vec::new();
-        for b in bodies {
-            names.extend(b.free_vars());
-            collect_reads_in_bag(b, &mut reads);
-        }
-        self.build_base(names, reads, env)
-    }
-
-    fn eval_base_for_fold(
-        &mut self,
-        fold: &FoldOp,
-        env: &EnvSnapshot,
-    ) -> Result<HashMap<String, Value>, ExecError> {
-        let mut names: Vec<String> = Vec::new();
-        names.extend(fold.zero.free_vars());
-        names.extend(fold.sng.free_vars());
-        names.extend(fold.uni.free_vars());
-        let mut reads = Vec::new();
-        collect_reads_in_scalar(&fold.zero, &mut reads);
-        collect_reads_in_scalar(&fold.sng.body, &mut reads);
-        collect_reads_in_scalar(&fold.uni.body, &mut reads);
-        self.build_base(names, reads, env)
-    }
-
-    fn build_base(
-        &mut self,
-        names: Vec<String>,
-        reads: Vec<String>,
-        env: &EnvSnapshot,
-    ) -> Result<HashMap<String, Value>, ExecError> {
         let mut base = HashMap::new();
         let mut seen = std::collections::HashSet::new();
         for name in names {
@@ -2979,12 +2929,12 @@ impl<'a> Session<'a> {
         }
         let mut seen_reads = std::collections::HashSet::new();
         for src in reads {
-            if !seen_reads.insert(src.clone()) {
+            if !seen_reads.insert(src) {
                 continue;
             }
             // A dataset scanned from inside a UDF must be shipped to every
             // worker: storage read + broadcast.
-            if let Ok(d) = Partitioned::of_dataset(self.catalog, &src, self.dop()) {
+            if let Ok(d) = Partitioned::of_dataset(self.catalog, src, self.dop()) {
                 let bytes = d.total_bytes();
                 self.stats.bytes_read_storage += bytes;
                 self.stats
@@ -3545,30 +3495,17 @@ pub(crate) fn broadcast_fold_scan_rows(
             _ => 0,
         }
     }
-    match e {
-        ScalarExpr::Fold(bag, fold) => {
-            chain_root_rows(bag, base, catalog)
-                + broadcast_fold_scan_rows(&fold.sng.body, base, catalog)
-                + broadcast_fold_scan_rows(&fold.uni.body, base, catalog)
+    let mut rows = 0;
+    e.for_each_child(|c| {
+        rows += match c {
+            // A first-class `BagOf` is built, not scanned.
+            Term::Bag(b) if matches!(e, ScalarExpr::Fold(..)) => chain_root_rows(b, base, catalog),
+            Term::Scalar(c) => broadcast_fold_scan_rows(c, base, catalog),
+            Term::Lambda(lam) => broadcast_fold_scan_rows(&lam.body, base, catalog),
+            Term::Bag(_) | Term::BagLambda(..) => 0,
         }
-        ScalarExpr::Lit(_) | ScalarExpr::Var(_) => 0,
-        ScalarExpr::Field(i, _) | ScalarExpr::UnOp(_, i) => {
-            broadcast_fold_scan_rows(i, base, catalog)
-        }
-        ScalarExpr::BinOp(_, l, r) => {
-            broadcast_fold_scan_rows(l, base, catalog) + broadcast_fold_scan_rows(r, base, catalog)
-        }
-        ScalarExpr::Call(_, args) | ScalarExpr::Tuple(args) => args
-            .iter()
-            .map(|a| broadcast_fold_scan_rows(a, base, catalog))
-            .sum(),
-        ScalarExpr::If(c, t, el) => {
-            broadcast_fold_scan_rows(c, base, catalog)
-                + broadcast_fold_scan_rows(t, base, catalog)
-                + broadcast_fold_scan_rows(el, base, catalog)
-        }
-        ScalarExpr::BagOf(_) => 0,
-    }
+    });
+    rows
 }
 
 /// Counts fold terms that consume *nested* bags (chains rooted at an
@@ -3579,100 +3516,28 @@ pub(crate) fn broadcast_fold_scan_rows(
 /// is why the paper's un-fused Q1 (ten folds) dies while the un-fused Fig. 5
 /// aggregation (one fold) merely degrades.
 pub(crate) fn count_nested_bag_folds(e: &ScalarExpr) -> usize {
+    /// Whether an input chain (not a `flatMap` body) starts at an `OfValue`.
     fn bag_has_ofvalue_root(b: &BagExpr) -> bool {
-        match b {
-            BagExpr::OfValue(_) => true,
-            BagExpr::Map { input, .. }
-            | BagExpr::Filter { input, .. }
-            | BagExpr::FlatMap { input, .. }
-            | BagExpr::GroupBy { input, .. }
-            | BagExpr::AggBy { input, .. } => bag_has_ofvalue_root(input),
-            BagExpr::Distinct(inner) => bag_has_ofvalue_root(inner),
-            BagExpr::Plus(l, r) | BagExpr::Minus(l, r) => {
-                bag_has_ofvalue_root(l) || bag_has_ofvalue_root(r)
+        let mut rooted = matches!(b, BagExpr::OfValue(_));
+        b.for_each_child(|c| {
+            if let Term::Bag(input) = c {
+                rooted = rooted || bag_has_ofvalue_root(input);
             }
-            BagExpr::Read { .. } | BagExpr::Values(_) | BagExpr::Ref { .. } => false,
-        }
+        });
+        rooted
     }
-    match e {
-        ScalarExpr::Fold(bag, fold) => {
-            let own = usize::from(bag_has_ofvalue_root(bag));
-            own + count_nested_bag_folds(&fold.zero)
-                + count_nested_bag_folds(&fold.sng.body)
-                + count_nested_bag_folds(&fold.uni.body)
-        }
-        ScalarExpr::Lit(_) | ScalarExpr::Var(_) => 0,
-        ScalarExpr::Field(i, _) | ScalarExpr::UnOp(_, i) => count_nested_bag_folds(i),
-        ScalarExpr::BinOp(_, l, r) => count_nested_bag_folds(l) + count_nested_bag_folds(r),
-        ScalarExpr::Call(_, args) | ScalarExpr::Tuple(args) => {
-            args.iter().map(count_nested_bag_folds).sum()
-        }
-        ScalarExpr::If(c, t, el) => {
-            count_nested_bag_folds(c) + count_nested_bag_folds(t) + count_nested_bag_folds(el)
-        }
-        ScalarExpr::BagOf(_) => 0,
-    }
-}
-
-/// Collects catalog sources read from inside a scalar expression.
-fn collect_reads_in_scalar(e: &ScalarExpr, out: &mut Vec<String>) {
-    match e {
-        ScalarExpr::Lit(_) | ScalarExpr::Var(_) => {}
-        ScalarExpr::Field(i, _) | ScalarExpr::UnOp(_, i) => collect_reads_in_scalar(i, out),
-        ScalarExpr::BinOp(_, l, r) => {
-            collect_reads_in_scalar(l, out);
-            collect_reads_in_scalar(r, out);
-        }
-        ScalarExpr::Call(_, args) | ScalarExpr::Tuple(args) => {
-            for a in args {
-                collect_reads_in_scalar(a, out);
+    let mut n = 0;
+    e.for_each_child(|c| {
+        n += match c {
+            Term::Bag(b) if matches!(e, ScalarExpr::Fold(..)) => {
+                usize::from(bag_has_ofvalue_root(b))
             }
+            Term::Scalar(c) => count_nested_bag_folds(c),
+            Term::Lambda(lam) => count_nested_bag_folds(&lam.body),
+            Term::Bag(_) | Term::BagLambda(..) => 0,
         }
-        ScalarExpr::If(c, t, el) => {
-            collect_reads_in_scalar(c, out);
-            collect_reads_in_scalar(t, out);
-            collect_reads_in_scalar(el, out);
-        }
-        ScalarExpr::Fold(bag, fold) => {
-            collect_reads_in_bag(bag, out);
-            collect_reads_in_scalar(&fold.zero, out);
-            collect_reads_in_scalar(&fold.sng.body, out);
-            collect_reads_in_scalar(&fold.uni.body, out);
-        }
-        ScalarExpr::BagOf(bag) => collect_reads_in_bag(bag, out),
-    }
-}
-
-fn collect_reads_in_bag(b: &BagExpr, out: &mut Vec<String>) {
-    match b {
-        BagExpr::Read { source } => out.push(source.clone()),
-        BagExpr::Values(_) | BagExpr::Ref { .. } => {}
-        BagExpr::OfValue(e) => collect_reads_in_scalar(e, out),
-        BagExpr::Map { input, f } | BagExpr::Filter { input, p: f } => {
-            collect_reads_in_bag(input, out);
-            collect_reads_in_scalar(&f.body, out);
-        }
-        BagExpr::FlatMap { input, f } => {
-            collect_reads_in_bag(input, out);
-            collect_reads_in_bag(&f.body, out);
-        }
-        BagExpr::GroupBy { input, key } => {
-            collect_reads_in_bag(input, out);
-            collect_reads_in_scalar(&key.body, out);
-        }
-        BagExpr::AggBy { input, key, fold } => {
-            collect_reads_in_bag(input, out);
-            collect_reads_in_scalar(&key.body, out);
-            collect_reads_in_scalar(&fold.zero, out);
-            collect_reads_in_scalar(&fold.sng.body, out);
-            collect_reads_in_scalar(&fold.uni.body, out);
-        }
-        BagExpr::Plus(l, r) | BagExpr::Minus(l, r) => {
-            collect_reads_in_bag(l, out);
-            collect_reads_in_bag(r, out);
-        }
-        BagExpr::Distinct(e) => collect_reads_in_bag(e, out),
-    }
+    });
+    n
 }
 
 #[cfg(test)]

@@ -36,10 +36,8 @@ use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
 
-use emma_compiler::bag_expr::BagExpr;
-use emma_compiler::expr::FoldOp;
 use emma_compiler::interp::Catalog;
-use emma_compiler::pipeline::{AuxDef, CRValue, CStmt, CompiledProgram};
+use emma_compiler::pipeline::{CStmt, CTerm, CompiledProgram};
 use emma_compiler::plan::{PipelineStage, Plan};
 
 use crate::cluster::ClusterSpec;
@@ -62,62 +60,18 @@ use crate::metrics::{ExecError, ExecStats, ATTOS_PER_SEC};
 /// every hit, so a hash collision costs a comparison — never a wrong bag.
 pub fn shareable_fingerprint(plan: &Plan) -> Option<u64> {
     let mut closed = true;
-    plan.visit(&mut |p| closed &= node_closed(p));
+    plan.visit(&mut |p| {
+        // Driver-environment references: the result depends on session
+        // state, not just the plan.
+        closed &= !matches!(p, Plan::RefBag { .. } | Plan::OfScalar { .. });
+        p.for_each_term(|t| closed = closed && t.free_vars().is_empty());
+    });
     if !closed {
         return None;
     }
     let mut h = DefaultHasher::new();
     format!("{plan:?}").hash(&mut h);
     Some(h.finish())
-}
-
-/// Whether one plan node, in isolation, keeps the plan closed.
-fn node_closed(p: &Plan) -> bool {
-    match p {
-        Plan::Source { .. } | Plan::Literal { .. } => true,
-        // Driver-environment references: the result depends on session
-        // state, not just the plan.
-        Plan::RefBag { .. } | Plan::OfScalar { .. } => false,
-        Plan::Map { f, .. }
-        | Plan::Filter { p: f, .. }
-        | Plan::GroupBy { key: f, .. }
-        | Plan::Repartition { key: f, .. } => f.free_vars().is_empty(),
-        Plan::FlatMap { param, body, .. } => flatmap_closed(param, body),
-        Plan::Join {
-            lkey,
-            rkey,
-            residual,
-            ..
-        } => {
-            lkey.free_vars().is_empty()
-                && rkey.free_vars().is_empty()
-                && residual.as_ref().is_none_or(|r| r.free_vars().is_empty())
-        }
-        Plan::AggBy { key, fold, .. } => key.free_vars().is_empty() && fold_closed(fold),
-        Plan::Fold { fold, .. } => fold_closed(fold),
-        Plan::Cross { .. }
-        | Plan::Plus { .. }
-        | Plan::Minus { .. }
-        | Plan::Distinct { .. }
-        | Plan::Cache { .. } => true,
-        Plan::Pipeline { stages, .. } => stages.iter().all(|s| match s {
-            PipelineStage::Map { f } => f.free_vars().is_empty(),
-            PipelineStage::Filter { p } => p.free_vars().is_empty(),
-            PipelineStage::FlatMap { param, body } => flatmap_closed(param, body),
-        }),
-    }
-}
-
-fn flatmap_closed(param: &str, body: &BagExpr) -> bool {
-    let mut fv = body.free_vars();
-    fv.remove(param);
-    fv.is_empty()
-}
-
-fn fold_closed(fold: &FoldOp) -> bool {
-    fold.zero.free_vars().is_empty()
-        && fold.sng.free_vars().is_empty()
-        && fold.uni.free_vars().is_empty()
 }
 
 // ------------------------------------------------------------ shared cache
@@ -346,41 +300,17 @@ struct Estimator<'a> {
 impl Estimator<'_> {
     fn stmts(&mut self, body: &[CStmt], mult: f64) {
         for stmt in body {
-            match stmt {
-                CStmt::Bind { value, .. } => match value {
-                    CRValue::Bag(plan) => {
-                        self.plan(plan, mult);
-                    }
-                    CRValue::Scalar { pre, .. } => self.aux(pre, mult),
-                },
-                CStmt::While { pre, body, .. } | CStmt::ForEach { pre, body, .. } => {
-                    self.aux(pre, mult * LOOP_ITERS_GUESS);
-                    self.stmts(body, mult * LOOP_ITERS_GUESS);
-                }
-                CStmt::If {
-                    pre,
-                    then_branch,
-                    else_branch,
-                    ..
-                } => {
-                    self.aux(pre, mult);
-                    // Upper bound: both branches are charged.
-                    self.stmts(then_branch, mult);
-                    self.stmts(else_branch, mult);
-                }
-                CStmt::Write { plan, .. } | CStmt::StatefulCreate { plan, .. } => {
+            let mult = match stmt {
+                CStmt::While { .. } | CStmt::ForEach { .. } => mult * LOOP_ITERS_GUESS,
+                _ => mult,
+            };
+            stmt.for_each_term(|t| {
+                if let CTerm::Plan(plan) = t {
                     self.plan(plan, mult);
                 }
-                CStmt::StatefulUpdate { messages, .. } => {
-                    self.plan(messages, mult);
-                }
-            }
-        }
-    }
-
-    fn aux(&mut self, pre: &[AuxDef], mult: f64) {
-        for def in pre {
-            self.plan(&def.plan, mult);
+            });
+            // Upper bound: both branches of a conditional are charged.
+            stmt.blocks().for_each(|b| self.stmts(b, mult));
         }
     }
 

@@ -139,3 +139,178 @@ fn q4_plan_contains_semi_join_with_pushed_filter() {
     });
     assert!(found_semi, "no semi-join in plan:\n{plan}");
 }
+
+// ------------------------------------------------- walkers that forget a child
+
+/// `val b = read(bl).map(y => y)`: a bag definition the tests below read.
+fn blacklist_def() -> Stmt {
+    Stmt::val(
+        "b",
+        BagExpr::read("bl").map(Lambda::new(["y"], ScalarExpr::var("y"))),
+    )
+}
+
+/// `b.exists(z => z == e)`: a predicate that reads the bag `b`.
+fn in_blacklist(e: ScalarExpr) -> ScalarExpr {
+    BagExpr::var("b").exists(Lambda::new(["z"], ScalarExpr::var("z").eq(e)))
+}
+
+/// A stateful update whose lambda reads `b`: each message `(k, v)` adds `v`
+/// to account `k` when `v` is blacklisted, and is declined otherwise.
+fn update_reading_b() -> Stmt {
+    Stmt::stateful_update(
+        "s",
+        "d",
+        BagExpr::read("msgs"),
+        Lambda::new(["m"], ScalarExpr::var("m").get(0)),
+        Lambda::new(
+            ["a", "m"],
+            ScalarExpr::If(
+                Box::new(in_blacklist(ScalarExpr::var("m").get(1))),
+                Box::new(ScalarExpr::Tuple(vec![
+                    ScalarExpr::var("a").get(0),
+                    ScalarExpr::var("a").get(1).add(ScalarExpr::var("m").get(1)),
+                ])),
+                Box::new(ScalarExpr::Lit(Value::Null)),
+            ),
+        ),
+    )
+}
+
+fn pair(k: i64, v: i64) -> Value {
+    Value::tuple(vec![Value::Int(k), Value::Int(v)])
+}
+
+fn walker_catalog() -> Catalog {
+    Catalog::new()
+        .with("xs", (1..=6).map(Value::Int).collect())
+        .with("bl", vec![Value::Int(2), Value::Int(4)])
+        .with("acc", vec![pair(1, 10), pair(2, 20), pair(3, 30)])
+        .with("msgs", vec![pair(1, 2), pair(2, 3), pair(3, 4), pair(1, 4)])
+}
+
+/// `all()` and `all()` with each single flag turned off.
+fn all_and_each_flag_off() -> Vec<OptimizerFlags> {
+    let all = OptimizerFlags::all();
+    vec![
+        all,
+        all.with_inlining(false),
+        all.with_normalization(false),
+        all.with_unnest_exists(false),
+        all.with_fold_group_fusion(false),
+        all.with_caching(false),
+        all.with_partition_pulling(false),
+        all.with_pipeline_fusion(false),
+        all.with_compiled_eval(false),
+    ]
+}
+
+fn sorted(rows: &[Value]) -> Vec<Value> {
+    let mut rows = rows.to_vec();
+    rows.sort();
+    rows
+}
+
+/// Runs `program` through the interpreter and the engine under every flag
+/// set of [`all_and_each_flag_off`]; every sink must hold the same multiset.
+fn assert_engine_matches_interp_per_flag(program: &Program, catalog: &Catalog) {
+    let expected = Interp::new(catalog).run(program).expect("interp run");
+    for flags in all_and_each_flag_off() {
+        let compiled = parallelize(program, &flags);
+        let run = Engine::sparrow()
+            .run(&compiled, catalog)
+            .unwrap_or_else(|e| panic!("engine run under {flags:?}: {e:?}"));
+        assert_eq!(expected.writes.len(), run.writes.len(), "{flags:?}");
+        for (sink, rows) in &expected.writes {
+            assert_eq!(
+                sorted(rows),
+                sorted(&run.writes[sink]),
+                "sink `{sink}` under {flags:?}"
+            );
+        }
+    }
+}
+
+/// A single-use bag read inside a `groupBy` key is inlined into the key.
+/// Fails before the IR visitor: the inliner counted the reference in the key
+/// but substituted only into the grouping's input, so it deleted `b` and the
+/// run failed with `UnboundVariable("b")` under every flag set with
+/// inlining on.
+#[test]
+fn single_use_bag_read_in_a_group_by_key_is_inlined_into_the_key() {
+    let program = Program::new(vec![
+        blacklist_def(),
+        Stmt::write(
+            "groups",
+            BagExpr::read("xs").group_by(Lambda::new(["x"], in_blacklist(ScalarExpr::var("x")))),
+        ),
+    ]);
+    assert_eq!(
+        parallelize(&program, &OptimizerFlags::all()).report.inlined,
+        vec!["b".to_string()]
+    );
+    assert_engine_matches_interp_per_flag(&program, &walker_catalog());
+}
+
+/// A bag read by a `Write` and by a stateful update lambda is read twice and
+/// stays bound. Fails before the IR visitor: the inliner skipped the
+/// stateful statements' lambdas, so it inlined `b` into the write, deleted
+/// it, and the update failed with `UnboundVariable("b")`.
+#[test]
+fn bag_read_by_a_write_and_an_update_lambda_is_not_inlined() {
+    let program = Program::new(vec![
+        blacklist_def(),
+        Stmt::stateful(
+            "s",
+            BagExpr::read("acc"),
+            Lambda::new(["a"], ScalarExpr::var("a").get(0)),
+        ),
+        update_reading_b(),
+        Stmt::write("b_out", BagExpr::var("b")),
+        Stmt::write("state", BagExpr::var("s")),
+        Stmt::write("delta", BagExpr::var("d")),
+    ]);
+    assert_eq!(
+        parallelize(&program, &OptimizerFlags::all()).report.inlined,
+        Vec::<String>::new()
+    );
+    assert_engine_matches_interp_per_flag(&program, &walker_catalog());
+}
+
+/// A bag defined before a five-round loop and read only by the update
+/// lambda inside it is cached and derived once. Fails before the IR
+/// visitor: caching counted only a stateful update's message plan, so
+/// `report.cached` stayed empty and `b` was re-derived and re-broadcast
+/// every round — `cache_misses` was 5.
+#[test]
+fn bag_read_only_by_a_looped_update_lambda_is_cached() {
+    let program = Program::new(vec![
+        blacklist_def(),
+        Stmt::stateful(
+            "s",
+            BagExpr::read("acc"),
+            Lambda::new(["a"], ScalarExpr::var("a").get(0)),
+        ),
+        Stmt::var("i", ScalarExpr::lit(0i64)),
+        Stmt::while_loop(
+            ScalarExpr::var("i").lt(ScalarExpr::lit(5i64)),
+            vec![
+                update_reading_b(),
+                Stmt::assign("i", ScalarExpr::var("i").add(ScalarExpr::lit(1i64))),
+            ],
+        ),
+        Stmt::write("state", BagExpr::var("s")),
+    ]);
+    let catalog = walker_catalog();
+    let compiled = parallelize(&program, &OptimizerFlags::all());
+    assert_eq!(compiled.report.cached, vec!["b".to_string()]);
+    let run = Engine::sparrow()
+        .run(&compiled, &catalog)
+        .expect("engine run");
+    assert_eq!(run.stats.cache_misses, 1);
+    let expected = Interp::new(&catalog).run(&program).expect("interp run");
+    assert_eq!(
+        sorted(&expected.writes["state"]),
+        sorted(&run.writes["state"])
+    );
+}

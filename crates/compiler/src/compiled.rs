@@ -41,6 +41,8 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use emma_core::ops::{self, InsertionMap};
+
 use crate::bag_expr::BagExpr;
 use crate::expr::{BinOp, BuiltinFn, FoldOp, Lambda, ScalarExpr, Term, UnOp};
 use crate::interp::{self, Catalog, Env};
@@ -586,10 +588,7 @@ fn is_closed(e: &ScalarExpr) -> bool {
 /// Evaluates a closed subtree with the reference interpreter, so folding
 /// reproduces interpreter semantics (including errors) exactly.
 fn const_eval(e: &ScalarExpr) -> Result<Value, ValueError> {
-    let base = HashMap::new();
-    let catalog = Catalog::new();
-    let mut env = Env::new(&base);
-    interp::eval_scalar(e, &mut env, &catalog)
+    interp::eval_scalar(e, &mut Env::new(&HashMap::new()), &Catalog::new())
 }
 
 // --------------------------------------------------------------- evaluator
@@ -809,23 +808,9 @@ impl Rt<'_> {
             }
             CBagNode::GroupBy { input, key } => {
                 let xs = self.bag(input, m)?;
-                let mut order: Vec<Value> = Vec::new();
-                let mut groups: HashMap<Value, Vec<Value>> = HashMap::new();
-                for x in xs {
-                    let k = self.apply1(key, x.clone(), m)?;
-                    let entry = groups.entry(k.clone()).or_default();
-                    if entry.is_empty() {
-                        order.push(k);
-                    }
-                    entry.push(x);
-                }
-                Ok(order
-                    .into_iter()
-                    .map(|k| {
-                        let values = groups.remove(&k).unwrap_or_default();
-                        Value::tuple([k, Value::bag(values)])
-                    })
-                    .collect())
+                let keyed =
+                    |m: &mut Machine, x: &Value| self.apply1(key, x.clone(), m).map(ops::hashed);
+                Ok(interp::group_rows(ops::group(xs, m, keyed)?))
             }
             CBagNode::AggBy {
                 input,
@@ -836,30 +821,17 @@ impl Rt<'_> {
             } => {
                 let xs = self.bag(input, m)?;
                 let zero = self.run(zero, m)?;
-                let mut order: Vec<Value> = Vec::new();
-                let mut accs: HashMap<Value, Value> = HashMap::new();
-                for x in xs {
-                    let k = self.apply1(key, x.clone(), m)?;
-                    let part = self.apply1(sng, x, m)?;
-                    match accs.get_mut(&k) {
-                        Some(acc) => {
-                            let merged = self.apply2(uni, acc.clone(), part, m)?;
-                            *acc = merged;
-                        }
-                        None => {
-                            let first = self.apply2(uni, zero.clone(), part, m)?;
-                            order.push(k.clone());
-                            accs.insert(k, first);
-                        }
-                    }
-                }
-                Ok(order
-                    .into_iter()
-                    .map(|k| {
-                        let acc = accs.remove(&k).expect("key recorded in order");
-                        Value::tuple([k, acc])
-                    })
-                    .collect())
+                let mut accs = InsertionMap::new();
+                ops::agg(
+                    &mut accs,
+                    xs,
+                    m,
+                    |m, x| self.apply1(key, x.clone(), m).map(ops::hashed),
+                    &zero,
+                    |m, x| self.apply1(sng, x, m),
+                    |m, a, b| self.apply2(uni, a, b, m),
+                )?;
+                Ok(interp::agg_rows(accs))
             }
             CBagNode::Plus(l, r) => {
                 let mut xs = self.bag(l, m)?;
@@ -869,26 +841,9 @@ impl Rt<'_> {
             CBagNode::Minus(l, r) => {
                 let xs = self.bag(l, m)?;
                 let ys = self.bag(r, m)?;
-                let mut budget: HashMap<Value, usize> = HashMap::new();
-                for y in ys {
-                    *budget.entry(y).or_insert(0) += 1;
-                }
-                Ok(xs
-                    .into_iter()
-                    .filter(|x| match budget.get_mut(x) {
-                        Some(n) if *n > 0 => {
-                            *n -= 1;
-                            false
-                        }
-                        _ => true,
-                    })
-                    .collect())
+                Ok(ops::minus(xs, ys).collect())
             }
-            CBagNode::Distinct(e) => {
-                let xs = self.bag(e, m)?;
-                let mut seen = std::collections::HashSet::new();
-                Ok(xs.into_iter().filter(|x| seen.insert(x.clone())).collect())
-            }
+            CBagNode::Distinct(e) => Ok(ops::distinct(self.bag(e, m)?.iter()).cloned().collect()),
         }
     }
 }

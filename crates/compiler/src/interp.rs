@@ -18,6 +18,8 @@ use std::any::{Any, TypeId};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
+use emma_core::ops::{self, InsertionMap};
+
 use crate::bag_expr::BagExpr;
 use crate::expr::{BinOp, BuiltinFn, FoldOp, Lambda, ScalarExpr, UnOp};
 use crate::program::{Program, RValue, Stmt};
@@ -318,63 +320,33 @@ pub fn eval_bag<'a>(
             Ok(out)
         }
         BagExpr::FlatMap { input, f } => {
-            let xs = eval_bag(input, env, catalog)?;
             let mut out = Vec::new();
-            for x in xs {
-                env.push(&f.param, x);
-                let inner = eval_bag(&f.body, env, catalog);
-                env.pop(1);
-                out.extend(inner?);
+            for x in eval_bag(input, env, catalog)? {
+                out.extend(eval_bag_with_binding(&f.body, &f.param, x, env, catalog)?);
             }
             Ok(out)
         }
         BagExpr::GroupBy { input, key } => {
             let xs = eval_bag(input, env, catalog)?;
-            let mut order: Vec<Value> = Vec::new();
-            let mut groups: HashMap<Value, Vec<Value>> = HashMap::new();
-            for x in xs {
-                let k = eval_lambda(key, std::slice::from_ref(&x), env, catalog)?;
-                let entry = groups.entry(k.clone()).or_default();
-                if entry.is_empty() {
-                    order.push(k);
-                }
-                entry.push(x);
-            }
-            Ok(order
-                .into_iter()
-                .map(|k| {
-                    let values = groups.remove(&k).unwrap_or_default();
-                    Value::tuple([k, Value::bag(values)])
-                })
-                .collect())
+            let groups = ops::group(xs, env, |env, x| {
+                eval_lambda(key, std::slice::from_ref(x), env, catalog).map(ops::hashed)
+            })?;
+            Ok(group_rows(groups))
         }
         BagExpr::AggBy { input, key, fold } => {
             let xs = eval_bag(input, env, catalog)?;
             let zero = eval_scalar(&fold.zero, env, catalog)?;
-            let mut order: Vec<Value> = Vec::new();
-            let mut accs: HashMap<Value, Value> = HashMap::new();
-            for x in xs {
-                let k = eval_lambda(key, std::slice::from_ref(&x), env, catalog)?;
-                let part = eval_lambda(&fold.sng, &[x], env, catalog)?;
-                match accs.get_mut(&k) {
-                    Some(acc) => {
-                        let merged = eval_lambda(&fold.uni, &[acc.clone(), part], env, catalog)?;
-                        *acc = merged;
-                    }
-                    None => {
-                        let first = eval_lambda(&fold.uni, &[zero.clone(), part], env, catalog)?;
-                        order.push(k.clone());
-                        accs.insert(k, first);
-                    }
-                }
-            }
-            Ok(order
-                .into_iter()
-                .map(|k| {
-                    let acc = accs.remove(&k).expect("key recorded in order");
-                    Value::tuple([k, acc])
-                })
-                .collect())
+            let mut accs = InsertionMap::new();
+            ops::agg(
+                &mut accs,
+                xs,
+                env,
+                |env, x| eval_lambda(key, std::slice::from_ref(x), env, catalog).map(ops::hashed),
+                &zero,
+                |env, x| eval_lambda(&fold.sng, &[x], env, catalog),
+                |env, a, b| eval_lambda(&fold.uni, &[a, b], env, catalog),
+            )?;
+            Ok(agg_rows(accs))
         }
         BagExpr::Plus(l, r) => {
             let mut xs = eval_bag(l, env, catalog)?;
@@ -384,27 +356,24 @@ pub fn eval_bag<'a>(
         BagExpr::Minus(l, r) => {
             let xs = eval_bag(l, env, catalog)?;
             let ys = eval_bag(r, env, catalog)?;
-            let mut budget: HashMap<Value, usize> = HashMap::new();
-            for y in ys {
-                *budget.entry(y).or_insert(0) += 1;
-            }
-            Ok(xs
-                .into_iter()
-                .filter(|x| match budget.get_mut(x) {
-                    Some(n) if *n > 0 => {
-                        *n -= 1;
-                        false
-                    }
-                    _ => true,
-                })
-                .collect())
+            Ok(ops::minus(xs, ys).collect())
         }
-        BagExpr::Distinct(e) => {
-            let xs = eval_bag(e, env, catalog)?;
-            let mut seen = std::collections::HashSet::new();
-            Ok(xs.into_iter().filter(|x| seen.insert(x.clone())).collect())
-        }
+        BagExpr::Distinct(e) => Ok(ops::distinct(eval_bag(e, env, catalog)?.iter())
+            .cloned()
+            .collect()),
     }
+}
+
+/// The `(key, {{values}})` rows of `groupBy`'s groups, in first-seen order.
+pub fn group_rows(groups: InsertionMap<Value, Vec<Value>>) -> Vec<Value> {
+    let row = |g: ops::Entry<Value, Vec<Value>>| Value::tuple([g.key, Value::bag(g.value)]);
+    groups.into_iter().map(row).collect()
+}
+
+/// The `(key, acc)` rows of `aggBy`'s accumulators, in first-seen order.
+pub fn agg_rows(accs: InsertionMap<Value, Value>) -> Vec<Value> {
+    let row = |a: ops::Entry<Value, Value>| Value::tuple([a.key, a.value]);
+    accs.into_iter().map(row).collect()
 }
 
 /// Evaluates a binary operator on values.
@@ -517,12 +486,9 @@ pub fn eval_builtin(f: BuiltinFn, args: &[Value]) -> Result<Value, ValueError> {
         },
         BuiltinFn::StrContains => Ok(Value::Bool(args[0].as_str()?.contains(args[1].as_str()?))),
         BuiltinFn::StrLen => Ok(Value::Int(args[0].as_str()?.len() as i64)),
-        BuiltinFn::HashOf => {
-            use std::hash::{Hash, Hasher};
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            args[0].hash(&mut h);
-            Ok(Value::Int((h.finish() & 0x7fff_ffff_ffff_ffff) as i64))
-        }
+        BuiltinFn::HashOf => Ok(Value::Int(
+            (ops::hash_of(&args[0]) & 0x7fff_ffff_ffff_ffff) as i64,
+        )),
     }
 }
 
@@ -533,26 +499,9 @@ pub struct RunOutput {
     pub writes: HashMap<String, Vec<Value>>,
     /// Final driver-variable bindings.
     pub env: HashMap<String, Value>,
-    /// Stateful-bag side state (keyed entries in insertion order).
-    pub stateful: HashMap<String, StatefulState>,
-}
-
-/// Keyed state held by a quoted `StatefulBag` during interpretation.
-#[derive(Clone, Debug)]
-pub struct StatefulState {
-    /// Element key extractor.
-    pub key: crate::expr::Lambda,
-    /// Keys in first-insertion order (deterministic snapshots).
-    pub order: Vec<Value>,
-    /// Current element per key.
-    pub entries: HashMap<Value, Value>,
-}
-
-impl StatefulState {
-    /// The current `.bag()` snapshot.
-    pub fn snapshot(&self) -> Vec<Value> {
-        self.order.iter().map(|k| self.entries[k].clone()).collect()
-    }
+    /// Each stateful bag's current element per key, keys in first-insertion
+    /// order.
+    pub stateful: HashMap<String, InsertionMap<Value, Value>>,
 }
 
 /// The reference interpreter.
@@ -585,17 +534,14 @@ impl<'a> Interp<'a> {
         Ok(())
     }
 
-    fn eval_rvalue(&self, v: &RValue, out: &mut RunOutput) -> Result<Value, ValueError> {
-        match v {
-            RValue::Bag(b) => {
-                let mut env = Env::new(&out.env);
-                Ok(Value::bag(eval_bag(b, &mut env, self.catalog)?))
-            }
-            RValue::Scalar(e) => {
-                let mut env = Env::new(&out.env);
-                eval_scalar(e, &mut env, self.catalog)
-            }
-        }
+    /// Evaluates a driver-level scalar expression over the driver bindings.
+    fn scalar(&self, e: &ScalarExpr, out: &RunOutput) -> Result<Value, ValueError> {
+        eval_scalar(e, &mut Env::new(&out.env), self.catalog)
+    }
+
+    /// Evaluates a driver-level bag expression over the driver bindings.
+    fn bag(&self, b: &BagExpr, out: &RunOutput) -> Result<Vec<Value>, ValueError> {
+        eval_bag(b, &mut Env::new(&out.env), self.catalog)
     }
 
     fn exec_stmt(&self, s: &Stmt, out: &mut RunOutput) -> Result<(), ValueError> {
@@ -603,18 +549,17 @@ impl<'a> Interp<'a> {
             Stmt::ValDef { name, value }
             | Stmt::VarDef { name, value }
             | Stmt::Assign { name, value } => {
-                let v = self.eval_rvalue(value, out)?;
+                let v = match value {
+                    RValue::Bag(b) => Value::bag(self.bag(b, out)?),
+                    RValue::Scalar(e) => self.scalar(e, out)?,
+                };
                 out.env.insert(name.clone(), v);
                 Ok(())
             }
             Stmt::While { cond, body } => {
                 let mut iters = 0usize;
                 loop {
-                    let c = {
-                        let mut env = Env::new(&out.env);
-                        eval_scalar(cond, &mut env, self.catalog)?.as_bool()?
-                    };
-                    if !c {
+                    if !self.scalar(cond, out)?.as_bool()? {
                         return Ok(());
                     }
                     iters += 1;
@@ -628,11 +573,7 @@ impl<'a> Interp<'a> {
                 }
             }
             Stmt::ForEach { var, seq, body } => {
-                let seq_v = {
-                    let mut env = Env::new(&out.env);
-                    eval_scalar(seq, &mut env, self.catalog)?
-                };
-                for item in seq_v.as_bag()?.to_vec() {
+                for item in self.scalar(seq, out)?.as_bag()?.to_vec() {
                     out.env.insert(var.clone(), item);
                     self.exec_stmts(body, out)?;
                 }
@@ -643,44 +584,25 @@ impl<'a> Interp<'a> {
                 then_branch,
                 else_branch,
             } => {
-                let c = {
-                    let mut env = Env::new(&out.env);
-                    eval_scalar(cond, &mut env, self.catalog)?.as_bool()?
-                };
-                if c {
+                if self.scalar(cond, out)?.as_bool()? {
                     self.exec_stmts(then_branch, out)
                 } else {
                     self.exec_stmts(else_branch, out)
                 }
             }
             Stmt::Write { sink, bag } => {
-                let rows = {
-                    let mut env = Env::new(&out.env);
-                    eval_bag(bag, &mut env, self.catalog)?
-                };
+                let rows = self.bag(bag, out)?;
                 out.writes.insert(sink.clone(), rows);
                 Ok(())
             }
             Stmt::StatefulCreate { name, init, key } => {
-                let rows = {
-                    let mut env = Env::new(&out.env);
-                    eval_bag(init, &mut env, self.catalog)?
-                };
-                let mut state = StatefulState {
-                    key: key.clone(),
-                    order: Vec::new(),
-                    entries: HashMap::new(),
-                };
-                for row in rows {
-                    let k = {
-                        let mut env = Env::new(&out.env);
-                        eval_lambda(key, std::slice::from_ref(&row), &mut env, self.catalog)?
-                    };
-                    if state.entries.insert(k.clone(), row).is_none() {
-                        state.order.push(k);
-                    }
-                }
-                out.env.insert(name.clone(), Value::bag(state.snapshot()));
+                let mut env = Env::new(&out.env);
+                let rows = eval_bag(init, &mut env, self.catalog)?;
+                let state = ops::create(rows, &mut env, |env, row| {
+                    eval_lambda(key, std::slice::from_ref(row), env, self.catalog).map(ops::hashed)
+                })?;
+                let snapshot: Vec<Value> = state.values().cloned().collect();
+                out.env.insert(name.clone(), Value::bag(snapshot));
                 out.stateful.insert(name.clone(), state);
                 Ok(())
             }
@@ -691,45 +613,28 @@ impl<'a> Interp<'a> {
                 message_key,
                 update,
             } => {
-                let msgs = {
-                    let mut env = Env::new(&out.env);
-                    eval_bag(messages, &mut env, self.catalog)?
-                };
-                let mut st = out
-                    .stateful
-                    .remove(state)
-                    .ok_or_else(|| ValueError::Unknown(format!("stateful `{state}`")))?;
-                let mut changed_order: Vec<Value> = Vec::new();
-                let mut changed: HashMap<Value, Value> = HashMap::new();
-                for msg in msgs {
-                    let k = {
-                        let mut env = Env::new(&out.env);
-                        eval_lambda(
-                            message_key,
-                            std::slice::from_ref(&msg),
-                            &mut env,
-                            self.catalog,
-                        )?
-                    };
-                    let Some(current) = st.entries.get(&k) else {
-                        continue; // no matching state element: message dropped
-                    };
-                    let new = {
-                        let mut env = Env::new(&out.env);
-                        eval_lambda(update, &[current.clone(), msg], &mut env, self.catalog)?
-                    };
-                    if !new.is_null() {
-                        st.entries.insert(k.clone(), new.clone());
-                        if changed.insert(k.clone(), new).is_none() {
-                            changed_order.push(k);
-                        }
-                    }
-                }
-                let delta_rows: Vec<Value> =
-                    changed_order.iter().map(|k| changed[k].clone()).collect();
-                out.env.insert(state.clone(), Value::bag(st.snapshot()));
-                out.env.insert(delta.clone(), Value::bag(delta_rows));
-                out.stateful.insert(state.clone(), st);
+                let mut env = Env::new(&out.env);
+                let msgs = eval_bag(messages, &mut env, self.catalog)?;
+                let st = (out.stateful.get_mut(state))
+                    .ok_or_else(|| ValueError::UnboundVariable(state.clone()))?;
+                let changed = ops::update(
+                    std::slice::from_mut(st),
+                    |_| 0,
+                    msgs,
+                    &mut env,
+                    |env, msg| {
+                        eval_lambda(message_key, std::slice::from_ref(msg), env, self.catalog)
+                            .map(ops::hashed)
+                    },
+                    |env, current, msg| {
+                        let new = eval_lambda(update, &[current.clone(), msg], env, self.catalog)?;
+                        Ok((!new.is_null()).then_some(new))
+                    },
+                )?;
+                let snapshot: Vec<Value> = st.values().cloned().collect();
+                out.env.insert(state.clone(), Value::bag(snapshot));
+                let changed: Vec<Value> = changed.into_iter().map(|e| e.value).collect();
+                out.env.insert(delta.clone(), Value::bag(changed));
                 Ok(())
             }
         }

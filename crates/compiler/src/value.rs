@@ -22,10 +22,13 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
+use emma_core::ops;
+
 /// A dynamically typed record value.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub enum Value {
     /// The absent value (used e.g. for empty-bag `min_by` results).
+    #[default]
     Null,
     /// Boolean.
     Bool(bool),
@@ -246,23 +249,9 @@ impl PartialEq for Value {
                         .all(|(x, y)| float_key(*x) == float_key(*y))
             }
             (Value::Tuple(a), Value::Tuple(b)) => a == b,
+            // Bags compare as multisets: `b` cancels every element of `a`.
             (Value::Bag(a), Value::Bag(b)) => {
-                // Bags compare as multisets.
-                if a.len() != b.len() {
-                    return false;
-                }
-                let mut counts: std::collections::HashMap<&Value, i64> =
-                    std::collections::HashMap::new();
-                for v in a.iter() {
-                    *counts.entry(v).or_insert(0) += 1;
-                }
-                for v in b.iter() {
-                    match counts.get_mut(v) {
-                        Some(n) => *n -= 1,
-                        None => return false,
-                    }
-                }
-                counts.values().all(|n| *n == 0)
+                a.len() == b.len() && ops::minus(a.iter(), b.iter()).next().is_none()
             }
             _ => false,
         }
@@ -307,12 +296,9 @@ impl Hash for Value {
             Value::Bag(b) => {
                 // Order-independent hash: combine element hashes commutatively.
                 6u8.hash(state);
-                let mut acc: u64 = 0;
-                for v in b.iter() {
-                    let mut h = std::collections::hash_map::DefaultHasher::new();
-                    v.hash(&mut h);
-                    acc = acc.wrapping_add(h.finish());
-                }
+                let acc = b
+                    .iter()
+                    .fold(0u64, |acc, v| acc.wrapping_add(ops::hash_of(v)));
                 acc.hash(state);
             }
         }

@@ -903,10 +903,7 @@ impl<'s> Builder<'s> {
 // ---------------------------------------------------------------- execution
 
 fn hash_value(v: &Value) -> i64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    v.hash(&mut h);
-    (h.finish() & 0x7fff_ffff_ffff_ffff) as i64
+    (emma_core::ops::hash_of(v) & 0x7fff_ffff_ffff_ffff) as i64
 }
 
 /// `HashOf` over a string's bytes without materializing a `Value`: replays

@@ -648,6 +648,291 @@ fn fold_grid_agrees_on_values_and_errors() {
     );
 }
 
+/// The naive reference for [`bag_operator_grid_agrees_with_a_linear_scan_reference`]:
+/// each operator as a linear scan over plain vectors, its UDFs evaluated by
+/// the interpreter one call at a time in `key`, `sng`, `uni` row order.
+struct LinearScan<'a> {
+    env: Env<'a>,
+    catalog: Catalog,
+}
+
+impl<'a> LinearScan<'a> {
+    fn call(&mut self, f: &'a Lambda, args: &[Value]) -> Result<Value, ValueError> {
+        interp::eval_lambda(f, args, &mut self.env, &self.catalog)
+    }
+
+    fn group_by(&mut self, rows: &[Value], key: &'a Lambda) -> Result<Vec<Value>, ValueError> {
+        let mut groups: Vec<(Value, Vec<Value>)> = Vec::new();
+        for r in rows {
+            let k = self.call(key, std::slice::from_ref(r))?;
+            match groups.iter_mut().find(|(g, _)| *g == k) {
+                Some((_, vs)) => vs.push(r.clone()),
+                None => groups.push((k, vec![r.clone()])),
+            }
+        }
+        let groups = groups.into_iter();
+        Ok(groups
+            .map(|(k, vs)| Value::tuple([k, Value::bag(vs)]))
+            .collect())
+    }
+
+    fn agg_by(
+        &mut self,
+        rows: &[Value],
+        key: &'a Lambda,
+        fold: &'a FoldOp,
+    ) -> Result<Vec<Value>, ValueError> {
+        let zero = interp::eval_scalar(&fold.zero, &mut self.env, &self.catalog)?;
+        let mut accs: Vec<(Value, Value)> = Vec::new();
+        for r in rows {
+            let k = self.call(key, std::slice::from_ref(r))?;
+            let s = self.call(&fold.sng, std::slice::from_ref(r))?;
+            match accs.iter().position(|(g, _)| *g == k) {
+                Some(i) => accs[i].1 = self.call(&fold.uni, &[accs[i].1.clone(), s])?,
+                None => {
+                    let first = self.call(&fold.uni, &[zero.clone(), s])?;
+                    accs.push((k, first));
+                }
+            }
+        }
+        Ok(accs
+            .into_iter()
+            .map(|(k, a)| Value::tuple([k, a]))
+            .collect())
+    }
+}
+
+fn linear_minus(left: &[Value], right: &[Value]) -> Vec<Value> {
+    let mut budget = right.to_vec();
+    let mut out = Vec::new();
+    for x in left {
+        match budget.iter().position(|y| y == x) {
+            Some(i) => drop(budget.remove(i)),
+            None => out.push(x.clone()),
+        }
+    }
+    out
+}
+
+fn linear_distinct(rows: &[Value]) -> Vec<Value> {
+    let mut out: Vec<Value> = Vec::new();
+    for x in rows {
+        if !out.contains(x) {
+            out.push(x.clone());
+        }
+    }
+    out
+}
+
+/// `groupBy`, `aggBy`, `minus`, `distinct` and `plus` nested inside a UDF
+/// body, cell by cell: operator (two keys for `groupBy`; two keys × three
+/// folds for `aggBy`) × bag source (a field of the row, a captured bag) ×
+/// input (empty, singleton, interleaved duplicate keys, `Float` keys with
+/// `0.0` / `-0.0` / `NaN` and an `Int` equal to a `Float`, `Str` keys, tuple
+/// keys, and a raiser). The raiser's row 1 makes the second key raise
+/// (`12 % 0`) and its row 2 makes the raising `sng` or `uni` raise (`"s"`
+/// in arithmetic). Interpreter, scalar tier and [`LinearScan`] must agree
+/// on the `Debug` of the result — so on values, first-seen group order, row
+/// order inside a group and which of two equal keys represents the group —
+/// and on the first error.
+#[test]
+fn bag_operator_grid_agrees_with_a_linear_scan_reference() {
+    let kv = |k: Value, v: Value| Value::tuple([k, v]);
+    let ints = |pairs: &[(i64, i64)]| -> Vec<Value> {
+        pairs
+            .iter()
+            .map(|&(k, v)| kv(Value::Int(k), Value::Int(v)))
+            .collect()
+    };
+    let inputs: Vec<(&str, Vec<Value>)> = vec![
+        ("empty", vec![]),
+        ("singleton", ints(&[(1, 10)])),
+        (
+            "interleaved",
+            ints(&[
+                (1, 10),
+                (2, 20),
+                (1, 11),
+                (3, 30),
+                (2, 21),
+                (1, 10),
+                (1, 10),
+            ]),
+        ),
+        (
+            "floats",
+            [0.0, -0.0, f64::NAN, 1.0, 1.5, f64::NAN, -0.0]
+                .iter()
+                .enumerate()
+                .map(|(i, &f)| kv(Value::Float(f), Value::Int(i as i64)))
+                .chain([kv(Value::Int(1), Value::Int(7))])
+                .collect(),
+        ),
+        (
+            "strings",
+            ["a", "b", "a", "", "b", "a"]
+                .iter()
+                .enumerate()
+                .map(|(i, s)| kv(Value::str(s), Value::Int(i as i64)))
+                .collect(),
+        ),
+        (
+            "tuples",
+            [(1, "a"), (1, "b"), (1, "a"), (2, "a")]
+                .iter()
+                .enumerate()
+                .map(|(i, &(n, s))| {
+                    kv(
+                        Value::tuple([Value::Int(n), Value::str(s)]),
+                        Value::Int(i as i64),
+                    )
+                })
+                .collect(),
+        ),
+        (
+            "raiser",
+            vec![
+                kv(Value::Int(3), Value::Int(1)),
+                kv(Value::Int(0), Value::Int(2)),
+                kv(Value::Int(2), Value::str("s")),
+                kv(Value::Int(3), Value::Int(4)),
+            ],
+        ),
+    ];
+    let r = || ScalarExpr::var("r");
+    let keys = [
+        Lambda::new(["r"], r().get(0)),
+        Lambda::new(["r"], ScalarExpr::lit(12i64).rem(r().get(0))),
+    ];
+    let (a, b) = (|| ScalarExpr::var("a"), || ScalarExpr::var("b"));
+    let plus = || Lambda::new(["a", "b"], a().add(b()));
+    let folds = [
+        FoldOp::custom(
+            ScalarExpr::lit(0i64),
+            Lambda::new(["r"], r().get(1)),
+            plus(),
+        ),
+        FoldOp::custom(
+            ScalarExpr::lit(0i64),
+            Lambda::new(["r"], r().get(1).mul(ScalarExpr::lit(2i64))),
+            Lambda::new(["a", "b"], b().sub(a())),
+        ),
+        FoldOp::custom(
+            ScalarExpr::Tuple(vec![]),
+            Lambda::new(["r"], ScalarExpr::Tuple(vec![r().get(1)])),
+            Lambda::new(
+                ["a", "b"],
+                ScalarExpr::Tuple(vec![a(), b().get(0).add(b().get(0))]),
+            ),
+        ),
+    ];
+    let roots = [
+        BagExpr::of_value(ScalarExpr::var("x").get(0)),
+        BagExpr::Ref { name: "bag".into() },
+    ];
+    let other = || BagExpr::Ref {
+        name: "other".into(),
+    };
+    let (mut cells, mut values, mut errors) = (0, 0, 0);
+    for (name, rows) in &inputs {
+        // The subtrahend / addend: the first row twice, the second once and
+        // a stranger, so `minus` spends a budget of two on a row the
+        // interleaved input holds three times.
+        let others: Vec<Value> = [rows.first(), rows.first(), rows.get(1)]
+            .into_iter()
+            .flatten()
+            .cloned()
+            .chain([Value::Int(99)])
+            .collect();
+        let mut base = base_scope();
+        base.insert("bag".to_string(), Value::bag(rows.clone()));
+        base.insert("other".to_string(), Value::bag(others.clone()));
+        let row = Value::tuple([Value::bag(rows.clone()), Value::Int(0)]);
+        let mut reference = LinearScan {
+            env: Env::new(&base),
+            catalog: Catalog::new(),
+        };
+        let mut ops: Vec<(String, BagExpr, Result<Vec<Value>, ValueError>)> = Vec::new();
+        for root in &roots {
+            for (ki, key) in keys.iter().enumerate() {
+                let want = reference.group_by(rows, key);
+                ops.push((
+                    format!("groupBy k{ki}"),
+                    root.clone().group_by(key.clone()),
+                    want,
+                ));
+                for (fi, fold) in folds.iter().enumerate() {
+                    let agg = BagExpr::AggBy {
+                        input: Box::new(root.clone()),
+                        key: key.clone(),
+                        fold: fold.clone(),
+                    };
+                    let want = reference.agg_by(rows, key, fold);
+                    ops.push((format!("aggBy k{ki} f{fi}"), agg, want));
+                }
+            }
+            let mut plus = rows.clone();
+            plus.extend(others.iter().cloned());
+            ops.push((
+                "minus".into(),
+                root.clone().minus(other()),
+                Ok(linear_minus(rows, &others)),
+            ));
+            ops.push((
+                "distinct".into(),
+                root.clone().distinct(),
+                Ok(linear_distinct(rows)),
+            ));
+            ops.push(("plus".into(), root.clone().plus(other()), Ok(plus)));
+        }
+        for (op, expr, want) in ops {
+            let lam = Lambda::new(["x"], ScalarExpr::BagOf(Box::new(expr)));
+            let got = assert_tiers_agree_in(&lam, std::slice::from_ref(&row), &base)
+                .unwrap_or_else(|err| panic!("{op} on {name}: {err}"));
+            let want = want.map(Value::bag);
+            assert_eq!(
+                format!("{got:?}"),
+                format!("{want:?}"),
+                "{op} on {name}: the tiers differ from the linear-scan reference"
+            );
+            match got {
+                Ok(_) => values += 1,
+                Err(_) => errors += 1,
+            }
+            cells += 1;
+        }
+    }
+    assert_eq!(cells, 7 * 2 * (2 + 2 * 3 + 3));
+    assert!(
+        errors > 10 && values > cells / 2,
+        "{values} values, {errors} errors"
+    );
+
+    // First-error order on the raiser: the raising key's row 1 comes before
+    // the raising `sng`'s row 2; without it, row 2 raises.
+    let raiser = Value::tuple([Value::bag(inputs[6].1.clone()), Value::Int(0)]);
+    let agg = |key: &Lambda| {
+        let input = Box::new(roots[0].clone());
+        let fold = folds[1].clone();
+        let agg = BagExpr::AggBy {
+            input,
+            key: key.clone(),
+            fold,
+        };
+        Lambda::new(["x"], ScalarExpr::BagOf(Box::new(agg)))
+    };
+    let keyed = assert_tiers_agree_in(&agg(&keys[1]), std::slice::from_ref(&raiser), &base_scope());
+    assert!(
+        matches!(keyed.unwrap(), Err(ValueError::Arithmetic(m)) if m.contains("modulo")),
+        "the key raises at row 1"
+    );
+    let plain = assert_tiers_agree_in(&agg(&keys[0]), &[raiser], &base_scope()).unwrap();
+    assert!(
+        matches!(&plain, Err(ValueError::TypeMismatch { .. })),
+        "the sng raises at row 2, got {plain:?}"
+    );
+}
+
 /// What a stage chain does to a batch of rows: the output rows plus the rows
 /// that entered each stage (last = output rows), or the first error in row
 /// order.

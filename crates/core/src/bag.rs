@@ -18,11 +18,18 @@
 //! on element order except [`DataBag::fetch`], the explicit bag→sequence
 //! conversion.
 
-use std::collections::HashMap;
+use std::convert::Infallible;
 use std::hash::Hash;
 
 use crate::fold::{FinishedFold, Fold};
 use crate::group::Grp;
+use crate::ops;
+
+/// A key callback's result for the [`ops`] operators, whose typed callers
+/// cannot fail.
+pub(crate) fn total<K: Hash>(key: K) -> Result<(u64, K), Infallible> {
+    Ok(ops::hashed(key))
+}
 
 /// A homogeneous collection with bag semantics.
 ///
@@ -59,9 +66,7 @@ impl<A> DataBag<A> {
 
     /// Conversion from a sequence (the `Seq[A] -> DataBag` constructor).
     pub fn from_seq(s: impl IntoIterator<Item = A>) -> Self {
-        DataBag {
-            elems: s.into_iter().collect(),
-        }
+        s.into_iter().collect()
     }
 
     /// Conversion to a sequence (`fetch()`): materializes the bag contents in
@@ -79,17 +84,13 @@ impl<A> DataBag<A> {
 
     /// Applies `f` to every element (the functor `map`).
     pub fn map<B>(&self, f: impl Fn(&A) -> B) -> DataBag<B> {
-        DataBag {
-            elems: self.elems.iter().map(f).collect(),
-        }
+        self.elems.iter().map(f).collect()
     }
 
     /// Applies `f` to every element and unions the resulting bags
     /// (the monadic bind).
     pub fn flat_map<B>(&self, f: impl Fn(&A) -> DataBag<B>) -> DataBag<B> {
-        DataBag {
-            elems: self.elems.iter().flat_map(|a| f(a).elems).collect(),
-        }
+        self.elems.iter().flat_map(|a| f(a).elems).collect()
     }
 
     /// Keeps the elements satisfying `p` (named after Scala's
@@ -98,9 +99,7 @@ impl<A> DataBag<A> {
     where
         A: Clone,
     {
-        DataBag {
-            elems: self.elems.iter().filter(|a| p(a)).cloned().collect(),
-        }
+        self.elems.iter().filter(|a| p(a)).cloned().collect()
     }
 
     // -------------------------------------------------------------- nesting
@@ -116,25 +115,9 @@ impl<A> DataBag<A> {
     where
         A: Clone,
     {
-        let mut groups: HashMap<K, Vec<A>> = HashMap::new();
-        let mut order: Vec<K> = Vec::new();
-        for a in &self.elems {
-            let key = k(a);
-            let entry = groups.entry(key.clone()).or_default();
-            if entry.is_empty() {
-                order.push(key);
-            }
-            entry.push(a.clone());
-        }
-        DataBag {
-            elems: order
-                .into_iter()
-                .map(|key| {
-                    let values = groups.remove(&key).unwrap_or_default();
-                    Grp::new(key, DataBag { elems: values })
-                })
-                .collect(),
-        }
+        let Ok(groups) = ops::group(self.elems.iter().cloned(), &mut (), |_, a| total(k(a)));
+        let grp = |g: ops::Entry<K, Vec<A>>| Grp::new(g.key, DataBag { elems: g.value });
+        groups.into_iter().map(grp).collect()
     }
 
     /// Fused grouping + folding: groups by `k` and immediately folds each
@@ -149,30 +132,15 @@ impl<A> DataBag<A> {
         k: impl Fn(&A) -> K,
         fold: &Fold<A, B>,
     ) -> DataBag<Grp<K, B>> {
-        let mut aggs: HashMap<K, B> = HashMap::new();
-        let mut order: Vec<K> = Vec::new();
-        for a in &self.elems {
-            let key = k(a);
-            match aggs.get_mut(&key) {
-                Some(acc) => {
-                    let prev = std::mem::replace(acc, fold.zero.clone());
-                    *acc = (fold.uni)(prev, (fold.sng)(a));
-                }
-                None => {
-                    order.push(key.clone());
-                    aggs.insert(key, (fold.uni)(fold.zero.clone(), (fold.sng)(a)));
-                }
-            }
-        }
-        DataBag {
-            elems: order
-                .into_iter()
-                .map(|key| {
-                    let agg = aggs.remove(&key).expect("key recorded in order");
-                    Grp::new(key, agg)
-                })
-                .collect(),
-        }
+        // `None` is the placeholder `ops::agg` moves an accumulator out through.
+        let (mut accs, zero) = (ops::InsertionMap::new(), Some(fold.zero.clone()));
+        let key = |_: &mut (), a: &&A| total(k(a));
+        let sng = |_: &mut (), a: &A| Ok(Some((fold.sng)(a)));
+        let uni =
+            |_: &mut (), x: Option<B>, y: Option<B>| Ok(x.zip(y).map(|(x, y)| (fold.uni)(x, y)));
+        let Ok(()) = ops::agg(&mut accs, &self.elems, &mut (), key, &zero, sng, uni);
+        let grp = |a: ops::Entry<K, Option<B>>| Grp::new(a.key, a.value.expect("never `None`"));
+        accs.into_iter().map(grp).collect()
     }
 
     // --------------------------------------------------------------- setops
@@ -182,14 +150,7 @@ impl<A> DataBag<A> {
     where
         A: Clone,
     {
-        DataBag {
-            elems: self
-                .elems
-                .iter()
-                .chain(addend.elems.iter())
-                .cloned()
-                .collect(),
-        }
+        self.elems.iter().chain(&addend.elems).cloned().collect()
     }
 
     /// Bag difference (`minus`): multiplicities subtract, floored at zero.
@@ -197,24 +158,9 @@ impl<A> DataBag<A> {
     where
         A: Clone + Eq + Hash,
     {
-        let mut budget: HashMap<&A, usize> = HashMap::new();
-        for a in &subtrahend.elems {
-            *budget.entry(a).or_insert(0) += 1;
-        }
-        DataBag {
-            elems: self
-                .elems
-                .iter()
-                .filter(|a| match budget.get_mut(*a) {
-                    Some(n) if *n > 0 => {
-                        *n -= 1;
-                        false
-                    }
-                    _ => true,
-                })
-                .cloned()
-                .collect(),
-        }
+        ops::minus(&self.elems, &subtrahend.elems)
+            .cloned()
+            .collect()
     }
 
     /// Duplicate removal.
@@ -222,15 +168,7 @@ impl<A> DataBag<A> {
     where
         A: Clone + Eq + Hash,
     {
-        let mut seen = std::collections::HashSet::new();
-        DataBag {
-            elems: self
-                .elems
-                .iter()
-                .filter(|a| seen.insert((*a).clone()))
-                .cloned()
-                .collect(),
-        }
+        ops::distinct(&self.elems).cloned().collect()
     }
 
     // ----------------------------------------------------- structural recursion
@@ -390,14 +328,7 @@ impl<A> DataBag<A> {
     where
         A: Clone + std::hash::Hash,
     {
-        use std::hash::{Hash, Hasher};
-        let tag = |a: &A| -> u64 {
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            seed.hash(&mut h);
-            a.hash(&mut h);
-            h.finish()
-        };
-        self.bottom_by(n, tag)
+        self.bottom_by(n, |a| ops::hash_of(&(seed, a)))
     }
 
     /// Number of distinct elements.
@@ -465,22 +396,11 @@ impl<A: PartialOrd + Clone> DataBag<A> {
 
 impl<A: Eq + Hash + Clone> DataBag<A> {
     /// Multiset equality: same elements with the same multiplicities,
-    /// regardless of internal order.
+    /// regardless of internal order: equal sizes, and `other` cancels every
+    /// element of `self` ([`ops::minus`]).
     pub fn bag_eq(&self, other: &DataBag<A>) -> bool {
-        if self.elems.len() != other.elems.len() {
-            return false;
-        }
-        let mut counts: HashMap<&A, i64> = HashMap::new();
-        for a in &self.elems {
-            *counts.entry(a).or_insert(0) += 1;
-        }
-        for a in &other.elems {
-            match counts.get_mut(a) {
-                Some(n) => *n -= 1,
-                None => return false,
-            }
-        }
-        counts.values().all(|n| *n == 0)
+        self.elems.len() == other.elems.len()
+            && ops::minus(&self.elems, &other.elems).next().is_none()
     }
 }
 

@@ -28,12 +28,18 @@
 //! * [`StatefulBag`] — keyed state with point-wise updates returning deltas,
 //!   enabling naive and semi-naive iteration (PageRank, Connected
 //!   Components) without a domain-specific programming model.
+//! * [`ops`] — the one definition of `groupBy`, `aggBy`, `minus`,
+//!   `distinct` and stateful create / update, over the first-seen
+//!   [`ops::InsertionMap`].
 //! * [`io`] — small CSV-style readers/writers used by the examples.
 //!
 //! This layer is deliberately sequential and simple: the paper's promise is
 //! that a programmer develops and debugs against *this* implementation, and
 //! the `emma-compiler` / `emma-engine` crates then execute the same programs
-//! in parallel with identical semantics.
+//! in parallel with identical semantics. [`ops`] is what makes that hold by
+//! construction for the keyed operators: the `DataBag`, the quoted-program
+//! interpreter, the scalar compiled tier and the engine's per-partition
+//! loops all call it rather than keep their own copy.
 
 #![warn(missing_docs)]
 
@@ -42,6 +48,7 @@ pub mod bag;
 pub mod fold;
 pub mod group;
 pub mod io;
+pub mod ops;
 pub mod stateful;
 
 pub use bag::DataBag;

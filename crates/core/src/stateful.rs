@@ -8,10 +8,10 @@
 //! enables semi-naive iteration (Connected Components, Listing 7) in the core
 //! language, with no special graph API.
 
-use std::collections::HashMap;
 use std::hash::Hash;
 
-use crate::bag::DataBag;
+use crate::bag::{total, DataBag};
+use crate::ops::{self, InsertionMap};
 
 /// Types with an intrinsic key (the paper's `A <: Key[K]` bound).
 pub trait Keyed {
@@ -27,26 +27,26 @@ pub trait Keyed {
 ///
 /// Constructed explicitly from a [`DataBag`] (conversion is deliberately
 /// user-visible — state is not transparent), and convertible back with
-/// [`StatefulBag::bag`].
+/// [`StatefulBag::bag`]. The state keeps its keys in first-insertion order,
+/// as the quoted interpreter and the engine do.
 #[derive(Clone, Debug)]
 pub struct StatefulBag<A: Keyed> {
-    state: HashMap<A::Key, A>,
+    state: InsertionMap<A::Key, A>,
 }
 
 impl<A: Keyed + Clone> StatefulBag<A> {
     /// Creates the stateful bag from an initial `DataBag`.
     ///
     /// If several input elements share a key, the last one wins — mirroring
-    /// the upsert semantics of a keyed state store.
+    /// the upsert semantics of a keyed state store — at the position of the
+    /// first.
     pub fn new(initial: DataBag<A>) -> Self {
-        let mut state = HashMap::new();
-        for a in initial {
-            state.insert(a.key(), a);
-        }
+        let Ok(state) = ops::create(initial, &mut (), |_, a| total(a.key()));
         StatefulBag { state }
     }
 
-    /// A stateless snapshot of the current state (`bag()`).
+    /// A stateless snapshot of the current state (`bag()`), in
+    /// first-insertion order.
     pub fn bag(&self) -> DataBag<A> {
         DataBag::from_seq(self.state.values().cloned())
     }
@@ -66,20 +66,11 @@ impl<A: Keyed + Clone> StatefulBag<A> {
     /// Applies `u` to every element; where `u` returns `Some(new)`, the state
     /// is replaced and `new` joins the returned delta. The updated element
     /// must keep its key (enforced by a debug assertion): point-wise update
-    /// refines state, it does not re-key it.
+    /// refines state, it does not re-key it. This is
+    /// [`update_with_messages`](Self::update_with_messages) with every
+    /// element as its own message, so the delta is in state order.
     pub fn update(&mut self, u: impl Fn(&A) -> Option<A>) -> DataBag<A> {
-        let mut delta = Vec::new();
-        for a in self.state.values_mut() {
-            if let Some(new) = u(a) {
-                debug_assert!(
-                    new.key() == a.key(),
-                    "point-wise update must preserve the element key"
-                );
-                *a = new.clone();
-                delta.push(new);
-            }
-        }
-        DataBag::from_seq(delta)
+        self.update_with_messages(self.bag(), |a, _| u(a))
     }
 
     /// Point-wise update driven by *update messages* that share the element
@@ -90,27 +81,30 @@ impl<A: Keyed + Clone> StatefulBag<A> {
     /// key has no state element are dropped (there is nothing to update).
     /// Multiple messages for the same key are applied in sequence, each
     /// seeing the effect of the previous one. Returns the changed delta, with
-    /// one entry per *element* that changed (its final version).
+    /// one entry per *element* that changed (its final version), in
+    /// first-change order.
     pub fn update_with_messages<B: Keyed<Key = A::Key>>(
         &mut self,
         messages: DataBag<B>,
         u: impl Fn(&A, &B) -> Option<A>,
     ) -> DataBag<A> {
-        let mut changed: HashMap<A::Key, A> = HashMap::new();
-        for msg in &messages {
-            let key = msg.key();
-            if let Some(current) = self.state.get(&key) {
-                if let Some(new) = u(current, msg) {
-                    debug_assert!(
-                        new.key() == key,
-                        "point-wise update must preserve the element key"
-                    );
-                    self.state.insert(key.clone(), new.clone());
-                    changed.insert(key, new);
-                }
-            }
-        }
-        DataBag::from_seq(changed.into_values())
+        let state = std::slice::from_mut(&mut self.state);
+        let Ok(delta) = ops::update(
+            state,
+            |_| 0,
+            messages,
+            &mut (),
+            |_, m| total(m.key()),
+            |_, a, m| {
+                let new = u(a, &m);
+                debug_assert!(
+                    new.as_ref().is_none_or(|new| new.key() == a.key()),
+                    "point-wise update must preserve the element key"
+                );
+                Ok(new)
+            },
+        );
+        delta.into_iter().map(|e| e.value).collect()
     }
 }
 
@@ -214,6 +208,49 @@ mod tests {
         // One delta entry per changed element (final version), not per message.
         assert_eq!(delta.count(), 1);
         assert_eq!(delta.fetch()[0].balance, 13);
+    }
+
+    #[test]
+    fn state_and_deltas_come_back_in_first_insertion_order() {
+        // 64 accounts, ids scattered, every id later re-inserted with a new
+        // balance: the first position stays, the last value wins.
+        let ids: Vec<u64> = (0..64).map(|i| (i * 37) % 64).collect();
+        let rows = ids
+            .iter()
+            .map(|&id| Account { id, balance: 0 })
+            .chain(ids.iter().map(|&id| Account {
+                id,
+                balance: id as i64,
+            }));
+        let a = StatefulBag::new(DataBag::from_seq(rows.clone()));
+        let mut b = StatefulBag::new(DataBag::from_seq(rows));
+        assert_eq!(a.bag().fetch(), b.bag().fetch());
+        let want: Vec<Account> = ids
+            .iter()
+            .map(|&id| Account {
+                id,
+                balance: id as i64,
+            })
+            .collect();
+        assert_eq!(a.bag().fetch(), want);
+
+        // Deltas follow first-change order, one entry per changed key.
+        let msgs = [5u64, 63, 5, 0].map(|id| Deposit { id, amount: 1 });
+        let delta = b.update_with_messages(DataBag::from_seq(msgs), |a, m| {
+            Some(Account {
+                id: a.id,
+                balance: a.balance + m.amount,
+            })
+        });
+        let changed: Vec<(u64, i64)> = delta.fetch().iter().map(|a| (a.id, a.balance)).collect();
+        assert_eq!(changed, vec![(5, 7), (63, 64), (0, 1)]);
+        let all_ids: Vec<u64> = b
+            .update(|a| Some(a.clone()))
+            .fetch()
+            .iter()
+            .map(|a| a.id)
+            .collect();
+        assert_eq!(all_ids, ids);
     }
 
     #[test]

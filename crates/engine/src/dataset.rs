@@ -11,14 +11,13 @@
 //! first, for every holder — and the widths travel with the rows through a
 //! shuffle, so its destinations are born measured.
 
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
 use emma_compiler::expr::Lambda;
 use emma_compiler::interp::Catalog;
 use emma_compiler::value::{Value, ValueError};
+use emma_core::ops;
 
 /// Hash partitioning metadata.
 #[derive(Clone, Debug)]
@@ -89,6 +88,12 @@ impl From<Vec<Value>> for Part {
             rows,
             widths: OnceLock::new(),
         }))
+    }
+}
+
+impl FromIterator<Value> for Part {
+    fn from_iter<I: IntoIterator<Item = Value>>(rows: I) -> Self {
+        Part::from(rows.into_iter().collect::<Vec<_>>())
     }
 }
 
@@ -188,11 +193,10 @@ pub struct Partitioned {
     pub partitioning: Option<Partitioning>,
 }
 
-/// Stable hash of a value (used for hash partitioning).
+/// Stable hash of a value (used for hash partitioning): the
+/// [`ops::hash_of`] every first-seen map keyed by values expects.
 pub fn value_hash(v: &Value) -> u64 {
-    let mut h = DefaultHasher::new();
-    v.hash(&mut h);
-    h.finish()
+    ops::hash_of(v)
 }
 
 impl Partitioned {

@@ -26,6 +26,7 @@ use emma_compiler::value::{Value, ValueError};
 use emma_compiler::vectorized::{
     self, AggInput, AggKernel, BatchConfig, VecStageSpec, VectorPipeline,
 };
+use emma_core::ops::{self, InsertionMap};
 
 use emma_compiler::plan::PipelineStage;
 
@@ -33,7 +34,6 @@ use crate::cluster::{ClusterSpec, Personality};
 use crate::dataset::{value_hash, Measured, Part, Partitioned, Partitioning};
 use crate::fault::{self, CheckpointConfig, FaultConfig, SpeculationPolicy, TaskError, TaskFault};
 use crate::metrics::{ExecError, ExecStats};
-use crate::ordmap::InsertionMap;
 use crate::pool::{Parallelism, ParallelismMode};
 use crate::skew::{self, SkewConfig, SplitKind, SplitPlan};
 
@@ -89,8 +89,8 @@ impl Drop for Thunk {
 /// iteration".
 struct EngineState {
     key: Lambda,
-    /// Per-partition keyed entries plus first-insertion order.
-    parts: Vec<(Vec<Value>, HashMap<Value, Value>)>,
+    /// Per-partition entries by key, in first-insertion order.
+    parts: Vec<InsertionMap<Value, Value>>,
     /// The skew split the creating shuffle applied, if any. Message routing
     /// must replay the same two-level hash (`bucket`, then key-preserving
     /// sub-hash) to find an entry's slot.
@@ -98,36 +98,31 @@ struct EngineState {
 }
 
 impl EngineState {
-    fn snapshot(&self, key: &Lambda) -> Partitioned {
-        let parts: Vec<Part> = self
-            .parts
-            .iter()
-            .map(|(order, entries)| {
-                Part::from(order.iter().map(|k| entries[k].clone()).collect::<Vec<_>>())
-            })
-            .collect();
-        let n = parts.len();
+    fn snapshot(&self) -> Partitioned {
         Partitioned {
-            parts,
-            // A split layout is two-level-hashed, not `hash % n`: it must
-            // never satisfy a plain partitioning request.
-            partitioning: if self.split.is_some() {
-                None
-            } else {
-                Some(Partitioning {
-                    key: key.clone(),
-                    parts: n,
-                })
-            },
+            parts: (self.parts.iter())
+                .map(|entries| entries.values().cloned().collect())
+                .collect(),
+            partitioning: self.partitioning(),
         }
     }
 
-    /// The state slot for a message routed to shuffle bucket `pi` whose key
-    /// hashed to `h` — the same two-level placement the creating shuffle
-    /// used, so updates always find their entry locally.
-    fn slot_for(&self, pi: usize, h: u64) -> usize {
-        let nparts = self.parts.len().max(1);
-        match &self.split {
+    /// What the state's layout, and a delta's, may claim: a split layout is
+    /// two-level-hashed, not `hash % n`, so it must never satisfy a plain
+    /// partitioning request (or let a downstream shuffle be elided).
+    fn partitioning(&self) -> Option<Partitioning> {
+        self.split.is_none().then(|| Partitioning {
+            key: self.key.clone(),
+            parts: self.parts.len(),
+        })
+    }
+
+    /// The state slot, out of `nparts`, for a message routed to shuffle
+    /// bucket `pi` whose key hashed to `h` — the same two-level placement
+    /// the creating shuffle (`split`) used, so updates always find their
+    /// entry locally.
+    fn slot_for(split: Option<&SplitPlan>, nparts: usize, pi: usize, h: u64) -> usize {
+        match split {
             None => pi % nparts,
             Some(sp) => {
                 let b = pi % sp.ways.len();
@@ -1278,15 +1273,9 @@ impl<'a> Session<'a> {
                 let mut parts = Vec::with_capacity(keyed.data.parts.len());
                 for (pi, part) in keyed.data.parts.iter().enumerate() {
                     let keys = keyed.keys(pi, self.catalog, &mut tally);
-                    let mut order: Vec<Value> = Vec::new();
-                    let mut entries: HashMap<Value, Value> = HashMap::new();
-                    for (row, hk) in part.iter().zip(keys.iter()) {
-                        let (_, k) = hk.map_err(ExecError::Eval)?;
-                        if entries.insert(k.clone(), row.clone()).is_none() {
-                            order.push(k.clone());
-                        }
-                    }
-                    parts.push((order, entries));
+                    let rows = part.iter().cloned();
+                    let entries = ops::create(rows, &mut keys.iter(), |ks, _| next_key(ks));
+                    parts.push(entries.map_err(ExecError::Eval)?);
                 }
                 self.tally(tally);
                 let split = keyed.split;
@@ -1309,65 +1298,48 @@ impl<'a> Session<'a> {
             } => {
                 let env = self.snapshot();
                 let msgs = self.exec_bag(messages, &env)?;
+                // Whatever else `state` names, no stateful bag is an unbound
+                // one — the interpreter's error, at the interpreter's point.
+                let Some(Binding::Stateful(cell)) = self.env.get(state).cloned() else {
+                    return Err(ExecError::Eval(ValueError::UnboundVariable(state.clone())));
+                };
                 // Route messages to their state elements: a shuffle on the
                 // message key, colocated with the state partitioning.
                 let routed = self.keyed(msgs, message_key, &env, Placement::Hashed(None))?;
-                let state_binding =
-                    self.env.get(state).cloned().ok_or_else(|| {
-                        ExecError::Eval(ValueError::UnboundVariable(state.clone()))
-                    })?;
-                let Binding::Stateful(cell) = state_binding else {
-                    return Err(ExecError::Eval(ValueError::Unknown(format!(
-                        "`{state}` is not a stateful bag"
-                    ))));
-                };
                 let base = self.eval_base(&[Term::Lambda(update)], &env)?;
                 let up_prep = self.prepare_lambda(update, &base);
                 let mut ucx = up_prep.ctx(&base);
                 let mut tally = Tally::default();
                 let mut st = cell.lock().unwrap();
-                let nparts = st.parts.len().max(1);
+                let delta_partitioning = st.partitioning();
+                let EngineState { parts, split, .. } = &mut *st;
+                let nparts = parts.len().max(1);
                 let mut delta_parts: Vec<Vec<Value>> = vec![Vec::new(); nparts];
-                let mut processed = 0u64;
                 for (pi, part) in routed.data.parts.iter().enumerate() {
                     let keys = routed.keys(pi, self.catalog, &mut tally);
-                    let mut changed_keys: Vec<Value> = Vec::new();
-                    let mut changed: HashMap<Value, (usize, Value)> = HashMap::new();
-                    for (msg, hk) in part.iter().zip(keys.iter()) {
-                        processed += 1;
-                        let (h, k) = hk.map_err(ExecError::Eval)?;
-                        // State was hash-partitioned by key with the same
-                        // partition count (plus the secondary split hash when
-                        // the creating shuffle split), so the entry is local.
-                        let slot = st.slot_for(pi, *h);
-                        let Some(current) = st.parts[slot].1.get(k) else {
-                            continue;
-                        };
-                        let new = up_prep
-                            .call(&[current.clone(), msg.clone()], &mut ucx, self.catalog)
-                            .map_err(ExecError::Eval)?;
-                        if !new.is_null() {
-                            st.parts[slot].1.insert(k.clone(), new.clone());
-                            if changed.insert(k.clone(), (slot, new)).is_none() {
-                                changed_keys.push(k.clone());
-                            }
-                        }
-                    }
-                    for k in changed_keys {
-                        let (slot, v) = changed.remove(&k).expect("recorded key");
-                        delta_parts[slot].push(v);
+                    // State was hash-partitioned by key with the same
+                    // partition count (plus the secondary split hash when the
+                    // creating shuffle split), so the entry is local.
+                    let slot = |h| EngineState::slot_for(split.as_ref(), nparts, pi, h);
+                    let changed = ops::update(
+                        parts,
+                        slot,
+                        part.iter(),
+                        &mut (keys.iter(), &mut ucx),
+                        |(ks, _), _| next_key(ks),
+                        |(_, ucx), current, msg| {
+                            let new =
+                                up_prep.call(&[current.clone(), msg.clone()], ucx, self.catalog)?;
+                            Ok((!new.is_null()).then_some(new))
+                        },
+                    )
+                    .map_err(ExecError::Eval)?;
+                    for e in changed {
+                        delta_parts[slot(e.hash)].push(e.value);
                     }
                 }
-                let key = st.key.clone();
-                // A split state layout is no longer plain hash-partitioned,
-                // so the delta must not advertise a partitioning downstream
-                // shuffles could (wrongly) elide.
-                let delta_partitioning = if st.split.is_some() {
-                    None
-                } else {
-                    Some(Partitioning { key, parts: nparts })
-                };
                 drop(st);
+                let processed = routed.data.total_rows();
                 self.tally(tally);
                 self.charge_cpu(processed, processed / self.dop().max(1) as u64);
                 let delta_data = Partitioned {
@@ -1423,9 +1395,12 @@ impl<'a> Session<'a> {
     /// Evaluates a residual driver expression (no folds remain after
     /// extraction; only scalar bindings are consulted).
     fn eval_driver_scalar(&mut self, e: &ScalarExpr) -> Result<Value, ExecError> {
-        let base = self.scalar_view();
-        let mut env = Env::new(&base);
-        interp::eval_scalar(e, &mut env, self.catalog).map_err(ExecError::Eval)
+        self.eval_over(e, &self.scalar_view())
+    }
+
+    /// Evaluates a scalar expression over `base` with the interpreter.
+    fn eval_over(&self, e: &ScalarExpr, base: &HashMap<String, Value>) -> Result<Value, ExecError> {
+        interp::eval_scalar(e, &mut Env::new(base), self.catalog).map_err(ExecError::Eval)
     }
 
     fn scalar_view(&self) -> HashMap<String, Value> {
@@ -1505,9 +1480,7 @@ impl<'a> Session<'a> {
             }
             Plan::OfScalar { expr } => {
                 let base = self.eval_base(&[Term::Scalar(expr)], env)?;
-                let mut ev = Env::new(&base);
-                let v =
-                    interp::eval_scalar(expr, &mut ev, self.catalog).map_err(ExecError::Eval)?;
+                let v = self.eval_over(expr, &base)?;
                 let rows = v.as_bag().map_err(ExecError::Eval)?.to_vec();
                 let d = Partitioned::from_rows(rows, self.dop());
                 self.stats.charge_secs(d.total_bytes() as f64 / spec.net_bw);
@@ -1524,8 +1497,7 @@ impl<'a> Session<'a> {
                     Binding::Stateful(state) => {
                         // In-memory, already partitioned by key: a snapshot
                         // read costs memory-speed I/O only.
-                        let st = state.lock().unwrap();
-                        let snap = st.snapshot(&st.key);
+                        let snap = state.lock().unwrap().snapshot();
                         self.stats.charge_secs(
                             snap.total_bytes() as f64
                                 / (self.spec().disk_bw * self.spec().nodes as f64 * 10.0),
@@ -1546,9 +1518,7 @@ impl<'a> Session<'a> {
             Plan::Fold { input, fold } => {
                 let d = self.exec_bag(input, env)?;
                 let base = self.eval_base(&fold.terms(), env)?;
-                let mut ev = Env::new(&base);
-                let zero = interp::eval_scalar(&fold.zero, &mut ev, self.catalog)
-                    .map_err(ExecError::Eval)?;
+                let zero = self.eval_over(&fold.zero, &base)?;
                 let sng_prep = self.prepare_lambda(&fold.sng, &base);
                 let uni_prep = self.prepare_lambda(&fold.uni, &base);
                 // Fold each partition locally, ship partials, combine. The
@@ -1660,8 +1630,8 @@ impl<'a> Session<'a> {
                 let mut parts = Vec::with_capacity(keyed.data.parts.len());
                 for (pi, part) in keyed.data.parts.iter().enumerate() {
                     let keys = keyed.keys(pi, self.catalog, &mut tally);
-                    let groups = FirstSeen::of_rows(part, &keys).map_err(ExecError::Eval)?;
-                    parts.push(groups.into_rows().into());
+                    let groups = group_part(part, &keys).map_err(ExecError::Eval)?;
+                    parts.push(interp::group_rows(groups).into());
                 }
                 self.tally(tally);
                 let shuffled = &keyed.data;
@@ -1696,25 +1666,10 @@ impl<'a> Session<'a> {
                 let r = self.exec_bag(right, env)?;
                 let ls = self.shuffle(l, &identity, env, None)?;
                 let rs = self.shuffle(r, &identity, env, None)?;
-                let mut parts = Vec::with_capacity(ls.parts.len());
-                for (lp, rp) in ls.parts.iter().zip(rs.parts.iter()) {
-                    let mut budget: HashMap<&Value, usize> = HashMap::new();
-                    for v in rp.iter() {
-                        *budget.entry(v).or_insert(0) += 1;
-                    }
-                    let out: Vec<Value> = lp
-                        .iter()
-                        .filter(|v| match budget.get_mut(*v) {
-                            Some(n) if *n > 0 => {
-                                *n -= 1;
-                                false
-                            }
-                            _ => true,
-                        })
-                        .cloned()
-                        .collect();
-                    parts.push(out.into());
-                }
+                let pairs = ls.parts.iter().zip(&rs.parts);
+                let parts = pairs
+                    .map(|(lp, rp)| ops::minus(lp.iter(), rp.iter()).cloned().collect())
+                    .collect();
                 self.stats.stages += 1;
                 self.stats.charge_secs(self.personality().stage_overhead);
                 self.charge_cpu(ls.total_rows() + rs.total_rows(), ls.max_part_rows());
@@ -1730,16 +1685,9 @@ impl<'a> Session<'a> {
                 // sub-partition, so per-partition dedup stays exact.
                 let kind = self.split_kind(plan.skew_eligibility());
                 let s = self.shuffle(d, &identity, env, kind)?;
-                let mut parts = Vec::with_capacity(s.parts.len());
-                for part in &s.parts {
-                    let mut seen = std::collections::HashSet::new();
-                    let out: Vec<Value> = part
-                        .iter()
-                        .filter(|v| seen.insert((*v).clone()))
-                        .cloned()
-                        .collect();
-                    parts.push(out.into());
-                }
+                let parts = (s.parts.iter())
+                    .map(|part| ops::distinct(part.iter()).cloned().collect())
+                    .collect();
                 self.stats.stages += 1;
                 self.stats.charge_secs(self.personality().stage_overhead);
                 self.charge_cpu(s.total_rows(), s.max_part_rows());
@@ -2120,11 +2068,11 @@ impl<'a> Session<'a> {
         let shuffled = &keyed.data;
         // Phase 1: local grouping per sub-partition, first-occurrence order.
         let catalog = self.catalog;
-        let mut grouped: Vec<FirstSeen> = self.run_tasks(
+        let mut grouped: Vec<InsertionMap<Value, Vec<Value>>> = self.run_tasks(
             true,
             shuffled.parts.len(),
             shuffled.total_rows(),
-            |pi, tally| FirstSeen::of_rows(&shuffled.parts[pi], &keyed.keys(pi, catalog, tally)),
+            |pi, tally| group_part(&shuffled.parts[pi], &keyed.keys(pi, catalog, tally)),
         )?;
         self.charge_group_materialization(shuffled);
         self.charge_cpu(shuffled.total_rows(), shuffled.max_part_rows());
@@ -2164,13 +2112,15 @@ impl<'a> Session<'a> {
             let off = plan.offsets[b];
             let mut merged = std::mem::take(&mut grouped[off]);
             for chunk in &mut grouped[off + 1..off + w] {
-                for (k, mut run) in std::mem::take(chunk).groups {
-                    merged.group(&k).append(&mut run);
+                for mut g in std::mem::take(chunk) {
+                    merged
+                        .entry_hashed(g.hash, g.key, Vec::new)
+                        .append(&mut g.value);
                 }
             }
-            parts.push(merged.into_rows().into());
+            parts.push(interp::group_rows(merged).into());
         }
-        // The merge appends pre-grouped run vectors — no key UDF, no per-row
+        // The merge appends pre-grouped run vectors — no key UDF, no
         // hashing — so it carries the memcpy-class minimum record weight,
         // not the full grouping cost phase 1 already paid.
         self.charge_cpu_weighted(moved_rows, max_bucket_moved, 2.0);
@@ -2194,9 +2144,7 @@ impl<'a> Session<'a> {
     ) -> Result<PlanResult, ExecError> {
         let base = self.eval_base(&fold.terms(), env)?;
         let base2 = self.eval_base(&[Term::Lambda(key)], env)?;
-        let mut ev = Env::new(&base);
-        let zero =
-            interp::eval_scalar(&fold.zero, &mut ev, self.catalog).map_err(ExecError::Eval)?;
+        let zero = self.eval_over(&fold.zero, &base)?;
         let key_prep = self.prepare_lambda(key, &base2);
         let sng_prep = self.prepare_lambda(&fold.sng, &base);
         let uni_prep = self.prepare_lambda(&fold.uni, &base);
@@ -2239,22 +2187,30 @@ impl<'a> Session<'a> {
                     })
                     .unzip()
             } else {
-                let mut accs: InsertionMap<Value, (u64, Value)> = InsertionMap::new();
+                let mut accs = InsertionMap::new();
                 for (k, acc) in groups {
-                    let h = value_hash(&k);
-                    accs.insert_hashed(h, &k, || (h, acc));
+                    accs.insert_hashed(value_hash(&k), k, acc);
                 }
-                let mut kcx = key_prep.ctx(&base2);
-                let mut cx = sng_prep.ctx(&base);
-                let mut ucx = uni_prep.ctx(&base);
-                for row in &part[covered..] {
-                    let k = key_prep.call(std::slice::from_ref(row), &mut kcx, catalog)?;
-                    agg_absorb(
-                        k, row, &sng_prep, &uni_prep, &mut cx, &mut ucx, &zero, &mut accs, catalog,
-                    )?;
-                }
+                let mut cx = (
+                    key_prep.ctx(&base2),
+                    sng_prep.ctx(&base),
+                    uni_prep.ctx(&base),
+                );
+                ops::agg(
+                    &mut accs,
+                    &part[covered..],
+                    &mut cx,
+                    |(kcx, ..), row| {
+                        key_prep
+                            .call(std::slice::from_ref(*row), kcx, catalog)
+                            .map(ops::hashed)
+                    },
+                    &zero,
+                    |(_, scx, _), row| sng_prep.call(std::slice::from_ref(row), scx, catalog),
+                    |(.., ucx), a, b| uni_prep.call_owned([a, b], ucx, catalog),
+                )?;
                 accs.into_iter()
-                    .map(|(k, (h, acc))| (Value::tuple([k, acc]), h))
+                    .map(|e| (Value::tuple([e.key, e.value]), e.hash))
                     .unzip()
             };
             // Measured here, by the task that just built them.
@@ -2323,26 +2279,22 @@ impl<'a> Session<'a> {
                     .map(|(k, acc)| Value::tuple([k, acc]))
                     .collect()
             } else {
-                let mut accs: InsertionMap<Value, Value> = InsertionMap::new();
+                let mut accs = InsertionMap::new();
                 for (k, acc) in groups {
-                    accs.insert_hashed(value_hash(&k), &k, || acc);
+                    accs.insert_hashed(value_hash(&k), k, acc);
                 }
                 let mut ucx = uni_prep.ctx(&base);
                 for (row, &h) in rows.into_iter().zip(&hash_b[pi]).skip(covered) {
                     let (k, a) = split_partial(row);
                     match accs.get_mut_hashed(h, &k) {
                         Some(acc) => {
-                            let prev = std::mem::replace(acc, Value::Null);
-                            *acc = uni_prep.call_owned([prev, a], &mut ucx, catalog)?;
+                            *acc =
+                                uni_prep.call_owned([std::mem::take(acc), a], &mut ucx, catalog)?
                         }
-                        None => {
-                            accs.insert_hashed(h, &k, || a);
-                        }
+                        None => accs.insert_hashed(h, k, a),
                     }
                 }
-                accs.into_iter()
-                    .map(|(k, acc)| Value::tuple([k, acc]))
-                    .collect()
+                interp::agg_rows(accs)
             };
             Ok(Part::from(merged))
         })?;
@@ -2912,10 +2864,7 @@ impl<'a> Session<'a> {
                     base.insert(name, Value::bag(d.collect_rows()));
                 }
                 Some(Binding::Stateful(state)) => {
-                    let snap = {
-                        let st = state.lock().unwrap();
-                        st.snapshot(&st.key)
-                    };
+                    let snap = state.lock().unwrap().snapshot();
                     let bytes = snap.total_bytes();
                     self.stats.charge_secs(bytes as f64 / self.spec().net_bw);
                     self.charge_broadcast(bytes);
@@ -3034,45 +2983,23 @@ fn apply_split<S: KeyHash>(
     (out_rows, out_side, moved)
 }
 
-/// Rows grouped by key in first-occurrence order: the one grouping structure
-/// behind `groupBy`, whether a partition is grouped whole on the driver, a
-/// sub-partition in a task, or a split bucket's partial groups are merged.
-#[derive(Default)]
-struct FirstSeen {
-    slots: HashMap<Value, usize>,
-    groups: Vec<(Value, Vec<Value>)>,
+/// The next of a partition's row-aligned keys ([`PartKeys::iter`]): the key
+/// callback of an [`ops`] operator fed that partition's rows in order, so a
+/// key error surfaces at its own row.
+fn next_key<'k>(
+    keys: &mut impl Iterator<Item = Result<&'k (u64, Value), ValueError>>,
+) -> Result<(u64, Value), ValueError> {
+    keys.next().expect("one key per row").cloned()
 }
 
-impl FirstSeen {
-    /// The group of `k`, opened behind every group seen so far if it is new.
-    fn group(&mut self, k: &Value) -> &mut Vec<Value> {
-        let slot = match self.slots.get(k) {
-            Some(&slot) => slot,
-            None => {
-                self.slots.insert(k.clone(), self.groups.len());
-                self.groups.push((k.clone(), Vec::new()));
-                self.groups.len() - 1
-            }
-        };
-        &mut self.groups[slot].1
-    }
-
-    /// Groups one partition's rows by their row-aligned keys.
-    fn of_rows(rows: &[Value], keys: &PartKeys<'_>) -> Result<Self, ValueError> {
-        let mut groups = FirstSeen::default();
-        for (row, hk) in rows.iter().zip(keys.iter()) {
-            groups.group(&hk?.1).push(row.clone());
-        }
-        Ok(groups)
-    }
-
-    /// The `(key, {{values}})` rows, in first-occurrence order.
-    fn into_rows(self) -> Vec<Value> {
-        self.groups
-            .into_iter()
-            .map(|(k, vs)| Value::tuple([k, Value::bag(vs)]))
-            .collect()
-    }
+/// Groups one partition's rows by their row-aligned keys ([`ops::group`]),
+/// whether the partition is grouped whole on the driver or a sub-partition
+/// in a task.
+fn group_part(
+    rows: &[Value],
+    keys: &PartKeys<'_>,
+) -> Result<InsertionMap<Value, Vec<Value>>, ValueError> {
+    ops::group(rows.iter().cloned(), &mut keys.iter(), |ks, _| next_key(ks))
 }
 
 /// Whether a plan's output rows are materialized `(key, {{values}})` groups
@@ -3180,40 +3107,6 @@ fn batch_keys(
     (hks, err)
 }
 
-/// One `aggBy` combiner step: fold `row`'s contribution into the partial
-/// accumulator for key `k`. The caller supplies `k` (scalar or batch key
-/// path); the `sng`-then-`uni` evaluation order — and therefore the error
-/// interleaving — matches the reference row loop exactly.
-#[allow(clippy::too_many_arguments)]
-fn agg_absorb<'p, 'b>(
-    k: Value,
-    row: &Value,
-    sng: &PreparedScalar<'p>,
-    uni: &PreparedScalar<'p>,
-    scx: &mut EvCtx<'b>,
-    ucx: &mut EvCtx<'b>,
-    zero: &Value,
-    accs: &mut InsertionMap<Value, (u64, Value)>,
-    catalog: &Catalog,
-) -> Result<(), ValueError>
-where
-    'p: 'b,
-{
-    let h = value_hash(&k);
-    let s = sng.call(std::slice::from_ref(row), scx, catalog)?;
-    match accs.get_mut_hashed(h, &k) {
-        Some((_, acc)) => {
-            let prev = std::mem::replace(acc, Value::Null);
-            *acc = uni.call_owned([prev, s], ucx, catalog)?;
-        }
-        None => {
-            let first = uni.call_owned([zero.clone(), s], ucx, catalog)?;
-            accs.insert_hashed(h, &k, || (h, first));
-        }
-    }
-    Ok(())
-}
-
 /// Folds `rows` through a columnar aggregation kernel batch by batch, up to
 /// the first batch that aborts (a non-conforming or erroring lane). Returns
 /// the groups folded so far in first-seen order and the number of leading
@@ -3247,10 +3140,7 @@ fn split_partial(row: Value) -> (Value, Value) {
         unreachable!("aggBy partials are (key, acc) tuples");
     };
     match Arc::get_mut(&mut fs) {
-        Some([k, a]) => (
-            std::mem::replace(k, Value::Null),
-            std::mem::replace(a, Value::Null),
-        ),
+        Some([k, a]) => (std::mem::take(k), std::mem::take(a)),
         _ => (fs[0].clone(), fs[1].clone()),
     }
 }
@@ -3302,8 +3192,7 @@ fn fold_partition(
     let mut scx: Option<EvCtx> = None;
     let mut acc = zero;
     let mut combine = |acc: &mut Value, s: Value| {
-        let prev = std::mem::replace(acc, Value::Null);
-        uni.call_owned([prev, s], &mut ucx, catalog)
+        uni.call_owned([std::mem::take(acc), s], &mut ucx, catalog)
             .map(|next| *acc = next)
     };
     batch_or_replay(rows, sng_vec, 1, tally, |chunk, _, buf| match chunk {

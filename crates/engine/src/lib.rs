@@ -31,7 +31,6 @@ pub mod dataset;
 pub mod exec;
 pub mod fault;
 pub mod metrics;
-pub mod ordmap;
 pub mod pool;
 pub mod service;
 pub mod skew;

@@ -78,6 +78,37 @@ fn stateful_update_semantics_in_interpreter() {
 }
 
 #[test]
+fn updating_a_name_that_is_no_stateful_bag_raises_one_error_everywhere() {
+    // `s` is either never bound or bound to a plain bag.
+    let update_s = |mut body: Vec<Stmt>| {
+        body.push(Stmt::stateful_update(
+            "s",
+            "delta",
+            BagExpr::read("deposits"),
+            Lambda::new(["d"], ScalarExpr::var("d").get(0)),
+            Lambda::new(["a", "d"], ScalarExpr::var("a")),
+        ));
+        body.push(Stmt::write("delta", BagExpr::var("delta")));
+        Program::new(body)
+    };
+    let never_bound = update_s(vec![]);
+    let plain_bag = update_s(vec![Stmt::val("s", BagExpr::read("accounts"))]);
+    let catalog = accounts_catalog();
+    for program in [never_bound, plain_bag] {
+        let want = Interp::new(&catalog).run(&program).unwrap_err();
+        assert_eq!(want, ValueError::UnboundVariable("s".into()));
+        for flags in flag_matrix() {
+            let run =
+                tiny_engine(Personality::sparrow()).run(&parallelize(&program, &flags), &catalog);
+            match run {
+                Err(ExecError::Eval(got)) => assert_eq!(got, want, "under {flags:?}"),
+                other => panic!("under {flags:?}: expected {want:?}, got {:?}", other.err()),
+            }
+        }
+    }
+}
+
+#[test]
 fn stateful_differential_engine_vs_interpreter() {
     let program = accounts_program();
     let catalog = accounts_catalog();

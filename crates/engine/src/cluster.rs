@@ -135,7 +135,7 @@ pub struct Personality {
     /// gracefully.
     pub hash_agg_collapse: f64,
     /// Per-shuffle-file seek cost, charged as `partitions² × seek / nodes`
-    /// for shuffles moving more than [`SHUFFLE_FILE_CUTOFF`] bytes — Spark
+    /// for shuffles moving more than 1 MiB (`cost::SHUFFLE_FILE_CUTOFF`) — Spark
     /// 1.x's M×R shuffle files are the source of its superlinear scaling in
     /// the DOP (Fig. 5).
     pub shuffle_seek: f64,
@@ -146,9 +146,6 @@ pub struct Personality {
     /// to one accumulator per key at the mappers.
     pub group_materialize_passes: f64,
 }
-
-/// Shuffles below this volume buffer in memory and pay no per-file seeks.
-pub const SHUFFLE_FILE_CUTOFF: u64 = 1024 * 1024;
 
 impl Personality {
     /// Spark-like profile.

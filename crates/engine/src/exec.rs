@@ -31,6 +31,7 @@ use emma_core::ops::{self, InsertionMap};
 use emma_compiler::plan::PipelineStage;
 
 use crate::cluster::{ClusterSpec, Personality};
+use crate::cost::{self, Charge};
 use crate::dataset::{value_hash, Measured, Part, Partitioned, Partitioning};
 use crate::fault::{self, CheckpointConfig, FaultConfig, SpeculationPolicy, TaskError, TaskFault};
 use crate::metrics::{ExecError, ExecStats};
@@ -792,16 +793,17 @@ struct Session<'a> {
 }
 
 impl<'a> Session<'a> {
-    fn spec(&self) -> &ClusterSpec {
-        &self.engine.spec
-    }
-
-    fn personality(&self) -> &Personality {
-        &self.engine.personality
-    }
-
     fn dop(&self) -> usize {
-        self.spec().dop()
+        self.engine.spec.dop()
+    }
+
+    /// Pays for one physical effect ([`cost::apply`]); `None` is nothing
+    /// to pay.
+    fn charge(&mut self, charge: impl Into<Option<Charge>>) {
+        let e = self.engine;
+        if let Some(charge) = charge.into() {
+            cost::apply(&mut self.stats, &e.spec, &e.personality, charge);
+        }
     }
 
     fn check_budget(&self) -> Result<(), ExecError> {
@@ -1032,16 +1034,8 @@ impl<'a> Session<'a> {
                 }
                 worst_effective = worst_effective.max(effective);
             }
-            if worst_effective > 0.0 {
-                self.stats.charge_secs(worst_effective);
-                self.stats.retry_sim_secs += worst_effective;
-            }
-            if wasted > 0.0 {
-                self.stats.speculation_wasted_secs += wasted;
-                // Duplicates steal cluster throughput, not stage latency:
-                // spread the burned slot-seconds over the DOP.
-                self.stats.charge_secs(wasted / self.dop().max(1) as f64);
-            }
+            self.charge(Charge::Straggler(worst_effective));
+            self.charge(Charge::DuplicateWork(wasted));
             if failed.is_empty() {
                 return Ok(results
                     .into_iter()
@@ -1058,11 +1052,7 @@ impl<'a> Session<'a> {
             // Budget before backoff: an exhausted budget aborts without
             // paying for a retry wave that will never start.
             self.check_budget()?;
-            let backoff = cfg.retry_backoff_secs * (1u64 << attempt.min(20)) as f64;
-            if backoff > 0.0 {
-                self.stats.charge_secs(backoff);
-                self.stats.retry_sim_secs += backoff;
-            }
+            self.charge(Charge::Backoff(cfg.retry_backoff_secs, attempt));
             pending = failed;
             attempt += 1;
         }
@@ -1214,9 +1204,7 @@ impl<'a> Session<'a> {
                     if iters > self.engine.max_loop_iters {
                         return Err(ExecError::LoopCap(self.engine.max_loop_iters));
                     }
-                    self.stats.iterations += 1;
-                    self.stats
-                        .charge_secs(self.personality().iteration_overhead);
+                    self.charge(Charge::Iteration);
                     self.exec_stmts(body)?;
                     self.check_budget()?;
                 }
@@ -1232,9 +1220,7 @@ impl<'a> Session<'a> {
                 let items = seq_v.as_bag().map_err(ExecError::Eval)?.to_vec();
                 for item in items {
                     self.env.insert(var.clone(), Binding::Scalar(item));
-                    self.stats.iterations += 1;
-                    self.stats
-                        .charge_secs(self.personality().iteration_overhead);
+                    self.charge(Charge::Iteration);
                     self.exec_stmts(body)?;
                     self.check_budget()?;
                 }
@@ -1341,7 +1327,7 @@ impl<'a> Session<'a> {
                 drop(st);
                 let processed = routed.data.total_rows();
                 self.tally(tally);
-                self.charge_cpu(processed, processed / self.dop().max(1) as u64);
+                self.charge(Charge::cpu(processed, processed / self.dop().max(1) as u64));
                 let delta_data = Partitioned {
                     parts: delta_parts.into_iter().map(Part::from).collect(),
                     partitioning: delta_partitioning,
@@ -1363,11 +1349,7 @@ impl<'a> Session<'a> {
             CStmt::Write { sink, plan } => {
                 let env = self.snapshot();
                 let d = self.exec_bag(plan, &env)?;
-                let bytes = d.total_bytes();
-                // Parallel write to the storage layer.
-                self.stats.bytes_written_storage += bytes;
-                self.stats
-                    .charge_secs(bytes as f64 / (self.spec().disk_bw * self.spec().nodes as f64));
+                self.charge(Charge::StorageWrite(d.total_bytes()));
                 self.writes.insert(sink.clone(), d.collect_rows());
                 self.check_budget()
             }
@@ -1382,8 +1364,7 @@ impl<'a> Session<'a> {
                 PlanResult::Scalar(v) => v,
                 PlanResult::Bag(d) => {
                     // `collect` data motion: cluster → driver.
-                    let bytes = d.total_bytes();
-                    self.stats.charge_secs(bytes as f64 / self.spec().net_bw);
+                    self.charge(Charge::DriverLink(d.total_bytes()));
                     Value::bag(d.collect_rows())
                 }
             };
@@ -1457,25 +1438,18 @@ impl<'a> Session<'a> {
 
     fn exec_plan_inner(&mut self, plan: &Plan, env: &EnvSnapshot) -> Result<PlanResult, ExecError> {
         self.check_budget()?;
-        let spec = *self.spec();
         match plan {
             Plan::Source { name } => {
                 let d = Partitioned::of_dataset(self.catalog, name, self.dop())
                     .map_err(ExecError::Eval)?;
-                let bytes = d.total_bytes();
-                self.stats.bytes_read_storage += bytes;
-                self.stats.stages += 1;
-                self.stats.charge_secs(
-                    self.personality().stage_overhead
-                        + bytes as f64 / (spec.disk_bw * spec.nodes as f64),
-                );
-                self.charge_cpu(d.total_rows(), d.max_part_rows());
+                self.charge(Charge::Source(d.total_bytes()));
+                self.charge(Charge::cpu(d.total_rows(), d.max_part_rows()));
                 Ok(PlanResult::Bag(d))
             }
             Plan::Literal { rows } => {
                 let d = Partitioned::from_rows(rows.clone(), self.dop());
                 // Driver → cluster shipping.
-                self.stats.charge_secs(d.total_bytes() as f64 / spec.net_bw);
+                self.charge(Charge::DriverLink(d.total_bytes()));
                 Ok(PlanResult::Bag(d))
             }
             Plan::OfScalar { expr } => {
@@ -1483,7 +1457,7 @@ impl<'a> Session<'a> {
                 let v = self.eval_over(expr, &base)?;
                 let rows = v.as_bag().map_err(ExecError::Eval)?.to_vec();
                 let d = Partitioned::from_rows(rows, self.dop());
-                self.stats.charge_secs(d.total_bytes() as f64 / spec.net_bw);
+                self.charge(Charge::DriverLink(d.total_bytes()));
                 Ok(PlanResult::Bag(d))
             }
             Plan::RefBag { name } => {
@@ -1495,13 +1469,8 @@ impl<'a> Session<'a> {
                 match binding {
                     Binding::Bag(thunk) => Ok(PlanResult::Bag(self.force(&thunk)?)),
                     Binding::Stateful(state) => {
-                        // In-memory, already partitioned by key: a snapshot
-                        // read costs memory-speed I/O only.
                         let snap = state.lock().unwrap().snapshot();
-                        self.stats.charge_secs(
-                            snap.total_bytes() as f64
-                                / (self.spec().disk_bw * self.spec().nodes as f64 * 10.0),
-                        );
+                        self.charge(Charge::StateSnapshot(snap.total_bytes()));
                         Ok(PlanResult::Bag(snap))
                     }
                     Binding::Scalar(v) => {
@@ -1555,19 +1524,16 @@ impl<'a> Session<'a> {
                         .call_owned([acc, p], &mut ucx, self.catalog)
                         .map_err(ExecError::Eval)?;
                 }
-                self.stats.stages += 1;
-                self.stats.charge_secs(
-                    self.personality().stage_overhead + partial_bytes as f64 / spec.net_bw,
-                );
-                self.charge_cpu_weighted(
+                self.charge(Charge::FoldPartials(partial_bytes));
+                self.charge(Charge::Cpu(
                     d.total_rows(),
                     d.max_part_rows(),
                     fold.sng.static_cost() + fold.uni.static_cost(),
-                );
-                self.charge_cpu_bytes(
-                    || d.max_part_bytes(),
+                ));
+                self.charge(Charge::cpu_bytes(
                     fold.sng.static_byte_cost() + fold.uni.static_byte_cost(),
-                );
+                    || d.max_part_bytes(),
+                ));
                 Ok(PlanResult::Scalar(acc))
             }
             Plan::Join {
@@ -1597,7 +1563,7 @@ impl<'a> Session<'a> {
                 let r = self.exec_bag(right, env)?;
                 // Broadcast the (smaller) right side and pair locally.
                 let r_rows = r.collect_rows();
-                self.charge_broadcast(r.total_bytes());
+                self.charge(Charge::Broadcast(r.total_bytes()));
                 let mut parts = Vec::with_capacity(l.parts.len());
                 let mut produced = 0u64;
                 for part in &l.parts {
@@ -1610,9 +1576,8 @@ impl<'a> Session<'a> {
                     produced += out.len() as u64;
                     parts.push(out.into());
                 }
-                self.stats.stages += 1;
-                self.stats.charge_secs(self.personality().stage_overhead);
-                self.charge_cpu(produced, produced / self.dop().max(1) as u64);
+                self.charge(Charge::Stage);
+                self.charge(Charge::cpu(produced, produced / self.dop().max(1) as u64));
                 Ok(PlanResult::Bag(Partitioned {
                     parts,
                     partitioning: None,
@@ -1635,8 +1600,10 @@ impl<'a> Session<'a> {
                 }
                 self.tally(tally);
                 let shuffled = &keyed.data;
-                self.charge_group_materialization(shuffled);
-                self.charge_cpu(shuffled.total_rows(), shuffled.max_part_rows());
+                self.charge(Charge::GroupMaterialization(
+                    shuffled.part_bytes().collect(),
+                ));
+                self.charge(Charge::cpu(shuffled.total_rows(), shuffled.max_part_rows()));
                 Ok(PlanResult::Bag(Partitioned {
                     parts,
                     partitioning: Some(Partitioning {
@@ -1670,9 +1637,9 @@ impl<'a> Session<'a> {
                 let parts = pairs
                     .map(|(lp, rp)| ops::minus(lp.iter(), rp.iter()).cloned().collect())
                     .collect();
-                self.stats.stages += 1;
-                self.stats.charge_secs(self.personality().stage_overhead);
-                self.charge_cpu(ls.total_rows() + rs.total_rows(), ls.max_part_rows());
+                self.charge(Charge::Stage);
+                let records = ls.total_rows() + rs.total_rows();
+                self.charge(Charge::cpu(records, ls.max_part_rows()));
                 Ok(PlanResult::Bag(Partitioned {
                     parts,
                     partitioning: None,
@@ -1688,9 +1655,8 @@ impl<'a> Session<'a> {
                 let parts = (s.parts.iter())
                     .map(|part| ops::distinct(part.iter()).cloned().collect())
                     .collect();
-                self.stats.stages += 1;
-                self.stats.charge_secs(self.personality().stage_overhead);
-                self.charge_cpu(s.total_rows(), s.max_part_rows());
+                self.charge(Charge::Stage);
+                self.charge(Charge::cpu(s.total_rows(), s.max_part_rows()));
                 Ok(PlanResult::Bag(Partitioned {
                     parts,
                     partitioning: None,
@@ -1754,7 +1720,9 @@ impl<'a> Session<'a> {
         // sizes only exist after the fused pass; their (identical) charges
         // are issued below.
         if let Narrow::Map(f) | Narrow::Filter(f) = stages[0] {
-            self.charge_broadcast_scans(&f.body, &bases[0], d.max_part_rows())?;
+            let scan_rows = broadcast_fold_scan_rows(&f.body, &bases[0], self.catalog);
+            self.charge(Charge::BroadcastScans(d.max_part_rows(), scan_rows));
+            self.check_budget()?;
         }
         let nstages = stages.len();
         // Whether stage i's input rows are materialized groups (the
@@ -1857,26 +1825,28 @@ impl<'a> Session<'a> {
             match *stage {
                 Narrow::Map(f) | Narrow::Filter(f) => {
                     if i > 0 {
-                        self.charge_broadcast_scans(&f.body, &bases[i], counts_max[i])?;
+                        let scan_rows = broadcast_fold_scan_rows(&f.body, &bases[i], self.catalog);
+                        self.charge(Charge::BroadcastScans(counts_max[i], scan_rows));
+                        self.check_budget()?;
                     }
-                    self.charge_cpu_weighted(counts_total[i], counts_max[i], f.static_cost());
+                    self.charge(Charge::Cpu(counts_total[i], counts_max[i], f.static_cost()));
                 }
                 Narrow::FlatMap(_, body) => {
                     let produced = counts_total[i + 1];
-                    self.charge_cpu_weighted(
+                    self.charge(Charge::Cpu(
                         counts_total[i] + produced,
                         counts_max[i] + produced / dop,
                         body.static_cost(),
-                    );
+                    ));
                 }
             }
-            self.charge_cpu_bytes(entry_bytes, byte_costs[i]);
+            self.charge(Charge::cpu_bytes(byte_costs[i], entry_bytes));
             // Folds over *materialized group values* re-scan their data;
             // folds over small per-record bags (e.g. a vertex's neighbor
             // list carried through a join) do not — the charge applies only
             // when the stage consumes a grouping operator's output.
             if grouped[i] {
-                self.charge_nested_bag_folds(nested[i], entry_bytes);
+                self.charge(Charge::nested_bag_folds(nested[i], entry_bytes));
             }
         }
         // A Filter preserves the physical layout; Map/FlatMap drop it.
@@ -1912,7 +1882,7 @@ impl<'a> Session<'a> {
         // this measures of the right side, its shuffle then carries.
         let strategy = match strategy {
             JoinStrategy::Auto => {
-                if r.total_bytes() <= self.spec().broadcast_threshold {
+                if r.total_bytes() <= self.engine.spec.broadcast_threshold {
                     JoinStrategy::Broadcast
                 } else {
                     JoinStrategy::Repartition
@@ -1921,16 +1891,15 @@ impl<'a> Session<'a> {
             s => s,
         };
 
-        self.stats.stages += 1;
-        self.stats.charge_secs(self.personality().stage_overhead);
+        self.charge(Charge::Stage);
 
         let (probe, build) = match strategy {
             JoinStrategy::Broadcast => {
                 // Ship the entire right side to every node, as one build
                 // partition every probe task reads; left stays put.
-                let r_bytes = r.total_bytes();
-                self.stats.charge_secs(r_bytes as f64 / self.spec().net_bw);
-                self.charge_broadcast(r_bytes);
+                let bytes = r.total_bytes();
+                self.charge(Charge::DriverLink(bytes));
+                self.charge(Charge::Broadcast(bytes));
                 let whole = Partitioned {
                     parts: vec![r.collect_rows().into()],
                     partitioning: None,
@@ -1949,18 +1918,12 @@ impl<'a> Session<'a> {
                 let build = self.keyed(r, rkey, env, Placement::Hashed(None))?;
                 if let Some(sp) = &probe.split {
                     // Each extra probe sub-partition re-reads its bucket's
-                    // build partition from the shuffle output: charge the
-                    // replicated bytes like the network motion they are.
-                    let extra: u64 = (sp.ways.iter().zip(&build.data.parts))
+                    // build partition from the shuffle output.
+                    let bytes = (sp.ways.iter().zip(&build.data.parts))
                         .filter(|(&w, _)| w > 1)
                         .map(|(&w, part)| part.bytes() * (w as u64 - 1))
                         .sum();
-                    if extra > 0 {
-                        let spec = *self.spec();
-                        self.stats.bytes_shuffled += extra;
-                        self.stats
-                            .charge_secs(extra as f64 / (spec.net_bw * spec.nodes as f64));
-                    }
+                    self.charge(Charge::ReplicatedBuild(bytes));
                 }
                 (probe, build)
             }
@@ -2034,10 +1997,10 @@ impl<'a> Session<'a> {
             Ok(out)
         })?;
         let produced: u64 = outs.iter().map(|out| out.len() as u64).sum();
-        self.charge_cpu(
+        self.charge(Charge::cpu(
             lwork.total_rows() + produced,
             lwork.max_part_rows() + produced / self.dop().max(1) as u64,
-        );
+        ));
         // Semi/anti joins keep their probe rows where they are, so they keep
         // the probe layout's claim: the left key after a repartition, the
         // left input's own under broadcast, none if the probe side was split
@@ -2074,36 +2037,22 @@ impl<'a> Session<'a> {
             shuffled.total_rows(),
             |pi, tally| group_part(&shuffled.parts[pi], &keyed.keys(pi, catalog, tally)),
         )?;
-        self.charge_group_materialization(shuffled);
-        self.charge_cpu(shuffled.total_rows(), shuffled.max_part_rows());
+        self.charge(Charge::GroupMaterialization(
+            shuffled.part_bytes().collect(),
+        ));
+        self.charge(Charge::cpu(shuffled.total_rows(), shuffled.max_part_rows()));
         // Phase 2: sub-partitions 1.. of each split bucket physically move
         // to the bucket's merging reducer — the key-preserving secondary
-        // shuffle, restricted to the hot buckets. Charged like any shuffle:
-        // stage overhead + max(balance, worst receiver).
-        let mut moved_bytes = 0u64;
-        let mut max_receiver = 0u64;
-        let mut moved_rows = 0u64;
-        let mut max_bucket_moved = 0u64;
-        for (b, &w) in plan.ways.iter().enumerate() {
-            if w <= 1 {
-                continue;
-            }
-            let off = plan.offsets[b];
-            let moved = &shuffled.parts[off + 1..off + w];
-            let bytes: u64 = moved.iter().map(Part::bytes).sum();
-            let rows: u64 = moved.iter().map(|p| p.len() as u64).sum();
-            moved_bytes += bytes;
-            moved_rows += rows;
-            max_receiver = max_receiver.max(bytes);
-            max_bucket_moved = max_bucket_moved.max(rows);
-        }
-        let spec = *self.spec();
-        self.stats.bytes_shuffled += moved_bytes;
-        self.stats.stages += 1;
-        let balanced = moved_bytes as f64 / (spec.net_bw * spec.nodes as f64);
-        let skewed = max_receiver as f64 / spec.net_bw;
-        self.stats
-            .charge_secs(self.personality().stage_overhead + balanced.max(skewed));
+        // shuffle, restricted to the hot buckets.
+        let hot = plan.ways.iter().zip(&plan.offsets).filter(|(&w, _)| w > 1);
+        let (moved_bytes, moved_rows): (Vec<u64>, Vec<u64>) = hot
+            .map(|(&w, &off)| {
+                let moved = &shuffled.parts[off + 1..off + w];
+                let bytes: u64 = moved.iter().map(Part::bytes).sum();
+                (bytes, moved.iter().map(|p| p.len() as u64).sum::<u64>())
+            })
+            .unzip();
+        self.charge(Charge::SplitMerge(moved_bytes));
         // Merge chunk partial groups in slot order: first-occurrence key
         // order and per-key row order match the unsplit serial loop exactly,
         // because Balanced chunks are contiguous and in order.
@@ -2123,7 +2072,8 @@ impl<'a> Session<'a> {
         // The merge appends pre-grouped run vectors — no key UDF, no
         // hashing — so it carries the memcpy-class minimum record weight,
         // not the full grouping cost phase 1 already paid.
-        self.charge_cpu_weighted(moved_rows, max_bucket_moved, 2.0);
+        let max_bucket_rows = moved_rows.iter().copied().max().unwrap_or(0);
+        self.charge(Charge::Cpu(moved_rows.iter().sum(), max_bucket_rows, 2.0));
         let n = parts.len();
         Ok(PlanResult::Bag(Partitioned {
             parts,
@@ -2218,15 +2168,15 @@ impl<'a> Session<'a> {
             partials.bytes();
             Ok((partials, hashes))
         })?;
-        self.charge_cpu_weighted(
+        self.charge(Charge::Cpu(
             d.total_rows(),
             d.max_part_rows(),
             key.static_cost() + fold.sng.static_cost() + fold.uni.static_cost(),
-        );
-        self.charge_cpu_bytes(
-            || d.max_part_bytes(),
+        ));
+        self.charge(Charge::cpu_bytes(
             key.static_byte_cost() + fold.sng.static_byte_cost() + fold.uni.static_byte_cost(),
-        );
+            || d.max_part_bytes(),
+        ));
 
         // Shuffle only the partial aggregates (one per key per partition)
         // through the generic shuffle's routing, bucketed by the hashes the
@@ -2298,9 +2248,8 @@ impl<'a> Session<'a> {
             };
             Ok(Part::from(merged))
         })?;
-        self.charge_cpu(merge_rows, merge_max_rows);
-        self.stats.stages += 1;
-        self.stats.charge_secs(self.personality().stage_overhead);
+        self.charge(Charge::cpu(merge_rows, merge_max_rows));
+        self.charge(Charge::Stage);
         // A split layout routes by the two-level (primary, secondary) hash —
         // it is not plain hash-partitioning, so advertise nothing.
         let partitioning = agg_split.is_none().then(|| Partitioning {
@@ -2311,126 +2260,6 @@ impl<'a> Session<'a> {
             parts: merged_lists,
             partitioning,
         }))
-    }
-
-    // ---------------------------------------------------------- cost model
-
-    /// Charges per-record CPU. `weight` scales the base per-record cost by
-    /// the static complexity of the operator's UDFs (normalized so a typical
-    /// ~8-node lambda has weight 1) — this is how heavy UDFs like the spam
-    /// workflow's feature extractor dominate, and how caching their output
-    /// amortizes them (paper, Section 5.1).
-    fn charge_cpu_weighted(&mut self, total_records: u64, max_part_records: u64, weight: f64) {
-        self.stats.records_processed += total_records;
-        self.stats.charge_secs(
-            max_part_records as f64 * self.spec().cpu_per_record * (weight / 8.0).max(0.25),
-        );
-    }
-
-    fn charge_cpu(&mut self, total_records: u64, max_part_records: u64) {
-        self.charge_cpu_weighted(total_records, max_part_records, 8.0);
-    }
-
-    /// The length-proportional companion of
-    /// [`charge_cpu_weighted`](Self::charge_cpu_weighted): charges the bytes
-    /// a UDF's length-scaling builtins scan (`BuiltinFn::byte_weight`,
-    /// today `StrContains`), against the operator's largest input partition.
-    /// Like every CPU charge this is issued on the driver from materialized
-    /// sizes and static weights — never from inside a task — so the charge
-    /// is identical whichever evaluation tier ran the rows: vectorizing a
-    /// string body cannot shift the simulated clock. No floor and no
-    /// `records_processed` contribution (the per-call overhead is already in
-    /// the record-weighted charge); byte-free bodies charge nothing — and
-    /// never evaluate `max_part_bytes`, a full walk of the input.
-    fn charge_cpu_bytes(&mut self, max_part_bytes: impl FnOnce() -> u64, byte_weight: f64) {
-        if byte_weight > 0.0 {
-            self.stats.charge_secs(
-                max_part_bytes() as f64 * self.spec().cpu_per_record * byte_weight / 8.0,
-            );
-        }
-    }
-
-    fn charge_broadcast(&mut self, bytes: u64) {
-        let spec = *self.spec();
-        let factor = self.personality().broadcast_factor;
-        let shipped = bytes.saturating_mul(spec.nodes as u64);
-        self.stats.bytes_broadcast += shipped;
-        self.stats
-            .charge_secs(shipped as f64 * factor / (spec.net_bw * spec.nodes as f64));
-    }
-
-    /// Charges the linear scans a UDF performs over broadcast bags (naive
-    /// nested-loop predicates), *before* evaluating — so a configuration the
-    /// paper reports as ">1h" aborts on the simulated clock instead of
-    /// actually executing a quadratic loop. Returns `Err(Timeout)` when the
-    /// charge pushes the clock past the budget.
-    fn charge_broadcast_scans(
-        &mut self,
-        lambda_body: &ScalarExpr,
-        base: &HashMap<String, Value>,
-        max_part_rows: u64,
-    ) -> Result<(), ExecError> {
-        let scan_rows = broadcast_fold_scan_rows(lambda_body, base, self.catalog);
-        if scan_rows > 0 {
-            self.stats
-                .charge_secs(max_part_rows as f64 * scan_rows as f64 * self.spec().native_op_cost);
-        }
-        self.check_budget()
-    }
-
-    /// Each fold over nested bag values re-scans the materialized data; when
-    /// the consumer's partition outgrew worker memory, the re-scan reads
-    /// spilled data with the engine's spill penalty. `max_part_bytes` is the
-    /// consumer's largest input partition, evaluated only when there is a
-    /// fold to charge.
-    fn charge_nested_bag_folds(&mut self, count: usize, max_part_bytes: impl FnOnce() -> u64) {
-        if count == 0 {
-            return;
-        }
-        let spec = *self.spec();
-        let max_bytes = max_part_bytes() as f64;
-        let mem = spec.mem_per_worker as f64;
-        let penalty = if max_bytes > mem {
-            // Re-scans of spilled first-class bag values pay the spill I/O
-            // and the same pressure curve as materializing them.
-            self.personality().spill_penalty
-                * (max_bytes / mem).powf(self.personality().group_pressure_exponent)
-        } else {
-            1.0
-        };
-        self.stats
-            .charge_secs(count as f64 * max_bytes * penalty / spec.disk_bw);
-    }
-
-    /// Memory-pressure penalty for materializing groups on reducers:
-    /// a reducer holding more than its worker memory pays spill I/O plus a
-    /// superlinear slowdown — this is what makes un-fused aggregations time
-    /// out on skewed data (Fig. 5) exactly like the paper's.
-    fn charge_group_materialization(&mut self, shuffled: &Partitioned) {
-        // Materializing groups costs I/O passes over the full input
-        // regardless of skew (sort runs / hash spill files).
-        let spec = *self.spec();
-        let passes = self.personality().group_materialize_passes;
-        let (total, max_bytes) = shuffled
-            .part_bytes()
-            .fold((0, 0), |(total, max), b| (total + b, max.max(b)));
-        self.stats
-            .charge_secs(total as f64 * passes / (spec.disk_bw * spec.nodes as f64));
-        let mem = self.spec().mem_per_worker as f64;
-        let max_bytes = max_bytes as f64;
-        if max_bytes > mem {
-            let ratio = max_bytes / mem;
-            let over = max_bytes - mem;
-            let spill_io = over * self.personality().spill_penalty / self.spec().disk_bw;
-            let mut pressure = ratio.powf(self.personality().group_pressure_exponent);
-            if ratio > 2.0 {
-                // A hash aggregation collapses past ~2× memory; a sort-based
-                // one keeps spilling (collapse factor 1).
-                pressure *= self.personality().hash_agg_collapse;
-            }
-            self.stats.bytes_spilled += over as u64;
-            self.stats.charge_secs(spill_io * pressure);
-        }
     }
 
     /// Hash-repartitions a dataset by a key for a consumer that reads no
@@ -2599,38 +2428,8 @@ impl<'a> Session<'a> {
             parts: buckets.into_iter().map(Measured::finish).collect(),
             partitioning,
         };
-        self.charge_shuffle(&out);
+        self.charge(Charge::Shuffle(out.part_bytes().collect()));
         (out, side, plan)
-    }
-
-    /// The shuffle cost charges, on the layout that landed.
-    fn charge_shuffle(&mut self, out: &Partitioned) {
-        let spec = *self.spec();
-        let parts_n = out.parts.len();
-        // Total and per-node maximum both come from the per-partition sums
-        // the scatter carried. Consecutive runs of `cores_per_node`
-        // partitions share a node, and networks are per node.
-        let part_bytes: Vec<u64> = out.part_bytes().collect();
-        let total: u64 = part_bytes.iter().sum();
-        let max_node = part_bytes
-            .chunks(spec.cores_per_node.max(1))
-            .map(|node| node.iter().sum::<u64>())
-            .max()
-            .unwrap_or(0);
-        self.stats.bytes_shuffled += total;
-        // Stage time = max over receiving nodes; skew dominates balance.
-        let balanced = total as f64 / (spec.net_bw * spec.nodes as f64);
-        let skewed = max_node as f64 / spec.net_bw;
-        // Large shuffles materialize M×R files; the per-file seeks are what
-        // bends Spark's no-fusion curves superlinear in the DOP (Fig. 5).
-        let seeks = if total > crate::cluster::SHUFFLE_FILE_CUTOFF {
-            (parts_n * parts_n) as f64 * self.personality().shuffle_seek / spec.nodes as f64
-        } else {
-            0.0
-        };
-        self.stats.stages += 1;
-        self.stats
-            .charge_secs(self.personality().stage_overhead + balanced.max(skewed) + seeks);
     }
 
     // ------------------------------------------------------------- thunks
@@ -2662,12 +2461,9 @@ impl<'a> Session<'a> {
                                 // O(delta to this checkpoint), not
                                 // O(lineage depth).
                                 self.stats.checkpoint_restores += 1;
-                                let spec = *self.spec();
                                 let bytes = hit.total_bytes();
-                                self.stats.bytes_read_storage += bytes;
-                                self.stats
-                                    .charge_secs(bytes as f64 / (spec.disk_bw * spec.nodes as f64));
-                                self.charge_cache_write(&hit);
+                                self.charge(Charge::StorageRead(bytes));
+                                self.charge(Charge::CacheWrite(bytes));
                                 return Ok(hit);
                             }
                             *thunk.memo.lock().unwrap() = None;
@@ -2679,7 +2475,7 @@ impl<'a> Session<'a> {
                     }
                 }
                 self.stats.cache_hits += 1;
-                self.charge_cache_read(&hit);
+                self.charge(Charge::CacheRead(hit.total_bytes()));
                 return Ok(hit);
             }
             // First materialization: under a service-installed shared cache
@@ -2700,7 +2496,7 @@ impl<'a> Session<'a> {
                     // Served from the shared store: pay a cache read instead
                     // of plan execution plus a cache write.
                     self.stats.cache_hits += 1;
-                    self.charge_cache_read(&data);
+                    self.charge(Charge::CacheRead(data.total_bytes()));
                     *thunk.memo.lock().unwrap() = Some(data.clone());
                     return Ok(data);
                 }
@@ -2725,7 +2521,7 @@ impl<'a> Session<'a> {
         let splits_before = self.stats.partitions_split;
         let result = self.exec_bag(&thunk.plan.clone(), &thunk.env.clone())?;
         self.stats.cache_misses += 1;
-        self.charge_cache_write(&result);
+        self.charge(Charge::CacheWrite(result.total_bytes()));
         let split = self.stats.partitions_split > splits_before;
         self.maybe_checkpoint(thunk, &result, split);
         *thunk.memo.lock().unwrap() = Some(result.clone());
@@ -2789,38 +2585,7 @@ impl<'a> Session<'a> {
             .store(true, std::sync::atomic::Ordering::Relaxed);
         self.stats.checkpoints_written += 1;
         self.checkpoint_bytes_written += bytes;
-        let spec = *self.spec();
-        self.stats.bytes_written_storage += bytes;
-        self.stats
-            .charge_secs(bytes as f64 / (spec.disk_bw * spec.nodes as f64));
-    }
-
-    fn charge_cache_read(&mut self, d: &Partitioned) {
-        let spec = *self.spec();
-        let bytes = d.total_bytes();
-        if self.personality().in_memory_cache {
-            // Memory-speed re-scan: an order of magnitude above disk.
-            self.stats
-                .charge_secs(bytes as f64 / (spec.disk_bw * spec.nodes as f64 * 10.0));
-        } else {
-            // HDFS-backed cache: pay the full storage read.
-            self.stats.bytes_read_storage += bytes;
-            self.stats
-                .charge_secs(bytes as f64 / (spec.disk_bw * spec.nodes as f64));
-        }
-    }
-
-    fn charge_cache_write(&mut self, d: &Partitioned) {
-        let spec = *self.spec();
-        let bytes = d.total_bytes();
-        if self.personality().in_memory_cache {
-            self.stats
-                .charge_secs(bytes as f64 / (spec.disk_bw * spec.nodes as f64 * 10.0));
-        } else {
-            self.stats.bytes_written_storage += bytes;
-            self.stats
-                .charge_secs(bytes as f64 / (spec.disk_bw * spec.nodes as f64));
-        }
+        self.charge(Charge::StorageWrite(bytes));
     }
 
     // -------------------------------------------- broadcasts for UDF capture
@@ -2859,15 +2624,15 @@ impl<'a> Session<'a> {
                     // Driver → UDFs: force, collect, broadcast.
                     let d = self.force(&thunk)?;
                     let bytes = d.total_bytes();
-                    self.stats.charge_secs(bytes as f64 / self.spec().net_bw);
-                    self.charge_broadcast(bytes);
+                    self.charge(Charge::DriverLink(bytes));
+                    self.charge(Charge::Broadcast(bytes));
                     base.insert(name, Value::bag(d.collect_rows()));
                 }
                 Some(Binding::Stateful(state)) => {
                     let snap = state.lock().unwrap().snapshot();
                     let bytes = snap.total_bytes();
-                    self.stats.charge_secs(bytes as f64 / self.spec().net_bw);
-                    self.charge_broadcast(bytes);
+                    self.charge(Charge::DriverLink(bytes));
+                    self.charge(Charge::Broadcast(bytes));
                     base.insert(name, Value::bag(snap.collect_rows()));
                 }
                 None => {
@@ -2885,10 +2650,8 @@ impl<'a> Session<'a> {
             // worker: storage read + broadcast.
             if let Ok(d) = Partitioned::of_dataset(self.catalog, src, self.dop()) {
                 let bytes = d.total_bytes();
-                self.stats.bytes_read_storage += bytes;
-                self.stats
-                    .charge_secs(bytes as f64 / (self.spec().disk_bw * self.spec().nodes as f64));
-                self.charge_broadcast(bytes);
+                self.charge(Charge::StorageRead(bytes));
+                self.charge(Charge::Broadcast(bytes));
             }
         }
         Ok(base)

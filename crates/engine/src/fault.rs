@@ -65,8 +65,8 @@ pub struct FaultConfig {
     pub max_task_retries: u32,
     /// Base of the exponential retry backoff: before retry attempt `a`
     /// (1-based), the wave waits `retry_backoff_secs × 2^(a-1)` simulated
-    /// seconds, charged to the simulated clock via
-    /// [`crate::metrics::ExecStats::charge_secs`].
+    /// seconds, charged to the simulated clock and to
+    /// [`crate::metrics::ExecStats::retry_sim_secs`].
     pub retry_backoff_secs: f64,
     /// Whether the scheduler launches speculative backup copies of straggling
     /// tasks (MapReduce's backup-task mitigation, Dean & Ghemawat OSDI 2004).

@@ -27,6 +27,7 @@
 #![warn(missing_docs)]
 
 pub mod cluster;
+mod cost;
 pub mod dataset;
 pub mod exec;
 pub mod fault;

@@ -12,7 +12,7 @@ use std::fmt;
 #[derive(Clone, Debug, Default)]
 pub struct ExecStats {
     /// The simulated wall-clock, in seconds. Derived from an exact
-    /// fixed-point accumulator (see [`ExecStats::charge_secs`]), so two runs
+    /// fixed-point accumulator (see `ExecStats::charge_secs`), so two runs
     /// that accrue the same *set* of charges produce bit-identical values
     /// even if the charges arrive in a different order — which is what lets
     /// pipeline-fused and unfused executions of the same plan agree exactly.
@@ -148,7 +148,7 @@ impl ExecStats {
     /// `as u128` cast and silently desync the sim clock from the charges
     /// actually issued; a corrupted clock is worse than an abort, because
     /// every determinism check downstream compares it bit-for-bit.
-    pub fn charge_secs(&mut self, secs: f64) {
+    pub(crate) fn charge_secs(&mut self, secs: f64) {
         assert!(
             secs.is_finite() && secs >= 0.0,
             "bad simulated-time charge: {secs}"

@@ -39,8 +39,10 @@ use std::sync::{Arc, Mutex};
 use emma_compiler::interp::Catalog;
 use emma_compiler::pipeline::{CStmt, CTerm, CompiledProgram};
 use emma_compiler::plan::{PipelineStage, Plan};
+use emma_compiler::value::Value;
 
 use crate::cluster::ClusterSpec;
+use crate::cost;
 use crate::dataset::Partitioned;
 use crate::exec::{Engine, EngineRun};
 use crate::metrics::{ExecError, ExecStats, ATTOS_PER_SEC};
@@ -262,12 +264,13 @@ pub struct CostEstimate {
 /// bodies are assumed to execute this many times.
 pub const LOOP_ITERS_GUESS: f64 = 8.0;
 
-/// Fallback row count for driver-dependent inputs (`RefBag` / `OfScalar`)
-/// whose cardinality the static estimate cannot see.
-const UNKNOWN_ROWS: f64 = 256.0;
-
 /// Fallback bytes-per-row when an input has no sampleable first row.
 const DEFAULT_ROW_BYTES: f64 = 16.0;
+
+/// Fallback `(rows, bytes)` of an input whose cardinality the static
+/// estimate cannot see: a driver-dependent one (`RefBag` / `OfScalar`) or a
+/// dataset missing from the catalog.
+const UNKNOWN_SHAPE: (f64, f64) = (256.0, 256.0 * DEFAULT_ROW_BYTES);
 
 /// Scores a compiled program against a catalog with the engine's cluster
 /// constants — the admission controller's cost model. Pure in its inputs,
@@ -318,24 +321,15 @@ impl Estimator<'_> {
     /// of the node's output.
     fn plan(&mut self, p: &Plan, mult: f64) -> (f64, f64) {
         let spec = self.spec;
-        let nodes = spec.nodes as f64;
         let (rows, bytes) = match p {
             Plan::Source { name } => {
-                let (rows, bytes) = self.catalog_shape(name);
+                let (rows, bytes) = self.catalog.get(name).map_or(UNKNOWN_SHAPE, |r| shape(r));
                 // Sources pay a storage scan.
-                self.secs += mult * bytes / (spec.disk_bw * nodes);
+                self.secs += cost::disk_secs(spec, mult * bytes);
                 (rows, bytes)
             }
-            Plan::Literal { rows } => {
-                let n = rows.len() as f64;
-                let per = rows
-                    .first()
-                    .map_or(DEFAULT_ROW_BYTES, |v| v.approx_bytes() as f64);
-                (n, n * per)
-            }
-            Plan::RefBag { .. } | Plan::OfScalar { .. } => {
-                (UNKNOWN_ROWS, UNKNOWN_ROWS * DEFAULT_ROW_BYTES)
-            }
+            Plan::Literal { rows } => shape(rows),
+            Plan::RefBag { .. } | Plan::OfScalar { .. } => UNKNOWN_SHAPE,
             Plan::Map { input, .. } => self.plan(input, mult),
             Plan::Filter { input, .. } => {
                 let (r, b) = self.plan(input, mult);
@@ -349,7 +343,7 @@ impl Estimator<'_> {
                 let (lr, lb) = self.plan(left, mult);
                 let (rr, rb) = self.plan(right, mult);
                 // Both sides shuffle to meet.
-                self.secs += mult * (lb + rb) / (spec.net_bw * nodes);
+                self.secs += cost::net_secs(spec, mult * (lb + rb));
                 (lr + rr, lb + rb)
             }
             Plan::Cross { left, right } => {
@@ -359,12 +353,12 @@ impl Estimator<'_> {
             }
             Plan::GroupBy { input, .. } => {
                 let (r, b) = self.plan(input, mult);
-                self.secs += mult * b / (spec.net_bw * nodes);
+                self.secs += cost::net_secs(spec, mult * b);
                 (r * 0.5, b)
             }
             Plan::AggBy { input, .. } | Plan::Distinct { input } => {
                 let (r, b) = self.plan(input, mult);
-                self.secs += mult * b / (spec.net_bw * nodes);
+                self.secs += cost::net_secs(spec, mult * b);
                 (r * 0.5, b * 0.5)
             }
             Plan::Fold { input, .. } => {
@@ -390,7 +384,7 @@ impl Estimator<'_> {
             }
             Plan::Repartition { input, .. } => {
                 let (r, b) = self.plan(input, mult);
-                self.secs += mult * b / (spec.net_bw * nodes);
+                self.secs += cost::net_secs(spec, mult * b);
                 (r, b)
             }
             Plan::Pipeline { input, stages } => {
@@ -407,23 +401,19 @@ impl Estimator<'_> {
                 (r, b)
             }
         };
-        self.secs += mult * rows * spec.cpu_per_record;
+        self.secs += cost::cpu_secs(spec, mult * rows);
         self.peak_bytes = self.peak_bytes.max(bytes);
         (rows, bytes)
     }
+}
 
-    fn catalog_shape(&self, name: &str) -> (f64, f64) {
-        match self.catalog.get(name) {
-            Ok(rows) => {
-                let n = rows.len() as f64;
-                let per = rows
-                    .first()
-                    .map_or(DEFAULT_ROW_BYTES, |v| v.approx_bytes() as f64);
-                (n, n * per)
-            }
-            Err(_) => (UNKNOWN_ROWS, UNKNOWN_ROWS * DEFAULT_ROW_BYTES),
-        }
-    }
+/// Rows and bytes of `rows`, sized by the first.
+fn shape(rows: &[Value]) -> (f64, f64) {
+    let n = rows.len() as f64;
+    let per = rows
+        .first()
+        .map_or(DEFAULT_ROW_BYTES, |v| v.approx_bytes() as f64);
+    (n, n * per)
 }
 
 // ------------------------------------------------------------- the service

@@ -10,6 +10,9 @@
 
 use std::fmt::Write as _;
 
+mod common;
+
+use common::narrow_chain;
 use emma::algorithms::{connected_components, groupagg, kmeans, pagerank, spam, tpch};
 use emma::prelude::*;
 use emma_datagen::points::{self, PointsSpec};
@@ -48,92 +51,6 @@ fn flag_sets(base: OptimizerFlags) -> [(&'static str, OptimizerFlags); 10] {
         ("-pipeline_fusion", base.with_pipeline_fusion(false)),
         ("-compiled_eval", base.with_compiled_eval(false)),
     ]
-}
-
-fn var(n: &str) -> ScalarExpr {
-    ScalarExpr::var(n)
-}
-
-fn lit(k: i64) -> ScalarExpr {
-    ScalarExpr::lit(k)
-}
-
-/// The benchmark's `narrow_chain` program: a thirteen-operator Map/Filter
-/// chain over int pairs.
-fn narrow_chain() -> Program {
-    let t0 = || var("t").get(0);
-    let t1 = || var("t").get(1);
-    let mut bag = BagExpr::read("xs")
-        .map(Lambda::new(
-            ["t"],
-            ScalarExpr::If(
-                Box::new(t0().rem(lit(3)).eq(lit(0))),
-                Box::new(ScalarExpr::Tuple(vec![
-                    t0().mul(lit(2)).add(t1()).sub(lit(7)),
-                    t1().add(lit(1)),
-                ])),
-                Box::new(ScalarExpr::Tuple(vec![
-                    t0().add(lit(3).mul(lit(7)).add(lit(2)).rem(lit(5))),
-                    t1().mul(lit(3)).rem(lit(101)),
-                ])),
-            ),
-        ))
-        .filter(Lambda::new(
-            ["t"],
-            t0().add(t1())
-                .rem(lit(17))
-                .ne(lit(3))
-                .and(t0().mul(lit(3)).sub(t1()).gt(lit(-1_000_000))),
-        ))
-        .map(Lambda::new(
-            ["t"],
-            ScalarExpr::Tuple(vec![
-                ScalarExpr::call(
-                    BuiltinFn::MinOf,
-                    vec![
-                        t0().mul(lit(2))
-                            .add(lit(1))
-                            .mul(t0().rem(lit(7)).add(lit(3)))
-                            .add(ScalarExpr::call(BuiltinFn::Abs, vec![t0().sub(t1())])),
-                        lit(1 << 20),
-                    ],
-                ),
-                t1().mul(lit(13)).rem(lit(997)),
-            ]),
-        ))
-        .filter(Lambda::new(
-            ["t"],
-            t0().rem(lit(251)).ne(lit(0)).or(t1().lt(lit(500))),
-        ))
-        .map(Lambda::new(
-            ["t"],
-            t0().add(t1().mul(lit(31)))
-                .rem(lit(1_000_003))
-                .mul(lit(2))
-                .add(t0().rem(lit(2))),
-        ));
-    for (a, b, m) in [
-        (3, 11, 65_521),
-        (7, 29, 32_749),
-        (5, 17, 16_381),
-        (13, 41, 8_191),
-    ] {
-        let x = || var("x");
-        let hash_round = x()
-            .mul(lit(a))
-            .add(lit(b))
-            .rem(lit(m))
-            .add(x().mul(lit(b)).add(lit(a)).rem(lit(m - 2)))
-            .add(x().rem(lit(7)).mul(x().rem(lit(13))).add(x().rem(lit(29))))
-            .add(ScalarExpr::call(BuiltinFn::Abs, vec![x().sub(lit(m / 2))]))
-            .rem(lit(m))
-            .add(lit(a).mul(lit(b)).add(lit(2)).rem(lit(19)));
-        bag = bag.map(Lambda::new(["x"], hash_round)).filter(Lambda::new(
-            ["x"],
-            x().rem(lit(m - 1)).ne(lit(m / 2)).or(x().ge(lit(0))),
-        ));
-    }
-    Program::new(vec![Stmt::write("out", bag)])
 }
 
 /// Each program with the base flags of its row. `narrow_chain` starts from

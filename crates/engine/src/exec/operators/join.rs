@@ -1,0 +1,172 @@
+//! Joins: broadcast or repartition, decided just in time from the measured
+//! build side.
+
+use std::sync::OnceLock;
+
+use emma_compiler::plan::{JoinKind, JoinStrategy};
+
+use crate::exec::keyed::{PartKeys, Placement};
+use crate::exec::*;
+
+impl Session<'_> {
+    /// Runs a `Plan::Join`.
+    pub(crate) fn exec_join(
+        &mut self,
+        plan: &Plan,
+        env: &EnvSnapshot,
+    ) -> Result<PlanResult, ExecError> {
+        let Plan::Join {
+            left,
+            right,
+            lkey,
+            rkey,
+            residual,
+            kind,
+            strategy,
+        } = plan
+        else {
+            unreachable!("exec_join runs Join nodes")
+        };
+        let (kind, residual) = (*kind, residual.as_ref());
+        let probe_split = self.split_kind(plan.skew_eligibility());
+        let l = self.exec_bag(left, env)?;
+        let r = self.exec_bag(right, env)?;
+        let base = self.eval_base(residual.map(Term::Lambda).as_slice(), env)?;
+
+        // Just-in-time strategy resolution from actual input sizes. What
+        // this measures of the right side, its shuffle then carries.
+        let strategy = match strategy {
+            JoinStrategy::Auto => {
+                if r.total_bytes() <= self.engine.spec.broadcast_threshold {
+                    JoinStrategy::Broadcast
+                } else {
+                    JoinStrategy::Repartition
+                }
+            }
+            s => *s,
+        };
+
+        self.charge(Charge::Stage);
+
+        let (probe, build) = match strategy {
+            JoinStrategy::Broadcast => {
+                // Ship the entire right side to every node, as one build
+                // partition every probe task reads; left stays put.
+                let bytes = r.total_bytes();
+                self.charge(Charge::DriverLink(bytes));
+                self.charge(Charge::Broadcast(bytes));
+                let whole = Partitioned {
+                    parts: vec![r.collect_rows().into()],
+                    partitioning: None,
+                };
+                (
+                    self.keyed(l, lkey, env, Placement::InPlace)?,
+                    self.keyed(whole, rkey, env, Placement::InPlace)?,
+                )
+            }
+            JoinStrategy::Repartition | JoinStrategy::Auto => {
+                // Only the probe (left) side splits — the build side's
+                // partitions are replicated across their bucket's
+                // sub-partitions instead, which is the classic skew-join
+                // move when the build side is the small one.
+                let probe = self.keyed(l, lkey, env, Placement::Hashed(probe_split))?;
+                let build = self.keyed(r, rkey, env, Placement::Hashed(None))?;
+                if let Some(sp) = &probe.split {
+                    // Each extra probe sub-partition re-reads its bucket's
+                    // build partition from the shuffle output.
+                    let bytes = (sp.ways.iter().zip(&build.data.parts))
+                        .filter(|(&w, _)| w > 1)
+                        .map(|(&w, part)| part.bytes() * (w as u64 - 1))
+                        .sum();
+                    self.charge(Charge::ReplicatedBuild(bytes));
+                }
+                (probe, build)
+            }
+        };
+        let res_prep = residual.map(|res| self.prepare_lambda(res, &base));
+
+        // Build a hash table per build partition, probe with the left — one
+        // probe task per left partition, fanned out on the pool. A build
+        // partition's keys and table (hash → row slots in ascending order =
+        // the per-key match order, collisions resolved by key equality at
+        // probe time) are made once, by the first probe task that reads it,
+        // and shared with the rest: every task of a broadcast join, every
+        // sub-partition of a split bucket. A build-key error is what each of
+        // those tasks returns, before it looks at a probe row.
+        type BuildTable<'k> = (PartKeys<'k>, HashMap<u64, Vec<usize>>);
+        let tables: Vec<OnceLock<Result<BuildTable<'_>, ValueError>>> =
+            build.data.parts.iter().map(|_| OnceLock::new()).collect();
+        let catalog = self.catalog;
+        let lwork = &probe.data;
+        let probe_rows = lwork.total_rows() + build.data.total_rows();
+        let outs = self.run_tasks(true, lwork.parts.len(), probe_rows, |pi, tally| {
+            // Under a probe split, every sub-partition of a hot bucket reads
+            // that bucket's (replicated) build partition.
+            let ri = match &probe.split {
+                Some(sp) => sp.parent(pi),
+                None => pi.min(tables.len() - 1),
+            };
+            let rrows = &build.data.parts[ri];
+            let built = tables[ri].get_or_init(|| {
+                let keys = build.keys(ri, catalog, tally);
+                let mut table: HashMap<u64, Vec<usize>> = HashMap::new();
+                for (slot, hk) in keys.iter().enumerate() {
+                    table.entry(hk?.0).or_default().push(slot);
+                }
+                Ok((keys, table))
+            });
+            let (rkeys, table) = built.as_ref().map_err(Clone::clone)?;
+            let lkeys = probe.keys(pi, catalog, tally);
+            let mut rescx = res_prep.as_ref().map(|p| p.ctx(&base));
+            let mut out = Vec::new();
+            for (lrow, hk) in lwork.parts[pi].iter().zip(lkeys.iter()) {
+                let (h, k) = hk?;
+                let slots = table.get(h).map(Vec::as_slice).unwrap_or(&[]);
+                let mut any = false;
+                for &slot in slots {
+                    if rkeys.keys[slot].1 != *k {
+                        continue;
+                    }
+                    let rrow = &rrows[slot];
+                    let pass = match (&res_prep, &mut rescx) {
+                        (Some(res), Some(cx)) => res
+                            .call(&[lrow.clone(), rrow.clone()], cx, catalog)?
+                            .as_bool()?,
+                        _ => true,
+                    };
+                    if pass {
+                        any = true;
+                        if kind == JoinKind::Inner {
+                            out.push(Value::tuple([lrow.clone(), rrow.clone()]));
+                        } else {
+                            break;
+                        }
+                    }
+                }
+                match kind {
+                    JoinKind::LeftSemi if any => out.push(lrow.clone()),
+                    JoinKind::LeftAnti if !any => out.push(lrow.clone()),
+                    _ => {}
+                }
+            }
+            Ok(out)
+        })?;
+        let produced: u64 = outs.iter().map(|out| out.len() as u64).sum();
+        self.charge(Charge::cpu(
+            lwork.total_rows() + produced,
+            lwork.max_part_rows() + produced / self.dop().max(1) as u64,
+        ));
+        // Semi/anti joins keep their probe rows where they are, so they keep
+        // the probe layout's claim: the left key after a repartition, the
+        // left input's own under broadcast, none if the probe side was split
+        // (two-level-hashed).
+        let partitioning = (kind != JoinKind::Inner)
+            .then(|| lwork.partitioning.clone())
+            .flatten();
+        let parts = outs.into_iter().map(Part::from).collect();
+        Ok(PlanResult::Bag(Partitioned {
+            parts,
+            partitioning,
+        }))
+    }
+}

@@ -37,8 +37,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Fault-injection knobs for one engine run. All probabilities default to
-/// zero, which disables injection entirely: the engine then takes the exact
-/// fault-free execution path and every deterministic counter stays
+/// zero, which disables injection entirely: the engine then draws no fault
+/// and pays no fault charge, and every deterministic counter stays
 /// bit-identical to a run without a `FaultConfig` at all (enforced by
 /// `crates/bench/tests/fault_matrix.rs`).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -232,7 +232,7 @@ impl FaultConfig {
     }
 
     /// Whether any injection probability is nonzero. When false the engine
-    /// never consults the schedule and takes the fault-free fast path.
+    /// draws no eviction and runs its task waves under [`Self::disabled`].
     pub fn injects(&self) -> bool {
         self.task_fail_p > 0.0 || self.straggler_p > 0.0 || self.cache_evict_p > 0.0
     }

@@ -114,7 +114,7 @@ struct CacheInner {
 /// Cross-session memo of materialized cache-site results, keyed by
 /// [`shareable_fingerprint`].
 ///
-/// Installed into engines by [`Engine::with_shared_cache`]; consulted on
+/// Installed into engines by [`SessionService`]; consulted on
 /// the first materialization of every evictable, cache-enabled thunk whose
 /// plan is closed. A hit is charged to the reading session as an ordinary
 /// cache read; a miss executes the plan as usual and publishes the result

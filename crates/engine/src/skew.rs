@@ -13,7 +13,7 @@
 //! dispatch mode. The same sizes always produce the same [`SplitPlan`], so
 //! schedules replay bit-identically across `1/2/4` threads and both dispatch
 //! modes. How split rows are *merged* back is the consuming operator's
-//! business (see `exec.rs`): `aggBy` flows sub-partitions through its
+//! business (see `exec::operators`): `aggBy` flows sub-partitions through its
 //! existing partial/merge combiner, `groupBy` runs a two-phase
 //! local-group/merge, the repartition join replicates the build partition
 //! across the probe's sub-partitions, and stateful operators route by a

@@ -1,15 +1,4 @@
-//! Domain-specific APIs layered on the `DataBag` abstraction — the paper's
-//! stated future work (§7: *"We are developing linear algebra and graph
-//! processing APIs on top of the DataBag API"*).
-//!
-//! All three APIs are thin, domain-agnostic layers: [`graph`] expresses
-//! vertex-centric iteration through `StatefulBag` point-wise updates exactly
-//! as Section 3.1 prescribes, [`linalg`] represents sparse matrices as
-//! bags of coordinate triples whose operations are comprehensions and folds
-//! — so everything they do stays inside the optimizable core language —
-//! and [`service`] serves many compiled programs concurrently over one
-//! shared store of cached bags.
+//! APIs layered on the compiler and engine: [`service`] serves many
+//! compiled programs concurrently over one shared store of cached bags.
 
-pub mod graph;
-pub mod linalg;
 pub mod service;

@@ -998,6 +998,12 @@ impl VectorPipeline {
         self.kernels.new_scratch()
     }
 
+    /// The lanes of the last batch [`run_batch`](Self::run_batch) evaluated
+    /// with `s` that reached the output, ascending: one per output row.
+    pub fn out_lanes<'s>(&self, s: &'s VectorScratch) -> &'s [u32] {
+        &s.sels[self.out_sel]
+    }
+
     /// Evaluates one batch of input rows through every fused stage.
     ///
     /// On success: appends output rows to `out`, adds each stage's entry

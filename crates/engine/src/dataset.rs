@@ -8,8 +8,9 @@
 //! A partition ([`Part`]) knows its bytes: the cost model charges shuffles,
 //! broadcasts, cache and storage traffic in serialized bytes, and a
 //! partition's rows are walked for them at most once — by whoever asks
-//! first, for every holder — and the widths travel with the rows through a
-//! shuffle, so its destinations are born measured.
+//! first, for every holder, or by the wave that makes them for a shuffle
+//! ([`Widths`]) — and the widths travel with the rows through a shuffle, so
+//! its destinations are born measured.
 
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
@@ -36,8 +37,11 @@ impl Partitioning {
 }
 
 /// Serialized width of one row: the only call of [`Value::approx_bytes`] on
-/// partition rows outside the fused pipeline's byte-weighted stages.
+/// partition rows outside the fused pipeline's byte-weighted stages (and
+/// the debug check of [`Measured::finish`]).
 fn width(row: &Value) -> u64 {
+    #[cfg(test)]
+    tests::ROWS_WALKED.with(|n| n.set(n.get() + 1));
     row.approx_bytes()
 }
 
@@ -45,9 +49,11 @@ fn width(row: &Value) -> u64 {
 /// from the row again wherever a sum needs it.
 const WIDE: u32 = u32::MAX;
 
-/// The serialized width of each row of a partition, and their sum.
+/// The serialized width of each row of a partition, and their sum: taken by
+/// one walk of a finished partition, or row by row as a wave produces the
+/// rows ([`Widths::walk`], [`Widths::carry`]).
 #[derive(Clone, Debug, Default)]
-struct Widths {
+pub(crate) struct Widths {
     per_row: Vec<u32>,
     total: u64,
 }
@@ -57,16 +63,35 @@ impl Widths {
     fn of(rows: &[Value]) -> Self {
         #[cfg(test)]
         tests::WALKS.with(|n| n.set(n.get() + 1));
-        let mut widths = Widths {
-            per_row: Vec::with_capacity(rows.len()),
-            total: 0,
-        };
-        for row in rows {
-            let w = width(row);
-            widths.per_row.push(u32::try_from(w).unwrap_or(WIDE));
-            widths.total += w;
-        }
+        let mut widths = Widths::with_capacity(rows.len());
+        rows.iter().for_each(|row| widths.walk(row));
         widths
+    }
+
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        Widths {
+            per_row: Vec::with_capacity(n),
+            total: 0,
+        }
+    }
+
+    /// Rows measured so far.
+    pub(crate) fn len(&self) -> usize {
+        self.per_row.len()
+    }
+
+    /// Measures the next row.
+    pub(crate) fn walk(&mut self, row: &Value) {
+        let w = width(row);
+        self.per_row.push(u32::try_from(w).unwrap_or(WIDE));
+        self.total += w;
+    }
+
+    /// Appends the next row with the stored width a holder measured for it
+    /// ([`Part::carried_widths`], [`Measured::drain`]).
+    pub(crate) fn carry(&mut self, row: &Value, w: u32) {
+        self.total += if w == WIDE { width(row) } else { u64::from(w) };
+        self.per_row.push(w);
     }
 }
 
@@ -116,6 +141,17 @@ impl Part {
         self.widths().total
     }
 
+    /// The stored width of each row, if a holder of this partition measured
+    /// it: what a `Filter` carries over to the rows it keeps.
+    pub(crate) fn carried_widths(&self) -> Option<&[u32]> {
+        self.0.widths.get().map(|w| w.per_row.as_slice())
+    }
+
+    /// A partition whose rows a wave measured as it produced them.
+    pub(crate) fn measured(rows: Vec<Value>, widths: Widths) -> Part {
+        Measured { rows, widths }.finish()
+    }
+
     /// The rows: moved out if this is the last holder, copied otherwise.
     pub fn into_rows(self) -> Vec<Value> {
         Arc::try_unwrap(self.0).map_or_else(|shared| shared.rows.clone(), |block| block.rows)
@@ -142,17 +178,13 @@ impl Measured {
     pub(crate) fn with_capacity(n: usize) -> Self {
         Measured {
             rows: Vec::with_capacity(n),
-            widths: Widths {
-                per_row: Vec::with_capacity(n),
-                total: 0,
-            },
+            widths: Widths::with_capacity(n),
         }
     }
 
     /// Appends a row with the stored width [`Measured::drain`] gave for it.
     pub(crate) fn push(&mut self, row: Value, w: u32) {
-        self.widths.total += if w == WIDE { width(&row) } else { u64::from(w) };
-        self.widths.per_row.push(w);
+        self.widths.carry(&row, w);
         self.rows.push(row);
     }
 
@@ -167,7 +199,11 @@ impl Measured {
 
     /// The partition, born measured.
     pub(crate) fn finish(self) -> Part {
-        debug_assert_eq!(self.widths.total, self.rows.iter().map(width).sum::<u64>());
+        debug_assert_eq!(self.widths.len(), self.rows.len());
+        debug_assert_eq!(
+            self.widths.total,
+            self.rows.iter().map(Value::approx_bytes).sum::<u64>()
+        );
         Part(Arc::new(Block {
             rows: self.rows,
             widths: OnceLock::from(self.widths),
@@ -284,16 +320,26 @@ impl Partitioned {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ClusterSpec, Engine, Personality};
     use emma_compiler::expr::ScalarExpr;
+    use emma_compiler::pipeline::{CStmt, CompiledProgram};
+    use emma_compiler::plan::Plan;
     use std::cell::Cell;
 
     thread_local! {
         /// Walks of a partition's rows ([`Widths::of`]) made by this thread.
         pub(super) static WALKS: Cell<usize> = const { Cell::new(0) };
+        /// Rows this thread measured ([`width`]), by whole-partition walks
+        /// or one by one.
+        pub(super) static ROWS_WALKED: Cell<usize> = const { Cell::new(0) };
     }
 
     fn walks() -> usize {
         WALKS.with(Cell::get)
+    }
+
+    fn rows_walked() -> usize {
+        ROWS_WALKED.with(Cell::get)
     }
 
     fn ints(n: i64) -> Vec<Value> {
@@ -411,6 +457,60 @@ mod tests {
         }
         assert_eq!(walks() - before, 1);
         assert_eq!(&*holder, &rows[..], "a shared source was drained");
+    }
+
+    /// The rows this thread walks in two runs, on one catalog, of
+    /// `out = Repartition(narrow, by x.1)` over `xs`: 200 `(i, 2i)` rows,
+    /// few enough that every wave runs on the calling thread.
+    fn rows_walked_by_a_shuffle_of(narrow: impl Fn(Box<Plan>) -> Plan) -> [usize; 2] {
+        let rows = (0..200)
+            .map(|i| Value::tuple([Value::Int(i), Value::Int(2 * i)]))
+            .collect();
+        let catalog = Catalog::new().with("xs", rows);
+        let source = Box::new(Plan::Source { name: "xs".into() });
+        let program = CompiledProgram {
+            body: vec![CStmt::Write {
+                sink: "out".into(),
+                plan: Plan::Repartition {
+                    input: Box::new(narrow(source)),
+                    key: Lambda::new(["x"], ScalarExpr::var("x").get(1)),
+                },
+            }],
+            report: Default::default(),
+            compiled_eval: true,
+        };
+        let engine = Engine::new(ClusterSpec::tiny(), Personality::sparrow());
+        [(); 2].map(|_| {
+            let before = rows_walked();
+            engine.run(&program, &catalog).expect("runs");
+            rows_walked() - before
+        })
+    }
+
+    /// A keyed consumer's input wave hands on partitions that are already
+    /// measured, and the shuffle carries those widths into destinations born
+    /// measured: the first run walks the catalog's blocks once, and no row
+    /// after that but the ones a `Map` made — each once, as it made them.
+    /// A `Filter` over the measured source carries the widths of the rows
+    /// it keeps.
+    #[test]
+    fn a_fused_shuffle_walks_only_the_rows_a_map_made() {
+        let filter = rows_walked_by_a_shuffle_of(|input| Plan::Filter {
+            input,
+            p: Lambda::new(
+                ["x"],
+                ScalarExpr::var("x").get(0).ge(ScalarExpr::lit(50i64)),
+            ),
+        });
+        assert_eq!(filter, [200, 0], "Filter");
+        let map = rows_walked_by_a_shuffle_of(|input| Plan::Map {
+            input,
+            f: Lambda::new(
+                ["x"],
+                ScalarExpr::Tuple(vec![ScalarExpr::var("x").get(1), ScalarExpr::var("x")]),
+            ),
+        });
+        assert_eq!(map, [200 + 200, 200], "Map");
     }
 
     #[test]

@@ -50,7 +50,6 @@ use crate::fault::{CheckpointConfig, FaultConfig};
 use crate::metrics::{ExecError, ExecStats};
 use crate::pool::ParallelismMode;
 use crate::skew::{self, SkewConfig, SplitKind, SplitPlan};
-use operators::narrow::Narrow;
 use operators::stateful::EngineState;
 use recovery::Thunk;
 use schedule::Tally;
@@ -576,10 +575,21 @@ impl<'a> Session<'a> {
     /// [`CALLER_STACK_BUDGET`] moves to the deep stack; the frames above
     /// return to the caller's stack as they unwind.
     fn exec_plan(&mut self, plan: &Plan, env: &EnvSnapshot) -> Result<PlanResult, ExecError> {
+        self.exec_node(plan, |s| s.exec_plan_inner(plan, env))
+    }
+
+    /// Runs `run` as the frame of plan node `plan` ([`Session::exec_plan`]):
+    /// the one place time is attributed to a node and a deep run moves to
+    /// the deep stack.
+    fn exec_node<R: Send>(
+        &mut self,
+        plan: &Plan,
+        run: impl FnOnce(&mut Self) -> Result<R, ExecError> + Send,
+    ) -> Result<R, ExecError> {
         if let Some(base) = self.caller_stack {
             if stack_mark().abs_diff(base) > CALLER_STACK_BUDGET {
                 self.caller_stack = None;
-                let result = on_deep_stack(|| self.exec_plan(plan, env));
+                let result = on_deep_stack(|| self.exec_node(plan, run));
                 self.caller_stack = Some(base);
                 return result;
             }
@@ -588,7 +598,7 @@ impl<'a> Session<'a> {
         let wall_before = std::time::Instant::now();
         let saved_children = std::mem::replace(&mut self.children_inclusive, 0.0);
         let saved_wall = std::mem::replace(&mut self.children_wall_inclusive, 0.0);
-        let result = self.exec_plan_inner(plan, env);
+        let result = run(self);
         let inclusive = self.stats.simulated_secs - before;
         let exclusive = (inclusive - self.children_inclusive).max(0.0);
         *self.stats.op_secs.entry(plan.op_name()).or_insert(0.0) += exclusive;
@@ -643,17 +653,10 @@ impl<'a> Session<'a> {
                     }
                 }
             }
-            Plan::Map { input, f } => self.exec_narrow(input, &[Narrow::Map(f)], env),
-            Plan::Filter { input, p } => self.exec_narrow(input, &[Narrow::Filter(p)], env),
-            Plan::FlatMap { input, param, body } => {
-                self.exec_narrow(input, &[Narrow::FlatMap(param, body)], env)
-            }
-            Plan::Pipeline { input, stages } => {
-                let stages: Vec<Narrow> = stages.iter().map(Narrow::from).collect();
-                let out = self.exec_narrow(input, &stages, env)?;
-                self.check_budget()?;
-                Ok(out)
-            }
+            Plan::Map { .. }
+            | Plan::Filter { .. }
+            | Plan::FlatMap { .. }
+            | Plan::Pipeline { .. } => Ok(PlanResult::Bag(self.exec_narrow(plan, None, env)?.data)),
             Plan::Fold { input, fold } => self.exec_fold(input, fold, env),
             Plan::Join { .. } => self.exec_join(plan, env),
             Plan::Cross { left, right } => {
@@ -682,7 +685,7 @@ impl<'a> Session<'a> {
                 }))
             }
             Plan::GroupBy { input, key } => {
-                let d = self.exec_bag(input, env)?;
+                let d = self.exec_keyed_input(input, key, env, true)?;
                 let kind = self.split_kind(plan.skew_eligibility());
                 self.exec_group_by(d, key, kind, env)
             }
@@ -703,8 +706,8 @@ impl<'a> Session<'a> {
             }
             Plan::Minus { left, right } => {
                 let identity = Lambda::new(["x"], ScalarExpr::var("x"));
-                let l = self.exec_bag(left, env)?;
-                let r = self.exec_bag(right, env)?;
+                let l = self.exec_keyed_input(left, &identity, env, false)?;
+                let r = self.exec_keyed_input(right, &identity, env, false)?;
                 let ls = self.shuffle(l, &identity, env, None)?;
                 let rs = self.shuffle(r, &identity, env, None)?;
                 let pairs = ls.parts.iter().zip(&rs.parts);
@@ -721,7 +724,7 @@ impl<'a> Session<'a> {
             }
             Plan::Distinct { input } => {
                 let identity = Lambda::new(["x"], ScalarExpr::var("x"));
-                let d = self.exec_bag(input, env)?;
+                let d = self.exec_keyed_input(input, &identity, env, false)?;
                 // Key-preserving split keeps all copies of a row in one
                 // sub-partition, so per-partition dedup stays exact.
                 let kind = self.split_kind(plan.skew_eligibility());
@@ -737,7 +740,7 @@ impl<'a> Session<'a> {
                 }))
             }
             Plan::Repartition { input, key } => {
-                let d = self.exec_bag(input, env)?;
+                let d = self.exec_keyed_input(input, key, env, false)?;
                 let s = self.shuffle(d, key, env, None)?;
                 Ok(PlanResult::Bag(s))
             }

@@ -4,9 +4,9 @@
 use emma_compiler::expr::FoldOp;
 use emma_compiler::vectorized::{AggInput, AggKernel};
 
-use crate::exec::keyed::{next_key, PartKeys, Placement};
+use crate::exec::keyed::{next_key, KeyedInput, PartKeys, Placement};
 use crate::exec::prepare::{
-    batch_or_replay, compiled_parts, sample_rows, vec_spec, Chunk, EvCtx, PreparedScalar,
+    batch_or_replay, compiled_parts, sample_rows, vec_spec, Chunk, EvCtx, Kernel, PreparedScalar,
 };
 use crate::exec::*;
 
@@ -92,7 +92,7 @@ impl Session<'_> {
     /// spill penalty becomes several in-memory sub-reducers).
     pub(crate) fn exec_group_by(
         &mut self,
-        d: Partitioned,
+        d: KeyedInput,
         key: &Lambda,
         kind: Option<SplitKind>,
         env: &EnvSnapshot,
@@ -410,21 +410,28 @@ fn fold_partition(
 ) -> Result<Value, ValueError> {
     let mut ucx = uni.ctx(base);
     let mut scx: Option<EvCtx> = None;
+    let mut kernel = sng_vec.map(Kernel::new);
     let mut acc = zero;
     let mut combine = |acc: &mut Value, s: Value| {
         uni.call_owned([std::mem::take(acc), s], &mut ucx, catalog)
             .map(|next| *acc = next)
     };
-    batch_or_replay(rows, sng_vec, 1, tally, |chunk, _, buf| match chunk {
-        Chunk::Ran => buf.drain(..).try_for_each(|s| combine(&mut acc, s)),
-        Chunk::Replay(batch) => {
-            let scx = scx.get_or_insert_with(|| sng.ctx(base));
-            batch.iter().try_for_each(|row| {
-                let s = sng.call(std::slice::from_ref(row), scx, catalog)?;
-                combine(&mut acc, s)
-            })
-        }
-    })?;
+    batch_or_replay(
+        rows,
+        kernel.as_mut(),
+        1,
+        tally,
+        |chunk, _, buf| match chunk {
+            Chunk::Ran { .. } => buf.drain(..).try_for_each(|s| combine(&mut acc, s)),
+            Chunk::Replay(batch) => {
+                let scx = scx.get_or_insert_with(|| sng.ctx(base));
+                batch.iter().try_for_each(|row| {
+                    let s = sng.call(std::slice::from_ref(row), scx, catalog)?;
+                    combine(&mut acc, s)
+                })
+            }
+        },
+    )?;
     Ok(acc)
 }
 

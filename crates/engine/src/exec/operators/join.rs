@@ -29,15 +29,15 @@ impl Session<'_> {
         };
         let (kind, residual) = (*kind, residual.as_ref());
         let probe_split = self.split_kind(plan.skew_eligibility());
-        let l = self.exec_bag(left, env)?;
-        let r = self.exec_bag(right, env)?;
+        let l = self.exec_keyed_input(left, lkey, env, true)?;
+        let r = self.exec_keyed_input(right, rkey, env, true)?;
         let base = self.eval_base(residual.map(Term::Lambda).as_slice(), env)?;
 
         // Just-in-time strategy resolution from actual input sizes. What
         // this measures of the right side, its shuffle then carries.
         let strategy = match strategy {
             JoinStrategy::Auto => {
-                if r.total_bytes() <= self.engine.spec.broadcast_threshold {
+                if r.data.total_bytes() <= self.engine.spec.broadcast_threshold {
                     JoinStrategy::Broadcast
                 } else {
                     JoinStrategy::Repartition
@@ -52,16 +52,12 @@ impl Session<'_> {
             JoinStrategy::Broadcast => {
                 // Ship the entire right side to every node, as one build
                 // partition every probe task reads; left stays put.
-                let bytes = r.total_bytes();
+                let bytes = r.data.total_bytes();
                 self.charge(Charge::DriverLink(bytes));
                 self.charge(Charge::Broadcast(bytes));
-                let whole = Partitioned {
-                    parts: vec![r.collect_rows().into()],
-                    partitioning: None,
-                };
                 (
                     self.keyed(l, lkey, env, Placement::InPlace)?,
-                    self.keyed(whole, rkey, env, Placement::InPlace)?,
+                    self.keyed(r.gathered(), rkey, env, Placement::InPlace)?,
                 )
             }
             JoinStrategy::Repartition | JoinStrategy::Auto => {
@@ -87,13 +83,11 @@ impl Session<'_> {
 
         // Build a hash table per build partition, probe with the left — one
         // probe task per left partition, fanned out on the pool. A build
-        // partition's keys and table (hash → row slots in ascending order =
-        // the per-key match order, collisions resolved by key equality at
-        // probe time) are made once, by the first probe task that reads it,
-        // and shared with the rest: every task of a broadcast join, every
-        // sub-partition of a split bucket. A build-key error is what each of
-        // those tasks returns, before it looks at a probe row.
-        type BuildTable<'k> = (PartKeys<'k>, HashMap<u64, Vec<usize>>);
+        // partition's keys and table are made once, by the first probe task
+        // that reads it, and shared with the rest: every task of a broadcast
+        // join, every sub-partition of a split bucket. A build-key error is
+        // what each of those tasks returns, before it looks at a probe row.
+        type BuildTable<'k> = (PartKeys<'k>, HashSlots);
         let tables: Vec<OnceLock<Result<BuildTable<'_>, ValueError>>> =
             build.data.parts.iter().map(|_| OnceLock::new()).collect();
         let catalog = self.catalog;
@@ -109,10 +103,7 @@ impl Session<'_> {
             let rrows = &build.data.parts[ri];
             let built = tables[ri].get_or_init(|| {
                 let keys = build.keys(ri, catalog, tally);
-                let mut table: HashMap<u64, Vec<usize>> = HashMap::new();
-                for (slot, hk) in keys.iter().enumerate() {
-                    table.entry(hk?.0).or_default().push(slot);
-                }
+                let table = HashSlots::build(keys.iter().map(|hk| hk.map(|&(h, _)| h)))?;
                 Ok((keys, table))
             });
             let (rkeys, table) = built.as_ref().map_err(Clone::clone)?;
@@ -121,9 +112,8 @@ impl Session<'_> {
             let mut out = Vec::new();
             for (lrow, hk) in lwork.parts[pi].iter().zip(lkeys.iter()) {
                 let (h, k) = hk?;
-                let slots = table.get(h).map(Vec::as_slice).unwrap_or(&[]);
                 let mut any = false;
-                for &slot in slots {
+                for slot in table.slots(*h) {
                     if rkeys.keys[slot].1 != *k {
                         continue;
                     }
@@ -168,5 +158,54 @@ impl Session<'_> {
             parts,
             partitioning,
         }))
+    }
+}
+
+/// A build partition's hash table: its `(hash, slot)` pairs, sorted, so the
+/// slots of one hash are one run in ascending order — the per-key match
+/// order. Keys that share a hash are told apart at probe time.
+struct HashSlots(Vec<(u64, u32)>);
+
+impl HashSlots {
+    /// The table over each row's key hash, in row order, up to the first
+    /// key that raised — whose error it returns.
+    fn build(hashes: impl Iterator<Item = Result<u64, ValueError>>) -> Result<Self, ValueError> {
+        let mut table = Vec::with_capacity(hashes.size_hint().0);
+        for (slot, h) in hashes.enumerate() {
+            table.push((
+                h?,
+                u32::try_from(slot).expect("a build partition of < 2^32 rows"),
+            ));
+        }
+        table.sort_unstable();
+        Ok(HashSlots(table))
+    }
+
+    /// The slots whose key hashed to `h`, ascending.
+    fn slots(&self, h: u64) -> impl Iterator<Item = usize> + '_ {
+        let run = &self.0[self.0.partition_point(|&(th, _)| th < h)..];
+        run.iter()
+            .take_while(move |&&(th, _)| th == h)
+            .map(|&(_, slot)| slot as usize)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_hash_s_slots_come_back_ascending_and_a_key_error_stops_the_build() {
+        let table = HashSlots::build([5, 3, 5, 9, 3, 5].into_iter().map(Ok)).unwrap();
+        let slots = |h| table.slots(h).collect::<Vec<_>>();
+        assert_eq!(slots(5), [0, 2, 5]);
+        assert_eq!(slots(3), [1, 4]);
+        assert_eq!(slots(9), [3]);
+        assert_eq!(slots(4), Vec::<usize>::new());
+        assert_eq!(slots(u64::MAX), Vec::<usize>::new());
+
+        let raised = ValueError::Arithmetic("raised".into());
+        let hashes = [Ok(1), Err(raised.clone()), Ok(2)];
+        assert_eq!(HashSlots::build(hashes.into_iter()).err(), Some(raised));
     }
 }

@@ -1,10 +1,18 @@
 //! Narrow operators: a fused `Pipeline`, or a standalone `Map` / `Filter` /
-//! `FlatMap` as its one-stage case, run in one pass per partition.
+//! `FlatMap` as its one-stage case, run in one pass per partition — which,
+//! for a keyed consumer, is also the write side of its shuffle.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use emma_compiler::plan::PipelineStage;
 use emma_compiler::vectorized::VecStageSpec;
 
-use crate::exec::prepare::{batch_or_replay, sample_rows, vec_spec, Chunk, EvCtx, PreparedStage};
+use crate::dataset::Widths;
+use crate::exec::keyed::{KeyCursor, KeyEval, KeyTap, KeyedInput, PartKeys};
+use crate::exec::prepare::{
+    batch_or_replay, sample_rows, vec_spec, Chunk, EvCtx, Kernel, PreparedStage,
+    SPECIALIZE_SAMPLE_ROWS,
+};
 use crate::exec::*;
 
 /// One narrow (per-element, partition-local) operator's UDF, borrowed from a
@@ -28,24 +36,37 @@ impl<'p> From<&'p PipelineStage> for Narrow<'p> {
 }
 
 impl Session<'_> {
-    /// Runs a chain of narrow operators over `input` in one per-partition
-    /// pass with no intermediate materialization: a fused `Plan::Pipeline`,
-    /// or a standalone `Map` / `Filter` / `FlatMap` as its one-stage case.
-    /// The engine picks the tier for the whole chain — typed column kernels
-    /// when it specializes, the scalar flat loop otherwise (a counted
-    /// refusal) — and then issues each stage's charges from its entry sizes.
+    /// Runs a narrow plan node — a fused `Plan::Pipeline`, or a standalone
+    /// `Map` / `Filter` / `FlatMap` as its one-stage case — in one
+    /// per-partition pass with no intermediate materialization. The engine
+    /// picks the tier for the whole chain — typed column kernels when it
+    /// specializes, the scalar flat loop otherwise (a counted refusal) — and
+    /// then issues each stage's charges from its entry sizes.
+    ///
+    /// With a [`KeyTap`] each task also takes, from every output row while
+    /// it is in cache, its key ([`KeyCursor`]) and its width ([`RowTap`]):
+    /// the partitions come out measured, with their keys. The key's tier is
+    /// decided on the driver before the wave, from the sample the finished
+    /// output would have given ([`output_sample`]).
     pub(crate) fn exec_narrow(
         &mut self,
-        input: &Plan,
-        stages: &[Narrow<'_>],
+        plan: &Plan,
+        tap: Option<KeyTap<'_>>,
         env: &EnvSnapshot,
-    ) -> Result<PlanResult, ExecError> {
+    ) -> Result<KeyedInput, ExecError> {
+        let (input, stages): (&Plan, Vec<Narrow>) = match plan {
+            Plan::Map { input, f } => (input, vec![Narrow::Map(f)]),
+            Plan::Filter { input, p } => (input, vec![Narrow::Filter(p)]),
+            Plan::FlatMap { input, param, body } => (input, vec![Narrow::FlatMap(param, body)]),
+            Plan::Pipeline { input, stages } => (input, stages.iter().map(Narrow::from).collect()),
+            _ => unreachable!("exec_narrow runs narrow plan nodes"),
+        };
         let d = self.exec_bag(input, env)?;
         // Per-stage base environments, evaluated in stage order so thunk
         // forcings, broadcasts, and cache hits/misses happen exactly as the
         // unfused chain's would.
         let mut bases = Vec::with_capacity(stages.len());
-        for stage in stages {
+        for stage in &stages {
             bases.push(match *stage {
                 Narrow::Map(f) | Narrow::Filter(f) => self.eval_base(&[Term::Lambda(f)], env)?,
                 Narrow::FlatMap(_, body) => self.eval_base(&[Term::Bag(body)], env)?,
@@ -137,21 +158,52 @@ impl Session<'_> {
             |rows| vectorized::specialize_sampled(specs.as_deref()?, rows),
         );
         let catalog = self.catalog;
+        // A Filter preserves the physical layout; Map/FlatMap drop it.
+        let filter_only = stages.iter().all(|s| matches!(s, Narrow::Filter(_)));
+        let partitioning = filter_only.then(|| d.partitioning.clone()).flatten();
+        let key = match tap.filter(|t| t.wanted(partitioning.as_ref(), self.dop())) {
+            Some(tap) => {
+                let sample = (self.kernels_on())
+                    .then(|| output_sample(&d.parts, &prepared, &bases, catalog, &need_bytes))
+                    .flatten();
+                Some(self.key_eval(tap.key, tap.base, sample.as_deref()))
+            }
+            None => None,
+        };
         let results = self.run_tasks(false, d.parts.len(), d.total_rows(), |pi, tally| {
-            let (rows, vec) = (&d.parts[pi], vec_run.as_ref());
-            run_pipeline_partition(rows, vec, &prepared, &bases, catalog, &need_bytes, tally)
+            let (part, vec) = (&d.parts[pi], vec_run.as_ref());
+            let mut tap = key.as_ref().map(|k| RowTap::new(k, part, filter_only));
+            let pass = run_pipeline_partition(
+                part,
+                vec,
+                &prepared,
+                &bases,
+                catalog,
+                &need_bytes,
+                tally,
+                tap.as_mut(),
+            )?;
+            let taken = tap.map(|t| t.finish(&pass.0, catalog, tally));
+            Ok((pass, taken))
         })?;
         let mut parts = Vec::with_capacity(results.len());
+        let mut keys = Vec::with_capacity(results.len());
         let mut counts_total = vec![0u64; nstages + 1];
         let mut counts_max = vec![0u64; nstages + 1];
         let mut bytes_max = vec![0u64; nstages + 1];
-        for (rows, counts, bytes) in results {
+        for ((rows, counts, bytes), taken) in results {
             for i in 0..=nstages {
                 counts_total[i] += counts[i];
                 counts_max[i] = counts_max[i].max(counts[i]);
                 bytes_max[i] = bytes_max[i].max(bytes[i]);
             }
-            parts.push(rows.into());
+            parts.push(match taken {
+                Some((widths, part_keys)) => {
+                    keys.push(part_keys);
+                    Part::measured(rows, widths)
+                }
+                None => rows.into(),
+            });
         }
         // Issue each stage's charges from its (now known) input sizes, on
         // the driver, in one order whatever the chain length: record-weighted
@@ -196,22 +248,111 @@ impl Session<'_> {
                 self.charge(Charge::nested_bag_folds(nested[i], entry_bytes));
             }
         }
-        // A Filter preserves the physical layout; Map/FlatMap drop it.
-        let partitioning = stages
-            .iter()
-            .all(|s| matches!(s, Narrow::Filter(_)))
-            .then(|| d.partitioning.clone())
-            .flatten();
-        Ok(PlanResult::Bag(Partitioned {
-            parts,
-            partitioning,
-        }))
+        if matches!(plan, Plan::Pipeline { .. }) {
+            self.check_budget()?;
+        }
+        Ok(KeyedInput {
+            data: Partitioned {
+                parts,
+                partitioning,
+            },
+            keys: key.map(|_| keys),
+        })
     }
+}
+
+/// What a task of a keyed consumer's input wave takes from each output row
+/// while the row is in cache: its key, and its width — carried over from the
+/// input row when a `Filter`-only chain keeps rows a holder already measured,
+/// measured afresh otherwise.
+struct RowTap<'e, 'p> {
+    keys: KeyCursor<'e, 'p>,
+    widths: Widths,
+    carried: Option<&'e [u32]>,
+}
+
+impl<'e, 'p> RowTap<'e, 'p> {
+    fn new(key: &'e KeyEval<'p>, input: &'e Part, filter_only: bool) -> Self {
+        RowTap {
+            keys: key.cursor(),
+            widths: Widths::with_capacity(input.len()),
+            carried: input.carried_widths().filter(|_| filter_only),
+        }
+    }
+
+    /// Whether a chunk must say which of its input rows it kept.
+    fn wants_lanes(&self) -> bool {
+        self.carried.is_some()
+    }
+
+    /// Takes the rows a chunk of input rows starting at `at` appended to
+    /// `out` — one per lane of `lanes` when [`RowTap::wants_lanes`].
+    fn took(&mut self, at: usize, lanes: &[u32], out: &[Value], catalog: &Catalog) {
+        let new = &out[self.widths.len()..];
+        match self.carried {
+            Some(widths) => {
+                debug_assert_eq!(new.len(), lanes.len());
+                for (row, &lane) in new.iter().zip(lanes) {
+                    self.widths.carry(row, widths[at + lane as usize]);
+                }
+            }
+            None => new.iter().for_each(|row| self.widths.walk(row)),
+        }
+        self.keys.advance(out, false, catalog);
+    }
+
+    /// The widths of all of a task's output rows, and their keys.
+    fn finish(
+        mut self,
+        out: &[Value],
+        catalog: &Catalog,
+        tally: &mut Tally,
+    ) -> (Widths, PartKeys<'static>) {
+        self.keys.advance(out, true, catalog);
+        (self.widths, self.keys.finish(tally))
+    }
+}
+
+/// The rows a keyed consumer would specialize its key against if the wave
+/// had already run ([`sample_rows`] of the output): a prefix of the first
+/// partition the chain leaves non-empty, taken on the driver by the scalar
+/// tier from as few input rows as it needs. `None` when every partition
+/// comes out empty — and when the chain raises or panics first, because
+/// then the wave does too, before anyone reads a key.
+fn output_sample(
+    parts: &[Part],
+    stages: &[PreparedStage<'_>],
+    bases: &[HashMap<String, Value>],
+    catalog: &Catalog,
+    need_bytes: &[bool],
+) -> Option<Vec<Value>> {
+    let sample = || -> Result<Option<Vec<Value>>, ValueError> {
+        let mut tally = Tally::default();
+        for part in parts {
+            let mut out = Vec::new();
+            for rows in part.chunks(SPECIALIZE_SAMPLE_ROWS) {
+                let pass = run_pipeline_partition(
+                    rows, None, stages, bases, catalog, need_bytes, &mut tally, None,
+                )?;
+                out.extend(pass.0);
+                if out.len() >= SPECIALIZE_SAMPLE_ROWS {
+                    break;
+                }
+            }
+            if !out.is_empty() {
+                out.truncate(SPECIALIZE_SAMPLE_ROWS);
+                return Ok(Some(out));
+            }
+        }
+        Ok(None)
+    };
+    catch_unwind(AssertUnwindSafe(sample)).ok()?.ok()?
 }
 
 /// The scalar flat loop over a Map/Filter-only stage chain: each row stays
 /// in a register-resident local through every stage. Shared between the
-/// fused pipeline pass and the vectorized tier's batch-abort replay.
+/// fused pipeline pass and the vectorized tier's batch-abort replay. `kept`,
+/// if given, gets the index of each row that reaches the output.
 #[allow(clippy::too_many_arguments)]
 fn run_scalar_chain<'p, 'b>(
     rows: &[Value],
@@ -222,12 +363,13 @@ fn run_scalar_chain<'p, 'b>(
     counts: &mut [u64],
     bytes: &mut [u64],
     out: &mut Vec<Value>,
+    mut kept: Option<&mut Vec<u32>>,
 ) -> Result<(), ValueError>
 where
     'p: 'b,
 {
     let nstages = stages.len();
-    'rows: for row in rows {
+    'rows: for (lane, row) in rows.iter().enumerate() {
         let mut cur = row.clone();
         for (i, stage) in stages.iter().enumerate() {
             counts[i] += 1;
@@ -253,6 +395,9 @@ where
         if need_bytes[nstages] {
             bytes[nstages] += cur.approx_bytes();
         }
+        if let Some(kept) = kept.as_deref_mut() {
+            kept.push(lane as u32);
+        }
         out.push(cur);
     }
     Ok(())
@@ -270,7 +415,9 @@ type PartitionPass = (Vec<Value>, Vec<u64>, Vec<u64>);
 /// runs columnar, batch by batch, and only an aborted batch takes the scalar
 /// pass ([`batch_or_replay`]): the per-stage entry counts are identical
 /// whichever path each batch took, and there are no byte totals to keep,
-/// since a chain that needs them never specializes.
+/// since a chain that needs them never specializes. A `tap` sees each
+/// chunk's output rows right after the chunk produced them.
+#[allow(clippy::too_many_arguments)]
 fn run_pipeline_partition<'p, 'b>(
     rows: &[Value],
     vec: Option<&(VectorPipeline, usize)>,
@@ -279,6 +426,7 @@ fn run_pipeline_partition<'p, 'b>(
     catalog: &Catalog,
     need_bytes: &[bool],
     tally: &mut Tally,
+    mut tap: Option<&mut RowTap<'_, '_>>,
 ) -> Result<PartitionPass, ValueError>
 where
     'p: 'b,
@@ -288,25 +436,49 @@ where
     let flat_map = stages
         .iter()
         .any(|s| matches!(s, PreparedStage::FlatMap(_)));
-    let (out, counts) = batch_or_replay(rows, vec, stages.len(), tally, |chunk, counts, out| {
-        let Chunk::Replay(rows) = chunk else {
-            return Ok(());
-        };
-        let ctxs =
-            ctxs.get_or_insert_with(|| stages.iter().zip(bases).map(|(s, b)| s.ctx(b)).collect());
-        if flat_map {
-            let bytes = &mut bytes;
-            return rows.iter().cloned().try_for_each(|row| {
-                push_row(row, stages, ctxs, catalog, need_bytes, counts, bytes, out)
-            });
-        }
-        // Map/Filter-only chains (the common fused shape) run as one flat
-        // loop: each row stays in a register-resident local through every
-        // stage, with no per-stage recursion.
-        run_scalar_chain(
-            rows, stages, ctxs, catalog, need_bytes, counts, &mut bytes, out,
-        )
-    })?;
+    let mut kernel = vec.map(Kernel::new);
+    let (mut at, mut kept) = (0, Vec::new());
+    let nstages = stages.len();
+    let (out, counts) = batch_or_replay(
+        rows,
+        kernel.as_mut(),
+        nstages,
+        tally,
+        |chunk, counts, out| {
+            let start = at;
+            at += chunk.rows().len();
+            let lanes = match chunk {
+                Chunk::Ran { lanes, .. } => lanes,
+                Chunk::Replay(rows) => {
+                    let ctxs = ctxs.get_or_insert_with(|| {
+                        stages.iter().zip(bases).map(|(s, b)| s.ctx(b)).collect()
+                    });
+                    if flat_map {
+                        let bytes = &mut bytes;
+                        rows.iter().cloned().try_for_each(|row| {
+                            push_row(row, stages, ctxs, catalog, need_bytes, counts, bytes, out)
+                        })?;
+                    } else {
+                        // Map/Filter-only chains (the common fused shape) run as
+                        // one flat loop: each row stays in a register-resident
+                        // local through every stage, with no per-stage recursion.
+                        kept.clear();
+                        let wanted = tap.as_ref().is_some_and(|t| t.wants_lanes());
+                        let record = wanted.then_some(&mut kept);
+                        run_scalar_chain(
+                            rows, stages, ctxs, catalog, need_bytes, counts, &mut bytes, out,
+                            record,
+                        )?;
+                    }
+                    &kept
+                }
+            };
+            if let Some(tap) = tap.as_deref_mut() {
+                tap.took(start, lanes, out, catalog);
+            }
+            Ok(())
+        },
+    )?;
     Ok((out, counts, bytes))
 }
 

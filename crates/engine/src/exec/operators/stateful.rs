@@ -70,7 +70,7 @@ impl Session<'_> {
         key: &Lambda,
     ) -> Result<(), ExecError> {
         let env = self.snapshot();
-        let d = self.exec_bag(plan, &env)?;
+        let d = self.exec_keyed_input(plan, key, &env, true)?;
         // Stateful bags split key-preservingly: every copy of a key lands in
         // the same sub-partition, so per-slot lookups stay local and updates
         // route through the same two-level hash.
@@ -107,7 +107,7 @@ impl Session<'_> {
         update: &Lambda,
     ) -> Result<(), ExecError> {
         let env = self.snapshot();
-        let msgs = self.exec_bag(messages, &env)?;
+        let msgs = self.exec_keyed_input(messages, message_key, &env, true)?;
         // Whatever else `state` names, no stateful bag is an unbound one —
         // the interpreter's error, at the interpreter's point.
         let Some(Binding::Stateful(cell)) = self.env.get(state).cloned() else {

@@ -9,7 +9,7 @@ use std::collections::HashSet;
 use std::hash::Hash;
 
 use emma_compiler::compiled::{self, CompiledBag, CompiledEval, Machine};
-use emma_compiler::vectorized::VecStageSpec;
+use emma_compiler::vectorized::{VecStageSpec, VectorScratch};
 
 use super::*;
 
@@ -250,6 +250,12 @@ impl Session<'_> {
         }
     }
 
+    /// Whether sites run typed kernels where they specialize: the one tier
+    /// in which [`Session::try_vectorize`] reads its sample.
+    pub(super) fn kernels_on(&self) -> bool {
+        self.tiers.vectorized.is_some()
+    }
+
     /// The driver's specialize-or-refuse decision for one site of the
     /// vectorized columnar tier: runs `specialize` — a chain of prepared
     /// Map/Filter stages, a wide operator's key UDF, or one phase of a fused
@@ -281,6 +287,36 @@ impl Session<'_> {
             *refusals(&mut self.stats) += 1;
         }
         kernel.map(|k| (k, cfg.batch_rows))
+    }
+
+    /// The base scope [`Session::eval_base`] builds for `terms` when
+    /// building it pays for nothing: every name they capture is a driver
+    /// scalar (or no binding at all) and none of them reads a dataset. Such
+    /// a scope can be built ahead of the point where `eval_base` would build
+    /// it without moving a charge. `None` otherwise.
+    pub(super) fn scalar_base(
+        &self,
+        terms: &[Term<'_>],
+        env: &EnvSnapshot,
+    ) -> Option<HashMap<String, Value>> {
+        let mut base = HashMap::new();
+        for t in terms {
+            let mut reads = false;
+            t.walk(&mut |t| reads |= matches!(t, Term::Bag(BagExpr::Read { .. })));
+            if reads {
+                return None;
+            }
+            for name in t.free_vars() {
+                match env.get(&name).or_else(|| self.env.get(&name)) {
+                    Some(Binding::Scalar(v)) => {
+                        base.insert(name, v.clone());
+                    }
+                    Some(Binding::Bag(_) | Binding::Stateful(_)) => return None,
+                    None => {}
+                }
+            }
+        }
+        Some(base)
     }
 
     /// Builds the base evaluation environment for a site's UDF terms,
@@ -355,7 +391,7 @@ impl Session<'_> {
 /// specializing a vectorized program. One row fixes the column shapes; the
 /// rest let the string-column dictionary heuristic
 /// ([`emma_compiler::vectorized::DICT_MIN_SAMPLE`]) observe cardinality.
-const SPECIALIZE_SAMPLE_ROWS: usize = 64;
+pub(super) const SPECIALIZE_SAMPLE_ROWS: usize = 64;
 
 /// The driver-side specialization sample: a prefix (up to
 /// [`SPECIALIZE_SAMPLE_ROWS`] rows) of the first non-empty partition.
@@ -370,11 +406,44 @@ pub(super) fn sample_rows(parts: &[Part]) -> Option<&[Value]> {
 
 /// One chunk's outcome in [`batch_or_replay`].
 pub(super) enum Chunk<'a> {
-    /// The kernels evaluated the chunk and appended their output rows.
-    Ran,
+    /// The kernels evaluated `rows` and appended one output row per lane of
+    /// `lanes`, in order.
+    Ran { rows: &'a [Value], lanes: &'a [u32] },
     /// The kernels aborted on these input rows (or the site has none): the
     /// scalar tier evaluates them row-at-a-time.
     Replay(&'a [Value]),
+}
+
+impl<'a> Chunk<'a> {
+    /// The input rows of the chunk.
+    pub(super) fn rows(&self) -> &'a [Value] {
+        match *self {
+            Chunk::Ran { rows, .. } | Chunk::Replay(rows) => rows,
+        }
+    }
+}
+
+/// A site's kernel program readied for one task: the program, its batch
+/// size, and scratch the task reuses for every batch it runs, however many
+/// [`batch_or_replay`] calls they come in.
+pub(super) struct Kernel<'v> {
+    vp: &'v VectorPipeline,
+    batch_rows: usize,
+    scratch: VectorScratch,
+}
+
+impl<'v> Kernel<'v> {
+    pub(super) fn new((vp, batch_rows): &'v (VectorPipeline, usize)) -> Self {
+        Kernel {
+            vp,
+            batch_rows: *batch_rows,
+            scratch: vp.new_scratch(),
+        }
+    }
+
+    pub(super) fn batch_rows(&self) -> usize {
+        self.batch_rows
+    }
 }
 
 /// The one loop every consumer of a [`VectorPipeline`] runs: `rows` in
@@ -390,23 +459,26 @@ pub(super) enum Chunk<'a> {
 /// every batch vectorizes never allocates them.
 pub(super) fn batch_or_replay<E>(
     rows: &[Value],
-    vec: Option<&(VectorPipeline, usize)>,
+    mut kernel: Option<&mut Kernel<'_>>,
     nstages: usize,
     tally: &mut Tally,
     mut each: impl FnMut(Chunk<'_>, &mut [u64], &mut Vec<Value>) -> Result<(), E>,
 ) -> Result<(Vec<Value>, Vec<u64>), E> {
-    let mut kernel = vec.map(|(vp, _)| (vp, vp.new_scratch()));
     let mut counts = vec![0u64; nstages + 1];
     let mut out = Vec::new();
-    for chunk in rows.chunks(vec.map_or(usize::MAX, |(_, n)| *n)) {
-        let ran = kernel
-            .as_mut()
-            .is_some_and(|(vp, scratch)| vp.run_batch(chunk, scratch, &mut counts, &mut out));
-        let outcome = if ran {
-            tally.batch(chunk.len());
-            Chunk::Ran
-        } else {
-            Chunk::Replay(chunk)
+    let batch_rows = kernel.as_ref().map_or(usize::MAX, |k| k.batch_rows);
+    for chunk in rows.chunks(batch_rows) {
+        let ran = (kernel.as_deref_mut())
+            .is_some_and(|k| k.vp.run_batch(chunk, &mut k.scratch, &mut counts, &mut out));
+        let outcome = match &kernel {
+            Some(k) if ran => {
+                tally.batch(chunk.len());
+                Chunk::Ran {
+                    rows: chunk,
+                    lanes: k.vp.out_lanes(&k.scratch),
+                }
+            }
+            _ => Chunk::Replay(chunk),
         };
         each(outcome, &mut counts, &mut out)?;
     }

@@ -48,6 +48,12 @@ impl Tally {
         self.rows += rows as u64;
         self.batches += 1;
     }
+
+    /// Folds in the tally of work a body kept apart.
+    pub(super) fn add(&mut self, other: Tally) {
+        self.rows += other.rows;
+        self.batches += other.batches;
+    }
 }
 
 impl Session<'_> {

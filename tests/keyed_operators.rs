@@ -39,6 +39,8 @@ const LEFT_ROWS: i64 = 400;
 /// so they stay in one partition, in this order, through any shuffle.
 const EARLY: i64 = 100;
 const LATE: i64 = 118;
+/// A row four source partitions after `EARLY`'s.
+const LATER: i64 = 300;
 
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Scenario {
@@ -51,6 +53,8 @@ enum Scenario {
     UdfAfter,
     /// The probe key raises at `EARLY` and a build key raises as well.
     BothSides,
+    /// The key raises at `EARLY`, the consumer's UDF at `LATER`.
+    UdfLaterPartition,
 }
 
 const DIV: &str = "division by zero";
@@ -62,6 +66,7 @@ fn left_rows(s: Scenario) -> Vec<Value> {
         Scenario::KeyErr | Scenario::BothSides => (EARLY, -1),
         Scenario::UdfBefore => (LATE, EARLY),
         Scenario::UdfAfter => (EARLY, LATE),
+        Scenario::UdfLaterPartition => (EARLY, LATER),
     };
     (0..LEFT_ROWS)
         .map(|i| {
@@ -571,6 +576,243 @@ fn stateful_create_and_update() {
                 with_udf(s, elided),
             );
         }
+    }
+}
+
+// --------------------------------------------------------- narrow inputs
+
+/// `x.1 % x.3 >= 0`: keeps every row, and raises "modulo by zero" on the
+/// row whose `ud` is 0.
+fn body_filter() -> Lambda {
+    Lambda::new(["x"], var("x").get(1).rem(var("x").get(3)).ge(int(0)))
+}
+
+/// `(x.0, x.1 + x.1 % x.3, x.2, x.3)`: keeps the fields the keys read, and
+/// raises "modulo by zero" on the row whose `ud` is 0.
+fn body_map() -> Lambda {
+    let x = |i| var("x").get(i);
+    Lambda::new(
+        ["x"],
+        ScalarExpr::Tuple(vec![x(0), x(1).add(x(1).rem(x(3))), x(2), x(3)]),
+    )
+}
+
+/// The narrow chain a keyed consumer reads: a `Filter` or a `Map` of the
+/// source, or a `Filter` of the source already placed by `key()`, whose
+/// layout it keeps.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Narrow {
+    Filter,
+    Map,
+    FilterOfPlaced,
+}
+
+fn narrow_left(stmts: &mut Vec<CStmt>, shape: Narrow) -> Box<Plan> {
+    let input = input(stmts, shape == Narrow::FilterOfPlaced, "left", key());
+    Box::new(match shape {
+        Narrow::Map => Plan::Map {
+            input,
+            f: body_map(),
+        },
+        Narrow::Filter | Narrow::FilterOfPlaced => Plan::Filter {
+            input,
+            p: body_filter(),
+        },
+    })
+}
+
+const NARROW_CONSUMERS: [&str; 9] = [
+    "groupBy",
+    "distinct",
+    "Repartition",
+    "minus",
+    "repartition join",
+    "broadcast join",
+    "auto join",
+    "create",
+    "update",
+];
+
+/// `consumer` over the narrow chain `shape` of `left`, written out, and
+/// whether its key can raise (`distinct` and `minus` key by the row).
+fn over_narrow(consumer: &str, shape: Narrow) -> (Vec<CStmt>, bool) {
+    let mut body = Vec::new();
+    if consumer == "update" {
+        body.push(CStmt::StatefulCreate {
+            name: "st".into(),
+            plan: *src("state"),
+            key: Lambda::new(["x"], plain()),
+        });
+    }
+    let l = narrow_left(&mut body, shape);
+    let join = |strategy| {
+        write(
+            "out",
+            Plan::Join {
+                left: l.clone(),
+                right: src("right"),
+                lkey: key(),
+                rkey: build_key(),
+                residual: None,
+                kind: JoinKind::Inner,
+                strategy,
+            },
+        )
+    };
+    let keyed = !matches!(consumer, "distinct" | "minus");
+    match consumer {
+        "groupBy" => body.push(write(
+            "out",
+            Plan::GroupBy {
+                input: l,
+                key: key(),
+            },
+        )),
+        "distinct" => body.push(write("out", Plan::Distinct { input: l })),
+        "Repartition" => body.push(write(
+            "out",
+            Plan::Repartition {
+                input: l,
+                key: key(),
+            },
+        )),
+        "minus" => body.push(write(
+            "out",
+            Plan::Minus {
+                left: l,
+                right: src("right"),
+            },
+        )),
+        "repartition join" => body.push(join(JoinStrategy::Repartition)),
+        "broadcast join" => body.push(join(JoinStrategy::Broadcast)),
+        "auto join" => body.push(join(JoinStrategy::Auto)),
+        "create" => {
+            body.push(CStmt::StatefulCreate {
+                name: "st".into(),
+                plan: *l,
+                key: key(),
+            });
+            body.push(snapshot("state", "st"));
+        }
+        "update" => {
+            body.push(CStmt::StatefulUpdate {
+                state: "st".into(),
+                delta: "delta".into(),
+                messages: *l,
+                message_key: key(),
+                update: update(),
+            });
+            body.push(snapshot("delta", "delta"));
+            body.push(snapshot("state", "st"));
+        }
+        other => unreachable!("no consumer {other}"),
+    }
+    (body, keyed)
+}
+
+/// Every keyed consumer over a `Filter` and a `Map` of its input, with the
+/// key raising at `EARLY` and the narrow UDF raising in the same partition
+/// after it, in a later partition, or nowhere. The narrow chain takes its
+/// keys in the wave that produces its rows, but every body still raises
+/// before any key: the UDF's error wins wherever it is, and a key error
+/// alone surfaces as the key wave's did — before the rows move, or when the
+/// consumer's loop reaches the row where they stay.
+#[test]
+fn keyed_consumers_over_a_narrow_input() {
+    for shape in [Narrow::Filter, Narrow::Map, Narrow::FilterOfPlaced] {
+        for consumer in NARROW_CONSUMERS {
+            let (body, keyed) = over_narrow(consumer, shape);
+            // A `Repartition` by the key its input is placed by moves
+            // nothing and evaluates no key.
+            let elided = consumer == "Repartition" && shape == Narrow::FilterOfPlaced;
+            for s in [
+                Scenario::Clean,
+                Scenario::KeyErr,
+                Scenario::UdfAfter,
+                Scenario::UdfLaterPartition,
+            ] {
+                let expect = match s {
+                    Scenario::Clean => None,
+                    Scenario::KeyErr if !keyed || elided => None,
+                    Scenario::KeyErr => Some(DIV),
+                    _ => Some(MOD),
+                };
+                check(
+                    &format!("{consumer} over {shape:?}, {s:?}"),
+                    &body,
+                    &catalog(s),
+                    expect,
+                );
+            }
+        }
+    }
+}
+
+/// An `Auto` join whose build side is a narrow chain small enough to
+/// broadcast: the build side's keys come from the chain's wave, and a
+/// build-key error still surfaces in each probe task before it reads a
+/// probe row — ahead of a probe key error at an earlier row.
+#[test]
+fn an_auto_join_broadcasts_a_narrow_build_side() {
+    let right = || {
+        Box::new(Plan::Filter {
+            input: src("right"),
+            p: Lambda::new(["x"], var("x").get(1).ge(int(0))),
+        })
+    };
+    for shape in [Narrow::Filter, Narrow::Map] {
+        for s in [Scenario::Clean, Scenario::KeyErr, Scenario::BothSides] {
+            let mut body = Vec::new();
+            let left = narrow_left(&mut body, shape);
+            body.push(write(
+                "out",
+                Plan::Join {
+                    left,
+                    right: right(),
+                    lkey: key(),
+                    rkey: build_key(),
+                    residual: None,
+                    kind: JoinKind::LeftSemi,
+                    strategy: JoinStrategy::Auto,
+                },
+            ));
+            let expect = match s {
+                Scenario::Clean => None,
+                Scenario::BothSides => Some(MOD),
+                _ => Some(DIV),
+            };
+            check(
+                &format!("auto join over {shape:?}, {s:?}"),
+                &body,
+                &catalog(s),
+                expect,
+            );
+        }
+        let mut body = Vec::new();
+        let left = narrow_left(&mut body, shape);
+        body.push(write(
+            "out",
+            Plan::Join {
+                left,
+                right: right(),
+                lkey: key(),
+                rkey: build_key(),
+                residual: None,
+                kind: JoinKind::Inner,
+                strategy: JoinStrategy::Auto,
+            },
+        ));
+        let run = run(
+            &body,
+            &catalog(Scenario::Clean),
+            Tier::Default,
+            MATRIX[0],
+            false,
+            false,
+        )
+        .expect("runs");
+        assert!(run.stats.bytes_broadcast > 0, "{shape:?}: {}", run.stats);
+        assert_eq!(run.stats.bytes_shuffled, 0, "{shape:?}: a side moved");
     }
 }
 

@@ -414,7 +414,9 @@ fn legs() -> Vec<(String, u64)> {
     out
 }
 
-/// Recorded before the cost model moved into `cost.rs`.
+/// Recorded before the cost model moved into `cost.rs`; the two `chaos_*`
+/// legs again once a keyed operator's shuffle ran its write side in the wave
+/// that produces its rows (one wave fewer renumbers the failure schedule).
 const PINNED: &[(&str, u64)] = &[
     ("narrow_chain/sparrow", 0x23484699afb69a39),
     ("narrow_chain/flamingo", 0xeb7c32ba6de62d40),
@@ -448,8 +450,8 @@ const PINNED: &[(&str, u64)] = &[
     ("q4_nested_loop", 0x455a413d6eb3ebe6),
     ("strings", 0x6f8d91a0a2f1ce83),
     ("cross", 0xc25e077a89629f25),
-    ("chaos_every2", 0x28f97f117953ab68),
-    ("chaos_cost_driven", 0x4c9f381e60f45915),
+    ("chaos_every2", 0x72a8a37e0a446baa),
+    ("chaos_cost_driven", 0x316790f44be4cb72),
     ("skew", 0xdd668bee15fd6ab1),
     ("timeout", 0x33ec3c4ed45b0df1),
 ];

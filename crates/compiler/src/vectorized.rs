@@ -1612,8 +1612,10 @@ pub enum AggInput<'a> {
         /// The fold's (already evaluated) `zero`.
         zero: &'a Value,
     },
-    /// The merge phase over `(key, acc)` partials: `row.0` names the group,
-    /// `row.1` feeds the slots, and a group starts from its first partial.
+    /// The merge phase over the combiners' accumulators: a row is one
+    /// partial's accumulator and feeds the slots, the key carried beside it
+    /// names its group ([`AggKernel::absorb_partials`]), and a group starts
+    /// from its first partial.
     Partials,
 }
 
@@ -1627,8 +1629,9 @@ pub enum AggInput<'a> {
 #[derive(Clone, Debug)]
 pub struct AggKernel {
     kernels: Kernels,
-    /// Recipe for a group's key `Value` (typed leaves only).
-    key: MatNode,
+    /// Recipe for a group's key `Value` (typed leaves only); `None` in the
+    /// merge phase, whose keys arrive built.
+    key: Option<MatNode>,
     /// The key's leaf registers when every leaf is a string column — the
     /// candidates for group assignment by dictionary code; empty otherwise.
     key_strs: Vec<Reg>,
@@ -1665,22 +1668,19 @@ pub fn specialize_agg(
             }
             let k = b.eval_code(&key.0.code.ops, key.1, &row, 0)?;
             let v = b.eval_code(&sng.0.code.ops, sng.1, &row, 0)?;
-            (k, v, Some(*zero))
+            (Some(k), v, Some(*zero))
         }
-        AggInput::Partials => (b.field(row.clone(), 0)?, b.field(row, 1)?, None),
+        AggInput::Partials => (None, row, None),
     };
-    let key = b.mat_node(key_v)?;
-    if !key_is_typed(&key) {
-        return None;
-    }
+    let key = match key_v {
+        Some(k) => Some(b.mat_node(k).filter(key_is_typed)?),
+        None => None,
+    };
     let mut slots = Vec::with_capacity(ops.len());
     let mut n_accs = [0; N_TYS];
     for (i, op) in ops.into_iter().enumerate() {
         let (val, zero) = if tuple_acc {
-            let z = match zero {
-                Some(z) => Some(z.field(i).ok()?),
-                None => None,
-            };
+            let z = zero.map(|z| z.field(i)).transpose().ok()?;
             let v = b.field(val_v.clone(), i)?;
             b.slot(op, v, z)?
         } else {
@@ -1702,8 +1702,9 @@ pub fn specialize_agg(
         accs.next()?
     };
     let leaves = match &key {
-        MatNode::Tup(fs) => fs.as_slice(),
-        leaf => std::slice::from_ref(leaf),
+        Some(MatNode::Tup(fs)) => fs.as_slice(),
+        Some(leaf) => std::slice::from_ref(leaf),
+        None => &[],
     };
     let key_strs: Option<Vec<Reg>> = leaves
         .iter()
@@ -1728,10 +1729,10 @@ const NO_GROUP: u32 = u32::MAX;
 /// (the product of the key columns' dictionary sizes).
 const DICT_GROUPS_MAX: usize = 4096;
 
-/// Open-addressing index from a key's probe hash to its dense group id.
-/// The probe hash is private to the kernel (cheap, consistent with `Value`
-/// equality on typed leaves); the hashes partials carry downstream are the
-/// engine's own, computed once per emitted group.
+/// Open-addressing index from a key's probe hash to its dense group id: in
+/// the combiner phase a hash private to the kernel (cheap, consistent with
+/// `Value` equality on typed leaves), in the merge phase the engine's own
+/// hash, carried with each partial.
 #[derive(Debug)]
 struct GroupTable {
     /// Group id per bucket, [`NO_GROUP`] when free; a power-of-two length.
@@ -1911,11 +1912,38 @@ impl AggKernel {
     /// [`finish`](Self::finish)'s groups — reproducing values and the first
     /// error in evaluation order bit-identically.
     pub fn absorb(&self, rows: &[Value], st: &mut AggState) -> bool {
+        self.fold(rows, st, |st| self.assign_groups(rows.len(), st))
+    }
+
+    /// [`absorb`](Self::absorb) for the merge phase, over partials that are
+    /// accumulators `accs` and the `(hash, key)` pairs carried beside them:
+    /// a partial joins the group whose key has its hash and is `Value`-equal
+    /// to its own, as in the scalar merge, or opens one.
+    pub fn absorb_partials(
+        &self,
+        accs: &[Value],
+        keys: &[(u64, Value)],
+        st: &mut AggState,
+    ) -> bool {
+        self.fold(accs, st, |st| {
+            st.gids.clear();
+            for (h, k) in keys {
+                let (g, created) = st.table.find_or_insert(*h, |g| st.keys[g as usize] == *k);
+                if created {
+                    st.keys.push(k.clone());
+                }
+                st.gids.push(g);
+            }
+        })
+    }
+
+    /// Evaluates a batch and, unless it aborts, folds it into the groups `assign` gives its lanes.
+    fn fold(&self, rows: &[Value], st: &mut AggState, assign: impl FnOnce(&mut AggState)) -> bool {
         use {SlotOp::*, Ty::*};
         if !self.kernels.run(rows, &mut st.scratch) {
             return false;
         }
-        self.assign_groups(rows.len(), st);
+        assign(st);
         let (s, accs, gids) = (&st.scratch, &mut st.accs, &st.gids);
         for slot in &self.slots {
             match (slot.op, slot.val.ty) {
@@ -1962,6 +1990,10 @@ impl AggKernel {
     /// dictionary-encoded string column the probe runs once per distinct
     /// code combination per batch.
     fn assign_groups(&self, n: usize, st: &mut AggState) {
+        let key = self
+            .key
+            .as_ref()
+            .expect("the combiner phase builds its keys");
         let AggState {
             scratch: s,
             keys,
@@ -1991,15 +2023,15 @@ impl AggKernel {
                     continue;
                 }
             }
-            let h = lane_hash(&self.key, s, l, 0);
+            let h = lane_hash(key, s, l, 0);
             let (g, created) =
-                table.find_or_insert(h, |g| lane_eq_value(&self.key, s, l, &keys[g as usize]));
+                table.find_or_insert(h, |g| lane_eq_value(key, s, l, &keys[g as usize]));
             if let Some(c) = code {
                 dict_gids[c] = g;
             }
             gids.push(g);
             if created {
-                keys.push(mat_value(&self.key, s, l));
+                keys.push(mat_value(key, s, l));
             }
         }
     }
@@ -2644,6 +2676,7 @@ mod tests {
     // -------------------------------------------------- aggregation kernels
 
     use crate::expr::FoldOp;
+    use emma_core::ops::hash_of;
 
     fn is_even() -> Lambda {
         Lambda::new(
@@ -2792,22 +2825,98 @@ mod tests {
         }
         assert!(kernel.absorb(&rows[20..], &mut st));
         assert_eq!(kernel.finish(st), scalar_groups(&key, &fold, &rows));
-        // Same through the merge phase: partials of two halves, merged.
-        let halves: Vec<Value> = [&rows[..25], &rows[25..]]
+        // Same through the merge phase: the partials of two halves, each an
+        // accumulator beside its carried `(hash, key)`, merged unboxed.
+        let (keys, accs): (Vec<(u64, Value)>, Vec<Value>) = [&rows[..25], &rows[25..]]
             .iter()
             .flat_map(|half| scalar_groups(&key, &fold, half))
-            .map(|(k, acc)| Value::tuple(vec![k, acc]))
-            .collect();
-        let uc = compile_lambda(&fold.uni);
-        let merge = specialize_agg(&AggInput::Partials, &uc, &halves).expect("merge kernel");
+            .map(|(k, acc)| ((hash_of(&k), k), acc))
+            .unzip();
+        let merge = specialize_agg(&AggInput::Partials, &compile_lambda(&fold.uni), &accs)
+            .expect("merge kernel");
+        assert!(merge.key.is_none());
         let mut st = merge.new_state();
-        assert!(merge.absorb(&halves, &mut st));
+        assert!(merge.absorb_partials(&accs[..30], &keys[..30], &mut st));
+        // A non-conforming accumulator (an Int where the Float sum was
+        // typed) aborts before the partial ahead of it opens its group.
+        let mut bad = accs[30..40].to_vec();
+        let mut bad_keys = keys[30..40].to_vec();
+        bad_keys[2] = (hash_of(&Value::str("unseen")), Value::str("unseen"));
+        if let Value::Tuple(fs) = &bad[5] {
+            let mut fs = fs.to_vec();
+            fs[0] = Value::Int(1);
+            bad[5] = Value::tuple(fs);
+        }
+        assert!(!merge.absorb_partials(&bad, &bad_keys, &mut st));
+        assert!(merge.absorb_partials(&accs[30..], &keys[30..], &mut st));
         let merged = merge.finish(st);
+        assert_eq!(merged, scalar_merge(&fold.uni, &keys, &accs));
         let want = scalar_groups(&key, &fold, &rows);
         assert_eq!(merged.len(), want.len());
         for (k, acc) in &want {
             assert!(merged.contains(&(k.clone(), acc.clone())), "{k:?}");
         }
+    }
+
+    /// The scalar merge: partials folded in order into first-seen groups
+    /// under `Value` equality, each group starting from its first partial.
+    fn scalar_merge(uni: &Lambda, keys: &[(u64, Value)], accs: &[Value]) -> Vec<(Value, Value)> {
+        let (uc, catalog, mut m) = (compile_lambda(uni), Catalog::new(), Machine::new());
+        let mut groups: Vec<(Value, Value)> = Vec::new();
+        for ((_, k), a) in keys.iter().zip(accs) {
+            match groups.iter_mut().find(|(g, _)| g == k) {
+                Some((_, acc)) => {
+                    let args = [acc.clone(), a.clone()];
+                    *acc = uc.eval(&args, &[], &mut m, &catalog).unwrap();
+                }
+                None => groups.push((k.clone(), a.clone())),
+            }
+        }
+        groups
+    }
+
+    #[test]
+    fn the_merge_kernel_groups_carried_keys_as_the_scalar_merge_does() {
+        // Keys no typed column could hold together: signed zeros and NaNs
+        // (one class each), an Int beside the Float it equals, strings and
+        // tuples — in an order that revisits every class.
+        let classes = [
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Float(f64::NAN),
+            Value::Float(-f64::NAN),
+            Value::Int(1),
+            Value::Float(1.0),
+            Value::str("a"),
+            Value::str("b"),
+            Value::tuple([Value::Int(1), Value::str("a")]),
+            Value::tuple([Value::Float(1.0), Value::str("a")]),
+            Value::tuple([Value::Int(2), Value::str("a")]),
+        ];
+        let keys: Vec<(u64, Value)> = (0..60)
+            .map(|i| classes[(i * 7 + i / 11) % classes.len()].clone())
+            .map(|k| (hash_of(&k), k))
+            .collect();
+        let accs: Vec<Value> = (0..60)
+            .map(|i| Value::Float(i as f64 * 0.3 - 5.0))
+            .collect();
+        let uni = FoldOp::sum().uni;
+        let merge = specialize_agg(&AggInput::Partials, &compile_lambda(&uni), &accs)
+            .expect("merge kernel");
+        let mut st = merge.new_state();
+        for (ks, xs) in keys.chunks(16).zip(accs.chunks(16)) {
+            assert!(merge.absorb_partials(xs, ks, &mut st));
+        }
+        let merged = merge.finish(st);
+        let want = scalar_merge(&uni, &keys, &accs);
+        assert_eq!(want.len(), 7, "the classes merge: {want:?}");
+        // Bit for bit: the representative of each class and every sum.
+        assert_eq!(format!("{merged:?}"), format!("{want:?}"));
+        // A batch whose accumulators do not conform aborts untouched.
+        let mut st = merge.new_state();
+        let ints: Vec<Value> = (0..16).map(Value::Int).collect();
+        assert!(!merge.absorb_partials(&ints, &keys[..16], &mut st));
+        assert!(merge.finish(st).is_empty());
     }
 
     #[test]

@@ -36,25 +36,29 @@ impl Partitioning {
     }
 }
 
-/// Serialized width of one row: the only call of [`Value::approx_bytes`] on
-/// partition rows outside the fused pipeline's byte-weighted stages (and
-/// the debug check of [`Measured::finish`]).
+/// Serialized width of one row: with [`pair_width`], the only call of
+/// [`Value::approx_bytes`] on partition rows outside the fused pipeline's
+/// byte-weighted stages (and the debug check of [`Measured::finish`]).
 fn width(row: &Value) -> u64 {
     #[cfg(test)]
     tests::ROWS_WALKED.with(|n| n.set(n.get() + 1));
     row.approx_bytes()
 }
 
-/// The stored width of a row too wide for `u32`: its true width is taken
-/// from the row again wherever a sum needs it.
-const WIDE: u32 = u32::MAX;
+/// The width of the `(key, acc)` tuple an `aggBy` partial ships as, without
+/// building the tuple: `8 + w(key) + w(acc)`, what [`width`] gives the tuple.
+fn pair_width(key: &Value, acc: &Value) -> u64 {
+    #[cfg(test)]
+    tests::ROWS_WALKED.with(|n| n.set(n.get() + 1));
+    8 + key.approx_bytes() + acc.approx_bytes()
+}
 
 /// The serialized width of each row of a partition, and their sum: taken by
 /// one walk of a finished partition, or row by row as a wave produces the
 /// rows ([`Widths::walk`], [`Widths::carry`]).
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Widths {
-    per_row: Vec<u32>,
+    per_row: Vec<u64>,
     total: u64,
 }
 
@@ -82,15 +86,13 @@ impl Widths {
 
     /// Measures the next row.
     pub(crate) fn walk(&mut self, row: &Value) {
-        let w = width(row);
-        self.per_row.push(u32::try_from(w).unwrap_or(WIDE));
-        self.total += w;
+        self.carry(width(row));
     }
 
-    /// Appends the next row with the stored width a holder measured for it
-    /// ([`Part::carried_widths`], [`Measured::drain`]).
-    pub(crate) fn carry(&mut self, row: &Value, w: u32) {
-        self.total += if w == WIDE { width(row) } else { u64::from(w) };
+    /// Appends the next row with the width a holder measured for it
+    /// ([`Part::carried_widths`]).
+    pub(crate) fn carry(&mut self, w: u64) {
+        self.total += w;
         self.per_row.push(w);
     }
 }
@@ -141,9 +143,9 @@ impl Part {
         self.widths().total
     }
 
-    /// The stored width of each row, if a holder of this partition measured
-    /// it: what a `Filter` carries over to the rows it keeps.
-    pub(crate) fn carried_widths(&self) -> Option<&[u32]> {
+    /// The width of each row, if a holder of this partition measured it:
+    /// what a `Filter` carries over to the rows it keeps.
+    pub(crate) fn carried_widths(&self) -> Option<&[u64]> {
         self.0.widths.get().map(|w| w.per_row.as_slice())
     }
 
@@ -156,22 +158,34 @@ impl Part {
     pub fn into_rows(self) -> Vec<Value> {
         Arc::try_unwrap(self.0).map_or_else(|shared| shared.rows.clone(), |block| block.rows)
     }
+}
 
-    /// The rows and their widths, to be scattered ([`Measured::drain`]):
+impl From<Part> for Measured {
+    /// The rows and their widths, to be scattered ([`Measured::scatter`]):
     /// moved out if this is the last holder, copied otherwise.
-    pub(crate) fn into_measured(self) -> Measured {
-        let Block { rows, widths } = Arc::unwrap_or_clone(self.0);
+    fn from(part: Part) -> Self {
+        let Block { rows, widths } = Arc::unwrap_or_clone(part.0);
         let widths = widths.into_inner().unwrap_or_else(|| Widths::of(&rows));
         Measured { rows, widths }
     }
 }
 
-/// A partition under construction whose rows arrive with their widths — a
-/// shuffle destination — or one taken apart to be scattered.
+/// Rows, each with the bytes it ships as: a partition taken apart to be
+/// scattered, a shuffle destination, or an `aggBy` combiner's accumulators
+/// ([`Measured::partials`]), each of which ships as its `(key, acc)` pair.
+/// It derefs to its rows.
 #[derive(Default)]
 pub(crate) struct Measured {
     rows: Vec<Value>,
     widths: Widths,
+}
+
+impl Deref for Measured {
+    type Target = [Value];
+
+    fn deref(&self) -> &[Value] {
+        &self.rows
+    }
 }
 
 impl Measured {
@@ -182,22 +196,45 @@ impl Measured {
         }
     }
 
-    /// Appends a row with the stored width [`Measured::drain`] gave for it.
-    pub(crate) fn push(&mut self, row: Value, w: u32) {
-        self.widths.carry(&row, w);
-        self.rows.push(row);
+    /// An `aggBy` combiner's partials, one per group in the order given: the
+    /// accumulators as the rows, each measured as the `(key, acc)` pair it
+    /// ships as, `8 + w(key) + w(acc)`, and beside them the `(hash, key)`
+    /// pairs that route them.
+    pub(crate) fn partials(
+        groups: impl IntoIterator<Item = (u64, Value, Value)>,
+    ) -> (Measured, Vec<(u64, Value)>) {
+        let groups = groups.into_iter();
+        let mut accs = Measured::with_capacity(groups.size_hint().0);
+        let mut keys = Vec::with_capacity(groups.size_hint().0);
+        for (h, key, acc) in groups {
+            accs.widths.carry(pair_width(&key, &acc));
+            accs.rows.push(acc);
+            keys.push((h, key));
+        }
+        (accs, keys)
     }
 
-    pub(crate) fn len(&self) -> usize {
-        self.rows.len()
+    /// The bytes the rows ship as.
+    pub(crate) fn bytes(&self) -> u64 {
+        self.widths.total
     }
 
-    /// The rows in order, each with its stored width.
-    pub(crate) fn drain(self) -> impl Iterator<Item = (Value, u32)> {
-        self.rows.into_iter().zip(self.widths.per_row)
+    /// Moves row `i`, with its width, to the end of `into[dest[i]]`: one
+    /// pass over the rows, one over the widths.
+    pub(crate) fn scatter(self, dest: &[u32], into: &mut [Measured]) {
+        debug_assert_eq!(self.widths.len(), self.rows.len());
+        scatter(self.rows, dest, into, |m| &mut m.rows);
+        for (&w, &d) in self.widths.per_row.iter().zip(dest) {
+            into[d as usize].widths.carry(w);
+        }
     }
 
-    /// The partition, born measured.
+    /// The rows, their widths dropped.
+    pub(crate) fn into_rows(self) -> Vec<Value> {
+        self.rows
+    }
+
+    /// The partition, born measured: the rows' widths must be their own.
     pub(crate) fn finish(self) -> Part {
         debug_assert_eq!(self.widths.len(), self.rows.len());
         debug_assert_eq!(
@@ -211,12 +248,17 @@ impl Measured {
     }
 }
 
-impl FromIterator<(Value, u32)> for Measured {
-    fn from_iter<I: IntoIterator<Item = (Value, u32)>>(rows: I) -> Self {
-        let rows = rows.into_iter();
-        let mut measured = Measured::with_capacity(rows.size_hint().0);
-        rows.for_each(|(row, w)| measured.push(row, w));
-        measured
+/// Moves `items[i]` to the end of `field(&mut into[dest[i]])`, in order: one
+/// flat pass, each item moved once.
+pub(crate) fn scatter<T, D>(
+    items: Vec<T>,
+    dest: &[u32],
+    into: &mut [D],
+    field: impl Fn(&mut D) -> &mut Vec<T>,
+) {
+    debug_assert_eq!(items.len(), dest.len());
+    for (item, &d) in items.into_iter().zip(dest) {
+        field(&mut into[d as usize]).push(item);
     }
 }
 
@@ -413,7 +455,7 @@ mod tests {
     }
 
     #[test]
-    fn a_row_wider_than_the_width_type_does_not_wrap() {
+    fn a_row_wider_than_u32_is_carried_exactly() {
         // 8200 references to one 64 Ki-float vector: cheap to measure.
         let wide = Value::bag(vec![Value::vector(vec![0.0; 1 << 16]); 8200]);
         assert!(wide.approx_bytes() > u64::from(u32::MAX));
@@ -421,11 +463,11 @@ mod tests {
         let want = fresh_walk(&rows);
         let part = Part::from(rows);
         assert_eq!(part.bytes(), want);
-        // ... nor when its width is carried through a scatter.
-        let mut dest = Measured::default();
-        for (row, w) in part.into_measured().drain() {
-            dest.push(row, w);
-        }
+        // ... and so is its width, carried through a scatter.
+        let mut dest = [Measured::default()];
+        Measured::from(part).scatter(&[0, 0, 0], &mut dest);
+        let [dest] = dest;
+        assert_eq!(dest.bytes(), want);
         assert_eq!(dest.finish().bytes(), want);
     }
 
@@ -446,9 +488,7 @@ mod tests {
         // neither destination ever is.
         let mut dests = [Measured::default(), Measured::default()];
         for source in [owned, shared] {
-            for (i, (row, w)) in source.into_measured().drain().enumerate() {
-                dests[i % 2].push(row, w);
-            }
+            Measured::from(source).scatter(&[0, 1, 0, 1], &mut dests);
         }
         for (i, dest) in dests.into_iter().enumerate() {
             let dest = dest.finish();
@@ -457,6 +497,35 @@ mod tests {
         }
         assert_eq!(walks() - before, 1);
         assert_eq!(&*holder, &rows[..], "a shared source was drained");
+    }
+
+    #[test]
+    fn a_partial_ships_as_its_pair() {
+        let groups = [
+            (Value::Int(3), Value::Float(1.5)),
+            (
+                Value::str("key"),
+                Value::tuple([Value::Int(1), Value::Null]),
+            ),
+        ];
+        let before = rows_walked();
+        let (accs, keys) = Measured::partials(
+            groups
+                .iter()
+                .map(|(k, a)| (value_hash(k), k.clone(), a.clone())),
+        );
+        assert_eq!(rows_walked() - before, 2, "one walk per partial");
+        let pairs: Vec<Value> = groups
+            .iter()
+            .map(|(k, a)| Value::tuple([k.clone(), a.clone()]))
+            .collect();
+        assert_eq!(accs.bytes(), fresh_walk(&pairs));
+        assert_eq!(&*accs, &[groups[0].1.clone(), groups[1].1.clone()][..]);
+        let want: Vec<_> = groups
+            .iter()
+            .map(|(k, _)| (value_hash(k), k.clone()))
+            .collect();
+        assert_eq!(keys, want);
     }
 
     /// The rows this thread walks in two runs, on one catalog, of

@@ -11,7 +11,7 @@ use super::prepare::{
     batch_or_replay, sample_rows, vec_spec, Chunk, EvCtx, Kernel, PreparedScalar,
 };
 use super::*;
-use crate::dataset::Measured;
+use crate::dataset::{scatter, Measured};
 
 /// Where a keyed operator wants its input rows ([`Session::keyed`]).
 pub(super) enum Placement {
@@ -55,9 +55,14 @@ impl KeyedInput {
             }
             vec![whole]
         });
+        // Moved, not cloned, from every partition no one else holds.
+        let mut rows = Vec::with_capacity(self.data.total_rows() as usize);
+        for part in self.data.parts {
+            rows.extend(part.into_rows());
+        }
         KeyedInput {
             data: Partitioned {
-                parts: vec![self.data.collect_rows().into()],
+                parts: vec![rows.into()],
                 partitioning: None,
             },
             keys,
@@ -388,7 +393,7 @@ impl Session<'_> {
                 return Err(ExecError::Eval(e));
             }
             let keys = keys.into_iter().map(|k| k.keys.into_owned());
-            return Ok(self.routed(d.parts.into_iter().zip(keys).collect(), key, split));
+            return Ok(self.routed(d.parts.into_iter().zip(keys), key, split));
         }
         let base = self.eval_base(&[Term::Lambda(key)], env)?;
         let eval = self.key_eval(key, base, sample_rows(&d.parts));
@@ -413,114 +418,104 @@ impl Session<'_> {
                 }
             }
         })?;
-        Ok(self.routed(d.parts.into_iter().zip(keys).collect(), key, split))
+        Ok(self.routed(d.parts.into_iter().zip(keys), key, split))
     }
 
-    /// [`Session::land`] for a keyed operator: the layout, and the keys
-    /// that moved with the rows.
+    /// [`Session::land`] for a keyed operator: each source partition with its
+    /// row-aligned keys in, the layout and the keys that moved with the rows
+    /// out. Unsplit, the layout is hash-partitioned by `key`; a split one is
+    /// two-level-hashed and claims no partitioning, so it never satisfies a
+    /// plain partitioning request.
     fn routed<'p>(
         &mut self,
-        routed: Vec<(Part, Vec<(u64, Value)>)>,
+        sources: impl Iterator<Item = (Part, Vec<(u64, Value)>)>,
         key: &Lambda,
         split: Option<SplitKind>,
     ) -> Keyed<'p> {
-        let (data, keys, split) = self.land(routed, key.clone(), split);
-        let keys = keys.into_iter().map(|keys| PartKeys {
+        let landed = self.land(sources.collect(), split);
+        let partitioning = landed.split.is_none().then(|| Partitioning {
+            key: key.clone(),
+            parts: self.dop(),
+        });
+        let keys = landed.keys.into_iter().map(|keys| PartKeys {
             keys: Cow::Owned(keys),
             err: None,
         });
         Keyed {
-            data,
+            data: Partitioned {
+                parts: landed.dests.into_iter().map(Measured::finish).collect(),
+                partitioning,
+            },
             keys: Keys::Ready(keys.collect()),
-            split,
+            split: landed.split,
         }
     }
 
-    /// The routing half of every shuffle, generic over what rides next to
-    /// each row (the `(hash, key)` pair of a keyed shuffle, the bare hash of
-    /// an `aggBy` partial). `sources` holds each source partition and what
-    /// rides with its rows, row-aligned: destinations (`hash % dop`) are
-    /// counted, allocated once at their exact size, and filled by one scatter
-    /// in source order — so a destination holds source 0's rows for it, then
-    /// source 1's, each in row order: the order a serial loop produces, and
-    /// the one `apply_split`, the groupBy merge and the join probe rely on.
-    /// Each row's width is scattered with it, so every destination is born
-    /// measured and no charge below walks a row. A source no one else holds
-    /// is drained; one a cache still references pays a per-row clone.
+    /// The routing half of every shuffle: a keyed operator's rows, or an
+    /// `aggBy` combiner's accumulators. `sources` holds each source's rows
+    /// with the bytes each ships as — a partition, taken apart as it moves
+    /// ([`Measured`]'s `From<Part>`) — and their `(hash, key)` pairs,
+    /// row-aligned. One counting pass computes each row's destination
+    /// (`hash % dop`) and sizes every destination exactly; then each source
+    /// moves in one flat pass per array — rows, widths, keys — so a
+    /// destination holds source 0's rows for it, then source 1's, each in
+    /// row order: the order a serial loop produces, and the one
+    /// `apply_split`, the groupBy and `aggBy` merges and the join probe rely
+    /// on. No row is walked: a destination's bytes are the sum of the widths
+    /// that moved with its rows.
+    ///
     /// Hot buckets are then split if `split` names a flavor and the engine
     /// has a [`crate::skew::SkewConfig`] (the returned [`SplitPlan`] says
     /// which sub-partitions belong to which bucket), and the shuffle is
     /// charged on the layout that lands: a split one is smaller at the
-    /// hottest receiver but pays more per-file seeks. It carries
-    /// `partitioning: None` — two-level-hashed, it must never satisfy a
-    /// plain partitioning request.
-    pub(super) fn land<S: KeyHash>(
+    /// hottest receiver but pays more per-file seeks.
+    pub(super) fn land<S: Into<Measured>>(
         &mut self,
-        sources: Vec<(Part, Vec<S>)>,
-        key: Lambda,
+        sources: Vec<(S, Vec<(u64, Value)>)>,
         split: Option<SplitKind>,
-    ) -> (Partitioned, Vec<Vec<S>>, Option<SplitPlan>) {
-        let parts_n = self.dop();
-        let dest = |s: &S| (s.key_hash() % parts_n as u64) as usize;
-        let mut sizes = vec![0u64; parts_n];
-        for s in sources.iter().flat_map(|(_, side)| side) {
-            sizes[dest(s)] += 1;
-        }
-        let mut buckets: Vec<Measured> = sizes
+    ) -> Landed {
+        let parts_n = self.dop() as u64;
+        let mut sizes = vec![0u64; parts_n as usize];
+        let routes: Vec<Vec<u32>> = sources
+            .iter()
+            .map(|(_, keys)| {
+                let route = keys.iter().map(|&(h, _)| (h % parts_n) as u32);
+                route.inspect(|&d| sizes[d as usize] += 1).collect()
+            })
+            .collect();
+        let mut dests: Vec<Measured> = sizes
             .iter()
             .map(|&n| Measured::with_capacity(n as usize))
             .collect();
-        let mut side: Vec<Vec<S>> = sizes
+        let mut keys: Vec<Vec<(u64, Value)>> = sizes
             .iter()
             .map(|&n| Vec::with_capacity(n as usize))
             .collect();
-        for ((row, w), s) in sources
-            .into_iter()
-            .flat_map(|(part, side)| part.into_measured().drain().zip(side))
-        {
-            let b = dest(&s);
-            buckets[b].push(row, w);
-            side[b].push(s);
+        for ((rows, side), route) in sources.into_iter().zip(&routes) {
+            rows.into().scatter(route, &mut dests);
+            scatter(side, route, &mut keys, |k| k);
         }
         let plan = self.plan_bucket_splits(split, &sizes);
-        let partitioning = match (&plan, split) {
-            (Some(plan), Some(kind)) => {
-                let moved;
-                (buckets, side, moved) = apply_split(plan, kind, buckets, side);
-                self.stats.partitions_split += plan.partitions_split();
-                self.stats.split_rows_moved += moved;
-                None
-            }
-            _ => Some(Partitioning {
-                key,
-                parts: parts_n,
-            }),
-        };
-        let out = Partitioned {
-            parts: buckets.into_iter().map(Measured::finish).collect(),
-            partitioning,
-        };
-        self.charge(Charge::Shuffle(out.part_bytes().collect()));
-        (out, side, plan)
+        if let (Some(plan), Some(kind)) = (&plan, split) {
+            self.stats.split_rows_moved += apply_split(plan, kind, &mut dests, &mut keys);
+            self.stats.partitions_split += plan.partitions_split();
+        }
+        self.charge(Charge::Shuffle(dests.iter().map(|d| d.bytes()).collect()));
+        Landed {
+            dests,
+            keys,
+            split: plan,
+        }
     }
 }
 
-/// What rides next to a row through a shuffle: at least the key hash that
-/// routes it.
-pub(super) trait KeyHash {
-    fn key_hash(&self) -> u64;
-}
-
-impl KeyHash for u64 {
-    fn key_hash(&self) -> u64 {
-        *self
-    }
-}
-
-impl KeyHash for (u64, Value) {
-    fn key_hash(&self) -> u64 {
-        self.0
-    }
+/// Where a shuffle put its rows ([`Session::land`]): each destination's rows
+/// with their widths, and their `(hash, key)` pairs, row-aligned; plus the
+/// skew split, if one was applied.
+pub(super) struct Landed {
+    pub(super) dests: Vec<Measured>,
+    pub(super) keys: Vec<Vec<(u64, Value)>>,
+    pub(super) split: Option<SplitPlan>,
 }
 
 /// Whether `d` is already hash-partitioned by `key` into `parts_n` parts.
@@ -530,11 +525,11 @@ fn placed_by(d: &Partitioned, key: &Lambda, parts_n: usize) -> bool {
         .is_some_and(|p| p.satisfies(key, parts_n))
 }
 
-/// Applies a [`SplitPlan`] to freshly bucketed shuffle output, producing the
-/// sub-partitioned layout (rows and what rides next to them stay
-/// row-aligned, and each row keeps its width, so sub-partitions are born
-/// measured like the buckets they came from) plus the number of rows placed
-/// outside their bucket's first sub-partition.
+/// Applies a [`SplitPlan`] to freshly bucketed shuffle output, leaving the
+/// sub-partitioned layout in its place (rows, widths and keys stay
+/// row-aligned, so sub-partitions carry their bytes like the buckets they
+/// came from), and returns the number of rows placed outside their bucket's
+/// first sub-partition.
 ///
 /// [`SplitKind::Balanced`] cuts a hot bucket into contiguous, near-equal row
 /// chunks — concatenating the sub-partitions in slot order reproduces the
@@ -543,52 +538,279 @@ fn placed_by(d: &Partitioned, key: &Lambda, parts_n: usize) -> bool {
 /// routes each row by a secondary hash of its carried key hash, so every
 /// copy of a key lands in the same sub-partition (required by per-key
 /// consumers like `aggBy` merge, `Distinct`, and stateful routing) at the
-/// price of weaker balancing — a single dominant key stays whole.
-fn apply_split<S: KeyHash>(
+/// price of weaker balancing — a single dominant key stays whole. Either
+/// way a hot bucket moves like a source of [`Session::land`]: its
+/// sub-partition per row, then one pass per array.
+fn apply_split(
     plan: &SplitPlan,
     kind: SplitKind,
-    buckets: Vec<Measured>,
-    side: Vec<Vec<S>>,
-) -> (Vec<Measured>, Vec<Vec<S>>, u64) {
-    let mut out_rows: Vec<Measured> = Vec::with_capacity(plan.output_parts);
-    let mut out_side: Vec<Vec<S>> = Vec::with_capacity(plan.output_parts);
+    dests: &mut Vec<Measured>,
+    keys: &mut Vec<Vec<(u64, Value)>>,
+) -> u64 {
+    let buckets = std::mem::take(dests).into_iter().zip(std::mem::take(keys));
+    dests.reserve(plan.output_parts);
+    keys.reserve(plan.output_parts);
     let mut moved = 0u64;
-    for ((b, rows), ss) in buckets.into_iter().enumerate().zip(side) {
+    for (b, (rows, ks)) in buckets.enumerate() {
         let w = plan.ways[b];
         if w <= 1 {
-            out_rows.push(rows);
-            out_side.push(ss);
+            dests.push(rows);
+            keys.push(ks);
             continue;
         }
-        match kind {
+        let route: Vec<u32> = match kind {
             SplitKind::Balanced => {
-                let n = rows.len();
-                let mut rows_iter = rows.drain();
-                let mut side_iter = ss.into_iter();
+                let mut route = Vec::with_capacity(ks.len());
                 for j in 0..w {
-                    let len = (j + 1) * n / w - j * n / w;
-                    out_rows.push(rows_iter.by_ref().take(len).collect());
-                    out_side.push(side_iter.by_ref().take(len).collect());
-                    if j > 0 {
-                        moved += len as u64;
-                    }
+                    route.resize((j + 1) * ks.len() / w, j as u32);
                 }
+                route
             }
-            SplitKind::KeyPreserving => {
-                let mut sub_rows: Vec<Measured> = (0..w).map(|_| Measured::default()).collect();
-                let mut sub_side: Vec<Vec<S>> = (0..w).map(|_| Vec::new()).collect();
-                for ((row, width), s) in rows.drain().zip(ss) {
-                    let sub = (skew::sub_hash(s.key_hash()) % w as u64) as usize;
-                    if sub != 0 {
-                        moved += 1;
-                    }
-                    sub_rows[sub].push(row, width);
-                    sub_side[sub].push(s);
+            SplitKind::KeyPreserving => ks
+                .iter()
+                .map(|&(h, _)| (skew::sub_hash(h) % w as u64) as u32)
+                .collect(),
+        };
+        moved += route.iter().filter(|&&sub| sub != 0).count() as u64;
+        let first = dests.len();
+        dests.resize_with(first + w, Measured::default);
+        keys.resize_with(first + w, Vec::new);
+        rows.scatter(&route, &mut dests[first..]);
+        scatter(ks, &route, &mut keys[first..], |k| k);
+    }
+    moved
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A fresh walk of `rows`: the bytes of a partition no one measured.
+    fn fresh_walk(rows: &[Value]) -> u64 {
+        Part::from(rows.to_vec()).bytes()
+    }
+
+    fn width(row: &Value) -> u64 {
+        fresh_walk(std::slice::from_ref(row))
+    }
+
+    /// 8200 references to one 64 Ki-float vector (`n` = 8200) is a row wider
+    /// than `u32::MAX`, and cheap to measure; 4100 is one half as wide.
+    fn wide(n: usize) -> Value {
+        Value::bag(vec![Value::vector(vec![0.0; 1 << 16]); n])
+    }
+
+    /// Rows keyed by themselves, each with the hash `route` gives its index.
+    fn keyed_by_self(rows: &[Value], route: impl Fn(u64) -> u64) -> Vec<(u64, Value)> {
+        (0..)
+            .zip(rows)
+            .map(|(i, r)| (route(i), r.clone()))
+            .collect()
+    }
+
+    /// The order rule of DESIGN §3.3, applied by hand: destination `d` holds
+    /// source 0's rows whose hash routes to `d`, then source 1's, each in
+    /// row order.
+    fn by_rule(sources: &[Vec<(u64, Value)>], dop: u64) -> Vec<Vec<Value>> {
+        let mut want = vec![Vec::new(); dop as usize];
+        for (h, row) in sources.iter().flatten() {
+            want[(h % dop) as usize].push(row.clone());
+        }
+        want
+    }
+
+    #[test]
+    fn land_follows_the_order_rule_with_rows_widths_and_keys_aligned() {
+        let (engine, catalog) = (
+            Engine::new(ClusterSpec::tiny(), Personality::sparrow()),
+            Catalog::new(),
+        );
+        let mut s = Session::new(&engine, &catalog, true);
+        let dop = s.dop() as u64;
+        // Three sources of 5, 6 and 7 rows of growing width, interleaved
+        // over the destinations — two of which get nothing — with hashes
+        // past `dop`, so routing takes the remainder.
+        let sources: Vec<_> = (0..3i64)
+            .map(|si| {
+                let rows: Vec<Value> = (0..5 + si)
+                    .map(|i| Value::tuple([Value::Int(si), Value::str("x".repeat(i as usize))]))
+                    .collect();
+                let keys = keyed_by_self(&rows, |i| (si as u64 + i) % (dop - 2) + dop * i);
+                (rows, keys)
+            })
+            .collect();
+        let want = by_rule(
+            &sources.iter().map(|(_, k)| k.clone()).collect::<Vec<_>>(),
+            dop,
+        );
+        let landed = s.land(
+            sources
+                .into_iter()
+                .map(|(rows, keys)| (Part::from(rows), keys))
+                .collect(),
+            None,
+        );
+        assert!(landed.split.is_none());
+        assert_eq!(landed.dests.len(), dop as usize);
+        let mut total = 0;
+        for (d, (dest, keys)) in landed.dests.into_iter().zip(landed.keys).enumerate() {
+            let rows = &want[d];
+            assert_eq!(rows.is_empty(), d as u64 >= dop - 2, "destination {d}");
+            assert!(keys.iter().all(|&(h, _)| h % dop == d as u64));
+            let keyed: Vec<Value> = keys.into_iter().map(|(_, k)| k).collect();
+            assert_eq!(&keyed, rows, "keys of destination {d}");
+            let dest = dest.finish();
+            assert_eq!(&*dest, &rows[..], "rows of destination {d}");
+            let widths: Vec<u64> = rows.iter().map(width).collect();
+            assert_eq!(dest.carried_widths(), Some(&widths[..]), "widths of {d}");
+            total += fresh_walk(rows);
+        }
+        assert_eq!(s.stats.bytes_shuffled, total);
+    }
+
+    #[test]
+    fn a_keyed_shuffle_copies_a_held_source_and_its_bytes_are_a_fresh_walk() {
+        let (engine, catalog) = (
+            Engine::new(ClusterSpec::tiny(), Personality::sparrow()),
+            Catalog::new(),
+        );
+        let mut s = Session::new(&engine, &catalog, true);
+        let dop = s.dop() as u64;
+        let held: Vec<Value> = (0..12)
+            .map(|i| Value::tuple([Value::Int(i), Value::str("y".repeat(i as usize))]))
+            .collect();
+        let owned: Vec<Value> = (0..9).map(|i| Value::str("z".repeat(i))).collect();
+        let cached = Part::from(held.clone());
+        cached.bytes();
+        let holder = cached.clone();
+        let keys = [
+            keyed_by_self(&held, |i| i * 5),
+            keyed_by_self(&owned, |i| i * 3 + 1),
+        ];
+        let want = by_rule(&keys, dop);
+        let key = Lambda::new(["x"], ScalarExpr::var("x"));
+        let sources = [cached, Part::from(owned)].into_iter().zip(keys);
+        let keyed = s.routed(sources, &key, None);
+        let layout = keyed.data.partitioning.as_ref().expect("unsplit is placed");
+        assert!(layout.satisfies(&key, dop as usize));
+        for (d, part) in keyed.data.parts.iter().enumerate() {
+            assert_eq!(&**part, &want[d][..], "destination {d}");
+            assert_eq!(part.bytes(), fresh_walk(part), "destination {d}");
+        }
+        assert_eq!(s.stats.bytes_shuffled, keyed.data.total_bytes());
+        // The holder's rows and measurement are untouched.
+        assert_eq!(&*holder, &held[..]);
+        assert_eq!(holder.bytes(), fresh_walk(&held));
+    }
+
+    #[test]
+    fn an_agg_by_exchange_charges_each_partial_as_its_pair() {
+        let (engine, catalog) = (
+            Engine::new(ClusterSpec::tiny(), Personality::sparrow()),
+            Catalog::new(),
+        );
+        let mut s = Session::new(&engine, &catalog, true);
+        let half = wide(4100);
+        assert!(width(&half) < u64::from(u32::MAX));
+        // Each source's groups: a plain partial, an accumulator wider than
+        // `u32`, and a pair wider than `u32` whose key and accumulator are not.
+        let groups = [
+            vec![
+                (Value::Int(1), Value::Float(2.5)),
+                (half.clone(), half.clone()),
+                (Value::str("k"), Value::Int(3)),
+            ],
+            vec![
+                (Value::Int(1), wide(8200)),
+                (Value::str("k"), Value::Int(4)),
+                (
+                    Value::tuple([Value::Int(2), Value::Null]),
+                    Value::Bool(true),
+                ),
+            ],
+        ];
+        // Hashed by position: hashing a wide key is slow, and routing is
+        // not what this test is about.
+        let sources = groups
+            .iter()
+            .map(|g| Measured::partials((0..).zip(g.iter().cloned()).map(|(h, (k, a))| (h, k, a))))
+            .collect();
+        let landed = s.land(sources, None);
+        let pair_bytes = |keys: &[(u64, Value)], accs: &[Value]| -> u64 {
+            let pairs = keys.iter().zip(accs);
+            pairs
+                .map(|((_, k), a)| width(&Value::tuple([k.clone(), a.clone()])))
+                .sum()
+        };
+        let mut total = 0;
+        for (dest, keys) in landed.dests.iter().zip(&landed.keys) {
+            assert_eq!(dest.bytes(), pair_bytes(keys, dest));
+            total += dest.bytes();
+        }
+        let all = groups.iter().flatten();
+        let want: u64 = all
+            .map(|(k, a)| width(&Value::tuple([k.clone(), a.clone()])))
+            .sum();
+        assert!(want > 2 * u64::from(u32::MAX));
+        assert_eq!(total, want);
+        assert_eq!(s.stats.bytes_shuffled, want);
+    }
+
+    #[test]
+    fn a_split_bucket_moves_rows_widths_and_keys_together() {
+        // Bucket 1 of two splits three ways; bucket 0 passes through.
+        let plan = SplitPlan {
+            ways: vec![1, 3],
+            offsets: vec![0, 1],
+            parents: vec![0, 1, 1, 1],
+            output_parts: 4,
+        };
+        let rows: Vec<Value> = (0..10).map(|i| Value::str("w".repeat(i))).collect();
+        let keys = keyed_by_self(&rows, |i| value_hash(&Value::Int(i as i64 % 4)));
+        let bucket = || {
+            let cold = vec![Measured::from(Part::from(vec![Value::Int(7)]))];
+            let dests = cold
+                .into_iter()
+                .chain([Measured::from(Part::from(rows.clone()))]);
+            (
+                dests.collect(),
+                vec![vec![(0, Value::Int(7))], keys.clone()],
+            )
+        };
+        for kind in [SplitKind::Balanced, SplitKind::KeyPreserving] {
+            let (mut dests, mut ks) = bucket();
+            let moved = apply_split(&plan, kind, &mut dests, &mut ks);
+            assert_eq!((dests.len(), ks.len()), (4, 4));
+            assert_eq!(&*dests[0], &[Value::Int(7)][..]);
+            let subs: Vec<Part> = dests.into_iter().skip(1).map(Measured::finish).collect();
+            for (sub, ks) in subs.iter().zip(&ks[1..]) {
+                let keyed: Vec<&Value> = ks.iter().map(|(_, k)| k).collect();
+                assert_eq!(keyed, sub.iter().collect::<Vec<_>>(), "{kind:?}");
+                let widths: Vec<u64> = sub.iter().map(width).collect();
+                assert_eq!(sub.carried_widths(), Some(&widths[..]), "{kind:?}");
+            }
+            let lens: Vec<usize> = subs.iter().map(|p| p.len()).collect();
+            assert_eq!(moved, (lens[1] + lens[2]) as u64, "{kind:?}");
+            match kind {
+                // Contiguous near-equal cuts that concatenate to the bucket.
+                SplitKind::Balanced => {
+                    assert_eq!(lens, [3, 3, 4]);
+                    let joined: Vec<Value> = subs.iter().flat_map(|p| p.to_vec()).collect();
+                    assert_eq!(joined, rows);
                 }
-                out_rows.extend(sub_rows);
-                out_side.extend(sub_side);
+                // Every copy of a key in the sub-partition its hash names,
+                // in bucket order.
+                SplitKind::KeyPreserving => {
+                    for (j, ks) in ks[1..].iter().enumerate() {
+                        assert!(ks.iter().all(|&(h, _)| skew::sub_hash(h) % 3 == j as u64));
+                        let want: Vec<&(u64, Value)> = keys
+                            .iter()
+                            .filter(|&&(h, _)| skew::sub_hash(h) % 3 == j as u64)
+                            .collect();
+                        assert_eq!(ks.iter().collect::<Vec<_>>(), want);
+                    }
+                }
             }
         }
     }
-    (out_rows, out_side, moved)
 }

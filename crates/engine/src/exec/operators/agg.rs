@@ -1,9 +1,12 @@
 //! Aggregations: the driver-side `fold`, `groupBy` (whole or over a skew
 //! split) and `aggBy`'s combiner and merge phases.
 
-use emma_compiler::expr::FoldOp;
-use emma_compiler::vectorized::{AggInput, AggKernel};
+use std::ops::Range;
 
+use emma_compiler::expr::FoldOp;
+use emma_compiler::vectorized::{AggInput, AggKernel, AggState};
+
+use crate::dataset::Measured;
 use crate::exec::keyed::{next_key, KeyedInput, PartKeys, Placement};
 use crate::exec::prepare::{
     batch_or_replay, compiled_parts, sample_rows, vec_spec, Chunk, EvCtx, Kernel, PreparedScalar,
@@ -208,46 +211,39 @@ impl Session<'_> {
         let catalog = self.catalog;
         let partial_lists = self.run_tasks(true, d.parts.len(), d.total_rows(), |pi, tally| {
             let part = &d.parts[pi];
-            let (groups, covered) = agg_kernel_prefix(agg_vec.as_ref(), part, tally);
-            let (partials, hashes): (Vec<Value>, Vec<u64>) = if covered == part.len() {
-                groups
-                    .into_iter()
-                    .map(|(k, acc)| {
-                        let h = value_hash(&k);
-                        (Value::tuple([k, acc]), h)
-                    })
-                    .unzip()
-            } else {
-                let mut accs = InsertionMap::new();
-                for (k, acc) in groups {
-                    accs.insert_hashed(value_hash(&k), k, acc);
-                }
-                let mut cx = (
-                    key_prep.ctx(&base2),
-                    sng_prep.ctx(&base),
-                    uni_prep.ctx(&base),
-                );
-                ops::agg(
-                    &mut accs,
-                    &part[covered..],
-                    &mut cx,
-                    |(kcx, ..), row| {
-                        key_prep
-                            .call(std::slice::from_ref(*row), kcx, catalog)
-                            .map(ops::hashed)
-                    },
-                    &zero,
-                    |(_, scx, _), row| sng_prep.call(std::slice::from_ref(row), scx, catalog),
-                    |(.., ucx), a, b| uni_prep.call_owned([a, b], ucx, catalog),
-                )?;
-                accs.into_iter()
-                    .map(|e| (Value::tuple([e.key, e.value]), e.hash))
-                    .unzip()
-            };
-            // Measured here, by the task that just built them.
-            let partials = Part::from(partials);
-            partials.bytes();
-            Ok((partials, hashes))
+            let (groups, covered) =
+                agg_kernel_prefix(agg_vec.as_ref(), part.len(), tally, |k, rows, st| {
+                    k.absorb(&part[rows], st)
+                });
+            if covered == part.len() {
+                let groups = groups.into_iter().map(|(k, acc)| (value_hash(&k), k, acc));
+                return Ok(Measured::partials(groups));
+            }
+            let mut accs = InsertionMap::new();
+            for (k, acc) in groups {
+                accs.insert_hashed(value_hash(&k), k, acc);
+            }
+            let mut cx = (
+                key_prep.ctx(&base2),
+                sng_prep.ctx(&base),
+                uni_prep.ctx(&base),
+            );
+            ops::agg(
+                &mut accs,
+                &part[covered..],
+                &mut cx,
+                |(kcx, ..), row| {
+                    key_prep
+                        .call(std::slice::from_ref(*row), kcx, catalog)
+                        .map(ops::hashed)
+                },
+                &zero,
+                |(_, scx, _), row| sng_prep.call(std::slice::from_ref(row), scx, catalog),
+                |(.., ucx), a, b| uni_prep.call_owned([a, b], ucx, catalog),
+            )?;
+            Ok(Measured::partials(
+                accs.into_iter().map(|e| (e.hash, e.key, e.value)),
+            ))
         })?;
         self.charge(Charge::Cpu(
             d.total_rows(),
@@ -259,29 +255,28 @@ impl Session<'_> {
             || d.max_part_bytes(),
         ));
 
-        // Shuffle only the partial aggregates (one per key per partition)
-        // through the generic shuffle's routing, bucketed by the hashes the
-        // combiner carried instead of by a `t.0` key extractor re-evaluated
-        // and re-hashed on every partial. Because the combiner already
+        // Shuffle only the partials (one per key per partition) through the
+        // shuffle's routing: each accumulator moves as a row, beside the
+        // `(hash, key)` pair the combiner carried, and is charged as the
+        // `(key, acc)` pair it stands for. Because the combiner already
         // collapsed each partition to one partial per key, partial buckets
         // are rarely skewed — but heavy key *cardinality* skew still
         // concentrates partials, and the key-preserving split keeps every
         // copy of a key in one sub-partition, so the merge phase stays a
         // plain per-partition reduction.
-        let partial_key = Lambda::new(["t"], ScalarExpr::var("t").get(0));
-        let (shuffled, hash_b, agg_split) = self.land(partial_lists, partial_key, split);
+        let landed = self.land(partial_lists, split);
 
-        // Merge phase: the same reduction over the partials, keyed by
-        // `partial.0` and combining `partial.1` with the same slot ops —
-        // columnar when the combiner's fold specialized (a refused fold was
-        // already counted there), scalar for whatever the kernel did not
-        // cover, looking partials up by their carried hashes. Each
+        // Merge phase: the same reduction over the partials, grouped by the
+        // carried keys under `Value` equality and combining the
+        // accumulators with the same slot ops — columnar when the
+        // combiner's fold specialized (a refused fold was already counted
+        // there), scalar for whatever the kernel did not cover. Each
         // partition is drained by the one task body that runs for it (an
-        // injected failure skips the body), so the scalar loop moves keys
-        // and accumulators out of the partial rows instead of cloning them.
+        // injected failure skips the body), so keys and accumulators are
+        // moved, never cloned or rebuilt.
         let merge_vec = match agg_vec {
             Some(_) => self.try_vectorize(
-                sample_rows(&shuffled.parts),
+                sample_rows(&landed.dests),
                 |st| &mut st.vector_fallbacks,
                 |rows| {
                     let uni = compiled_parts(&uni_prep)?.0;
@@ -290,42 +285,46 @@ impl Session<'_> {
             ),
             None => None,
         };
-        let (merge_rows, merge_max_rows) = (shuffled.total_rows(), shuffled.max_part_rows());
-        let merge_parts = shuffled.num_parts();
-        let cells: Vec<Mutex<Option<Vec<Value>>>> = shuffled
-            .parts
+        let lens = landed.dests.iter().map(|d| d.len() as u64);
+        let (merge_rows, merge_max_rows) = (lens.clone().sum(), lens.max().unwrap_or(0));
+        let merge_parts = landed.dests.len();
+        let cells: Vec<Mutex<Option<_>>> = landed
+            .dests
             .into_iter()
-            .map(|p| Mutex::new(Some(p.into_rows())))
+            .zip(landed.keys)
+            .map(|(accs, keys)| Mutex::new(Some((accs.into_rows(), keys))))
             .collect();
         let merged_lists = self.run_tasks(true, merge_parts, merge_rows, |pi, tally| {
-            let rows = cells[pi]
+            let (accs, keys) = cells[pi]
                 .lock()
                 .expect("partial partition lock poisoned")
                 .take()
                 .expect("partial partition drained once");
-            let (groups, covered) = agg_kernel_prefix(merge_vec.as_ref(), &rows, tally);
-            let merged: Vec<Value> = if covered == rows.len() {
+            let (groups, covered) =
+                agg_kernel_prefix(merge_vec.as_ref(), accs.len(), tally, |k, rows, st| {
+                    k.absorb_partials(&accs[rows.clone()], &keys[rows], st)
+                });
+            let merged: Vec<Value> = if covered == accs.len() {
                 groups
                     .into_iter()
                     .map(|(k, acc)| Value::tuple([k, acc]))
                     .collect()
             } else {
-                let mut accs = InsertionMap::new();
+                let mut merged = InsertionMap::new();
                 for (k, acc) in groups {
-                    accs.insert_hashed(value_hash(&k), k, acc);
+                    merged.insert_hashed(value_hash(&k), k, acc);
                 }
                 let mut ucx = uni_prep.ctx(&base);
-                for (row, &h) in rows.into_iter().zip(&hash_b[pi]).skip(covered) {
-                    let (k, a) = split_partial(row);
-                    match accs.get_mut_hashed(h, &k) {
+                for ((h, k), a) in keys.into_iter().zip(accs).skip(covered) {
+                    match merged.get_mut_hashed(h, &k) {
                         Some(acc) => {
                             *acc =
                                 uni_prep.call_owned([std::mem::take(acc), a], &mut ucx, catalog)?
                         }
-                        None => accs.insert_hashed(h, k, a),
+                        None => merged.insert_hashed(h, k, a),
                     }
                 }
-                interp::agg_rows(accs)
+                interp::agg_rows(merged)
             };
             Ok(Part::from(merged))
         })?;
@@ -333,7 +332,7 @@ impl Session<'_> {
         self.charge(Charge::Stage);
         // A split layout routes by the two-level (primary, secondary) hash —
         // it is not plain hash-partitioning, so advertise nothing.
-        let partitioning = agg_split.is_none().then(|| by_group_key(merge_parts));
+        let partitioning = landed.split.is_none().then(|| by_group_key(merge_parts));
         Ok(PlanResult::Bag(Partitioned {
             parts: merged_lists,
             partitioning,
@@ -351,42 +350,32 @@ fn group_part(
     ops::group(rows.iter().cloned(), &mut keys.iter(), |ks, _| next_key(ks))
 }
 
-/// Folds `rows` through a columnar aggregation kernel batch by batch, up to
-/// the first batch that aborts (a non-conforming or erroring lane). Returns
-/// the groups folded so far in first-seen order and the number of leading
-/// rows they cover; the caller folds `rows[covered..]` through the scalar
-/// loop seeded with those groups. Without a kernel (or rows) nothing is
-/// covered.
+/// Folds `n` rows through a columnar aggregation kernel batch by batch, up
+/// to the first batch that aborts (a non-conforming or erroring lane):
+/// `absorb` folds the rows of one batch's range. Returns the groups folded
+/// so far in first-seen order and the number of leading rows they cover;
+/// the caller folds the rest through the scalar loop seeded with those
+/// groups. Without a kernel (or rows) nothing is covered.
 fn agg_kernel_prefix(
     kernel: Option<&(AggKernel, usize)>,
-    rows: &[Value],
+    n: usize,
     tally: &mut Tally,
+    mut absorb: impl FnMut(&AggKernel, Range<usize>, &mut AggState) -> bool,
 ) -> (Vec<(Value, Value)>, usize) {
-    let Some((kernel, batch_rows)) = kernel.filter(|_| !rows.is_empty()) else {
+    let Some((kernel, batch_rows)) = kernel.filter(|_| n > 0) else {
         return (Vec::new(), 0);
     };
     let mut st = kernel.new_state();
     let mut covered = 0usize;
-    for chunk in rows.chunks(*batch_rows) {
-        if !kernel.absorb(chunk, &mut st) {
+    while covered < n {
+        let end = n.min(covered + batch_rows);
+        if !absorb(kernel, covered..end, &mut st) {
             break;
         }
-        covered += chunk.len();
-        tally.batch(chunk.len());
+        tally.batch(end - covered);
+        covered = end;
     }
     (kernel.finish(st), covered)
-}
-
-/// Splits an `aggBy` partial `(key, acc)` — built by the combiner, so always
-/// a pair — into its two fields, moving them out unless the row is shared.
-fn split_partial(row: Value) -> (Value, Value) {
-    let Value::Tuple(mut fs) = row else {
-        unreachable!("aggBy partials are (key, acc) tuples");
-    };
-    match Arc::get_mut(&mut fs) {
-        Some([k, a]) => (std::mem::take(k), std::mem::take(a)),
-        _ => (fs[0].clone(), fs[1].clone()),
-    }
 }
 
 /// Folds one partition. A specialized element function runs as a columnar
@@ -433,34 +422,4 @@ fn fold_partition(
         },
     )?;
     Ok(acc)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn key_block(k: &Value) -> &Arc<[Value]> {
-        match k {
-            Value::Tuple(fs) => fs,
-            other => panic!("expected a tuple key, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn split_partial_moves_a_unique_partial_and_clones_a_shared_one() {
-        let key = || Value::tuple([Value::Int(1), Value::str("k")]);
-        let acc = Value::Float(2.5);
-
-        let (k, a) = split_partial(Value::tuple([key(), acc.clone()]));
-        assert_eq!((&k, &a), (&key(), &acc));
-        assert_eq!(Arc::strong_count(key_block(&k)), 1);
-
-        let cached = Value::tuple([key(), acc.clone()]);
-        let (k, a) = split_partial(cached.clone());
-        assert_eq!((&k, &a), (&key(), &acc));
-        assert_eq!(cached, Value::tuple([key(), acc.clone()]));
-        let kept = cached.field(0).unwrap();
-        assert!(Arc::ptr_eq(key_block(&k), key_block(kept)));
-        assert_eq!(Arc::strong_count(key_block(&k)), 2);
-    }
 }

@@ -268,7 +268,7 @@ impl Session<'_> {
 struct RowTap<'e, 'p> {
     keys: KeyCursor<'e, 'p>,
     widths: Widths,
-    carried: Option<&'e [u32]>,
+    carried: Option<&'e [u64]>,
 }
 
 impl<'e, 'p> RowTap<'e, 'p> {
@@ -292,8 +292,8 @@ impl<'e, 'p> RowTap<'e, 'p> {
         match self.carried {
             Some(widths) => {
                 debug_assert_eq!(new.len(), lanes.len());
-                for (row, &lane) in new.iter().zip(lanes) {
-                    self.widths.carry(row, widths[at + lane as usize]);
+                for &lane in lanes {
+                    self.widths.carry(widths[at + lane as usize]);
                 }
             }
             None => new.iter().for_each(|row| self.widths.walk(row)),

@@ -7,6 +7,7 @@
 use std::borrow::Borrow;
 use std::collections::HashSet;
 use std::hash::Hash;
+use std::ops::Deref;
 
 use emma_compiler::compiled::{self, CompiledBag, CompiledEval, Machine};
 use emma_compiler::vectorized::{VecStageSpec, VectorScratch};
@@ -397,7 +398,7 @@ pub(super) const SPECIALIZE_SAMPLE_ROWS: usize = 64;
 /// [`SPECIALIZE_SAMPLE_ROWS`] rows) of the first non-empty partition.
 /// Deterministic in the simulated partition layout — thread count and
 /// dispatch mode never enter. `None` when every partition is empty.
-pub(super) fn sample_rows(parts: &[Part]) -> Option<&[Value]> {
+pub(super) fn sample_rows<P: Deref<Target = [Value]>>(parts: &[P]) -> Option<&[Value]> {
     parts
         .iter()
         .find(|p| !p.is_empty())

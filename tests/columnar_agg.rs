@@ -443,3 +443,103 @@ fn folds_that_do_not_specialize_are_exactly_one_counted_refusal() {
     assert_eq!(vec.stats.vector_fallbacks, 0, "{}", vec.stats);
     assert!(vec.stats.rows_vectorized >= 200, "{}", vec.stats);
 }
+
+/// Keys no typed column holds together, over eight partitions: the first
+/// holds only Float keys (the combiner kernel specializes on it), the rest
+/// mix signed zeros and NaNs, an Int beside the Float it equals, strings and
+/// tuples (their combiner batches abort to the scalar loop). Every partial
+/// meets the others of its class in the merge, whose kernel groups them by
+/// their carried keys. The values are halves, so every sum is exact in any
+/// order.
+fn mixed_key_rows() -> Vec<Value> {
+    let floats = [0.0, -0.0, f64::NAN, -f64::NAN, 1.0, 2.5].map(Value::Float);
+    let mixed = [
+        Value::Int(1),
+        Value::Float(-0.0),
+        Value::str("a"),
+        Value::Float(1.0),
+        Value::tuple([Value::Int(1), Value::str("a")]),
+        Value::Float(f64::NAN),
+        Value::Int(2),
+        Value::tuple([Value::Float(1.0), Value::str("a")]),
+        Value::str("b"),
+        Value::Float(0.0),
+        Value::Float(2.0),
+    ];
+    (0..320usize)
+        .map(|i| {
+            let key = match i {
+                0..40 => floats[i % floats.len()].clone(),
+                _ => mixed[(i * 7 + i / 13) % mixed.len()].clone(),
+            };
+            Value::tuple([key, Value::Float((i % 7) as f64 * 0.5)])
+        })
+        .collect()
+}
+
+#[test]
+fn the_merge_groups_mixed_keys_alike_on_every_tier() {
+    let catalog = Catalog::new().with("rows", mixed_key_rows());
+    let fold = FoldOp {
+        sng: Lambda::new(["x"], x().get(1)),
+        ..FoldOp::sum()
+    };
+    let p = bare_agg_by(fold);
+    let want = Interp::new(&catalog)
+        .run(&p)
+        .expect("the interpreter runs it");
+    let kernels_prog = compile(&p);
+    let interp_prog = parallelize(&p, &OptimizerFlags::all().with_compiled_eval(false));
+    let skew_cfg = SkewConfig::default().with_min_part_rows(8);
+    let mut reference: Option<EngineRun> = None;
+    for chaos in [None, Some(FaultConfig::chaos(0xA66))] {
+        for skew_on in [false, true] {
+            let mk = |tier: &str, mode: ParallelismMode, threads: usize| {
+                let mut e = engine()
+                    .with_parallelism_mode(mode)
+                    .with_worker_threads(Some(threads));
+                if let Some(cfg) = chaos {
+                    e = e.with_faults(cfg);
+                }
+                if skew_on {
+                    e = e.with_skew_splitting(skew_cfg);
+                }
+                let prog = match tier {
+                    "interp" => &interp_prog,
+                    _ => &kernels_prog,
+                };
+                let e = if tier == "scalar" { scalar_tier(e) } else { e };
+                e.run(prog, &catalog).expect("runs")
+            };
+            let what =
+                |tier: &str, m, t| format!("{tier} {m:?}×{t} chaos {chaos:?} skew {skew_on}");
+            let base = mk("kernels", MATRIX[0].0, MATRIX[0].1);
+            // The combiner's first partition, then the merge's partials.
+            assert!(base.stats.rows_vectorized > 40, "{}", base.stats);
+            assert_matches_interp("kernels", &want, &base);
+            for tier in ["kernels", "scalar", "interp"] {
+                for &(m, t) in &MATRIX {
+                    let run = mk(tier, m, t);
+                    let what = what(tier, m, t);
+                    assert_same_runs(&what, &run, &base);
+                    assert_eq!(
+                        run.stats.without_tier_telemetry(),
+                        base.stats.without_tier_telemetry(),
+                        "{what}"
+                    );
+                    assert_eq!(
+                        run.stats.simulated_secs.to_bits(),
+                        base.stats.simulated_secs.to_bits(),
+                        "{what}"
+                    );
+                }
+            }
+            // Chaos and skew move the clock, never the rows.
+            let first = reference.get_or_insert(base.clone());
+            assert_same_runs("across chaos and skew", &base, first);
+        }
+    }
+    let sink = &reference.expect("ran").writes["agg"];
+    // Eight classes: ±0, NaN, 1, 2.5, 2, "a", "b" and the (1, "a") tuple.
+    assert_eq!(sink.len(), 8, "{sink:?}");
+}

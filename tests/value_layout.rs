@@ -201,3 +201,43 @@ fn hash_and_debug_are_pinned() {
         assert_eq!(value_hash(v), hash, "{debug}");
     }
 }
+
+/// The allocations of one run of a fused int-keyed `aggBy` — `count` per
+/// key over 2 048 `(key, 1)` rows in eight partitions of 256, on the calling
+/// thread — where partition `p` holds the `per_part` keys from `16 p` on,
+/// modulo 128. Every run ends in the same 128 groups; `per_part` sets how
+/// many partials the combiners ship: 16 per partition cover each key once,
+/// 32 cover each twice.
+fn agg_by_allocs(per_part: i64) -> u64 {
+    let rows = (0..2048)
+        .map(|i| pair((i / 256 * 16 + i % per_part) % 128, 1))
+        .collect();
+    let catalog = Catalog::new().with("rows", rows);
+    let x = ScalarExpr::var("x");
+    let program = Program::new(vec![Stmt::write(
+        "agg",
+        BagExpr::AggBy {
+            input: Box::new(BagExpr::read("rows")),
+            key: Lambda::new(["x"], x.get(0)),
+            fold: FoldOp::count(),
+        },
+    )]);
+    let compiled = parallelize(&program, &OptimizerFlags::all());
+    let engine = Engine::new(ClusterSpec::tiny(), Personality::sparrow());
+    // The first run builds the catalog's blocks and the compile memos.
+    engine.run(&compiled, &catalog).expect("runs");
+    let (run, n) = allocs(|| engine.run(&compiled, &catalog).expect("runs"));
+    assert_eq!(run.writes["agg"].len(), 128);
+    n
+}
+
+#[test]
+fn an_agg_by_partial_crosses_the_shuffle_without_a_block_of_its_own() {
+    // Doubling the keys per partition adds 128 partials, and no block for
+    // any of them: what grows is the combiners' and the merge's tables.
+    let (few, many) = (agg_by_allocs(16), agg_by_allocs(32));
+    assert!(
+        many < few + 128 / 2,
+        "{few} allocations with 128 partials, {many} with 256"
+    );
+}

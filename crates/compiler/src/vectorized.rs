@@ -391,7 +391,7 @@ pub struct VectorPipeline {
 
 /// Reusable per-task columnar scratch: typed register files plus selection
 /// vectors, grown once and reused across every batch a task evaluates.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct VectorScratch {
     i: Vec<Vec<i64>>,
     f: Vec<Vec<f64>>,
@@ -600,12 +600,8 @@ impl<'s> Builder<'s> {
                 // A statically failing program errors on every row it
                 // evaluates — the scalar fallback reproduces it per row.
                 Op::Fail(_) => return None,
-                Op::Local(slot) => {
-                    if *slot != 0 {
-                        return None;
-                    }
-                    stack.push(input.clone());
-                }
+                Op::Local(0) => stack.push(input.clone()),
+                Op::Local(_) => return None,
                 Op::Capture(c) => match &caps[*c] {
                     Some(v) => stack.push(self.splat(v)),
                     // An unbound capture errors whenever read; fall back.
@@ -671,11 +667,7 @@ impl<'s> Builder<'s> {
             }
             pc += 1;
         }
-        if stack.len() == 1 {
-            stack.pop()
-        } else {
-            None
-        }
+        stack.pop().filter(|_| stack.is_empty())
     }
 
     /// Broadcasts a constant (folded literal or bound capture) into columns.
@@ -693,13 +685,8 @@ impl<'s> Builder<'s> {
 
     fn field(&mut self, v: VVal, i: usize) -> Option<VVal> {
         match v {
-            VVal::Tup(mut fs) => {
-                if i < fs.len() {
-                    Some(fs.swap_remove(i))
-                } else {
-                    None // out of range: errors per row; scalar reproduces
-                }
-            }
+            // Out of range errors per row; the scalar tier reproduces it.
+            VVal::Tup(mut fs) => (i < fs.len()).then(|| fs.swap_remove(i)),
             VVal::Arg { path, shape } => match shape {
                 Shape::Tuple(mut fs) if i < fs.len() => {
                     let mut p = path;
@@ -829,11 +816,11 @@ impl<'s> Builder<'s> {
     fn merge(&mut self, t: VVal, e: VVal, ts: SelId, es: SelId) -> Option<VVal> {
         match (t, e) {
             (VVal::Tup(tf), VVal::Tup(ef)) if tf.len() == ef.len() => {
-                let mut out = Vec::with_capacity(tf.len());
-                for (a, b) in tf.into_iter().zip(ef) {
-                    out.push(self.merge(a, b, ts, es)?);
-                }
-                Some(VVal::Tup(out))
+                let fs = tf
+                    .into_iter()
+                    .zip(ef)
+                    .map(|(a, b)| self.merge(a, b, ts, es));
+                fs.collect::<Option<_>>().map(VVal::Tup)
             }
             (t, e) => {
                 let (t, e) = (self.resolve(t)?, self.resolve(e)?);
@@ -874,26 +861,18 @@ impl<'s> Builder<'s> {
     fn mat_node(&mut self, v: VVal) -> Option<MatNode> {
         match v {
             VVal::Tup(fs) => {
-                let mut out = Vec::with_capacity(fs.len());
-                for f in fs {
-                    out.push(self.mat_node(f)?);
-                }
-                Some(MatNode::Tup(out))
+                let fs = fs.into_iter().map(|f| self.mat_node(f));
+                fs.collect::<Option<_>>().map(MatNode::Tup)
             }
             VVal::Arg {
                 path,
                 shape: Shape::Tuple(fs),
             } => {
-                let mut out = Vec::with_capacity(fs.len());
-                for (i, fshape) in fs.into_iter().enumerate() {
-                    let mut p = path.clone();
-                    p.push(i);
-                    out.push(self.mat_node(VVal::Arg {
-                        path: p,
-                        shape: fshape,
-                    })?);
-                }
-                Some(MatNode::Tup(out))
+                let fs = fs.into_iter().enumerate().map(|(i, shape)| {
+                    let path = path.iter().copied().chain([i]).collect();
+                    self.mat_node(VVal::Arg { path, shape })
+                });
+                fs.collect::<Option<_>>().map(MatNode::Tup)
             }
             v => self.resolve(v).map(MatNode::Col),
         }
@@ -924,19 +903,11 @@ fn hash_str_bytes(bytes: &[u8]) -> i64 {
 /// UTF-8 (a byte-level match cannot straddle a char boundary in
 /// well-formed input).
 fn contains_bytes(hay: &[u8], needle: &[u8]) -> bool {
-    if needle.is_empty() {
+    let Some(&first) = needle.first() else {
         return true;
-    }
-    if needle.len() > hay.len() {
-        return false;
-    }
-    let first = needle[0];
-    for i in 0..=(hay.len() - needle.len()) {
-        if hay[i] == first && hay[i..i + needle.len()] == *needle {
-            return true;
-        }
-    }
-    false
+    };
+    hay.windows(needle.len())
+        .any(|w| w[0] == first && w == needle)
 }
 
 fn cmp_holds(op: BinOp, o: Ordering) -> bool {
@@ -1040,11 +1011,8 @@ impl VectorPipeline {
                 );
             }
             OutSpec::Rows(m) => {
-                out.reserve(s.sels[self.out_sel].len());
-                for idx in 0..s.sels[self.out_sel].len() {
-                    let l = s.sels[self.out_sel][idx] as usize;
-                    out.push(mat_value(m, s, l));
-                }
+                let lanes = &s.sels[self.out_sel];
+                out.extend(lanes.iter().map(|&l| mat_value(m, s, l as usize)));
             }
         }
         true
@@ -1077,7 +1045,7 @@ trait Lane: Clone + 'static {
     /// What the never-read lanes of a freshly grown column hold.
     const FILL: Self;
     fn file(s: &VectorScratch) -> &[Vec<Self>];
-    fn file_mut(s: &mut VectorScratch) -> &mut [Vec<Self>];
+    fn file_mut(s: &mut VectorScratch) -> &mut Vec<Vec<Self>>;
     /// The lane a row component of this type loads as; `None` when the
     /// component does not conform.
     fn load(v: &Value) -> Option<Self>;
@@ -1090,7 +1058,7 @@ macro_rules! lane {
             fn file(s: &VectorScratch) -> &[Vec<Self>] {
                 &s.$file
             }
-            fn file_mut(s: &mut VectorScratch) -> &mut [Vec<Self>] {
+            fn file_mut(s: &mut VectorScratch) -> &mut Vec<Vec<Self>> {
                 &mut s.$file
             }
             #[allow(unreachable_patterns)]
@@ -1395,11 +1363,7 @@ fn step(instr: &VInstr, rows: &[Value], s: &mut VectorScratch, n: usize) -> bool
             es.clear();
             let cond = &s.b[*cond];
             for &l in &s.sels[*parent] {
-                if cond[l as usize] {
-                    ts.push(l);
-                } else {
-                    es.push(l);
-                }
+                (if cond[l as usize] { &mut ts } else { &mut es }).push(l);
             }
             s.sels[*then_sel] = ts;
             s.sels[*else_sel] = es;
@@ -1419,11 +1383,7 @@ fn step(instr: &VInstr, rows: &[Value], s: &mut VectorScratch, n: usize) -> bool
             let mut d = std::mem::take(&mut s.sels[*dst]);
             d.clear();
             let pred = &s.b[*pred];
-            for &l in &s.sels[*parent] {
-                if pred[l as usize] {
-                    d.push(l);
-                }
-            }
+            d.extend(s.sels[*parent].iter().filter(|&&l| pred[l as usize]));
             s.sels[*dst] = d;
             true
         }
@@ -1452,35 +1412,22 @@ fn load_str_plain(d: &mut StrCol, rows: &[Value], path: &[usize]) -> bool {
 /// is stored once (first-appearance order); lanes carry codes plus ranges
 /// shared with their dictionary entry.
 fn load_str_dict(d: &mut StrCol, rows: &[Value], path: &[usize]) -> bool {
-    use std::hash::Hasher;
-    // hash → candidate codes; collisions compare bytes.
-    let mut index: HashMap<u64, Vec<u32>> = HashMap::new();
+    // Codes are the table's dense first-seen ids; collisions compare bytes.
+    let mut table = GroupTable::new();
     d.codes.reserve(rows.len());
     for row in rows {
-        let st = match path_get(row, path) {
-            Some(Value::Str(st)) => st,
-            _ => return false,
+        let Some(Value::Str(st)) = path_get(row, path) else {
+            return false;
         };
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        hasher.write(st.as_bytes());
-        let cands = index.entry(hasher.finish()).or_default();
-        let code = match cands
-            .iter()
-            .copied()
-            .find(|&c| d.dict_entry(c as usize) == st.as_bytes())
-        {
-            Some(c) => c,
-            None => {
-                let (start, len) = match d.push_bytes(st.as_bytes()) {
-                    Some(r) => r,
-                    None => return false,
-                };
-                let c = d.dict.len() as u32;
-                d.dict.push((start, len));
-                cands.push(c);
-                c
-            }
-        };
+        let b = st.as_bytes();
+        let (code, created) =
+            table.find_or_insert(bytes_hash(0, b), |c| d.dict_entry(c as usize) == b);
+        if created {
+            let Some(range) = d.push_bytes(b) else {
+                return false;
+            };
+            d.dict.push(range);
+        }
         let (start, len) = d.dict[code as usize];
         d.codes.push(code);
         d.starts.push(start);
@@ -1813,6 +1760,15 @@ fn mix(h: u64, x: u64) -> u64 {
     (h.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95)
 }
 
+/// [`mix`] over a string's length, then its bytes as little-endian words.
+fn bytes_hash(h: u64, bytes: &[u8]) -> u64 {
+    bytes.chunks(8).fold(mix(h, bytes.len() as u64), |h, c| {
+        let mut w = [0u8; 8];
+        w[..c.len()].copy_from_slice(c);
+        mix(h, u64::from_le_bytes(w))
+    })
+}
+
 /// Probe hash of lane `l`'s key. Equal keys (under `Value` equality: floats
 /// by canonical NaN and signed zero) hash equally; nothing else is promised.
 fn lane_hash(m: &MatNode, s: &VectorScratch, l: usize, h: u64) -> u64 {
@@ -1821,16 +1777,7 @@ fn lane_hash(m: &MatNode, s: &VectorScratch, l: usize, h: u64) -> u64 {
             Ty::I => mix(h, s.i[c.reg][l] as u64),
             Ty::F => mix(h, float_key(s.f[c.reg][l])),
             Ty::B => mix(h, s.b[c.reg][l] as u64),
-            Ty::S => {
-                let bytes = s.s[c.reg].lane(l);
-                let mut h = mix(h, bytes.len() as u64);
-                for c in bytes.chunks(8) {
-                    let mut w = [0u8; 8];
-                    w[..c.len()].copy_from_slice(c);
-                    h = mix(h, u64::from_le_bytes(w));
-                }
-                h
-            }
+            Ty::S => bytes_hash(h, s.s[c.reg].lane(l)),
             Ty::V => unreachable!("group keys have typed leaves only"),
         },
         MatNode::Tup(fs) => fs.iter().fold(h, |h, f| lane_hash(f, s, l, h)),
@@ -1867,7 +1814,7 @@ fn lane_eq_value(m: &MatNode, s: &VectorScratch, l: usize, v: &Value) -> bool {
 /// `acc[gid[l]] = f(acc[gid[l]], v[l])`.
 fn fold_slot<T: Lane + Copy>(
     accs: &mut VectorScratch,
-    s: &VectorScratch,
+    (s, reg, off): (&VectorScratch, Reg, usize),
     slot: &Slot,
     gids: &[u32],
     f: impl Fn(T, T) -> T,
@@ -1877,7 +1824,7 @@ fn fold_slot<T: Lane + Copy>(
         .as_ref()
         .map(|z| T::load(z).expect("`Builder::slot` types the zero"));
     let acc = &mut T::file_mut(accs)[slot.acc];
-    let v = &T::file(s)[slot.val.reg];
+    let v = &T::file(s)[reg][off..];
     for (l, &g) in gids.iter().enumerate() {
         let g = g as usize;
         if g == acc.len() {
@@ -1912,40 +1859,47 @@ impl AggKernel {
     /// [`finish`](Self::finish)'s groups — reproducing values and the first
     /// error in evaluation order bit-identically.
     pub fn absorb(&self, rows: &[Value], st: &mut AggState) -> bool {
-        self.fold(rows, st, |st| self.assign_groups(rows.len(), st))
+        let ran = self.kernels.run(rows, &mut st.scratch);
+        if ran {
+            self.assign_groups(rows.len(), st);
+            self.fold(st, None);
+        }
+        ran
     }
 
     /// [`absorb`](Self::absorb) for the merge phase, over partials that are
-    /// accumulators `accs` and the `(hash, key)` pairs carried beside them:
-    /// a partial joins the group whose key has its hash and is `Value`-equal
-    /// to its own, as in the scalar merge, or opens one.
-    pub fn absorb_partials(
-        &self,
-        accs: &[Value],
-        keys: &[(u64, Value)],
-        st: &mut AggState,
-    ) -> bool {
-        self.fold(accs, st, |st| {
-            st.gids.clear();
-            for (h, k) in keys {
-                let (g, created) = st.table.find_or_insert(*h, |g| st.keys[g as usize] == *k);
-                if created {
-                    st.keys.push(k.clone());
-                }
-                st.gids.push(g);
+    /// accumulators and the `(hash, key)` pairs carried beside them: a
+    /// partial joins the group whose key has its hash and is `Value`-equal
+    /// to its own, as in the scalar merge, or opens one. Landed columns are
+    /// this kernel's slots by construction, so only values can abort.
+    pub fn absorb_partials(&self, accs: Partials, ks: &[(u64, Value)], st: &mut AggState) -> bool {
+        let cols = match accs {
+            Partials::Values(rows) if !self.kernels.run(rows, &mut st.scratch) => return false,
+            Partials::Values(_) => None,
+            Partials::Columns(cols, from) => Some((cols, from)),
+        };
+        st.gids.clear();
+        for (h, k) in ks {
+            let (g, created) = st.table.find_or_insert(*h, |g| st.keys[g as usize] == *k);
+            if created {
+                st.keys.push(k.clone());
             }
-        })
+            st.gids.push(g);
+        }
+        self.fold(st, cols);
+        true
     }
 
-    /// Evaluates a batch and, unless it aborts, folds it into the groups `assign` gives its lanes.
-    fn fold(&self, rows: &[Value], st: &mut AggState, assign: impl FnOnce(&mut AggState)) -> bool {
+    /// Folds each slot's values — the batch's registers, or the landed
+    /// columns `cols` from a partial on — into the groups of `st.gids`.
+    fn fold(&self, st: &mut AggState, cols: Option<(&AccCols, usize)>) {
         use {SlotOp::*, Ty::*};
-        if !self.kernels.run(rows, &mut st.scratch) {
-            return false;
-        }
-        assign(st);
-        let (s, accs, gids) = (&st.scratch, &mut st.accs, &st.gids);
+        let (accs, gids) = (&mut st.accs, &st.gids);
         for slot in &self.slots {
+            let s = match cols {
+                Some((c, from)) => (&c.0, slot.acc, from),
+                None => (&st.scratch, slot.val.reg, 0),
+            };
             match (slot.op, slot.val.ty) {
                 // Wrapping, like the scalar tier's integer `+` and `*`.
                 (Add, I) => fold_slot(accs, s, slot, gids, i64::wrapping_add),
@@ -1961,27 +1915,18 @@ impl AggKernel {
                 _ => unreachable!("`Builder::slot` pairs each operator with the types it folds"),
             }
         }
-        true
     }
 
     /// Size of the combined dictionary-code space of the key columns, when
     /// every key leaf is a string column that was dictionary-encoded for
     /// this `n`-lane batch and the space is small enough to memoize.
     fn code_space(&self, s: &VectorScratch, n: usize) -> Option<usize> {
-        if self.key_strs.is_empty() {
-            return None;
-        }
-        let mut w = 1usize;
-        for &r in &self.key_strs {
-            let col = &s.s[r];
-            if col.codes.len() != n {
-                return None;
-            }
-            w = w
-                .checked_mul(col.dict.len())
-                .filter(|w| *w <= DICT_GROUPS_MAX)?;
-        }
-        Some(w)
+        let mut cols = self.key_strs.iter().map(|&r| &s.s[r]).peekable();
+        cols.peek()?;
+        cols.try_fold(1usize, |w, col| {
+            let w = w.checked_mul(col.dict.len());
+            w.filter(|&w| w <= DICT_GROUPS_MAX && col.codes.len() == n)
+        })
     }
 
     /// Assigns every lane of an evaluated batch its group id, in row order
@@ -2036,15 +1981,68 @@ impl AggKernel {
         }
     }
 
-    /// The folded groups as `(key, accumulator)` values in first-seen
-    /// order — the one place a group's accumulator becomes a `Value`.
+    /// The folded groups as `(key, accumulator)` values in first-seen order.
     pub fn finish(&self, st: AggState) -> Vec<(Value, Value)> {
-        let accs = &st.accs;
-        st.keys
-            .into_iter()
-            .enumerate()
-            .map(|(g, k)| (k, mat_value(&self.acc, accs, g)))
-            .collect()
+        let (keys, accs) = self.finish_columns(st);
+        let accs = (0..).map(|g| self.acc_value(&accs, g));
+        keys.into_iter().zip(accs).collect()
+    }
+
+    /// The folded groups' keys in first-seen order, and their accumulators
+    /// as the typed columns they were folded in.
+    pub fn finish_columns(&self, st: AggState) -> (Vec<Value>, AccCols) {
+        (st.keys, AccCols(st.accs))
+    }
+
+    /// Partial `l`'s accumulator in `accs` as a `Value` — the one place an
+    /// accumulator becomes one.
+    pub fn acc_value(&self, accs: &AccCols, l: usize) -> Value {
+        mat_value(&self.acc, &accs.0, l)
+    }
+
+    /// The serialized width every accumulator of this kernel has
+    /// ([`Value::approx_bytes`] of [`acc_value`](Self::acc_value)): 8 per
+    /// `i64` / `f64` slot, 1 per `bool` one, 8 more for a tuple.
+    pub fn acc_width(&self) -> u64 {
+        let slots = self.slots.iter().map(|s| [8, 8, 1][s.val.ty as usize]);
+        slots.sum::<u64>() + 8 * matches!(self.acc, MatNode::Tup(_)) as u64
+    }
+}
+
+/// An `aggBy` combiner's accumulators as typed columns, indexed by partial:
+/// its [`AggState::accs`] register files, which cross the shuffle as they
+/// are ([`AggKernel::finish_columns`], [`AggKernel::absorb_partials`]).
+#[derive(Debug, Default)]
+pub struct AccCols(VectorScratch);
+
+/// A merge batch's accumulators ([`AggKernel::absorb_partials`]).
+pub enum Partials<'a> {
+    /// One accumulator value per partial.
+    Values(&'a [Value]),
+    /// Columns and the index of the batch's first partial in them.
+    Columns(&'a AccCols, usize),
+}
+
+impl AccCols {
+    /// Moves partial `l` to the end of `into[dest[l]]` (given columns of
+    /// these types, or none yet): one pass per column.
+    pub fn scatter(self, dest: &[u32], into: &mut [&mut AccCols]) {
+        fn file<T: Lane>(src: Vec<Vec<T>>, dest: &[u32], into: &mut [&mut AccCols]) {
+            for (r, col) in src.into_iter().enumerate() {
+                for cols in into.iter_mut() {
+                    let file = T::file_mut(&mut cols.0);
+                    if file.len() == r {
+                        file.push(Vec::new());
+                    }
+                }
+                for (x, &d) in col.into_iter().zip(dest) {
+                    T::file_mut(&mut into[d as usize].0)[r].push(x);
+                }
+            }
+        }
+        file(self.0.i, dest, into);
+        file(self.0.f, dest, into);
+        file(self.0.b, dest, into);
     }
 }
 
@@ -2836,7 +2834,7 @@ mod tests {
             .expect("merge kernel");
         assert!(merge.key.is_none());
         let mut st = merge.new_state();
-        assert!(merge.absorb_partials(&accs[..30], &keys[..30], &mut st));
+        assert!(merge.absorb_partials(Partials::Values(&accs[..30]), &keys[..30], &mut st));
         // A non-conforming accumulator (an Int where the Float sum was
         // typed) aborts before the partial ahead of it opens its group.
         let mut bad = accs[30..40].to_vec();
@@ -2847,8 +2845,8 @@ mod tests {
             fs[0] = Value::Int(1);
             bad[5] = Value::tuple(fs);
         }
-        assert!(!merge.absorb_partials(&bad, &bad_keys, &mut st));
-        assert!(merge.absorb_partials(&accs[30..], &keys[30..], &mut st));
+        assert!(!merge.absorb_partials(Partials::Values(&bad), &bad_keys, &mut st));
+        assert!(merge.absorb_partials(Partials::Values(&accs[30..]), &keys[30..], &mut st));
         let merged = merge.finish(st);
         assert_eq!(merged, scalar_merge(&fold.uni, &keys, &accs));
         let want = scalar_groups(&key, &fold, &rows);
@@ -2905,7 +2903,7 @@ mod tests {
             .expect("merge kernel");
         let mut st = merge.new_state();
         for (ks, xs) in keys.chunks(16).zip(accs.chunks(16)) {
-            assert!(merge.absorb_partials(xs, ks, &mut st));
+            assert!(merge.absorb_partials(Partials::Values(xs), ks, &mut st));
         }
         let merged = merge.finish(st);
         let want = scalar_merge(&uni, &keys, &accs);
@@ -2915,8 +2913,102 @@ mod tests {
         // A batch whose accumulators do not conform aborts untouched.
         let mut st = merge.new_state();
         let ints: Vec<Value> = (0..16).map(Value::Int).collect();
-        assert!(!merge.absorb_partials(&ints, &keys[..16], &mut st));
+        assert!(!merge.absorb_partials(Partials::Values(&ints), &keys[..16], &mut st));
         assert!(merge.finish(st).is_empty());
+    }
+
+    /// Every slot type the exchange carries: `four_folds`' `i64`, `f64`,
+    /// `bool` and `Null`-unit min slots; a ten-slot banana split; the
+    /// one-field tuple of a fused `groupBy`; and bare `i64`, `Null`-unit
+    /// max and `bool` accumulators.
+    fn exchanged_folds() -> Vec<FoldOp> {
+        let project = |f: FoldOp| FoldOp {
+            sng: Lambda::new(["x"], f.sng.apply(&[x1()])),
+            ..f
+        };
+        let ten = FoldOp::banana_split(&[
+            project(FoldOp::sum()),
+            FoldOp::count(),
+            project(FoldOp::min()),
+            FoldOp::exists(is_even()),
+            project(FoldOp::max()),
+            FoldOp::forall(is_even()),
+            project(FoldOp::sum()),
+            FoldOp::count(),
+            project(FoldOp::max()),
+            FoldOp::exists(is_even()),
+        ]);
+        vec![
+            four_folds(),
+            ten,
+            FoldOp::banana_split(&[project(FoldOp::min())]),
+            FoldOp::count(),
+            project(FoldOp::max()),
+            FoldOp::exists(is_even()),
+        ]
+    }
+
+    #[test]
+    fn accumulator_columns_cross_and_merge_as_their_values_do() {
+        let key = Lambda::new(
+            ["x"],
+            se_bin(BinOp::Mod, x0(), ScalarExpr::lit(Value::Int(11))),
+        );
+        let rows = int_pair_rows(200);
+        for fold in exchanged_folds() {
+            let kernel = combiner_kernel(&key, &fold, &rows).expect("specializable fold");
+            // Four combiner partitions, each folded twice: once finished as
+            // columns, once as values.
+            let route = |k: &Value| (hash_of(k) % 2) as u32;
+            let mut cols = [AccCols::default(), AccCols::default()];
+            let mut vals: [Vec<Value>; 2] = Default::default();
+            let mut keys: [Vec<(u64, Value)>; 2] = Default::default();
+            for part in rows.chunks(50) {
+                let (mut a, mut b) = (kernel.new_state(), kernel.new_state());
+                for batch in part.chunks(16) {
+                    assert!(kernel.absorb(batch, &mut a) && kernel.absorb(batch, &mut b));
+                }
+                let (ks, acc_cols) = kernel.finish_columns(a);
+                let groups = kernel.finish(b);
+                assert_eq!(ks.len(), groups.len());
+                for (l, (k, acc)) in groups.into_iter().enumerate() {
+                    assert_eq!(&ks[l], &k);
+                    assert_eq!(kernel.acc_width(), acc.approx_bytes(), "{acc:?}");
+                    assert_eq!(
+                        format!("{:?}", kernel.acc_value(&acc_cols, l)),
+                        format!("{acc:?}")
+                    );
+                    let d = route(&k) as usize;
+                    vals[d].push(acc);
+                    keys[d].push((hash_of(&k), k));
+                }
+                // The hand-off: one scatter of the columns by destination.
+                let dest: Vec<u32> = ks.iter().map(route).collect();
+                acc_cols.scatter(&dest, &mut cols.iter_mut().collect::<Vec<_>>());
+            }
+            let merge = specialize_agg(&AggInput::Partials, &compile_lambda(&fold.uni), &vals[0])
+                .expect("merge kernel");
+            for d in 0..2 {
+                let (mut by_cols, mut by_vals) = (merge.new_state(), merge.new_state());
+                for from in (0..keys[d].len()).step_by(16) {
+                    let to = keys[d].len().min(from + 16);
+                    let cols = Partials::Columns(&cols[d], from);
+                    assert!(merge.absorb_partials(cols, &keys[d][from..to], &mut by_cols));
+                    assert!(merge.absorb_partials(
+                        Partials::Values(&vals[d][from..to]),
+                        &keys[d][from..to],
+                        &mut by_vals
+                    ));
+                }
+                let merged = merge.finish(by_cols);
+                assert_eq!(
+                    format!("{merged:?}"),
+                    format!("{:?}", merge.finish(by_vals))
+                );
+                let want = scalar_merge(&fold.uni, &keys[d], &vals[d]);
+                assert_eq!(format!("{merged:?}"), format!("{want:?}"));
+            }
+        }
     }
 
     #[test]

@@ -18,6 +18,7 @@ use std::sync::{Arc, OnceLock};
 use emma_compiler::expr::Lambda;
 use emma_compiler::interp::Catalog;
 use emma_compiler::value::{Value, ValueError};
+use emma_compiler::vectorized::AccCols;
 use emma_core::ops;
 
 /// Hash partitioning metadata.
@@ -151,7 +152,11 @@ impl Part {
 
     /// A partition whose rows a wave measured as it produced them.
     pub(crate) fn measured(rows: Vec<Value>, widths: Widths) -> Part {
-        Measured { rows, widths }.finish()
+        Measured {
+            payload: Payload::Rows(rows),
+            widths,
+        }
+        .finish()
     }
 
     /// The rows: moved out if this is the last holder, copied otherwise.
@@ -166,32 +171,40 @@ impl From<Part> for Measured {
     fn from(part: Part) -> Self {
         let Block { rows, widths } = Arc::unwrap_or_clone(part.0);
         let widths = widths.into_inner().unwrap_or_else(|| Widths::of(&rows));
-        Measured { rows, widths }
+        Measured {
+            payload: Payload::Rows(rows),
+            widths,
+        }
+    }
+}
+
+/// What a [`Measured`] holds: rows, or an `aggBy` combiner's accumulators
+/// as the typed columns its kernel folded them in.
+pub(crate) enum Payload {
+    Rows(Vec<Value>),
+    Accs(AccCols),
+}
+
+impl Default for Payload {
+    fn default() -> Self {
+        Payload::Rows(Vec::new())
     }
 }
 
 /// Rows, each with the bytes it ships as: a partition taken apart to be
 /// scattered, a shuffle destination, or an `aggBy` combiner's accumulators
-/// ([`Measured::partials`]), each of which ships as its `(key, acc)` pair.
-/// It derefs to its rows.
+/// ([`Measured::partials`], [`Measured::partial_columns`]), each of which
+/// ships as its `(key, acc)` pair.
 #[derive(Default)]
 pub(crate) struct Measured {
-    rows: Vec<Value>,
+    payload: Payload,
     widths: Widths,
-}
-
-impl Deref for Measured {
-    type Target = [Value];
-
-    fn deref(&self) -> &[Value] {
-        &self.rows
-    }
 }
 
 impl Measured {
     pub(crate) fn with_capacity(n: usize) -> Self {
         Measured {
-            rows: Vec::with_capacity(n),
+            payload: Payload::Rows(Vec::with_capacity(n)),
             widths: Widths::with_capacity(n),
         }
     }
@@ -204,14 +217,44 @@ impl Measured {
         groups: impl IntoIterator<Item = (u64, Value, Value)>,
     ) -> (Measured, Vec<(u64, Value)>) {
         let groups = groups.into_iter();
-        let mut accs = Measured::with_capacity(groups.size_hint().0);
-        let mut keys = Vec::with_capacity(groups.size_hint().0);
+        let n = groups.size_hint().0;
+        let (mut rows, mut widths) = (Vec::with_capacity(n), Widths::with_capacity(n));
+        let mut keys = Vec::with_capacity(n);
         for (h, key, acc) in groups {
-            accs.widths.carry(pair_width(&key, &acc));
-            accs.rows.push(acc);
+            widths.carry(pair_width(&key, &acc));
+            rows.push(acc);
             keys.push((h, key));
         }
-        (accs, keys)
+        let payload = Payload::Rows(rows);
+        (Measured { payload, widths }, keys)
+    }
+
+    /// [`Measured::partials`] with the accumulators as typed columns, one
+    /// per key of `keys` and each `acc_width` wide, so a partial ships as
+    /// `8 + w(key) + acc_width`; the keys are hashed here.
+    pub(crate) fn partial_columns(
+        keys: Vec<Value>,
+        accs: AccCols,
+        acc_width: u64,
+    ) -> (Measured, Vec<(u64, Value)>) {
+        let mut widths = Widths::with_capacity(keys.len());
+        let keys = keys.into_iter().map(|key| {
+            widths.carry(8 + width(&key) + acc_width);
+            (value_hash(&key), key)
+        });
+        let keys = keys.collect();
+        let payload = Payload::Accs(accs);
+        (Measured { payload, widths }, keys)
+    }
+
+    /// How many rows (or partials) there are.
+    pub(crate) fn len(&self) -> usize {
+        self.widths.len()
+    }
+
+    /// Whether the accumulators are typed columns.
+    pub(crate) fn is_columns(&self) -> bool {
+        matches!(self.payload, Payload::Accs(_))
     }
 
     /// The bytes the rows ship as.
@@ -220,29 +263,78 @@ impl Measured {
     }
 
     /// Moves row `i`, with its width, to the end of `into[dest[i]]`: one
-    /// pass over the rows, one over the widths.
+    /// pass over the rows (or per accumulator column), one over the widths.
+    /// A destination that holds nothing yet takes the payload kind of its
+    /// first source; every source of one exchange has the same kind.
     pub(crate) fn scatter(self, dest: &[u32], into: &mut [Measured]) {
-        debug_assert_eq!(self.widths.len(), self.rows.len());
-        scatter(self.rows, dest, into, |m| &mut m.rows);
+        debug_assert_eq!(self.widths.len(), dest.len());
+        match self.payload {
+            Payload::Rows(rows) => scatter(rows, dest, into, |m| match &mut m.payload {
+                Payload::Rows(rows) => rows,
+                Payload::Accs(_) => unreachable!("one exchange ships one payload kind"),
+            }),
+            Payload::Accs(accs) => {
+                let mut cols: Vec<&mut AccCols> = into.iter_mut().map(Measured::columns).collect();
+                accs.scatter(dest, &mut cols);
+            }
+        }
         for (&w, &d) in self.widths.per_row.iter().zip(dest) {
             into[d as usize].widths.carry(w);
         }
     }
 
-    /// The rows, their widths dropped.
-    pub(crate) fn into_rows(self) -> Vec<Value> {
-        self.rows
+    /// This destination's accumulator columns, begun empty if it holds
+    /// nothing yet.
+    fn columns(&mut self) -> &mut AccCols {
+        if let Payload::Rows(rows) = &self.payload {
+            debug_assert!(rows.is_empty(), "one exchange ships one payload kind");
+            self.payload = Payload::Accs(AccCols::default());
+        }
+        match &mut self.payload {
+            Payload::Accs(cols) => cols,
+            Payload::Rows(_) => unreachable!(),
+        }
+    }
+
+    /// The same partials with their accumulator columns, if any, turned
+    /// into rows: `acc(cols, i)` is partial `i`'s accumulator.
+    pub(crate) fn into_rows_with(self, acc: impl Fn(&AccCols, usize) -> Value) -> Measured {
+        let payload = match self.payload {
+            Payload::Accs(cols) => {
+                Payload::Rows((0..self.widths.len()).map(|i| acc(&cols, i)).collect())
+            }
+            rows => rows,
+        };
+        Measured { payload, ..self }
+    }
+
+    /// The first `n` rows, accumulator columns turned into rows as by
+    /// [`Measured::into_rows_with`].
+    pub(crate) fn head(&self, n: usize, acc: impl Fn(&AccCols, usize) -> Value) -> Vec<Value> {
+        let n = n.min(self.len());
+        match &self.payload {
+            Payload::Rows(rows) => rows[..n].to_vec(),
+            Payload::Accs(cols) => (0..n).map(|i| acc(cols, i)).collect(),
+        }
+    }
+
+    /// The rows or accumulator columns, their widths dropped.
+    pub(crate) fn into_payload(self) -> Payload {
+        self.payload
     }
 
     /// The partition, born measured: the rows' widths must be their own.
     pub(crate) fn finish(self) -> Part {
-        debug_assert_eq!(self.widths.len(), self.rows.len());
+        let Payload::Rows(rows) = self.payload else {
+            unreachable!("accumulator columns land in an aggBy merge, never in a partition")
+        };
+        debug_assert_eq!(self.widths.len(), rows.len());
         debug_assert_eq!(
             self.widths.total,
-            self.rows.iter().map(Value::approx_bytes).sum::<u64>()
+            rows.iter().map(Value::approx_bytes).sum::<u64>()
         );
         Part(Arc::new(Block {
-            rows: self.rows,
+            rows,
             widths: OnceLock::from(self.widths),
         }))
     }
@@ -520,7 +612,10 @@ mod tests {
             .map(|(k, a)| Value::tuple([k.clone(), a.clone()]))
             .collect();
         assert_eq!(accs.bytes(), fresh_walk(&pairs));
-        assert_eq!(&*accs, &[groups[0].1.clone(), groups[1].1.clone()][..]);
+        let Payload::Rows(rows) = accs.into_payload() else {
+            panic!("rows expected")
+        };
+        assert_eq!(rows, [groups[0].1.clone(), groups[1].1.clone()]);
         let want: Vec<_> = groups
             .iter()
             .map(|(k, _)| (value_hash(k), k.clone()))

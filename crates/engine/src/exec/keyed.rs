@@ -584,6 +584,8 @@ fn apply_split(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::Payload;
+    use emma_compiler::vectorized::{AggInput, AggKernel};
 
     /// A fresh walk of `rows`: the bytes of a partition no one measured.
     fn fresh_walk(rows: &[Value]) -> u64 {
@@ -592,6 +594,14 @@ mod tests {
 
     fn width(row: &Value) -> u64 {
         fresh_walk(std::slice::from_ref(row))
+    }
+
+    /// The rows a destination holds.
+    fn rows(dest: Measured) -> Vec<Value> {
+        match dest.into_payload() {
+            Payload::Rows(rows) => rows,
+            Payload::Accs(_) => panic!("rows expected"),
+        }
     }
 
     /// 8200 references to one 64 Ki-float vector (`n` = 8200) is a row wider
@@ -743,9 +753,10 @@ mod tests {
                 .sum()
         };
         let mut total = 0;
-        for (dest, keys) in landed.dests.iter().zip(&landed.keys) {
-            assert_eq!(dest.bytes(), pair_bytes(keys, dest));
-            total += dest.bytes();
+        for (dest, keys) in landed.dests.into_iter().zip(&landed.keys) {
+            let bytes = dest.bytes();
+            assert_eq!(bytes, pair_bytes(keys, &rows(dest)));
+            total += bytes;
         }
         let all = groups.iter().flatten();
         let want: u64 = all
@@ -754,6 +765,157 @@ mod tests {
         assert!(want > 2 * u64::from(u32::MAX));
         assert_eq!(total, want);
         assert_eq!(s.stats.bytes_shuffled, want);
+    }
+
+    /// A combiner kernel over `(Int, Int)` rows keyed by `x.0`, folding
+    /// `(sum(x.1), count, exists(x.1 even))`: a one-slot-per-file
+    /// accumulator of `f64`, `i64` and `bool` columns.
+    fn combiner() -> AggKernel {
+        use emma_compiler::compiled::compile_lambda;
+        use emma_compiler::expr::{BinOp, FoldOp};
+        let x = || ScalarExpr::var("x");
+        let even = ScalarExpr::BinOp(
+            BinOp::Eq,
+            Box::new(ScalarExpr::BinOp(
+                BinOp::Mod,
+                Box::new(x().get(1)),
+                Box::new(ScalarExpr::lit(Value::Int(2))),
+            )),
+            Box::new(ScalarExpr::lit(Value::Int(0))),
+        );
+        let sum = FoldOp::sum();
+        let fold = FoldOp::banana_split(&[
+            FoldOp {
+                sng: Lambda::new(["x"], sum.sng.apply(&[x().get(1)])),
+                ..sum
+            },
+            FoldOp::count(),
+            FoldOp::exists(Lambda::new(["x"], even)),
+        ]);
+        let (key, sng, uni) = (
+            compile_lambda(&Lambda::new(["x"], x().get(0))),
+            compile_lambda(&fold.sng),
+            compile_lambda(&fold.uni),
+        );
+        let base = HashMap::new();
+        let zero = interp::eval_scalar(&fold.zero, &mut Env::new(&base), &Catalog::new());
+        let zero = zero.expect("a closed zero");
+        let input = AggInput::Rows {
+            key: (&key, &[]),
+            sng: (&sng, &[]),
+            zero: &zero,
+        };
+        let sample = [Value::tuple([Value::Int(0), Value::Int(0)])];
+        vectorized::specialize_agg(&input, &uni, &sample).expect("a specializable fold")
+    }
+
+    /// A destination's partials as `(key, acc)` pairs, accumulator columns
+    /// materialized by `kernel`, with the bytes it carries.
+    fn pairs(kernel: &AggKernel, dest: Measured, keys: &[(u64, Value)]) -> (Vec<Value>, u64) {
+        let bytes = dest.bytes();
+        let accs: Vec<Value> = match dest.into_payload() {
+            Payload::Accs(cols) => (0..keys.len())
+                .map(|i| kernel.acc_value(&cols, i))
+                .collect(),
+            Payload::Rows(accs) => accs,
+        };
+        let pairs = keys.iter().zip(accs);
+        let pairs = pairs.map(|((_, k), a)| Value::tuple([k.clone(), a]));
+        (pairs.collect(), bytes)
+    }
+
+    #[test]
+    fn an_agg_by_exchange_moves_accumulator_columns_like_rows() {
+        let (engine, catalog) = (
+            Engine::new(ClusterSpec::tiny(), Personality::sparrow()),
+            Catalog::new(),
+        );
+        let kernel = combiner();
+        // Three combiner partitions over overlapping key ranges, each
+        // shipping its partials as columns and, for reference, as rows.
+        let (mut by_cols, mut by_rows, mut keys) = (Vec::new(), Vec::new(), Vec::new());
+        for p in 0..3i64 {
+            let rows: Vec<Value> = (0..40 + 7 * p)
+                .map(|i| Value::tuple([Value::Int((i * 5 + p) % (23 + p)), Value::Int(i - 9)]))
+                .collect();
+            let (mut a, mut b) = (kernel.new_state(), kernel.new_state());
+            assert!(kernel.absorb(&rows, &mut a) && kernel.absorb(&rows, &mut b));
+            let (ks, cols) = kernel.finish_columns(a);
+            by_cols.push(Measured::partial_columns(ks, cols, kernel.acc_width()));
+            let groups = kernel.finish(b).into_iter();
+            by_rows.push(Measured::partials(
+                groups.map(|(k, a)| (value_hash(&k), k, a)),
+            ));
+            keys.push(by_rows[p as usize].1.clone());
+        }
+        let mut charged = Vec::new();
+        let [cols, rows] = [by_cols, by_rows].map(|sources| {
+            let mut s = Session::new(&engine, &catalog, true);
+            let landed = s.land(sources, None);
+            charged.push(s.stats.bytes_shuffled);
+            landed
+        });
+        // Both follow the order rule, keys and accumulators aligned, and
+        // charge each partial as its `(key, acc)` pair.
+        let dop = cols.dests.len() as u64;
+        let want = by_rule(&keys, dop);
+        assert!(cols.dests.iter().all(Measured::is_columns));
+        let mut total = 0;
+        for (d, (c, r)) in cols.dests.into_iter().zip(rows.dests).enumerate() {
+            assert_eq!(cols.keys[d], rows.keys[d], "keys of destination {d}");
+            let keyed: Vec<Value> = cols.keys[d].iter().map(|(_, k)| k.clone()).collect();
+            assert_eq!(keyed, want[d], "order of destination {d}");
+            let (c, r) = (
+                pairs(&kernel, c, &cols.keys[d]),
+                pairs(&kernel, r, &rows.keys[d]),
+            );
+            assert_eq!(c, r, "destination {d}");
+            assert_eq!(c.1, fresh_walk(&c.0), "bytes of destination {d}");
+            total += c.1;
+        }
+        assert_eq!(charged, [total, total]);
+        assert!(want.iter().filter(|w| !w.is_empty()).count() > 1);
+        // A split bucket moves its columns with its keys, as it moves rows.
+        let plan = SplitPlan {
+            ways: vec![1, 3],
+            offsets: vec![0, 1],
+            parents: vec![0, 1, 1, 1],
+            output_parts: 4,
+        };
+        for kind in [SplitKind::Balanced, SplitKind::KeyPreserving] {
+            let [(c, ck), (r, rk)] = [true, false].map(|columns| {
+                // Bucket 1 of two holds two combiners' partials.
+                let mut dests = vec![Measured::default(), Measured::default()];
+                let mut keys: Vec<Vec<(u64, Value)>> = vec![Vec::new(), Vec::new()];
+                for p in 0..2i64 {
+                    let rows: Vec<Value> = (0..30)
+                        .map(|i| Value::tuple([Value::Int(i % (9 + p)), Value::Int(i * p)]))
+                        .collect();
+                    let mut st = kernel.new_state();
+                    assert!(kernel.absorb(&rows, &mut st));
+                    let (source, ks) = if columns {
+                        let (ks, cols) = kernel.finish_columns(st);
+                        Measured::partial_columns(ks, cols, kernel.acc_width())
+                    } else {
+                        let groups = kernel.finish(st).into_iter();
+                        Measured::partials(groups.map(|(k, a)| (value_hash(&k), k, a)))
+                    };
+                    let route = vec![1; ks.len()];
+                    source.scatter(&route, &mut dests);
+                    scatter(ks, &route, &mut keys, |k| k);
+                }
+                apply_split(&plan, kind, &mut dests, &mut keys);
+                (dests, keys)
+            });
+            assert!(c[1..].iter().all(Measured::is_columns), "{kind:?}");
+            assert_eq!(ck, rk, "{kind:?}");
+            let subs = c.into_iter().zip(r).zip(&ck).skip(1);
+            for (j, ((c, r), ks)) in subs.enumerate() {
+                let (c, r) = (pairs(&kernel, c, ks), pairs(&kernel, r, ks));
+                assert_eq!(c, r, "{kind:?} sub-partition {j}");
+                assert_eq!(c.1, fresh_walk(&c.0), "{kind:?} sub-partition {j}");
+            }
+        }
     }
 
     #[test]
@@ -781,8 +943,8 @@ mod tests {
             let (mut dests, mut ks) = bucket();
             let moved = apply_split(&plan, kind, &mut dests, &mut ks);
             assert_eq!((dests.len(), ks.len()), (4, 4));
-            assert_eq!(&*dests[0], &[Value::Int(7)][..]);
-            let subs: Vec<Part> = dests.into_iter().skip(1).map(Measured::finish).collect();
+            let mut subs: Vec<Part> = dests.into_iter().map(Measured::finish).collect();
+            assert_eq!(&*subs.remove(0), &[Value::Int(7)][..]);
             for (sub, ks) in subs.iter().zip(&ks[1..]) {
                 let keyed: Vec<&Value> = ks.iter().map(|(_, k)| k).collect();
                 assert_eq!(keyed, sub.iter().collect::<Vec<_>>(), "{kind:?}");

@@ -291,10 +291,14 @@ impl Engine {
                 scalars.insert(k.clone(), v.clone());
             }
         }
-        let mut stats = session.stats;
+        // The clock stops once the run's state — its env of cached bags,
+        // memos and pool — is freed: that is part of the run.
+        let writes = std::mem::take(&mut session.writes);
+        let mut stats = std::mem::take(&mut session.stats);
+        drop(session);
         stats.wall_secs = wall_start.elapsed().as_secs_f64();
         Ok(EngineRun {
-            writes: session.writes,
+            writes,
             scalars,
             stats,
         })

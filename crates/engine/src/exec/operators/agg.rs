@@ -4,12 +4,13 @@
 use std::ops::Range;
 
 use emma_compiler::expr::FoldOp;
-use emma_compiler::vectorized::{AggInput, AggKernel, AggState};
+use emma_compiler::vectorized::{AggInput, AggKernel, AggState, Partials};
 
-use crate::dataset::Measured;
+use crate::dataset::{Measured, Payload};
 use crate::exec::keyed::{next_key, KeyedInput, PartKeys, Placement};
 use crate::exec::prepare::{
     batch_or_replay, compiled_parts, sample_rows, vec_spec, Chunk, EvCtx, Kernel, PreparedScalar,
+    SPECIALIZE_SAMPLE_ROWS,
 };
 use crate::exec::*;
 
@@ -207,21 +208,25 @@ impl Session<'_> {
         // specialize, the tail from the first aborted batch otherwise — goes
         // through the scalar loop in its `key`, `sng`, `uni` per-row order,
         // seeded with the kernel's groups, so values, first-seen group order
-        // and the first error reproduce exactly.
+        // and the first error reproduce exactly. A task whose kernel covered
+        // its partition ships its accumulators as the kernel's typed columns.
         let catalog = self.catalog;
         let partial_lists = self.run_tasks(true, d.parts.len(), d.total_rows(), |pi, tally| {
             let part = &d.parts[pi];
-            let (groups, covered) =
-                agg_kernel_prefix(agg_vec.as_ref(), part.len(), tally, |k, rows, st| {
-                    k.absorb(&part[rows], st)
-                });
-            if covered == part.len() {
-                let groups = groups.into_iter().map(|(k, acc)| (value_hash(&k), k, acc));
-                return Ok(Measured::partials(groups));
-            }
+            let prefix = agg_kernel_prefix(agg_vec.as_ref(), part.len(), tally, |k, rows, st| {
+                k.absorb(&part[rows], st)
+            });
             let mut accs = InsertionMap::new();
-            for (k, acc) in groups {
-                accs.insert_hashed(value_hash(&k), k, acc);
+            let mut covered = 0;
+            if let Some((kernel, st, n)) = prefix {
+                if n == part.len() {
+                    let (keys, cols) = kernel.finish_columns(st);
+                    return Ok(Measured::partial_columns(keys, cols, kernel.acc_width()));
+                }
+                for (k, acc) in kernel.finish(st) {
+                    accs.insert_hashed(value_hash(&k), k, acc);
+                }
+                covered = n;
             }
             let mut cx = (
                 key_prep.ctx(&base2),
@@ -256,33 +261,56 @@ impl Session<'_> {
         ));
 
         // Shuffle only the partials (one per key per partition) through the
-        // shuffle's routing: each accumulator moves as a row, beside the
-        // `(hash, key)` pair the combiner carried, and is charged as the
-        // `(key, acc)` pair it stands for. Because the combiner already
+        // shuffle's routing: the accumulators move beside the `(hash, key)`
+        // pairs the combiner carried, each charged as the `(key, acc)` pair
+        // it stands for. They move as typed columns when every task's
+        // kernel covered its partition, and all as rows otherwise — one
+        // decision, made here. Because the combiner already
         // collapsed each partition to one partial per key, partial buckets
         // are rarely skewed — but heavy key *cardinality* skew still
         // concentrates partials, and the key-preserving split keeps every
         // copy of a key in one sub-partition, so the merge phase stays a
         // plain per-partition reduction.
+        let as_rows = |m: Measured| match &agg_vec {
+            Some((kernel, _)) => m.into_rows_with(|cols, i| kernel.acc_value(cols, i)),
+            None => m,
+        };
+        let columns = partial_lists
+            .iter()
+            .all(|(m, _)| m.is_columns() || m.len() == 0);
+        let partial_lists = match columns {
+            true => partial_lists,
+            false => partial_lists
+                .into_iter()
+                .map(|(m, keys)| (as_rows(m), keys))
+                .collect(),
+        };
         let landed = self.land(partial_lists, split);
 
         // Merge phase: the same reduction over the partials, grouped by the
         // carried keys under `Value` equality and combining the
         // accumulators with the same slot ops — columnar when the
         // combiner's fold specialized (a refused fold was already counted
-        // there), scalar for whatever the kernel did not cover. Each
-        // partition is drained by the one task body that runs for it (an
-        // injected failure skips the body), so keys and accumulators are
-        // moved, never cloned or rebuilt.
-        let merge_vec = match agg_vec {
-            Some(_) => self.try_vectorize(
-                sample_rows(&landed.dests),
-                |st| &mut st.vector_fallbacks,
-                |rows| {
-                    let uni = compiled_parts(&uni_prep)?.0;
-                    vectorized::specialize_agg(&AggInput::Partials, uni, rows)
-                },
-            ),
+        // there), scalar for whatever the kernel did not cover. The kernel
+        // folds landed columns as they are; its specialize-or-refuse
+        // decision samples the first partials as values, and a refusal
+        // turns the columns into rows. Each partition is drained by the one
+        // task body that runs for it (an injected failure skips the body),
+        // so keys and accumulators are moved, never cloned or rebuilt.
+        let merge_vec = match &agg_vec {
+            Some((kernel, _)) => {
+                let first = landed.dests.iter().find(|m| m.len() > 0);
+                let sample = first
+                    .map(|m| m.head(SPECIALIZE_SAMPLE_ROWS, |cols, i| kernel.acc_value(cols, i)));
+                self.try_vectorize(
+                    sample.as_deref(),
+                    |st| &mut st.vector_fallbacks,
+                    |rows| {
+                        let uni = compiled_parts(&uni_prep)?.0;
+                        vectorized::specialize_agg(&AggInput::Partials, uni, rows)
+                    },
+                )
+            }
             None => None,
         };
         let lens = landed.dests.iter().map(|d| d.len() as u64);
@@ -292,7 +320,14 @@ impl Session<'_> {
             .dests
             .into_iter()
             .zip(landed.keys)
-            .map(|(accs, keys)| Mutex::new(Some((accs.into_rows(), keys))))
+            .map(|(accs, keys)| {
+                let accs = if merge_vec.is_some() {
+                    accs
+                } else {
+                    as_rows(accs)
+                };
+                Mutex::new(Some((accs.into_payload(), keys)))
+            })
             .collect();
         let merged_lists = self.run_tasks(true, merge_parts, merge_rows, |pi, tally| {
             let (accs, keys) = cells[pi]
@@ -300,16 +335,27 @@ impl Session<'_> {
                 .expect("partial partition lock poisoned")
                 .take()
                 .expect("partial partition drained once");
-            let (groups, covered) =
-                agg_kernel_prefix(merge_vec.as_ref(), accs.len(), tally, |k, rows, st| {
-                    k.absorb_partials(&accs[rows.clone()], &keys[rows], st)
-                });
-            let merged: Vec<Value> = if covered == accs.len() {
+            let n = keys.len();
+            let prefix = agg_kernel_prefix(merge_vec.as_ref(), n, tally, |k, rows, st| {
+                let batch = match &accs {
+                    Payload::Accs(cols) => Partials::Columns(cols, rows.start),
+                    Payload::Rows(accs) => Partials::Values(&accs[rows.clone()]),
+                };
+                k.absorb_partials(batch, &keys[rows], st)
+            });
+            let (groups, covered) = match prefix {
+                Some((kernel, st, covered)) => (kernel.finish(st), covered),
+                None => (Vec::new(), 0),
+            };
+            let merged: Vec<Value> = if covered == n {
                 groups
                     .into_iter()
                     .map(|(k, acc)| Value::tuple([k, acc]))
                     .collect()
             } else {
+                let Payload::Rows(accs) = accs else {
+                    unreachable!("a merge kernel folds every landed column")
+                };
                 let mut merged = InsertionMap::new();
                 for (k, acc) in groups {
                     merged.insert_hashed(value_hash(&k), k, acc);
@@ -352,19 +398,17 @@ fn group_part(
 
 /// Folds `n` rows through a columnar aggregation kernel batch by batch, up
 /// to the first batch that aborts (a non-conforming or erroring lane):
-/// `absorb` folds the rows of one batch's range. Returns the groups folded
-/// so far in first-seen order and the number of leading rows they cover;
-/// the caller folds the rest through the scalar loop seeded with those
-/// groups. Without a kernel (or rows) nothing is covered.
-fn agg_kernel_prefix(
-    kernel: Option<&(AggKernel, usize)>,
+/// `absorb` folds the rows of one batch's range. Returns the kernel, its
+/// state and the number of leading rows folded; the caller folds the rest
+/// through the scalar loop seeded with the state's groups. Without a kernel
+/// (or rows) nothing is folded: `None`.
+fn agg_kernel_prefix<'k>(
+    kernel: Option<&'k (AggKernel, usize)>,
     n: usize,
     tally: &mut Tally,
     mut absorb: impl FnMut(&AggKernel, Range<usize>, &mut AggState) -> bool,
-) -> (Vec<(Value, Value)>, usize) {
-    let Some((kernel, batch_rows)) = kernel.filter(|_| n > 0) else {
-        return (Vec::new(), 0);
-    };
+) -> Option<(&'k AggKernel, AggState, usize)> {
+    let (kernel, batch_rows) = kernel.filter(|_| n > 0)?;
     let mut st = kernel.new_state();
     let mut covered = 0usize;
     while covered < n {
@@ -375,7 +419,7 @@ fn agg_kernel_prefix(
         tally.batch(end - covered);
         covered = end;
     }
-    (kernel.finish(st), covered)
+    Some((kernel, st, covered))
 }
 
 /// Folds one partition. A specialized element function runs as a columnar

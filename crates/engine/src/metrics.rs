@@ -17,9 +17,12 @@ pub struct ExecStats {
     /// even if the charges arrive in a different order — which is what lets
     /// pipeline-fused and unfused executions of the same plan agree exactly.
     pub simulated_secs: f64,
-    /// Real elapsed time of the run, in seconds. Unlike `simulated_secs`
-    /// (the paper's cluster cost model), this measures this process's actual
-    /// wall clock and is what the pipeline-fusion benchmarks compare.
+    /// Real elapsed time of the run, in seconds: from `Engine::run`'s entry
+    /// until the run's state (its environment of cached bags, memos and
+    /// worker pool) has been freed, so only handing back the result is
+    /// outside it. Unlike `simulated_secs` (the paper's cluster cost
+    /// model), this measures this process's actual wall clock and is what
+    /// the pipeline-fusion benchmarks compare.
     pub wall_secs: f64,
     /// Exclusive simulated time attributed to each operator kind — an
     /// `EXPLAIN ANALYZE`-style breakdown of where the clock went.

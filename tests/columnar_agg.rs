@@ -543,3 +543,114 @@ fn the_merge_groups_mixed_keys_alike_on_every_tier() {
     // Eight classes: ±0, NaN, 1, 2.5, 2, "a", "b" and the (1, "a") tuple.
     assert_eq!(sink.len(), 8, "{sink:?}");
 }
+
+/// 2 000 rows of [`agg_row`](agg_programs::agg_row)'s shape over 100 int
+/// keys, a third of them on key 0. Sixty of the keys hash to the partial
+/// bucket of key 0, so that bucket's partials are skewed by key
+/// cardinality. The fold inputs are small ints and halves: every sum is
+/// exact in any order.
+fn skewed_fold_rows() -> Vec<Value> {
+    let dop = ClusterSpec::tiny().dop() as u64;
+    let bucket = |k: i64| emma_engine::dataset::value_hash(&Value::Int(k)) % dop;
+    let (hot, cold): (Vec<i64>, Vec<i64>) = (0..2000).partition(|&k| bucket(k) == bucket(0));
+    let keys: Vec<i64> = hot[..60].iter().chain(&cold[..40]).copied().collect();
+    (0..2000i64)
+        .map(|i| {
+            let key = if i % 3 == 0 {
+                0
+            } else {
+                keys[(i * 7 % 100) as usize]
+            };
+            Value::tuple(vec![
+                Value::Int(key),
+                Value::str("a"),
+                Value::str("b"),
+                Value::Float(0.0),
+                Value::Int(i % 13 - 6),
+                Value::Float((i % 9) as f64 * 0.5),
+            ])
+        })
+        .collect()
+}
+
+#[test]
+fn a_fused_group_by_s_accumulator_columns_cross_alike_on_every_tier() {
+    // `(key, int sum, float sum, count, exists)`: every combiner covers its
+    // partition, so the kernels' exchange ships the four accumulators as
+    // columns while the scalar tier and the interpreter ship rows.
+    let catalog = Catalog::new().with("rows", skewed_fold_rows());
+    let folds = [
+        fold_expr(9, 0),
+        fold_expr(1, 0),
+        fold_expr(2, 0),
+        fold_expr(7, 3),
+    ];
+    let p = agg_program(
+        x().get(VI).ge(ScalarExpr::lit(Value::Int(-5))),
+        x().get(0),
+        folds.to_vec(),
+    );
+    let want = Interp::new(&catalog)
+        .run(&p)
+        .expect("the interpreter runs it");
+    let kernels_prog = compile(&p);
+    assert_eq!(kernels_prog.report.fold_group_fused, 1);
+    let interp_prog = parallelize(&p, &OptimizerFlags::all().with_compiled_eval(false));
+    let skew_cfg = SkewConfig::default().with_min_part_rows(8);
+    // One reference run per skew setting: a split layout lands the groups
+    // in another order.
+    let mut reference: [Option<EngineRun>; 2] = [None, None];
+    for chaos in [None, Some(FaultConfig::chaos(0xC01))] {
+        for skew_on in [false, true] {
+            let mk = |tier: &str, mode: ParallelismMode, threads: usize| {
+                let mut e = engine()
+                    .with_parallelism_mode(mode)
+                    .with_worker_threads(Some(threads));
+                if let Some(cfg) = chaos {
+                    e = e.with_faults(cfg);
+                }
+                if skew_on {
+                    e = e.with_skew_splitting(skew_cfg);
+                }
+                let prog = if tier == "interp" {
+                    &interp_prog
+                } else {
+                    &kernels_prog
+                };
+                let e = if tier == "scalar" { scalar_tier(e) } else { e };
+                e.run(prog, &catalog).expect("runs")
+            };
+            let base = mk("kernels", MATRIX[0].0, MATRIX[0].1);
+            assert_eq!(base.stats.vector_fallbacks, 0, "{}", base.stats);
+            assert!(base.stats.rows_vectorized > 2000, "{}", base.stats);
+            assert_eq!(base.stats.partitions_split > 0, skew_on, "{}", base.stats);
+            assert_matches_interp("kernels", &want, &base);
+            for tier in ["kernels", "scalar", "interp"] {
+                for &(m, t) in &MATRIX {
+                    let run = mk(tier, m, t);
+                    let what = format!("{tier} {m:?}×{t} chaos {chaos:?} skew {skew_on}");
+                    assert_same_runs(&what, &run, &base);
+                    assert_eq!(
+                        run.stats.without_tier_telemetry(),
+                        base.stats.without_tier_telemetry(),
+                        "{what}"
+                    );
+                    assert_eq!(
+                        run.stats.simulated_secs.to_bits(),
+                        base.stats.simulated_secs.to_bits(),
+                        "{what}"
+                    );
+                }
+            }
+            let first = reference[usize::from(skew_on)].get_or_insert(base.clone());
+            assert_same_runs("across chaos", &base, first);
+        }
+    }
+    let [unsplit, split] = reference.map(|r| {
+        let mut rows = r.expect("ran").writes["agg"].clone();
+        rows.sort();
+        rows
+    });
+    assert_eq!(unsplit, split);
+    assert_eq!(unsplit.len(), 100);
+}

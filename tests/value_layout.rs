@@ -241,3 +241,42 @@ fn an_agg_by_partial_crosses_the_shuffle_without_a_block_of_its_own() {
         "{few} allocations with 128 partials, {many} with 256"
     );
 }
+
+/// [`agg_by_allocs`] over the Fig. 5 shape that fold-group fusion turns
+/// into an `aggBy` — `groupBy(_.0).map(g => (g.0, g.1.map(_.1).min()))` —
+/// whose partials carry a one-field tuple accumulator, the shape every
+/// fused `groupBy` ships.
+fn fused_group_by_allocs(per_part: i64) -> u64 {
+    let rows = (0..2048)
+        .map(|i| pair((i / 256 * 16 + i % per_part) % 128, i))
+        .collect();
+    let catalog = Catalog::new().with("rows", rows);
+    let (x, g) = (ScalarExpr::var("x"), ScalarExpr::var("g"));
+    let min = BagExpr::of_value(g.clone().get(1))
+        .map(Lambda::new(["x"], x.clone().get(1)))
+        .min();
+    let program = Program::new(vec![Stmt::write(
+        "agg",
+        BagExpr::read("rows")
+            .group_by(Lambda::new(["x"], x.get(0)))
+            .map(Lambda::new(["g"], ScalarExpr::Tuple(vec![g.get(0), min]))),
+    )]);
+    let compiled = parallelize(&program, &OptimizerFlags::all());
+    assert_eq!(compiled.report.fold_group_fused, 1, "{:?}", compiled.report);
+    let engine = Engine::new(ClusterSpec::tiny(), Personality::sparrow());
+    engine.run(&compiled, &catalog).expect("runs");
+    let (run, n) = allocs(|| engine.run(&compiled, &catalog).expect("runs"));
+    assert_eq!(run.writes["agg"].len(), 128);
+    n
+}
+
+#[test]
+fn a_fused_group_by_partial_crosses_the_shuffle_without_a_block_of_its_own() {
+    // As for a bare `count`: 128 more partials, and no accumulator tuple
+    // for any of them.
+    let (few, many) = (fused_group_by_allocs(16), fused_group_by_allocs(32));
+    assert!(
+        many < few + 128 / 2,
+        "{few} allocations with 128 partials, {many} with 256"
+    );
+}

@@ -3,9 +3,8 @@
 //! prices it on a [`ClusterSpec`] under a [`Personality`], moving the clock
 //! and the byte, record and stage counters that go with it. A variant makes
 //! one [`ExecStats::charge_secs`] call per formula: each call rounds to whole
-//! attoseconds, so splitting or merging formulas would move the clock. The
-//! admission estimator prices with [`disk_secs`], [`net_secs`] and
-//! [`cpu_secs`] too. DESIGN.md §3.3 tabulates the variants.
+//! attoseconds, so splitting or merging formulas would move the clock.
+//! DESIGN.md §3.3 tabulates the variants.
 
 use crate::cluster::{ClusterSpec, Personality};
 use crate::metrics::ExecStats;
@@ -93,17 +92,17 @@ impl Charge {
 }
 
 /// Seconds to move `bytes` through every node's disk at once.
-pub(crate) fn disk_secs(spec: &ClusterSpec, bytes: f64) -> f64 {
+fn disk_secs(spec: &ClusterSpec, bytes: f64) -> f64 {
     bytes / (spec.disk_bw * spec.nodes as f64)
 }
 
 /// Seconds to move `bytes` through every node's link at once.
-pub(crate) fn net_secs(spec: &ClusterSpec, bytes: f64) -> f64 {
+fn net_secs(spec: &ClusterSpec, bytes: f64) -> f64 {
     bytes / (spec.net_bw * spec.nodes as f64)
 }
 
 /// Seconds of CPU for `records` records.
-pub(crate) fn cpu_secs(spec: &ClusterSpec, records: f64) -> f64 {
+fn cpu_secs(spec: &ClusterSpec, records: f64) -> f64 {
     records * spec.cpu_per_record
 }
 

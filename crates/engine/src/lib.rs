@@ -46,7 +46,7 @@ pub use fault::{
 pub use metrics::{ExecError, ExecStats};
 pub use pool::{ParallelismMode, WorkerPool};
 pub use service::{
-    AdmissionDecision, CostEstimate, ServiceConfig, ServiceStats, SessionCacheStats, SessionReport,
+    AdmissionDecision, ServiceConfig, ServiceStats, SessionCacheStats, SessionReport,
     SessionService, SharedCatalogCache,
 };
 pub use skew::SkewConfig;

@@ -12,11 +12,10 @@
 //!   first's materialized copy instead of recomputing it. Traffic is
 //!   counted per session and in aggregate ([`SessionCacheStats`],
 //!   [`ServiceStats`]).
-//! * An **admission controller** — each submitted program is scored with
-//!   the engine's cost model (estimated simulated seconds × estimated
-//!   working-set bytes, [`CostEstimate`]) against the [`ServiceConfig`]
-//!   budgets, producing [`AdmissionDecision::Run`], [`Queue`][q], or
-//!   [`Reject`][r] deterministically in submission order.
+//! * An **admission controller** — each submitted program's working set is
+//!   estimated statically ([`estimate_working_set`]) and compared against
+//!   the [`ServiceConfig`] budgets, producing [`AdmissionDecision::Run`],
+//!   [`Queue`][q], or [`Reject`][r] deterministically in submission order.
 //! * A **driver-ordered scheduler** — [`SessionService::drain`] executes
 //!   admitted sessions in session-id order and promotes queued sessions
 //!   strictly FIFO as budget frees up, so given the same submission
@@ -41,8 +40,6 @@ use emma_compiler::pipeline::{CStmt, CTerm, CompiledProgram};
 use emma_compiler::plan::{PipelineStage, Plan};
 use emma_compiler::value::Value;
 
-use crate::cluster::ClusterSpec;
-use crate::cost;
 use crate::dataset::Partitioned;
 use crate::exec::{Engine, EngineRun};
 use crate::metrics::{ExecError, ExecStats, ATTOS_PER_SEC};
@@ -193,7 +190,7 @@ impl SharedCatalogCache {
 
 // ------------------------------------------------------- admission control
 
-/// Budgets the admission controller scores submissions against.
+/// Budgets the admission controller compares working sets against.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ServiceConfig {
     /// Maximum sessions resident (admitted but not yet completed) at once.
@@ -244,26 +241,6 @@ pub enum AdmissionDecision {
     Reject,
 }
 
-/// The cost-model score the admission controller assigns a submission:
-/// a deterministic, coarse static estimate (loops are assumed to run
-/// [`LOOP_ITERS_GUESS`] iterations; selectivities are fixed constants) —
-/// pessimistic enough to rank programs, cheap enough to run at submit time.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct CostEstimate {
-    /// Estimated simulated seconds, from the same cluster constants
-    /// ([`ClusterSpec`]) the engine charges at run time.
-    pub est_secs: f64,
-    /// Estimated peak working set: bytes pinned at cache sites plus the
-    /// largest intermediate bag.
-    pub working_set_bytes: u64,
-    /// The admission score: `est_secs × working_set_bytes`.
-    pub score: f64,
-}
-
-/// Loop-body weight of the static cost estimate: `while` / `foreach`
-/// bodies are assumed to execute this many times.
-pub const LOOP_ITERS_GUESS: f64 = 8.0;
-
 /// Fallback bytes-per-row when an input has no sampleable first row.
 const DEFAULT_ROW_BYTES: f64 = 16.0;
 
@@ -272,123 +249,92 @@ const DEFAULT_ROW_BYTES: f64 = 16.0;
 /// dataset missing from the catalog.
 const UNKNOWN_SHAPE: (f64, f64) = (256.0, 256.0 * DEFAULT_ROW_BYTES);
 
-/// Scores a compiled program against a catalog with the engine's cluster
-/// constants — the admission controller's cost model. Pure in its inputs,
-/// so identical submissions always produce identical estimates.
-pub fn estimate_cost(prog: &CompiledProgram, catalog: &Catalog, engine: &Engine) -> CostEstimate {
+/// The admission controller's static estimate of a program's peak working
+/// set: bytes pinned at cache sites plus the largest intermediate bag. It
+/// propagates guessed `(rows, bytes)` shapes through fixed selectivities
+/// and walks both branches of a conditional, so it is pure in its inputs:
+/// identical submissions always estimate identically.
+pub fn estimate_working_set(prog: &CompiledProgram, catalog: &Catalog) -> u64 {
     let mut est = Estimator {
         catalog,
-        spec: &engine.spec,
-        secs: 0.0,
         cached_bytes: 0.0,
         peak_bytes: 0.0,
     };
-    est.stmts(&prog.body, 1.0);
-    let working_set_bytes = (est.cached_bytes + est.peak_bytes) as u64;
-    CostEstimate {
-        est_secs: est.secs,
-        working_set_bytes,
-        score: est.secs * working_set_bytes as f64,
-    }
+    est.stmts(&prog.body);
+    (est.cached_bytes + est.peak_bytes) as u64
 }
 
 struct Estimator<'a> {
     catalog: &'a Catalog,
-    spec: &'a ClusterSpec,
-    secs: f64,
     cached_bytes: f64,
     peak_bytes: f64,
 }
 
 impl Estimator<'_> {
-    fn stmts(&mut self, body: &[CStmt], mult: f64) {
+    fn stmts(&mut self, body: &[CStmt]) {
         for stmt in body {
-            let mult = match stmt {
-                CStmt::While { .. } | CStmt::ForEach { .. } => mult * LOOP_ITERS_GUESS,
-                _ => mult,
-            };
             stmt.for_each_term(|t| {
                 if let CTerm::Plan(plan) = t {
-                    self.plan(plan, mult);
+                    self.plan(plan);
                 }
             });
-            // Upper bound: both branches of a conditional are charged.
-            stmt.blocks().for_each(|b| self.stmts(b, mult));
+            // Upper bound: both branches of a conditional are walked.
+            stmt.blocks().for_each(|b| self.stmts(b));
         }
     }
 
-    /// Estimates one plan, charging `self.secs`; returns `(rows, bytes)`
-    /// of the node's output.
-    fn plan(&mut self, p: &Plan, mult: f64) -> (f64, f64) {
-        let spec = self.spec;
+    /// Returns the guessed `(rows, bytes)` of `p`'s output, raising
+    /// `self.peak_bytes` to it.
+    fn plan(&mut self, p: &Plan) -> (f64, f64) {
         let (rows, bytes) = match p {
-            Plan::Source { name } => {
-                let (rows, bytes) = self.catalog.get(name).map_or(UNKNOWN_SHAPE, |r| shape(r));
-                // Sources pay a storage scan.
-                self.secs += cost::disk_secs(spec, mult * bytes);
-                (rows, bytes)
-            }
+            Plan::Source { name } => self.catalog.get(name).map_or(UNKNOWN_SHAPE, |r| shape(r)),
             Plan::Literal { rows } => shape(rows),
             Plan::RefBag { .. } | Plan::OfScalar { .. } => UNKNOWN_SHAPE,
-            Plan::Map { input, .. } => self.plan(input, mult),
+            Plan::Map { input, .. } | Plan::Repartition { input, .. } => self.plan(input),
             Plan::Filter { input, .. } => {
-                let (r, b) = self.plan(input, mult);
+                let (r, b) = self.plan(input);
                 (r * 0.5, b * 0.5)
             }
             Plan::FlatMap { input, .. } => {
-                let (r, b) = self.plan(input, mult);
+                let (r, b) = self.plan(input);
                 (r * 2.0, b * 2.0)
             }
-            Plan::Join { left, right, .. } => {
-                let (lr, lb) = self.plan(left, mult);
-                let (rr, rb) = self.plan(right, mult);
-                // Both sides shuffle to meet.
-                self.secs += cost::net_secs(spec, mult * (lb + rb));
+            Plan::Join { left, right, .. } | Plan::Plus { left, right } => {
+                let (lr, lb) = self.plan(left);
+                let (rr, rb) = self.plan(right);
                 (lr + rr, lb + rb)
             }
             Plan::Cross { left, right } => {
-                let (lr, lb) = self.plan(left, mult);
-                let (rr, rb) = self.plan(right, mult);
+                let (lr, lb) = self.plan(left);
+                let (rr, rb) = self.plan(right);
                 (lr * rr, (lb * rr + rb * lr).min(f64::MAX))
             }
             Plan::GroupBy { input, .. } => {
-                let (r, b) = self.plan(input, mult);
-                self.secs += cost::net_secs(spec, mult * b);
+                let (r, b) = self.plan(input);
                 (r * 0.5, b)
             }
             Plan::AggBy { input, .. } | Plan::Distinct { input } => {
-                let (r, b) = self.plan(input, mult);
-                self.secs += cost::net_secs(spec, mult * b);
+                let (r, b) = self.plan(input);
                 (r * 0.5, b * 0.5)
             }
             Plan::Fold { input, .. } => {
-                self.plan(input, mult);
+                self.plan(input);
                 (1.0, DEFAULT_ROW_BYTES)
             }
-            Plan::Plus { left, right } => {
-                let (lr, lb) = self.plan(left, mult);
-                let (rr, rb) = self.plan(right, mult);
-                (lr + rr, lb + rb)
-            }
             Plan::Minus { left, right } => {
-                let (lr, lb) = self.plan(left, mult);
-                self.plan(right, mult);
-                (lr, lb)
+                let left = self.plan(left);
+                self.plan(right);
+                left
             }
             Plan::Cache { input } => {
-                let (r, b) = self.plan(input, mult);
+                let (r, b) = self.plan(input);
                 // Cache sites pin their bytes for the session's lifetime;
                 // counted once, however many loop iterations re-force them.
                 self.cached_bytes += b;
                 (r, b)
             }
-            Plan::Repartition { input, .. } => {
-                let (r, b) = self.plan(input, mult);
-                self.secs += cost::net_secs(spec, mult * b);
-                (r, b)
-            }
             Plan::Pipeline { input, stages } => {
-                let (mut r, mut b) = self.plan(input, mult);
+                let (mut r, mut b) = self.plan(input);
                 for s in stages {
                     let f = match s {
                         PipelineStage::Map { .. } => 1.0,
@@ -401,7 +347,6 @@ impl Estimator<'_> {
                 (r, b)
             }
         };
-        self.secs += cost::cpu_secs(spec, mult * rows);
         self.peak_bytes = self.peak_bytes.max(bytes);
         (rows, bytes)
     }
@@ -453,8 +398,9 @@ pub struct SessionReport {
     pub id: u64,
     /// The admission decision made at submit time.
     pub decision: AdmissionDecision,
-    /// The admission controller's score.
-    pub estimate: CostEstimate,
+    /// The estimated working set the session reserves while resident
+    /// ([`estimate_working_set`]).
+    pub working_set_bytes: u64,
     /// The run outcome; `None` until [`SessionService::drain`] executes the
     /// session, and forever `None` for rejected submissions.
     pub outcome: Option<Result<EngineRun, ExecError>>,
@@ -545,19 +491,20 @@ impl SessionService {
         }
     }
 
-    /// Submits a program: scores it with [`estimate_cost`] and decides
-    /// admission against the configured budgets. Decisions are a pure
+    /// Submits a program: estimates its working set with
+    /// [`estimate_working_set`] and decides admission against the
+    /// configured budgets. Decisions are a pure
     /// function of the submission sequence — no clocks, no randomness —
     /// so any replay of the same sequence reproduces them exactly.
     pub fn submit(&mut self, prog: &CompiledProgram) -> (u64, AdmissionDecision) {
         let id = self.reports.len() as u64;
-        let estimate = estimate_cost(prog, &self.catalog, &self.engine);
+        let working_set_bytes = estimate_working_set(prog, &self.catalog);
         self.stats.submitted += 1;
-        let decision = if estimate.working_set_bytes > self.config.memory_budget_bytes {
+        let decision = if working_set_bytes > self.config.memory_budget_bytes {
             self.stats.rejected += 1;
             AdmissionDecision::Reject
-        } else if self.admissible(estimate.working_set_bytes) {
-            self.admit(id, estimate.working_set_bytes);
+        } else if self.admissible(working_set_bytes) {
+            self.admit(id, working_set_bytes);
             AdmissionDecision::Run
         } else {
             self.queue.push_back(id);
@@ -571,7 +518,7 @@ impl SessionService {
         self.reports.push(SessionReport {
             id,
             decision,
-            estimate,
+            working_set_bytes,
             outcome: None,
             cache_stats: SessionCacheStats::default(),
         });
@@ -604,7 +551,7 @@ impl SessionService {
                 .with_shared_cache(Arc::clone(&self.cache), id);
             let outcome = engine.run(&prog, &self.catalog);
             self.resident -= 1;
-            self.reserved_bytes -= self.reports[id as usize].estimate.working_set_bytes;
+            self.reserved_bytes -= self.reports[id as usize].working_set_bytes;
             match &outcome {
                 Ok(run) => {
                     self.stats.completed += 1;
@@ -623,7 +570,7 @@ impl SessionService {
             self.reports[id as usize].outcome = Some(outcome);
             // Freed budget promotes queued sessions, oldest first.
             while let Some(&head) = self.queue.front() {
-                let ws = self.reports[head as usize].estimate.working_set_bytes;
+                let ws = self.reports[head as usize].working_set_bytes;
                 if !self.admissible(ws) {
                     break;
                 }

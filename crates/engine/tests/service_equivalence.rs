@@ -26,7 +26,7 @@ use emma_compiler::pipeline::{parallelize, CompiledProgram, OptimizerFlags};
 use emma_compiler::program::{Program, Stmt};
 use emma_compiler::value::Value;
 use emma_engine::cluster::{ClusterSpec, Personality};
-use emma_engine::service::estimate_cost;
+use emma_engine::service::estimate_working_set;
 use emma_engine::{
     AdmissionDecision, Engine, FaultConfig, ParallelismMode, ServiceConfig, SessionService,
 };
@@ -178,7 +178,7 @@ fn admission_is_deterministic_in_submission_order() {
     let cat = catalog(512);
     let prog = compile(&tenant_program(1));
     let engine = tiny_engine();
-    let ws = estimate_cost(&prog, &cat, &engine).working_set_bytes;
+    let ws = estimate_working_set(&prog, &cat);
     assert!(ws > 0, "the tenant program pins a cache site");
 
     // Room for two resident working sets; the third queues on the

@@ -2,15 +2,15 @@
 //! engine, one catalog, and one cross-session result cache.
 //!
 //! A thin convenience layer over [`emma_engine::service::SessionService`]
-//! (DESIGN.md §3.11): the service scores each program with the engine's
-//! cost model, admits it against the [`ServiceConfig`] budgets, and
+//! (DESIGN.md §3.11): the service estimates each program's working set,
+//! admits it against the [`ServiceConfig`] budgets, and
 //! executes admitted sessions in a driver-ordered schedule so the whole
 //! transcript — results, per-session stats, admission decisions, the
 //! aggregate sim clock — replays bit-identically however many worker
 //! threads each run fans out over.
 
 pub use emma_engine::{
-    AdmissionDecision, CostEstimate, ServiceConfig, ServiceStats, SessionCacheStats, SessionReport,
+    AdmissionDecision, ServiceConfig, ServiceStats, SessionCacheStats, SessionReport,
     SessionService, SharedCatalogCache,
 };
 

@@ -4,7 +4,7 @@
 //! (FNV-1a) the bits of `simulated_secs`, `retry_sim_secs` and
 //! `speculation_wasted_secs` with the byte, record, stage and iteration
 //! counters, or a `Timeout`'s clock and budget; an `estimate` row hashes
-//! the working set `service::estimate_cost` estimates for one program.
+//! `service::estimate_working_set` for one program.
 //!
 //! Which legs issue each `Charge` variant of `crates/engine/src/cost.rs`
 //! (the `chaos_*` legs are `chaos_every2` and `chaos_cost_driven`):
@@ -37,7 +37,7 @@ use emma_datagen::emails::{self, EmailSpec};
 use emma_datagen::graph::GraphSpec;
 use emma_datagen::points::{self, PointsSpec};
 use emma_datagen::tpch::TpchSpec;
-use emma_engine::service::estimate_cost;
+use emma_engine::service::estimate_working_set;
 
 /// FNV-1a over little-endian words: stable across runs and toolchains.
 fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
@@ -311,9 +311,8 @@ fn legs() -> Vec<(String, u64)> {
                 outcome_hash(&run(&tiny_engine(p), &program, &catalog, &flags)),
             ));
         }
-        let engine = tiny_engine(Personality::sparrow());
-        let est = estimate_cost(&parallelize(&program, &flags), &catalog, &engine);
-        out.push((format!("{name}/estimate"), fnv([est.working_set_bytes])));
+        let ws = estimate_working_set(&parallelize(&program, &flags), &catalog);
+        out.push((format!("{name}/estimate"), fnv([ws])));
     }
     let sparrow = || tiny_engine(Personality::sparrow());
     let (strings, notes) = strings_and_cross();

@@ -4,7 +4,6 @@
 //! driver. The tier flag, the batch config and the compile memos are private
 //! to this module.
 
-use std::borrow::Borrow;
 use std::collections::HashSet;
 use std::hash::Hash;
 use std::ops::Deref;
@@ -25,9 +24,11 @@ pub(super) struct Tiers {
     /// ([`emma_compiler::vectorized`]), `batch_rows` ≥ 1; `None` = scalar
     /// tiers only (the interpreter, or a pinned scalar compiled tier).
     vectorized: Option<BatchConfig>,
-    lambdas: HashMap<Lambda, Arc<CompiledEval>>,
-    /// FlatMap bodies, keyed by `(param, body)`.
-    bags: HashMap<(String, BagExpr), Arc<CompiledBag>>,
+    /// Scalar UDFs, keyed by the lambda and its [`literal_bits`].
+    lambdas: HashMap<(Lambda, Vec<u64>), Arc<CompiledEval>>,
+    /// FlatMap bodies, keyed by `(param, body)` and the body's
+    /// [`literal_bits`].
+    bags: HashMap<(String, BagExpr, Vec<u64>), Arc<CompiledBag>>,
 }
 
 impl Tiers {
@@ -47,17 +48,48 @@ impl Tiers {
 }
 
 /// The memoized lowering of `key`, compiled on first use.
-fn memo<Q, K, V>(cache: &mut HashMap<K, Arc<V>>, key: &Q, compile: impl FnOnce() -> V) -> Arc<V>
-where
-    K: Borrow<Q> + Eq + Hash,
-    Q: ToOwned<Owned = K> + Eq + Hash + ?Sized,
-{
-    if let Some(code) = cache.get(key) {
-        return Arc::clone(code);
+fn memo<K: Eq + Hash, V>(
+    cache: &mut HashMap<K, Arc<V>>,
+    key: K,
+    compile: impl FnOnce() -> V,
+) -> Arc<V> {
+    Arc::clone(cache.entry(key).or_insert_with(|| Arc::new(compile())))
+}
+
+/// The type and bits of every literal in `udf`, in visit order. A memo key
+/// carries them beside the UDF because `Value`'s numeric equality
+/// (`Int(2) == Float(2.0)`, `0.0 == -0.0`) would otherwise give two UDFs
+/// that differ only in a literal one compiled program.
+fn literal_bits(udf: Term) -> Vec<u64> {
+    fn push(v: &Value, out: &mut Vec<u64>) {
+        match v {
+            Value::Null => out.push(0),
+            Value::Bool(b) => out.extend([1, u64::from(*b)]),
+            Value::Int(i) => out.extend([2, *i as u64]),
+            Value::Float(f) => out.extend([3, f.to_bits()]),
+            // String equality is exact already.
+            Value::Str(_) => out.push(4),
+            Value::Vector(xs) => {
+                out.extend([5, xs.len() as u64]);
+                out.extend(xs.iter().map(|x| x.to_bits()));
+            }
+            Value::Tuple(vs) => {
+                out.extend([6, vs.len() as u64]);
+                vs.iter().for_each(|v| push(v, out));
+            }
+            Value::Bag(vs) => {
+                out.extend([7, vs.len() as u64]);
+                vs.iter().for_each(|v| push(v, out));
+            }
+        }
     }
-    let code = Arc::new(compile());
-    cache.insert(key.to_owned(), Arc::clone(&code));
-    code
+    let mut out = Vec::new();
+    udf.walk(&mut |t| match t {
+        Term::Scalar(ScalarExpr::Lit(v)) => push(v, &mut out),
+        Term::Bag(BagExpr::Values(vs)) => vs.iter().for_each(|v| push(v, &mut out)),
+        _ => {}
+    });
+    out
 }
 
 /// Mutable per-task evaluation state: an interpreter [`Env`] over the
@@ -217,7 +249,8 @@ impl Session<'_> {
             let prefetch = compiled::var_names(Term::Lambda(lam));
             return Prepared::Interp { udf: lam, prefetch };
         }
-        let code = memo(&mut self.tiers.lambdas, lam, || {
+        let key = (lam.clone(), literal_bits(Term::Lambda(lam)));
+        let code = memo(&mut self.tiers.lambdas, key, || {
             compiled::compile_lambda(lam)
         });
         Prepared::Compiled {
@@ -241,8 +274,8 @@ impl Session<'_> {
                 prefetch,
             };
         }
-        let key = (param.to_string(), body.clone());
-        let code = memo(&mut self.tiers.bags, &key, || {
+        let key = (param.into(), body.clone(), literal_bits(Term::Bag(body)));
+        let code = memo(&mut self.tiers.bags, key, || {
             compiled::compile_bag_body(param, body)
         });
         Prepared::Compiled {

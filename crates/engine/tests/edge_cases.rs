@@ -627,3 +627,80 @@ fn deep_lineage_runs_from_a_small_caller_stack() {
         assert_eq!(small.stats.cache_hits > 0, caching, "{}", small.stats);
     }
 }
+
+// Regression: the compiled tier memoized a run's UDFs by `Lambda` / `BagExpr`
+// equality, which inherits `Value`'s numeric rule (`Int(2) == Float(2.0)`,
+// `0.0 == -0.0`), so two UDFs that differ only in a literal's type or sign
+// shared the first one's compiled program. Hand-built plans keep the same
+// parameter name on both sides, as `parallelize`'s renaming would not.
+#[test]
+fn udfs_that_differ_only_in_a_literal_compile_apart_on_every_tier() {
+    use emma_compiler::pipeline::{CStmt, CompiledProgram, OptimizationReport};
+    use emma_compiler::plan::Plan;
+    let xs = || Box::new(Plan::Source { name: "xs".into() });
+    let x = || ScalarExpr::var("x");
+    let map = |body: ScalarExpr| Plan::Map {
+        input: xs(),
+        f: Lambda::new(["x"], body),
+    };
+    let flat_map = |delta: Value| Plan::FlatMap {
+        input: xs(),
+        param: "x".into(),
+        body: BagExpr::values(vec![delta]).map(Lambda::new(["d"], x().add(ScalarExpr::var("d")))),
+    };
+    let writes = [
+        ("int", map(x().mul(ScalarExpr::lit(2)))),
+        ("float", map(x().mul(ScalarExpr::lit(2.0)))),
+        ("zero", map(x().mul(ScalarExpr::lit(0.0)))),
+        ("neg_zero", map(x().mul(ScalarExpr::lit(-0.0)))),
+        ("int_delta", flat_map(Value::Int(0))),
+        ("float_delta", flat_map(Value::Float(0.0))),
+    ];
+    let program = |compiled_eval| CompiledProgram {
+        body: writes
+            .iter()
+            .map(|(sink, plan)| CStmt::Write {
+                sink: sink.to_string(),
+                plan: plan.clone(),
+            })
+            .collect(),
+        report: OptimizationReport::default(),
+        compiled_eval,
+    };
+    let catalog = Catalog::new().with("xs", (1..=3).map(Value::Int).collect());
+    let mut scalar = engine();
+    scalar.vectorized = None;
+    let tiers = [
+        ("kernels", engine().run(&program(true), &catalog)),
+        ("scalar", scalar.run(&program(true), &catalog)),
+        ("interpreter", engine().run(&program(false), &catalog)),
+    ];
+    let ints = |k: i64| (1..=3).map(|i| Value::Int(i * k)).collect::<Vec<_>>();
+    let floats = |k: f64| {
+        (1..=3)
+            .map(|i| Value::Float(i as f64 * k))
+            .collect::<Vec<_>>()
+    };
+    // `Value` equality cannot tell these apart, so rows compare as `Debug`.
+    let want = [
+        ("int", ints(2)),
+        ("float", floats(2.0)),
+        ("zero", floats(0.0)),
+        ("neg_zero", floats(-0.0)),
+        ("int_delta", ints(1)),
+        ("float_delta", floats(1.0)),
+    ];
+    for (tier, run) in tiers {
+        let run = run.unwrap_or_else(|e| panic!("{tier}: {e}"));
+        if tier == "kernels" {
+            assert!(run.stats.rows_vectorized > 0, "{}", run.stats);
+        }
+        for (sink, rows) in &want {
+            assert_eq!(
+                format!("{:?}", run.writes[*sink]),
+                format!("{rows:?}"),
+                "{tier}: sink {sink}"
+            );
+        }
+    }
+}

@@ -58,16 +58,6 @@ pub fn lower_fold(
     lower_prepared(comp, flags, gen, report)
 }
 
-/// Compiles a maximal `BagOf` scalar term (a bag collected into the driver).
-pub fn lower_bag_of(
-    bag: &BagExpr,
-    flags: &OptimizerFlags,
-    gen: &mut NameGen,
-    report: &mut OptimizationReport,
-) -> Plan {
-    lower_bag(bag, flags, gen, report)
-}
-
 fn lower_prepared(
     comp: Comprehension,
     flags: &OptimizerFlags,

@@ -337,17 +337,6 @@ impl Plan {
         out
     }
 
-    /// True if the subtree contains a `Cache` node.
-    pub fn has_cache(&self) -> bool {
-        let mut found = false;
-        self.visit(&mut |p| {
-            if matches!(p, Plan::Cache { .. }) {
-                found = true;
-            }
-        });
-        found
-    }
-
     /// A one-line operator name (for plan rendering and tests).
     pub fn op_name(&self) -> &'static str {
         match self {

@@ -149,7 +149,6 @@ impl Session<'_> {
             } else {
                 total_rows * pending.len() as u64 / n.max(1) as u64
             };
-            let wave_start = (attempt > 0).then(std::time::Instant::now);
             let settled = self
                 .waves
                 .par
@@ -165,9 +164,6 @@ impl Session<'_> {
                         Ok((v, tally))
                     }
                 });
-            if let Some(t0) = wave_start {
-                self.stats.retry_wall_secs += t0.elapsed().as_secs_f64();
-            }
             // Settle before any straggler accounting: an aborting wave
             // (real eval error / contained panic) discards its work, so its
             // stragglers must not distort `straggler_delays`/`retry_sim_secs`.

@@ -97,10 +97,6 @@ pub struct ExecStats {
     /// sub-total of `simulated_secs`, charged through the same deterministic
     /// fixed-point clock.
     pub retry_sim_secs: f64,
-    /// Real elapsed time spent in retry waves (attempt ≥ 1), the wall-clock
-    /// counterpart of `retry_sim_secs`. Excluded from equality like
-    /// `wall_secs`.
-    pub retry_wall_secs: f64,
     /// Hot shuffle partitions split into sub-partitions by the skew-aware
     /// shuffle layer (requires `Engine::with_skew_splitting`).
     pub partitions_split: u64,

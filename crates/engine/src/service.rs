@@ -493,9 +493,9 @@ impl SessionService {
 
     /// Submits a program: estimates its working set with
     /// [`estimate_working_set`] and decides admission against the
-    /// configured budgets. Decisions are a pure
-    /// function of the submission sequence — no clocks, no randomness —
-    /// so any replay of the same sequence reproduces them exactly.
+    /// configured budgets. Decisions are a pure function of the submission
+    /// sequence — no clocks, no randomness — so any replay of the same
+    /// sequence reproduces them exactly.
     pub fn submit(&mut self, prog: &CompiledProgram) -> (u64, AdmissionDecision) {
         let id = self.reports.len() as u64;
         let working_set_bytes = estimate_working_set(prog, &self.catalog);

@@ -294,6 +294,9 @@ enum OutSpec {
     PassThrough,
 }
 
+/// A compiled slot program plus its bound capture slots.
+type Udf<'a> = (&'a CompiledEval, &'a [Option<Value>]);
+
 /// One stage of a vectorizable chain, borrowed from the engine's prepared
 /// operators: the compiled slot program plus its bound capture slots.
 pub enum VecStageSpec<'a> {
@@ -376,16 +379,30 @@ struct Kernels {
     n_sels: usize,
 }
 
+/// A lowered Map/Filter chain's selections, at each stage's entry and then
+/// at its output: their sizes are the per-stage row counts ([`count`]).
+type Chain = Vec<SelId>;
+
+/// Adds each selection of `chain` in the batch `s` last evaluated to its
+/// row count in `counts`.
+fn count(chain: &Chain, s: &VectorScratch, counts: &mut [u64]) {
+    for (c, &sel) in counts.iter_mut().zip(chain) {
+        *c += s.sels[sel].len() as u64;
+    }
+}
+
+/// The selection a chain's rows leave by.
+fn out(chain: &Chain) -> SelId {
+    chain[chain.len() - 1]
+}
+
 /// A fully-specialized columnar program for one operator (or one fused
 /// Map/Filter chain). Immutable and shareable across worker threads; each
 /// task evaluates it with its own [`VectorScratch`].
 #[derive(Clone, Debug)]
 pub struct VectorPipeline {
     kernels: Kernels,
-    /// Selection active at each stage's entry (drives the engine's
-    /// per-stage row counts).
-    stage_sels: Vec<SelId>,
-    out_sel: SelId,
+    chain: Chain,
     out: OutSpec,
 }
 
@@ -439,53 +456,16 @@ pub fn specialize_sampled(
     stages: &[VecStageSpec<'_>],
     samples: &[Value],
 ) -> Option<VectorPipeline> {
-    let sample = samples.first()?;
     let mut b = Builder::new(samples);
-    let mut cur = VVal::Arg {
-        path: Vec::new(),
-        shape: shape_of(sample),
-    };
-    let mut sel: SelId = 0;
-    let mut stage_sels = Vec::with_capacity(stages.len());
-    let mut any_map = false;
-    for spec in stages {
-        stage_sels.push(sel);
-        match spec {
-            VecStageSpec::Map(code, caps) => {
-                if code.arity != 1 {
-                    return None;
-                }
-                cur = b.eval_code(&code.code.ops, caps, &cur, sel)?;
-                any_map = true;
-            }
-            VecStageSpec::Filter(code, caps) => {
-                if code.arity != 1 {
-                    return None;
-                }
-                let p = b.eval_code(&code.code.ops, caps, &cur, sel)?;
-                // The scalar filter applies `as_bool` to the result; a
-                // non-Bool static type errors on every row — let the
-                // scalar tier produce that error.
-                let pred = b.resolve_bool(p)?;
-                let dst = b.new_sel();
-                b.instrs.push(VInstr::FilterApply {
-                    parent: sel,
-                    pred,
-                    dst,
-                });
-                sel = dst;
-            }
-        }
-    }
-    let out = if any_map {
+    let (cur, chain) = b.chain(stages)?;
+    let out = if stages.iter().any(|s| matches!(s, VecStageSpec::Map(..))) {
         OutSpec::Rows(b.mat_node(cur)?)
     } else {
         OutSpec::PassThrough
     };
     Some(VectorPipeline {
         kernels: b.finish(),
-        stage_sels,
-        out_sel: sel,
+        chain,
         out,
     })
 }
@@ -572,15 +552,40 @@ impl<'s> Builder<'s> {
         dst
     }
 
-    /// Abstractly evaluates a compiled program; `None` = not specializable.
-    fn eval_code(
-        &mut self,
-        ops: &[Op],
-        caps: &[Option<Value>],
-        input: &VVal,
-        sel: SelId,
-    ) -> Option<VVal> {
-        self.eval_range(ops, 0..ops.len(), caps, input, sel)
+    /// Lowers a Map/Filter chain over the sample's input row: its output
+    /// value and its selections, each `Filter` narrowing the next stage's.
+    fn chain(&mut self, stages: &[VecStageSpec<'_>]) -> Option<(VVal, Chain)> {
+        let mut cur = VVal::Arg {
+            path: Vec::new(),
+            shape: shape_of(self.samples.first()?),
+        };
+        let mut chain = vec![0];
+        for spec in stages {
+            let (VecStageSpec::Map(code, caps) | VecStageSpec::Filter(code, caps)) = spec;
+            let sel = out(&chain);
+            let v = self.eval_code((code, caps), &cur, sel)?;
+            if let VecStageSpec::Map(..) = spec {
+                cur = v;
+                chain.push(sel);
+                continue;
+            }
+            // The scalar filter applies `as_bool` to the result; a non-Bool
+            // static type errors on every row — let the scalar tier produce
+            // that error.
+            let pred = self.resolve_bool(v)?;
+            let (parent, dst) = (sel, self.new_sel());
+            self.instrs.push(VInstr::FilterApply { parent, pred, dst });
+            chain.push(dst);
+        }
+        Some((cur, chain))
+    }
+
+    /// Abstractly evaluates a one-parameter compiled UDF with its bound
+    /// captures over `input`; `None` = not specializable.
+    fn eval_code(&mut self, udf: Udf, input: &VVal, sel: SelId) -> Option<VVal> {
+        let (code, caps) = udf;
+        let ops = &code.code.ops;
+        (code.arity == 1).then(|| self.eval_range(ops, 0..ops.len(), caps, input, sel))?
     }
 
     fn eval_range(
@@ -961,7 +966,7 @@ impl Kernels {
 impl VectorPipeline {
     /// Number of fused stages this program covers.
     pub fn n_stages(&self) -> usize {
-        self.stage_sels.len()
+        self.chain.len() - 1
     }
 
     /// Fresh per-task scratch buffers for this program.
@@ -972,7 +977,7 @@ impl VectorPipeline {
     /// The lanes of the last batch [`run_batch`](Self::run_batch) evaluated
     /// with `s` that reached the output, ascending: one per output row.
     pub fn out_lanes<'s>(&self, s: &'s VectorScratch) -> &'s [u32] {
-        &s.sels[self.out_sel]
+        &s.sels[out(&self.chain)]
     }
 
     /// Evaluates one batch of input rows through every fused stage.
@@ -994,26 +999,15 @@ impl VectorPipeline {
         counts: &mut [u64],
         out: &mut Vec<Value>,
     ) -> bool {
-        debug_assert_eq!(counts.len(), self.stage_sels.len() + 1);
+        debug_assert_eq!(counts.len(), self.n_stages() + 1);
         if !self.kernels.run(rows, s) {
             return false;
         }
-        for (i, &sid) in self.stage_sels.iter().enumerate() {
-            counts[i] += s.sels[sid].len() as u64;
-        }
-        counts[self.stage_sels.len()] += s.sels[self.out_sel].len() as u64;
+        count(&self.chain, s, counts);
+        let lanes = self.out_lanes(s).iter().map(|&l| l as usize);
         match &self.out {
-            OutSpec::PassThrough => {
-                out.extend(
-                    s.sels[self.out_sel]
-                        .iter()
-                        .map(|&l| rows[l as usize].clone()),
-                );
-            }
-            OutSpec::Rows(m) => {
-                let lanes = &s.sels[self.out_sel];
-                out.extend(lanes.iter().map(|&l| mat_value(m, s, l as usize)));
-            }
+            OutSpec::PassThrough => out.extend(lanes.map(|l| rows[l].clone())),
+            OutSpec::Rows(m) => out.extend(lanes.map(|l| mat_value(m, s, l))),
         }
         true
     }
@@ -1451,7 +1445,7 @@ enum SlotOp {
 }
 
 /// One typed accumulator slot: `acc = op(acc, val)` per row of the group,
-/// where `acc` is register `acc` of `val`'s file in [`AggState::accs`],
+/// where `acc` is a column of `val`'s type in [`AggState::accs`],
 /// indexed by group id. `zero: Some(z)` (a constant of `val`'s type) starts
 /// a group from `op(z, first value)` (the scalar `uni(zero, s)`); `None`
 /// starts it from the first value itself — the `Null`-unit min/max, and
@@ -1461,7 +1455,7 @@ enum SlotOp {
 struct Slot {
     op: SlotOp,
     val: Col,
-    acc: Reg,
+    acc: Col,
     zero: Option<Value>,
 }
 
@@ -1514,7 +1508,6 @@ impl Builder<'_> {
     /// produce a mixed-type accumulator column.
     fn slot(&mut self, op: SlotOp, v: VVal, zero: Option<&Value>) -> Option<(Col, Option<Value>)> {
         use {SlotOp::*, Ty::*};
-        self.cur_sel = 0;
         let val = self.resolve(v)?;
         let logical = matches!(op, And | Or);
         // `Null` is min/max's unit: `uni(Null, s)` is `s` itself.
@@ -1548,14 +1541,16 @@ fn key_is_typed(m: &MatNode) -> bool {
 
 /// What an [`AggKernel`] folds.
 pub enum AggInput<'a> {
-    /// The combiner phase over input rows: `key(row)` names the group,
+    /// The combiner phase over input rows: the Map/Filter chain `stages`
+    /// runs first, then `key(row)` names the group of each row it leaves,
     /// `sng(row)` feeds the slots, and a group starts from `uni(zero, ·)`.
-    /// Each UDF is its compiled slot program plus bound capture slots.
     Rows {
+        /// The narrow chain the `aggBy` reads, empty for none.
+        stages: &'a [VecStageSpec<'a>],
         /// The grouping key UDF.
-        key: (&'a CompiledEval, &'a [Option<Value>]),
+        key: Udf<'a>,
         /// The fold's element function.
-        sng: (&'a CompiledEval, &'a [Option<Value>]),
+        sng: Udf<'a>,
         /// The fold's (already evaluated) `zero`.
         zero: &'a Value,
     },
@@ -1566,16 +1561,17 @@ pub enum AggInput<'a> {
     Partials,
 }
 
-/// A whole fused `aggBy` — `key`, `sng` and `uni` together — specialized
-/// into one columnar program: `key` and `sng` run as batch kernels that
-/// leave their results in typed registers, and `uni`, recognized as
-/// slot-wise ([`slot_ops`]), folds those registers into per-group typed
-/// accumulator columns indexed by a dense first-seen group id. Immutable and
-/// shareable across worker threads; each task folds with its own
-/// [`AggState`].
+/// A whole fused `aggBy` — `key`, `sng` and `uni` together, after the chain
+/// it reads — specialized into one columnar program: the chain, `key` and
+/// `sng` run as batch kernels that leave their results in typed registers,
+/// and `uni`, recognized as slot-wise ([`slot_ops`]), folds the lanes the
+/// chain's filters select into per-group typed accumulator columns indexed
+/// by a dense first-seen group id. Immutable and shareable across worker
+/// threads; each task folds with its own [`AggState`].
 #[derive(Clone, Debug)]
 pub struct AggKernel {
     kernels: Kernels,
+    chain: Chain,
     /// Recipe for a group's key `Value` (typed leaves only); `None` in the
     /// merge phase, whose keys arrive built.
     key: Option<MatNode>,
@@ -1601,20 +1597,16 @@ pub fn specialize_agg(
     uni: &CompiledEval,
     samples: &[Value],
 ) -> Option<AggKernel> {
-    let sample = samples.first()?;
     let (ops, tuple_acc) = slot_ops(uni)?;
     let mut b = Builder::new(samples);
-    let row = VVal::Arg {
-        path: Vec::new(),
-        shape: shape_of(sample),
-    };
+    let (row, chain) = b.chain(match input {
+        AggInput::Rows { stages, .. } => stages,
+        AggInput::Partials => &[],
+    })?;
     let (key_v, val_v, zero) = match input {
-        AggInput::Rows { key, sng, zero } => {
-            if key.0.arity != 1 || sng.0.arity != 1 {
-                return None;
-            }
-            let k = b.eval_code(&key.0.code.ops, key.1, &row, 0)?;
-            let v = b.eval_code(&sng.0.code.ops, sng.1, &row, 0)?;
+        AggInput::Rows { key, sng, zero, .. } => {
+            let k = b.eval_code(*key, &row, out(&chain))?;
+            let v = b.eval_code(*sng, &row, out(&chain))?;
             (Some(k), v, Some(*zero))
         }
         AggInput::Partials => (None, row, None),
@@ -1633,16 +1625,14 @@ pub fn specialize_agg(
         } else {
             b.slot(op, val_v.clone(), zero)?
         };
-        let acc = n_accs[val.ty as usize];
+        let acc = Col {
+            ty: val.ty,
+            reg: n_accs[val.ty as usize],
+        };
         n_accs[val.ty as usize] += 1;
         slots.push(Slot { op, val, acc, zero });
     }
-    let mut accs = slots.iter().map(|s| {
-        MatNode::Col(Col {
-            ty: s.val.ty,
-            reg: s.acc,
-        })
-    });
+    let mut accs = slots.iter().map(|s| MatNode::Col(s.acc));
     let acc = if tuple_acc {
         MatNode::Tup(accs.collect())
     } else {
@@ -1662,6 +1652,7 @@ pub fn specialize_agg(
         .collect();
     Some(AggKernel {
         kernels: b.finish(),
+        chain,
         key,
         key_strs: key_strs.unwrap_or_default(),
         slots,
@@ -1810,7 +1801,8 @@ fn lane_eq_value(m: &MatNode, s: &VectorScratch, l: usize, v: &Value) -> bool {
 /// — so each group accumulates in the order the scalar loop would. Group
 /// ids are dense in first-seen order, so the lane whose id is one past the
 /// column is the lane that opened that group: it starts the accumulator
-/// from `uni(zero, value)` (or the bare value); every other lane folds
+/// from `uni(zero, value)` (or the bare value); a lane the chain's filters
+/// dropped has no group ([`NO_GROUP`]); every other lane folds
 /// `acc[gid[l]] = f(acc[gid[l]], v[l])`.
 fn fold_slot<T: Lane + Copy>(
     accs: &mut VectorScratch,
@@ -1823,13 +1815,15 @@ fn fold_slot<T: Lane + Copy>(
         .zero
         .as_ref()
         .map(|z| T::load(z).expect("`Builder::slot` types the zero"));
-    let acc = &mut T::file_mut(accs)[slot.acc];
+    let acc = &mut T::file_mut(accs)[slot.acc.reg];
     let v = &T::file(s)[reg][off..];
+    // The loop's shape matters: a reshaped one let a release build order a
+    // float add's operands apart from the scalar tier's, and return another NaN.
     for (l, &g) in gids.iter().enumerate() {
         let g = g as usize;
         if g == acc.len() {
             acc.push(zero.map_or(v[l], |z| f(z, v[l])));
-        } else {
+        } else if g != NO_GROUP as usize {
             acc[g] = f(acc[g], v[l]);
         }
     }
@@ -1848,16 +1842,16 @@ impl AggKernel {
         }
     }
 
-    /// Folds one batch of rows into `st`'s groups.
+    /// Folds the rows of one batch that the chain leaves into `st`'s groups.
     ///
     /// Returns `false` — with every group and accumulator untouched — when
     /// the batch cannot be evaluated columnar-exactly (a row does not
-    /// conform to the specialized shape, or `key`/`sng` hit a runtime error
-    /// on some lane): everything fallible runs before the first accumulator
-    /// is written. The caller must then fold this batch and the rest of the
-    /// partition row-at-a-time through the scalar tier, seeded with
-    /// [`finish`](Self::finish)'s groups — reproducing values and the first
-    /// error in evaluation order bit-identically.
+    /// conform to the specialized shape, or the chain, `key` or `sng` hit a
+    /// runtime error on some lane): everything fallible runs before the
+    /// first accumulator is written. The caller must then fold this batch
+    /// and the rest of the partition row-at-a-time through the scalar tier,
+    /// seeded with [`finish`](Self::finish)'s groups — reproducing values
+    /// and the first error in evaluation order bit-identically.
     pub fn absorb(&self, rows: &[Value], st: &mut AggState) -> bool {
         let ran = self.kernels.run(rows, &mut st.scratch);
         if ran {
@@ -1865,6 +1859,12 @@ impl AggKernel {
             self.fold(st, None);
         }
         ran
+    }
+
+    /// Adds each chain stage's entry row count in the batch `st` last
+    /// absorbed, then the number of rows it folded, to `counts`.
+    pub fn count(&self, st: &AggState, counts: &mut [u64]) {
+        count(&self.chain, &st.scratch, counts);
     }
 
     /// [`absorb`](Self::absorb) for the merge phase, over partials that are
@@ -1897,7 +1897,7 @@ impl AggKernel {
         let (accs, gids) = (&mut st.accs, &st.gids);
         for slot in &self.slots {
             let s = match cols {
-                Some((c, from)) => (&c.0, slot.acc, from),
+                Some((c, from)) => (&c.0, slot.acc.reg, from),
                 None => (&st.scratch, slot.val.reg, 0),
             };
             match (slot.op, slot.val.ty) {
@@ -1929,9 +1929,10 @@ impl AggKernel {
         })
     }
 
-    /// Assigns every lane of an evaluated batch its group id, in row order
-    /// (so ids are dense in first-seen order); a lane that opens a group
-    /// also writes the group's key. When every key leaf is a
+    /// Assigns every lane the chain leaves in an evaluated batch its group
+    /// id, in row order (so ids are dense in first-seen order), and every
+    /// other lane [`NO_GROUP`]; a lane that opens a group also writes the
+    /// group's key. When every key leaf is a
     /// dictionary-encoded string column the probe runs once per distinct
     /// code combination per batch.
     fn assign_groups(&self, n: usize, st: &mut AggState) {
@@ -1948,6 +1949,7 @@ impl AggKernel {
             ..
         } = st;
         gids.clear();
+        gids.resize(n, NO_GROUP);
         let by_code = match self.code_space(s, n) {
             Some(w) => {
                 dict_gids.clear();
@@ -1956,7 +1958,8 @@ impl AggKernel {
             }
             None => false,
         };
-        for l in 0..n {
+        for &l in &s.sels[out(&self.chain)] {
+            let l = l as usize;
             let code = by_code.then(|| {
                 self.key_strs.iter().fold(0usize, |c, &r| {
                     c * s.s[r].dict.len() + s.s[r].codes[l] as usize
@@ -1964,7 +1967,7 @@ impl AggKernel {
             });
             if let Some(c) = code {
                 if dict_gids[c] != NO_GROUP {
-                    gids.push(dict_gids[c]);
+                    gids[l] = dict_gids[c];
                     continue;
                 }
             }
@@ -1974,7 +1977,7 @@ impl AggKernel {
             if let Some(c) = code {
                 dict_gids[c] = g;
             }
-            gids.push(g);
+            gids[l] = g;
             if created {
                 keys.push(mat_value(key, s, l));
             }
@@ -2024,25 +2027,22 @@ pub enum Partials<'a> {
 }
 
 impl AccCols {
-    /// Moves partial `l` to the end of `into[dest[l]]` (given columns of
-    /// these types, or none yet): one pass per column.
-    pub fn scatter(self, dest: &[u32], into: &mut [&mut AccCols]) {
-        fn file<T: Lane>(src: Vec<Vec<T>>, dest: &[u32], into: &mut [&mut AccCols]) {
-            for (r, col) in src.into_iter().enumerate() {
-                for cols in into.iter_mut() {
-                    let file = T::file_mut(&mut cols.0);
-                    if file.len() == r {
-                        file.push(Vec::new());
-                    }
-                }
-                for (x, &d) in col.into_iter().zip(dest) {
-                    T::file_mut(&mut into[d as usize].0)[r].push(x);
-                }
-            }
+    /// Moves partial `l` to the end of the columns `cols` gives of
+    /// `into[dest[l]]`: columns of these types, whose registers a
+    /// destination begins when its first partial arrives. One pass over the
+    /// partials, so a destination that receives nothing costs nothing.
+    pub fn scatter<D>(self, dest: &[u32], into: &mut [D], cols: impl Fn(&mut D) -> &mut AccCols) {
+        fn push<T: Copy>(to: &mut Vec<Vec<T>>, from: &[Vec<T>], l: usize) {
+            to.resize_with(from.len(), Vec::new);
+            to.iter_mut().zip(from).for_each(|(t, f)| t.push(f[l]));
         }
-        file(self.0.i, dest, into);
-        file(self.0.f, dest, into);
-        file(self.0.b, dest, into);
+        let from = &self.0;
+        for (l, &d) in dest.iter().enumerate() {
+            let to = &mut cols(&mut into[d as usize]).0;
+            push(&mut to.i, &from.i, l);
+            push(&mut to.f, &from.f, l);
+            push(&mut to.b, &from.b, l);
+        }
     }
 }
 
@@ -2792,6 +2792,7 @@ mod tests {
         let zero = zero_of(fold);
         specialize_agg(
             &AggInput::Rows {
+                stages: &[],
                 key: (&kc, &[]),
                 sng: (&sc, &[]),
                 zero: &zero,
@@ -2984,7 +2985,7 @@ mod tests {
                 }
                 // The hand-off: one scatter of the columns by destination.
                 let dest: Vec<u32> = ks.iter().map(route).collect();
-                acc_cols.scatter(&dest, &mut cols.iter_mut().collect::<Vec<_>>());
+                acc_cols.scatter(&dest, &mut cols, |c| c);
             }
             let merge = specialize_agg(&AggInput::Partials, &compile_lambda(&fold.uni), &vals[0])
                 .expect("merge kernel");

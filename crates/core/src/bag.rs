@@ -21,7 +21,7 @@
 use std::convert::Infallible;
 use std::hash::Hash;
 
-use crate::fold::{FinishedFold, Fold};
+use crate::fold::Fold;
 use crate::group::Grp;
 use crate::ops;
 
@@ -191,11 +191,6 @@ impl<A> DataBag<A> {
 
     /// Applies a reified [`Fold`].
     pub fn fold_with<B: Clone + 'static>(&self, f: &Fold<A, B>) -> B {
-        f.apply(&self.elems)
-    }
-
-    /// Applies a reified [`FinishedFold`].
-    pub fn fold_finished<B: Clone + 'static, C>(&self, f: &FinishedFold<A, B, C>) -> C {
         f.apply(&self.elems)
     }
 

@@ -252,9 +252,11 @@ impl Measured {
         self.widths.len()
     }
 
-    /// Whether the accumulators are typed columns.
+    /// Whether the accumulators are typed columns — vacuously when there
+    /// are none, as at a destination of a column exchange that received
+    /// nothing.
     pub(crate) fn is_columns(&self) -> bool {
-        matches!(self.payload, Payload::Accs(_))
+        matches!(self.payload, Payload::Accs(_)) || self.len() == 0
     }
 
     /// The bytes the rows ship as.
@@ -264,8 +266,9 @@ impl Measured {
 
     /// Moves row `i`, with its width, to the end of `into[dest[i]]`: one
     /// pass over the rows (or per accumulator column), one over the widths.
-    /// A destination that holds nothing yet takes the payload kind of its
-    /// first source; every source of one exchange has the same kind.
+    /// A destination that holds nothing yet takes the payload kind of the
+    /// first row it receives; every source of one exchange has the same
+    /// kind, and a destination that receives nothing stays empty rows.
     pub(crate) fn scatter(self, dest: &[u32], into: &mut [Measured]) {
         debug_assert_eq!(self.widths.len(), dest.len());
         match self.payload {
@@ -273,10 +276,7 @@ impl Measured {
                 Payload::Rows(rows) => rows,
                 Payload::Accs(_) => unreachable!("one exchange ships one payload kind"),
             }),
-            Payload::Accs(accs) => {
-                let mut cols: Vec<&mut AccCols> = into.iter_mut().map(Measured::columns).collect();
-                accs.scatter(dest, &mut cols);
-            }
+            Payload::Accs(accs) => accs.scatter(dest, into, Measured::columns),
         }
         for (&w, &d) in self.widths.per_row.iter().zip(dest) {
             into[d as usize].widths.carry(w);

@@ -767,11 +767,9 @@ mod tests {
         assert_eq!(s.stats.bytes_shuffled, want);
     }
 
-    /// A combiner kernel over `(Int, Int)` rows keyed by `x.0`, folding
-    /// `(sum(x.1), count, exists(x.1 even))`: a one-slot-per-file
-    /// accumulator of `f64`, `i64` and `bool` columns.
-    fn combiner() -> AggKernel {
-        use emma_compiler::compiled::compile_lambda;
+    /// `(sum(x.1), count, exists(x.1 even))` over `(Int, Int)` rows: a
+    /// one-slot-per-file accumulator of `f64`, `i64` and `bool` columns.
+    fn fold() -> emma_compiler::expr::FoldOp {
         use emma_compiler::expr::{BinOp, FoldOp};
         let x = || ScalarExpr::var("x");
         let even = ScalarExpr::BinOp(
@@ -784,14 +782,21 @@ mod tests {
             Box::new(ScalarExpr::lit(Value::Int(0))),
         );
         let sum = FoldOp::sum();
-        let fold = FoldOp::banana_split(&[
+        FoldOp::banana_split(&[
             FoldOp {
                 sng: Lambda::new(["x"], sum.sng.apply(&[x().get(1)])),
                 ..sum
             },
             FoldOp::count(),
             FoldOp::exists(Lambda::new(["x"], even)),
-        ]);
+        ])
+    }
+
+    /// A combiner kernel over `(Int, Int)` rows keyed by `x.0`, folding
+    /// [`fold`].
+    fn combiner() -> AggKernel {
+        use emma_compiler::compiled::compile_lambda;
+        let (x, fold) = (|| ScalarExpr::var("x"), fold());
         let (key, sng, uni) = (
             compile_lambda(&Lambda::new(["x"], x().get(0))),
             compile_lambda(&fold.sng),
@@ -801,6 +806,7 @@ mod tests {
         let zero = interp::eval_scalar(&fold.zero, &mut Env::new(&base), &Catalog::new());
         let zero = zero.expect("a closed zero");
         let input = AggInput::Rows {
+            stages: &[],
             key: (&key, &[]),
             sng: (&sng, &[]),
             zero: &zero,
@@ -915,6 +921,72 @@ mod tests {
                 assert_eq!(c, r, "{kind:?} sub-partition {j}");
                 assert_eq!(c.1, fresh_walk(&c.0), "{kind:?} sub-partition {j}");
             }
+        }
+    }
+
+    #[test]
+    fn a_column_exchange_to_a_few_destinations_leaves_the_rest_empty() {
+        use emma_compiler::compiled::compile_lambda;
+        use emma_compiler::vectorized::Partials;
+        let (engine, catalog) = (
+            Engine::new(ClusterSpec::tiny(), Personality::sparrow()),
+            Catalog::new(),
+        );
+        let kernel = combiner();
+        let dop = Session::new(&engine, &catalog, true).dop() as u64;
+        // Forty combiners over the keys 0..4, each key's hash routing it to
+        // destination 1: every other destination receives nothing.
+        let route = |k: &Value| match k {
+            Value::Int(k) => 1 + dop * *k as u64,
+            _ => unreachable!("int keys"),
+        };
+        let (mut by_cols, mut by_rows) = (Vec::new(), Vec::new());
+        for p in 0..40i64 {
+            let rows: Vec<Value> = (0..6)
+                .map(|i| Value::tuple([Value::Int(i % 4), Value::Int(p * i - 50)]))
+                .collect();
+            let (mut a, mut b) = (kernel.new_state(), kernel.new_state());
+            assert!(kernel.absorb(&rows, &mut a) && kernel.absorb(&rows, &mut b));
+            let (ks, cols) = kernel.finish_columns(a);
+            let (cols, keys) = Measured::partial_columns(ks, cols, kernel.acc_width());
+            let keys = keys.into_iter().map(|(_, k)| (route(&k), k)).collect();
+            by_cols.push((cols, keys));
+            let groups = kernel.finish(b).into_iter();
+            by_rows.push(Measured::partials(groups.map(|(k, a)| (route(&k), k, a))));
+        }
+        let [(cols, col_bytes), (rows, row_bytes)] = [by_cols, by_rows].map(|sources| {
+            let mut s = Session::new(&engine, &catalog, true);
+            let landed = s.land(sources, None);
+            (landed, s.stats.bytes_shuffled)
+        });
+        assert_eq!(col_bytes, row_bytes);
+        // The merge folds a destination's partials batch by batch, as the
+        // `aggBy` merge does, from its columns or its rows.
+        let sample = rows.dests[1].head(16, |cols, i| kernel.acc_value(cols, i));
+        let uni = compile_lambda(&fold().uni);
+        let merge = vectorized::specialize_agg(&AggInput::Partials, &uni, &sample);
+        let merge = merge.expect("a slot-wise merge");
+        let merged = |dest: Measured, keys: &[(u64, Value)]| {
+            let (payload, mut st) = (dest.into_payload(), merge.new_state());
+            for from in (0..keys.len()).step_by(16) {
+                let to = keys.len().min(from + 16);
+                let batch = match &payload {
+                    Payload::Accs(cols) => Partials::Columns(cols, from),
+                    Payload::Rows(accs) => Partials::Values(&accs[from..to]),
+                };
+                assert!(merge.absorb_partials(batch, &keys[from..to], &mut st));
+            }
+            merge.finish(st)
+        };
+        let dests = cols.dests.into_iter().zip(rows.dests);
+        for (d, (c, r)) in dests.enumerate() {
+            let keys = &cols.keys[d];
+            assert_eq!(keys, &rows.keys[d], "keys of destination {d}");
+            assert_eq!(keys.len(), if d == 1 { 160 } else { 0 }, "destination {d}");
+            assert!(c.is_columns() && c.len() == keys.len(), "destination {d}");
+            let (c, r) = (merged(c, keys), merged(r, keys));
+            assert_eq!(c.len(), if d == 1 { 4 } else { 0 }, "destination {d}");
+            assert_eq!(c, r, "destination {d}");
         }
     }
 

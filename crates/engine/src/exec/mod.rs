@@ -694,9 +694,8 @@ impl<'a> Session<'a> {
                 self.exec_group_by(d, key, kind, env)
             }
             Plan::AggBy { input, key, fold } => {
-                let d = self.exec_bag(input, env)?;
                 let split = self.split_kind(plan.skew_eligibility());
-                self.exec_agg_by(d, key, fold, split, env)
+                self.exec_agg_by(input, key, fold, split, env)
             }
             Plan::Plus { left, right } => {
                 let l = self.exec_bag(left, env)?;

@@ -4,10 +4,12 @@
 use std::ops::Range;
 
 use emma_compiler::expr::FoldOp;
-use emma_compiler::vectorized::{AggInput, AggKernel, AggState, Partials};
+use emma_compiler::plan::PipelineStage;
+use emma_compiler::vectorized::{AggInput, AggKernel, AggState, Partials, VecStageSpec};
 
 use crate::dataset::{Measured, Payload};
 use crate::exec::keyed::{next_key, KeyedInput, PartKeys, Placement};
+use crate::exec::operators::narrow::{NarrowSite, StageCounts};
 use crate::exec::prepare::{
     batch_or_replay, compiled_parts, sample_rows, vec_spec, Chunk, EvCtx, Kernel, PreparedScalar,
     SPECIALIZE_SAMPLE_ROWS,
@@ -169,34 +171,59 @@ impl Session<'_> {
 
     /// Runs a `Plan::AggBy`: per-partition partial aggregation, a shuffle
     /// of the partials only, and a merge of each key's partials.
+    ///
+    /// Over a `Map`, `Filter` or a `Pipeline` of them the combiner runs
+    /// inside the chain's wave when it can ([`Session::exec_fused_agg_by`]):
+    /// the kernels are on, the key's and the fold's base scopes pay for
+    /// nothing (so they can be built ahead of the chain's wave without
+    /// moving a charge), and the chain and the fold specialize together.
+    /// Every other site runs its input first and the combiner as a wave of
+    /// its own.
     pub(crate) fn exec_agg_by(
         &mut self,
-        d: Partitioned,
+        input: &Plan,
         key: &Lambda,
         fold: &FoldOp,
         split: Option<SplitKind>,
         env: &EnvSnapshot,
     ) -> Result<PlanResult, ExecError> {
+        let narrow = match input {
+            Plan::Map { .. } | Plan::Filter { .. } => true,
+            Plan::Pipeline { stages, .. } => {
+                !(stages.iter()).any(|s| matches!(s, PipelineStage::FlatMap { .. }))
+            }
+            _ => false,
+        };
+        let scopes = (narrow && self.kernels_on())
+            .then(|| {
+                let fold_base = self.scalar_base(&fold.terms(), env)?;
+                Some((fold_base, self.scalar_base(&[Term::Lambda(key)], env)?))
+            })
+            .flatten();
+        let d = match scopes {
+            Some((base, key_base)) => {
+                let site = self.narrow_site(input, env)?;
+                // A `zero` that raises is raised below, after the chain's
+                // wave, where the two waves raise it.
+                if let Ok(comb) = self.combiner(key, fold, base, key_base) {
+                    if let Some(kernel) = self.fused_kernel(&site, &comb, key, fold) {
+                        return self.exec_fused_agg_by(site, comb, kernel, key, fold, split);
+                    }
+                }
+                self.exec_node(input, |s| s.run_narrow(site, None))?.data
+            }
+            None => self.exec_bag(input, env)?,
+        };
         let base = self.eval_base(&fold.terms(), env)?;
-        let base2 = self.eval_base(&[Term::Lambda(key)], env)?;
-        let zero = self.eval_over(&fold.zero, &base)?;
-        let key_prep = self.prepare_lambda(key, &base2);
-        let sng_prep = self.prepare_lambda(&fold.sng, &base);
-        let uni_prep = self.prepare_lambda(&fold.uni, &base);
+        let key_base = self.eval_base(&[Term::Lambda(key)], env)?;
+        let comb = self.combiner(key, fold, base, key_base)?;
 
         // Columnar decision, made once on the driver (see
         // [`Session::try_vectorize`]) so every combiner task agrees.
         let agg_vec = self.try_vectorize(
             sample_rows(&d.parts),
             |st| &mut st.vector_fallbacks,
-            |rows| {
-                let input = AggInput::Rows {
-                    key: compiled_parts(&key_prep)?,
-                    sng: compiled_parts(&sng_prep)?,
-                    zero: &zero,
-                };
-                vectorized::specialize_agg(&input, compiled_parts(&uni_prep)?.0, rows)
-            },
+            |rows| comb.specialize(&[], rows),
         );
 
         // Combiner phase: per-partition partial aggregation, fanned out on
@@ -223,42 +250,131 @@ impl Session<'_> {
                     let (keys, cols) = kernel.finish_columns(st);
                     return Ok(Measured::partial_columns(keys, cols, kernel.acc_width()));
                 }
-                for (k, acc) in kernel.finish(st) {
-                    accs.insert_hashed(value_hash(&k), k, acc);
-                }
+                accs = seeded(kernel.finish(st));
                 covered = n;
             }
-            let mut cx = (
-                key_prep.ctx(&base2),
-                sng_prep.ctx(&base),
-                uni_prep.ctx(&base),
-            );
-            ops::agg(
-                &mut accs,
-                &part[covered..],
-                &mut cx,
-                |(kcx, ..), row| {
-                    key_prep
-                        .call(std::slice::from_ref(*row), kcx, catalog)
-                        .map(ops::hashed)
-                },
-                &zero,
-                |(_, scx, _), row| sng_prep.call(std::slice::from_ref(row), scx, catalog),
-                |(.., ucx), a, b| uni_prep.call_owned([a, b], ucx, catalog),
-            )?;
-            Ok(Measured::partials(
-                accs.into_iter().map(|e| (e.hash, e.key, e.value)),
-            ))
+            comb.fold_rows(&mut accs, &part[covered..], &mut None, catalog)?;
+            Ok(scalar_partials(accs))
         })?;
-        self.charge(Charge::Cpu(
-            d.total_rows(),
-            d.max_part_rows(),
-            key.static_cost() + fold.sng.static_cost() + fold.uni.static_cost(),
-        ));
-        self.charge(Charge::cpu_bytes(
-            key.static_byte_cost() + fold.sng.static_byte_cost() + fold.uni.static_byte_cost(),
-            || d.max_part_bytes(),
-        ));
+        self.charge_combiner(key, fold, d.total_rows(), d.max_part_rows(), || {
+            d.max_part_bytes()
+        });
+        self.merge_partials(partial_lists, agg_vec, &comb, split)
+    }
+
+    /// Readies an `aggBy`'s UDFs over their base scopes: `zero` evaluated,
+    /// `key`, `sng` and `uni` prepared for the active tier.
+    fn combiner<'p>(
+        &mut self,
+        key: &'p Lambda,
+        fold: &'p FoldOp,
+        base: HashMap<String, Value>,
+        key_base: HashMap<String, Value>,
+    ) -> Result<Combiner<'p>, ExecError> {
+        Ok(Combiner {
+            zero: self.eval_over(&fold.zero, &base)?,
+            key: self.prepare_lambda(key, &key_base),
+            sng: self.prepare_lambda(&fold.sng, &base),
+            uni: self.prepare_lambda(&fold.uni, &base),
+            base,
+            key_base,
+        })
+    }
+
+    /// The combiner kernel that runs `site`'s chain as its prefix, when the
+    /// chain needs no byte totals, the combiner's UDFs carry no byte weight
+    /// (neither exists without the chain's output rows) and the chain and
+    /// the fold specialize together against the chain's input sample.
+    /// `None` counts nothing: the site then runs as two waves, which take
+    /// their own decisions and count their own refusals.
+    fn fused_kernel(
+        &self,
+        site: &NarrowSite<'_>,
+        comb: &Combiner<'_>,
+        key: &Lambda,
+        fold: &FoldOp,
+    ) -> Option<(AggKernel, usize)> {
+        if combiner_weights(key, fold).1 > 0.0 {
+            return None;
+        }
+        let specs = site.specs()?;
+        let kernel = comb.specialize(&specs, sample_rows(&site.input.parts)?)?;
+        Some((kernel, self.batch_rows()?))
+    }
+
+    /// Runs an `aggBy` whose combiner kernel takes its input chain as a
+    /// prefix ([`Session::fused_kernel`]): each task runs its partition's
+    /// chain and combiner in one pass ([`fused_partition`]), and the chain's
+    /// rows are never materialized.
+    ///
+    /// The two waves' counting stays. A task tallies the chain's batches
+    /// and the combiner's as the two waves did, and the chain's stages are
+    /// charged from the counts the kernel took. Errors keep their order: a
+    /// chain error ends the task and the wave, as in the chain's own wave; a
+    /// fold error is held while the task finishes its partition's chain. The
+    /// combiner's wave site still settles after the chain's charges, with
+    /// bodies that hand over what each task held — its partials or its
+    /// first fold error — so the failure schedule, its retries and the
+    /// error it raises are the two waves' own.
+    fn exec_fused_agg_by(
+        &mut self,
+        site: NarrowSite<'_>,
+        comb: Combiner<'_>,
+        agg_vec: (AggKernel, usize),
+        key: &Lambda,
+        fold: &FoldOp,
+        split: Option<SplitKind>,
+    ) -> Result<PlanResult, ExecError> {
+        let (d, catalog) = (&site.input, self.catalog);
+        let n = d.parts.len();
+        let ran = self.run_tasks(false, n, d.total_rows(), |pi, tally| {
+            fused_partition(&d.parts[pi], &site, &comb, &agg_vec, catalog, tally)
+        })?;
+        let mut counts = StageCounts::new(site.n_stages());
+        let held: Vec<Mutex<Option<_>>> = ran
+            .into_iter()
+            .map(|(entered, partials)| {
+                counts.add(&entered, &[]);
+                Mutex::new(Some(partials))
+            })
+            .collect();
+        self.charge_stages(&site, &counts)?;
+        let partial_lists = self.run_tasks(true, n, 0, |pi, _| {
+            let cell = held[pi].lock().expect("held partials lock poisoned").take();
+            cell.expect("held partials settled once")
+        })?;
+        let (rows, max_rows) = counts.out();
+        self.charge_combiner(key, fold, rows, max_rows, || {
+            unreachable!("a fused combiner's UDFs carry no byte weight")
+        });
+        self.merge_partials(partial_lists, Some(agg_vec), &comb, split)
+    }
+
+    /// Charges a combiner wave over `rows` rows, `max_rows` in the largest
+    /// partition, whose largest partition is `max_bytes` bytes.
+    fn charge_combiner(
+        &mut self,
+        key: &Lambda,
+        fold: &FoldOp,
+        rows: u64,
+        max_rows: u64,
+        max_bytes: impl FnOnce() -> u64,
+    ) {
+        let (weight, byte_weight) = combiner_weights(key, fold);
+        self.charge(Charge::Cpu(rows, max_rows, weight));
+        self.charge(Charge::cpu_bytes(byte_weight, max_bytes));
+    }
+
+    /// The exchange and merge phase of an `aggBy` over its combiners'
+    /// partials, `agg_vec` the combiner kernel if the fold specialized.
+    fn merge_partials(
+        &mut self,
+        partial_lists: Vec<Shipped>,
+        agg_vec: Option<(AggKernel, usize)>,
+        comb: &Combiner<'_>,
+        split: Option<SplitKind>,
+    ) -> Result<PlanResult, ExecError> {
+        let (catalog, uni_prep, base) = (self.catalog, &comb.uni, &comb.base);
 
         // Shuffle only the partials (one per key per partition) through the
         // shuffle's routing: the accumulators move beside the `(hash, key)`
@@ -275,9 +391,7 @@ impl Session<'_> {
             Some((kernel, _)) => m.into_rows_with(|cols, i| kernel.acc_value(cols, i)),
             None => m,
         };
-        let columns = partial_lists
-            .iter()
-            .all(|(m, _)| m.is_columns() || m.len() == 0);
+        let columns = partial_lists.iter().all(|(m, _)| m.is_columns());
         let partial_lists = match columns {
             true => partial_lists,
             false => partial_lists
@@ -306,7 +420,7 @@ impl Session<'_> {
                     sample.as_deref(),
                     |st| &mut st.vector_fallbacks,
                     |rows| {
-                        let uni = compiled_parts(&uni_prep)?.0;
+                        let uni = compiled_parts(uni_prep)?.0;
                         vectorized::specialize_agg(&AggInput::Partials, uni, rows)
                     },
                 )
@@ -356,11 +470,8 @@ impl Session<'_> {
                 let Payload::Rows(accs) = accs else {
                     unreachable!("a merge kernel folds every landed column")
                 };
-                let mut merged = InsertionMap::new();
-                for (k, acc) in groups {
-                    merged.insert_hashed(value_hash(&k), k, acc);
-                }
-                let mut ucx = uni_prep.ctx(&base);
+                let mut merged = seeded(groups);
+                let mut ucx = uni_prep.ctx(base);
                 for ((h, k), a) in keys.into_iter().zip(accs).skip(covered) {
                     match merged.get_mut_hashed(h, &k) {
                         Some(acc) => {
@@ -384,6 +495,158 @@ impl Session<'_> {
             partitioning,
         }))
     }
+}
+
+/// An `aggBy`'s UDFs readied over their base scopes ([`Session::combiner`]).
+struct Combiner<'p> {
+    key: PreparedScalar<'p>,
+    sng: PreparedScalar<'p>,
+    uni: PreparedScalar<'p>,
+    zero: Value,
+    /// The fold's base scope: `zero`'s, `sng`'s and `uni`'s.
+    base: HashMap<String, Value>,
+    key_base: HashMap<String, Value>,
+}
+
+/// The scalar fold's evaluation contexts: `key`'s, `sng`'s and `uni`'s.
+type FoldCtx<'b> = (EvCtx<'b>, EvCtx<'b>, EvCtx<'b>);
+
+/// A combiner's partials: the accumulators, with the `(hash, key)` pairs
+/// that route them.
+type Shipped = (Measured, Vec<(u64, Value)>);
+
+impl<'p> Combiner<'p> {
+    /// The combiner kernel over rows that `stages` (a chain of kernel
+    /// stages, or none) leave, specialized against `rows`.
+    fn specialize(&self, stages: &[VecStageSpec<'_>], rows: &[Value]) -> Option<AggKernel> {
+        let input = AggInput::Rows {
+            stages,
+            key: compiled_parts(&self.key)?,
+            sng: compiled_parts(&self.sng)?,
+            zero: &self.zero,
+        };
+        vectorized::specialize_agg(&input, compiled_parts(&self.uni)?.0, rows)
+    }
+
+    /// Folds `rows` into `accs` through the scalar tier, in the `key`,
+    /// `sng`, `uni` per-row order, up to the first error; `cx` holds the
+    /// contexts from one call to the next, built on first use.
+    fn fold_rows<'b>(
+        &'b self,
+        accs: &mut InsertionMap<Value, Value>,
+        rows: &[Value],
+        cx: &mut Option<FoldCtx<'b>>,
+        catalog: &Catalog,
+    ) -> Result<(), ValueError>
+    where
+        'p: 'b,
+    {
+        let cx = cx.get_or_insert_with(|| {
+            let (base, key_base) = (&self.base, &self.key_base);
+            (
+                self.key.ctx(key_base),
+                self.sng.ctx(base),
+                self.uni.ctx(base),
+            )
+        });
+        ops::agg(
+            accs,
+            rows,
+            cx,
+            |(kcx, ..), row| {
+                let key = self.key.call(std::slice::from_ref(*row), kcx, catalog);
+                key.map(ops::hashed)
+            },
+            &self.zero,
+            |(_, scx, _), row| self.sng.call(std::slice::from_ref(row), scx, catalog),
+            |(.., ucx), a, b| self.uni.call_owned([a, b], ucx, catalog),
+        )
+    }
+}
+
+/// A combiner's record weight and byte weight: its key's, `sng`'s and
+/// `uni`'s together.
+fn combiner_weights(key: &Lambda, fold: &FoldOp) -> (f64, f64) {
+    (
+        key.static_cost() + fold.sng.static_cost() + fold.uni.static_cost(),
+        key.static_byte_cost() + fold.sng.static_byte_cost() + fold.uni.static_byte_cost(),
+    )
+}
+
+/// A kernel's finished groups as the scalar loop's seed: first-seen order,
+/// each key with its hash.
+fn seeded(groups: Vec<(Value, Value)>) -> InsertionMap<Value, Value> {
+    let mut accs = InsertionMap::new();
+    for (k, acc) in groups {
+        accs.insert_hashed(value_hash(&k), k, acc);
+    }
+    accs
+}
+
+/// The scalar loop's groups as partials.
+fn scalar_partials(accs: InsertionMap<Value, Value>) -> Shipped {
+    Measured::partials(accs.into_iter().map(|e| (e.hash, e.key, e.value)))
+}
+
+/// Runs one partition of a chain and the combiner that reads it
+/// ([`Session::exec_fused_agg_by`]), in batches of input rows. A batch the
+/// kernel takes runs the chain, `key` and `sng`, and folds the rows the
+/// chain leaves; it tallies one batch of the chain's, and one of the
+/// combiner's each time the rows it folded fill a batch, as the
+/// combiner's own wave batched the chain's output. From the first batch
+/// that aborts (a non-conforming row, or an error on a lane) on, the rest
+/// of the partition runs through the scalar chain and the scalar fold,
+/// seeded with the kernel's groups. A chain error ends the task. The first
+/// fold error is held while the chain runs to the partition's end, and then
+/// takes the place of the partials. Returns the rows that entered each
+/// stage boundary, and the partials.
+fn fused_partition(
+    part: &[Value],
+    site: &NarrowSite<'_>,
+    comb: &Combiner<'_>,
+    (kernel, batch_rows): &(AggKernel, usize),
+    catalog: &Catalog,
+    tally: &mut Tally,
+) -> Result<(Vec<u64>, Result<Shipped, ValueError>), ValueError> {
+    let (nstages, batch_rows) = (site.n_stages(), *batch_rows);
+    let mut entered = vec![0u64; nstages + 1];
+    let mut st = Some(kernel.new_state());
+    let (mut accs, mut held, mut cx) = (InsertionMap::new(), None, None);
+    // Rows the kernel folded that no combiner batch has tallied yet.
+    let mut folded = 0;
+    for chunk in part.chunks(batch_rows) {
+        if let Some(state) = st.as_mut() {
+            if kernel.absorb(chunk, state) {
+                let out = entered[nstages];
+                kernel.count(state, &mut entered);
+                tally.batch(chunk.len());
+                folded += (entered[nstages] - out) as usize;
+                while folded >= batch_rows {
+                    tally.batch(batch_rows);
+                    folded -= batch_rows;
+                }
+                continue;
+            }
+            let st = st.take().expect("the kernel folds until it aborts");
+            accs = seeded(kernel.finish(st));
+        }
+        let rows = site.scalar_pass(chunk, catalog, &mut entered)?;
+        if held.is_none() {
+            held = comb.fold_rows(&mut accs, &rows, &mut cx, catalog).err();
+        }
+    }
+    let partials = match (held, st) {
+        (Some(e), _) => Err(e),
+        (None, Some(st)) => {
+            if folded > 0 {
+                tally.batch(folded);
+            }
+            let (keys, cols) = kernel.finish_columns(st);
+            Ok(Measured::partial_columns(keys, cols, kernel.acc_width()))
+        }
+        (None, None) => Ok(scalar_partials(accs)),
+    };
+    Ok((entered, partials))
 }
 
 /// Groups one partition's rows by their row-aligned keys ([`ops::group`]),

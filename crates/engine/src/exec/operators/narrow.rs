@@ -35,36 +35,149 @@ impl<'p> From<&'p PipelineStage> for Narrow<'p> {
     }
 }
 
+/// A narrow chain readied to run ([`Session::narrow_site`]): its input, and
+/// for each stage its UDF prepared over its base scope and what its charges
+/// need.
+pub(crate) struct NarrowSite<'p> {
+    plan: &'p Plan,
+    stages: Vec<Narrow<'p>>,
+    /// The chain's input partitions.
+    pub(crate) input: Partitioned,
+    bases: Vec<HashMap<String, Value>>,
+    prepared: Vec<PreparedStage<'p>>,
+    /// Whether stage `i`'s input rows are materialized groups (the
+    /// `consumes_grouped_rows` test, looking back through fused Filter
+    /// stages).
+    grouped: Vec<bool>,
+    /// Folds over nested bags in each stage's UDF.
+    nested: Vec<usize>,
+    /// Per-stage byte weights: stages whose UDFs contain length-scaling
+    /// builtins (`StrContains`) charge a byte term against their entry
+    /// bytes.
+    byte_costs: Vec<f64>,
+    /// Per stage boundary, whether the wave totals the bytes that enter it.
+    need_bytes: Vec<bool>,
+}
+
+impl NarrowSite<'_> {
+    /// Number of stages.
+    pub(crate) fn n_stages(&self) -> usize {
+        self.stages.len()
+    }
+
+    /// The stages as a typed-kernel chain. FlatMap stages (bag-producing)
+    /// and byte-sampled intermediates (nested-bag-fold re-scans and
+    /// byte-weighted builtins past the head stage charge from per-row
+    /// sizes) have no columnar form. A byte-weighted *head* stage charges
+    /// from the materialized input and vectorizes fine.
+    pub(crate) fn specs(&self) -> Option<Vec<VecStageSpec<'_>>> {
+        if self.need_bytes.contains(&true) {
+            return None;
+        }
+        (self.prepared.iter())
+            .map(|s| match s {
+                PreparedStage::Map(p) => vec_spec(p, false),
+                PreparedStage::Filter(p) => vec_spec(p, true),
+                PreparedStage::FlatMap(_) => None,
+            })
+            .collect()
+    }
+
+    /// Runs the chain over `rows` through the scalar tier
+    /// ([`run_pipeline_partition`] without kernels): the rows it leaves,
+    /// with each stage boundary's row count added to `counts`.
+    pub(crate) fn scalar_pass(
+        &self,
+        rows: &[Value],
+        catalog: &Catalog,
+        counts: &mut [u64],
+    ) -> Result<Vec<Value>, ValueError> {
+        let mut tally = Tally::default();
+        let (out, entered, _) = run_pipeline_partition(
+            rows,
+            None,
+            &self.prepared,
+            &self.bases,
+            catalog,
+            &self.need_bytes,
+            &mut tally,
+            None,
+        )?;
+        counts.iter_mut().zip(entered).for_each(|(c, n)| *c += n);
+        Ok(out)
+    }
+}
+
+/// A chain's row counts per stage boundary, over the partitions of its
+/// wave: in total, in the largest partition, and the largest partition's
+/// entry bytes where the wave totals them.
+pub(crate) struct StageCounts {
+    total: Vec<u64>,
+    max: Vec<u64>,
+    bytes_max: Vec<u64>,
+}
+
+impl StageCounts {
+    pub(crate) fn new(nstages: usize) -> Self {
+        let zeros = vec![0; nstages + 1];
+        StageCounts {
+            total: zeros.clone(),
+            max: zeros.clone(),
+            bytes_max: zeros,
+        }
+    }
+
+    /// Adds one partition's counts and entry bytes.
+    pub(crate) fn add(&mut self, counts: &[u64], bytes: &[u64]) {
+        for (i, &n) in counts.iter().enumerate() {
+            self.total[i] += n;
+            self.max[i] = self.max[i].max(n);
+        }
+        for (max, &b) in self.bytes_max.iter_mut().zip(bytes) {
+            *max = (*max).max(b);
+        }
+    }
+
+    /// The rows the chain leaves: in total, and in the largest partition.
+    pub(crate) fn out(&self) -> (u64, u64) {
+        let last = self.total.len() - 1;
+        (self.total[last], self.max[last])
+    }
+}
+
 impl Session<'_> {
     /// Runs a narrow plan node — a fused `Plan::Pipeline`, or a standalone
     /// `Map` / `Filter` / `FlatMap` as its one-stage case — in one
-    /// per-partition pass with no intermediate materialization. The engine
-    /// picks the tier for the whole chain — typed column kernels when it
-    /// specializes, the scalar flat loop otherwise (a counted refusal) — and
-    /// then issues each stage's charges from its entry sizes.
-    ///
-    /// With a [`KeyTap`] each task also takes, from every output row while
-    /// it is in cache, its key ([`KeyCursor`]) and its width ([`RowTap`]):
-    /// the partitions come out measured, with their keys. The key's tier is
-    /// decided on the driver before the wave, from the sample the finished
-    /// output would have given ([`output_sample`]).
+    /// per-partition pass with no intermediate materialization
+    /// ([`Session::narrow_site`], then [`Session::run_narrow`]).
     pub(crate) fn exec_narrow(
         &mut self,
         plan: &Plan,
         tap: Option<KeyTap<'_>>,
         env: &EnvSnapshot,
     ) -> Result<KeyedInput, ExecError> {
+        let site = self.narrow_site(plan, env)?;
+        self.run_narrow(site, tap)
+    }
+
+    /// Readies a narrow chain to run: runs its input, builds each stage's
+    /// base scope — in stage order, so thunk forcings, broadcasts and cache
+    /// hits/misses happen exactly as the unfused chain's would — and
+    /// prepares its UDF, and charges what the head stage is known to cost
+    /// before any row runs.
+    pub(crate) fn narrow_site<'p>(
+        &mut self,
+        plan: &'p Plan,
+        env: &EnvSnapshot,
+    ) -> Result<NarrowSite<'p>, ExecError> {
         let (input, stages): (&Plan, Vec<Narrow>) = match plan {
             Plan::Map { input, f } => (input, vec![Narrow::Map(f)]),
             Plan::Filter { input, p } => (input, vec![Narrow::Filter(p)]),
             Plan::FlatMap { input, param, body } => (input, vec![Narrow::FlatMap(param, body)]),
             Plan::Pipeline { input, stages } => (input, stages.iter().map(Narrow::from).collect()),
-            _ => unreachable!("exec_narrow runs narrow plan nodes"),
+            _ => unreachable!("narrow_site readies narrow plan nodes"),
         };
         let d = self.exec_bag(input, env)?;
-        // Per-stage base environments, evaluated in stage order so thunk
-        // forcings, broadcasts, and cache hits/misses happen exactly as the
-        // unfused chain's would.
         let mut bases = Vec::with_capacity(stages.len());
         for stage in &stages {
             bases.push(match *stage {
@@ -86,16 +199,13 @@ impl Session<'_> {
         // runs — charge it up front so a quadratic scan still aborts on the
         // simulated clock instead of really executing. Later stages' input
         // sizes only exist after the fused pass; their (identical) charges
-        // are issued below.
+        // are issued by `charge_stages`.
         if let Narrow::Map(f) | Narrow::Filter(f) = stages[0] {
             let scan_rows = broadcast_fold_scan_rows(&f.body, &bases[0], self.catalog);
             self.charge(Charge::BroadcastScans(d.max_part_rows(), scan_rows));
             self.check_budget()?;
         }
         let nstages = stages.len();
-        // Whether stage i's input rows are materialized groups (the
-        // `consumes_grouped_rows` test, looking back through fused Filter
-        // stages).
         let grouped: Vec<bool> = (0..nstages)
             .map(|i| {
                 let mut j = i;
@@ -117,9 +227,6 @@ impl Session<'_> {
                 _ => 0,
             })
             .collect();
-        // Per-stage byte weights: stages whose UDFs contain length-scaling
-        // builtins (`StrContains`) charge a byte term against their entry
-        // bytes.
         let byte_costs: Vec<f64> = stages
             .iter()
             .map(|s| match *s {
@@ -135,36 +242,51 @@ impl Session<'_> {
         for i in 1..nstages {
             need_bytes[i] = (nested[i] > 0 && grouped[i]) || byte_costs[i] > 0.0;
         }
-        // FlatMap stages (bag-producing) and byte-sampled intermediates
-        // (nested-bag-fold re-scans and byte-weighted builtins past the head
-        // stage charge from per-row sizes) have no columnar form — a counted
-        // refusal. A byte-weighted *head* stage charges from the
-        // materialized input and vectorizes fine.
-        let specs: Option<Vec<VecStageSpec>> = if need_bytes.contains(&true) {
-            None
-        } else {
-            prepared
-                .iter()
-                .map(|s| match s {
-                    PreparedStage::Map(p) => vec_spec(p, false),
-                    PreparedStage::Filter(p) => vec_spec(p, true),
-                    PreparedStage::FlatMap(_) => None,
-                })
-                .collect()
-        };
+        Ok(NarrowSite {
+            plan,
+            stages,
+            input: d,
+            bases,
+            prepared,
+            grouped,
+            nested,
+            byte_costs,
+            need_bytes,
+        })
+    }
+
+    /// Runs a readied narrow chain in one per-partition pass. The engine
+    /// picks the tier for the whole chain — typed column kernels when it
+    /// specializes, the scalar flat loop otherwise (a counted refusal) —
+    /// and then issues each stage's charges from its entry sizes
+    /// ([`Session::charge_stages`]).
+    ///
+    /// With a [`KeyTap`] each task also takes, from every output row while
+    /// it is in cache, its key ([`KeyCursor`]) and its width ([`RowTap`]):
+    /// the partitions come out measured, with their keys. The key's tier is
+    /// decided on the driver before the wave, from the sample the finished
+    /// output would have given ([`output_sample`]).
+    pub(crate) fn run_narrow(
+        &mut self,
+        site: NarrowSite<'_>,
+        tap: Option<KeyTap<'_>>,
+    ) -> Result<KeyedInput, ExecError> {
+        let d = &site.input;
+        let specs = site.specs();
         let vec_run = self.try_vectorize(
             sample_rows(&d.parts),
             |st| &mut st.vector_fallbacks,
             |rows| vectorized::specialize_sampled(specs.as_deref()?, rows),
         );
         let catalog = self.catalog;
+        let (prepared, bases, need_bytes) = (&site.prepared, &site.bases, &site.need_bytes);
         // A Filter preserves the physical layout; Map/FlatMap drop it.
-        let filter_only = stages.iter().all(|s| matches!(s, Narrow::Filter(_)));
+        let filter_only = site.stages.iter().all(|s| matches!(s, Narrow::Filter(_)));
         let partitioning = filter_only.then(|| d.partitioning.clone()).flatten();
         let key = match tap.filter(|t| t.wanted(partitioning.as_ref(), self.dop())) {
             Some(tap) => {
                 let sample = (self.kernels_on())
-                    .then(|| output_sample(&d.parts, &prepared, &bases, catalog, &need_bytes))
+                    .then(|| output_sample(&d.parts, prepared, bases, catalog, need_bytes))
                     .flatten();
                 Some(self.key_eval(tap.key, tap.base, sample.as_deref()))
             }
@@ -176,10 +298,10 @@ impl Session<'_> {
             let pass = run_pipeline_partition(
                 part,
                 vec,
-                &prepared,
-                &bases,
+                prepared,
+                bases,
                 catalog,
-                &need_bytes,
+                need_bytes,
                 tally,
                 tap.as_mut(),
             )?;
@@ -188,15 +310,9 @@ impl Session<'_> {
         })?;
         let mut parts = Vec::with_capacity(results.len());
         let mut keys = Vec::with_capacity(results.len());
-        let mut counts_total = vec![0u64; nstages + 1];
-        let mut counts_max = vec![0u64; nstages + 1];
-        let mut bytes_max = vec![0u64; nstages + 1];
-        for ((rows, counts, bytes), taken) in results {
-            for i in 0..=nstages {
-                counts_total[i] += counts[i];
-                counts_max[i] = counts_max[i].max(counts[i]);
-                bytes_max[i] = bytes_max[i].max(bytes[i]);
-            }
+        let mut counts = StageCounts::new(site.stages.len());
+        for ((rows, entered, bytes), taken) in results {
+            counts.add(&entered, &bytes);
             parts.push(match taken {
                 Some((widths, part_keys)) => {
                     keys.push(part_keys);
@@ -205,52 +321,7 @@ impl Session<'_> {
                 None => rows.into(),
             });
         }
-        // Issue each stage's charges from its (now known) input sizes, on
-        // the driver, in one order whatever the chain length: record-weighted
-        // CPU, then the byte term, then nested-bag-fold re-scans — so a fused
-        // chain and its unfused operators agree on the simulated clock bit
-        // for bit, whichever tier ran the rows.
-        let dop = self.dop().max(1) as u64;
-        for (i, stage) in stages.iter().enumerate() {
-            // The head stage sees the materialized input; later stages
-            // tracked their entry bytes via `need_bytes`.
-            let entry_bytes = || {
-                if i == 0 {
-                    d.max_part_bytes()
-                } else {
-                    bytes_max[i]
-                }
-            };
-            match *stage {
-                Narrow::Map(f) | Narrow::Filter(f) => {
-                    if i > 0 {
-                        let scan_rows = broadcast_fold_scan_rows(&f.body, &bases[i], self.catalog);
-                        self.charge(Charge::BroadcastScans(counts_max[i], scan_rows));
-                        self.check_budget()?;
-                    }
-                    self.charge(Charge::Cpu(counts_total[i], counts_max[i], f.static_cost()));
-                }
-                Narrow::FlatMap(_, body) => {
-                    let produced = counts_total[i + 1];
-                    self.charge(Charge::Cpu(
-                        counts_total[i] + produced,
-                        counts_max[i] + produced / dop,
-                        body.static_cost(),
-                    ));
-                }
-            }
-            self.charge(Charge::cpu_bytes(byte_costs[i], entry_bytes));
-            // Folds over *materialized group values* re-scan their data;
-            // folds over small per-record bags (e.g. a vertex's neighbor
-            // list carried through a join) do not — the charge applies only
-            // when the stage consumes a grouping operator's output.
-            if grouped[i] {
-                self.charge(Charge::nested_bag_folds(nested[i], entry_bytes));
-            }
-        }
-        if matches!(plan, Plan::Pipeline { .. }) {
-            self.check_budget()?;
-        }
+        self.charge_stages(&site, &counts)?;
         Ok(KeyedInput {
             data: Partitioned {
                 parts,
@@ -258,6 +329,62 @@ impl Session<'_> {
             },
             keys: key.map(|_| keys),
         })
+    }
+
+    /// Issues each stage's charges from its (now known) input sizes, on the
+    /// driver, in one order whatever the chain length: record-weighted CPU,
+    /// then the byte term, then nested-bag-fold re-scans — so a fused chain
+    /// and its unfused operators agree on the simulated clock bit for bit,
+    /// whichever tier ran the rows, and whether the chain ran as a wave of
+    /// its own or inside its consumer's.
+    pub(crate) fn charge_stages(
+        &mut self,
+        site: &NarrowSite<'_>,
+        counts: &StageCounts,
+    ) -> Result<(), ExecError> {
+        let dop = self.dop().max(1) as u64;
+        for (i, stage) in site.stages.iter().enumerate() {
+            // The head stage sees the materialized input; later stages
+            // tracked their entry bytes via `need_bytes`.
+            let entry_bytes = || {
+                if i == 0 {
+                    site.input.max_part_bytes()
+                } else {
+                    counts.bytes_max[i]
+                }
+            };
+            match *stage {
+                Narrow::Map(f) | Narrow::Filter(f) => {
+                    if i > 0 {
+                        let scan_rows =
+                            broadcast_fold_scan_rows(&f.body, &site.bases[i], self.catalog);
+                        self.charge(Charge::BroadcastScans(counts.max[i], scan_rows));
+                        self.check_budget()?;
+                    }
+                    self.charge(Charge::Cpu(counts.total[i], counts.max[i], f.static_cost()));
+                }
+                Narrow::FlatMap(_, body) => {
+                    let produced = counts.total[i + 1];
+                    self.charge(Charge::Cpu(
+                        counts.total[i] + produced,
+                        counts.max[i] + produced / dop,
+                        body.static_cost(),
+                    ));
+                }
+            }
+            self.charge(Charge::cpu_bytes(site.byte_costs[i], entry_bytes));
+            // Folds over *materialized group values* re-scan their data;
+            // folds over small per-record bags (e.g. a vertex's neighbor
+            // list carried through a join) do not — the charge applies only
+            // when the stage consumes a grouping operator's output.
+            if site.grouped[i] {
+                self.charge(Charge::nested_bag_folds(site.nested[i], entry_bytes));
+            }
+        }
+        if matches!(site.plan, Plan::Pipeline { .. }) {
+            self.check_budget()?;
+        }
+        Ok(())
     }
 }
 

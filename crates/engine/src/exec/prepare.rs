@@ -290,6 +290,11 @@ impl Session<'_> {
         self.tiers.vectorized.is_some()
     }
 
+    /// The typed kernels' batch size; `None` when they are off.
+    pub(super) fn batch_rows(&self) -> Option<usize> {
+        self.tiers.vectorized.map(|cfg| cfg.batch_rows)
+    }
+
     /// The driver's specialize-or-refuse decision for one site of the
     /// vectorized columnar tier: runs `specialize` — a chain of prepared
     /// Map/Filter stages, a wide operator's key UDF, or one phase of a fused

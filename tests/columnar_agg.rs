@@ -654,3 +654,242 @@ fn a_fused_group_by_s_accumulator_columns_cross_alike_on_every_tier() {
     assert_eq!(unsplit, split);
     assert_eq!(unsplit.len(), 100);
 }
+
+/// The rows of a grid input that get a 0 divisor or modulus: `chain` in
+/// `d`, `key` in `m`, `sng` in `e` ([`grid_row`]).
+#[derive(Clone, Copy)]
+struct Zeros {
+    chain: Option<usize>,
+    key: Option<usize>,
+    sng: Option<usize>,
+}
+
+fn zeros(chain: Option<usize>, key: Option<usize>, sng: Option<usize>) -> Zeros {
+    Zeros { chain, key, sng }
+}
+
+/// Row `i` of the fused-combiner grid, `(k, d, m, v, e, js)`: a group, the
+/// chain's divisor, the key's modulus, a value, the fold's divisor and a
+/// bag for a `FlatMap` to range over, with the zeros `zero` plants.
+fn grid_row(i: usize, zero: Zeros) -> Value {
+    let at = |z: Option<usize>, v: i64| if z == Some(i) { 0 } else { v };
+    let Zeros { chain, key, sng } = zero;
+    Value::tuple([
+        Value::Int(i as i64 % 7),
+        Value::Int(at(chain, [1, 2, 3, -1][i % 4])),
+        Value::Int(at(key, [2, 3, 5][i % 3])),
+        Value::Float((i % 11) as f64 * 0.5 - 1.0),
+        Value::Int(at(sng, [1, 2, -4][i % 3])),
+        Value::bag(vec![Value::Int(0), Value::Int(1)]),
+    ])
+}
+
+/// The chain's division, `x.3 / x.1`: a chain error on a row whose `d` is 0.
+fn chain_div() -> ScalarExpr {
+    x().get(3).div(x().get(1))
+}
+
+/// `(k, d, m, f(x), e)`: the row with its value replaced.
+fn replace_value(f: ScalarExpr) -> ScalarExpr {
+    ScalarExpr::Tuple(vec![x().get(0), x().get(1), x().get(2), f, x().get(4)])
+}
+
+/// The chains of the grid, each over `rows`: three that fuse into their
+/// combiner and two that keep their own wave.
+fn grid_chains() -> Vec<(&'static str, BagExpr)> {
+    let rows = || BagExpr::read("rows");
+    let filter = || Lambda::new(["x"], chain_div().gt(ScalarExpr::lit(Value::Float(-2.0))));
+    let map = || {
+        Lambda::new(
+            ["x"],
+            replace_value(chain_div().add(ScalarExpr::lit(1.0f64))),
+        )
+    };
+    let twice = BagExpr::of_value(x().get(5)).map(Lambda::new(
+        ["j"],
+        ScalarExpr::Tuple(vec![
+            x().get(0).add(ScalarExpr::var("j")),
+            x().get(1),
+            x().get(2),
+            chain_div(),
+            x().get(4),
+        ]),
+    ));
+    // A vector builtin: no kernel takes it, so the chain is a counted
+    // refusal and runs through the scalar tier.
+    let norm = ScalarExpr::call(
+        BuiltinFn::Dist,
+        vec![
+            ScalarExpr::call(
+                BuiltinFn::VecScale,
+                vec![ScalarExpr::lit(Value::vector(vec![1.0])), x().get(3)],
+            ),
+            ScalarExpr::lit(Value::vector(vec![0.0])),
+        ],
+    );
+    vec![
+        ("filter", rows().filter(filter())),
+        ("map", rows().map(map())),
+        ("pipeline", rows().filter(filter()).map(map())),
+        ("flat_map", rows().flat_map(BagLambda::new("x", twice))),
+        (
+            "refused",
+            rows().map(Lambda::new(["x"], replace_value(norm.div(x().get(1))))),
+        ),
+    ]
+}
+
+/// `aggBy(x.0 % x.2)` of `(sum(x.3 / x.4), count, max(x.0))` over `chain`:
+/// a key error on a row whose `m` is 0, an `sng` error on one whose `e` is.
+fn grid_program(chain: BagExpr) -> Program {
+    let sum = FoldOp::sum();
+    let fold = FoldOp::banana_split(&[
+        FoldOp {
+            sng: Lambda::new(["x"], x().get(3).div(x().get(4))),
+            ..sum
+        },
+        FoldOp::count(),
+        FoldOp {
+            sng: Lambda::new(["x"], x().get(0)),
+            ..FoldOp::max()
+        },
+    ]);
+    Program::new(vec![Stmt::write(
+        "agg",
+        BagExpr::AggBy {
+            input: Box::new(chain),
+            key: Lambda::new(["x"], x().get(0).rem(x().get(2))),
+            fold,
+        },
+    )])
+}
+
+/// One cell of the grid: `p` over `catalog` on the interpreter tier, the
+/// scalar tier and the kernels, across `MATRIX`, with and without chaos.
+/// Every run raises the interpreter tier's error, which is `want_err`, or
+/// writes its rows with its counters and clock; the kernels' telemetry
+/// replays on every leg.
+fn assert_grid_cell(cell: &str, p: &Program, catalog: &Catalog, want_err: Option<&str>) {
+    let reference = Interp::new(catalog).run(p);
+    let kernels_prog = compile(p);
+    let interp_prog = parallelize(p, &OptimizerFlags::all().with_compiled_eval(false));
+    for chaos in [None, Some(FaultConfig::chaos(0x5EED))] {
+        let mk = |tier: &str, mode: ParallelismMode, threads: usize| {
+            let mut e = engine()
+                .with_parallelism_mode(mode)
+                .with_worker_threads(Some(threads));
+            if let Some(cfg) = chaos {
+                e = e.with_faults(cfg);
+            }
+            let (e, prog) = match tier {
+                "interp" => (e, &interp_prog),
+                "scalar" => (scalar_tier(e), &kernels_prog),
+                _ => (e.with_vectorized_eval(BatchConfig::new(16)), &kernels_prog),
+            };
+            e.run(prog, catalog)
+        };
+        let what = |tier: &str, m, t| format!("{cell}: {tier} {m:?}×{t} chaos {}", chaos.is_some());
+        let base = mk("interp", MATRIX[0].0, MATRIX[0].1);
+        match (&base, want_err) {
+            (Err(e), Some(msg)) => {
+                assert!(format!("{e:?}").contains(msg), "{cell}: {e:?}");
+                assert!(reference.is_err(), "{cell}: the reference runs");
+            }
+            (Ok(run), None) => {
+                let want = reference.as_ref().expect("the reference runs it");
+                assert_matches_interp(cell, want, run);
+            }
+            (got, _) => panic!("{cell}: {got:?}"),
+        }
+        let mut telemetry: Option<ExecStats> = None;
+        for tier in ["interp", "scalar", "kernels"] {
+            for &(m, t) in &MATRIX {
+                let what = what(tier, m, t);
+                match (mk(tier, m, t), &base) {
+                    (Err(got), Err(want)) => {
+                        assert_eq!(format!("{got:?}"), format!("{want:?}"), "{what}")
+                    }
+                    (Ok(run), Ok(want)) => {
+                        assert_same_runs(&what, &run, want);
+                        assert_eq!(run.stats.without_tier_telemetry(), want.stats, "{what}");
+                        assert_eq!(
+                            run.stats.simulated_secs.to_bits(),
+                            want.stats.simulated_secs.to_bits(),
+                            "{what}"
+                        );
+                        if tier == "kernels" {
+                            let first = telemetry.get_or_insert_with(|| run.stats.clone());
+                            assert_eq!(&run.stats, first, "{what}: telemetry replay");
+                        }
+                    }
+                    (got, _) => panic!("{what}: {got:?} against {base:?}"),
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_combiner_over_a_narrow_chain_agrees_with_the_interpreter_on_every_input() {
+    // 320 rows in eight partitions of 40 (three batches of 16). Row 44, in
+    // partition 1, passes the filter; rows 72 and 204 sit later in
+    // partition 1 and four partitions later, row 100 in partition 2.
+    let div = Some("division by zero");
+    let inputs = [
+        ("clean", zeros(None, None, None), None),
+        (
+            "key error",
+            zeros(None, Some(44), None),
+            Some("modulo by zero"),
+        ),
+        ("sng error", zeros(None, None, Some(44)), div),
+        (
+            "chain error later in the partition",
+            zeros(Some(72), Some(44), None),
+            div,
+        ),
+        (
+            "chain error four partitions later",
+            zeros(Some(204), Some(44), None),
+            div,
+        ),
+        (
+            "one chain lane divides by zero",
+            zeros(Some(100), None, None),
+            div,
+        ),
+    ];
+    for (chain, bag) in grid_chains() {
+        let p = grid_program(bag);
+        for (input, zero, want_err) in inputs {
+            let rows = (0..320).map(|i| grid_row(i, zero)).collect();
+            let catalog = Catalog::new().with("rows", rows);
+            assert_grid_cell(&format!("{chain} / {input}"), &p, &catalog, want_err);
+        }
+    }
+}
+
+#[test]
+fn q1_s_filter_runs_inside_its_combiner_and_counts_as_two_waves() {
+    // The benchmark's `tpch_q1` instance at 1/8 scale, on its engine.
+    let catalog = tpch::catalog(&TpchSpec {
+        scale: 2.0,
+        seed: 42,
+    });
+    let engine = Engine::sparrow().with_worker_threads(Some(1));
+    let run = engine
+        .run(&compile(&tpch::q1_program()), &catalog)
+        .expect("Q1 runs");
+    let wall = &run.stats.op_wall_secs;
+    assert!(!wall.contains_key("Filter"), "{wall:?}");
+    assert!(wall.contains_key("AggBy"), "{wall:?}");
+    // What the Filter's wave and the combiner's wave tallied between them
+    // when each ran as a wave of its own.
+    assert_eq!(
+        (run.stats.rows_vectorized, run.stats.batches_executed),
+        (25_484, 646),
+        "{}",
+        run.stats
+    );
+    assert_eq!(run.stats.vector_fallbacks, 0, "{}", run.stats);
+}

@@ -151,6 +151,15 @@ impl CFold {
             counts,
         }
     }
+
+    /// The code of the nested bag a `count` reads, when this fold counts
+    /// the elements of an `OfValue`: its result is that bag's length.
+    pub(crate) fn counted_bag(&self) -> Option<&Code> {
+        match &self.bag {
+            CBagNode::OfValue(code) if self.counts => Some(code),
+            _ => None,
+        }
+    }
 }
 
 /// A compiled bag expression, mirroring [`BagExpr`] with pre-resolved

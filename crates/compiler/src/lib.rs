@@ -59,4 +59,6 @@ pub use pipeline::{parallelize, CompiledProgram, OptimizationReport, OptimizerFl
 pub use plan::Plan;
 pub use program::{Program, RValue, Stmt};
 pub use value::{Value, ValueError};
-pub use vectorized::{specialize, BatchConfig, VecStageSpec, VectorPipeline, VectorScratch};
+pub use vectorized::{
+    specialize_sampled, BatchConfig, VecStageSpec, VectorPipeline, VectorScratch,
+};

@@ -22,11 +22,11 @@
 //!   / put-back; the per-lane code of a kernel is one closure. A new column
 //!   type is one `Ty`, its load and its materialization; a new kernel is one
 //!   builder rule and one closure.
-//! - **Specialization is all-or-nothing per program.** [`specialize`]
-//!   returns `None` the moment any opcode resists typing (vector ops,
-//!   nested folds, bag construction, an unbound capture, a static type
-//!   that would make the reference semantics error on every row); the
-//!   caller falls back to the scalar `Machine` for that operator and
+//! - **Specialization is all-or-nothing per program.** [`specialize_sampled`]
+//!   returns `None` the moment any opcode resists typing (vector ops, folds
+//!   other than a nested bag's `count`, bag construction, an unbound capture,
+//!   a static type that would make the reference semantics error on every
+//!   row); the caller falls back to the scalar `Machine` for that operator and
 //!   reports it (`ExecStats::vector_fallbacks`) — no silent slow paths.
 //! - **String columns are offset+bytes arenas.** A `Str`-typed slot loads
 //!   into one shared byte buffer plus per-lane `(start, len)` ranges
@@ -184,6 +184,8 @@ enum Op1 {
     Hash,
     /// `str_len`: the byte length, exactly the interpreter's `len() as i64`.
     StrLen,
+    /// A nested bag's `count`: its length; a lane with no bag aborts.
+    Len,
 }
 
 /// The binary compute kernels; both operands have the same type (the
@@ -433,25 +435,15 @@ impl VectorScratch {
 
 // ----------------------------------------------------------- type inference
 
-/// Statically types a chain of compiled slot programs against a sample
-/// input row, lowering every opcode to column kernels. Returns `None` as
-/// soon as any opcode is not specializable; the chain is then evaluated by
-/// the scalar tier (which is always correct) and reported as a fallback.
-///
-/// Purely a function of the programs, their bound captures, and the sample
-/// row's *shape* — so given deterministic data, specialization decisions
-/// replay identically across runs, thread counts, and dispatch modes.
-pub fn specialize(stages: &[VecStageSpec<'_>], sample: &Value) -> Option<VectorPipeline> {
-    specialize_sampled(stages, std::slice::from_ref(sample))
-}
-
-/// [`specialize`] with a multi-row driver-side sample. The first row
-/// defines the input shape exactly as before; the remaining rows only
-/// inform *encoding* decisions — a `Str` slot whose sampled values are
-/// low-cardinality ([`StrCol`]'s dictionary heuristic: at least
-/// [`DICT_MIN_SAMPLE`] conforming samples with at most half as many
-/// distinct values) loads dictionary-encoded. Still a pure function of the
-/// programs, captures, and sample, so decisions replay deterministically.
+/// Statically types a chain of compiled slot programs against a driver-side
+/// sample — its first row fixes the input shape, and all of them decide
+/// which `Str` slots load dictionary-encoded ([`StrCol`]: at least
+/// [`DICT_MIN_SAMPLE`] conforming samples, at most half of them distinct) —
+/// lowering every opcode to column kernels. `None` as soon as an opcode is
+/// not specializable: the scalar tier (always correct) then runs the chain,
+/// reported as a fallback. A pure function of the programs, their captures
+/// and the sample, so decisions replay across runs, thread counts and
+/// dispatch modes.
 pub fn specialize_sampled(
     stages: &[VecStageSpec<'_>],
     samples: &[Value],
@@ -665,10 +657,16 @@ impl<'s> Builder<'s> {
                     pc = end;
                     continue;
                 }
-                // Bare jumps only occur inside an `If` (consumed above).
-                Op::Jump(_) => return None,
-                // Nested folds and bag construction stay scalar.
-                Op::Fold(_) | Op::MkBag(_) => return None,
+                // Bare jumps only occur inside an `If` (consumed above); bag
+                // construction stays scalar.
+                Op::Jump(_) | Op::MkBag(_) => return None,
+                // A nested bag's `count` is its length; other folds stay scalar.
+                Op::Fold(f) => {
+                    let src = &f.counted_bag()?.ops;
+                    let bag = self.eval_range(src, 0..src.len(), caps, input, sel)?;
+                    let bag = self.resolve(bag).filter(|c| c.ty == Ty::V)?;
+                    stack.push(VVal::Col(self.emit_un(Op1::Len, Ty::I, bag)));
+                }
             }
             pc += 1;
         }
@@ -1290,6 +1288,12 @@ fn step(instr: &VInstr, rows: &[Value], s: &mut VectorScratch, n: usize) -> bool
                     str_lanes(s, at, |a, _, l| per[a.codes[l] as usize])
                 }
                 (Op1::StrLen, S) => str_lanes(s, at, |a, _, l| a.lens[l] as i64),
+                (Op1::Len, V) => write(s, n, at.dst, |s, d: &mut [i64]| {
+                    s.sels[at.sel].iter().all(|&l| {
+                        let len = s.v[at.a][l as usize].as_bag().map(|xs| xs.len() as i64);
+                        len.map(|len| d[l as usize] = len).is_ok()
+                    })
+                }),
                 _ => unreachable!("{TYPING}"),
             }
         }
@@ -1787,11 +1791,8 @@ fn lane_eq_value(m: &MatNode, s: &VectorScratch, l: usize, v: &Value) -> bool {
             _ => false,
         },
         (MatNode::Tup(ms), Value::Tuple(vs)) => {
-            ms.len() == vs.len()
-                && ms
-                    .iter()
-                    .zip(vs.iter())
-                    .all(|(m, v)| lane_eq_value(m, s, l, v))
+            let mut fields = ms.iter().zip(vs.iter());
+            ms.len() == vs.len() && fields.all(|(m, v)| lane_eq_value(m, s, l, v))
         }
         _ => false,
     }
@@ -1936,10 +1937,9 @@ impl AggKernel {
     /// dictionary-encoded string column the probe runs once per distinct
     /// code combination per batch.
     fn assign_groups(&self, n: usize, st: &mut AggState) {
-        let key = self
-            .key
-            .as_ref()
-            .expect("the combiner phase builds its keys");
+        let Some(key) = &self.key else {
+            unreachable!("the combiner phase builds its keys")
+        };
         let AggState {
             scratch: s,
             keys,
@@ -2075,8 +2075,11 @@ mod tests {
         let code = compile_lambda(lam);
         let caps = code.bind(&HashMap::new());
         let catalog = Catalog::new();
-        let vp = specialize(&[VecStageSpec::Map(&code, &caps)], &rows[0])
-            .expect("expected specializable program");
+        let vp = specialize_sampled(
+            &[VecStageSpec::Map(&code, &caps)],
+            std::slice::from_ref(&rows[0]),
+        )
+        .expect("expected specializable program");
         let mut scratch = vp.new_scratch();
         let mut counts = vec![0u64; 2];
         let mut out = Vec::new();
@@ -2203,9 +2206,9 @@ mod tests {
         let lam = Lambda::new(["x"], se_bin(BinOp::Div, x0(), x1()));
         let code = compile_lambda(&lam);
         let caps = code.bind(&HashMap::new());
-        let vp = specialize(
+        let vp = specialize_sampled(
             &[VecStageSpec::Map(&code, &caps)],
-            &Value::tuple(vec![Value::Float(1.0), Value::Float(1.0)]),
+            &[Value::tuple(vec![Value::Float(1.0), Value::Float(1.0)])],
         )
         .unwrap();
         let rows = vec![
@@ -2232,9 +2235,9 @@ mod tests {
         );
         let code = compile_lambda(&lam);
         let caps = code.bind(&HashMap::new());
-        let vp = specialize(
+        let vp = specialize_sampled(
             &[VecStageSpec::Map(&code, &caps)],
-            &Value::tuple(vec![Value::Int(0), Value::Int(0)]),
+            &[Value::tuple(vec![Value::Int(0), Value::Int(0)])],
         )
         .unwrap();
         let rows = vec![
@@ -2264,7 +2267,11 @@ mod tests {
         let code = compile_lambda(&lam);
         let caps = code.bind(&HashMap::new());
         let rows = int_pair_rows(31);
-        let vp = specialize(&[VecStageSpec::Filter(&code, &caps)], &rows[0]).unwrap();
+        let vp = specialize_sampled(
+            &[VecStageSpec::Filter(&code, &caps)],
+            std::slice::from_ref(&rows[0]),
+        )
+        .unwrap();
         let mut scratch = vp.new_scratch();
         let mut counts = vec![0u64; 2];
         let mut out = Vec::new();
@@ -2303,13 +2310,13 @@ mod tests {
         let base = HashMap::new();
         let (b1, b2, b3) = (c1.bind(&base), c2.bind(&base), c3.bind(&base));
         let rows = int_pair_rows(200);
-        let vp = specialize(
+        let vp = specialize_sampled(
             &[
                 VecStageSpec::Map(&c1, &b1),
                 VecStageSpec::Filter(&c2, &b2),
                 VecStageSpec::Map(&c3, &b3),
             ],
-            &rows[0],
+            std::slice::from_ref(&rows[0]),
         )
         .unwrap();
         assert_eq!(vp.n_stages(), 3);
@@ -2353,7 +2360,11 @@ mod tests {
         base.insert("scale".to_string(), Value::Int(17));
         let caps = code.bind(&base);
         let rows = int_pair_rows(10);
-        let vp = specialize(&[VecStageSpec::Map(&code, &caps)], &rows[0]).unwrap();
+        let vp = specialize_sampled(
+            &[VecStageSpec::Map(&code, &caps)],
+            std::slice::from_ref(&rows[0]),
+        )
+        .unwrap();
         let mut scratch = vp.new_scratch();
         let mut counts = vec![0u64; 2];
         let mut out = Vec::new();
@@ -2371,33 +2382,50 @@ mod tests {
             ScalarExpr::call(BuiltinFn::StrLen, vec![x0()]),
         ));
         let sc = s.bind(&base);
-        assert!(specialize(&[VecStageSpec::Map(&s, &sc)], &sample).is_none());
+        assert!(
+            specialize_sampled(&[VecStageSpec::Map(&s, &sc)], std::slice::from_ref(&sample))
+                .is_none()
+        );
         // Vector builtin.
         let d = compile_lambda(&Lambda::new(
             ["x"],
             ScalarExpr::call(BuiltinFn::Dist, vec![x0(), x1()]),
         ));
         let dc = d.bind(&base);
-        assert!(specialize(&[VecStageSpec::Map(&d, &dc)], &sample).is_none());
+        assert!(
+            specialize_sampled(&[VecStageSpec::Map(&d, &dc)], std::slice::from_ref(&sample))
+                .is_none()
+        );
         // Unbound capture.
         let u = compile_lambda(&Lambda::new(["x"], ScalarExpr::var("missing")));
         let uc = u.bind(&base);
-        assert!(specialize(&[VecStageSpec::Map(&u, &uc)], &sample).is_none());
+        assert!(
+            specialize_sampled(&[VecStageSpec::Map(&u, &uc)], std::slice::from_ref(&sample))
+                .is_none()
+        );
         // Two-parameter lambda (fold `uni`): not a single-input stage.
         let two = compile_lambda(&Lambda::new(
             ["a", "b"],
             se_bin(BinOp::Add, ScalarExpr::var("a"), ScalarExpr::var("b")),
         ));
         let tc = two.bind(&base);
-        assert!(specialize(&[VecStageSpec::Map(&two, &tc)], &sample).is_none());
+        assert!(specialize_sampled(
+            &[VecStageSpec::Map(&two, &tc)],
+            std::slice::from_ref(&sample)
+        )
+        .is_none());
         // Non-Bool filter result.
         let nb = compile_lambda(&Lambda::new(["x"], x0()));
         let nc = nb.bind(&base);
-        assert!(specialize(&[VecStageSpec::Filter(&nb, &nc)], &sample).is_none());
+        assert!(specialize_sampled(
+            &[VecStageSpec::Filter(&nb, &nc)],
+            std::slice::from_ref(&sample)
+        )
+        .is_none());
         // Non-tuple sample shape for a field access.
         let fa = compile_lambda(&Lambda::new(["x"], x0()));
         let fc = fa.bind(&base);
-        assert!(specialize(&[VecStageSpec::Map(&fa, &fc)], &Value::Int(3)).is_none());
+        assert!(specialize_sampled(&[VecStageSpec::Map(&fa, &fc)], &[Value::Int(3)]).is_none());
     }
 
     #[test]
@@ -2495,7 +2523,11 @@ mod tests {
         let code = compile_lambda(&lam);
         let caps = code.bind(&HashMap::new());
         let rows = str_rows();
-        let vp = specialize(&[VecStageSpec::Filter(&code, &caps)], &rows[0]).unwrap();
+        let vp = specialize_sampled(
+            &[VecStageSpec::Filter(&code, &caps)],
+            std::slice::from_ref(&rows[0]),
+        )
+        .unwrap();
         let mut scratch = vp.new_scratch();
         let mut counts = vec![0u64; 2];
         let mut out = Vec::new();
@@ -2543,7 +2575,11 @@ mod tests {
         base.insert("pat".to_string(), Value::str("héllo"));
         let caps = code.bind(&base);
         let rows = str_rows();
-        let vp = specialize(&[VecStageSpec::Map(&code, &caps)], &rows[0]).unwrap();
+        let vp = specialize_sampled(
+            &[VecStageSpec::Map(&code, &caps)],
+            std::slice::from_ref(&rows[0]),
+        )
+        .unwrap();
         let mut scratch = vp.new_scratch();
         let mut counts = vec![0u64; 2];
         let mut out = Vec::new();
@@ -2640,7 +2676,11 @@ mod tests {
         // Empty batch: no lanes, no output, counts all zero.
         let code = compile_lambda(&lam);
         let caps = code.bind(&HashMap::new());
-        let vp = specialize(&[VecStageSpec::Map(&code, &caps)], &rows[0]).unwrap();
+        let vp = specialize_sampled(
+            &[VecStageSpec::Map(&code, &caps)],
+            std::slice::from_ref(&rows[0]),
+        )
+        .unwrap();
         let mut scratch = vp.new_scratch();
         let mut counts = vec![0u64; 2];
         let mut out = Vec::new();
@@ -2655,7 +2695,11 @@ mod tests {
         let rows = str_rows();
         let code = compile_lambda(&lam);
         let caps = code.bind(&HashMap::new());
-        let vp = specialize(&[VecStageSpec::Map(&code, &caps)], &rows[0]).unwrap();
+        let vp = specialize_sampled(
+            &[VecStageSpec::Map(&code, &caps)],
+            std::slice::from_ref(&rows[0]),
+        )
+        .unwrap();
         let bad = vec![
             rows[0].clone(),
             Value::tuple(vec![Value::Int(1), Value::Int(2), Value::str("x")]),

@@ -21,7 +21,7 @@ use emma_compiler::compiled::{compile_bag_body, compile_lambda, Machine};
 use emma_compiler::expr::{BuiltinFn, FoldKind, FoldOp, Lambda, ScalarExpr};
 use emma_compiler::interp::{self, Catalog, Env};
 use emma_compiler::value::{Value, ValueError};
-use emma_compiler::vectorized::{specialize, specialize_sampled, VecStageSpec};
+use emma_compiler::vectorized::{specialize_sampled, VecStageSpec};
 use proptest::prelude::*;
 
 #[path = "../../../tests/common/string_exprs.rs"]
@@ -512,7 +512,8 @@ fn batch_abort_replay_reproduces_first_error_in_row_order() {
     let catalog = Catalog::new();
     let compiled = compile_lambda(&lam);
     let caps = compiled.bind(&base);
-    let vp = specialize(&[VecStageSpec::Map(&compiled, &caps)], &rows[0])
+    let spec = [VecStageSpec::Map(&compiled, &caps)];
+    let vp = specialize_sampled(&spec, std::slice::from_ref(&rows[0]))
         .expect("float/int arithmetic over a numeric tuple must specialize");
 
     let mut scratch = vp.new_scratch();
@@ -1032,7 +1033,8 @@ fn assert_cell(
 /// Every kernel instantiation, by name: each `(operation, operand type)`
 /// pair the builder can emit — arithmetic with Int/Float coercion, `Div` and
 /// `Mod`, the six comparisons on Int / Float (NaN, ±0.0) / mixed / Bool /
-/// Str, the logical and unary operators, the builtins, string kernels over
+/// Str, the logical and unary operators, the builtins, a nested bag's
+/// `count`, string kernels over
 /// plain and dictionary-encoded columns, constants and captures of every
 /// column type including an opaque one, and `If` merges of each of the five
 /// column types. The proptest suites draw these at random; the grid makes
@@ -1061,9 +1063,9 @@ fn kernel_grid_agrees_on_values_errors_and_counts() {
     // The row: two Ints (`j` never 0), two Floats (`g` never 0), two Bools,
     // a high-cardinality Str (plain arena), a low-cardinality Str
     // (dictionary-encoded under the whole-batch sample), an opaque
-    // component, `guard` (0 exactly where `p` holds), and the divisors `z` /
-    // `h` that are zero only on the poison row.
-    let [i, j, f, g, p, q, s, t, o, guard, z, h] = std::array::from_fn(fld);
+    // component, `guard` (0 exactly where `p` holds), the divisors `z` /
+    // `h` that are zero only on the poison row, and a nested bag.
+    let [i, j, f, g, p, q, s, t, o, guard, z, h, b] = std::array::from_fn(fld);
     let ints = [0, 1, -7, i64::MAX, 42, -1, 6, i64::MAX - 1, 3, -100, 9, 2];
     let floats = [
         1.5,
@@ -1112,6 +1114,7 @@ fn kernel_grid_agrees_on_values_errors_and_counts() {
             Value::Int(!p as i64),
             Value::Int(if poison { 0 } else { 4 }),
             Value::Float(if poison { -0.0 } else { 0.5 }),
+            Value::bag(vec![Value::Int(1); n % 3]),
         ])
     };
     let clean: Vec<Value> = (0..12).map(|n| row(n, false)).collect();
@@ -1207,6 +1210,7 @@ fn kernel_grid_agrees_on_values_errors_and_counts() {
     for (ty, a) in [("plain", &s), ("dict", &t), ("merged", &merged_s)] {
         cell(format!("str_len {ty}"), call(StrLen, &[a]));
     }
+    cell("count V".into(), BagExpr::of_value(b.clone()).count());
     let am = lit(Value::str("am"));
     for (tys, hay, needle) in [
         ("plain/const", &s, &am),
@@ -1297,7 +1301,7 @@ fn kernel_grid_agrees_on_values_errors_and_counts() {
         assert!(matches!(&err, ValueError::Arithmetic(_)), "{name}: {err:?}");
     }
     assert_eq!(fallible, 3, "mod I by z, div I by z, div F by h");
-    assert_eq!(n_cells, 16 + 4 + 54 + 3 + 10 + 7 + 3 + 7 + 12 + 8);
+    assert_eq!(n_cells, 16 + 4 + 54 + 3 + 10 + 7 + 3 + 1 + 7 + 12 + 8);
 }
 
 /// The closed forms are recognized from the compiled `zero`/`sng`/`uni`

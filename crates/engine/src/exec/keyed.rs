@@ -159,7 +159,7 @@ impl<'p> KeyEval<'p> {
     pub(super) fn cursor(&self) -> KeyCursor<'_, 'p> {
         KeyCursor {
             eval: self,
-            kernel: self.vec.as_ref().map(Kernel::new),
+            kernel: self.vec.as_ref().map(|v| Kernel::new(v, None)),
             cx: None,
             tally: Tally::default(),
             done: 0,

@@ -4,15 +4,14 @@
 use std::ops::Range;
 
 use emma_compiler::expr::FoldOp;
-use emma_compiler::plan::PipelineStage;
 use emma_compiler::vectorized::{AggInput, AggKernel, AggState, Partials, VecStageSpec};
 
 use crate::dataset::{Measured, Payload};
 use crate::exec::keyed::{next_key, KeyedInput, PartKeys, Placement};
-use crate::exec::operators::narrow::{NarrowSite, StageCounts};
+use crate::exec::operators::narrow::{kernel_shaped, NarrowSite, StageCounts};
 use crate::exec::prepare::{
-    batch_or_replay, compiled_parts, sample_rows, vec_spec, Chunk, EvCtx, Kernel, PreparedScalar,
-    SPECIALIZE_SAMPLE_ROWS,
+    batch_or_replay, compiled_parts, sample_rows, vec_spec, Chunk, EvCtx, Feed, Kernel,
+    PreparedScalar, SPECIALIZE_SAMPLE_ROWS,
 };
 use crate::exec::*;
 
@@ -172,8 +171,10 @@ impl Session<'_> {
     /// Runs a `Plan::AggBy`: per-partition partial aggregation, a shuffle
     /// of the partials only, and a merge of each key's partials.
     ///
-    /// Over a `Map`, `Filter` or a `Pipeline` of them the combiner runs
-    /// inside the chain's wave when it can ([`Session::exec_fused_agg_by`]):
+    /// Over a `Map`, `Filter` or a `Pipeline` of them — led, perhaps, by an
+    /// unnest head, the `FlatMap` of a dependent generator over a nested bag
+    /// — the combiner runs inside the chain's wave when it can
+    /// ([`Session::exec_fused_agg_by`]):
     /// the kernels are on, the key's and the fold's base scopes pay for
     /// nothing (so they can be built ahead of the chain's wave without
     /// moving a charge), and the chain and the fold specialize together.
@@ -187,14 +188,7 @@ impl Session<'_> {
         split: Option<SplitKind>,
         env: &EnvSnapshot,
     ) -> Result<PlanResult, ExecError> {
-        let narrow = match input {
-            Plan::Map { .. } | Plan::Filter { .. } => true,
-            Plan::Pipeline { stages, .. } => {
-                !(stages.iter()).any(|s| matches!(s, PipelineStage::FlatMap { .. }))
-            }
-            _ => false,
-        };
-        let scopes = (narrow && self.kernels_on())
+        let scopes = (kernel_shaped(input) && self.kernels_on())
             .then(|| {
                 let fold_base = self.scalar_base(&fold.terms(), env)?;
                 Some((fold_base, self.scalar_base(&[Term::Lambda(key)], env)?))
@@ -210,7 +204,14 @@ impl Session<'_> {
                         return self.exec_fused_agg_by(site, comb, kernel, key, fold, split);
                     }
                 }
-                self.exec_node(input, |s| s.run_narrow(site, None))?.data
+                // A chain whose kernels have no row to read — an empty
+                // input, or an unnest head over empty bags — leaves no rows
+                // (or raises): it runs in the `aggBy`'s frame.
+                if site.sample().is_some() {
+                    self.exec_node(input, |s| s.run_narrow(site, None))?.data
+                } else {
+                    self.run_narrow(site, None)?.data
+                }
             }
             None => self.exec_bag(input, env)?,
         };
@@ -298,7 +299,7 @@ impl Session<'_> {
             return None;
         }
         let specs = site.specs()?;
-        let kernel = comb.specialize(&specs, sample_rows(&site.input.parts)?)?;
+        let kernel = comb.specialize(&specs, &site.sample()?)?;
         Some((kernel, self.batch_rows()?))
     }
 
@@ -590,16 +591,16 @@ fn scalar_partials(accs: InsertionMap<Value, Value>) -> Shipped {
 
 /// Runs one partition of a chain and the combiner that reads it
 /// ([`Session::exec_fused_agg_by`]), in batches of input rows. A batch the
-/// kernel takes runs the chain, `key` and `sng`, and folds the rows the
-/// chain leaves; it tallies one batch of the chain's, and one of the
-/// combiner's each time the rows it folded fill a batch, as the
-/// combiner's own wave batched the chain's output. From the first batch
-/// that aborts (a non-conforming row, or an error on a lane) on, the rest
-/// of the partition runs through the scalar chain and the scalar fold,
-/// seeded with the kernel's groups. A chain error ends the task. The first
-/// fold error is held while the chain runs to the partition's end, and then
-/// takes the place of the partials. Returns the rows that entered each
-/// stage boundary, and the partials.
+/// kernel takes runs the chain, `key` and `sng` — over the pairs an unnest
+/// head yields ([`Feed`]) — and folds the rows the chain leaves; it tallies
+/// one batch of the chain's, and one of the combiner's each time the rows
+/// it folded fill a batch, as the combiner's own wave batched the chain's
+/// output. From the first batch that aborts (a non-conforming row, or an
+/// error on a lane) on, the rest of the partition runs through the scalar
+/// chain and the scalar fold, seeded with the kernel's groups. A chain error
+/// ends the task. The first fold error is held while the chain runs to the
+/// partition's end, and then takes the place of the partials. Returns the
+/// rows that entered each stage boundary, and the partials.
 fn fused_partition(
     part: &[Value],
     site: &NarrowSite<'_>,
@@ -612,13 +613,20 @@ fn fused_partition(
     let mut entered = vec![0u64; nstages + 1];
     let mut st = Some(kernel.new_state());
     let (mut accs, mut held, mut cx) = (InsertionMap::new(), None, None);
+    let mut feed = Feed::new(site.unnest());
     // Rows the kernel folded that no combiner batch has tallied yet.
     let mut folded = 0;
     for chunk in part.chunks(batch_rows) {
         if let Some(state) = st.as_mut() {
-            if kernel.absorb(chunk, state) {
-                let out = entered[nstages];
-                kernel.count(state, &mut entered);
+            let out = entered[nstages];
+            let ran = feed.run(chunk, &mut entered, |rows, counts| {
+                let ran = kernel.absorb(rows, state);
+                if ran {
+                    kernel.count(state, counts);
+                }
+                ran
+            });
+            if ran {
                 tally.batch(chunk.len());
                 folded += (entered[nstages] - out) as usize;
                 while folded >= batch_rows {
@@ -706,7 +714,7 @@ fn fold_partition(
 ) -> Result<Value, ValueError> {
     let mut ucx = uni.ctx(base);
     let mut scx: Option<EvCtx> = None;
-    let mut kernel = sng_vec.map(Kernel::new);
+    let mut kernel = sng_vec.map(|v| Kernel::new(v, None));
     let mut acc = zero;
     let mut combine = |acc: &mut Value, s: Value| {
         uni.call_owned([std::mem::take(acc), s], &mut ucx, catalog)

@@ -2,6 +2,7 @@
 //! `FlatMap` as its one-stage case, run in one pass per partition — which,
 //! for a keyed consumer, is also the write side of its shuffle.
 
+use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use emma_compiler::plan::PipelineStage;
@@ -10,7 +11,7 @@ use emma_compiler::vectorized::VecStageSpec;
 use crate::dataset::Widths;
 use crate::exec::keyed::{KeyCursor, KeyEval, KeyTap, KeyedInput, PartKeys};
 use crate::exec::prepare::{
-    batch_or_replay, sample_rows, vec_spec, Chunk, EvCtx, Kernel, PreparedStage,
+    batch_or_replay, sample_rows, unnest, vec_spec, Chunk, EvCtx, Kernel, PreparedStage,
     SPECIALIZE_SAMPLE_ROWS,
 };
 use crate::exec::*;
@@ -35,6 +36,57 @@ impl<'p> From<&'p PipelineStage> for Narrow<'p> {
     }
 }
 
+/// A narrow plan node's input and stages; `None` for any other node.
+fn narrow_chain(plan: &Plan) -> Option<(&Plan, Vec<Narrow<'_>>)> {
+    Some(match plan {
+        Plan::Map { input, f } => (input, vec![Narrow::Map(f)]),
+        Plan::Filter { input, p } => (input, vec![Narrow::Filter(p)]),
+        Plan::FlatMap { input, param, body } => (input, vec![Narrow::FlatMap(param, body)]),
+        Plan::Pipeline { input, stages } => (input, stages.iter().map(Narrow::from).collect()),
+        _ => return None,
+    })
+}
+
+/// The field path of a chain's *unnest head* — stage 0 a `FlatMap` whose
+/// body is `OfValue(x.f…).map(y => (x, y))`, the shape lowering gives a
+/// dependent generator over a nested bag — when no other stage is a
+/// `FlatMap`. The kernels then read the `(x, y)` pairs the head yields
+/// ([`unnest`]).
+fn unnest_path(stages: &[Narrow<'_>]) -> Option<Vec<usize>> {
+    let (Narrow::FlatMap(x, body), rest) = stages.split_first()? else {
+        return None;
+    };
+    if rest.iter().any(|s| matches!(s, Narrow::FlatMap(..))) {
+        return None;
+    }
+    let BagExpr::Map { input, f } = body else {
+        return None;
+    };
+    let (BagExpr::OfValue(src), [y]) = (&**input, f.params.as_slice()) else {
+        return None;
+    };
+    let pair = ScalarExpr::Tuple(vec![ScalarExpr::var(*x), ScalarExpr::var(y.as_str())]);
+    if y == x || f.body != pair {
+        return None;
+    }
+    let (mut path, mut e) = (Vec::new(), &**src);
+    while let ScalarExpr::Field(inner, i) = e {
+        path.push(*i);
+        e = inner;
+    }
+    path.reverse();
+    (*e == ScalarExpr::var(*x)).then_some(path)
+}
+
+/// Whether a narrow node's chain can run on the kernels whole: it has no
+/// `FlatMap` stage, or its only one is an unnest head ([`unnest_path`]).
+pub(crate) fn kernel_shaped(plan: &Plan) -> bool {
+    narrow_chain(plan).is_some_and(|(_, stages)| {
+        let flat_map = |s: &Narrow| matches!(s, Narrow::FlatMap(..));
+        !stages.iter().any(flat_map) || unnest_path(&stages).is_some()
+    })
+}
+
 /// A narrow chain readied to run ([`Session::narrow_site`]): its input, and
 /// for each stage its UDF prepared over its base scope and what its charges
 /// need.
@@ -57,6 +109,8 @@ pub(crate) struct NarrowSite<'p> {
     byte_costs: Vec<f64>,
     /// Per stage boundary, whether the wave totals the bytes that enter it.
     need_bytes: Vec<bool>,
+    /// The field path of the chain's unnest head ([`unnest_path`]).
+    unnest: Option<Vec<usize>>,
 }
 
 impl NarrowSite<'_> {
@@ -65,22 +119,49 @@ impl NarrowSite<'_> {
         self.stages.len()
     }
 
-    /// The stages as a typed-kernel chain. FlatMap stages (bag-producing)
-    /// and byte-sampled intermediates (nested-bag-fold re-scans and
-    /// byte-weighted builtins past the head stage charge from per-row
-    /// sizes) have no columnar form. A byte-weighted *head* stage charges
-    /// from the materialized input and vectorizes fine.
+    /// The stages as a typed-kernel chain — after the unnest head, whose
+    /// pairs the kernels read, when there is one. Every other FlatMap stage
+    /// (bag-producing) and byte-sampled intermediates (nested-bag-fold
+    /// re-scans and byte-weighted builtins past the head stage charge from
+    /// per-row sizes) have no columnar form. A byte-weighted *head* stage
+    /// charges from the materialized input and vectorizes fine.
     pub(crate) fn specs(&self) -> Option<Vec<VecStageSpec<'_>>> {
         if self.need_bytes.contains(&true) {
             return None;
         }
-        (self.prepared.iter())
+        let head = usize::from(self.unnest.is_some());
+        (self.prepared[head..].iter())
             .map(|s| match s {
                 PreparedStage::Map(p) => vec_spec(p, false),
                 PreparedStage::Filter(p) => vec_spec(p, true),
                 PreparedStage::FlatMap(_) => None,
             })
             .collect()
+    }
+
+    /// The field path of the chain's unnest head, if it has one.
+    pub(crate) fn unnest(&self) -> Option<&[usize]> {
+        self.unnest.as_deref()
+    }
+
+    /// The rows the chain's kernels specialize against: [`sample_rows`] of
+    /// the input, or under an unnest head the first pairs it yields,
+    /// walking parents in partition order. `None` when there are none.
+    pub(crate) fn sample(&self) -> Option<Cow<'_, [Value]>> {
+        let Some(path) = self.unnest() else {
+            return sample_rows(&self.input.parts).map(Cow::Borrowed);
+        };
+        let mut pairs = Vec::new();
+        for x in self.input.parts.iter().flat_map(|p| p.iter()) {
+            if pairs.len() >= SPECIALIZE_SAMPLE_ROWS {
+                break;
+            }
+            // A parent with no bag at the path yields nothing here; its
+            // batch replays on the scalar tier, which raises.
+            unnest(std::slice::from_ref(x), path, &mut pairs);
+        }
+        pairs.truncate(SPECIALIZE_SAMPLE_ROWS);
+        (!pairs.is_empty()).then_some(Cow::Owned(pairs))
     }
 
     /// Runs the chain over `rows` through the scalar tier
@@ -170,13 +251,7 @@ impl Session<'_> {
         plan: &'p Plan,
         env: &EnvSnapshot,
     ) -> Result<NarrowSite<'p>, ExecError> {
-        let (input, stages): (&Plan, Vec<Narrow>) = match plan {
-            Plan::Map { input, f } => (input, vec![Narrow::Map(f)]),
-            Plan::Filter { input, p } => (input, vec![Narrow::Filter(p)]),
-            Plan::FlatMap { input, param, body } => (input, vec![Narrow::FlatMap(param, body)]),
-            Plan::Pipeline { input, stages } => (input, stages.iter().map(Narrow::from).collect()),
-            _ => unreachable!("narrow_site readies narrow plan nodes"),
-        };
+        let (input, stages) = narrow_chain(plan).expect("narrow_site readies narrow plan nodes");
         let d = self.exec_bag(input, env)?;
         let mut bases = Vec::with_capacity(stages.len());
         for stage in &stages {
@@ -244,6 +319,7 @@ impl Session<'_> {
         }
         Ok(NarrowSite {
             plan,
+            unnest: unnest_path(&stages),
             stages,
             input: d,
             bases,
@@ -274,7 +350,7 @@ impl Session<'_> {
         let d = &site.input;
         let specs = site.specs();
         let vec_run = self.try_vectorize(
-            sample_rows(&d.parts),
+            site.sample().as_deref(),
             |st| &mut st.vector_fallbacks,
             |rows| vectorized::specialize_sampled(specs.as_deref()?, rows),
         );
@@ -293,11 +369,12 @@ impl Session<'_> {
             None => None,
         };
         let results = self.run_tasks(false, d.parts.len(), d.total_rows(), |pi, tally| {
-            let (part, vec) = (&d.parts[pi], vec_run.as_ref());
+            let part = &d.parts[pi];
+            let kernel = vec_run.as_ref().map(|v| Kernel::new(v, site.unnest()));
             let mut tap = key.as_ref().map(|k| RowTap::new(k, part, filter_only));
             let pass = run_pipeline_partition(
                 part,
-                vec,
+                kernel,
                 prepared,
                 bases,
                 catalog,
@@ -538,16 +615,16 @@ type PartitionPass = (Vec<Value>, Vec<u64>, Vec<u64>);
 /// materialized. Returns the output rows plus, per stage boundary `i`, the
 /// number of rows that entered stage `i` (`counts[nstages]` = output rows)
 /// and — where `need_bytes[i]` — their byte total, so the caller can issue
-/// exactly the charges the unfused chain would. A specialized chain (`vec`)
-/// runs columnar, batch by batch, and only an aborted batch takes the scalar
-/// pass ([`batch_or_replay`]): the per-stage entry counts are identical
-/// whichever path each batch took, and there are no byte totals to keep,
-/// since a chain that needs them never specializes. A `tap` sees each
+/// exactly the charges the unfused chain would. A specialized chain
+/// (`kernel`) runs columnar, batch by batch, and only an aborted batch takes
+/// the scalar pass ([`batch_or_replay`]): the per-stage entry counts are
+/// identical whichever path each batch took, and there are no byte totals to
+/// keep, since a chain that needs them never specializes. A `tap` sees each
 /// chunk's output rows right after the chunk produced them.
 #[allow(clippy::too_many_arguments)]
 fn run_pipeline_partition<'p, 'b>(
     rows: &[Value],
-    vec: Option<&(VectorPipeline, usize)>,
+    mut kernel: Option<Kernel<'_>>,
     stages: &'b [PreparedStage<'p>],
     bases: &'b [HashMap<String, Value>],
     catalog: &Catalog,
@@ -563,7 +640,6 @@ where
     let flat_map = stages
         .iter()
         .any(|s| matches!(s, PreparedStage::FlatMap(_)));
-    let mut kernel = vec.map(Kernel::new);
     let (mut at, mut kept) = (0, Vec::new());
     let nstages = stages.len();
     let (out, counts) = batch_or_replay(

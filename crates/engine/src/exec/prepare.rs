@@ -446,7 +446,7 @@ pub(super) fn sample_rows<P: Deref<Target = [Value]>>(parts: &[P]) -> Option<&[V
 /// One chunk's outcome in [`batch_or_replay`].
 pub(super) enum Chunk<'a> {
     /// The kernels evaluated `rows` and appended one output row per lane of
-    /// `lanes`, in order.
+    /// `lanes`, in order — lanes of the rows the kernels read ([`Feed`]).
     Ran { rows: &'a [Value], lanes: &'a [u32] },
     /// The kernels aborted on these input rows (or the site has none): the
     /// scalar tier evaluates them row-at-a-time.
@@ -463,26 +463,90 @@ impl<'a> Chunk<'a> {
 }
 
 /// A site's kernel program readied for one task: the program, its batch
-/// size, and scratch the task reuses for every batch it runs, however many
-/// [`batch_or_replay`] calls they come in.
+/// size, what it reads of a batch ([`Feed`]), and scratch the task reuses
+/// for every batch it runs, however many [`batch_or_replay`] calls they come
+/// in.
 pub(super) struct Kernel<'v> {
     vp: &'v VectorPipeline,
     batch_rows: usize,
     scratch: VectorScratch,
+    feed: Feed<'v>,
 }
 
 impl<'v> Kernel<'v> {
-    pub(super) fn new((vp, batch_rows): &'v (VectorPipeline, usize)) -> Self {
+    /// The program over a site's input rows, or — `unnest` the field path
+    /// of the chain's unnest head — over the pairs the head yields.
+    pub(super) fn new(
+        (vp, batch_rows): &'v (VectorPipeline, usize),
+        unnest: Option<&'v [usize]>,
+    ) -> Self {
         Kernel {
             vp,
             batch_rows: *batch_rows,
             scratch: vp.new_scratch(),
+            feed: Feed::new(unnest),
         }
     }
 
     pub(super) fn batch_rows(&self) -> usize {
         self.batch_rows
     }
+}
+
+/// What a site's kernels read of a batch of its input rows: the rows
+/// themselves, or — under an unnest head, a chain's leading `FlatMap` whose
+/// body is `OfValue(x.f…).map(y => (x, y))` — the `(x, y)` pairs that body
+/// yields for them, built into a buffer the task reuses.
+pub(super) struct Feed<'p> {
+    unnest: Option<&'p [usize]>,
+    pairs: Vec<Value>,
+}
+
+impl<'p> Feed<'p> {
+    pub(super) fn new(unnest: Option<&'p [usize]>) -> Self {
+        Feed {
+            unnest,
+            pairs: Vec::new(),
+        }
+    }
+
+    /// Runs `kernel` over what it reads of the batch `rows`, with the
+    /// per-stage counts from the stage it starts at: under an unnest head
+    /// the stages after it, the head's own count — the batch's rows — added
+    /// once the kernel ran. `false`, with `counts` untouched, when the
+    /// kernel aborted or a parent has no bag at the head's path: the batch
+    /// then replays through the scalar tier, which raises the error.
+    pub(super) fn run(
+        &mut self,
+        rows: &[Value],
+        counts: &mut [u64],
+        kernel: impl FnOnce(&[Value], &mut [u64]) -> bool,
+    ) -> bool {
+        let Some(path) = self.unnest else {
+            return kernel(rows, counts);
+        };
+        self.pairs.clear();
+        if !unnest(rows, path, &mut self.pairs) || !kernel(&self.pairs, &mut counts[1..]) {
+            return false;
+        }
+        counts[0] += rows.len() as u64;
+        true
+    }
+}
+
+/// Pushes the pair `(x, y)` for each element `y` of each parent `x`'s bag at
+/// `path`, in order: the rows an unnest head yields. `false` when some
+/// parent's `path` is missing or holds no bag.
+pub(super) fn unnest(parents: &[Value], path: &[usize], pairs: &mut Vec<Value>) -> bool {
+    parents
+        .iter()
+        .all(|x| match path.iter().try_fold(x, |v, &i| v.field(i).ok()) {
+            Some(Value::Bag(ys)) => {
+                pairs.extend(ys.iter().map(|y| Value::tuple([x.clone(), y.clone()])));
+                true
+            }
+            _ => false,
+        })
 }
 
 /// The one loop every consumer of a [`VectorPipeline`] runs: `rows` in
@@ -507,8 +571,12 @@ pub(super) fn batch_or_replay<E>(
     let mut out = Vec::new();
     let batch_rows = kernel.as_ref().map_or(usize::MAX, |k| k.batch_rows);
     for chunk in rows.chunks(batch_rows) {
-        let ran = (kernel.as_deref_mut())
-            .is_some_and(|k| k.vp.run_batch(chunk, &mut k.scratch, &mut counts, &mut out));
+        let ran = (kernel.as_deref_mut()).is_some_and(|k| {
+            let (vp, scratch) = (k.vp, &mut k.scratch);
+            let run =
+                |rows: &[Value], counts: &mut [u64]| vp.run_batch(rows, scratch, counts, &mut out);
+            k.feed.run(chunk, &mut counts, run)
+        });
         let outcome = match &kernel {
             Some(k) if ran => {
                 tally.batch(chunk.len());

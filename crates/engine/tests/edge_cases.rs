@@ -480,11 +480,11 @@ fn empty_and_undersized_batches_flow_through_string_kernels() {
     }
 }
 
-// Regression: FlatMap (standalone or as a fused stage) has no columnar form
-// and used to count a `vector_fallbacks` refusal before looking at its input,
-// while every other site returns uncounted on an empty one — no rows means no
-// slow path ran. One refusal per operator execution that saw a row; none
-// otherwise.
+// Regression: a FlatMap (standalone or as a fused stage) that is no unnest
+// head — here one over a literal bag — has no columnar form and used to count
+// a `vector_fallbacks` refusal before looking at its input, while every other
+// site returns uncounted on an empty one — no rows means no slow path ran.
+// One refusal per operator execution that saw a row; none otherwise.
 #[test]
 fn flat_map_refusal_is_counted_only_when_a_row_exists() {
     use emma_compiler::physical_pipeline::apply_pipeline_fusion;

@@ -893,3 +893,356 @@ fn q1_s_filter_runs_inside_its_combiner_and_counts_as_two_waves() {
     );
     assert_eq!(run.stats.vector_fallbacks, 0, "{}", run.stats);
 }
+
+/// Row `i` of the unnest grid, `(k, ns, r, d, cs)`: a vertex, its neighbor
+/// bag (`i % 4` ids below 50), a rank, a divisor and a second bag for a
+/// `count`. `plant` replaces field `f` of row `i` for each `(i, Some(f), v)`,
+/// and the whole row for each `(i, None, v)`.
+fn unnest_rows(plant: &[(usize, Option<usize>, Value)]) -> Vec<Value> {
+    let ids = |i: usize, n: usize| {
+        Value::bag(
+            (0..n)
+                .map(|j| Value::Int(((i * 7 + j) % 50) as i64))
+                .collect::<Vec<_>>(),
+        )
+    };
+    (0..320)
+        .map(|i| {
+            let mut fields = vec![
+                Value::Int(i as i64),
+                ids(i, i % 4),
+                Value::Float(1.0 / (1 + i % 5) as f64),
+                Value::Int([1, 2, 3][i % 3]),
+                ids(i, 1 + i % 3),
+            ];
+            for (_, f, v) in plant.iter().filter(|(at, ..)| *at == i) {
+                match f {
+                    Some(f) => fields[*f] = v.clone(),
+                    None => return v.clone(),
+                }
+            }
+            Value::tuple(fields)
+        })
+        .collect()
+}
+
+/// The dependent generator `for (x <- rows; y <- x.1) yield head(x, y)`,
+/// written as PageRank and connected components write theirs: lowering
+/// gives it an unnest head and `head` a `Map` after it.
+fn unnest_chain(head: ScalarExpr) -> BagExpr {
+    let ys = BagExpr::of_value(x().get(1)).map(Lambda::new(["y"], head));
+    BagExpr::read("rows").flat_map(BagLambda::new("x", ys))
+}
+
+/// The unnest grid's chains.
+fn unnest_chains() -> Vec<(&'static str, BagExpr)> {
+    let y = || ScalarExpr::var("y");
+    let count = |f: usize| BagExpr::of_value(x().get(f)).count();
+    let pair = |a: ScalarExpr, b: ScalarExpr| ScalarExpr::Tuple(vec![a, b]);
+    let above = BagExpr::of_value(x().get(1))
+        .filter(Lambda::new(["y"], y().gt(ScalarExpr::lit(10i64))))
+        .map(Lambda::new(["y"], pair(y(), x().get(2))));
+    vec![
+        (
+            "pagerank",
+            unnest_chain(pair(y(), x().get(2).div(count(1)))),
+        ),
+        ("cc", unnest_chain(pair(y(), x().get(0)))),
+        (
+            "divide",
+            unnest_chain(pair(y(), x().get(2).div(x().get(3)))),
+        ),
+        ("count", unnest_chain(pair(y(), count(4)))),
+        (
+            "filter after the head",
+            BagExpr::read("rows").flat_map(BagLambda::new("x", above)),
+        ),
+    ]
+}
+
+/// `aggBy(m.0)` of `(sum(m.1), count)` over `chain`.
+fn unnest_agg(chain: BagExpr) -> BagExpr {
+    let sum = FoldOp {
+        sng: Lambda::new(["m"], ScalarExpr::var("m").get(1)),
+        ..FoldOp::sum()
+    };
+    BagExpr::AggBy {
+        input: Box::new(chain),
+        key: Lambda::new(["m"], ScalarExpr::var("m").get(0)),
+        fold: FoldOp::banana_split(&[sum, FoldOp::count()]),
+    }
+}
+
+#[test]
+fn an_unnest_head_feeds_the_kernels_alike_on_every_input() {
+    // 320 rows in eight partitions of 40 (three batches of 16). Row 45,
+    // with one neighbor, is in partition 1, row 101 in partition 2 and row
+    // 205 four partitions after row 45.
+    let empty = || Value::bag(Vec::new());
+    let all = |f: usize, v: Value| (0..320).map(|i| (i, Some(f), v.clone())).collect();
+    let mixed = Value::bag(vec![Value::Int(1), Value::Float(2.5), Value::Int(3)]);
+    // Each input, and the error it raises: in every chain, or (`Some`) only
+    // in the chain that reads the field it plants.
+    let bag_err = Some("expected: \"Bag\"");
+    type Plant = Vec<(usize, Option<usize>, Value)>;
+    let inputs: Vec<(&str, Plant, Option<&str>, Option<&str>)> = vec![
+        ("clean", vec![], None, None),
+        ("empty bags", all(1, empty()), None, None),
+        (
+            "a partition of empty bags",
+            (40..80).map(|i| (i, Some(1), empty())).collect(),
+            None,
+            None,
+        ),
+        (
+            "a null field",
+            vec![(45, Some(1), Value::Null)],
+            bag_err,
+            None,
+        ),
+        (
+            "an int field",
+            vec![(45, Some(1), Value::Int(3))],
+            bag_err,
+            None,
+        ),
+        (
+            "a field out of range",
+            vec![(45, None, Value::tuple([Value::Int(45)]))],
+            Some("FieldOutOfRange"),
+            None,
+        ),
+        (
+            "a mixed bag",
+            vec![(45, Some(1), mixed.clone())],
+            None,
+            None,
+        ),
+        (
+            "count over a non-bag",
+            vec![(45, Some(4), Value::Int(2))],
+            bag_err,
+            Some("count"),
+        ),
+        (
+            "no bag to count",
+            all(4, Value::Int(2)),
+            bag_err,
+            Some("count"),
+        ),
+        (
+            "division by zero",
+            vec![(101, Some(3), Value::Int(0))],
+            Some("division by zero"),
+            Some("divide"),
+        ),
+        (
+            "a chain error four partitions later",
+            vec![(45, Some(1), mixed), (205, Some(1), Value::Null)],
+            bag_err,
+            None,
+        ),
+    ];
+    for (chain, bag) in unnest_chains() {
+        let shapes = [
+            ("standalone", bag.clone()),
+            ("under an aggBy", unnest_agg(bag)),
+        ];
+        for (shape, bag) in shapes {
+            let p = Program::new(vec![Stmt::write("out", bag)]);
+            for (input, plant, err, only) in &inputs {
+                let want_err = err.filter(|_| only.is_none_or(|c| c == chain));
+                let catalog = Catalog::new().with("rows", unnest_rows(plant));
+                let cell = format!("{chain} {shape} / {input}");
+                assert_grid_cell(&cell, &p, &catalog, want_err);
+                if want_err.is_some() {
+                    continue;
+                }
+                let run = engine().with_vectorized_eval(BatchConfig::new(16));
+                let stats = run.run(&compile(&p), &catalog).expect("runs").stats;
+                if plant.is_empty() {
+                    assert_eq!(stats.vector_fallbacks, 0, "{cell}: {stats}");
+                    assert!(stats.rows_vectorized >= 320, "{cell}: {stats}");
+                }
+                // Under an aggBy the chain runs in the combiner's frame,
+                // also when its bags hold no pair to read.
+                let wall = &stats.op_wall_secs;
+                let own_frame = wall.contains_key("Pipeline");
+                assert_eq!(own_frame, shape == "standalone", "{cell}: {wall:?}");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_flat_map_that_is_no_unnest_head_stays_a_counted_refusal() {
+    use emma::emma_compiler::physical_pipeline::apply_pipeline_fusion;
+    use emma::emma_compiler::pipeline::{CStmt, OptimizationReport};
+    // Hand-built plans: lowering gives a dependent generator only the
+    // unnest head's shape, and the normalizer rewrites a literal bag.
+    let y = || ScalarExpr::var("y");
+    let pair = || Lambda::new(["y"], ScalarExpr::Tuple(vec![x(), y()]));
+    let flat_map = |input: Plan, body: BagExpr| Plan::FlatMap {
+        input: Box::new(input),
+        param: "x".into(),
+        body,
+    };
+    let rows = || Plan::Source {
+        name: "rows".into(),
+    };
+    let neighbors = || BagExpr::of_value(x().get(1));
+    let swapped = Lambda::new(["y"], ScalarExpr::Tuple(vec![y(), x()]));
+    let literal = BagExpr::values(vec![Value::Int(0), Value::Int(1)]);
+    let filtered = neighbors().filter(Lambda::new(["y"], y().ge(ScalarExpr::lit(0i64))));
+    let after_a_map = flat_map(
+        Plan::Map {
+            input: Box::new(rows()),
+            f: Lambda::new(["x"], x()),
+        },
+        neighbors().map(pair()),
+    );
+    let cases = [
+        (
+            "an unnest head",
+            flat_map(rows(), neighbors().map(pair())),
+            0,
+        ),
+        (
+            "a swapped pair",
+            flat_map(rows(), neighbors().map(swapped)),
+            1,
+        ),
+        ("a literal bag", flat_map(rows(), literal.map(pair())), 1),
+        ("a filtered body", flat_map(rows(), filtered.map(pair())), 1),
+        ("not at the head", after_a_map, 1),
+    ];
+    let catalog = Catalog::new().with("rows", unnest_rows(&[]));
+    for (what, plan, refusals) in cases {
+        let mut prog = CompiledProgram {
+            body: vec![CStmt::Write {
+                sink: "out".into(),
+                plan,
+            }],
+            report: OptimizationReport::default(),
+            compiled_eval: true,
+        };
+        apply_pipeline_fusion(&mut prog.body, &mut prog.report);
+        let scalar = scalar_tier(engine()).run(&prog, &catalog).expect("scalar");
+        let run = engine().run(&prog, &catalog).expect("kernels");
+        assert_same_runs(what, &run, &scalar);
+        assert_eq!(run.stats.without_tier_telemetry(), scalar.stats, "{what}");
+        assert_eq!(
+            run.stats.vector_fallbacks, refusals,
+            "{what}: {}",
+            run.stats
+        );
+        assert_eq!(run.stats.rows_vectorized > 0, refusals == 0, "{what}");
+    }
+}
+
+/// An adjacency row's neighbor ids.
+fn neighbors(v: &Value) -> &[Value] {
+    v.field(1).and_then(Value::as_bag).expect("adjacency")
+}
+
+/// The messages PageRank sends over `iterations` rounds: every vertex with
+/// a rank sends one per neighbor, and a vertex has a rank from the second
+/// round on when it received a message.
+fn pagerank_messages(vertices: &[Value], iterations: usize) -> u64 {
+    let mut ranked: Vec<Value> = vertices
+        .iter()
+        .map(|v| v.field(0).unwrap().clone())
+        .collect();
+    let mut sent = 0;
+    for _ in 0..iterations {
+        let mut got = Vec::new();
+        for v in vertices
+            .iter()
+            .filter(|v| ranked.contains(v.field(0).unwrap()))
+        {
+            sent += neighbors(v).len() as u64;
+            got.extend(neighbors(v).iter().cloned());
+        }
+        got.sort();
+        got.dedup();
+        ranked = got;
+    }
+    sent
+}
+
+/// The messages stateful connected components sends until no component
+/// changes: each changed vertex sends its component to every neighbor.
+fn cc_messages(vertices: &[Value]) -> u64 {
+    let id = |v: &Value| v.field(0).unwrap().as_int().unwrap();
+    let mut comp: std::collections::HashMap<i64, i64> =
+        vertices.iter().map(|v| (id(v), id(v))).collect();
+    let mut delta: Vec<&Value> = vertices.iter().collect();
+    let mut sent = 0;
+    while !delta.is_empty() {
+        let mut best: std::collections::BTreeMap<i64, i64> = Default::default();
+        for v in &delta {
+            for n in neighbors(v) {
+                sent += 1;
+                let c = best.entry(n.as_int().unwrap()).or_insert(i64::MIN);
+                *c = (*c).max(comp[&id(v)]);
+            }
+        }
+        let mut changed = Vec::new();
+        for (n, c) in best {
+            if comp.get(&n).is_some_and(|&old| c > old) {
+                comp.insert(n, c);
+                changed.push(n);
+            }
+        }
+        delta = vertices
+            .iter()
+            .filter(|v| changed.contains(&id(v)))
+            .collect();
+    }
+    sent
+}
+
+#[test]
+fn pagerank_s_and_cc_s_messages_fold_inside_their_combiners() {
+    use emma::algorithms::{connected_components as cc, pagerank};
+    let spec = emma_datagen::graph::GraphSpec {
+        vertices: 400,
+        avg_degree: 10,
+        skew: 1.2,
+        seed: 42,
+    };
+    let params = pagerank::PagerankParams {
+        iterations: 5,
+        num_pages: spec.vertices,
+        ..Default::default()
+    };
+    let pr = pagerank::catalog(&spec);
+    let vertices = pr.get("vertices").expect("vertices").clone();
+    let cases = [
+        (
+            "pagerank",
+            pagerank::program(&params),
+            pr,
+            pagerank_messages(&vertices, 5),
+        ),
+        (
+            "cc",
+            cc::stateful_program(),
+            cc::catalog(&spec),
+            cc_messages(&vertices),
+        ),
+    ];
+    for (what, program, catalog, messages) in cases {
+        let run = Engine::sparrow()
+            .run(&compile(&program), &catalog)
+            .expect("runs");
+        let stats = &run.stats;
+        assert_eq!(stats.vector_fallbacks, 0, "{what}: {stats}");
+        let wall = &stats.op_wall_secs;
+        assert!(!wall.contains_key("Pipeline"), "{what}: {wall:?}");
+        assert!(
+            stats.rows_vectorized >= messages,
+            "{what}: {messages} messages, {stats}"
+        );
+    }
+}

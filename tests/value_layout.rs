@@ -13,7 +13,7 @@ use std::collections::HashMap;
 
 use emma::emma_compiler::compiled::{compile_lambda, Machine};
 use emma::emma_compiler::interp::{self, Env};
-use emma::emma_compiler::vectorized::{specialize, VecStageSpec};
+use emma::emma_compiler::vectorized::{specialize_sampled, VecStageSpec};
 use emma::emma_engine::dataset::value_hash;
 use emma::prelude::*;
 
@@ -118,7 +118,7 @@ fn an_interpreted_tuple_is_one_allocation() {
 fn a_kernel_materialized_tuple_is_one_allocation_per_row() {
     let code = compile_lambda(&swizzle());
     let caps = code.bind(&HashMap::new());
-    let p = specialize(&[VecStageSpec::Map(&code, &caps)], &pair(0, 0))
+    let p = specialize_sampled(&[VecStageSpec::Map(&code, &caps)], &[pair(0, 0)])
         .expect("(x.0, x.1) over int pairs specializes");
     let rows: Vec<Value> = (0..16).map(|i| pair(i, -i)).collect();
     let mut s = p.new_scratch();

@@ -227,12 +227,7 @@ fn pagerank_counters_invariant_under_compiled_eval() {
         seed: 42,
     });
     let stats = assert_compiled_invariant("pagerank", &program, &catalog, &OptimizerFlags::all());
-    // One FlatMap per iteration is a refusal by design; the per-iteration
-    // aggBy adds none — it runs through the aggregation kernel.
-    assert_eq!(
-        stats.vector_fallbacks, params.iterations as u64,
-        "pagerank: {stats}"
-    );
+    assert_eq!(stats.vector_fallbacks, 0, "pagerank: {stats}");
     assert_eq!(stats.key_path_fallbacks, 0, "pagerank: {stats}");
 }
 

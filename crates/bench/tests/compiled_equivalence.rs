@@ -1,19 +1,18 @@
 //! Acceptance check for the evaluation stack: across the paper workloads
 //! (Fig. 4 spam classifier, Fig. 5 group aggregation, TPC-H Q1/Q4,
 //! PageRank), the engine's default stack — typed column kernels where a site
-//! specializes, the slot-compiled scalar tier as their replay and refusal
-//! path — must produce exactly the same sink rows, driver scalars, and
+//! specializes, the interpreter replaying what they abort or refuse — must
+//! produce exactly the same sink rows, driver scalars, and
 //! deterministic [`ExecStats`] counters, including bit-identical
 //! `simulated_secs`, as the tree-walking interpreter. The stack is an
 //! evaluation tier, not a plan optimization: it may only change how fast a
 //! row is evaluated on the host, never what is computed or what the cost
 //! model charges.
 //!
-//! Three legs are held to that bar against the default engine: the
-//! interpreter (`with_compiled_eval(false)`), which must also report all
-//! four tier telemetry counters as zero; the pinned scalar compiled tier
-//! (`engine.vectorized = None`); and a small batch size, so multi-batch
-//! abort-replay is exercised. The only counters allowed to differ are the
+//! Two legs are held to that bar against the default engine: the
+//! interpreter alone (`with_compiled_eval(false)`), which must also report
+//! all four tier telemetry counters as zero; and a small batch size, so
+//! multi-batch abort-replay is exercised. The only counters allowed to differ are the
 //! four telemetry fields ([`ExecStats::without_tier_telemetry`]), and
 //! rerunning a configuration (including under chaos faults and skew
 //! splitting) must replay those bit-identically. Q1, Fig. 5 and PageRank
@@ -69,17 +68,6 @@ fn assert_compiled_invariant(
             interp.stats,
             interp.stats.without_tier_telemetry(),
             "{what}: the interpreter tier reported tier telemetry"
-        );
-
-        // The pinned scalar compiled tier: equal to the default after
-        // `without_tier_telemetry()`, and silent itself.
-        let mut scalar_engine = engine.clone();
-        scalar_engine.vectorized = None;
-        let scalar = scalar_engine.run(&compiled, catalog).expect(what);
-        assert_same_run(&format!("{what}/scalar"), &default, &scalar);
-        assert_eq!(
-            scalar.stats, interp.stats,
-            "{what}: scalar tier counters differ from the interpreter's"
         );
 
         // The batch-size setter at its default *is* the default engine,
@@ -238,20 +226,19 @@ fn vectorized_counters_replay_bit_identically_under_chaos_and_skew() {
     // in which partition attempt — yet the vectorized tier's specialization
     // decision and telemetry are driver-side and deterministic, so two runs
     // of the same configuration must agree on *every* counter bit, and the
-    // tier must still change nothing observable against the scalar runs
-    // under the same chaos schedule.
+    // tier must still change nothing observable against the interpreter's
+    // runs under the same chaos schedule.
     let program = groupagg::program();
     let catalog = groupagg::catalog(4_000, 100, KeyDistribution::Zipf(1.2), 42);
     let compiled = parallelize(&program, &OptimizerFlags::all());
+    let interpreted = parallelize(&program, &OptimizerFlags::all().with_compiled_eval(false));
     for base in [Engine::sparrow(), Engine::flamingo()] {
         let hostile = base
             .with_faults(FaultConfig::chaos(1729))
             .with_skew_splitting(SkewConfig::default().with_min_part_rows(64));
-        let mut scalar_engine = hostile.clone();
-        scalar_engine.vectorized = None;
-        let scalar = scalar_engine
-            .run(&compiled, &catalog)
-            .expect("scalar under chaos");
+        let scalar = hostile
+            .run(&interpreted, &catalog)
+            .expect("interpreter under chaos");
         let vec_engine = hostile.with_vectorized_eval(BatchConfig::new(128));
         let a = vec_engine
             .run(&compiled, &catalog)

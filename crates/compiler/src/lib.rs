@@ -52,7 +52,6 @@ pub mod value;
 pub mod vectorized;
 
 pub use bag_expr::{BagExpr, BagLambda};
-pub use compiled::{compile_bag_body, compile_lambda, CompiledBag, CompiledEval, Machine};
 pub use expr::{BinOp, BuiltinFn, FoldKind, FoldOp, Lambda, ScalarExpr, UnOp};
 pub use interp::{Catalog, Interp, RunOutput};
 pub use pipeline::{parallelize, CompiledProgram, OptimizationReport, OptimizerFlags};

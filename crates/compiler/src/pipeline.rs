@@ -45,15 +45,15 @@ pub struct OptimizerFlags {
     /// single per-partition [`Plan::Pipeline`] passes with no intermediate
     /// materialization.
     pub pipeline_fusion: bool,
-    /// Evaluate UDF lambdas through the engine's compiled stack — typed
-    /// columnar kernels ([`crate::vectorized`]) wherever a site specializes,
-    /// slot-compiled evaluators ([`crate::compiled`]) as their abort-replay
-    /// and refusal path — instead of the reference tree-walking interpreter.
-    /// This is an engine *evaluation tier*, not one of the paper's plan
+    /// Run UDF lambdas as typed columnar kernels ([`crate::vectorized`],
+    /// specialized from [`crate::compiled`] slot programs) wherever a site
+    /// specializes, with the reference tree-walking interpreter replaying
+    /// every batch they abort and running every site they refuse. This is
+    /// an engine *evaluation tier*, not one of the paper's plan
     /// optimizations: it changes no plan, no rows, and no deterministic
     /// cost-model counter, so it stays on even in [`OptimizerFlags::none`]
-    /// and exists purely as an escape hatch (`false` = run every UDF through
-    /// the spec).
+    /// and exists purely as an escape hatch (`false` = kernels off: run
+    /// every UDF through the spec).
     pub compiled_eval: bool,
 }
 

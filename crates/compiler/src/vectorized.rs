@@ -1,12 +1,12 @@
 //! Vectorized batch evaluation: typed columnar kernels for compiled slot
 //! programs.
 //!
-//! The scalar compiled tier ([`crate::compiled`]) removed name resolution
-//! from the per-row hot path, but every row still flows through the `Value`
-//! enum one at a time: each opcode pays enum dispatch, a stack push/pop, and
-//! — for `Arc`-backed rows — refcount traffic. This module adds the third
-//! tier: a **static type-inference pass** over a compiled slot program (or a
-//! fused chain of them) classifies every opcode as specializable over typed
+//! The reference interpreter ([`crate::interp`]) evaluates a UDF one row at
+//! a time through the `Value` enum: each node pays enum dispatch, a name
+//! lookup and — for `Arc`-backed rows — refcount traffic. This module is
+//! the engine's other tier: a **static type-inference pass** over a UDF's
+//! compiled slot program ([`crate::compiled`]), or a fused chain of them,
+//! classifies every opcode as specializable over typed
 //! `i64`/`f64`/`bool`/string columns or not, and fully-specializable programs
 //! are re-lowered into a flat array of **column kernels** executed over
 //! reusable scratch buffers in batches of [`BatchConfig::batch_rows`] rows.
@@ -26,7 +26,7 @@
 //!   returns `None` the moment any opcode resists typing (vector ops, folds
 //!   other than a nested bag's `count`, bag construction, an unbound capture,
 //!   a static type that would make the reference semantics error on every
-//!   row); the caller falls back to the scalar `Machine` for that operator and
+//!   row); the caller runs that operator on the interpreter and
 //!   reports it (`ExecStats::vector_fallbacks`) — no silent slow paths.
 //! - **String columns are offset+bytes arenas.** A `Str`-typed slot loads
 //!   into one shared byte buffer plus per-lane `(start, len)` ranges
@@ -36,7 +36,7 @@
 //!   ([`specialize_sampled`]) the load additionally dictionary-encodes the
 //!   column so hash/contains kernels compute once per *distinct* value. A
 //!   batch whose strings would outgrow the arena's `u32` offsets aborts to
-//!   the scalar tier like any other non-conforming batch.
+//!   the interpreter like any other non-conforming batch.
 //! - **Branch-free `If` via selection vectors.** `JumpIfFalse`/`Jump` pairs
 //!   are recovered into structured branches; each branch's kernels execute
 //!   only over the lanes selected for it, so an error (or a debug-mode
@@ -55,13 +55,13 @@
 //!   lane failed: any failing lane (division/modulo by zero on a selected
 //!   lane) aborts the batch, [`VectorPipeline::run_batch`] returns `false`
 //!   without touching its outputs, and the caller re-runs that batch
-//!   row-at-a-time through the scalar tier — reproducing the *first* error
+//!   row-at-a-time through the interpreter — reproducing the *first* error
 //!   in evaluation order bit-identically. A batch whose rows do not all
 //!   conform to the specialized input shape takes the same path.
 //!
-//! The scalar compiled tier and the reference interpreter stay the
-//! executable specification; the differential suite in `tests/` proves the
-//! three tiers agree on arbitrary expression trees — values *and* errors.
+//! The reference interpreter stays the executable specification; the
+//! differential suite in `tests/` proves the kernels agree with it on
+//! arbitrary expression trees — values *and* errors.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -173,7 +173,7 @@ fn path_get<'v>(row: &'v Value, path: &[usize]) -> Option<&'v Value> {
 enum Op1 {
     /// The `as_float` Int→Float coercion.
     Cast,
-    /// Plain (non-wrapping) negation, matching the scalar tier.
+    /// Plain (non-wrapping) negation, matching the interpreter.
     Neg,
     Not,
     Abs,
@@ -359,7 +359,7 @@ impl StrCol {
 
     /// Appends `b` to the arena, returning its range — `None` when the
     /// arena would outgrow the `u32` offset width (the caller aborts the
-    /// batch and the scalar tier replays it).
+    /// batch and the interpreter replays it).
     fn push_bytes(&mut self, b: &[u8]) -> Option<(u32, u32)> {
         let start = self.bytes.len();
         if start + b.len() > u32::MAX as usize {
@@ -440,7 +440,7 @@ impl VectorScratch {
 /// which `Str` slots load dictionary-encoded ([`StrCol`]: at least
 /// [`DICT_MIN_SAMPLE`] conforming samples, at most half of them distinct) —
 /// lowering every opcode to column kernels. `None` as soon as an opcode is
-/// not specializable: the scalar tier (always correct) then runs the chain,
+/// not specializable: the interpreter (always correct) then runs the chain,
 /// reported as a fallback. A pure function of the programs, their captures
 /// and the sample, so decisions replay across runs, thread counts and
 /// dispatch modes.
@@ -562,7 +562,7 @@ impl<'s> Builder<'s> {
                 continue;
             }
             // The scalar filter applies `as_bool` to the result; a non-Bool
-            // static type errors on every row — let the scalar tier produce
+            // static type errors on every row — let the interpreter produce
             // that error.
             let pred = self.resolve_bool(v)?;
             let (parent, dst) = (sel, self.new_sel());
@@ -596,7 +596,7 @@ impl<'s> Builder<'s> {
                 Op::Const(v) => stack.push(self.splat(v)),
                 // A statically failing program errors on every row it
                 // evaluates — the scalar fallback reproduces it per row.
-                Op::Fail(_) => return None,
+                Op::Fail => return None,
                 Op::Local(0) => stack.push(input.clone()),
                 Op::Local(_) => return None,
                 Op::Capture(c) => match &caps[*c] {
@@ -659,10 +659,10 @@ impl<'s> Builder<'s> {
                 }
                 // Bare jumps only occur inside an `If` (consumed above); bag
                 // construction stays scalar.
-                Op::Jump(_) | Op::MkBag(_) => return None,
+                Op::Jump(_) | Op::MkBag => return None,
                 // A nested bag's `count` is its length; other folds stay scalar.
-                Op::Fold(f) => {
-                    let src = &f.counted_bag()?.ops;
+                Op::Fold(counted) => {
+                    let src = &counted.as_ref()?.ops;
                     let bag = self.eval_range(src, 0..src.len(), caps, input, sel)?;
                     let bag = self.resolve(bag).filter(|c| c.ty == Ty::V)?;
                     stack.push(VVal::Col(self.emit_un(Op1::Len, Ty::I, bag)));
@@ -688,7 +688,7 @@ impl<'s> Builder<'s> {
 
     fn field(&mut self, v: VVal, i: usize) -> Option<VVal> {
         match v {
-            // Out of range errors per row; the scalar tier reproduces it.
+            // Out of range errors per row; the interpreter reproduces it.
             VVal::Tup(mut fs) => (i < fs.len()).then(|| fs.swap_remove(i)),
             VVal::Arg { path, shape } => match shape {
                 Shape::Tuple(mut fs) if i < fs.len() => {
@@ -988,7 +988,7 @@ impl VectorPipeline {
     /// cannot be evaluated columnar-exactly: a row does not conform to the
     /// specialized input shape, or a selected lane hits a runtime error
     /// (division/modulo by zero). The caller must then evaluate the same
-    /// batch row-at-a-time through the scalar tier, which reproduces values
+    /// batch row-at-a-time through the interpreter, which reproduces values
     /// and the first error in evaluation order bit-identically.
     pub fn run_batch(
         &self,
@@ -1819,7 +1819,7 @@ fn fold_slot<T: Lane + Copy>(
     let acc = &mut T::file_mut(accs)[slot.acc.reg];
     let v = &T::file(s)[reg][off..];
     // The loop's shape matters: a reshaped one let a release build order a
-    // float add's operands apart from the scalar tier's, and return another NaN.
+    // float add's operands apart from the interpreter's, and return another NaN.
     for (l, &g) in gids.iter().enumerate() {
         let g = g as usize;
         if g == acc.len() {
@@ -1850,7 +1850,7 @@ impl AggKernel {
     /// conform to the specialized shape, or the chain, `key` or `sng` hit a
     /// runtime error on some lane): everything fallible runs before the
     /// first accumulator is written. The caller must then fold this batch
-    /// and the rest of the partition row-at-a-time through the scalar tier,
+    /// and the rest of the partition row-at-a-time through the interpreter,
     /// seeded with [`finish`](Self::finish)'s groups — reproducing values
     /// and the first error in evaluation order bit-identically.
     pub fn absorb(&self, rows: &[Value], st: &mut AggState) -> bool {
@@ -1902,7 +1902,7 @@ impl AggKernel {
                 None => (&st.scratch, slot.val.reg, 0),
             };
             match (slot.op, slot.val.ty) {
-                // Wrapping, like the scalar tier's integer `+` and `*`.
+                // Wrapping, like the interpreter's integer `+` and `*`.
                 (Add, I) => fold_slot(accs, s, slot, gids, i64::wrapping_add),
                 (Mul, I) => fold_slot(accs, s, slot, gids, i64::wrapping_mul),
                 (Min, I) => fold_slot(accs, s, slot, gids, i64::min),
@@ -2049,9 +2049,17 @@ impl AccCols {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compiled::{compile_lambda, Machine};
+    use crate::compiled::compile_lambda;
     use crate::expr::{Lambda, ScalarExpr};
-    use crate::interp::Catalog;
+    use crate::interp::{self, Catalog, Env};
+    use crate::value::ValueError;
+
+    /// The interpreter's result for `lam` on `args` over an empty base
+    /// scope: the kernels' reference.
+    fn interpret(lam: &Lambda, args: &[Value]) -> Result<Value, ValueError> {
+        let base = HashMap::new();
+        interp::eval_lambda(lam, args, &mut Env::new(&base), &Catalog::new())
+    }
 
     fn se_bin(op: BinOp, l: ScalarExpr, r: ScalarExpr) -> ScalarExpr {
         ScalarExpr::BinOp(op, Box::new(l), Box::new(r))
@@ -2070,11 +2078,10 @@ mod tests {
     }
 
     /// Runs one specialized Map over `rows` and compares every output
-    /// against the scalar tier.
+    /// against the interpreter.
     fn check_map(lam: &Lambda, rows: &[Value]) {
         let code = compile_lambda(lam);
         let caps = code.bind(&HashMap::new());
-        let catalog = Catalog::new();
         let vp = specialize_sampled(
             &[VecStageSpec::Map(&code, &caps)],
             std::slice::from_ref(&rows[0]),
@@ -2085,11 +2092,9 @@ mod tests {
         let mut out = Vec::new();
         assert!(vp.run_batch(rows, &mut scratch, &mut counts, &mut out));
         assert_eq!(counts, vec![rows.len() as u64; 2]);
-        let mut m = Machine::new();
         for (row, got) in rows.iter().zip(&out) {
-            let want = code
-                .eval(std::slice::from_ref(row), &caps, &mut m, &catalog)
-                .expect("scalar tier errored where vector tier succeeded");
+            let want = interpret(lam, std::slice::from_ref(row))
+                .expect("interpreter errored where vector tier succeeded");
             assert_eq!(&want, got, "row {row:?}");
         }
     }
@@ -2324,28 +2329,19 @@ mod tests {
         let mut counts = vec![0u64; 4];
         let mut out = Vec::new();
         assert!(vp.run_batch(&rows, &mut scratch, &mut counts, &mut out));
-        // Scalar reference: the same chain row-at-a-time.
-        let catalog = Catalog::new();
-        let mut m = Machine::new();
+        // Interpreter reference: the same chain row-at-a-time.
         let mut want = Vec::new();
         let mut want_counts = vec![0u64; 4];
         for row in &rows {
             want_counts[0] += 1;
-            let v1 = c1
-                .eval(std::slice::from_ref(row), &b1, &mut m, &catalog)
-                .unwrap();
+            let v1 = interpret(&m1, std::slice::from_ref(row)).unwrap();
             want_counts[1] += 1;
-            let keep = c2
-                .eval(std::slice::from_ref(&v1), &b2, &mut m, &catalog)
-                .unwrap();
+            let keep = interpret(&f, std::slice::from_ref(&v1)).unwrap();
             if !matches!(keep, Value::Bool(true)) {
                 continue;
             }
             want_counts[2] += 1;
-            want.push(
-                c3.eval(std::slice::from_ref(&v1), &b3, &mut m, &catalog)
-                    .unwrap(),
-            );
+            want.push(interpret(&m2, std::slice::from_ref(&v1)).unwrap());
             want_counts[3] += 1;
         }
         assert_eq!(out, want);
@@ -2462,18 +2458,15 @@ mod tests {
     fn check_map_sampled(lam: &Lambda, samples: &[Value], rows: &[Value]) -> VectorPipeline {
         let code = compile_lambda(lam);
         let caps = code.bind(&HashMap::new());
-        let catalog = Catalog::new();
         let vp = specialize_sampled(&[VecStageSpec::Map(&code, &caps)], samples)
             .expect("expected specializable program");
         let mut scratch = vp.new_scratch();
         let mut counts = vec![0u64; 2];
         let mut out = Vec::new();
         assert!(vp.run_batch(rows, &mut scratch, &mut counts, &mut out));
-        let mut m = Machine::new();
         for (row, got) in rows.iter().zip(&out) {
-            let want = code
-                .eval(std::slice::from_ref(row), &caps, &mut m, &catalog)
-                .expect("scalar tier errored where vector tier succeeded");
+            let want = interpret(lam, std::slice::from_ref(row))
+                .expect("interpreter errored where vector tier succeeded");
             assert_eq!(&want, got, "row {row:?}");
         }
         vp
@@ -2792,34 +2785,18 @@ mod tests {
         .expect("closed zero")
     }
 
-    /// The scalar reference: `InsertionMap`-style first-seen groups folded
-    /// row at a time through the compiled `key`/`sng`/`uni`.
+    /// The interpreter reference: `InsertionMap`-style first-seen groups
+    /// folded row at a time through `key`/`sng`/`uni`.
     fn scalar_groups(key: &Lambda, fold: &FoldOp, rows: &[Value]) -> Vec<(Value, Value)> {
-        let (kc, sc, uc) = (
-            compile_lambda(key),
-            compile_lambda(&fold.sng),
-            compile_lambda(&fold.uni),
-        );
-        let caps = Vec::new();
-        let catalog = Catalog::new();
         let zero = zero_of(fold);
-        let mut m = Machine::new();
         let mut groups: Vec<(Value, Value)> = Vec::new();
         for row in rows {
-            let k = kc
-                .eval(std::slice::from_ref(row), &caps, &mut m, &catalog)
-                .unwrap();
-            let s = sc
-                .eval(std::slice::from_ref(row), &caps, &mut m, &catalog)
-                .unwrap();
+            let k = interpret(key, std::slice::from_ref(row)).unwrap();
+            let s = interpret(&fold.sng, std::slice::from_ref(row)).unwrap();
             match groups.iter_mut().find(|(gk, _)| *gk == k) {
-                Some((_, acc)) => {
-                    *acc = uc.eval(&[acc.clone(), s], &caps, &mut m, &catalog).unwrap()
-                }
+                Some((_, acc)) => *acc = interpret(&fold.uni, &[acc.clone(), s]).unwrap(),
                 None => {
-                    let first = uc
-                        .eval(&[zero.clone(), s], &caps, &mut m, &catalog)
-                        .unwrap();
+                    let first = interpret(&fold.uni, &[zero.clone(), s]).unwrap();
                     groups.push((k, first));
                 }
             }
@@ -2904,14 +2881,10 @@ mod tests {
     /// The scalar merge: partials folded in order into first-seen groups
     /// under `Value` equality, each group starting from its first partial.
     fn scalar_merge(uni: &Lambda, keys: &[(u64, Value)], accs: &[Value]) -> Vec<(Value, Value)> {
-        let (uc, catalog, mut m) = (compile_lambda(uni), Catalog::new(), Machine::new());
         let mut groups: Vec<(Value, Value)> = Vec::new();
         for ((_, k), a) in keys.iter().zip(accs) {
             match groups.iter_mut().find(|(g, _)| g == k) {
-                Some((_, acc)) => {
-                    let args = [acc.clone(), a.clone()];
-                    *acc = uc.eval(&args, &[], &mut m, &catalog).unwrap();
-                }
+                Some((_, acc)) => *acc = interpret(uni, &[acc.clone(), a.clone()]).unwrap(),
                 None => groups.push((k.clone(), a.clone())),
             }
         }
@@ -3093,7 +3066,7 @@ mod tests {
             sng: Lambda::new(["x"], sng),
             ..f
         };
-        // `Null + s` errors on every row; the scalar tier must produce it.
+        // `Null + s` errors on every row; the interpreter must produce it.
         let null_sum = FoldOp::custom(
             ScalarExpr::lit(Value::Null),
             Lambda::new(["x"], x1()),

@@ -1,23 +1,21 @@
-//! Differential property tests across all three evaluation tiers: the
-//! slot-based compiled evaluators ([`emma_compiler::compiled`]) must agree
-//! with the reference interpreter ([`emma_compiler::interp`]) on *every*
-//! expression — same `Value` on success, same `ValueError` on failure — and
-//! the vectorized batch tier ([`emma_compiler::vectorized`]) must agree
-//! with the scalar compiled tier on every batch it accepts. The interpreter
-//! is the executable specification; this suite throws randomly generated
-//! (and mostly ill-typed) expression trees at the tiers and demands
-//! bit-for-bit equal `Result`s, covering the error paths hand-written
+//! Differential property tests across the two evaluation tiers: the typed
+//! batch kernels ([`emma_compiler::vectorized`], specialized from
+//! [`emma_compiler::compiled`] slot programs) must agree with the reference
+//! interpreter ([`emma_compiler::interp`]) on every batch they accept. The
+//! interpreter is the executable specification; this suite throws randomly
+//! generated (and mostly ill-typed) expression trees at the kernels and
+//! demands bit-for-bit equal results, covering the error paths hand-written
 //! tests rarely reach: type mismatches, division by zero, out-of-range
 //! field access, unbound variables, and shadowing through fold binders.
-//! For the vectorized tier the contract is *soundness*: a batch either
-//! evaluates columnar-exactly (identical rows, identical per-stage counts)
-//! or aborts with its outputs untouched so the caller can replay it
-//! row-at-a-time — reproducing the first error in evaluation order.
+//! The kernels' contract is *soundness*: a batch either evaluates
+//! columnar-exactly (identical rows, identical per-stage counts) or aborts
+//! with its outputs untouched so the caller can replay it row-at-a-time on
+//! the interpreter — reproducing the first error in evaluation order.
 
 use std::collections::HashMap;
 
 use emma_compiler::bag_expr::{BagExpr, BagLambda};
-use emma_compiler::compiled::{compile_bag_body, compile_lambda, Machine};
+use emma_compiler::compiled::compile_lambda;
 use emma_compiler::expr::{BuiltinFn, FoldKind, FoldOp, Lambda, ScalarExpr};
 use emma_compiler::interp::{self, Catalog, Env};
 use emma_compiler::value::{Value, ValueError};
@@ -208,45 +206,25 @@ fn base_scope() -> HashMap<String, Value> {
     base
 }
 
-/// Evaluates `lam` on `args` through both tiers and asserts the full
-/// `Result<Value, ValueError>` is identical.
-fn assert_tiers_agree(lam: &Lambda, args: &[Value]) -> Result<(), TestCaseError> {
-    assert_tiers_agree_in(lam, args, &base_scope()).map(|_| ())
-}
-
-/// [`assert_tiers_agree`] over a given base scope; hands back the outcome
-/// both tiers agreed on.
-fn assert_tiers_agree_in(
+/// The interpreter's outcome for `lam` on `args` over `base`: the spec the
+/// kernels are held to.
+fn interpret(
     lam: &Lambda,
     args: &[Value],
     base: &HashMap<String, Value>,
-) -> Result<Result<Value, ValueError>, TestCaseError> {
+) -> Result<Value, ValueError> {
     let catalog = Catalog::new().with("xs", (0..6).map(Value::Int).collect::<Vec<_>>());
-
-    let mut env = Env::new(base);
-    let want: Result<Value, ValueError> = interp::eval_lambda(lam, args, &mut env, &catalog);
-
-    let compiled = compile_lambda(lam);
-    let caps = compiled.bind(base);
-    let mut m = Machine::new();
-    let got = compiled.eval(args, &caps, &mut m, &catalog);
-
-    prop_assert_eq!(&want, &got, "tier divergence on {:?} over {:?}", lam, args);
-
-    // Machines are reused across rows by the engine: a second evaluation on
-    // the same machine must not be affected by leftover state.
-    let again = compiled.eval(args, &caps, &mut m, &catalog);
-    prop_assert_eq!(&want, &again, "machine reuse divergence on {:?}", lam);
-    Ok(want)
+    interp::eval_lambda(lam, args, &mut Env::new(base), &catalog)
 }
 
 /// Runs a single Map/Filter stage over `rows` through the vectorized tier
 /// (when it specializes on the first row) and checks its soundness contract
-/// against the scalar compiled tier:
+/// against the interpreter:
 ///
-/// * `run_batch` returned `true` → every row's scalar evaluation is `Ok`,
-///   the batch output reproduces the scalar results bit-for-bit, and the
-///   per-stage counts equal what the scalar loop would have counted;
+/// * `run_batch` returned `true` → every row's interpreted evaluation is
+///   `Ok`, the batch output reproduces the interpreter's results
+///   bit-for-bit, and the per-stage counts equal what the row-at-a-time
+///   loop would have counted;
 /// * `run_batch` returned `false` → `counts` and `out` are untouched, so
 ///   the caller's row-at-a-time replay starts from a clean slate.
 ///
@@ -272,18 +250,18 @@ fn assert_vectorized_sound(
     // what turns the string dictionary heuristic on; the single-row sample
     // mirrors the engine's minimum. Shape always comes from the first row.
     let sample = if sample_all { rows } else { &rows[..1] };
-    // Most generated programs are not specializable; that is the scalar
-    // tier's job and is not a soundness question.
+    // Most generated programs are not specializable; that is the
+    // interpreter's job and is not a soundness question.
     let Some(vp) = specialize_sampled(&[stage], sample) else {
         return Ok(());
     };
 
-    // Scalar reference, row at a time, on a reused machine — exactly what
-    // the engine's fallback replay does.
-    let mut m = Machine::new();
+    // Interpreter reference, row at a time, on one reused environment —
+    // exactly what the engine's fallback replay does.
+    let mut env = Env::new(&base);
     let scalar: Vec<Result<Value, ValueError>> = rows
         .iter()
-        .map(|r| compiled.eval(std::slice::from_ref(r), &caps, &mut m, &catalog))
+        .map(|r| interp::eval_lambda(lam, std::slice::from_ref(r), &mut env, &catalog))
         .collect();
 
     let mut scratch = vp.new_scratch();
@@ -360,50 +338,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn compiled_lambda_matches_interpreter(
-        body in expr_strategy(),
-        ax in value_strategy(),
-        ay in value_strategy(),
-    ) {
-        let lam = Lambda::new(["x", "y"], body);
-        assert_tiers_agree(&lam, &[ax, ay])?;
-    }
-
-    #[test]
-    fn compiled_bag_body_matches_interpreter(
-        head in expr_strategy(),
-        pred in expr_strategy(),
-        arg in value_strategy(),
-        shape in 0u8..4,
-    ) {
-        // FlatMap bodies the engine compiles: the element parameter is `x`.
-        let body = match shape {
-            0 => BagExpr::of_value(head),
-            1 => BagExpr::Ref { name: "b0".into() }.map(Lambda::new(["e"], head)),
-            2 => BagExpr::of_value(head).filter(Lambda::new(["e"], pred)),
-            _ => BagExpr::of_value(head).plus(
-                BagExpr::Ref { name: "b0".into() }.filter(Lambda::new(["e"], pred)),
-            ),
-        };
-        let base = base_scope();
-        let catalog = Catalog::new();
-
-        let mut env = Env::new(&base);
-        let want = interp::eval_bag_with_binding(&body, "x", arg.clone(), &mut env, &catalog);
-
-        let compiled = compile_bag_body("x", &body);
-        let caps = compiled.bind(&base);
-        let mut m = Machine::new();
-        let mut got = Vec::new();
-        let res = compiled.eval(arg, &caps, &mut m, &catalog, |row| {
-            got.push(row);
-            Ok(())
-        });
-
-        prop_assert_eq!(want, res.map(|()| got), "bag tier divergence on {:?}", body);
-    }
-
-    #[test]
     fn vectorized_map_matches_scalar_tiers(
         body in expr_strategy(),
         rows in prop::collection::vec(value_strategy(), 1..12),
@@ -451,10 +385,6 @@ proptest! {
     ) {
         let lam = Lambda::new(["x"], body);
         assert_vectorized_sound(&lam, &rows, false, sample_all)?;
-        // The same body must also agree scalar-vs-interpreter on each row.
-        for row in rows.iter().take(4) {
-            assert_tiers_agree(&lam, std::slice::from_ref(row))?;
-        }
     }
 
     #[test]
@@ -479,12 +409,12 @@ proptest! {
     }
 }
 
-/// The engine replays an aborted batch row-at-a-time through the scalar
-/// tier. This must surface the first error *in evaluation order*: the error
-/// of the earliest erroring row — not the error raised by the textually
-/// earliest instruction anywhere in the batch. Here row 0 fails late in its
-/// program (`%` by zero) while row 1 fails early (`/` by zero); the
-/// replayed error must be row 0's.
+/// The engine replays an aborted batch row-at-a-time through the
+/// interpreter. This must surface the first error *in evaluation order*:
+/// the error of the earliest erroring row — not the error raised by the
+/// textually earliest instruction anywhere in the batch. Here row 0 fails
+/// late in its program (`%` by zero) while row 1 fails early (`/` by zero);
+/// the replayed error must be row 0's.
 #[test]
 fn batch_abort_replay_reproduces_first_error_in_row_order() {
     let x = || ScalarExpr::var("x");
@@ -526,19 +456,13 @@ fn batch_abort_replay_reproduces_first_error_in_row_order() {
     assert!(out.is_empty() && counts.iter().all(|&c| c == 0));
 
     // Row-at-a-time replay, as the engine performs it.
-    let mut m = Machine::new();
+    let mut env = Env::new(&base);
     let replayed = rows
         .iter()
-        .map(|r| compiled.eval(std::slice::from_ref(r), &caps, &mut m, &catalog))
+        .map(|r| interp::eval_lambda(&lam, std::slice::from_ref(r), &mut env, &catalog))
         .collect::<Result<Vec<_>, _>>()
         .expect_err("replay must surface an error");
-    let row0_alone = compiled
-        .eval(
-            std::slice::from_ref(&rows[0]),
-            &caps,
-            &mut Machine::new(),
-            &catalog,
-        )
+    let row0_alone = interpret(&lam, std::slice::from_ref(&rows[0]), &base)
         .expect_err("row 0 errors on its own");
     assert_eq!(
         replayed, row0_alone,
@@ -602,7 +526,7 @@ fn fold_grid_agrees_on_values_and_errors() {
         BagExpr::Ref { name: "bag".into() },
     ];
     let (mut cells, mut values, mut errors) = (0, 0, 0);
-    for (name, input) in &inputs {
+    for (_, input) in &inputs {
         let row = Value::tuple(vec![
             Value::Int(0),
             Value::tuple(vec![input.clone(), Value::Int(9)]),
@@ -614,9 +538,7 @@ fn fold_grid_agrees_on_values_and_errors() {
                 for source in fold_sources(root.clone(), body, pred) {
                     for op in fold_ops(&Lambda::new(["e"], pred.clone())) {
                         let lam = Lambda::new(["x"], source.clone().fold(op));
-                        match assert_tiers_agree_in(&lam, std::slice::from_ref(&row), &base)
-                            .unwrap_or_else(|err| panic!("input {name}: {err}"))
-                        {
+                        match interpret(&lam, std::slice::from_ref(&row), &base) {
                             Ok(_) => values += 1,
                             Err(_) => errors += 1,
                         }
@@ -642,7 +564,7 @@ fn fold_grid_agrees_on_values_and_errors() {
             .fold(FoldOp::exists(Lambda::new(["e"], element_fns[1].1.clone()))),
     );
     let row = Value::tuple(vec![Value::Int(0), Value::tuple(vec![inputs[6].1.clone()])]);
-    let got = assert_tiers_agree_in(&lam, &[row], &base_scope()).unwrap();
+    let got = interpret(&lam, &[row], &base_scope());
     assert!(
         matches!(&got, Err(ValueError::Arithmetic(m)) if m.contains("modulo")),
         "position 2 raises first, got {got:?}"
@@ -888,8 +810,7 @@ fn bag_operator_grid_agrees_with_a_linear_scan_reference() {
         }
         for (op, expr, want) in ops {
             let lam = Lambda::new(["x"], ScalarExpr::BagOf(Box::new(expr)));
-            let got = assert_tiers_agree_in(&lam, std::slice::from_ref(&row), &base)
-                .unwrap_or_else(|err| panic!("{op} on {name}: {err}"));
+            let got = interpret(&lam, std::slice::from_ref(&row), &base);
             let want = want.map(Value::bag);
             assert_eq!(
                 format!("{got:?}"),
@@ -922,12 +843,12 @@ fn bag_operator_grid_agrees_with_a_linear_scan_reference() {
         };
         Lambda::new(["x"], ScalarExpr::BagOf(Box::new(agg)))
     };
-    let keyed = assert_tiers_agree_in(&agg(&keys[1]), std::slice::from_ref(&raiser), &base_scope());
+    let keyed = interpret(&agg(&keys[1]), std::slice::from_ref(&raiser), &base_scope());
     assert!(
-        matches!(keyed.unwrap(), Err(ValueError::Arithmetic(m)) if m.contains("modulo")),
+        matches!(keyed, Err(ValueError::Arithmetic(m)) if m.contains("modulo")),
         "the key raises at row 1"
     );
-    let plain = assert_tiers_agree_in(&agg(&keys[0]), &[raiser], &base_scope()).unwrap();
+    let plain = interpret(&agg(&keys[0]), &[raiser], &base_scope());
     assert!(
         matches!(&plain, Err(ValueError::TypeMismatch { .. })),
         "the sng raises at row 2, got {plain:?}"
@@ -965,8 +886,8 @@ fn scalar_pass(
     Ok((out, counts))
 }
 
-/// Runs one grid cell through the three tiers and holds them to one
-/// outcome: values (compared through `Debug`, so `-0.0` is not `0.0`), the
+/// Runs one grid cell through the interpreter and the kernels and holds
+/// them to one outcome: values (compared through `Debug`, so `-0.0` is not `0.0`), the
 /// first error in row order, and per-stage counts. The chain must
 /// specialize, and its batch must abort exactly when a selected lane raises
 /// — leaving `counts` and `out` untouched for the replay.
@@ -987,15 +908,6 @@ fn assert_cell(
     });
     let compiled: Vec<_> = stages.iter().map(|(_, lam)| compile_lambda(lam)).collect();
     let caps: Vec<_> = compiled.iter().map(|c| c.bind(base)).collect();
-    let mut m = Machine::new();
-    let scalar = scalar_pass(stages, rows, |i, row| {
-        compiled[i].eval(std::slice::from_ref(row), &caps[i], &mut m, &catalog)
-    });
-    assert_eq!(
-        format!("{want:?}"),
-        format!("{scalar:?}"),
-        "{cell}: scalar tier vs interpreter"
-    );
 
     let specs: Vec<_> = stages
         .iter()
@@ -1304,10 +1216,12 @@ fn kernel_grid_agrees_on_values_errors_and_counts() {
     assert_eq!(n_cells, 16 + 4 + 54 + 3 + 10 + 7 + 3 + 1 + 7 + 12 + 8);
 }
 
-/// The closed forms are recognized from the compiled `zero`/`sng`/`uni`
+/// The count closed form is recognized from the compiled `zero`/`sng`/`uni`
 /// code. A fold may carry any [`FoldKind`] over any lambdas, so one
-/// *labelled* `Count` whose lambdas are not count's must evaluate its own
-/// lambdas — this fails if recognition is ever switched to `FoldOp::kind`.
+/// *labelled* `Count` whose lambdas are not count's must not lower to the
+/// kernels' length — this fails if recognition is ever switched to
+/// `FoldOp::kind`. The interpreter evaluates each fold's own lambdas, and
+/// the kernels take exactly the fold whose lambdas are count's.
 #[test]
 fn a_fold_labelled_count_evaluates_its_own_lambdas() {
     let (a, b, e) = (
@@ -1352,22 +1266,40 @@ fn a_fold_labelled_count_evaluates_its_own_lambdas() {
         ),
     ];
     let row = Value::tuple(vec![Value::bag([1i64, 2, 3].map(Value::Int))]);
-    for (op, want) in cases {
+    let base = base_scope();
+    for (i, (op, want)) in cases.into_iter().enumerate() {
         let lam = Lambda::new(
             ["x"],
             BagExpr::of_value(ScalarExpr::var("x").get(0)).fold(op),
         );
-        let got = assert_tiers_agree_in(&lam, std::slice::from_ref(&row), &base_scope()).unwrap();
+        let got = interpret(&lam, std::slice::from_ref(&row), &base);
         assert_eq!(got, Ok(Value::Int(want)), "{lam:?}");
+        let code = compile_lambda(&lam);
+        let caps = code.bind(&base);
+        let spec = [VecStageSpec::Map(&code, &caps)];
+        let kernel = specialize_sampled(&spec, std::slice::from_ref(&row));
+        assert_eq!(
+            kernel.is_some(),
+            i == 4,
+            "{lam:?}: only count's lambdas are a length"
+        );
+        if let Some(vp) = kernel {
+            let (mut counts, mut out) = (vec![0u64; 2], Vec::new());
+            let ran = vp.run_batch(
+                std::slice::from_ref(&row),
+                &mut vp.new_scratch(),
+                &mut counts,
+                &mut out,
+            );
+            assert!(ran && out == [Value::Int(want)], "{lam:?}: {out:?}");
+        }
     }
 }
 
-/// A `Var.f.g.h` chain is walked by reference and only its leaf cloned.
-/// Breaking the chain at each hop — a non-tuple (`TypeMismatch`) or a short
-/// tuple (`FieldOutOfRange`) — must raise what the interpreter raises, from
-/// a parameter and from a capture, and so must a chain whose field ops are
-/// an `If` join point: the else branch falls into them, the then branch
-/// jumps to them.
+/// A `Var.f.g.h` chain broken at each hop — a non-tuple (`TypeMismatch`) or
+/// a short tuple (`FieldOutOfRange`) — from a parameter, from a capture, from
+/// an unbound name and after an `If` join: the rows reach every outcome the
+/// interpreter can give a field chain.
 #[test]
 fn field_chains_break_like_the_interpreter() {
     let int = Value::Int;
@@ -1406,7 +1338,7 @@ fn field_chains_break_like_the_interpreter() {
                 joined(ScalarExpr::var("y").get(0).eq(ScalarExpr::var("x").get(0))),
             ] {
                 let lam = Lambda::new(["x", "y"], body);
-                kinds.insert(match assert_tiers_agree_in(&lam, &args, &base).unwrap() {
+                kinds.insert(match interpret(&lam, &args, &base) {
                     Ok(_) => "value",
                     Err(ValueError::TypeMismatch { .. }) => "mismatch",
                     Err(ValueError::FieldOutOfRange { .. }) => "range",

@@ -38,8 +38,8 @@
 //! the `emma-compiler` / `emma-engine` crates then execute the same programs
 //! in parallel with identical semantics. [`ops`] is what makes that hold by
 //! construction for the keyed operators: the `DataBag`, the quoted-program
-//! interpreter, the scalar compiled tier and the engine's per-partition
-//! loops all call it rather than keep their own copy.
+//! interpreter and the engine's per-partition loops all call it rather than
+//! keep their own copy.
 
 #![warn(missing_docs)]
 

@@ -3,8 +3,8 @@
 //! `groupBy`, `aggBy`, `minus`, `distinct` and stateful create / update are
 //! defined here over plain iterators and callbacks, and every layer that
 //! evaluates them calls these functions: the typed [`DataBag`] and
-//! [`StatefulBag`], the quoted-program interpreter (the specification), the
-//! scalar compiled tier's nested bags, and the engine's per-partition loops.
+//! [`StatefulBag`], the quoted-program interpreter (the specification) and
+//! the engine's per-partition loops.
 //! The order rules are part of the semantics:
 //!
 //! * [`group`]: groups in first-seen key order, rows in input order;

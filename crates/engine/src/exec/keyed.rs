@@ -7,9 +7,7 @@ use std::borrow::Cow;
 
 use emma_compiler::plan::SkewEligibility;
 
-use super::prepare::{
-    batch_or_replay, sample_rows, vec_spec, Chunk, EvCtx, Kernel, PreparedScalar,
-};
+use super::prepare::{batch_or_replay, sample_rows, vec_spec, Chunk, Kernel, PreparedScalar};
 use super::*;
 use crate::dataset::{scatter, Measured};
 
@@ -179,7 +177,7 @@ impl<'p> KeyEval<'p> {
 pub(super) struct KeyCursor<'e, 'p> {
     eval: &'e KeyEval<'p>,
     kernel: Option<Kernel<'e>>,
-    cx: Option<EvCtx<'e>>,
+    cx: Option<Env<'e>>,
     tally: Tally,
     /// Rows keyed so far.
     done: usize,

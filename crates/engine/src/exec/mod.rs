@@ -96,15 +96,13 @@ pub struct Engine {
     /// consults partition sizes and leaves every counter bit-identical to an
     /// engine without the feature.
     pub skew: Option<SkewConfig>,
-    /// Batch size of the vectorized columnar kernels every specializable
-    /// site runs through (see [`Engine::with_vectorized_eval`]); on by
-    /// default. `None` pins the scalar compiled tier — the kernels'
-    /// abort-replay and refusal path — for differential tests: rows, errors
-    /// and every cost-model counter are the same, only the four tier
-    /// telemetry counters ([`ExecStats::without_tier_telemetry`]) stay 0.
-    /// Ignored when the program runs the interpreter
-    /// (`CompiledProgram::compiled_eval == false`).
-    pub vectorized: Option<BatchConfig>,
+    /// Batch size of the typed column kernels every specializable site runs
+    /// through (see [`Engine::with_vectorized_eval`]). The interpreter
+    /// replays every batch they abort and runs every site they refuse.
+    /// Ignored when the program runs on the interpreter alone
+    /// (`CompiledProgram::compiled_eval == false`), the one way to turn the
+    /// kernels off.
+    pub vectorized: BatchConfig,
     /// Cross-session result cache installed by the service layer
     /// ([`crate::service::SessionService`]); `None` (the default) never
     /// consults it and leaves every counter bit-identical to an engine
@@ -133,7 +131,7 @@ impl Engine {
             faults: None,
             checkpoints: None,
             skew: None,
-            vectorized: Some(BatchConfig::default()),
+            vectorized: BatchConfig::default(),
             shared_cache: None,
             shared_session: 0,
         }
@@ -219,13 +217,13 @@ impl Engine {
         self
     }
 
-    /// Sets the batch size of the vectorized tier, the engine's default
-    /// evaluation stack: fully type-specializable Map/Filter/Fold-element
+    /// Sets the batch size of the typed kernels, the engine's default
+    /// evaluation tier: fully type-specializable Map/Filter/Fold-element
     /// bodies (and fused Map/Filter pipelines) are lowered to typed
     /// `i64`/`f64`/`bool`/string column kernels and evaluated over reusable
     /// scratch buffers in batches of `cfg.batch_rows` rows (at least 1);
-    /// every operator whose program resists static typing runs the scalar
-    /// compiled tier and is counted in [`ExecStats::vector_fallbacks`] — the
+    /// every operator whose program resists static typing runs on the
+    /// interpreter and is counted in [`ExecStats::vector_fallbacks`] — the
     /// engine, not the caller, picks the tier per site, and no slow path is
     /// silent. A fused `aggBy` whose `uni` is slot-wise
     /// (sum/count/min/max/exists/forall slots) runs whole — `key`, `sng` and
@@ -237,14 +235,14 @@ impl Engine {
     /// [`ExecStats::key_path_fallbacks`]. Rows, errors, and error order are
     /// preserved exactly: a batch that produces any error (or does not
     /// conform to the specialized input shape) is re-run row-at-a-time
-    /// through the scalar tier, so the first error in evaluation order
+    /// through the interpreter, so the first error in evaluation order
     /// reproduces bit-identically. Specialization is decided on the driver
     /// from a prefix of the first non-empty input partition (shape from the
     /// first row; the extra rows only inform string dictionary encoding), so
     /// fallback counts replay bit-identically across thread counts and
     /// dispatch modes.
     pub fn with_vectorized_eval(mut self, cfg: BatchConfig) -> Self {
-        self.vectorized = Some(cfg);
+        self.vectorized = cfg;
         self
     }
 

@@ -10,8 +10,8 @@ use crate::dataset::{Measured, Payload};
 use crate::exec::keyed::{next_key, KeyedInput, PartKeys, Placement};
 use crate::exec::operators::narrow::{kernel_shaped, NarrowSite, StageCounts};
 use crate::exec::prepare::{
-    batch_or_replay, compiled_parts, sample_rows, vec_spec, Chunk, EvCtx, Feed, Kernel,
-    PreparedScalar, SPECIALIZE_SAMPLE_ROWS,
+    batch_or_replay, compiled_parts, sample_rows, vec_spec, Chunk, Feed, Kernel, PreparedScalar,
+    SPECIALIZE_SAMPLE_ROWS,
 };
 use crate::exec::*;
 
@@ -65,7 +65,7 @@ impl Session<'_> {
         let mut ucx = uni_prep.ctx(&base);
         for p in partials.into_rows() {
             acc = uni_prep
-                .call_owned([acc, p], &mut ucx, self.catalog)
+                .call(&[acc, p], &mut ucx, self.catalog)
                 .map_err(ExecError::Eval)?;
         }
         self.charge(Charge::FoldPartials(partial_bytes));
@@ -476,8 +476,7 @@ impl Session<'_> {
                 for ((h, k), a) in keys.into_iter().zip(accs).skip(covered) {
                     match merged.get_mut_hashed(h, &k) {
                         Some(acc) => {
-                            *acc =
-                                uni_prep.call_owned([std::mem::take(acc), a], &mut ucx, catalog)?
+                            *acc = uni_prep.call(&[std::mem::take(acc), a], &mut ucx, catalog)?
                         }
                         None => merged.insert_hashed(h, k, a),
                     }
@@ -509,8 +508,8 @@ struct Combiner<'p> {
     key_base: HashMap<String, Value>,
 }
 
-/// The scalar fold's evaluation contexts: `key`'s, `sng`'s and `uni`'s.
-type FoldCtx<'b> = (EvCtx<'b>, EvCtx<'b>, EvCtx<'b>);
+/// The scalar fold's interpreter environments: `key`'s, `sng`'s and `uni`'s.
+type FoldCtx<'b> = (Env<'b>, Env<'b>, Env<'b>);
 
 /// A combiner's partials: the accumulators, with the `(hash, key)` pairs
 /// that route them.
@@ -529,9 +528,9 @@ impl<'p> Combiner<'p> {
         vectorized::specialize_agg(&input, compiled_parts(&self.uni)?.0, rows)
     }
 
-    /// Folds `rows` into `accs` through the scalar tier, in the `key`,
+    /// Folds `rows` into `accs` through the interpreter, in the `key`,
     /// `sng`, `uni` per-row order, up to the first error; `cx` holds the
-    /// contexts from one call to the next, built on first use.
+    /// environments from one call to the next, built on first use.
     fn fold_rows<'b>(
         &'b self,
         accs: &mut InsertionMap<Value, Value>,
@@ -560,7 +559,7 @@ impl<'p> Combiner<'p> {
             },
             &self.zero,
             |(_, scx, _), row| self.sng.call(std::slice::from_ref(row), scx, catalog),
-            |(.., ucx), a, b| self.uni.call_owned([a, b], ucx, catalog),
+            |(.., ucx), a, b| self.uni.call(&[a, b], ucx, catalog),
         )
     }
 }
@@ -638,7 +637,7 @@ fn fused_partition(
             let st = st.take().expect("the kernel folds until it aborts");
             accs = seeded(kernel.finish(st));
         }
-        let rows = site.scalar_pass(chunk, catalog, &mut entered)?;
+        let rows = site.interp_pass(chunk, catalog, &mut entered)?;
         if held.is_none() {
             held = comb.fold_rows(&mut accs, &rows, &mut cx, catalog).err();
         }
@@ -713,11 +712,11 @@ fn fold_partition(
     tally: &mut Tally,
 ) -> Result<Value, ValueError> {
     let mut ucx = uni.ctx(base);
-    let mut scx: Option<EvCtx> = None;
+    let mut scx: Option<Env> = None;
     let mut kernel = sng_vec.map(|v| Kernel::new(v, None));
     let mut acc = zero;
     let mut combine = |acc: &mut Value, s: Value| {
-        uni.call_owned([std::mem::take(acc), s], &mut ucx, catalog)
+        uni.call(&[std::mem::take(acc), s], &mut ucx, catalog)
             .map(|next| *acc = next)
     };
     batch_or_replay(

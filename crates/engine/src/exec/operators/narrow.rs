@@ -11,7 +11,7 @@ use emma_compiler::vectorized::VecStageSpec;
 use crate::dataset::Widths;
 use crate::exec::keyed::{KeyCursor, KeyEval, KeyTap, KeyedInput, PartKeys};
 use crate::exec::prepare::{
-    batch_or_replay, sample_rows, unnest, vec_spec, Chunk, EvCtx, Kernel, PreparedStage,
+    batch_or_replay, prepare_bag, sample_rows, unnest, vec_spec, Chunk, Kernel, PreparedStage,
     SPECIALIZE_SAMPLE_ROWS,
 };
 use crate::exec::*;
@@ -157,17 +157,17 @@ impl NarrowSite<'_> {
                 break;
             }
             // A parent with no bag at the path yields nothing here; its
-            // batch replays on the scalar tier, which raises.
+            // batch replays on the interpreter, which raises.
             unnest(std::slice::from_ref(x), path, &mut pairs);
         }
         pairs.truncate(SPECIALIZE_SAMPLE_ROWS);
         (!pairs.is_empty()).then_some(Cow::Owned(pairs))
     }
 
-    /// Runs the chain over `rows` through the scalar tier
+    /// Runs the chain over `rows` through the interpreter
     /// ([`run_pipeline_partition`] without kernels): the rows it leaves,
     /// with each stage boundary's row count added to `counts`.
-    pub(crate) fn scalar_pass(
+    pub(crate) fn interp_pass(
         &self,
         rows: &[Value],
         catalog: &Catalog,
@@ -265,9 +265,7 @@ impl Session<'_> {
             prepared.push(match *stage {
                 Narrow::Map(f) => PreparedStage::Map(self.prepare_lambda(f, base)),
                 Narrow::Filter(p) => PreparedStage::Filter(self.prepare_lambda(p, base)),
-                Narrow::FlatMap(param, body) => {
-                    PreparedStage::FlatMap(self.prepare_bag(param, body, base))
-                }
+                Narrow::FlatMap(param, body) => PreparedStage::FlatMap(prepare_bag(param, body)),
             });
         }
         // The first stage's broadcast-scan charge is known before any row
@@ -333,7 +331,7 @@ impl Session<'_> {
 
     /// Runs a readied narrow chain in one per-partition pass. The engine
     /// picks the tier for the whole chain — typed column kernels when it
-    /// specializes, the scalar flat loop otherwise (a counted refusal) —
+    /// specializes, the interpreter otherwise (a counted refusal) —
     /// and then issues each stage's charges from its entry sizes
     /// ([`Session::charge_stages`]).
     ///
@@ -519,8 +517,8 @@ impl<'e, 'p> RowTap<'e, 'p> {
 
 /// The rows a keyed consumer would specialize its key against if the wave
 /// had already run ([`sample_rows`] of the output): a prefix of the first
-/// partition the chain leaves non-empty, taken on the driver by the scalar
-/// tier from as few input rows as it needs. `None` when every partition
+/// partition the chain leaves non-empty, taken on the driver by the
+/// interpreter from as few input rows as it needs. `None` when every partition
 /// comes out empty — and when the chain raises or panics first, because
 /// then the wave does too, before anyone reads a key.
 fn output_sample(
@@ -553,60 +551,6 @@ fn output_sample(
     catch_unwind(AssertUnwindSafe(sample)).ok()?.ok()?
 }
 
-/// The scalar flat loop over a Map/Filter-only stage chain: each row stays
-/// in a register-resident local through every stage. Shared between the
-/// fused pipeline pass and the vectorized tier's batch-abort replay. `kept`,
-/// if given, gets the index of each row that reaches the output.
-#[allow(clippy::too_many_arguments)]
-fn run_scalar_chain<'p, 'b>(
-    rows: &[Value],
-    stages: &'b [PreparedStage<'p>],
-    ctxs: &mut [EvCtx<'b>],
-    catalog: &Catalog,
-    need_bytes: &[bool],
-    counts: &mut [u64],
-    bytes: &mut [u64],
-    out: &mut Vec<Value>,
-    mut kept: Option<&mut Vec<u32>>,
-) -> Result<(), ValueError>
-where
-    'p: 'b,
-{
-    let nstages = stages.len();
-    'rows: for (lane, row) in rows.iter().enumerate() {
-        let mut cur = row.clone();
-        for (i, stage) in stages.iter().enumerate() {
-            counts[i] += 1;
-            if need_bytes[i] {
-                bytes[i] += cur.approx_bytes();
-            }
-            match stage {
-                PreparedStage::Map(f) => {
-                    cur = f.call_owned([cur], &mut ctxs[i], catalog)?;
-                }
-                PreparedStage::Filter(p) => {
-                    let keep = p
-                        .call(std::slice::from_ref(&cur), &mut ctxs[i], catalog)?
-                        .as_bool()?;
-                    if !keep {
-                        continue 'rows;
-                    }
-                }
-                PreparedStage::FlatMap(_) => unreachable!("chain is Map/Filter-only"),
-            }
-        }
-        counts[nstages] += 1;
-        if need_bytes[nstages] {
-            bytes[nstages] += cur.approx_bytes();
-        }
-        if let Some(kept) = kept.as_deref_mut() {
-            kept.push(lane as u32);
-        }
-        out.push(cur);
-    }
-    Ok(())
-}
-
 /// Output rows plus the per-stage row and byte counters of one partition.
 type PartitionPass = (Vec<Value>, Vec<u64>, Vec<u64>);
 
@@ -616,11 +560,12 @@ type PartitionPass = (Vec<Value>, Vec<u64>, Vec<u64>);
 /// number of rows that entered stage `i` (`counts[nstages]` = output rows)
 /// and — where `need_bytes[i]` — their byte total, so the caller can issue
 /// exactly the charges the unfused chain would. A specialized chain
-/// (`kernel`) runs columnar, batch by batch, and only an aborted batch takes
-/// the scalar pass ([`batch_or_replay`]): the per-stage entry counts are
-/// identical whichever path each batch took, and there are no byte totals to
-/// keep, since a chain that needs them never specializes. A `tap` sees each
-/// chunk's output rows right after the chunk produced them.
+/// (`kernel`) runs columnar, batch by batch, and only an aborted batch is
+/// replayed ([`batch_or_replay`]), one row at a time through [`push_row`] on
+/// the interpreter: the per-stage entry counts are identical whichever path
+/// each batch took, and there are no byte totals to keep, since a chain that
+/// needs them never specializes. A `tap`
+/// sees each chunk's output rows right after the chunk produced them.
 #[allow(clippy::too_many_arguments)]
 fn run_pipeline_partition<'p, 'b>(
     rows: &[Value],
@@ -636,16 +581,13 @@ where
     'p: 'b,
 {
     let mut bytes = vec![0u64; stages.len() + 1];
-    let mut ctxs: Option<Vec<EvCtx<'b>>> = None;
-    let flat_map = stages
-        .iter()
-        .any(|s| matches!(s, PreparedStage::FlatMap(_)));
+    let mut envs: Option<Vec<Env<'b>>> = None;
     let (mut at, mut kept) = (0, Vec::new());
-    let nstages = stages.len();
+    let wants_lanes = tap.as_ref().is_some_and(|t| t.wants_lanes());
     let (out, counts) = batch_or_replay(
         rows,
         kernel.as_mut(),
-        nstages,
+        stages.len(),
         tally,
         |chunk, counts, out| {
             let start = at;
@@ -653,25 +595,27 @@ where
             let lanes = match chunk {
                 Chunk::Ran { lanes, .. } => lanes,
                 Chunk::Replay(rows) => {
-                    let ctxs = ctxs.get_or_insert_with(|| {
+                    let envs = envs.get_or_insert_with(|| {
                         stages.iter().zip(bases).map(|(s, b)| s.ctx(b)).collect()
                     });
-                    if flat_map {
-                        let bytes = &mut bytes;
-                        rows.iter().cloned().try_for_each(|row| {
-                            push_row(row, stages, ctxs, catalog, need_bytes, counts, bytes, out)
-                        })?;
-                    } else {
-                        // Map/Filter-only chains (the common fused shape) run as
-                        // one flat loop: each row stays in a register-resident
-                        // local through every stage, with no per-stage recursion.
-                        kept.clear();
-                        let wanted = tap.as_ref().is_some_and(|t| t.wants_lanes());
-                        let record = wanted.then_some(&mut kept);
-                        run_scalar_chain(
-                            rows, stages, ctxs, catalog, need_bytes, counts, &mut bytes, out,
-                            record,
+                    kept.clear();
+                    for (lane, row) in rows.iter().enumerate() {
+                        let before = out.len();
+                        push_row(
+                            row.clone(),
+                            stages,
+                            envs,
+                            catalog,
+                            need_bytes,
+                            counts,
+                            &mut bytes,
+                            out,
                         )?;
+                        // A Filter-only chain keeps the rows after which
+                        // `out` grew.
+                        if wants_lanes && out.len() > before {
+                            kept.push(lane as u32);
+                        }
                     }
                     &kept
                 }
@@ -687,13 +631,13 @@ where
 
 /// Pushes one row into the first of `stages` (and onward); every slice is
 /// the suffix that belongs to those stages, `counts` / `bytes` / `need_bytes`
-/// one longer for the output boundary. A FlatMap stage's context stays
+/// one longer for the output boundary. A FlatMap stage's environment stays
 /// borrowed by its body while the rows it produced run the stages after it.
 #[allow(clippy::too_many_arguments)]
 fn push_row<'p, 'b>(
     row: Value,
     stages: &'b [PreparedStage<'p>],
-    ctxs: &mut [EvCtx<'b>],
+    envs: &mut [Env<'b>],
     catalog: &Catalog,
     need_bytes: &[bool],
     counts: &mut [u64],
@@ -707,23 +651,25 @@ where
     if need_bytes[0] {
         bytes[0] += row.approx_bytes();
     }
-    let (Some((stage, stages)), Some((cx, ctxs))) = (stages.split_first(), ctxs.split_first_mut())
+    let (Some((stage, stages)), Some((env, envs))) = (stages.split_first(), envs.split_first_mut())
     else {
         out.push(row);
         return Ok(());
     };
     let (need_bytes, counts, bytes) = (&need_bytes[1..], &mut counts[1..], &mut bytes[1..]);
-    let mut next = |v| push_row(v, stages, ctxs, catalog, need_bytes, counts, bytes, out);
+    let mut next = |v| push_row(v, stages, envs, catalog, need_bytes, counts, bytes, out);
     match stage {
-        PreparedStage::Map(f) => next(f.call_owned([row], cx, catalog)?),
+        PreparedStage::Map(f) => next(f.call(std::slice::from_ref(&row), env, catalog)?),
         PreparedStage::Filter(p) => {
-            if p.call(std::slice::from_ref(&row), cx, catalog)?.as_bool()? {
+            if p.call(std::slice::from_ref(&row), env, catalog)?
+                .as_bool()?
+            {
                 next(row)
             } else {
                 Ok(())
             }
         }
-        PreparedStage::FlatMap(b) => b.call(row, cx, catalog, next),
+        PreparedStage::FlatMap(b) => b.call(row, env, catalog, next),
     }
 }
 

@@ -1,59 +1,39 @@
-//! The UDF tiers: which evaluator runs a site's UDFs. A UDF is prepared for
-//! the interpreter or the scalar compiled tier once per operator execution,
-//! and each site's typed-kernel program is specialized or refused on the
-//! driver. The tier flag, the batch config and the compile memos are private
-//! to this module.
+//! The UDF tiers: every UDF is prepared for the interpreter once per
+//! operator execution, and each site's typed-kernel program is specialized
+//! or refused on the driver from the UDF's compiled slot program. The
+//! interpreter replays every batch the kernels abort and runs every site
+//! they refuse. The batch config and the compile memo are private to this
+//! module.
 
 use std::collections::HashSet;
-use std::hash::Hash;
 use std::ops::Deref;
 
-use emma_compiler::compiled::{self, CompiledBag, CompiledEval, Machine};
+use emma_compiler::compiled::{self, CompiledEval};
 use emma_compiler::vectorized::{VecStageSpec, VectorScratch};
 
 use super::*;
 
-/// The run's evaluation tier and its per-run compilation memos: each
-/// distinct UDF is lowered once, however many operator executions (loop
-/// iterations, re-forced thunks) evaluate it.
+/// The run's kernel config and its per-run compilation memo: each distinct
+/// UDF is lowered once, however many operator executions (loop iterations,
+/// re-forced thunks) evaluate it.
 pub(super) struct Tiers {
-    /// Whether UDFs run through slot-compiled evaluators
-    /// ([`emma_compiler::compiled`]) instead of the reference interpreter.
-    compiled: bool,
-    /// Batch config of the vectorized columnar tier
-    /// ([`emma_compiler::vectorized`]), `batch_rows` ≥ 1; `None` = scalar
-    /// tiers only (the interpreter, or a pinned scalar compiled tier).
+    /// Batch config of the typed kernels ([`emma_compiler::vectorized`]),
+    /// `batch_rows` ≥ 1; `None` when the program runs on the interpreter
+    /// alone.
     vectorized: Option<BatchConfig>,
-    /// Scalar UDFs, keyed by the lambda and its [`literal_bits`].
+    /// Compiled UDFs, keyed by the lambda and its [`literal_bits`].
     lambdas: HashMap<(Lambda, Vec<u64>), Arc<CompiledEval>>,
-    /// FlatMap bodies, keyed by `(param, body)` and the body's
-    /// [`literal_bits`].
-    bags: HashMap<(String, BagExpr, Vec<u64>), Arc<CompiledBag>>,
 }
 
 impl Tiers {
     pub(super) fn new(engine: &Engine, compiled_eval: bool) -> Tiers {
         Tiers {
-            compiled: compiled_eval,
-            // The kernels are specialized from compiled slot programs, so
-            // the interpreter tier never consults them. `batch_rows` is a pub
-            // field: clamp a literal 0 here, once, for every chunking site.
-            vectorized: (engine.vectorized)
-                .filter(|_| compiled_eval)
-                .map(|cfg| BatchConfig::new(cfg.batch_rows)),
+            // `batch_rows` is a pub field: clamp a literal 0 here, once, for
+            // every chunking site.
+            vectorized: compiled_eval.then(|| BatchConfig::new(engine.vectorized.batch_rows)),
             lambdas: HashMap::new(),
-            bags: HashMap::new(),
         }
     }
-}
-
-/// The memoized lowering of `key`, compiled on first use.
-fn memo<K: Eq + Hash, V>(
-    cache: &mut HashMap<K, Arc<V>>,
-    key: K,
-    compile: impl FnOnce() -> V,
-) -> Arc<V> {
-    Arc::clone(cache.entry(key).or_insert_with(|| Arc::new(compile())))
 }
 
 /// The type and bits of every literal in `udf`, in visit order. A memo key
@@ -92,54 +72,42 @@ fn literal_bits(udf: Term) -> Vec<u64> {
     out
 }
 
-/// Mutable per-task evaluation state: an interpreter [`Env`] over the
-/// broadcast base scope, or a compiled-evaluator [`Machine`]. One context is
-/// created per partition task and reused across its rows.
-pub(super) enum EvCtx<'b> {
-    Env(Env<'b>),
-    Machine(Machine),
+/// A UDF readied for per-row evaluation by the interpreter, with its
+/// base-scope lookups pre-resolved ([`Env::prefetch`]) — and, for a scalar
+/// UDF while the kernels are on, its compiled slot program with its capture
+/// slots bound, which the kernels specialize from ([`vec_spec`]). Built once
+/// per operator execution by [`Session::prepare_lambda`] /
+/// [`prepare_bag`].
+pub(super) struct Prepared<'p, U> {
+    udf: U,
+    /// Every name the body references — prefetched into the `Env` so
+    /// per-row lookups scan locals instead of probing the base map.
+    prefetch: Vec<&'p str>,
+    /// Boxed: a key site's evaluator sits in an enum beside a small variant.
+    compiled: Option<Box<SlotProgram>>,
 }
 
-/// A UDF readied for per-row evaluation: either the reference interpreter
-/// with its base-scope lookups pre-resolved ([`Env::prefetch`]), or a
-/// slot-compiled evaluator with its capture slots bound. Built once per
-/// operator execution by [`Session::prepare_lambda`] /
-/// [`Session::prepare_bag`].
-pub(super) enum Prepared<'p, U, C> {
-    Interp {
-        udf: U,
-        /// Every name the body references — prefetched into the `Env` so
-        /// per-row lookups scan locals instead of probing the base map.
-        prefetch: Vec<&'p str>,
-    },
-    Compiled {
-        code: Arc<C>,
-        caps: Vec<Option<Value>>,
-    },
-}
+/// A UDF's compiled slot program and its bound capture slots.
+type SlotProgram = (Arc<CompiledEval>, Vec<Option<Value>>);
 
 /// A scalar UDF readied for evaluation.
-pub(super) type PreparedScalar<'p> = Prepared<'p, &'p Lambda, CompiledEval>;
+pub(super) type PreparedScalar<'p> = Prepared<'p, &'p Lambda>;
 
 /// A FlatMap body — its element parameter and bag expression — readied for
 /// evaluation.
-pub(super) type PreparedBag<'p> = Prepared<'p, (&'p str, &'p BagExpr), CompiledBag>;
+pub(super) type PreparedBag<'p> = Prepared<'p, (&'p str, &'p BagExpr)>;
 
-impl<'p, U, C> Prepared<'p, U, C> {
-    /// A fresh per-task evaluation context over `base`.
-    pub(super) fn ctx<'b>(&self, base: &'b HashMap<String, Value>) -> EvCtx<'b>
+impl<'p, U> Prepared<'p, U> {
+    /// A fresh per-task interpreter environment over `base`, reused across
+    /// the task's rows.
+    pub(super) fn ctx<'b>(&self, base: &'b HashMap<String, Value>) -> Env<'b>
     where
         'p: 'b,
     {
-        match self {
-            Prepared::Interp { prefetch, .. } => {
-                let mut env = Env::new(base);
-                let names: &[&'b str] = prefetch.as_slice();
-                env.prefetch(names.iter().copied());
-                EvCtx::Env(env)
-            }
-            Prepared::Compiled { .. } => EvCtx::Machine(Machine::new()),
-        }
+        let mut env = Env::new(base);
+        let names: &[&'b str] = self.prefetch.as_slice();
+        env.prefetch(names.iter().copied());
+        env
     }
 }
 
@@ -148,76 +116,47 @@ impl<'p> PreparedScalar<'p> {
     pub(super) fn call<'b>(
         &self,
         args: &[Value],
-        cx: &mut EvCtx<'b>,
+        env: &mut Env<'b>,
         catalog: &Catalog,
     ) -> Result<Value, ValueError>
     where
         'p: 'b,
     {
-        match (self, cx) {
-            (Prepared::Interp { udf, .. }, EvCtx::Env(env)) => {
-                interp::eval_lambda(udf, args, env, catalog)
-            }
-            (Prepared::Compiled { code, caps }, EvCtx::Machine(m)) => {
-                code.eval(args, caps, m, catalog)
-            }
-            _ => unreachable!("context built by a different evaluation tier"),
-        }
-    }
-
-    /// Applies the UDF to argument values the caller owns, moving them into
-    /// the evaluator's slots ([`CompiledEval::eval_owned`]) instead of
-    /// cloning — skips per-row `Arc` refcount churn on the fused hot paths
-    /// that drain owned rows. The interpreter tier borrows as before.
-    pub(super) fn call_owned<'b, const N: usize>(
-        &self,
-        args: [Value; N],
-        cx: &mut EvCtx<'b>,
-        catalog: &Catalog,
-    ) -> Result<Value, ValueError>
-    where
-        'p: 'b,
-    {
-        match (self, cx) {
-            (Prepared::Interp { udf, .. }, EvCtx::Env(env)) => {
-                interp::eval_lambda(udf, &args, env, catalog)
-            }
-            (Prepared::Compiled { code, caps }, EvCtx::Machine(m)) => {
-                code.eval_owned(args, caps, m, catalog)
-            }
-            _ => unreachable!("context built by a different evaluation tier"),
-        }
+        interp::eval_lambda(self.udf, args, env, catalog)
     }
 }
 
 impl<'p> PreparedBag<'p> {
-    /// Evaluates the body with the element parameter bound to `row`, then
-    /// hands each produced row to `sink` ([`CompiledBag::eval`]).
+    /// Evaluates the body with the element parameter bound to `row`, whole,
+    /// then hands each produced row to `sink`, in order: an error in the
+    /// body precedes any error of `sink`.
     pub(super) fn call<'b>(
         &self,
         row: Value,
-        cx: &mut EvCtx<'b>,
+        env: &mut Env<'b>,
         catalog: &Catalog,
-        mut sink: impl FnMut(Value) -> Result<(), ValueError>,
+        sink: impl FnMut(Value) -> Result<(), ValueError>,
     ) -> Result<(), ValueError>
     where
         'p: 'b,
     {
-        match (self, cx) {
-            (Prepared::Interp { udf, .. }, EvCtx::Env(env)) => {
-                let (param, body) = *udf;
-                let rows = interp::eval_bag_with_binding(body, param, row, env, catalog)?;
-                rows.into_iter().try_for_each(sink)
-            }
-            (Prepared::Compiled { code, caps }, EvCtx::Machine(m)) => {
-                code.eval(row, caps, m, catalog, &mut sink)
-            }
-            _ => unreachable!("context built by a different evaluation tier"),
-        }
+        let (param, body) = self.udf;
+        let rows = interp::eval_bag_with_binding(body, param, row, env, catalog)?;
+        rows.into_iter().try_for_each(sink)
     }
 }
 
-/// A narrow stage with its UDF prepared for the active tier.
+/// Readies a FlatMap body for per-row evaluation (see
+/// [`Session::prepare_lambda`]); the kernels read no FlatMap body.
+pub(super) fn prepare_bag<'p>(param: &'p str, body: &'p BagExpr) -> PreparedBag<'p> {
+    Prepared {
+        udf: (param, body),
+        prefetch: compiled::var_names(Term::Bag(body)),
+        compiled: None,
+    }
+}
+
+/// A narrow stage with its UDF prepared.
 pub(super) enum PreparedStage<'p> {
     Map(PreparedScalar<'p>),
     Filter(PreparedScalar<'p>),
@@ -225,7 +164,7 @@ pub(super) enum PreparedStage<'p> {
 }
 
 impl<'p> PreparedStage<'p> {
-    pub(super) fn ctx<'b>(&self, base: &'b HashMap<String, Value>) -> EvCtx<'b>
+    pub(super) fn ctx<'b>(&self, base: &'b HashMap<String, Value>) -> Env<'b>
     where
         'p: 'b,
     {
@@ -237,50 +176,25 @@ impl<'p> PreparedStage<'p> {
 }
 
 impl Session<'_> {
-    /// Readies a scalar UDF for per-row evaluation under the active tier:
-    /// compiled (memoized lowering + capture binding against `base`) or
-    /// interpreted (base-scope prefetch).
+    /// Readies a scalar UDF for per-row evaluation: the interpreter's
+    /// base-scope prefetch, plus — while the kernels are on — the memoized
+    /// slot program with its captures bound against `base`.
     pub(super) fn prepare_lambda<'p>(
         &mut self,
         lam: &'p Lambda,
         base: &HashMap<String, Value>,
     ) -> PreparedScalar<'p> {
-        if !self.tiers.compiled {
-            let prefetch = compiled::var_names(Term::Lambda(lam));
-            return Prepared::Interp { udf: lam, prefetch };
-        }
-        let key = (lam.clone(), literal_bits(Term::Lambda(lam)));
-        let code = memo(&mut self.tiers.lambdas, key, || {
-            compiled::compile_lambda(lam)
+        let compiled = self.kernels_on().then(|| {
+            let key = (lam.clone(), literal_bits(Term::Lambda(lam)));
+            let code = self.tiers.lambdas.entry(key);
+            let code = Arc::clone(code.or_insert_with(|| Arc::new(compiled::compile_lambda(lam))));
+            let caps = code.bind(base);
+            Box::new((code, caps))
         });
-        Prepared::Compiled {
-            caps: code.bind(base),
-            code,
-        }
-    }
-
-    /// Readies a FlatMap body for per-row evaluation (see
-    /// [`prepare_lambda`](Self::prepare_lambda)).
-    pub(super) fn prepare_bag<'p>(
-        &mut self,
-        param: &'p str,
-        body: &'p BagExpr,
-        base: &HashMap<String, Value>,
-    ) -> PreparedBag<'p> {
-        if !self.tiers.compiled {
-            let prefetch = compiled::var_names(Term::Bag(body));
-            return Prepared::Interp {
-                udf: (param, body),
-                prefetch,
-            };
-        }
-        let key = (param.into(), body.clone(), literal_bits(Term::Bag(body)));
-        let code = memo(&mut self.tiers.bags, key, || {
-            compiled::compile_bag_body(param, body)
-        });
-        Prepared::Compiled {
-            caps: code.bind(base),
-            code,
+        Prepared {
+            udf: lam,
+            prefetch: compiled::var_names(Term::Lambda(lam)),
+            compiled,
         }
     }
 
@@ -449,7 +363,7 @@ pub(super) enum Chunk<'a> {
     /// `lanes`, in order — lanes of the rows the kernels read ([`Feed`]).
     Ran { rows: &'a [Value], lanes: &'a [u32] },
     /// The kernels aborted on these input rows (or the site has none): the
-    /// scalar tier evaluates them row-at-a-time.
+    /// interpreter evaluates them row-at-a-time.
     Replay(&'a [Value]),
 }
 
@@ -515,7 +429,7 @@ impl<'p> Feed<'p> {
     /// the stages after it, the head's own count — the batch's rows — added
     /// once the kernel ran. `false`, with `counts` untouched, when the
     /// kernel aborted or a parent has no bag at the head's path: the batch
-    /// then replays through the scalar tier, which raises the error.
+    /// then replays through the interpreter, which raises the error.
     pub(super) fn run(
         &mut self,
         rows: &[Value],
@@ -554,11 +468,11 @@ pub(super) fn unnest(parents: &[Value], path: &[usize], pairs: &mut Vec<Value>) 
 /// per-stage counts and appending to the output rows, both returned at the
 /// end — with a successful batch tallied and an aborted one (shape mismatch
 /// or a runtime error on a selected lane) handed to `each` for replay
-/// through the scalar tier, which reproduces values and the first error in
+/// through the interpreter, which reproduces values and the first error in
 /// evaluation order bit-identically. An abort leaves counts and rows
 /// untouched and `each` gets both either way, so the two paths write the
 /// same outputs. Without a kernel program the rows are one replayed chunk.
-/// Scalar replay contexts are `each`'s to build lazily: a partition whose
+/// Interpreter environments are `each`'s to build lazily: a partition whose
 /// every batch vectorizes never allocates them.
 pub(super) fn batch_or_replay<E>(
     rows: &[Value],
@@ -592,9 +506,8 @@ pub(super) fn batch_or_replay<E>(
     Ok((out, counts))
 }
 
-/// The vectorized-tier view of a prepared Map/Filter stage: its compiled
-/// slot program plus bound capture slots. `None` for the interpreter tier
-/// (the batch tier requires compiled evaluation, so this is defensive).
+/// The typed-kernel view of a prepared Map/Filter stage: its compiled slot
+/// program plus bound capture slots; `None` when the kernels are off.
 pub(super) fn vec_spec<'s>(prep: &'s PreparedScalar<'_>, filter: bool) -> Option<VecStageSpec<'s>> {
     compiled_parts(prep).map(|(code, caps)| {
         if filter {
@@ -606,12 +519,9 @@ pub(super) fn vec_spec<'s>(prep: &'s PreparedScalar<'_>, filter: bool) -> Option
 }
 
 /// A prepared UDF's compiled slot program plus bound capture slots; `None`
-/// for the interpreter tier.
+/// when the kernels are off.
 pub(super) fn compiled_parts<'s>(
     prep: &'s PreparedScalar<'_>,
 ) -> Option<(&'s CompiledEval, &'s [Option<Value>])> {
-    match prep {
-        Prepared::Compiled { code, caps } => Some((code, caps)),
-        Prepared::Interp { .. } => None,
-    }
+    (prep.compiled.as_deref()).map(|(code, caps)| (&**code, caps.as_slice()))
 }

@@ -111,13 +111,13 @@ pub struct ExecStats {
     pub max_skew_ratio: f64,
     /// Rows evaluated through the vectorized columnar batch tier; counts
     /// each row once per fused vectorized operator chain it passed through. Rows replayed through
-    /// the scalar tier after a batch abort are not counted.
+    /// the interpreter after a batch abort are not counted.
     pub rows_vectorized: u64,
     /// Columnar batches executed successfully by the vectorized tier.
     pub batches_executed: u64,
     /// Operator executions over a non-empty input that were not fully
     /// type-specializable (or have no columnar form, like FlatMap) and ran
-    /// the scalar compiled tier — "no silent slow paths": every refusal is
+    /// on the interpreter — "no silent slow paths": every refusal is
     /// visible here. A fused `aggBy` whose fold does not specialize counts
     /// once.
     pub vector_fallbacks: u64,
@@ -159,10 +159,10 @@ impl ExecStats {
     /// A copy with the four evaluation-tier telemetry counters
     /// (`rows_vectorized`, `batches_executed`, `vector_fallbacks`,
     /// `key_path_fallbacks`) zeroed. They record which tier ran each site —
-    /// the only fields allowed to differ between the default stack, a pinned
-    /// scalar tier (`Engine::vectorized = None`) and the interpreter, or
-    /// between two plan shapes of one program — so differential tests
-    /// compare everything else with `==`.
+    /// the only fields allowed to differ between the kernels and the
+    /// interpreter (`OptimizerFlags::compiled_eval` off), or between two
+    /// plan shapes of one program — so differential tests compare everything
+    /// else with `==`.
     pub fn without_tier_telemetry(&self) -> ExecStats {
         ExecStats {
             rows_vectorized: 0,

@@ -345,16 +345,16 @@ fn writes_charge_storage_and_record_rows() {
     assert!(run.stats.bytes_read_storage > 0);
 }
 
-/// Interp vs scalar engine vs vectorized engine on one program: all sinks
-/// must agree as multisets, and vectorization must not move the clock.
+/// Interp vs the engine on the interpreter alone vs vectorized engine on one
+/// program: all sinks must agree as multisets, and vectorization must not
+/// move the clock.
 fn vec_differential(p: &Program, catalog: &Catalog) {
     let expected = Interp::new(catalog).run(p).expect("interp");
     let compiled = parallelize(p, &OptimizerFlags::all().with_compiled_eval(true));
-    let mut scalar_engine = engine();
-    scalar_engine.vectorized = None;
-    let scalar = scalar_engine
-        .run(&compiled, catalog)
-        .expect("scalar engine");
+    let interpreted = parallelize(p, &OptimizerFlags::all().with_compiled_eval(false));
+    let scalar = engine()
+        .run(&interpreted, catalog)
+        .expect("interpreter engine");
     let vec = engine()
         .with_vectorized_eval(emma_engine::BatchConfig::new(64))
         .run(&compiled, catalog)
@@ -628,7 +628,7 @@ fn deep_lineage_runs_from_a_small_caller_stack() {
     }
 }
 
-// Regression: the compiled tier memoized a run's UDFs by `Lambda` / `BagExpr`
+// Regression: the compile memo keyed a run's UDFs by `Lambda` / `BagExpr`
 // equality, which inherits `Value`'s numeric rule (`Int(2) == Float(2.0)`,
 // `0.0 == -0.0`), so two UDFs that differ only in a literal's type or sign
 // shared the first one's compiled program. Hand-built plans keep the same
@@ -668,11 +668,8 @@ fn udfs_that_differ_only_in_a_literal_compile_apart_on_every_tier() {
         compiled_eval,
     };
     let catalog = Catalog::new().with("xs", (1..=3).map(Value::Int).collect());
-    let mut scalar = engine();
-    scalar.vectorized = None;
     let tiers = [
         ("kernels", engine().run(&program(true), &catalog)),
-        ("scalar", scalar.run(&program(true), &catalog)),
         ("interpreter", engine().run(&program(false), &catalog)),
     ];
     let ints = |k: i64| (1..=3).map(|i| Value::Int(i * k)).collect::<Vec<_>>();

@@ -342,7 +342,7 @@ proptest! {
 
     // String-keyed wide operators under skew splitting, across the full
     // thread × mode matrix: the vectorized key path must agree with the
-    // scalar tier on rows, scalars, errors, every cost counter, and the
+    // interpreter on rows, scalars, errors, every cost counter, and the
     // exact clock bits — its only trace may be the vectorization telemetry.
     #[test]
     fn string_keyed_split_workloads_match_across_tiers(
@@ -374,9 +374,9 @@ proptest! {
         ]);
         let prog = compile(&program, true);
         let cfg = SkewConfig::default().with_min_part_rows(32);
-        let mut scalar_engine = tiny_engine().with_skew_splitting(cfg);
-        scalar_engine.vectorized = None;
-        let scalar = scalar_engine.run(&prog, &catalog);
+        let scalar = tiny_engine()
+            .with_skew_splitting(cfg)
+            .run(&compile(&program, false), &catalog);
         let mut vec_runs = Vec::new();
         for (mode, threads) in MATRIX {
             let engine = tiny_engine()
@@ -395,7 +395,7 @@ proptest! {
                         Err(ve) => prop_assert_eq!(format!("{e:?}"), format!("{ve:?}")),
                         Ok(_) => prop_assert!(
                             false,
-                            "vectorized run succeeded where the scalar tier failed"
+                            "vectorized run succeeded where the interpreter failed"
                         ),
                     }
                 }

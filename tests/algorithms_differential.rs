@@ -147,7 +147,7 @@ fn pagerank_differential_across_flags() {
 }
 
 /// The two iterative programs may get faster only by doing the same work
-/// faster. On the default tier, the pinned scalar tier and at batch 64 they
+/// faster. On the default tier, on the interpreter alone and at batch 64 they
 /// give the interpreter's rows and — exactly — the records, stages and
 /// simulated clock written here from the commit before the scalar tier
 /// started reading nested bags by reference, and the refusals written when
@@ -177,6 +177,7 @@ fn iterative_programs_do_the_same_work_on_every_tier() {
     for (program, catalog, (records, stages, fallbacks, clock)) in cases {
         let expected = Interp::new(&catalog).run(&program).expect("interp run");
         let compiled = parallelize(&program, &OptimizerFlags::all());
+        let interpreted = parallelize(&program, &OptimizerFlags::all().with_compiled_eval(false));
         let engine = || tiny_engine(Personality::sparrow());
         let default = engine().run(&compiled, &catalog).expect("default tier");
         for (sink, rows) in &expected.writes {
@@ -186,17 +187,18 @@ fn iterative_programs_do_the_same_work_on_every_tier() {
             );
         }
         let tiers = [
-            ("default", engine(), fallbacks),
-            // The pinned scalar tier never asks the kernels, so none refuse.
-            ("scalar", scalar_tier(engine()), 0),
+            ("default", engine(), &compiled, fallbacks),
+            // The interpreter alone never asks the kernels, so none refuse.
+            ("interpreter", engine(), &interpreted, 0),
             (
                 "batch 64",
                 engine().with_vectorized_eval(BatchConfig::new(64)),
+                &compiled,
                 fallbacks,
             ),
         ];
-        for (tier, engine, fallbacks) in tiers {
-            let run = engine.run(&compiled, &catalog).expect("engine run");
+        for (tier, engine, program, fallbacks) in tiers {
+            let run = engine.run(program, &catalog).expect("engine run");
             assert_eq!(run.writes, default.writes, "{tier}: rows");
             let got = (
                 run.stats.records_processed,

@@ -1,9 +1,9 @@
 //! Cross-tier differential harness for the columnar fused `aggBy`.
 //!
 //! For generated `filter → groupBy → folds` programs (shared generator in
-//! `tests/common/agg_programs.rs`) the reference interpreter, the scalar
-//! compiled tier and the vectorized tier must agree on every sink's values;
-//! the two engine tiers must additionally agree bit for bit on rows
+//! `tests/common/agg_programs.rs`) the reference interpreter, the engine on
+//! the interpreter alone and the vectorized tier must agree on every sink's
+//! values; the two engine tiers must additionally agree bit for bit on rows
 //! (including float bit patterns and which of `0.0`/`-0.0`/`NaN` represents a
 //! group), on errors, on every deterministic counter and on the simulated
 //! clock — across 1/2/4 worker threads, both dispatch modes, injected chaos
@@ -20,7 +20,7 @@ mod agg_programs;
 mod common;
 
 use agg_programs::{agg_program, fold_expr, VI};
-use common::{scalar_tier, MATRIX};
+use common::MATRIX;
 use emma::algorithms::tpch;
 use emma::prelude::*;
 use emma_datagen::tpch::{lineitem as li, TpchSpec, Q1_SHIP_CUTOFF};
@@ -37,6 +37,11 @@ fn x() -> ScalarExpr {
 
 fn compile(p: &Program) -> CompiledProgram {
     parallelize(p, &OptimizerFlags::all().with_compiled_eval(true))
+}
+
+/// `p` for the engine's interpreter alone: the kernels off.
+fn interpreted(p: &Program) -> CompiledProgram {
+    parallelize(p, &OptimizerFlags::all().with_compiled_eval(false))
 }
 
 /// Bit-exact value identity: `Value`'s own equality conflates `0.0` with
@@ -102,14 +107,14 @@ fn assert_matches_interp(what: &str, want: &RunOutput, got: &EngineRun) {
     }
 }
 
-/// The whole contract for one program and catalog: interpreter vs scalar
-/// compiled vs vectorized, over the matrix, with and without chaos and skew
+/// The whole contract for one program and catalog: interpreter vs the
+/// engine's interpreter vs vectorized, over the matrix, with and without chaos and skew
 /// splitting. `exact_interp` is off for mixed-type columns, where `uni` is
 /// not associative across the Int/Float boundary and only the engine tiers
 /// (which fold in the same order) can be held to identical values.
 fn assert_tiers_agree(p: &Program, catalog: &Catalog, chaos_seed: u64, exact_interp: bool) {
     let interp = Interp::new(catalog).run(p);
-    let prog = compile(p);
+    let (prog, interp_prog) = (compile(p), interpreted(p));
     let skew_cfg = SkewConfig::default().with_min_part_rows(8);
     for chaos in [None, Some(FaultConfig::chaos(chaos_seed))] {
         for skew_on in [false, true] {
@@ -124,8 +129,12 @@ fn assert_tiers_agree(p: &Program, catalog: &Catalog, chaos_seed: u64, exact_int
                 if skew_on {
                     e = e.with_skew_splitting(skew_cfg);
                 }
-                e.vectorized = vec_on.then(|| BatchConfig::new(16));
-                e.run(&prog, catalog)
+                if vec_on {
+                    e.with_vectorized_eval(BatchConfig::new(16))
+                        .run(&prog, catalog)
+                } else {
+                    e.run(&interp_prog, catalog)
+                }
             };
             let scalar = mk(false, ParallelismMode::Pool, 2);
             let vec_runs: Vec<_> = MATRIX.iter().map(|&(m, t)| mk(true, m, t)).collect();
@@ -137,7 +146,7 @@ fn assert_tiers_agree(p: &Program, catalog: &Catalog, chaos_seed: u64, exact_int
                     );
                     for vr in &vec_runs {
                         let ve = vr.as_ref().err().unwrap_or_else(|| {
-                            panic!("{what}: vectorized run succeeded where the scalar tier failed")
+                            panic!("{what}: vectorized run succeeded where the interpreter failed")
                         });
                         assert_eq!(
                             format!("{e:?}"),
@@ -255,7 +264,7 @@ fn all_folds_program() -> Program {
 
 fn run_pair(p: &Program, catalog: &Catalog, batch: usize) -> (EngineRun, EngineRun) {
     let prog = compile(p);
-    let scalar = scalar_tier(engine()).run(&prog, catalog).expect("scalar");
+    let scalar = engine().run(&interpreted(p), catalog).expect("interpreter");
     let vec = engine()
         .with_vectorized_eval(BatchConfig::new(batch))
         .run(&prog, catalog)
@@ -347,9 +356,9 @@ fn element_division_by_zero_on_one_row() {
         vec![fold_expr(2, 0), fold_expr(13, 0), fold_expr(0, 0)],
     );
     let prog = compile(&p);
-    let scalar = scalar_tier(engine())
-        .run(&prog, &catalog)
-        .expect_err("scalar errors");
+    let scalar = engine()
+        .run(&interpreted(&p), &catalog)
+        .expect_err("the interpreter errors");
     let vec = engine()
         .with_vectorized_eval(BatchConfig::new(16))
         .run(&prog, &catalog)
@@ -508,7 +517,6 @@ fn the_merge_groups_mixed_keys_alike_on_every_tier() {
                     "interp" => &interp_prog,
                     _ => &kernels_prog,
                 };
-                let e = if tier == "scalar" { scalar_tier(e) } else { e };
                 e.run(prog, &catalog).expect("runs")
             };
             let what =
@@ -517,7 +525,7 @@ fn the_merge_groups_mixed_keys_alike_on_every_tier() {
             // The combiner's first partition, then the merge's partials.
             assert!(base.stats.rows_vectorized > 40, "{}", base.stats);
             assert_matches_interp("kernels", &want, &base);
-            for tier in ["kernels", "scalar", "interp"] {
+            for tier in ["kernels", "interp"] {
                 for &(m, t) in &MATRIX {
                     let run = mk(tier, m, t);
                     let what = what(tier, m, t);
@@ -577,7 +585,7 @@ fn skewed_fold_rows() -> Vec<Value> {
 fn a_fused_group_by_s_accumulator_columns_cross_alike_on_every_tier() {
     // `(key, int sum, float sum, count, exists)`: every combiner covers its
     // partition, so the kernels' exchange ships the four accumulators as
-    // columns while the scalar tier and the interpreter ship rows.
+    // columns while the interpreter ships rows.
     let catalog = Catalog::new().with("rows", skewed_fold_rows());
     let folds = [
         fold_expr(9, 0),
@@ -617,7 +625,6 @@ fn a_fused_group_by_s_accumulator_columns_cross_alike_on_every_tier() {
                 } else {
                     &kernels_prog
                 };
-                let e = if tier == "scalar" { scalar_tier(e) } else { e };
                 e.run(prog, &catalog).expect("runs")
             };
             let base = mk("kernels", MATRIX[0].0, MATRIX[0].1);
@@ -625,7 +632,7 @@ fn a_fused_group_by_s_accumulator_columns_cross_alike_on_every_tier() {
             assert!(base.stats.rows_vectorized > 2000, "{}", base.stats);
             assert_eq!(base.stats.partitions_split > 0, skew_on, "{}", base.stats);
             assert_matches_interp("kernels", &want, &base);
-            for tier in ["kernels", "scalar", "interp"] {
+            for tier in ["kernels", "interp"] {
                 for &(m, t) in &MATRIX {
                     let run = mk(tier, m, t);
                     let what = format!("{tier} {m:?}×{t} chaos {chaos:?} skew {skew_on}");
@@ -716,7 +723,7 @@ fn grid_chains() -> Vec<(&'static str, BagExpr)> {
         ]),
     ));
     // A vector builtin: no kernel takes it, so the chain is a counted
-    // refusal and runs through the scalar tier.
+    // refusal and runs through the interpreter.
     let norm = ScalarExpr::call(
         BuiltinFn::Dist,
         vec![
@@ -764,8 +771,8 @@ fn grid_program(chain: BagExpr) -> Program {
     )])
 }
 
-/// One cell of the grid: `p` over `catalog` on the interpreter tier, the
-/// scalar tier and the kernels, across `MATRIX`, with and without chaos.
+/// One cell of the grid: `p` over `catalog` on the interpreter tier and the
+/// kernels, across `MATRIX`, with and without chaos.
 /// Every run raises the interpreter tier's error, which is `want_err`, or
 /// writes its rows with its counters and clock; the kernels' telemetry
 /// replays on every leg.
@@ -783,7 +790,6 @@ fn assert_grid_cell(cell: &str, p: &Program, catalog: &Catalog, want_err: Option
             }
             let (e, prog) = match tier {
                 "interp" => (e, &interp_prog),
-                "scalar" => (scalar_tier(e), &kernels_prog),
                 _ => (e.with_vectorized_eval(BatchConfig::new(16)), &kernels_prog),
             };
             e.run(prog, catalog)
@@ -802,7 +808,7 @@ fn assert_grid_cell(cell: &str, p: &Program, catalog: &Catalog, want_err: Option
             (got, _) => panic!("{cell}: {got:?}"),
         }
         let mut telemetry: Option<ExecStats> = None;
-        for tier in ["interp", "scalar", "kernels"] {
+        for tier in ["interp", "kernels"] {
             for &(m, t) in &MATRIX {
                 let what = what(tier, m, t);
                 match (mk(tier, m, t), &base) {
@@ -1127,7 +1133,11 @@ fn a_flat_map_that_is_no_unnest_head_stays_a_counted_refusal() {
             compiled_eval: true,
         };
         apply_pipeline_fusion(&mut prog.body, &mut prog.report);
-        let scalar = scalar_tier(engine()).run(&prog, &catalog).expect("scalar");
+        let interp_prog = CompiledProgram {
+            compiled_eval: false,
+            ..prog.clone()
+        };
+        let scalar = engine().run(&interp_prog, &catalog).expect("interpreter");
         let run = engine().run(&prog, &catalog).expect("kernels");
         assert_same_runs(what, &run, &scalar);
         assert_eq!(run.stats.without_tier_telemetry(), scalar.stats, "{what}");

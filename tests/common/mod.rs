@@ -15,13 +15,6 @@ pub const MATRIX: [(ParallelismMode, usize); 6] = [
     (ParallelismMode::PerOperator, 4),
 ];
 
-/// Pins the scalar compiled tier — the kernels' replay and refusal path —
-/// as the baseline the default stack is compared against.
-pub fn scalar_tier(mut e: Engine) -> Engine {
-    e.vectorized = None;
-    e
-}
-
 /// A fast engine configuration for tests.
 pub fn tiny_engine(p: Personality) -> Engine {
     Engine::new(ClusterSpec::tiny(), p)

@@ -10,8 +10,8 @@
 //! row still comes first.
 //!
 //! The matrix below hand-builds each plan shape, with and without the
-//! shuffle, with errors planted at known rows, and holds four evaluation
-//! tiers (interpreter, pinned scalar tier, default kernels, batch 64) to
+//! shuffle, with errors planted at known rows, and holds three evaluation
+//! tiers (interpreter, default kernels, batch 64) to
 //! the same rows, the same error, the same cost-model counters and the same
 //! simulated-clock bits across threads × dispatch modes × chaos × skew. The
 //! pins at the bottom say which sites batch and what a refusal counts.
@@ -23,7 +23,7 @@
 
 mod common;
 
-use common::{scalar_tier, MATRIX};
+use common::MATRIX;
 use emma::prelude::*;
 use emma_compiler::pipeline::{BindKind, CRValue, CStmt};
 use emma_compiler::plan::{JoinKind, JoinStrategy};
@@ -236,12 +236,11 @@ fn program(body: Vec<CStmt>, compiled_eval: bool) -> CompiledProgram {
 #[derive(Clone, Copy, Debug)]
 enum Tier {
     Interp,
-    Scalar,
     Default,
     Batch64,
 }
 
-const TIERS: [Tier; 4] = [Tier::Interp, Tier::Scalar, Tier::Default, Tier::Batch64];
+const TIERS: [Tier; 3] = [Tier::Interp, Tier::Default, Tier::Batch64];
 
 fn run(
     body: &[CStmt],
@@ -284,7 +283,6 @@ fn run_on(
     }
     let e = match tier {
         Tier::Interp | Tier::Default => e,
-        Tier::Scalar => scalar_tier(e),
         Tier::Batch64 => e.with_vectorized_eval(BatchConfig::new(64)),
     };
     e.run(

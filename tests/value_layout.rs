@@ -11,7 +11,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::HashMap;
 
-use emma::emma_compiler::compiled::{compile_lambda, Machine};
+use emma::emma_compiler::compiled::compile_lambda;
 use emma::emma_compiler::interp::{self, Env};
 use emma::emma_compiler::vectorized::{specialize_sampled, VecStageSpec};
 use emma::emma_engine::dataset::value_hash;
@@ -79,24 +79,6 @@ fn value_is_three_words() {
 fn a_tuple_from_an_array_is_one_allocation() {
     let (t, n) = allocs(|| Value::tuple([Value::Int(1), Value::Float(2.0)]));
     assert_eq!(n, 1, "{t:?}");
-}
-
-#[test]
-fn a_compiled_tier_tuple_is_one_allocation() {
-    let code = compile_lambda(&swizzle());
-    let caps = code.bind(&HashMap::new());
-    let catalog = Catalog::new();
-    let mut m = Machine::new();
-    let row = pair(3, 4);
-    let eval = |m: &mut Machine| {
-        code.eval(std::slice::from_ref(&row), &caps, m, &catalog)
-            .unwrap()
-    };
-    // The first evaluation grows the machine's slot and stack storage.
-    eval(&mut m);
-    let (out, n) = allocs(|| eval(&mut m));
-    assert_eq!(out, pair(3, 4));
-    assert_eq!(n, 1);
 }
 
 #[test]

@@ -3,11 +3,11 @@
 //!
 //! One place asserts the whole contract: for generated string-bearing
 //! programs (shared typed generator in `tests/common/string_exprs.rs`), the
-//! reference interpreter, the scalar compiled tier, and the vectorized tier
-//! must agree on every sink's values; the two engine tiers must additionally
-//! agree on errors, on every cost-model counter, and on the exact bit
-//! pattern of the simulated clock — across 1/2/4 worker threads, both
-//! dispatch modes, injected chaos, and skew splitting. The batch tier's only
+//! reference interpreter, the engine on the interpreter alone, and the
+//! vectorized tier must agree on every sink's values; the two engine runs
+//! must additionally agree on errors, on every cost-model counter, and on
+//! the exact bit pattern of the simulated clock — across 1/2/4 worker
+//! threads, both dispatch modes, injected chaos, and skew splitting. The batch tier's only
 //! permitted trace is its own telemetry (`rows_vectorized`,
 //! `batches_executed`, `vector_fallbacks`, `key_path_fallbacks`).
 //!
@@ -21,7 +21,7 @@ mod common;
 #[path = "common/string_exprs.rs"]
 mod string_exprs;
 
-use common::{scalar_tier, MATRIX};
+use common::MATRIX;
 use emma::prelude::*;
 use emma_engine::ParallelismMode;
 use proptest::prelude::*;
@@ -115,6 +115,7 @@ proptest! {
         let (p, catalog) = string_program(map_body, filter_body, key_body, rows);
         let interp = Interp::new(&catalog).run(&p);
         let prog = parallelize(&p, &OptimizerFlags::all().with_compiled_eval(true));
+        let interp_prog = parallelize(&p, &OptimizerFlags::all().with_compiled_eval(false));
         let skew_cfg = SkewConfig::default().with_min_part_rows(32);
 
         for chaos in [None, Some(FaultConfig::chaos(chaos_seed))] {
@@ -129,8 +130,11 @@ proptest! {
                     if skew_on {
                         e = e.with_skew_splitting(skew_cfg);
                     }
-                    e.vectorized = vec_on.then(|| BatchConfig::new(64));
-                    e.run(&prog, &catalog)
+                    if vec_on {
+                        e.with_vectorized_eval(BatchConfig::new(64)).run(&prog, &catalog)
+                    } else {
+                        e.run(&interp_prog, &catalog)
+                    }
                 };
                 let scalar = mk(false, ParallelismMode::Pool, 2);
                 let vec_runs: Vec<_> =
@@ -140,7 +144,7 @@ proptest! {
                     // A generated body may error (e.g. divide by a zero
                     // column). The interpreter must agree that the program
                     // errors, and every vectorized run must reproduce the
-                    // scalar tier's error exactly — that is the replay
+                    // interpreter's error exactly — that is the replay
                     // contract.
                     Err(e) => {
                         prop_assert!(
@@ -154,7 +158,7 @@ proptest! {
                                 }
                                 Ok(_) => prop_assert!(
                                     false,
-                                    "vectorized run succeeded where the scalar tier failed"
+                                    "vectorized run succeeded where the interpreter failed"
                                 ),
                             }
                         }
@@ -226,7 +230,7 @@ fn email_rows(n: usize) -> Vec<Value> {
 /// A plan built entirely from the vectorizable string surface — a fused
 /// `contains` filter + `strlen` map and a string-keyed fused group-aggregate
 /// — must engage the batch tier with *zero* refusals on either counter,
-/// while reproducing the scalar tier bit-for-bit.
+/// while reproducing the interpreter bit-for-bit.
 #[test]
 fn fully_vectorized_string_plan_reports_zero_fallbacks() {
     let catalog = Catalog::new().with("rows", email_rows(3_000));
@@ -260,7 +264,8 @@ fn fully_vectorized_string_plan_reports_zero_fallbacks() {
         ),
     ]);
     let prog = parallelize(&p, &OptimizerFlags::all().with_compiled_eval(true));
-    let scalar = scalar_tier(engine()).run(&prog, &catalog).expect("scalar");
+    let interp_prog = parallelize(&p, &OptimizerFlags::all().with_compiled_eval(false));
+    let scalar = engine().run(&interp_prog, &catalog).expect("interpreter");
     let vec = engine()
         .with_vectorized_eval(BatchConfig::new(256))
         .run(&prog, &catalog)
@@ -346,8 +351,78 @@ fn numeric_chain_fully_vectorizes_by_default() {
     assert!(run.stats.rows_vectorized >= ROWS as u64, "{}", run.stats);
     assert_eq!(run.stats.vector_fallbacks, 0, "{}", run.stats);
     assert_eq!(run.stats.key_path_fallbacks, 0, "{}", run.stats);
-    let scalar = scalar_tier(engine()).run(&prog, &catalog).expect("scalar");
+    let interp_prog = parallelize(&p, &OptimizerFlags::all().with_compiled_eval(false));
+    let scalar = engine().run(&interp_prog, &catalog).expect("interpreter");
     assert_eq!(run.writes, scalar.writes);
+}
+
+/// A fused Map/Filter chain over `(i64, i64)` rows, on two inputs of 10 000
+/// rows each: all ints, and all ints but a `Float` in the field the chain
+/// reads first every 1 000th row. The chain reads it through `+`, `*` and
+/// `>`, which the interpreter takes on a `Float`, so both inputs write the
+/// rows the engine's interpreter writes. A `Float` row aborts its batch at
+/// the typed load, and the interpreter replays that batch: the kernels
+/// count every row but exactly those of the aborted batches, and nothing
+/// refuses.
+#[test]
+fn a_narrow_chain_replays_exactly_the_batches_a_float_aborts() {
+    let (t0, t1) = (|| x().get(0), || x().get(1));
+    let chain = BagExpr::read("xs")
+        .map(Lambda::new(
+            ["x"],
+            ScalarExpr::Tuple(vec![
+                t0().mul(ScalarExpr::lit(3i64)).add(t1()),
+                t1().sub(ScalarExpr::lit(2i64)),
+            ]),
+        ))
+        .filter(Lambda::new(["x"], t0().gt(t1())))
+        .map(Lambda::new(
+            ["x"],
+            t0().mul(ScalarExpr::lit(2i64)).sub(t1()),
+        ));
+    let p = Program::new(vec![Stmt::write("out", chain)]);
+    let prog = parallelize(&p, &OptimizerFlags::all());
+    let interp_prog = parallelize(&p, &OptimizerFlags::all().with_compiled_eval(false));
+    let (n, every) = (10_000usize, 1_000usize);
+    let floats: Vec<usize> = (every - 1..n).step_by(every).collect();
+    // Sources are cut into `dop` contiguous partitions and each partition
+    // into batches from its start.
+    let part = n.div_ceil(ClusterSpec::tiny().dop());
+    let batch = BatchConfig::default().batch_rows;
+    let aborted: std::collections::BTreeSet<(usize, usize)> = floats
+        .iter()
+        .map(|at| (at / part, at % part / batch))
+        .collect();
+    let aborted_rows: usize = aborted
+        .iter()
+        .map(|&(p, b)| (part.min(n - p * part) - b * batch).min(batch))
+        .sum();
+    assert!(aborted_rows > 0 && aborted_rows < n);
+    let inputs = [
+        ("ints", vec![], n),
+        ("a float every 1 000th row", floats, n - aborted_rows),
+    ];
+    for (input, floats, vectorized) in inputs {
+        let mut rows: Vec<Value> = (0..n as i64)
+            .map(|i| Value::tuple(vec![Value::Int(i % 997 - 400), Value::Int(i % 101)]))
+            .collect();
+        for &at in &floats {
+            rows[at] = Value::tuple(vec![Value::Float(at as f64 * 0.5), Value::Int(7)]);
+        }
+        let catalog = Catalog::new().with("xs", rows);
+        let run = engine().run(&prog, &catalog).expect("default engine");
+        let interp = engine().run(&interp_prog, &catalog).expect("interpreter");
+        // `Debug`, so an `Int` cannot stand in for the `Float` it equals.
+        let rows = |r: &EngineRun| format!("{:?}", r.writes["out"]);
+        assert_eq!(rows(&run), rows(&interp), "{input}");
+        assert_eq!(run.stats.without_tier_telemetry(), interp.stats, "{input}");
+        assert_eq!(
+            run.stats.rows_vectorized, vectorized as u64,
+            "{input}: {}",
+            run.stats
+        );
+        assert_eq!(run.stats.vector_fallbacks, 0, "{input}: {}", run.stats);
+    }
 }
 
 /// A map body carrying a nested fold resists specialization: the refusal
@@ -365,7 +440,8 @@ fn non_specializable_string_body_bumps_vector_fallbacks() {
         BagExpr::read("rows").map(Lambda::new(["x"], nested)),
     )]);
     let prog = parallelize(&p, &OptimizerFlags::all().with_compiled_eval(true));
-    let scalar = scalar_tier(engine()).run(&prog, &catalog).expect("scalar");
+    let interp_prog = parallelize(&p, &OptimizerFlags::all().with_compiled_eval(false));
+    let scalar = engine().run(&interp_prog, &catalog).expect("interpreter");
     let vec = engine()
         .with_vectorized_eval(BatchConfig::new(128))
         .run(&prog, &catalog)
@@ -410,9 +486,8 @@ fn strcontains_cost_is_length_aware_and_tier_identical() {
     )]);
     let run = |p: &Program, len: usize, vec_on: bool| {
         let catalog = Catalog::new().with("rows", rows(len));
-        let prog = parallelize(p, &OptimizerFlags::all().with_compiled_eval(true));
-        let mut e = engine();
-        e.vectorized = vec_on.then(|| BatchConfig::new(256));
+        let prog = parallelize(p, &OptimizerFlags::all().with_compiled_eval(vec_on));
+        let e = engine().with_vectorized_eval(BatchConfig::new(256));
         e.run(&prog, &catalog).expect("run")
     };
     // Tier bit-identity at both lengths.

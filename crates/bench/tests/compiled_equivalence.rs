@@ -200,8 +200,8 @@ fn tpch_q1_q4_counters_invariant_under_compiled_eval() {
 
 #[test]
 fn pagerank_counters_invariant_under_compiled_eval() {
-    // Iterative workload: compiled UDFs are memoized across iterations, so
-    // the same CompiledEval instance is re-bound and re-run every round.
+    // Iterative workload: every round re-specializes the same UDFs against
+    // that round's base scopes and samples.
     let params = pagerank::PagerankParams {
         num_pages: 200,
         iterations: 5,

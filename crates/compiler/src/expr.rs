@@ -677,6 +677,21 @@ impl ScalarExpr {
         e
     }
 
+    /// True when the subtree references no variables and contains no bag
+    /// computation — i.e. it evaluates to the same result in any
+    /// environment.
+    pub fn is_closed(&self) -> bool {
+        if matches!(
+            self,
+            ScalarExpr::Var(_) | ScalarExpr::Fold(..) | ScalarExpr::BagOf(_)
+        ) {
+            return false;
+        }
+        let mut closed = true;
+        self.for_each_child(|c| closed = closed && matches!(c, Term::Scalar(c) if c.is_closed()));
+        closed
+    }
+
     /// The direct sub-terms in evaluation order (see [`Term`]).
     pub fn for_each_child<'a>(&'a self, mut visit: impl FnMut(Term<'a>)) {
         match self {

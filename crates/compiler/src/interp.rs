@@ -21,7 +21,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use emma_core::ops::{self, InsertionMap};
 
 use crate::bag_expr::BagExpr;
-use crate::expr::{BinOp, BuiltinFn, FoldOp, Lambda, ScalarExpr, UnOp};
+use crate::expr::{BinOp, BuiltinFn, FoldOp, Lambda, ScalarExpr, Term, UnOp};
 use crate::program::{Program, RValue, Stmt};
 use crate::value::{Value, ValueError};
 
@@ -181,6 +181,20 @@ impl<'a> Env<'a> {
     fn pop(&mut self, n: usize) {
         self.locals.truncate(self.locals.len() - n);
     }
+}
+
+/// Every variable and bag-reference name at or below `t` (including names
+/// bound within it), pre-order, borrowed from the term: the names to
+/// [`Env::prefetch`] for a UDF. Prefetching a bound name is harmless,
+/// because later binder pushes shadow it.
+pub fn var_names(t: Term<'_>) -> Vec<&str> {
+    let mut out = Vec::new();
+    t.walk(&mut |t| {
+        if let Term::Scalar(ScalarExpr::Var(n)) | Term::Bag(BagExpr::Ref { name: n }) = t {
+            out.push(n.as_str());
+        }
+    });
+    out
 }
 
 /// Evaluates a scalar expression.

@@ -35,7 +35,6 @@
 #![warn(missing_docs)]
 
 pub mod bag_expr;
-pub mod compiled;
 pub mod comprehension;
 pub mod csvio;
 pub mod expr;

@@ -46,8 +46,7 @@ pub struct OptimizerFlags {
     /// materialization.
     pub pipeline_fusion: bool,
     /// Run UDF lambdas as typed columnar kernels ([`crate::vectorized`],
-    /// specialized from [`crate::compiled`] slot programs) wherever a site
-    /// specializes, with the reference tree-walking interpreter replaying
+    /// lowered from the quoted UDF tree) wherever a site specializes, with the reference tree-walking interpreter replaying
     /// every batch they abort and running every site they refuse. This is
     /// an engine *evaluation tier*, not one of the paper's plan
     /// optimizations: it changes no plan, no rows, and no deterministic

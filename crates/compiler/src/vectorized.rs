@@ -1,15 +1,15 @@
-//! Vectorized batch evaluation: typed columnar kernels for compiled slot
-//! programs.
+//! Vectorized batch evaluation: typed columnar kernels lowered from the
+//! quoted UDF tree.
 //!
 //! The reference interpreter ([`crate::interp`]) evaluates a UDF one row at
 //! a time through the `Value` enum: each node pays enum dispatch, a name
 //! lookup and — for `Arc`-backed rows — refcount traffic. This module is
 //! the engine's other tier: a **static type-inference pass** over a UDF's
-//! compiled slot program ([`crate::compiled`]), or a fused chain of them,
-//! classifies every opcode as specializable over typed
-//! `i64`/`f64`/`bool`/string columns or not, and fully-specializable programs
-//! are re-lowered into a flat array of **column kernels** executed over
-//! reusable scratch buffers in batches of [`BatchConfig::batch_rows`] rows.
+//! [`Lambda`] tree, or a fused chain of them, classifies every node as
+//! specializable over typed `i64`/`f64`/`bool`/string columns or not, and
+//! fully-specializable programs are lowered into a flat array of **column
+//! kernels** executed over reusable scratch buffers in batches of
+//! [`BatchConfig::batch_rows`] rows.
 //!
 //! Design points:
 //!
@@ -23,11 +23,11 @@
 //!   type is one `Ty`, its load and its materialization; a new kernel is one
 //!   builder rule and one closure.
 //! - **Specialization is all-or-nothing per program.** [`specialize_sampled`]
-//!   returns `None` the moment any opcode resists typing (vector ops, folds
-//!   other than a nested bag's `count`, bag construction, an unbound capture,
-//!   a static type that would make the reference semantics error on every
-//!   row); the caller runs that operator on the interpreter and
-//!   reports it (`ExecStats::vector_fallbacks`) — no silent slow paths.
+//!   returns `None` the moment any node resists typing (vector ops, folds
+//!   other than a nested bag's `count`, bag construction, an unbound name,
+//!   a raising constant, a static type the reference semantics errors on
+//!   every row for); the interpreter runs that operator and reports it
+//!   (`ExecStats::vector_fallbacks`) — no silent slow paths.
 //! - **String columns are offset+bytes arenas.** A `Str`-typed slot loads
 //!   into one shared byte buffer plus per-lane `(start, len)` ranges
 //!   ([`StrCol`]); `str_len`, `str_contains`, string equality/comparison,
@@ -37,9 +37,9 @@
 //!   column so hash/contains kernels compute once per *distinct* value. A
 //!   batch whose strings would outgrow the arena's `u32` offsets aborts to
 //!   the interpreter like any other non-conforming batch.
-//! - **Branch-free `If` via selection vectors.** `JumpIfFalse`/`Jump` pairs
-//!   are recovered into structured branches; each branch's kernels execute
-//!   only over the lanes selected for it, so an error (or a debug-mode
+//! - **Branch-free `If` via selection vectors.** An `If` splits the
+//!   selection by its condition; each branch's kernels execute only over
+//!   the lanes selected for it, so an error (or a debug-mode
 //!   overflow panic) in a branch a lane does not take can never fire for
 //!   that lane — exactly the reference interpreter's taken-branch-only
 //!   evaluation, batched.
@@ -65,11 +65,11 @@
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::ops::Range;
 
-use crate::compiled::{CompiledEval, Op};
-use crate::expr::{BinOp, BuiltinFn, UnOp};
-use crate::value::{float_key, Value};
+use crate::bag_expr::BagExpr;
+use crate::expr::{BinOp, BuiltinFn, FoldOp, Lambda, ScalarExpr, UnOp};
+use crate::interp::{self, Catalog, Env};
+use crate::value::{float_key, Value, ValueError};
 
 // ------------------------------------------------------------------- config
 
@@ -296,16 +296,16 @@ enum OutSpec {
     PassThrough,
 }
 
-/// A compiled slot program plus its bound capture slots.
-type Udf<'a> = (&'a CompiledEval, &'a [Option<Value>]);
+/// A UDF and the base scope its free names resolve in.
+type Udf<'a> = (&'a Lambda, &'a HashMap<String, Value>);
 
-/// One stage of a vectorizable chain, borrowed from the engine's prepared
-/// operators: the compiled slot program plus its bound capture slots.
+/// One stage of a vectorizable chain, borrowed from the engine's operators:
+/// the UDF and the base scope its free names resolve in.
 pub enum VecStageSpec<'a> {
     /// A Map-like stage (also a fold's per-element `sng` function).
-    Map(&'a CompiledEval, &'a [Option<Value>]),
-    /// A Filter stage; its program must statically produce `Bool`.
-    Filter(&'a CompiledEval, &'a [Option<Value>]),
+    Map(&'a Lambda, &'a HashMap<String, Value>),
+    /// A Filter stage; its body must statically produce `Bool`.
+    Filter(&'a Lambda, &'a HashMap<String, Value>),
 }
 
 /// A batch-local string column: one shared byte arena plus per-lane
@@ -435,15 +435,14 @@ impl VectorScratch {
 
 // ----------------------------------------------------------- type inference
 
-/// Statically types a chain of compiled slot programs against a driver-side
-/// sample — its first row fixes the input shape, and all of them decide
-/// which `Str` slots load dictionary-encoded ([`StrCol`]: at least
-/// [`DICT_MIN_SAMPLE`] conforming samples, at most half of them distinct) —
-/// lowering every opcode to column kernels. `None` as soon as an opcode is
-/// not specializable: the interpreter (always correct) then runs the chain,
-/// reported as a fallback. A pure function of the programs, their captures
-/// and the sample, so decisions replay across runs, thread counts and
-/// dispatch modes.
+/// Statically types a chain of UDFs against a driver-side sample — its first
+/// row fixes the input shape, and all of them decide which `Str` slots load
+/// dictionary-encoded ([`StrCol`]: at least [`DICT_MIN_SAMPLE`] conforming
+/// samples, at most half of them distinct) — lowering every node to column
+/// kernels. `None` as soon as a node is not specializable: the interpreter
+/// (always correct) then runs the chain, reported as a fallback. A pure
+/// function of the UDFs, their base scopes and the sample, so decisions
+/// replay across runs, thread counts and dispatch modes.
 pub fn specialize_sampled(
     stages: &[VecStageSpec<'_>],
     samples: &[Value],
@@ -553,9 +552,9 @@ impl<'s> Builder<'s> {
         };
         let mut chain = vec![0];
         for spec in stages {
-            let (VecStageSpec::Map(code, caps) | VecStageSpec::Filter(code, caps)) = spec;
+            let (VecStageSpec::Map(lam, base) | VecStageSpec::Filter(lam, base)) = spec;
             let sel = out(&chain);
-            let v = self.eval_code((code, caps), &cur, sel)?;
+            let v = self.eval_udf((lam, base), &cur, sel)?;
             if let VecStageSpec::Map(..) = spec {
                 cur = v;
                 chain.push(sel);
@@ -572,108 +571,83 @@ impl<'s> Builder<'s> {
         Some((cur, chain))
     }
 
-    /// Abstractly evaluates a one-parameter compiled UDF with its bound
-    /// captures over `input`; `None` = not specializable.
-    fn eval_code(&mut self, udf: Udf, input: &VVal, sel: SelId) -> Option<VVal> {
-        let (code, caps) = udf;
-        let ops = &code.code.ops;
-        (code.arity == 1).then(|| self.eval_range(ops, 0..ops.len(), caps, input, sel))?
-    }
-
-    fn eval_range(
-        &mut self,
-        ops: &[Op],
-        range: Range<usize>,
-        caps: &[Option<Value>],
-        input: &VVal,
-        sel: SelId,
-    ) -> Option<VVal> {
+    /// Abstractly evaluates a one-parameter UDF over `input` under the
+    /// selection `sel`; `None` = not specializable.
+    fn eval_udf(&mut self, (lam, base): Udf, input: &VVal, sel: SelId) -> Option<VVal> {
+        let [param] = lam.params.as_slice() else {
+            return None;
+        };
         self.cur_sel = sel;
-        let mut stack: Vec<VVal> = Vec::new();
-        let mut pc = range.start;
-        while pc < range.end {
-            match &ops[pc] {
-                Op::Const(v) => stack.push(self.splat(v)),
-                // A statically failing program errors on every row it
-                // evaluates — the scalar fallback reproduces it per row.
-                Op::Fail => return None,
-                Op::Local(0) => stack.push(input.clone()),
-                Op::Local(_) => return None,
-                Op::Capture(c) => match &caps[*c] {
-                    Some(v) => stack.push(self.splat(v)),
-                    // An unbound capture errors whenever read; fall back.
-                    None => return None,
-                },
-                Op::Field(i) => {
-                    let v = stack.pop()?;
-                    stack.push(self.field(v, *i)?);
-                }
-                Op::Bin(op) => {
-                    let r = stack.pop()?;
-                    let l = stack.pop()?;
-                    stack.push(VVal::Col(self.bin(*op, l, r)?));
-                }
-                Op::Un(op) => {
-                    let a = stack.pop()?;
-                    stack.push(VVal::Col(self.un(*op, a)?));
-                }
-                Op::Call(f, n) => {
-                    let at = stack.len().checked_sub(*n)?;
-                    let args: Vec<VVal> = stack.drain(at..).collect();
-                    stack.push(VVal::Col(self.call(*f, args)?));
-                }
-                Op::Tuple(n) => {
-                    let at = stack.len().checked_sub(*n)?;
-                    let fs: Vec<VVal> = stack.drain(at..).collect();
-                    stack.push(VVal::Tup(fs));
-                }
-                Op::JumpIfFalse(else_at) => {
-                    // Recover the structured `If` the compiler emitted:
-                    // [cond] JumpIfFalse(e) [then] Jump(end) [else@e..end].
-                    let else_at = *else_at;
-                    if else_at < pc + 2 || else_at > range.end {
-                        return None;
-                    }
-                    let end = match &ops[else_at - 1] {
-                        Op::Jump(end) if *end >= else_at && *end <= range.end => *end,
-                        _ => return None,
-                    };
-                    // Non-Bool condition: `as_bool` errors per row.
-                    let cond = self.resolve_bool(stack.pop()?)?;
-                    let then_sel = self.new_sel();
-                    let else_sel = self.new_sel();
-                    self.instrs.push(VInstr::SelSplit {
-                        parent: sel,
-                        cond,
-                        then_sel,
-                        else_sel,
-                    });
-                    // Each branch's kernels run only over its own lanes, so
-                    // an error in the untaken branch of a lane cannot fire.
-                    let t = self.eval_range(ops, pc + 1..else_at - 1, caps, input, then_sel)?;
-                    let e = self.eval_range(ops, else_at..end, caps, input, else_sel)?;
-                    self.cur_sel = sel;
-                    stack.push(self.merge(t, e, then_sel, else_sel)?);
-                    pc = end;
-                    continue;
-                }
-                // Bare jumps only occur inside an `If` (consumed above); bag
-                // construction stays scalar.
-                Op::Jump(_) | Op::MkBag => return None,
-                // A nested bag's `count` is its length; other folds stay scalar.
-                Op::Fold(counted) => {
-                    let src = &counted.as_ref()?.ops;
-                    let bag = self.eval_range(src, 0..src.len(), caps, input, sel)?;
-                    let bag = self.resolve(bag).filter(|c| c.ty == Ty::V)?;
-                    stack.push(VVal::Col(self.emit_un(Op1::Len, Ty::I, bag)));
-                }
-            }
-            pc += 1;
-        }
-        stack.pop().filter(|_| stack.is_empty())
+        self.eval_expr(&lam.body, &Scope { param, input, base })
     }
 
-    /// Broadcasts a constant (folded literal or bound capture) into columns.
+    /// Lowers `e` under the current selection, left to right: the
+    /// interpreter's evaluation order.
+    fn eval_expr(&mut self, e: &ScalarExpr, sc: &Scope) -> Option<VVal> {
+        // A closed subtree is the same on every row: evaluate it once and
+        // splat it. One that raises does so on every row; fall back.
+        if e.is_closed() {
+            return const_eval(e).ok().map(|v| self.splat(&v));
+        }
+        Some(match e {
+            ScalarExpr::Lit(v) => self.splat(v),
+            ScalarExpr::Var(n) if *n == sc.param => sc.input.clone(),
+            // An unbound name errors whenever read; fall back.
+            ScalarExpr::Var(n) => self.splat(sc.base.get(n)?),
+            ScalarExpr::Field(inner, i) => {
+                let v = self.eval_expr(inner, sc)?;
+                self.field(v, *i)?
+            }
+            ScalarExpr::BinOp(op, l, r) => {
+                let (l, r) = (self.eval_expr(l, sc)?, self.eval_expr(r, sc)?);
+                VVal::Col(self.bin(*op, l, r)?)
+            }
+            ScalarExpr::UnOp(op, a) => {
+                let a = self.eval_expr(a, sc)?;
+                VVal::Col(self.un(*op, a)?)
+            }
+            ScalarExpr::Call(f, args) => {
+                let args: Option<_> = args.iter().map(|a| self.eval_expr(a, sc)).collect();
+                VVal::Col(self.call(*f, args?)?)
+            }
+            ScalarExpr::Tuple(fs) => {
+                let fs: Option<_> = fs.iter().map(|f| self.eval_expr(f, sc)).collect();
+                VVal::Tup(fs?)
+            }
+            ScalarExpr::If(c, t, el) => {
+                // Non-Bool condition: `as_bool` errors per row.
+                let cond = self.eval_expr(c, sc).and_then(|c| self.resolve_bool(c))?;
+                let (parent, then_sel, else_sel) = (self.cur_sel, self.new_sel(), self.new_sel());
+                self.instrs.push(VInstr::SelSplit {
+                    parent,
+                    cond,
+                    then_sel,
+                    else_sel,
+                });
+                // Each branch's kernels run only over its own lanes, so an
+                // error in the untaken branch of a lane cannot fire.
+                self.cur_sel = then_sel;
+                let t = self.eval_expr(t, sc)?;
+                self.cur_sel = else_sel;
+                let e = self.eval_expr(el, sc)?;
+                self.cur_sel = parent;
+                self.merge(t, e, then_sel, else_sel)?
+            }
+            // A nested bag's `count` is its length; other folds stay scalar.
+            ScalarExpr::Fold(bag, fold) => {
+                let (BagExpr::OfValue(src), true) = (&**bag, counts(fold)) else {
+                    return None;
+                };
+                let bag = self.eval_expr(src, sc)?;
+                let bag = self.resolve(bag).filter(|c| c.ty == Ty::V)?;
+                VVal::Col(self.emit_un(Op1::Len, Ty::I, bag))
+            }
+            // Bag construction stays scalar.
+            ScalarExpr::BagOf(_) => return None,
+        })
+    }
+
+    /// Broadcasts a constant (a folded subtree or a base binding) into columns.
     /// A non-scalar, non-tuple constant (Null, Vector, Bag) becomes an
     /// opaque pass-through column: usable only in output tuples, never as a
     /// kernel operand.
@@ -880,6 +854,36 @@ impl<'s> Builder<'s> {
             v => self.resolve(v).map(MatNode::Col),
         }
     }
+}
+
+/// What a UDF body's names read: its parameter the input, others the base.
+struct Scope<'a> {
+    param: &'a str,
+    input: &'a VVal,
+    base: &'a HashMap<String, Value>,
+}
+
+/// A closed subtree's value, exactly the reference interpreter's.
+fn const_eval(e: &ScalarExpr) -> Result<Value, ValueError> {
+    interp::eval_scalar(e, &mut Env::new(&HashMap::new()), &Catalog::new())
+}
+
+/// Whether `e` is the variable `name`.
+fn is_var(e: &ScalarExpr, name: &str) -> bool {
+    matches!(e, ScalarExpr::Var(n) if n == name)
+}
+
+/// Whether a fold is a count, `fold(0, _ ⟼ 1, (a, b) ⟼ a + b)`, read off its
+/// lambdas — never off the label [`FoldOp::kind`] — with closed constants
+/// that are `Int`s by variant (`Value` equality says `Int(0) == Float(0.0)`).
+fn counts(fold: &FoldOp) -> bool {
+    let int = |e: &ScalarExpr, want: i64| {
+        e.is_closed() && matches!(const_eval(e), Ok(Value::Int(n)) if n == want)
+    };
+    int(&fold.zero, 0)
+        && fold.sng.params.len() == 1
+        && int(&fold.sng.body, 1)
+        && slot_ops(&fold.uni) == Some((vec![SlotOp::Add], false))
 }
 
 // ---------------------------------------------------------------- execution
@@ -1466,43 +1470,42 @@ struct Slot {
 /// Recognizes a slot-wise `uni`: the tuple
 /// `(op_0(a.0, b.0), …, op_n(a.n, b.n))` that
 /// [`crate::expr::FoldOp::banana_split`] emits (second component `true`), or
-/// the bare `op(a, b)` of an unsplit fold (`false`). Operand order is part of
-/// the shape: the accumulator is always the left operand.
-fn slot_ops(uni: &CompiledEval) -> Option<(Vec<SlotOp>, bool)> {
-    fn comb(op: &Op) -> Option<SlotOp> {
-        Some(match op {
-            Op::Bin(BinOp::Add) => SlotOp::Add,
-            Op::Bin(BinOp::Mul) => SlotOp::Mul,
-            Op::Bin(BinOp::And) => SlotOp::And,
-            Op::Bin(BinOp::Or) => SlotOp::Or,
-            Op::Call(BuiltinFn::MinOf, 2) => SlotOp::Min,
-            Op::Call(BuiltinFn::MaxOf, 2) => SlotOp::Max,
-            _ => return None,
-        })
-    }
-    if uni.arity != 2 {
-        return None;
-    }
-    let ops = uni.code.ops.as_slice();
-    if let [Op::Local(0), Op::Local(1), c] = ops {
-        return Some((vec![comb(c)?], false));
-    }
-    let (Op::Tuple(n), body) = ops.split_last()? else {
+/// the bare `op(a, b)` of an unsplit fold (`false`), over two distinct
+/// parameters `a` and `b`. Operand order is part of the shape: the
+/// accumulator is always the left operand.
+fn slot_ops(uni: &Lambda) -> Option<(Vec<SlotOp>, bool)> {
+    let [a, b] = uni.params.as_slice() else {
         return None;
     };
-    if *n == 0 || body.len() != 5 * n {
-        return None;
-    }
-    let mut slots = Vec::with_capacity(*n);
-    for (i, chunk) in body.chunks_exact(5).enumerate() {
-        match chunk {
-            [Op::Local(0), Op::Field(a), Op::Local(1), Op::Field(b), c] if *a == i && *b == i => {
-                slots.push(comb(c)?)
-            }
+    // `op(l, r)` with `l` reading `a` and `r` reading `b` — whole, or field
+    // `i` of each.
+    let comb = |e: &ScalarExpr, i: Option<usize>| {
+        let reads = |e: &ScalarExpr, p: &str| match (e, i) {
+            (ScalarExpr::Field(e, j), Some(i)) => *j == i && is_var(e, p),
+            (e, None) => is_var(e, p),
+            _ => false,
+        };
+        let (op, l, r) = match e {
+            ScalarExpr::BinOp(BinOp::Add, l, r) => (SlotOp::Add, &**l, &**r),
+            ScalarExpr::BinOp(BinOp::Mul, l, r) => (SlotOp::Mul, &**l, &**r),
+            ScalarExpr::BinOp(BinOp::And, l, r) => (SlotOp::And, &**l, &**r),
+            ScalarExpr::BinOp(BinOp::Or, l, r) => (SlotOp::Or, &**l, &**r),
+            ScalarExpr::Call(f, args) => match (f, args.as_slice()) {
+                (BuiltinFn::MinOf, [l, r]) => (SlotOp::Min, l, r),
+                (BuiltinFn::MaxOf, [l, r]) => (SlotOp::Max, l, r),
+                _ => return None,
+            },
             _ => return None,
+        };
+        (a != b && reads(l, a) && reads(r, b)).then_some(op)
+    };
+    match &uni.body {
+        ScalarExpr::Tuple(fs) if !fs.is_empty() => {
+            let ops = fs.iter().enumerate().map(|(i, f)| comb(f, Some(i)));
+            Some((ops.collect::<Option<_>>()?, true))
         }
+        e => Some((vec![comb(e, None)?], false)),
     }
-    Some((slots, true))
 }
 
 impl Builder<'_> {
@@ -1596,11 +1599,7 @@ pub struct AggKernel {
 /// the scalar loop — when `key`/`sng` resist typing, the key has an opaque
 /// leaf, `uni` is not slot-wise, or a slot's operator does not fit its
 /// zero/value types.
-pub fn specialize_agg(
-    input: &AggInput<'_>,
-    uni: &CompiledEval,
-    samples: &[Value],
-) -> Option<AggKernel> {
+pub fn specialize_agg(input: &AggInput<'_>, uni: &Lambda, samples: &[Value]) -> Option<AggKernel> {
     let (ops, tuple_acc) = slot_ops(uni)?;
     let mut b = Builder::new(samples);
     let (row, chain) = b.chain(match input {
@@ -1609,8 +1608,8 @@ pub fn specialize_agg(
     })?;
     let (key_v, val_v, zero) = match input {
         AggInput::Rows { key, sng, zero, .. } => {
-            let k = b.eval_code(*key, &row, out(&chain))?;
-            let v = b.eval_code(*sng, &row, out(&chain))?;
+            let k = b.eval_udf(*key, &row, out(&chain))?;
+            let v = b.eval_udf(*sng, &row, out(&chain))?;
             (Some(k), v, Some(*zero))
         }
         AggInput::Partials => (None, row, None),
@@ -2049,7 +2048,6 @@ impl AccCols {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compiled::compile_lambda;
     use crate::expr::{Lambda, ScalarExpr};
     use crate::interp::{self, Catalog, Env};
     use crate::value::ValueError;
@@ -2080,10 +2078,9 @@ mod tests {
     /// Runs one specialized Map over `rows` and compares every output
     /// against the interpreter.
     fn check_map(lam: &Lambda, rows: &[Value]) {
-        let code = compile_lambda(lam);
-        let caps = code.bind(&HashMap::new());
+        let base = HashMap::new();
         let vp = specialize_sampled(
-            &[VecStageSpec::Map(&code, &caps)],
+            &[VecStageSpec::Map(lam, &base)],
             std::slice::from_ref(&rows[0]),
         )
         .expect("expected specializable program");
@@ -2209,10 +2206,9 @@ mod tests {
     #[test]
     fn division_error_aborts_batch_untouched() {
         let lam = Lambda::new(["x"], se_bin(BinOp::Div, x0(), x1()));
-        let code = compile_lambda(&lam);
-        let caps = code.bind(&HashMap::new());
+        let base = HashMap::new();
         let vp = specialize_sampled(
-            &[VecStageSpec::Map(&code, &caps)],
+            &[VecStageSpec::Map(&lam, &base)],
             &[Value::tuple(vec![Value::Float(1.0), Value::Float(1.0)])],
         )
         .unwrap();
@@ -2238,10 +2234,9 @@ mod tests {
             ["x"],
             se_bin(BinOp::Add, x0(), ScalarExpr::lit(Value::Int(1))),
         );
-        let code = compile_lambda(&lam);
-        let caps = code.bind(&HashMap::new());
+        let base = HashMap::new();
         let vp = specialize_sampled(
-            &[VecStageSpec::Map(&code, &caps)],
+            &[VecStageSpec::Map(&lam, &base)],
             &[Value::tuple(vec![Value::Int(0), Value::Int(0)])],
         )
         .unwrap();
@@ -2269,11 +2264,10 @@ mod tests {
                 ScalarExpr::lit(Value::Int(0)),
             ),
         );
-        let code = compile_lambda(&lam);
-        let caps = code.bind(&HashMap::new());
+        let base = HashMap::new();
         let rows = int_pair_rows(31);
         let vp = specialize_sampled(
-            &[VecStageSpec::Filter(&code, &caps)],
+            &[VecStageSpec::Filter(&lam, &base)],
             std::slice::from_ref(&rows[0]),
         )
         .unwrap();
@@ -2311,15 +2305,13 @@ mod tests {
             let z1 = se_field(ScalarExpr::var("z"), 1);
             se_bin(BinOp::Mul, z0, z1)
         });
-        let (c1, c2, c3) = (compile_lambda(&m1), compile_lambda(&f), compile_lambda(&m2));
         let base = HashMap::new();
-        let (b1, b2, b3) = (c1.bind(&base), c2.bind(&base), c3.bind(&base));
         let rows = int_pair_rows(200);
         let vp = specialize_sampled(
             &[
-                VecStageSpec::Map(&c1, &b1),
-                VecStageSpec::Filter(&c2, &b2),
-                VecStageSpec::Map(&c3, &b3),
+                VecStageSpec::Map(&m1, &base),
+                VecStageSpec::Filter(&f, &base),
+                VecStageSpec::Map(&m2, &base),
             ],
             std::slice::from_ref(&rows[0]),
         )
@@ -2351,13 +2343,11 @@ mod tests {
     #[test]
     fn captures_are_splatted() {
         let lam = Lambda::new(["x"], se_bin(BinOp::Mul, x0(), ScalarExpr::var("scale")));
-        let code = compile_lambda(&lam);
         let mut base = HashMap::new();
         base.insert("scale".to_string(), Value::Int(17));
-        let caps = code.bind(&base);
         let rows = int_pair_rows(10);
         let vp = specialize_sampled(
-            &[VecStageSpec::Map(&code, &caps)],
+            &[VecStageSpec::Map(&lam, &base)],
             std::slice::from_ref(&rows[0]),
         )
         .unwrap();
@@ -2366,6 +2356,23 @@ mod tests {
         let mut out = Vec::new();
         assert!(vp.run_batch(&rows, &mut scratch, &mut counts, &mut out));
         assert_eq!(out[3], Value::Int(51));
+        // A parameter named like a base entry reads the row, not the entry.
+        let shadow = Lambda::new(
+            ["scale"],
+            se_bin(
+                BinOp::Mul,
+                se_field(ScalarExpr::var("scale"), 0),
+                ScalarExpr::lit(Value::Int(3)),
+            ),
+        );
+        let vp = specialize_sampled(
+            &[VecStageSpec::Map(&shadow, &base)],
+            std::slice::from_ref(&rows[0]),
+        )
+        .unwrap();
+        let (mut counts, mut out) = (vec![0u64; 2], Vec::new());
+        assert!(vp.run_batch(&rows, &mut vp.new_scratch(), &mut counts, &mut out));
+        assert_eq!(out[3], Value::Int(9));
     }
 
     #[test]
@@ -2373,55 +2380,46 @@ mod tests {
         let sample = Value::tuple(vec![Value::Int(0), Value::Int(0)]);
         let base = HashMap::new();
         // String builtin over a non-string slot: `as_str` errors per row.
-        let s = compile_lambda(&Lambda::new(
-            ["x"],
-            ScalarExpr::call(BuiltinFn::StrLen, vec![x0()]),
-        ));
-        let sc = s.bind(&base);
-        assert!(
-            specialize_sampled(&[VecStageSpec::Map(&s, &sc)], std::slice::from_ref(&sample))
-                .is_none()
-        );
+        let s = Lambda::new(["x"], ScalarExpr::call(BuiltinFn::StrLen, vec![x0()]));
+        assert!(specialize_sampled(
+            &[VecStageSpec::Map(&s, &base)],
+            std::slice::from_ref(&sample)
+        )
+        .is_none());
         // Vector builtin.
-        let d = compile_lambda(&Lambda::new(
-            ["x"],
-            ScalarExpr::call(BuiltinFn::Dist, vec![x0(), x1()]),
-        ));
-        let dc = d.bind(&base);
-        assert!(
-            specialize_sampled(&[VecStageSpec::Map(&d, &dc)], std::slice::from_ref(&sample))
-                .is_none()
-        );
+        let d = Lambda::new(["x"], ScalarExpr::call(BuiltinFn::Dist, vec![x0(), x1()]));
+        assert!(specialize_sampled(
+            &[VecStageSpec::Map(&d, &base)],
+            std::slice::from_ref(&sample)
+        )
+        .is_none());
         // Unbound capture.
-        let u = compile_lambda(&Lambda::new(["x"], ScalarExpr::var("missing")));
-        let uc = u.bind(&base);
-        assert!(
-            specialize_sampled(&[VecStageSpec::Map(&u, &uc)], std::slice::from_ref(&sample))
-                .is_none()
-        );
+        let u = Lambda::new(["x"], ScalarExpr::var("missing"));
+        assert!(specialize_sampled(
+            &[VecStageSpec::Map(&u, &base)],
+            std::slice::from_ref(&sample)
+        )
+        .is_none());
         // Two-parameter lambda (fold `uni`): not a single-input stage.
-        let two = compile_lambda(&Lambda::new(
+        let two = Lambda::new(
             ["a", "b"],
             se_bin(BinOp::Add, ScalarExpr::var("a"), ScalarExpr::var("b")),
-        ));
-        let tc = two.bind(&base);
+        );
         assert!(specialize_sampled(
-            &[VecStageSpec::Map(&two, &tc)],
+            &[VecStageSpec::Map(&two, &base)],
             std::slice::from_ref(&sample)
         )
         .is_none());
         // Non-Bool filter result.
-        let nb = compile_lambda(&Lambda::new(["x"], x0()));
-        let nc = nb.bind(&base);
+        let nb = Lambda::new(["x"], x0());
         assert!(specialize_sampled(
-            &[VecStageSpec::Filter(&nb, &nc)],
+            &[VecStageSpec::Filter(&nb, &base)],
             std::slice::from_ref(&sample)
         )
         .is_none());
         // Non-tuple sample shape for a field access.
-        let fa = compile_lambda(&Lambda::new(["x"], x0()));
-        let fc = fa.bind(&base);
-        assert!(specialize_sampled(&[VecStageSpec::Map(&fa, &fc)], &[Value::Int(3)]).is_none());
+        let fa = Lambda::new(["x"], x0());
+        assert!(specialize_sampled(&[VecStageSpec::Map(&fa, &base)], &[Value::Int(3)]).is_none());
     }
 
     #[test]
@@ -2456,9 +2454,8 @@ mod tests {
     /// Like [`check_map`] but specializes from an explicit multi-row
     /// sample (exercising the dictionary-encoding heuristic).
     fn check_map_sampled(lam: &Lambda, samples: &[Value], rows: &[Value]) -> VectorPipeline {
-        let code = compile_lambda(lam);
-        let caps = code.bind(&HashMap::new());
-        let vp = specialize_sampled(&[VecStageSpec::Map(&code, &caps)], samples)
+        let base = HashMap::new();
+        let vp = specialize_sampled(&[VecStageSpec::Map(lam, &base)], samples)
             .expect("expected specializable program");
         let mut scratch = vp.new_scratch();
         let mut counts = vec![0u64; 2];
@@ -2513,11 +2510,10 @@ mod tests {
                 vec![x1(), ScalarExpr::lit(Value::str("l"))],
             ),
         );
-        let code = compile_lambda(&lam);
-        let caps = code.bind(&HashMap::new());
+        let base = HashMap::new();
         let rows = str_rows();
         let vp = specialize_sampled(
-            &[VecStageSpec::Filter(&code, &caps)],
+            &[VecStageSpec::Filter(&lam, &base)],
             std::slice::from_ref(&rows[0]),
         )
         .unwrap();
@@ -2563,13 +2559,11 @@ mod tests {
             ["x"],
             ScalarExpr::call(BuiltinFn::StrContains, vec![x1(), ScalarExpr::var("pat")]),
         );
-        let code = compile_lambda(&lam);
         let mut base = HashMap::new();
         base.insert("pat".to_string(), Value::str("héllo"));
-        let caps = code.bind(&base);
         let rows = str_rows();
         let vp = specialize_sampled(
-            &[VecStageSpec::Map(&code, &caps)],
+            &[VecStageSpec::Map(&lam, &base)],
             std::slice::from_ref(&rows[0]),
         )
         .unwrap();
@@ -2667,10 +2661,9 @@ mod tests {
         );
         check_map(&lam, &rows);
         // Empty batch: no lanes, no output, counts all zero.
-        let code = compile_lambda(&lam);
-        let caps = code.bind(&HashMap::new());
+        let base = HashMap::new();
         let vp = specialize_sampled(
-            &[VecStageSpec::Map(&code, &caps)],
+            &[VecStageSpec::Map(&lam, &base)],
             std::slice::from_ref(&rows[0]),
         )
         .unwrap();
@@ -2686,10 +2679,9 @@ mod tests {
     fn string_shape_mismatch_aborts_batch() {
         let lam = Lambda::new(["x"], ScalarExpr::call(BuiltinFn::StrLen, vec![x1()]));
         let rows = str_rows();
-        let code = compile_lambda(&lam);
-        let caps = code.bind(&HashMap::new());
+        let base = HashMap::new();
         let vp = specialize_sampled(
-            &[VecStageSpec::Map(&code, &caps)],
+            &[VecStageSpec::Map(&lam, &base)],
             std::slice::from_ref(&rows[0]),
         )
         .unwrap();
@@ -2743,7 +2735,7 @@ mod tests {
     #[test]
     fn slot_wise_uni_is_recognized_structurally() {
         use SlotOp::*;
-        let ops = |uni: &Lambda| slot_ops(&compile_lambda(uni));
+        let ops = slot_ops;
         assert_eq!(
             ops(&four_folds().uni),
             Some((vec![Add, Add, Min, Or], true))
@@ -2773,6 +2765,13 @@ mod tests {
         let by_key = Lambda::new(["x"], ScalarExpr::var("x"));
         assert_eq!(ops(&FoldOp::min_by(by_key).uni), None);
         assert_eq!(ops(&FoldOp::vec_sum(2).uni), None);
+        // One parameter read twice, and a `min_of` short of an operand.
+        assert_eq!(
+            ops(&Lambda::new(["a", "a"], se_bin(BinOp::Add, a(), a()))),
+            None
+        );
+        let short = ScalarExpr::Call(BuiltinFn::MinOf, vec![a()]);
+        assert_eq!(ops(&Lambda::new(["a", "b"], short)), None);
     }
 
     fn zero_of(fold: &FoldOp) -> Value {
@@ -2805,20 +2804,15 @@ mod tests {
     }
 
     fn combiner_kernel(key: &Lambda, fold: &FoldOp, samples: &[Value]) -> Option<AggKernel> {
-        let (kc, sc, uc) = (
-            compile_lambda(key),
-            compile_lambda(&fold.sng),
-            compile_lambda(&fold.uni),
-        );
-        let zero = zero_of(fold);
+        let (base, zero) = (HashMap::new(), zero_of(fold));
         specialize_agg(
             &AggInput::Rows {
                 stages: &[],
-                key: (&kc, &[]),
-                sng: (&sc, &[]),
+                key: (key, &base),
+                sng: (&fold.sng, &base),
                 zero: &zero,
             },
-            &uc,
+            &fold.uni,
             samples,
         )
     }
@@ -2852,8 +2846,7 @@ mod tests {
             .flat_map(|half| scalar_groups(&key, &fold, half))
             .map(|(k, acc)| ((hash_of(&k), k), acc))
             .unzip();
-        let merge = specialize_agg(&AggInput::Partials, &compile_lambda(&fold.uni), &accs)
-            .expect("merge kernel");
+        let merge = specialize_agg(&AggInput::Partials, &fold.uni, &accs).expect("merge kernel");
         assert!(merge.key.is_none());
         let mut st = merge.new_state();
         assert!(merge.absorb_partials(Partials::Values(&accs[..30]), &keys[..30], &mut st));
@@ -2917,8 +2910,7 @@ mod tests {
             .map(|i| Value::Float(i as f64 * 0.3 - 5.0))
             .collect();
         let uni = FoldOp::sum().uni;
-        let merge = specialize_agg(&AggInput::Partials, &compile_lambda(&uni), &accs)
-            .expect("merge kernel");
+        let merge = specialize_agg(&AggInput::Partials, &uni, &accs).expect("merge kernel");
         let mut st = merge.new_state();
         for (ks, xs) in keys.chunks(16).zip(accs.chunks(16)) {
             assert!(merge.absorb_partials(Partials::Values(xs), ks, &mut st));
@@ -3004,8 +2996,8 @@ mod tests {
                 let dest: Vec<u32> = ks.iter().map(route).collect();
                 acc_cols.scatter(&dest, &mut cols, |c| c);
             }
-            let merge = specialize_agg(&AggInput::Partials, &compile_lambda(&fold.uni), &vals[0])
-                .expect("merge kernel");
+            let merge =
+                specialize_agg(&AggInput::Partials, &fold.uni, &vals[0]).expect("merge kernel");
             for d in 0..2 {
                 let (mut by_cols, mut by_vals) = (merge.new_state(), merge.new_state());
                 for from in (0..keys[d].len()).step_by(16) {

@@ -1,8 +1,8 @@
 //! Differential property tests across the two evaluation tiers: the typed
-//! batch kernels ([`emma_compiler::vectorized`], specialized from
-//! [`emma_compiler::compiled`] slot programs) must agree with the reference
-//! interpreter ([`emma_compiler::interp`]) on every batch they accept. The
-//! interpreter is the executable specification; this suite throws randomly
+//! batch kernels ([`emma_compiler::vectorized`], lowered from the quoted UDF
+//! tree) must agree with the reference interpreter
+//! ([`emma_compiler::interp`]) on every batch they accept. The interpreter
+//! is the executable specification; this suite throws randomly
 //! generated (and mostly ill-typed) expression trees at the kernels and
 //! demands bit-for-bit equal results, covering the error paths hand-written
 //! tests rarely reach: type mismatches, division by zero, out-of-range
@@ -15,7 +15,6 @@
 use std::collections::HashMap;
 
 use emma_compiler::bag_expr::{BagExpr, BagLambda};
-use emma_compiler::compiled::compile_lambda;
 use emma_compiler::expr::{BuiltinFn, FoldKind, FoldOp, Lambda, ScalarExpr};
 use emma_compiler::interp::{self, Catalog, Env};
 use emma_compiler::value::{Value, ValueError};
@@ -239,12 +238,10 @@ fn assert_vectorized_sound(
     let base = base_scope();
     let catalog = Catalog::new().with("xs", (0..6).map(Value::Int).collect::<Vec<_>>());
 
-    let compiled = compile_lambda(lam);
-    let caps = compiled.bind(&base);
     let stage = if filter {
-        VecStageSpec::Filter(&compiled, &caps)
+        VecStageSpec::Filter(lam, &base)
     } else {
-        VecStageSpec::Map(&compiled, &caps)
+        VecStageSpec::Map(lam, &base)
     };
     // `sample_all` feeds the whole batch to the driver-side sample, which is
     // what turns the string dictionary heuristic on; the single-row sample
@@ -440,9 +437,7 @@ fn batch_abort_replay_reproduces_first_error_in_row_order() {
 
     let base = base_scope();
     let catalog = Catalog::new();
-    let compiled = compile_lambda(&lam);
-    let caps = compiled.bind(&base);
-    let spec = [VecStageSpec::Map(&compiled, &caps)];
+    let spec = [VecStageSpec::Map(&lam, &base)];
     let vp = specialize_sampled(&spec, std::slice::from_ref(&rows[0]))
         .expect("float/int arithmetic over a numeric tuple must specialize");
 
@@ -906,15 +901,11 @@ fn assert_cell(
             &catalog,
         )
     });
-    let compiled: Vec<_> = stages.iter().map(|(_, lam)| compile_lambda(lam)).collect();
-    let caps: Vec<_> = compiled.iter().map(|c| c.bind(base)).collect();
-
     let specs: Vec<_> = stages
         .iter()
-        .zip(compiled.iter().zip(&caps))
-        .map(|((filter, _), (code, caps))| match filter {
-            true => VecStageSpec::Filter(code, caps),
-            false => VecStageSpec::Map(code, caps),
+        .map(|(filter, lam)| match filter {
+            true => VecStageSpec::Filter(lam, base),
+            false => VecStageSpec::Map(lam, base),
         })
         .collect();
     let vp = specialize_sampled(&specs, rows).unwrap_or_else(|| panic!("{cell}: must specialize"));
@@ -1216,12 +1207,12 @@ fn kernel_grid_agrees_on_values_errors_and_counts() {
     assert_eq!(n_cells, 16 + 4 + 54 + 3 + 10 + 7 + 3 + 1 + 7 + 12 + 8);
 }
 
-/// The count closed form is recognized from the compiled `zero`/`sng`/`uni`
-/// code. A fold may carry any [`FoldKind`] over any lambdas, so one
+/// The count closed form is recognized from the `zero` / `sng` / `uni`
+/// trees. A fold may carry any [`FoldKind`] over any lambdas, so one
 /// *labelled* `Count` whose lambdas are not count's must not lower to the
 /// kernels' length — this fails if recognition is ever switched to
 /// `FoldOp::kind`. The interpreter evaluates each fold's own lambdas, and
-/// the kernels take exactly the fold whose lambdas are count's.
+/// the kernels take exactly the folds whose lambdas are count's.
 #[test]
 fn a_fold_labelled_count_evaluates_its_own_lambdas() {
     let (a, b, e) = (
@@ -1229,32 +1220,40 @@ fn a_fold_labelled_count_evaluates_its_own_lambdas() {
         || ScalarExpr::var("b"),
         || ScalarExpr::var("e"),
     );
-    let one = || Lambda::new(["e"], ScalarExpr::lit(1i64));
+    let int = |n: i64| ScalarExpr::lit(n);
+    let one = || Lambda::new(["e"], int(1));
     let plus = || Lambda::new(["a", "b"], a().add(b()));
-    let labelled = |zero: i64, sng: Lambda, uni: Lambda| FoldOp {
+    let labelled = |zero: ScalarExpr, sng: Lambda, uni: Lambda| FoldOp {
         kind: FoldKind::Count,
-        zero: Box::new(ScalarExpr::lit(zero)),
+        zero: Box::new(zero),
         sng,
         uni,
     };
+    // Each fold, what it evaluates to, and whether the kernels lower it.
     let cases = [
         // 10 - 2 - 4 - 6, not 3.
         (
             labelled(
-                10,
-                Lambda::new(["e"], e().mul(ScalarExpr::lit(2i64))),
+                int(10),
+                Lambda::new(["e"], e().mul(int(2))),
                 Lambda::new(["a", "b"], a().sub(b())),
             ),
-            -2,
+            Value::Int(-2),
+            false,
         ),
         // Count's `sng` and `uni` over another zero: 5 + 3.
-        (labelled(5, one(), plus()), 8),
+        (labelled(int(5), one(), plus()), Value::Int(8), false),
         // Count's `zero` and `sng` under another operator: 0 * 1 * 1 * 1.
-        (labelled(0, one(), Lambda::new(["a", "b"], a().mul(b()))), 0),
+        (
+            labelled(int(0), one(), Lambda::new(["a", "b"], a().mul(b()))),
+            Value::Int(0),
+            false,
+        ),
         // Count's `zero` and `uni` over another constant: 2 + 2 + 2.
         (
-            labelled(0, Lambda::new(["e"], ScalarExpr::lit(2i64)), plus()),
-            6,
+            labelled(int(0), Lambda::new(["e"], int(2)), plus()),
+            Value::Int(6),
+            false,
         ),
         // And the converse: count's lambdas under another label still count.
         (
@@ -1262,25 +1261,47 @@ fn a_fold_labelled_count_evaluates_its_own_lambdas() {
                 kind: FoldKind::Custom,
                 ..FoldOp::count()
             },
-            3,
+            Value::Int(3),
+            true,
+        ),
+        // A Float zero or `sng` is not count's, though `Int(0) == Float(0.0)`.
+        (
+            labelled(ScalarExpr::lit(0.0), one(), plus()),
+            Value::Float(3.0),
+            false,
+        ),
+        (
+            labelled(int(0), Lambda::new(["e"], ScalarExpr::lit(1.0)), plus()),
+            Value::Float(3.0),
+            false,
+        ),
+        // A closed `zero` counts by its value.
+        (
+            labelled(int(1).sub(int(1)), one(), plus()),
+            Value::Int(3),
+            true,
+        ),
+        // One parameter read twice is the element alone: the last `1 + 1`.
+        (
+            labelled(int(0), one(), Lambda::new(["a", "a"], a().add(a()))),
+            Value::Int(2),
+            false,
         ),
     ];
     let row = Value::tuple(vec![Value::bag([1i64, 2, 3].map(Value::Int))]);
     let base = base_scope();
-    for (i, (op, want)) in cases.into_iter().enumerate() {
+    for (op, want, lowers) in cases {
         let lam = Lambda::new(
             ["x"],
             BagExpr::of_value(ScalarExpr::var("x").get(0)).fold(op),
         );
         let got = interpret(&lam, std::slice::from_ref(&row), &base);
-        assert_eq!(got, Ok(Value::Int(want)), "{lam:?}");
-        let code = compile_lambda(&lam);
-        let caps = code.bind(&base);
-        let spec = [VecStageSpec::Map(&code, &caps)];
+        assert_eq!(got, Ok(want.clone()), "{lam:?}");
+        let spec = [VecStageSpec::Map(&lam, &base)];
         let kernel = specialize_sampled(&spec, std::slice::from_ref(&row));
         assert_eq!(
             kernel.is_some(),
-            i == 4,
+            lowers,
             "{lam:?}: only count's lambdas are a length"
         );
         if let Some(vp) = kernel {
@@ -1291,7 +1312,7 @@ fn a_fold_labelled_count_evaluates_its_own_lambdas() {
                 &mut counts,
                 &mut out,
             );
-            assert!(ran && out == [Value::Int(want)], "{lam:?}: {out:?}");
+            assert!(ran && out == [want], "{lam:?}: {out:?}");
         }
     }
 }

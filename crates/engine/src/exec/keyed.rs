@@ -7,7 +7,9 @@ use std::borrow::Cow;
 
 use emma_compiler::plan::SkewEligibility;
 
-use super::prepare::{batch_or_replay, sample_rows, vec_spec, Chunk, Kernel, PreparedScalar};
+use super::prepare::{
+    batch_or_replay, prepare_lambda, sample_rows, vec_spec, Chunk, Kernel, PreparedScalar,
+};
 use super::*;
 use crate::dataset::{scatter, Measured};
 
@@ -302,11 +304,11 @@ impl Session<'_> {
         base: HashMap<String, Value>,
         sample: Option<&[Value]>,
     ) -> KeyEval<'p> {
-        let prep = self.prepare_lambda(key, &base);
+        let prep = prepare_lambda(key);
         let vec = self.try_vectorize(
             sample,
             |st| &mut st.key_path_fallbacks,
-            |rows| vectorized::specialize_sampled(&[vec_spec(&prep, false)?], rows),
+            |rows| vectorized::specialize_sampled(&[vec_spec(&prep, &base, false)], rows),
         );
         KeyEval { prep, vec, base }
     }
@@ -793,24 +795,19 @@ mod tests {
     /// A combiner kernel over `(Int, Int)` rows keyed by `x.0`, folding
     /// [`fold`].
     fn combiner() -> AggKernel {
-        use emma_compiler::compiled::compile_lambda;
         let (x, fold) = (|| ScalarExpr::var("x"), fold());
-        let (key, sng, uni) = (
-            compile_lambda(&Lambda::new(["x"], x().get(0))),
-            compile_lambda(&fold.sng),
-            compile_lambda(&fold.uni),
-        );
+        let key = Lambda::new(["x"], x().get(0));
         let base = HashMap::new();
         let zero = interp::eval_scalar(&fold.zero, &mut Env::new(&base), &Catalog::new());
         let zero = zero.expect("a closed zero");
         let input = AggInput::Rows {
             stages: &[],
-            key: (&key, &[]),
-            sng: (&sng, &[]),
+            key: (&key, &base),
+            sng: (&fold.sng, &base),
             zero: &zero,
         };
         let sample = [Value::tuple([Value::Int(0), Value::Int(0)])];
-        vectorized::specialize_agg(&input, &uni, &sample).expect("a specializable fold")
+        vectorized::specialize_agg(&input, &fold.uni, &sample).expect("a specializable fold")
     }
 
     /// A destination's partials as `(key, acc)` pairs, accumulator columns
@@ -924,7 +921,6 @@ mod tests {
 
     #[test]
     fn a_column_exchange_to_a_few_destinations_leaves_the_rest_empty() {
-        use emma_compiler::compiled::compile_lambda;
         use emma_compiler::vectorized::Partials;
         let (engine, catalog) = (
             Engine::new(ClusterSpec::tiny(), Personality::sparrow()),
@@ -961,8 +957,8 @@ mod tests {
         // The merge folds a destination's partials batch by batch, as the
         // `aggBy` merge does, from its columns or its rows.
         let sample = rows.dests[1].head(16, |cols, i| kernel.acc_value(cols, i));
-        let uni = compile_lambda(&fold().uni);
-        let merge = vectorized::specialize_agg(&AggInput::Partials, &uni, &sample);
+        let fold = fold();
+        let merge = vectorized::specialize_agg(&AggInput::Partials, &fold.uni, &sample);
         let merge = merge.expect("a slot-wise merge");
         let merged = |dest: Measured, keys: &[(u64, Value)]| {
             let (payload, mut st) = (dest.into_payload(), merge.new_state());

@@ -366,7 +366,10 @@ struct Session<'a> {
     /// [`stack_mark`] of [`Engine::run`] while the run is still on its
     /// caller's stack; `None` once it continues on the deep one.
     caller_stack: Option<usize>,
-    tiers: prepare::Tiers,
+    /// Batch config of the typed kernels ([`emma_compiler::vectorized`]),
+    /// `batch_rows` ≥ 1; `None` when the program runs on the interpreter
+    /// alone. Read through [`Session::kernels_on`] / [`Session::batch_rows`].
+    kernels: Option<BatchConfig>,
     waves: schedule::Waves,
     recovery: recovery::Recovery,
 }
@@ -382,7 +385,9 @@ impl<'a> Session<'a> {
             children_inclusive: 0.0,
             children_wall_inclusive: 0.0,
             caller_stack: Some(stack_mark()),
-            tiers: prepare::Tiers::new(engine, compiled_eval),
+            // `batch_rows` is a pub field: clamp a literal 0 here, once, for
+            // every chunking site.
+            kernels: compiled_eval.then(|| BatchConfig::new(engine.vectorized.batch_rows)),
             waves: schedule::Waves::new(engine),
             recovery: recovery::Recovery::default(),
         }

@@ -10,7 +10,7 @@ use crate::dataset::{Measured, Payload};
 use crate::exec::keyed::{next_key, KeyedInput, PartKeys, Placement};
 use crate::exec::operators::narrow::{kernel_shaped, NarrowSite, StageCounts};
 use crate::exec::prepare::{
-    batch_or_replay, compiled_parts, sample_rows, vec_spec, Chunk, Feed, Kernel, PreparedScalar,
+    batch_or_replay, prepare_lambda, sample_rows, vec_spec, Chunk, Feed, Kernel, PreparedScalar,
     SPECIALIZE_SAMPLE_ROWS,
 };
 use crate::exec::*;
@@ -35,15 +35,15 @@ impl Session<'_> {
         let d = self.exec_bag(input, env)?;
         let base = self.eval_base(&fold.terms(), env)?;
         let zero = self.eval_over(&fold.zero, &base)?;
-        let sng_prep = self.prepare_lambda(&fold.sng, &base);
-        let uni_prep = self.prepare_lambda(&fold.uni, &base);
+        let sng_prep = prepare_lambda(&fold.sng);
+        let uni_prep = prepare_lambda(&fold.uni);
         // The element function is Map-shaped, so it can run columnar; the
         // combiner chain is inherently sequential and stays scalar.
         let catalog = self.catalog;
         let vec_run = self.try_vectorize(
             sample_rows(&d.parts),
             |st| &mut st.vector_fallbacks,
-            |rows| vectorized::specialize_sampled(&[vec_spec(&sng_prep, false)?], rows),
+            |rows| vectorized::specialize_sampled(&[vec_spec(&sng_prep, &base, false)], rows),
         );
         let partials = self.run_tasks(true, d.parts.len(), d.total_rows(), |pi, tally| {
             fold_partition(
@@ -274,9 +274,9 @@ impl Session<'_> {
     ) -> Result<Combiner<'p>, ExecError> {
         Ok(Combiner {
             zero: self.eval_over(&fold.zero, &base)?,
-            key: self.prepare_lambda(key, &key_base),
-            sng: self.prepare_lambda(&fold.sng, &base),
-            uni: self.prepare_lambda(&fold.uni, &base),
+            key: prepare_lambda(key),
+            sng: prepare_lambda(&fold.sng),
+            uni: prepare_lambda(&fold.uni),
             base,
             key_base,
         })
@@ -420,10 +420,7 @@ impl Session<'_> {
                 self.try_vectorize(
                     sample.as_deref(),
                     |st| &mut st.vector_fallbacks,
-                    |rows| {
-                        let uni = compiled_parts(uni_prep)?.0;
-                        vectorized::specialize_agg(&AggInput::Partials, uni, rows)
-                    },
+                    |rows| vectorized::specialize_agg(&AggInput::Partials, uni_prep.udf(), rows),
                 )
             }
             None => None,
@@ -521,11 +518,11 @@ impl<'p> Combiner<'p> {
     fn specialize(&self, stages: &[VecStageSpec<'_>], rows: &[Value]) -> Option<AggKernel> {
         let input = AggInput::Rows {
             stages,
-            key: compiled_parts(&self.key)?,
-            sng: compiled_parts(&self.sng)?,
+            key: (self.key.udf(), &self.key_base),
+            sng: (self.sng.udf(), &self.base),
             zero: &self.zero,
         };
-        vectorized::specialize_agg(&input, compiled_parts(&self.uni)?.0, rows)
+        vectorized::specialize_agg(&input, self.uni.udf(), rows)
     }
 
     /// Folds `rows` into `accs` through the interpreter, in the `key`,

@@ -6,6 +6,7 @@ use std::sync::OnceLock;
 use emma_compiler::plan::{JoinKind, JoinStrategy};
 
 use crate::exec::keyed::{PartKeys, Placement};
+use crate::exec::prepare::prepare_lambda;
 use crate::exec::*;
 
 impl Session<'_> {
@@ -79,7 +80,7 @@ impl Session<'_> {
                 (probe, build)
             }
         };
-        let res_prep = residual.map(|res| self.prepare_lambda(res, &base));
+        let res_prep = residual.map(prepare_lambda);
 
         // Build a hash table per build partition, probe with the left — one
         // probe task per left partition, fanned out on the pool. A build

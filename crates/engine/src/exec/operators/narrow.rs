@@ -11,8 +11,8 @@ use emma_compiler::vectorized::VecStageSpec;
 use crate::dataset::Widths;
 use crate::exec::keyed::{KeyCursor, KeyEval, KeyTap, KeyedInput, PartKeys};
 use crate::exec::prepare::{
-    batch_or_replay, prepare_bag, sample_rows, unnest, vec_spec, Chunk, Kernel, PreparedStage,
-    SPECIALIZE_SAMPLE_ROWS,
+    batch_or_replay, prepare_bag, prepare_lambda, sample_rows, unnest, vec_spec, Chunk, Kernel,
+    PreparedStage, SPECIALIZE_SAMPLE_ROWS,
 };
 use crate::exec::*;
 
@@ -130,10 +130,10 @@ impl NarrowSite<'_> {
             return None;
         }
         let head = usize::from(self.unnest.is_some());
-        (self.prepared[head..].iter())
-            .map(|s| match s {
-                PreparedStage::Map(p) => vec_spec(p, false),
-                PreparedStage::Filter(p) => vec_spec(p, true),
+        (self.prepared[head..].iter().zip(&self.bases[head..]))
+            .map(|(s, base)| match s {
+                PreparedStage::Map(p) => Some(vec_spec(p, base, false)),
+                PreparedStage::Filter(p) => Some(vec_spec(p, base, true)),
                 PreparedStage::FlatMap(_) => None,
             })
             .collect()
@@ -260,14 +260,13 @@ impl Session<'_> {
                 Narrow::FlatMap(_, body) => self.eval_base(&[Term::Bag(body)], env)?,
             });
         }
-        let mut prepared: Vec<PreparedStage> = Vec::with_capacity(stages.len());
-        for (stage, base) in stages.iter().zip(&bases) {
-            prepared.push(match *stage {
-                Narrow::Map(f) => PreparedStage::Map(self.prepare_lambda(f, base)),
-                Narrow::Filter(p) => PreparedStage::Filter(self.prepare_lambda(p, base)),
+        let prepared: Vec<PreparedStage> = (stages.iter())
+            .map(|stage| match *stage {
+                Narrow::Map(f) => PreparedStage::Map(prepare_lambda(f)),
+                Narrow::Filter(p) => PreparedStage::Filter(prepare_lambda(p)),
                 Narrow::FlatMap(param, body) => PreparedStage::FlatMap(prepare_bag(param, body)),
-            });
-        }
+            })
+            .collect();
         // The first stage's broadcast-scan charge is known before any row
         // runs — charge it up front so a quadratic scan still aborts on the
         // simulated clock instead of really executing. Later stages' input

@@ -2,6 +2,7 @@
 //! created from a bag and updated point-wise by routed messages.
 
 use crate::exec::keyed::{next_key, Placement};
+use crate::exec::prepare::prepare_lambda;
 use crate::exec::*;
 
 /// Keyed state held in place on the cluster: hash-partitioned by the element
@@ -117,7 +118,7 @@ impl Session<'_> {
         // key, colocated with the state partitioning.
         let routed = self.keyed(msgs, message_key, &env, Placement::Hashed(None))?;
         let base = self.eval_base(&[Term::Lambda(update)], &env)?;
-        let up_prep = self.prepare_lambda(update, &base);
+        let up_prep = prepare_lambda(update);
         let mut ucx = up_prep.ctx(&base);
         let mut tally = Tally::default();
         let mut st = cell.lock().unwrap();

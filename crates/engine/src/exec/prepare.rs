@@ -1,94 +1,26 @@
 //! The UDF tiers: every UDF is prepared for the interpreter once per
 //! operator execution, and each site's typed-kernel program is specialized
-//! or refused on the driver from the UDF's compiled slot program. The
-//! interpreter replays every batch the kernels abort and runs every site
-//! they refuse. The batch config and the compile memo are private to this
-//! module.
+//! or refused on the driver from the UDF's quoted tree and the base scope
+//! its free names resolve in. The interpreter replays every batch the
+//! kernels abort and runs every site they refuse. Only this module reads
+//! the run's batch config.
 
 use std::collections::HashSet;
 use std::ops::Deref;
 
-use emma_compiler::compiled::{self, CompiledEval};
 use emma_compiler::vectorized::{VecStageSpec, VectorScratch};
 
 use super::*;
 
-/// The run's kernel config and its per-run compilation memo: each distinct
-/// UDF is lowered once, however many operator executions (loop iterations,
-/// re-forced thunks) evaluate it.
-pub(super) struct Tiers {
-    /// Batch config of the typed kernels ([`emma_compiler::vectorized`]),
-    /// `batch_rows` ≥ 1; `None` when the program runs on the interpreter
-    /// alone.
-    vectorized: Option<BatchConfig>,
-    /// Compiled UDFs, keyed by the lambda and its [`literal_bits`].
-    lambdas: HashMap<(Lambda, Vec<u64>), Arc<CompiledEval>>,
-}
-
-impl Tiers {
-    pub(super) fn new(engine: &Engine, compiled_eval: bool) -> Tiers {
-        Tiers {
-            // `batch_rows` is a pub field: clamp a literal 0 here, once, for
-            // every chunking site.
-            vectorized: compiled_eval.then(|| BatchConfig::new(engine.vectorized.batch_rows)),
-            lambdas: HashMap::new(),
-        }
-    }
-}
-
-/// The type and bits of every literal in `udf`, in visit order. A memo key
-/// carries them beside the UDF because `Value`'s numeric equality
-/// (`Int(2) == Float(2.0)`, `0.0 == -0.0`) would otherwise give two UDFs
-/// that differ only in a literal one compiled program.
-fn literal_bits(udf: Term) -> Vec<u64> {
-    fn push(v: &Value, out: &mut Vec<u64>) {
-        match v {
-            Value::Null => out.push(0),
-            Value::Bool(b) => out.extend([1, u64::from(*b)]),
-            Value::Int(i) => out.extend([2, *i as u64]),
-            Value::Float(f) => out.extend([3, f.to_bits()]),
-            // String equality is exact already.
-            Value::Str(_) => out.push(4),
-            Value::Vector(xs) => {
-                out.extend([5, xs.len() as u64]);
-                out.extend(xs.iter().map(|x| x.to_bits()));
-            }
-            Value::Tuple(vs) => {
-                out.extend([6, vs.len() as u64]);
-                vs.iter().for_each(|v| push(v, out));
-            }
-            Value::Bag(vs) => {
-                out.extend([7, vs.len() as u64]);
-                vs.iter().for_each(|v| push(v, out));
-            }
-        }
-    }
-    let mut out = Vec::new();
-    udf.walk(&mut |t| match t {
-        Term::Scalar(ScalarExpr::Lit(v)) => push(v, &mut out),
-        Term::Bag(BagExpr::Values(vs)) => vs.iter().for_each(|v| push(v, &mut out)),
-        _ => {}
-    });
-    out
-}
-
 /// A UDF readied for per-row evaluation by the interpreter, with its
-/// base-scope lookups pre-resolved ([`Env::prefetch`]) — and, for a scalar
-/// UDF while the kernels are on, its compiled slot program with its capture
-/// slots bound, which the kernels specialize from ([`vec_spec`]). Built once
-/// per operator execution by [`Session::prepare_lambda`] /
-/// [`prepare_bag`].
+/// base-scope lookups pre-resolved ([`Env::prefetch`]). Built once per
+/// operator execution by [`prepare_lambda`] / [`prepare_bag`].
 pub(super) struct Prepared<'p, U> {
     udf: U,
     /// Every name the body references — prefetched into the `Env` so
     /// per-row lookups scan locals instead of probing the base map.
     prefetch: Vec<&'p str>,
-    /// Boxed: a key site's evaluator sits in an enum beside a small variant.
-    compiled: Option<Box<SlotProgram>>,
 }
-
-/// A UDF's compiled slot program and its bound capture slots.
-type SlotProgram = (Arc<CompiledEval>, Vec<Option<Value>>);
 
 /// A scalar UDF readied for evaluation.
 pub(super) type PreparedScalar<'p> = Prepared<'p, &'p Lambda>;
@@ -112,6 +44,11 @@ impl<'p, U> Prepared<'p, U> {
 }
 
 impl<'p> PreparedScalar<'p> {
+    /// The UDF.
+    pub(super) fn udf(&self) -> &'p Lambda {
+        self.udf
+    }
+
     /// Applies the UDF to argument values.
     pub(super) fn call<'b>(
         &self,
@@ -146,13 +83,20 @@ impl<'p> PreparedBag<'p> {
     }
 }
 
-/// Readies a FlatMap body for per-row evaluation (see
-/// [`Session::prepare_lambda`]); the kernels read no FlatMap body.
+/// Readies a scalar UDF for per-row evaluation.
+pub(super) fn prepare_lambda(lam: &Lambda) -> PreparedScalar<'_> {
+    Prepared {
+        udf: lam,
+        prefetch: interp::var_names(Term::Lambda(lam)),
+    }
+}
+
+/// Readies a FlatMap body for per-row evaluation; the kernels read no
+/// FlatMap body.
 pub(super) fn prepare_bag<'p>(param: &'p str, body: &'p BagExpr) -> PreparedBag<'p> {
     Prepared {
         udf: (param, body),
-        prefetch: compiled::var_names(Term::Bag(body)),
-        compiled: None,
+        prefetch: interp::var_names(Term::Bag(body)),
     }
 }
 
@@ -176,37 +120,15 @@ impl<'p> PreparedStage<'p> {
 }
 
 impl Session<'_> {
-    /// Readies a scalar UDF for per-row evaluation: the interpreter's
-    /// base-scope prefetch, plus — while the kernels are on — the memoized
-    /// slot program with its captures bound against `base`.
-    pub(super) fn prepare_lambda<'p>(
-        &mut self,
-        lam: &'p Lambda,
-        base: &HashMap<String, Value>,
-    ) -> PreparedScalar<'p> {
-        let compiled = self.kernels_on().then(|| {
-            let key = (lam.clone(), literal_bits(Term::Lambda(lam)));
-            let code = self.tiers.lambdas.entry(key);
-            let code = Arc::clone(code.or_insert_with(|| Arc::new(compiled::compile_lambda(lam))));
-            let caps = code.bind(base);
-            Box::new((code, caps))
-        });
-        Prepared {
-            udf: lam,
-            prefetch: compiled::var_names(Term::Lambda(lam)),
-            compiled,
-        }
-    }
-
     /// Whether sites run typed kernels where they specialize: the one tier
     /// in which [`Session::try_vectorize`] reads its sample.
     pub(super) fn kernels_on(&self) -> bool {
-        self.tiers.vectorized.is_some()
+        self.kernels.is_some()
     }
 
     /// The typed kernels' batch size; `None` when they are off.
     pub(super) fn batch_rows(&self) -> Option<usize> {
-        self.tiers.vectorized.map(|cfg| cfg.batch_rows)
+        self.kernels.map(|cfg| cfg.batch_rows)
     }
 
     /// The driver's specialize-or-refuse decision for one site of the
@@ -234,7 +156,7 @@ impl Session<'_> {
         refusals: fn(&mut ExecStats) -> &mut u64,
         specialize: impl FnOnce(&[Value]) -> Option<K>,
     ) -> Option<(K, usize)> {
-        let cfg = self.tiers.vectorized?;
+        let cfg = self.kernels?;
         let kernel = specialize(samples?);
         if kernel.is_none() {
             *refusals(&mut self.stats) += 1;
@@ -506,22 +428,16 @@ pub(super) fn batch_or_replay<E>(
     Ok((out, counts))
 }
 
-/// The typed-kernel view of a prepared Map/Filter stage: its compiled slot
-/// program plus bound capture slots; `None` when the kernels are off.
-pub(super) fn vec_spec<'s>(prep: &'s PreparedScalar<'_>, filter: bool) -> Option<VecStageSpec<'s>> {
-    compiled_parts(prep).map(|(code, caps)| {
-        if filter {
-            VecStageSpec::Filter(code, caps)
-        } else {
-            VecStageSpec::Map(code, caps)
-        }
-    })
-}
-
-/// A prepared UDF's compiled slot program plus bound capture slots; `None`
-/// when the kernels are off.
-pub(super) fn compiled_parts<'s>(
-    prep: &'s PreparedScalar<'_>,
-) -> Option<(&'s CompiledEval, &'s [Option<Value>])> {
-    (prep.compiled.as_deref()).map(|(code, caps)| (&**code, caps.as_slice()))
+/// The typed-kernel view of a prepared Map/Filter stage over its base
+/// scope.
+pub(super) fn vec_spec<'s>(
+    prep: &PreparedScalar<'s>,
+    base: &'s HashMap<String, Value>,
+    filter: bool,
+) -> VecStageSpec<'s> {
+    if filter {
+        VecStageSpec::Filter(prep.udf(), base)
+    } else {
+        VecStageSpec::Map(prep.udf(), base)
+    }
 }

@@ -628,11 +628,13 @@ fn deep_lineage_runs_from_a_small_caller_stack() {
     }
 }
 
-// Regression: the compile memo keyed a run's UDFs by `Lambda` / `BagExpr`
-// equality, which inherits `Value`'s numeric rule (`Int(2) == Float(2.0)`,
-// `0.0 == -0.0`), so two UDFs that differ only in a literal's type or sign
-// shared the first one's compiled program. Hand-built plans keep the same
-// parameter name on both sides, as `parallelize`'s renaming would not.
+// Two UDFs that differ only in a literal's type or sign are different
+// programs, though `Value`'s numeric rule (`Int(2) == Float(2.0)`,
+// `0.0 == -0.0`) makes their `Lambda`s equal. A compile memo keyed by that
+// equality once gave both the first one's program; no memo remains, and
+// this guards that the kernels keep literal types apart. Hand-built plans
+// keep the same parameter name on both sides, as `parallelize`'s renaming
+// would not.
 #[test]
 fn udfs_that_differ_only_in_a_literal_compile_apart_on_every_tier() {
     use emma_compiler::pipeline::{CStmt, CompiledProgram, OptimizationReport};

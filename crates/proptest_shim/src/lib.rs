@@ -1,10 +1,11 @@
 //! Offline in-tree shim for the `proptest` crate.
 //!
 //! The build container has no crates.io access, so this crate implements the
-//! subset of proptest the workspace's property tests use: the [`Strategy`]
-//! trait with `prop_map` / `prop_recursive`, `any::<T>()`, range and tuple
-//! and `&str`-pattern strategies, `prop::collection::vec`, `Just`,
-//! `prop_oneof!`, and the `proptest!` / `prop_assert*` macros.
+//! subset of proptest the workspace's property tests use: the
+//! [`Strategy`](strategy::Strategy) trait with `prop_map` /
+//! `prop_recursive`, `any::<T>()`, range and tuple and `&str`-pattern
+//! strategies, `prop::collection::vec`, `Just`, `prop_oneof!`, and the
+//! `proptest!` / `prop_assert*` macros.
 //!
 //! Differences from real proptest, by design:
 //!

@@ -11,7 +11,6 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::HashMap;
 
-use emma::emma_compiler::compiled::compile_lambda;
 use emma::emma_compiler::interp::{self, Env};
 use emma::emma_compiler::vectorized::{specialize_sampled, VecStageSpec};
 use emma::emma_engine::dataset::value_hash;
@@ -98,9 +97,8 @@ fn an_interpreted_tuple_is_one_allocation() {
 
 #[test]
 fn a_kernel_materialized_tuple_is_one_allocation_per_row() {
-    let code = compile_lambda(&swizzle());
-    let caps = code.bind(&HashMap::new());
-    let p = specialize_sampled(&[VecStageSpec::Map(&code, &caps)], &[pair(0, 0)])
+    let (lam, base) = (swizzle(), HashMap::new());
+    let p = specialize_sampled(&[VecStageSpec::Map(&lam, &base)], &[pair(0, 0)])
         .expect("(x.0, x.1) over int pairs specializes");
     let rows: Vec<Value> = (0..16).map(|i| pair(i, -i)).collect();
     let mut s = p.new_scratch();

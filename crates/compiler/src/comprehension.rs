@@ -24,8 +24,9 @@ use std::collections::HashSet;
 use std::fmt;
 
 use crate::bag_expr::BagExpr;
-use crate::expr::{BinOp, FoldKind, FoldOp, Lambda, ScalarExpr, TermMut, UnOp};
+use crate::expr::{BinOp, FoldOp, Lambda, ScalarExpr, TermMut, UnOp};
 use crate::freshen::NameGen;
+use crate::value::Value;
 
 /// The monad a comprehension constructs its result in.
 #[derive(Clone, Debug, PartialEq)]
@@ -416,7 +417,8 @@ fn unnest_flatten_head(
 /// existentially marked generator over the bag plus the predicate as a plain
 /// guard. Lowering turns the marked generator into a semi-/anti-join, letting
 /// the runtime choose broadcast vs. repartition strategies instead of
-/// hard-coding a broadcast in the user's filter (Section 4.2.1).
+/// hard-coding a broadcast in the user's filter (Section 4.2.1). The guard's
+/// fold is recognized by its lambdas, not its label ([`is_exists`]).
 fn unnest_exists(c: &mut Comprehension, gen: &mut NameGen, stats: &mut NormalizeStats) -> bool {
     let gen_vars = c.gen_vars();
     for i in 0..c.quals.len() {
@@ -424,9 +426,9 @@ fn unnest_exists(c: &mut Comprehension, gen: &mut NameGen, stats: &mut Normalize
             continue;
         };
         let (fold_term, negated) = match g {
-            ScalarExpr::Fold(bag, op) if op.kind == FoldKind::Exists => ((bag, op), false),
+            ScalarExpr::Fold(bag, op) if is_exists(op) => ((bag, op), false),
             ScalarExpr::UnOp(UnOp::Not, inner) => match &**inner {
-                ScalarExpr::Fold(bag, op) if op.kind == FoldKind::Exists => ((bag, op), true),
+                ScalarExpr::Fold(bag, op) if is_exists(op) => ((bag, op), true),
                 _ => continue,
             },
             _ => continue,
@@ -457,6 +459,18 @@ fn unnest_exists(c: &mut Comprehension, gen: &mut NameGen, stats: &mut Normalize
         return true;
     }
     false
+}
+
+/// Whether a fold is the one [`FoldOp::exists`] builds, `fold(false, p, ∨)`,
+/// read off its lambdas — never off the label [`FoldOp::kind`]: `zero` the
+/// literal `false`, a unary `sng` (the predicate `p`) and `uni` the `||` of
+/// its two distinct parameters.
+fn is_exists(op: &FoldOp) -> bool {
+    let disjoins = match (op.uni.params.as_slice(), &op.uni.body) {
+        ([a, b], ScalarExpr::BinOp(BinOp::Or, l, r)) => a != b && l.is_var(a) && r.is_var(b),
+        _ => false,
+    };
+    matches!(*op.zero, ScalarExpr::Lit(Value::Bool(false))) && op.sng.params.len() == 1 && disjoins
 }
 
 /// Reifies a (bag- or flatten-monad) comprehension back into an operator

@@ -148,8 +148,8 @@ impl BuiltinFn {
     }
 }
 
-/// The distinguishing tag of a reified fold. `Exists` is special-cased by the
-/// unnesting rule; the rest matter only for pretty printing and reports.
+/// The distinguishing tag of a reified fold. It matters only for pretty
+/// printing and reports: every rewrite reads a fold's lambdas instead.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum FoldKind {
     /// Numeric sum.
@@ -675,6 +675,11 @@ impl ScalarExpr {
         let mut e = self.clone();
         TermMut::Scalar(&mut e).substitute(name, replacement);
         e
+    }
+
+    /// Whether this is the variable `name`.
+    pub fn is_var(&self, name: &str) -> bool {
+        matches!(self, ScalarExpr::Var(n) if n == name)
     }
 
     /// True when the subtree references no variables and contains no bag

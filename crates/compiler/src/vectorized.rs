@@ -868,11 +868,6 @@ fn const_eval(e: &ScalarExpr) -> Result<Value, ValueError> {
     interp::eval_scalar(e, &mut Env::new(&HashMap::new()), &Catalog::new())
 }
 
-/// Whether `e` is the variable `name`.
-fn is_var(e: &ScalarExpr, name: &str) -> bool {
-    matches!(e, ScalarExpr::Var(n) if n == name)
-}
-
 /// Whether a fold is a count, `fold(0, _ ⟼ 1, (a, b) ⟼ a + b)`, read off its
 /// lambdas — never off the label [`FoldOp::kind`] — with closed constants
 /// that are `Int`s by variant (`Value` equality says `Int(0) == Float(0.0)`).
@@ -1481,8 +1476,8 @@ fn slot_ops(uni: &Lambda) -> Option<(Vec<SlotOp>, bool)> {
     // `i` of each.
     let comb = |e: &ScalarExpr, i: Option<usize>| {
         let reads = |e: &ScalarExpr, p: &str| match (e, i) {
-            (ScalarExpr::Field(e, j), Some(i)) => *j == i && is_var(e, p),
-            (e, None) => is_var(e, p),
+            (ScalarExpr::Field(e, j), Some(i)) => *j == i && e.is_var(p),
+            (e, None) => e.is_var(p),
             _ => false,
         };
         let (op, l, r) = match e {

@@ -31,7 +31,6 @@
 //! * [`ops`] — the one definition of `groupBy`, `aggBy`, `minus`,
 //!   `distinct` and stateful create / update, over the first-seen
 //!   [`ops::InsertionMap`].
-//! * [`io`] — small CSV-style readers/writers used by the examples.
 //!
 //! This layer is deliberately sequential and simple: the paper's promise is
 //! that a programmer develops and debugs against *this* implementation, and
@@ -47,7 +46,6 @@ pub mod algebra;
 pub mod bag;
 pub mod fold;
 pub mod group;
-pub mod io;
 pub mod ops;
 pub mod stateful;
 

@@ -1,6 +1,11 @@
 //! Aggregations: the driver-side `fold`, `groupBy` (whole or over a skew
 //! split) and `aggBy`'s combiner and merge phases.
+//!
+//! One loop folds a partition, [`Combiner::fold_part`]: an `aggBy`'s
+//! combiner over its input's rows or inside its input chain's wave, and a
+//! driver-side `fold` as a combiner with one constant key.
 
+use std::borrow::Cow;
 use std::ops::Range;
 
 use emma_compiler::expr::FoldOp;
@@ -10,8 +15,7 @@ use crate::dataset::{Measured, Payload};
 use crate::exec::keyed::{next_key, KeyedInput, PartKeys, Placement};
 use crate::exec::operators::narrow::{kernel_shaped, NarrowSite, StageCounts};
 use crate::exec::prepare::{
-    batch_or_replay, prepare_lambda, sample_rows, vec_spec, Chunk, Feed, Kernel, PreparedScalar,
-    SPECIALIZE_SAMPLE_ROWS,
+    prepare_lambda, sample_rows, Feed, PreparedScalar, SPECIALIZE_SAMPLE_ROWS,
 };
 use crate::exec::*;
 
@@ -24,8 +28,10 @@ fn by_group_key(parts: usize) -> Partitioning {
 }
 
 impl Session<'_> {
-    /// Runs a `Plan::Fold`: folds each partition locally, ships the
-    /// partials to the driver and combines them there.
+    /// Runs a `Plan::Fold` as a combiner with one constant key: each
+    /// partition folds into at most one group ([`Combiner::fold_part`]) and
+    /// ships its accumulator, or `zero` when it has none, to the driver,
+    /// which combines the partials with `uni`.
     pub(crate) fn exec_fold(
         &mut self,
         input: &Plan,
@@ -34,37 +40,28 @@ impl Session<'_> {
     ) -> Result<PlanResult, ExecError> {
         let d = self.exec_bag(input, env)?;
         let base = self.eval_base(&fold.terms(), env)?;
-        let zero = self.eval_over(&fold.zero, &base)?;
-        let sng_prep = prepare_lambda(&fold.sng);
-        let uni_prep = prepare_lambda(&fold.uni);
-        // The element function is Map-shaped, so it can run columnar; the
-        // combiner chain is inherently sequential and stays scalar.
-        let catalog = self.catalog;
-        let vec_run = self.try_vectorize(
+        let key = Lambda::new(["_"], ScalarExpr::lit(Value::Int(0)));
+        let comb = self.combiner(&key, fold, base, HashMap::new())?;
+        let kernel = self.try_vectorize(
             sample_rows(&d.parts),
             |st| &mut st.vector_fallbacks,
-            |rows| vectorized::specialize_sampled(&[vec_spec(&sng_prep, &base, false)], rows),
+            |rows| comb.specialize(&[], rows),
         );
+        let catalog = self.catalog;
         let partials = self.run_tasks(true, d.parts.len(), d.total_rows(), |pi, tally| {
-            fold_partition(
-                &d.parts[pi],
-                vec_run.as_ref(),
-                &sng_prep,
-                &uni_prep,
-                &base,
-                zero.clone(),
-                catalog,
-                tally,
-            )
+            let (_, folded) =
+                comb.fold_part(&d.parts[pi], None, kernel.as_ref(), catalog, tally)?;
+            Ok(folded?.only_acc().unwrap_or_else(|| comb.zero.clone()))
         })?;
         // The partials are one more partition: the one shipped to the
         // driver.
         let partials = Part::from(partials);
         let partial_bytes = partials.bytes();
-        let mut acc = zero;
-        let mut ucx = uni_prep.ctx(&base);
+        let mut acc = comb.zero.clone();
+        let mut ucx = comb.uni.ctx(&comb.base);
         for p in partials.into_rows() {
-            acc = uni_prep
+            acc = comb
+                .uni
                 .call(&[acc, p], &mut ucx, self.catalog)
                 .map_err(ExecError::Eval)?;
         }
@@ -179,7 +176,7 @@ impl Session<'_> {
     /// nothing (so they can be built ahead of the chain's wave without
     /// moving a charge), and the chain and the fold specialize together.
     /// Every other site runs its input first and the combiner as a wave of
-    /// its own.
+    /// its own. Either way [`Combiner::fold_part`] folds each partition.
     pub(crate) fn exec_agg_by(
         &mut self,
         input: &Plan,
@@ -228,34 +225,15 @@ impl Session<'_> {
         );
 
         // Combiner phase: per-partition partial aggregation, fanned out on
-        // the pool. The key hash is computed once per group (kernel) or row
-        // (scalar loop) and carried with each partial so neither the partial
-        // shuffle nor the merge phase re-hashes. A specialized fold runs as
-        // one columnar kernel over typed accumulator columns; everything the
-        // kernel did not cover — the whole partition when the fold did not
-        // specialize, the tail from the first aborted batch otherwise — goes
-        // through the scalar loop in its `key`, `sng`, `uni` per-row order,
-        // seeded with the kernel's groups, so values, first-seen group order
-        // and the first error reproduce exactly. A task whose kernel covered
-        // its partition ships its accumulators as the kernel's typed columns.
+        // the pool ([`Combiner::fold_part`]). The key hash is computed once
+        // per group (kernel) or row (scalar loop) and carried with each
+        // partial so neither the partial shuffle nor the merge phase
+        // re-hashes.
         let catalog = self.catalog;
         let partial_lists = self.run_tasks(true, d.parts.len(), d.total_rows(), |pi, tally| {
-            let part = &d.parts[pi];
-            let prefix = agg_kernel_prefix(agg_vec.as_ref(), part.len(), tally, |k, rows, st| {
-                k.absorb(&part[rows], st)
-            });
-            let mut accs = InsertionMap::new();
-            let mut covered = 0;
-            if let Some((kernel, st, n)) = prefix {
-                if n == part.len() {
-                    let (keys, cols) = kernel.finish_columns(st);
-                    return Ok(Measured::partial_columns(keys, cols, kernel.acc_width()));
-                }
-                accs = seeded(kernel.finish(st));
-                covered = n;
-            }
-            comb.fold_rows(&mut accs, &part[covered..], &mut None, catalog)?;
-            Ok(scalar_partials(accs))
+            let (_, folded) =
+                comb.fold_part(&d.parts[pi], None, agg_vec.as_ref(), catalog, tally)?;
+            Ok(folded?.shipped())
         })?;
         self.charge_combiner(key, fold, d.total_rows(), d.max_part_rows(), || {
             d.max_part_bytes()
@@ -263,8 +241,9 @@ impl Session<'_> {
         self.merge_partials(partial_lists, agg_vec, &comb, split)
     }
 
-    /// Readies an `aggBy`'s UDFs over their base scopes: `zero` evaluated,
-    /// `key`, `sng` and `uni` prepared for the active tier.
+    /// Readies an `aggBy`'s UDFs — or a driver-side `fold`'s, under a
+    /// constant key — over their base scopes: `zero` evaluated, `key`,
+    /// `sng` and `uni` prepared for the active tier.
     fn combiner<'p>(
         &mut self,
         key: &'p Lambda,
@@ -305,8 +284,8 @@ impl Session<'_> {
 
     /// Runs an `aggBy` whose combiner kernel takes its input chain as a
     /// prefix ([`Session::fused_kernel`]): each task runs its partition's
-    /// chain and combiner in one pass ([`fused_partition`]), and the chain's
-    /// rows are never materialized.
+    /// chain and combiner in one pass ([`Combiner::fold_part`] over the
+    /// chain), and the chain's rows are never materialized.
     ///
     /// The two waves' counting stays. A task tallies the chain's batches
     /// and the combiner's as the two waves did, and the chain's stages are
@@ -329,7 +308,10 @@ impl Session<'_> {
         let (d, catalog) = (&site.input, self.catalog);
         let n = d.parts.len();
         let ran = self.run_tasks(false, n, d.total_rows(), |pi, tally| {
-            fused_partition(&d.parts[pi], &site, &comb, &agg_vec, catalog, tally)
+            let part = &d.parts[pi];
+            let (entered, folded) =
+                comb.fold_part(part, Some(&site), Some(&agg_vec), catalog, tally)?;
+            Ok((entered, folded.map(Folded::shipped)))
         })?;
         let mut counts = StageCounts::new(site.n_stages());
         let held: Vec<Mutex<Option<_>>> = ran
@@ -494,7 +476,8 @@ impl Session<'_> {
     }
 }
 
-/// An `aggBy`'s UDFs readied over their base scopes ([`Session::combiner`]).
+/// An `aggBy`'s or a `fold`'s UDFs readied over their base scopes
+/// ([`Session::combiner`]).
 struct Combiner<'p> {
     key: PreparedScalar<'p>,
     sng: PreparedScalar<'p>,
@@ -559,6 +542,114 @@ impl<'p> Combiner<'p> {
             |(.., ucx), a, b| self.uni.call(&[a, b], ucx, catalog),
         )
     }
+
+    /// Folds one partition — the rows `chain` leaves of it, or its rows
+    /// themselves without a chain — in batches of input rows. A batch the
+    /// kernel takes runs the chain, `key` and `sng` — over the pairs an
+    /// unnest head yields ([`Feed`]) — and folds the rows the chain leaves;
+    /// it tallies one batch of the chain's, and one of the combiner's each
+    /// time the rows it folded fill a batch, as a combiner's own wave
+    /// batches the chain's output. From the first batch that aborts (a
+    /// non-conforming row, or an error on a lane) on — and throughout,
+    /// without a kernel — the partition runs through the scalar chain and
+    /// the scalar fold, seeded with the kernel's groups. A chain error ends
+    /// the task. The first fold error is held while the chain runs to the
+    /// partition's end, and then takes the place of the groups. Returns the
+    /// rows that entered each of the chain's stage boundaries, and the
+    /// groups.
+    fn fold_part<'k>(
+        &self,
+        part: &[Value],
+        chain: Option<&NarrowSite<'_>>,
+        kernel: Option<&'k (AggKernel, usize)>,
+        catalog: &Catalog,
+        tally: &mut Tally,
+    ) -> Result<(Vec<u64>, Result<Folded<'k>, ValueError>), ValueError> {
+        let nstages = chain.map_or(0, |site| site.n_stages());
+        let batch_rows = kernel.map_or(usize::MAX, |&(_, batch_rows)| batch_rows);
+        let mut entered = vec![0u64; nstages + 1];
+        let mut st = kernel.map(|(kernel, _)| (kernel, kernel.new_state()));
+        let (mut accs, mut held, mut cx) = (InsertionMap::new(), None, None);
+        let mut feed = Feed::new(chain.and_then(|site| site.unnest()));
+        // Rows the kernel folded that no combiner batch has tallied yet.
+        let mut folded = 0;
+        for chunk in part.chunks(batch_rows) {
+            if let Some((kernel, state)) = st.as_mut() {
+                let out = entered[nstages];
+                let ran = feed.run(chunk, &mut entered, |rows, counts| {
+                    let ran = kernel.absorb(rows, state);
+                    if ran {
+                        kernel.count(state, counts);
+                    }
+                    ran
+                });
+                if ran {
+                    if chain.is_some() {
+                        tally.batch(chunk.len());
+                    }
+                    folded += (entered[nstages] - out) as usize;
+                    while folded >= batch_rows {
+                        tally.batch(batch_rows);
+                        folded -= batch_rows;
+                    }
+                    continue;
+                }
+                let (kernel, st) = st.take().expect("the kernel folds until it aborts");
+                accs = seeded(kernel.finish(st));
+            }
+            let rows = match chain {
+                Some(site) => Cow::Owned(site.interp_pass(chunk, catalog, &mut entered)?),
+                None => Cow::Borrowed(chunk),
+            };
+            if held.is_none() {
+                held = self.fold_rows(&mut accs, &rows, &mut cx, catalog).err();
+            }
+        }
+        let groups = match (held, st) {
+            (Some(e), _) => Err(e),
+            (None, Some((kernel, st))) => {
+                if folded > 0 {
+                    tally.batch(folded);
+                }
+                Ok(Folded::Kernel(kernel, st))
+            }
+            (None, None) => Ok(Folded::Rows(accs)),
+        };
+        Ok((entered, groups))
+    }
+}
+
+/// One partition's groups ([`Combiner::fold_part`]): the kernel's state
+/// when the kernel folded every row, the scalar loop's groups otherwise.
+/// A task moves it once, into what it ships, so the state is not boxed.
+#[allow(clippy::large_enum_variant)]
+enum Folded<'k> {
+    Kernel(&'k AggKernel, AggState),
+    Rows(InsertionMap<Value, Value>),
+}
+
+impl Folded<'_> {
+    /// The groups as a combiner's partials; a kernel's accumulators ship as
+    /// its typed columns.
+    fn shipped(self) -> Shipped {
+        match self {
+            Folded::Kernel(kernel, st) => {
+                let (keys, cols) = kernel.finish_columns(st);
+                Measured::partial_columns(keys, cols, kernel.acc_width())
+            }
+            Folded::Rows(accs) => {
+                Measured::partials(accs.into_iter().map(|e| (e.hash, e.key, e.value)))
+            }
+        }
+    }
+
+    /// The accumulator of the one group a constant key leaves, if any.
+    fn only_acc(self) -> Option<Value> {
+        match self {
+            Folded::Kernel(kernel, st) => kernel.finish(st).pop().map(|(_, acc)| acc),
+            Folded::Rows(accs) => accs.into_iter().next().map(|e| e.value),
+        }
+    }
 }
 
 /// A combiner's record weight and byte weight: its key's, `sng`'s and
@@ -578,79 +669,6 @@ fn seeded(groups: Vec<(Value, Value)>) -> InsertionMap<Value, Value> {
         accs.insert_hashed(value_hash(&k), k, acc);
     }
     accs
-}
-
-/// The scalar loop's groups as partials.
-fn scalar_partials(accs: InsertionMap<Value, Value>) -> Shipped {
-    Measured::partials(accs.into_iter().map(|e| (e.hash, e.key, e.value)))
-}
-
-/// Runs one partition of a chain and the combiner that reads it
-/// ([`Session::exec_fused_agg_by`]), in batches of input rows. A batch the
-/// kernel takes runs the chain, `key` and `sng` — over the pairs an unnest
-/// head yields ([`Feed`]) — and folds the rows the chain leaves; it tallies
-/// one batch of the chain's, and one of the combiner's each time the rows
-/// it folded fill a batch, as the combiner's own wave batched the chain's
-/// output. From the first batch that aborts (a non-conforming row, or an
-/// error on a lane) on, the rest of the partition runs through the scalar
-/// chain and the scalar fold, seeded with the kernel's groups. A chain error
-/// ends the task. The first fold error is held while the chain runs to the
-/// partition's end, and then takes the place of the partials. Returns the
-/// rows that entered each stage boundary, and the partials.
-fn fused_partition(
-    part: &[Value],
-    site: &NarrowSite<'_>,
-    comb: &Combiner<'_>,
-    (kernel, batch_rows): &(AggKernel, usize),
-    catalog: &Catalog,
-    tally: &mut Tally,
-) -> Result<(Vec<u64>, Result<Shipped, ValueError>), ValueError> {
-    let (nstages, batch_rows) = (site.n_stages(), *batch_rows);
-    let mut entered = vec![0u64; nstages + 1];
-    let mut st = Some(kernel.new_state());
-    let (mut accs, mut held, mut cx) = (InsertionMap::new(), None, None);
-    let mut feed = Feed::new(site.unnest());
-    // Rows the kernel folded that no combiner batch has tallied yet.
-    let mut folded = 0;
-    for chunk in part.chunks(batch_rows) {
-        if let Some(state) = st.as_mut() {
-            let out = entered[nstages];
-            let ran = feed.run(chunk, &mut entered, |rows, counts| {
-                let ran = kernel.absorb(rows, state);
-                if ran {
-                    kernel.count(state, counts);
-                }
-                ran
-            });
-            if ran {
-                tally.batch(chunk.len());
-                folded += (entered[nstages] - out) as usize;
-                while folded >= batch_rows {
-                    tally.batch(batch_rows);
-                    folded -= batch_rows;
-                }
-                continue;
-            }
-            let st = st.take().expect("the kernel folds until it aborts");
-            accs = seeded(kernel.finish(st));
-        }
-        let rows = site.interp_pass(chunk, catalog, &mut entered)?;
-        if held.is_none() {
-            held = comb.fold_rows(&mut accs, &rows, &mut cx, catalog).err();
-        }
-    }
-    let partials = match (held, st) {
-        (Some(e), _) => Err(e),
-        (None, Some(st)) => {
-            if folded > 0 {
-                tally.batch(folded);
-            }
-            let (keys, cols) = kernel.finish_columns(st);
-            Ok(Measured::partial_columns(keys, cols, kernel.acc_width()))
-        }
-        (None, None) => Ok(scalar_partials(accs)),
-    };
-    Ok((entered, partials))
 }
 
 /// Groups one partition's rows by their row-aligned keys ([`ops::group`]),
@@ -687,50 +705,4 @@ fn agg_kernel_prefix<'k>(
         covered = end;
     }
     Some((kernel, st, covered))
-}
-
-/// Folds one partition. A specialized element function runs as a columnar
-/// batch first ([`batch_or_replay`]), then the (inherently sequential)
-/// combiner chain drains the batch's outputs in row order. An aborted batch
-/// — and every row when `sng` did not specialize — runs the scalar
-/// *interleaved* loop from the batch-entry accumulator: re-deriving the
-/// element values for already-combined rows is free of observable effects
-/// (UDFs are pure), so the first error in the reference `sng/uni`
-/// interleaving order reproduces exactly.
-#[allow(clippy::too_many_arguments)]
-fn fold_partition(
-    rows: &[Value],
-    sng_vec: Option<&(VectorPipeline, usize)>,
-    sng: &PreparedScalar<'_>,
-    uni: &PreparedScalar<'_>,
-    base: &HashMap<String, Value>,
-    zero: Value,
-    catalog: &Catalog,
-    tally: &mut Tally,
-) -> Result<Value, ValueError> {
-    let mut ucx = uni.ctx(base);
-    let mut scx: Option<Env> = None;
-    let mut kernel = sng_vec.map(|v| Kernel::new(v, None));
-    let mut acc = zero;
-    let mut combine = |acc: &mut Value, s: Value| {
-        uni.call(&[std::mem::take(acc), s], &mut ucx, catalog)
-            .map(|next| *acc = next)
-    };
-    batch_or_replay(
-        rows,
-        kernel.as_mut(),
-        1,
-        tally,
-        |chunk, _, buf| match chunk {
-            Chunk::Ran { .. } => buf.drain(..).try_for_each(|s| combine(&mut acc, s)),
-            Chunk::Replay(batch) => {
-                let scx = scx.get_or_insert_with(|| sng.ctx(base));
-                batch.iter().try_for_each(|row| {
-                    let s = sng.call(std::slice::from_ref(row), scx, catalog)?;
-                    combine(&mut acc, s)
-                })
-            }
-        },
-    )?;
-    Ok(acc)
 }

@@ -60,7 +60,10 @@ impl Session<'_> {
     /// Runs `n` index-addressed partition tasks with panic containment and
     /// partition-granularity retry.
     ///
-    /// Every per-partition operator body goes through this one wave loop.
+    /// There is one wave loop, and every per-partition operator body that
+    /// runs as tasks goes through it. Some still loop over their partitions
+    /// on the driver instead, outside any wave: the unsplit `groupBy`,
+    /// `minus`, `distinct`, `cross` and both stateful statements.
     /// Without an injecting [`FaultConfig`] it runs under
     /// [`FaultConfig::disabled`], whose fates are all [`TaskFault::None`]:
     /// one wave, zero straggler and duplicate charges (which `cost::apply`

@@ -5,7 +5,7 @@
 //! cost model must move in the directions the paper's evaluation relies on.
 
 use emma_compiler::bag_expr::{BagExpr, BagLambda};
-use emma_compiler::expr::{FoldOp, Lambda, ScalarExpr};
+use emma_compiler::expr::{FoldKind, FoldOp, Lambda, ScalarExpr};
 use emma_compiler::interp::{Catalog, Interp};
 use emma_compiler::pipeline::{parallelize, OptimizerFlags};
 use emma_compiler::program::{Program, Stmt};
@@ -165,6 +165,31 @@ fn exists_semijoin_differential_and_multiplicity() {
     // And the optimized plan indeed contains a semi-join.
     let compiled = parallelize(&p, &OptimizerFlags::all());
     assert_eq!(compiled.report.exists_unnested, 1);
+
+    // The rule reads a guard's fold off its lambdas, not its label: a
+    // forall labelled `Exists` is no semi-join, and an exists labelled
+    // `Custom` still is one.
+    let ints = |xs: &[i64]| xs.iter().map(|&i| Value::Int(i)).collect::<Vec<_>>();
+    let catalog = Catalog::new()
+        .with("xs", ints(&[0, 1, 2, 3, 4, 5]))
+        .with("ys", ints(&[2, 3]))
+        .with("zs", ints(&[3, 7]));
+    let y_is_x = || Lambda::new(["y"], ScalarExpr::var("y").eq(ScalarExpr::var("x")));
+    let mut forall = FoldOp::forall(y_is_x());
+    forall.kind = FoldKind::Exists;
+    let mut exists = FoldOp::exists(y_is_x());
+    exists.kind = FoldKind::Custom;
+    for (op, bag, unnested) in [(forall, "ys", 0), (exists, "zs", 1)] {
+        let p = Program::new(vec![Stmt::write(
+            "hits",
+            BagExpr::read("xs").filter(Lambda::new(["x"], BagExpr::read(bag).fold(op))),
+        )]);
+        for flags in all_flag_variants() {
+            assert_differential(&p, &catalog, &flags, &tiny_engine());
+        }
+        let compiled = parallelize(&p, &OptimizerFlags::all());
+        assert_eq!(compiled.report.exists_unnested, unnested, "{bag}");
+    }
 }
 
 #[test]

@@ -278,6 +278,31 @@ fn run_pair(p: &Program, catalog: &Catalog, batch: usize) -> (EngineRun, EngineR
     (scalar, vec)
 }
 
+/// A driver-side `fold` over the source — a `Plan::Fold`, the driver-side
+/// twin of [`bare_agg_by`] — bound to `r`.
+fn bare_fold(fold: FoldOp) -> Program {
+    Program::new(vec![Stmt::val("r", BagExpr::read("rows").fold(fold))])
+}
+
+/// [`run_pair`] over a [`bare_fold`], whose binding `r` must match the
+/// interpreter's on both engine tiers.
+fn fold_pair(p: &Program, catalog: &Catalog, batch: usize) -> (EngineRun, EngineRun) {
+    let want = Interp::new(catalog).run(p).expect("interpreter").env["r"].clone();
+    let (scalar, vec) = run_pair(p, catalog, batch);
+    for run in [&scalar, &vec] {
+        let got = &run.scalars["r"];
+        assert!(approx(&canon(&want), &canon(got)), "r: {want:?} vs {got:?}");
+    }
+    (scalar, vec)
+}
+
+/// `sum` over the Float column.
+fn float_sum() -> FoldOp {
+    let mut sum = FoldOp::sum();
+    sum.sng = Lambda::new(["x"], x().get(agg_programs::VF));
+    sum
+}
+
 #[test]
 fn empty_and_singleton_partitions() {
     // Eight partitions: 0 rows leaves all of them empty, 1 and 3 leave
@@ -289,6 +314,13 @@ fn empty_and_singleton_partitions() {
         let (_, vec) = run_pair(&p, &catalog, 4);
         assert_eq!(vec.stats.vector_fallbacks, 0, "n={n}: {}", vec.stats);
         assert_eq!(vec.stats.key_path_fallbacks, 0, "n={n}: {}", vec.stats);
+        // A driver-side fold: an empty partition's partial is `zero` on
+        // both tiers, so the shipped partials and the clock agree.
+        for fold in [FoldOp::count(), float_sum()] {
+            let (_, vec) = fold_pair(&bare_fold(fold), &catalog, 4);
+            assert_eq!(vec.stats.vector_fallbacks, 0, "n={n}: {}", vec.stats);
+            assert_eq!(vec.stats.rows_vectorized, n as u64, "n={n}: {}", vec.stats);
+        }
     }
 }
 
@@ -369,6 +401,29 @@ fn element_division_by_zero_on_one_row() {
         "{scalar:?}"
     );
     assert_tiers_agree(&p, &catalog, 3, true);
+    // A driver-side fold whose `sng` divides by zero on row 7 raises the
+    // interpreter's error on every tier.
+    let p = bare_fold(FoldOp::custom(
+        ScalarExpr::lit(Value::Int(0)),
+        Lambda::new(["x"], ScalarExpr::lit(Value::Int(100)).div(x().get(VI))),
+        Lambda::new(["a", "b"], ScalarExpr::var("a").add(ScalarExpr::var("b"))),
+    ));
+    let want = Interp::new(&catalog)
+        .run(&p)
+        .expect_err("the interpreter errors");
+    assert!(format!("{want:?}").contains("division by zero"), "{want:?}");
+    let scalar = engine()
+        .run(&interpreted(&p), &catalog)
+        .expect_err("the engine's interpreter errors");
+    let vec = engine()
+        .with_vectorized_eval(BatchConfig::new(16))
+        .run(&compile(&p), &catalog)
+        .expect_err("vectorized errors");
+    assert_eq!(format!("{scalar:?}"), format!("{vec:?}"));
+    assert!(
+        format!("{scalar:?}").contains(&format!("{want:?}")),
+        "{scalar:?} does not carry {want:?}"
+    );
 }
 
 #[test]
@@ -451,6 +506,23 @@ fn folds_that_do_not_specialize_are_exactly_one_counted_refusal() {
     let (_, vec) = run_pair(&bare_agg_by(FoldOp::count()), &catalog, 32);
     assert_eq!(vec.stats.vector_fallbacks, 0, "{}", vec.stats);
     assert!(vec.stats.rows_vectorized >= 200, "{}", vec.stats);
+    // A driver-side fold runs on the same combiner: a `uni` that is not
+    // slot-wise is one refusal, and `count` engages the kernel.
+    let min_by = FoldOp::min_by(Lambda::new(["x"], x().get(VI)));
+    let (_, vec) = fold_pair(&bare_fold(min_by), &catalog, 32);
+    assert_eq!(
+        vec.stats.vector_fallbacks, 1,
+        "driver min_by: {}",
+        vec.stats
+    );
+    assert_eq!(vec.stats.rows_vectorized, 0, "driver min_by: {}", vec.stats);
+    let (_, vec) = fold_pair(&bare_fold(FoldOp::count()), &catalog, 32);
+    assert_eq!(vec.stats.vector_fallbacks, 0, "driver count: {}", vec.stats);
+    assert_eq!(
+        vec.stats.rows_vectorized, 200,
+        "driver count: {}",
+        vec.stats
+    );
 }
 
 /// Keys no typed column holds together, over eight partitions: the first

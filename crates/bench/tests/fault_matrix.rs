@@ -1,6 +1,7 @@
 //! Acceptance check for fault-tolerant execution across the paper workloads
 //! (Fig. 4 spam classifier, Fig. 5 group aggregation, TPC-H Q1/Q4,
-//! PageRank), on both engine personalities. Three invariants per workload:
+//! PageRank, both Connected Components variants) and a `cross` + `distinct`
+//! program, on both engine personalities. Three invariants per workload:
 //!
 //! 1. **Disabled injection is free**: an engine carrying
 //!    [`FaultConfig::disabled`] produces the same sink rows, scalars, and
@@ -13,9 +14,11 @@
 //! 3. **The schedule is the seed**: rerunning the same chaos config yields
 //!    bit-identical `ExecStats`, so any faulted run can be replayed.
 
-use emma::algorithms::{groupagg, pagerank, spam, tpch};
+use emma::algorithms::{connected_components as cc, groupagg, pagerank, spam, tpch};
 use emma::prelude::*;
+use emma_compiler::pipeline::CStmt;
 use emma_datagen::emails::{classifiers, EmailSpec};
+use emma_datagen::graph::GraphSpec;
 use emma_datagen::tpch::TpchSpec;
 use emma_datagen::KeyDistribution;
 
@@ -151,6 +154,50 @@ fn pagerank_fault_matrix() {
         seed: 42,
     });
     assert_fault_matrix("pagerank", &program, &catalog, &OptimizerFlags::all());
+}
+
+#[test]
+fn connected_components_fault_matrix() {
+    // The dataflow variant tests its fixpoint with `minus`; Listing 7 runs
+    // on `StatefulCreate` / `StatefulUpdate`, whose update retries must not
+    // apply a message twice.
+    let catalog = cc::catalog(&GraphSpec {
+        vertices: 120,
+        avg_degree: 3,
+        skew: 1.2,
+        seed: 42,
+    });
+    let flags = OptimizerFlags::all();
+    assert_fault_matrix("cc", &cc::program(), &catalog, &flags);
+    assert_fault_matrix("cc stateful", &cc::stateful_program(), &catalog, &flags);
+}
+
+#[test]
+fn cross_and_distinct_fault_matrix() {
+    // for (a <- A; b <- B) yield (a % 4, b) — no join predicate, so a
+    // cross — then distinct over the many duplicate pairs.
+    let pairs = BagExpr::read("A").flat_map(BagLambda::new(
+        "a",
+        BagExpr::read("B").map(Lambda::new(
+            ["b"],
+            ScalarExpr::Tuple(vec![
+                ScalarExpr::var("a").rem(ScalarExpr::lit(4i64)),
+                ScalarExpr::var("b"),
+            ]),
+        )),
+    ));
+    let program = Program::new(vec![Stmt::write("out", pairs.distinct())]);
+    let flags = OptimizerFlags::all();
+    let CStmt::Write { plan, .. } = &parallelize(&program, &flags).body[0] else {
+        panic!("one write");
+    };
+    assert_eq!(
+        (plan.count_ops("Cross"), plan.count_ops("Distinct")),
+        (1, 1)
+    );
+    let ints = |n: i64| (0..n).map(Value::Int).collect();
+    let catalog = Catalog::new().with("A", ints(200)).with("B", ints(6));
+    assert_fault_matrix("cross + distinct", &program, &catalog, &flags);
 }
 
 #[test]

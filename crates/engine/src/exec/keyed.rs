@@ -79,8 +79,8 @@ impl KeyedInput {
 /// and the first error was raised before they moved. When the layout
 /// already satisfied the key, the keys are read where the rows are: taken
 /// by the wave that produced them, or by the same batched evaluator where
-/// the consumer asks for a partition's keys — in its existing task wave or
-/// driver loop. Either way the consumer gets the error-free prefix plus the
+/// the consumer asks for a partition's keys — in its existing task wave.
+/// Either way the consumer gets the error-free prefix plus the
 /// error that ended it, and raises that error when its loop reaches the
 /// row, so an error of its own UDF at an earlier row still comes first, as
 /// in a row-at-a-time interleaving.

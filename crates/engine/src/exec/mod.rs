@@ -672,18 +672,13 @@ impl<'a> Session<'a> {
                 // Broadcast the (smaller) right side and pair locally.
                 let r_rows = r.collect_rows();
                 self.charge(Charge::Broadcast(r.total_bytes()));
-                let mut parts = Vec::with_capacity(l.parts.len());
-                let mut produced = 0u64;
-                for part in &l.parts {
-                    let mut out = Vec::with_capacity(part.len() * r_rows.len());
-                    for lrow in part.iter() {
-                        for rrow in &r_rows {
-                            out.push(Value::tuple([lrow.clone(), rrow.clone()]));
-                        }
-                    }
-                    produced += out.len() as u64;
-                    parts.push(out.into());
-                }
+                let parts = self.run_tasks(true, l.parts.len(), l.total_rows(), |pi, _| {
+                    let pairs = l.parts[pi].iter().flat_map(|lrow| {
+                        (r_rows.iter()).map(move |rrow| Value::tuple([lrow.clone(), rrow.clone()]))
+                    });
+                    Ok(pairs.collect())
+                })?;
+                let produced = l.total_rows() * r_rows.len() as u64;
                 self.charge(Charge::Stage);
                 self.charge(Charge::cpu(produced, produced / self.dop().max(1) as u64));
                 Ok(PlanResult::Bag(Partitioned {
@@ -716,12 +711,12 @@ impl<'a> Session<'a> {
                 let r = self.exec_keyed_input(right, &identity, env, false)?;
                 let ls = self.shuffle(l, &identity, env, None)?;
                 let rs = self.shuffle(r, &identity, env, None)?;
-                let pairs = ls.parts.iter().zip(&rs.parts);
-                let parts = pairs
-                    .map(|(lp, rp)| ops::minus(lp.iter(), rp.iter()).cloned().collect())
-                    .collect();
-                self.charge(Charge::Stage);
                 let records = ls.total_rows() + rs.total_rows();
+                let parts = self.run_tasks(true, ls.parts.len(), records, |pi, _| {
+                    let (left, right) = (ls.parts[pi].iter(), rs.parts[pi].iter());
+                    Ok(ops::minus(left, right).cloned().collect())
+                })?;
+                self.charge(Charge::Stage);
                 self.charge(Charge::cpu(records, ls.max_part_rows()));
                 Ok(PlanResult::Bag(Partitioned {
                     parts,
@@ -735,9 +730,9 @@ impl<'a> Session<'a> {
                 // sub-partition, so per-partition dedup stays exact.
                 let kind = self.split_kind(plan.skew_eligibility());
                 let s = self.shuffle(d, &identity, env, kind)?;
-                let parts = (s.parts.iter())
-                    .map(|part| ops::distinct(part.iter()).cloned().collect())
-                    .collect();
+                let parts = self.run_tasks(true, s.parts.len(), s.total_rows(), |pi, _| {
+                    Ok(ops::distinct(s.parts[pi].iter()).cloned().collect())
+                })?;
                 self.charge(Charge::Stage);
                 self.charge(Charge::cpu(s.total_rows(), s.max_part_rows()));
                 Ok(PlanResult::Bag(Partitioned {

@@ -6,6 +6,7 @@
 //! driver-side `fold` as a combiner with one constant key.
 
 use std::borrow::Cow;
+use std::mem::take;
 use std::ops::Range;
 
 use emma_compiler::expr::FoldOp;
@@ -80,12 +81,12 @@ impl Session<'_> {
 
     /// Runs a `Plan::GroupBy`: groups each partition of the keyed input in
     /// first-occurrence order and charges the groups' memory pressure.
-    /// Unsplit, the driver groups each partition whole. Under a skew split,
-    /// phase 1 groups each sub-partition in parallel (one retryable task per
-    /// sub-partition — retry granularity follows the split), and phase 2
-    /// merges each hot bucket's partial groups in slot order — a
-    /// key-preserving secondary shuffle restricted to the hot buckets,
-    /// charged like the physical data motion it is. Because
+    /// Phase 1 groups every partition in one wave — under a skew split one
+    /// retryable task per sub-partition, so retry granularity follows the
+    /// split. Phase 2 runs only for a split: it merges each hot bucket's
+    /// partial groups in slot order — a key-preserving secondary shuffle
+    /// restricted to the hot buckets, charged like the physical data motion
+    /// it is. Because
     /// [`SplitKind::Balanced`] sub-partitions are contiguous chunks, the
     /// merged output reproduces the unsplit path's rows, order, and
     /// partition layout exactly; only the cost profile changes — the group
@@ -102,66 +103,52 @@ impl Session<'_> {
         let keyed = self.keyed(d, key, env, Placement::Hashed(kind))?;
         let (shuffled, catalog) = (&keyed.data, self.catalog);
         let n = shuffled.parts.len();
-        let group = |pi: usize, tally: &mut Tally| {
+        let mut grouped = self.run_tasks(true, n, shuffled.total_rows(), |pi, tally| {
             group_part(&shuffled.parts[pi], &keyed.keys(pi, catalog, tally))
-        };
-        let mut grouped: Vec<InsertionMap<Value, Vec<Value>>> = match &keyed.split {
-            None => {
-                let mut tally = Tally::default();
-                let groups: Result<_, _> = (0..n).map(|pi| group(pi, &mut tally)).collect();
-                let groups = groups.map_err(ExecError::Eval)?;
-                self.tally(tally);
-                groups
-            }
-            Some(_) => self.run_tasks(true, n, shuffled.total_rows(), group)?,
-        };
+        })?;
         self.charge(Charge::GroupMaterialization(
             shuffled.part_bytes().collect(),
         ));
         self.charge(Charge::cpu(shuffled.total_rows(), shuffled.max_part_rows()));
-        let Some(plan) = &keyed.split else {
-            let parts = grouped.into_iter().map(|g| interp::group_rows(g).into());
-            return Ok(PlanResult::Bag(Partitioned {
-                parts: parts.collect(),
-                partitioning: Some(by_group_key(n)),
-            }));
-        };
-        // Phase 2: sub-partitions 1.. of each split bucket physically move
-        // to the bucket's merging reducer — the key-preserving secondary
-        // shuffle, restricted to the hot buckets.
-        let hot = plan.ways.iter().zip(&plan.offsets).filter(|(&w, _)| w > 1);
-        let (moved_bytes, moved_rows): (Vec<u64>, Vec<u64>) = hot
-            .map(|(&w, &off)| {
-                let moved = &shuffled.parts[off + 1..off + w];
-                let bytes: u64 = moved.iter().map(Part::bytes).sum();
-                (bytes, moved.iter().map(|p| p.len() as u64).sum::<u64>())
-            })
-            .unzip();
-        self.charge(Charge::SplitMerge(moved_bytes));
-        // Merge chunk partial groups in slot order: first-occurrence key
-        // order and per-key row order match the unsplit serial loop exactly,
-        // because Balanced chunks are contiguous and in order.
-        let mut parts = Vec::with_capacity(plan.ways.len());
-        for (b, &w) in plan.ways.iter().enumerate() {
-            let off = plan.offsets[b];
-            let mut merged = std::mem::take(&mut grouped[off]);
-            for chunk in &mut grouped[off + 1..off + w] {
-                for mut g in std::mem::take(chunk) {
+        if let Some(plan) = &keyed.split {
+            // Phase 2: sub-partitions 1.. of each hot bucket physically move
+            // to the bucket's merging reducer — the key-preserving secondary
+            // shuffle, restricted to the hot buckets.
+            let hot = || plan.offsets.iter().zip(&plan.ways).filter(|(_, &w)| w > 1);
+            let (moved_bytes, moved_rows): (Vec<u64>, Vec<u64>) = hot()
+                .map(|(&off, &w)| {
+                    let moved = &shuffled.parts[off + 1..off + w];
+                    let bytes: u64 = moved.iter().map(Part::bytes).sum();
+                    (bytes, moved.iter().map(|p| p.len() as u64).sum::<u64>())
+                })
+                .unzip();
+            self.charge(Charge::SplitMerge(moved_bytes));
+            // Merge chunk partial groups in slot order: first-occurrence key
+            // order and per-key row order match the unsplit grouping
+            // exactly, because Balanced chunks are contiguous and in order.
+            for (&off, &w) in hot() {
+                let (merged, chunks) = grouped[off..off + w].split_first_mut().expect("w > 1");
+                for mut g in chunks.iter_mut().flat_map(take) {
                     merged
                         .entry_hashed(g.hash, g.key, Vec::new)
                         .append(&mut g.value);
                 }
             }
-            parts.push(interp::group_rows(merged).into());
+            // The merge appends pre-grouped run vectors — no key UDF, no
+            // hashing — so it carries the memcpy-class minimum record weight,
+            // not the full grouping cost phase 1 already paid.
+            let max_bucket_rows = moved_rows.iter().copied().max().unwrap_or(0);
+            self.charge(Charge::Cpu(moved_rows.iter().sum(), max_bucket_rows, 2.0));
+            grouped = (plan.offsets.iter())
+                .map(|&off| take(&mut grouped[off]))
+                .collect();
         }
-        // The merge appends pre-grouped run vectors — no key UDF, no
-        // hashing — so it carries the memcpy-class minimum record weight,
-        // not the full grouping cost phase 1 already paid.
-        let max_bucket_rows = moved_rows.iter().copied().max().unwrap_or(0);
-        self.charge(Charge::Cpu(moved_rows.iter().sum(), max_bucket_rows, 2.0));
+        let parts: Vec<Part> = (grouped.into_iter())
+            .map(|g| interp::group_rows(g).into())
+            .collect();
         Ok(PlanResult::Bag(Partitioned {
+            partitioning: Some(by_group_key(parts.len())),
             parts,
-            partitioning: Some(by_group_key(plan.ways.len())),
         }))
     }
 
@@ -454,9 +441,7 @@ impl Session<'_> {
                 let mut ucx = uni_prep.ctx(base);
                 for ((h, k), a) in keys.into_iter().zip(accs).skip(covered) {
                     match merged.get_mut_hashed(h, &k) {
-                        Some(acc) => {
-                            *acc = uni_prep.call(&[std::mem::take(acc), a], &mut ucx, catalog)?
-                        }
+                        Some(acc) => *acc = uni_prep.call(&[take(acc), a], &mut ucx, catalog)?,
                         None => merged.insert_hashed(h, k, a),
                     }
                 }

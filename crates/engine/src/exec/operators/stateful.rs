@@ -5,6 +5,8 @@ use crate::exec::keyed::{next_key, Placement};
 use crate::exec::prepare::prepare_lambda;
 use crate::exec::*;
 
+use std::ops::Range;
+
 /// Keyed state held in place on the cluster: hash-partitioned by the element
 /// key, updated point-wise, never re-shuffled — the paper's observation that
 /// PageRank "stores the vertices and their ranks already partitioned by the
@@ -40,22 +42,18 @@ impl EngineState {
         })
     }
 
-    /// The state slot, out of `nparts`, for a message routed to shuffle
-    /// bucket `pi` whose key hashed to `h` — the same two-level placement
-    /// the creating shuffle (`split`) used, so updates always find their
-    /// entry locally.
-    fn slot_for(split: Option<&SplitPlan>, nparts: usize, pi: usize, h: u64) -> usize {
+    /// The state slots, out of `nparts`, that a message routed to shuffle
+    /// bucket `pi` can reach: slot `pi` unsplit, the bucket's sub-partitions
+    /// under the creating shuffle's `split`. The entry of a key that hashed
+    /// to `h` is in the one [`skew::sub_hash`] picks — the same two-level
+    /// placement that shuffle used, so updates always find their entry
+    /// locally.
+    fn slot_for(split: Option<&SplitPlan>, nparts: usize, pi: usize) -> Range<usize> {
         match split {
-            None => pi % nparts,
+            None => pi % nparts..pi % nparts + 1,
             Some(sp) => {
                 let b = pi % sp.ways.len();
-                let w = sp.ways[b];
-                let sub = if w > 1 {
-                    (skew::sub_hash(h) % w as u64) as usize
-                } else {
-                    0
-                };
-                sp.offsets[b] + sub
+                sp.offsets[b]..sp.offsets[b] + sp.ways[b]
             }
         }
     }
@@ -77,15 +75,12 @@ impl Session<'_> {
         // route through the same two-level hash.
         let kind = (self.engine.skew.is_some()).then_some(SplitKind::KeyPreserving);
         let keyed = self.keyed(d, key, &env, Placement::Hashed(kind))?;
-        let mut tally = Tally::default();
-        let mut parts = Vec::with_capacity(keyed.data.parts.len());
-        for (pi, part) in keyed.data.parts.iter().enumerate() {
-            let keys = keyed.keys(pi, self.catalog, &mut tally);
-            let rows = part.iter().cloned();
-            let entries = ops::create(rows, &mut keys.iter(), |ks, _| next_key(ks));
-            parts.push(entries.map_err(ExecError::Eval)?);
-        }
-        self.tally(tally);
+        let (data, catalog) = (&keyed.data, self.catalog);
+        let parts = self.run_tasks(true, data.parts.len(), data.total_rows(), |pi, tally| {
+            let keys = keyed.keys(pi, catalog, tally);
+            let (rows, mut keys) = (data.parts[pi].iter().cloned(), keys.iter());
+            ops::create(rows, &mut keys, |ks, _| next_key(ks))
+        })?;
         let state = EngineState {
             key: key.clone(),
             parts,
@@ -118,42 +113,57 @@ impl Session<'_> {
         // key, colocated with the state partitioning.
         let routed = self.keyed(msgs, message_key, &env, Placement::Hashed(None))?;
         let base = self.eval_base(&[Term::Lambda(update)], &env)?;
-        let up_prep = prepare_lambda(update);
-        let mut ucx = up_prep.ctx(&base);
-        let mut tally = Tally::default();
+        let (up_prep, catalog) = (prepare_lambda(update), self.catalog);
         let mut st = cell.lock().unwrap();
         let delta_partitioning = st.partitioning();
         let EngineState { parts, split, .. } = &mut *st;
-        let nparts = parts.len().max(1);
-        let mut delta_parts: Vec<Vec<Value>> = vec![Vec::new(); nparts];
-        for (pi, part) in routed.data.parts.iter().enumerate() {
-            let keys = routed.keys(pi, self.catalog, &mut tally);
-            // State was hash-partitioned by key with the same partition
-            // count (plus the secondary split hash when the creating shuffle
-            // split), so the entry is local.
-            let slot = |h| EngineState::slot_for(split.as_ref(), nparts, pi, h);
+        let (split, nparts) = (split.as_ref(), parts.len().max(1));
+        // Each bucket's task owns the state slots its messages can reach.
+        // State was hash-partitioned by key with the same partition count
+        // (plus the secondary split hash when the creating shuffle split), so
+        // those ranges tile the state in bucket order: disjoint, asserted.
+        let buckets = routed.data.parts.len();
+        let mut rest = &mut parts[..];
+        let owned: Vec<Mutex<&mut [InsertionMap<Value, Value>]>> = (0..buckets)
+            .map(|pi| {
+                let slots = EngineState::slot_for(split, nparts, pi);
+                assert_eq!(
+                    slots.start,
+                    nparts - rest.len(),
+                    "slot ranges tile the state"
+                );
+                let (mine, tail) = std::mem::take(&mut rest).split_at_mut(slots.len());
+                rest = tail;
+                Mutex::new(mine)
+            })
+            .collect();
+        let deltas = self.run_tasks(true, buckets, routed.data.total_rows(), |pi, tally| {
+            let keys = routed.keys(pi, catalog, tally);
+            let mut mine = owned[pi].lock().expect("one body runs per bucket");
+            let ways = mine.len() as u64;
+            let slot = |h| (skew::sub_hash(h) % ways) as usize;
             let changed = ops::update(
-                parts,
+                &mut mine,
                 slot,
-                part.iter(),
-                &mut (keys.iter(), &mut ucx),
+                routed.data.parts[pi].iter(),
+                &mut (keys.iter(), up_prep.ctx(&base)),
                 |(ks, _), _| next_key(ks),
                 |(_, ucx), current, msg| {
-                    let new = up_prep.call(&[current.clone(), msg.clone()], ucx, self.catalog)?;
+                    let new = up_prep.call(&[current.clone(), msg.clone()], ucx, catalog)?;
                     Ok((!new.is_null()).then_some(new))
                 },
-            )
-            .map_err(ExecError::Eval)?;
+            )?;
+            let mut delta = vec![Vec::new(); mine.len()];
             for e in changed {
-                delta_parts[slot(e.hash)].push(e.value);
+                delta[slot(e.hash)].push(e.value);
             }
-        }
+            Ok(delta)
+        })?;
         drop(st);
         let processed = routed.data.total_rows();
-        self.tally(tally);
         self.charge(Charge::cpu(processed, processed / self.dop().max(1) as u64));
         let delta_data = Partitioned {
-            parts: delta_parts.into_iter().map(Part::from).collect(),
+            parts: deltas.into_iter().flatten().map(Part::from).collect(),
             partitioning: delta_partitioning,
         };
         // Bind the delta as an already-materialized bag.

@@ -33,10 +33,10 @@ impl Waves {
 }
 
 /// Rows and batches a task body ran through typed kernels. Every body passed
-/// to [`Session::run_tasks`] reports into the one it is handed, and driver
-/// loops into a local one; [`Session::tally`] is the only place the two
-/// telemetry counters grow. A body runs exactly once per partition, so the
-/// sums do not depend on the schedule.
+/// to [`Session::run_tasks`] reports into the one it is handed;
+/// [`Session::tally`] is the only place the two telemetry counters grow. A
+/// body runs exactly once per partition, so the sums do not depend on the
+/// schedule.
 #[derive(Default)]
 pub(super) struct Tally {
     rows: u64,
@@ -60,10 +60,7 @@ impl Session<'_> {
     /// Runs `n` index-addressed partition tasks with panic containment and
     /// partition-granularity retry.
     ///
-    /// There is one wave loop, and every per-partition operator body that
-    /// runs as tasks goes through it. Some still loop over their partitions
-    /// on the driver instead, outside any wave: the unsplit `groupBy`,
-    /// `minus`, `distinct`, `cross` and both stateful statements.
+    /// Every per-partition operator body runs through this one loop.
     /// Without an injecting [`FaultConfig`] it runs under
     /// [`FaultConfig::disabled`], whose fates are all [`TaskFault::None`]:
     /// one wave, zero straggler and duplicate charges (which `cost::apply`
@@ -79,7 +76,9 @@ impl Session<'_> {
     /// `max_task_retries` with exponential backoff charged to the simulated
     /// clock; stragglers run normally but charge the wave their worst delay
     /// (stage time = slowest task); real evaluation errors and panics are
-    /// deterministic, so they abort immediately — lowest partition wins.
+    /// deterministic, so they abort the wave — lowest partition wins: failed
+    /// partitions below the lowest erring one are retried first, as their
+    /// bodies may raise earlier, and the lowest outcome is raised.
     /// Retry waves gate their fan-out on the rows still pending (the
     /// surviving partitions' share of the batch), not on the original batch
     /// size; the gate only moves work between threads, so the settled
@@ -101,7 +100,8 @@ impl Session<'_> {
     /// Accounting order within a wave (all deliberate, documented
     /// semantics):
     /// 1. The wave settles first. A wave that aborts with a real evaluation
-    ///    error or a contained panic charges **nothing** for its stragglers:
+    ///    error or a contained panic charges **nothing** for its stragglers,
+    ///    and neither do the retries that settle the partitions below it:
     ///    their delays describe work the abort discarded, so
     ///    `straggler_delays`/`retry_sim_secs` only ever count completed
     ///    waves.
@@ -137,6 +137,8 @@ impl Session<'_> {
         // wave counter.
         let mut attempts_made: Vec<u32> = vec![0; n];
         let mut attempt: u32 = 0;
+        // The lowest erring partition's error: only failures below it retry.
+        let mut raised: Option<ExecError> = None;
         loop {
             let fates: Vec<TaskFault> = pending
                 .iter()
@@ -167,32 +169,36 @@ impl Session<'_> {
                         Ok((v, tally))
                     }
                 });
-            // Settle before any straggler accounting: an aborting wave
-            // (real eval error / contained panic) discards its work, so its
-            // stragglers must not distort `straggler_delays`/`retry_sim_secs`.
+            // Settle before any straggler accounting.
             let mut failed: Vec<usize> = Vec::new();
             for (wi, s) in settled.into_iter().enumerate() {
                 let pi = pending[wi];
-                match s {
+                let e = match s {
                     Ok(Ok((v, tally))) => {
                         self.tally(tally);
                         results[pi] = Some(v);
+                        continue;
                     }
                     Ok(Err(TaskError::Injected)) => {
                         self.stats.tasks_failed += 1;
                         failed.push(pi);
+                        continue;
                     }
-                    Ok(Err(TaskError::Eval(e))) => return Err(ExecError::Eval(e)),
+                    Ok(Err(TaskError::Eval(e))) => e,
                     Err(payload) => {
                         self.stats.tasks_failed += 1;
-                        return Err(ExecError::Eval(fault::panic_value_error(payload)));
+                        fault::panic_value_error(payload)
                     }
-                }
+                };
+                raised = Some(ExecError::Eval(e));
+                break;
             }
-            // The wave lasts as long as its slowest task. Without
-            // speculation that is the worst straggler; with it, each
-            // straggler races a backup copy and contributes whichever copy
-            // finishes first.
+            // The wave lasts as long as its slowest task. Without speculation
+            // that is the worst straggler; with it, each straggler races a
+            // backup copy and contributes whichever copy finishes first. An
+            // aborting wave's stragglers describe discarded work, so they
+            // must not distort `straggler_delays`/`retry_sim_secs`.
+            let stragglers = if raised.is_none() { &fates[..] } else { &[] };
             let mut worst_effective = 0.0f64;
             let mut wasted = 0.0f64;
             // Which stragglers get a backup copy. The quantile policy gates
@@ -200,7 +206,7 @@ impl Session<'_> {
             // the gate is as pure as the schedule itself.
             let clone_all = matches!(cfg.speculation_policy, SpeculationPolicy::All);
             let spec_threshold = if cfg.speculation && !clone_all {
-                let delays: Vec<f64> = fates
+                let delays: Vec<f64> = stragglers
                     .iter()
                     .map(|f| match f {
                         TaskFault::Straggle(d) => *d,
@@ -211,7 +217,7 @@ impl Session<'_> {
             } else {
                 0.0
             };
-            for (wi, fate) in fates.iter().enumerate() {
+            for (wi, fate) in stragglers.iter().enumerate() {
                 let TaskFault::Straggle(delay) = *fate else {
                     continue;
                 };
@@ -244,6 +250,9 @@ impl Session<'_> {
             self.charge(Charge::Straggler(worst_effective));
             self.charge(Charge::DuplicateWork(wasted));
             if failed.is_empty() {
+                if let Some(e) = raised {
+                    return Err(e);
+                }
                 return Ok(results
                     .into_iter()
                     .map(|r| r.expect("every partition task settled"))
@@ -265,8 +274,8 @@ impl Session<'_> {
         }
     }
 
-    /// Folds a task body's (or driver loop's) kernel telemetry into the run's.
-    pub(super) fn tally(&mut self, t: Tally) {
+    /// Folds a task body's kernel telemetry into the run's.
+    fn tally(&mut self, t: Tally) {
         self.stats.rows_vectorized += t.rows;
         self.stats.batches_executed += t.batches;
     }
@@ -319,6 +328,28 @@ mod tests {
                 assert_eq!(first_error(engine, raise, panic), want);
             }
             assert_eq!((want.2, want.3), (0.0, 0.0), "no fault charge");
+        }
+    }
+
+    #[test]
+    fn an_injected_failure_below_an_error_is_retried_before_raising() {
+        // A chaos seed that fails partition 1, but not 3, in the first wave.
+        let fails = |cfg: &FaultConfig, pi| cfg.task_fault(0, pi, 0) == TaskFault::Fail;
+        let chaos = (0..)
+            .map(FaultConfig::chaos)
+            .find(|cfg| fails(cfg, 1) && !fails(cfg, 3))
+            .expect("some seed fails partition 1 alone");
+        let plain = Engine::new(ClusterSpec::tiny(), Personality::sparrow());
+        for engine in [plain.clone(), plain.with_faults(chaos)] {
+            let catalog = Catalog::new();
+            let mut session = Session::new(&engine, &catalog, true);
+            let err = session
+                .run_tasks(true, 4, 0, |pi, _| match pi {
+                    1 | 3 => Err(ValueError::Arithmetic(format!("p{pi}"))),
+                    _ => Ok(pi),
+                })
+                .expect_err("partitions 1 and 3 raise");
+            assert_eq!(format!("{err:?}"), r#"Eval(Arithmetic("p1"))"#);
         }
     }
 }

@@ -15,53 +15,41 @@
 //!
 //! - **A column's type is a value.** Every column is a [`Col`]: a type tag
 //!   ([`Ty`], one per register file of the scratch) plus a register. The
-//!   instruction set ([`VInstr`]) is keyed by operation — load, splat, one
-//!   unary and one binary compute instruction carrying an op enum, merge —
-//!   and [`step`] dispatches `(op, operand type)` once per batch to a
-//!   handful of generic lane helpers that own the take / selected-lane loop
-//!   / put-back; the per-lane code of a kernel is one closure. A new column
-//!   type is one `Ty`, its load and its materialization; a new kernel is one
-//!   builder rule and one closure.
+//!   instruction set ([`VInstr`]) is keyed by operation, and [`step`]
+//!   dispatches `(op, operand type)` once per batch to generic lane helpers
+//!   that own the selected-lane loop; a kernel's per-lane code is one
+//!   closure. A new column type is one `Ty`, its load and its
+//!   materialization; a new kernel is one builder rule and one closure.
 //! - **Specialization is all-or-nothing per program.** [`specialize_sampled`]
 //!   returns `None` the moment any node resists typing (vector ops, folds
 //!   other than a nested bag's `count`, bag construction, an unbound name,
 //!   a raising constant, a static type the reference semantics errors on
 //!   every row for); the interpreter runs that operator and reports it
 //!   (`ExecStats::vector_fallbacks`) — no silent slow paths.
-//! - **String columns are offset+bytes arenas.** A `Str`-typed slot loads
-//!   into one shared byte buffer plus per-lane `(start, len)` ranges
-//!   ([`StrCol`]); `str_len`, `str_contains`, string equality/comparison,
-//!   and string `hash_of` run as byte-slice kernels over those ranges.
-//!   When the driver-side sample shows low cardinality
-//!   ([`specialize_sampled`]) the load additionally dictionary-encodes the
-//!   column so hash/contains kernels compute once per *distinct* value. A
-//!   batch whose strings would outgrow the arena's `u32` offsets aborts to
-//!   the interpreter like any other non-conforming batch.
+//! - **String columns are offset+bytes arenas** ([`StrCol`]): one shared
+//!   byte buffer plus per-lane `(start, len)` ranges, over which `str_len`,
+//!   `str_contains`, string equality/comparison and `hash_of` run as
+//!   byte-slice kernels. A low-cardinality sample dictionary-encodes the
+//!   column, so hash/contains run once per distinct value; a batch whose
+//!   strings outgrow the `u32` offsets aborts like any non-conforming one.
 //! - **Branch-free `If` via selection vectors.** An `If` splits the
-//!   selection by its condition; each branch's kernels execute only over
-//!   the lanes selected for it, so an error (or a debug-mode
-//!   overflow panic) in a branch a lane does not take can never fire for
-//!   that lane — exactly the reference interpreter's taken-branch-only
-//!   evaluation, batched.
+//!   selection by its condition and each branch runs only over its lanes,
+//!   so an error (or debug overflow panic) in a branch a lane does not take
+//!   never fires for it: taken-branch-only evaluation, batched.
 //! - **Fused filters narrow the selection.** A pipeline's `Filter` stages
-//!   never materialize intermediates; they shrink the active selection that
-//!   all downstream kernels (and the final row materialization) iterate
-//!   over. Per-stage entry counts — the engine's cost-model inputs — are
-//!   the selection sizes at each stage boundary, bit-identical to the
-//!   scalar pass.
+//!   shrink the selection downstream kernels and the row materialization
+//!   iterate over; the per-stage entry counts — cost-model inputs — are the
+//!   selection sizes at each stage boundary, as in the scalar pass.
 //! - **Error semantics are preserved exactly, by replay.** Column-at-a-time
-//!   execution evaluates op `k` for every row before op `k+1` for any row,
-//!   which reorders *errors across rows*. So kernels never report which
-//!   lane failed: any failing lane (division/modulo by zero on a selected
-//!   lane) aborts the batch, [`VectorPipeline::run_batch`] returns `false`
-//!   without touching its outputs, and the caller re-runs that batch
-//!   row-at-a-time through the interpreter — reproducing the *first* error
-//!   in evaluation order bit-identically. A batch whose rows do not all
-//!   conform to the specialized input shape takes the same path.
+//!   execution reorders errors across rows, so kernels never report which
+//!   lane failed: a failing lane (division/modulo by zero on a selected
+//!   lane) or a row that does not conform to the specialized shape aborts
+//!   the batch, [`VectorPipeline::run_batch`] returns `false` with its
+//!   outputs untouched, and the caller replays the batch row-at-a-time
+//!   through the interpreter, raising the first error in evaluation order.
 //!
-//! The reference interpreter stays the executable specification; the
-//! differential suite in `tests/` proves the kernels agree with it on
-//! arbitrary expression trees — values *and* errors.
+//! The interpreter stays the executable specification: the differential
+//! suite in `tests/` holds the kernels to it on values and errors.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -1661,6 +1649,15 @@ pub fn specialize_agg(input: &AggInput<'_>, uni: &Lambda, samples: &[Value]) -> 
 
 const NO_GROUP: u32 = u32::MAX;
 
+impl AggState {
+    /// The group of each row the last absorbed batch folded, in row order.
+    pub fn batch_groups(&self) -> impl Iterator<Item = usize> + '_ {
+        self.gids
+            .iter()
+            .filter_map(|&g| (g != NO_GROUP).then_some(g as usize))
+    }
+}
+
 /// Largest per-batch dictionary-code table the code fast path will build
 /// (the product of the key columns' dictionary sizes).
 const DICT_GROUPS_MAX: usize = 4096;
@@ -1854,6 +1851,17 @@ impl AggKernel {
             self.fold(st, None);
         }
         ran
+    }
+
+    /// Whether a run of partitions folded into one state merges to the bits
+    /// their own partials do: every slot is an integer `+` from `0` or `*`
+    /// from `1` (or from no zero), or an idempotent min / max / `&&` / `||`.
+    pub fn pre_combines(&self) -> bool {
+        use {SlotOp::*, Ty::*};
+        self.slots.iter().all(|s| match (s.op, s.val.ty, &s.zero) {
+            (Add, I, None | Some(Value::Int(0))) | (Mul, I, None | Some(Value::Int(1))) => true,
+            (op, ..) => !matches!(op, Add | Mul),
+        })
     }
 
     /// Adds each chain stage's entry row count in the batch `st` last
@@ -2810,6 +2818,49 @@ mod tests {
             &fold.uni,
             samples,
         )
+    }
+
+    #[test]
+    fn only_exact_slots_pre_combine() {
+        // Integer `+` from 0 and `*` from 1 and the idempotent min / max /
+        // `||` / `&&` regroup to the same bits; a float sum, an integer
+        // fold from any other zero, and a banana split holding one, do not.
+        let key = Lambda::new(["x"], x0());
+        let rows = int_pair_rows(20);
+        let on_x1 = |f: FoldOp| FoldOp {
+            sng: Lambda::new(["x"], f.sng.apply(&[x1()])),
+            ..f
+        };
+        let int_fold = |zero: i64, op: BinOp| {
+            let (a, b) = (ScalarExpr::var("a"), ScalarExpr::var("b"));
+            FoldOp::custom(
+                ScalarExpr::lit(Value::Int(zero)),
+                Lambda::new(["x"], x1()),
+                Lambda::new(["a", "b"], se_bin(op, a, b)),
+            )
+        };
+        let exact = [
+            FoldOp::count(),
+            int_fold(0, BinOp::Add),
+            int_fold(1, BinOp::Mul),
+            on_x1(FoldOp::min()),
+            on_x1(FoldOp::max()),
+            FoldOp::exists(is_even()),
+            FoldOp::forall(is_even()),
+        ];
+        let inexact = [
+            on_x1(FoldOp::sum()),
+            int_fold(5, BinOp::Add),
+            int_fold(0, BinOp::Mul),
+            four_folds(),
+        ];
+        let folds = (exact.iter().map(|f| (f, true))).chain(inexact.iter().map(|f| (f, false)));
+        for (fold, want) in folds {
+            let kernel = combiner_kernel(&key, fold, &rows).expect("specializable fold");
+            assert_eq!(kernel.pre_combines(), want, "{fold:?}");
+        }
+        let split = combiner_kernel(&key, &FoldOp::banana_split(&exact), &rows);
+        assert!(split.expect("specializable fold").pre_combines());
     }
 
     #[test]

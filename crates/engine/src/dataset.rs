@@ -152,11 +152,7 @@ impl Part {
 
     /// A partition whose rows a wave measured as it produced them.
     pub(crate) fn measured(rows: Vec<Value>, widths: Widths) -> Part {
-        Measured {
-            payload: Payload::Rows(rows),
-            widths,
-        }
-        .finish()
+        Measured::new(Payload::Rows(rows), widths).finish()
     }
 
     /// The rows: moved out if this is the last holder, copied otherwise.
@@ -171,10 +167,7 @@ impl From<Part> for Measured {
     fn from(part: Part) -> Self {
         let Block { rows, widths } = Arc::unwrap_or_clone(part.0);
         let widths = widths.into_inner().unwrap_or_else(|| Widths::of(&rows));
-        Measured {
-            payload: Payload::Rows(rows),
-            widths,
-        }
+        Measured::new(Payload::Rows(rows), widths)
     }
 }
 
@@ -194,19 +187,32 @@ impl Default for Payload {
 /// Rows, each with the bytes it ships as: a partition taken apart to be
 /// scattered, a shuffle destination, or an `aggBy` combiner's accumulators
 /// ([`Measured::partials`], [`Measured::partial_columns`]), each of which
-/// ships as its `(key, acc)` pair.
+/// ships as its `(key, acc)` pair — or, for a partial folded over a run of
+/// simulated partitions, as the pairs of the simulated partials it stands
+/// for ([`Measured::standing_for`]).
 #[derive(Default)]
 pub(crate) struct Measured {
     payload: Payload,
     widths: Widths,
+    /// How many simulated rows each row stands for; empty while every row
+    /// stands for one.
+    stands: Vec<u32>,
 }
 
 impl Measured {
-    pub(crate) fn with_capacity(n: usize) -> Self {
+    /// Rows that each stand for themselves.
+    fn new(payload: Payload, widths: Widths) -> Self {
+        let stands = Vec::new();
         Measured {
-            payload: Payload::Rows(Vec::with_capacity(n)),
-            widths: Widths::with_capacity(n),
+            payload,
+            widths,
+            stands,
         }
+    }
+
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        let rows = Payload::Rows(Vec::with_capacity(n));
+        Measured::new(rows, Widths::with_capacity(n))
     }
 
     /// An `aggBy` combiner's partials, one per group in the order given: the
@@ -226,7 +232,7 @@ impl Measured {
             keys.push((h, key));
         }
         let payload = Payload::Rows(rows);
-        (Measured { payload, widths }, keys)
+        (Measured::new(payload, widths), keys)
     }
 
     /// [`Measured::partials`] with the accumulators as typed columns, one
@@ -244,12 +250,41 @@ impl Measured {
         });
         let keys = keys.collect();
         let payload = Payload::Accs(accs);
-        (Measured { payload, widths }, keys)
+        (Measured::new(payload, widths), keys)
+    }
+
+    /// These partials, partial `i` standing for `stands[i]` simulated ones —
+    /// a run's partial for each of the run's partitions whose rows reached
+    /// its key — and so shipping as that many of its pairs.
+    pub(crate) fn standing_for(self, stands: Vec<u32>) -> Measured {
+        debug_assert_eq!(stands.len(), self.len());
+        let mut widths = Widths::with_capacity(stands.len());
+        for (&w, &m) in self.widths.per_row.iter().zip(&stands) {
+            widths.carry(u64::from(m) * w);
+        }
+        Measured {
+            widths,
+            stands,
+            ..self
+        }
     }
 
     /// How many rows (or partials) there are.
     pub(crate) fn len(&self) -> usize {
         self.widths.len()
+    }
+
+    /// How many simulated rows each row stands for, in order.
+    pub(crate) fn stand_ins(&self) -> impl Iterator<Item = u64> + '_ {
+        (0..self.len()).map(|i| self.stands.get(i).map_or(1, |&m| u64::from(m)))
+    }
+
+    /// How many simulated rows the rows stand for together.
+    pub(crate) fn simulated_len(&self) -> u64 {
+        match self.stands.is_empty() {
+            true => self.len() as u64,
+            false => self.stand_ins().sum(),
+        }
     }
 
     /// Whether the accumulators are typed columns — vacuously when there
@@ -278,8 +313,16 @@ impl Measured {
             }),
             Payload::Accs(accs) => accs.scatter(dest, into, Measured::columns),
         }
-        for (&w, &d) in self.widths.per_row.iter().zip(dest) {
-            into[d as usize].widths.carry(w);
+        for (i, (&w, &d)) in self.widths.per_row.iter().zip(dest).enumerate() {
+            let to = &mut into[d as usize];
+            to.widths.carry(w);
+            // A destination keeps stand-ins from the first row that stands
+            // for more than one on; the rows before it stood for one each.
+            let m = self.stands.get(i).copied().unwrap_or(1);
+            if m != 1 || !to.stands.is_empty() {
+                to.stands.resize(to.len() - 1, 1);
+                to.stands.push(m);
+            }
         }
     }
 
@@ -318,7 +361,7 @@ impl Measured {
         }
     }
 
-    /// The rows or accumulator columns, their widths dropped.
+    /// The rows or accumulator columns, their widths and stand-ins dropped.
     pub(crate) fn into_payload(self) -> Payload {
         self.payload
     }
@@ -329,6 +372,10 @@ impl Measured {
             unreachable!("accumulator columns land in an aggBy merge, never in a partition")
         };
         debug_assert_eq!(self.widths.len(), rows.len());
+        debug_assert!(
+            self.stands.is_empty(),
+            "a partition's rows stand for themselves"
+        );
         debug_assert_eq!(
             self.widths.total,
             rows.iter().map(Value::approx_bytes).sum::<u64>()

@@ -469,32 +469,35 @@ impl Session<'_> {
     /// which sub-partitions belong to which bucket), and the shuffle is
     /// charged on the layout that lands: a split one is smaller at the
     /// hottest receiver but pays more per-file seeks.
+    ///
+    /// A row that stands for several simulated ones (an `aggBy` partial
+    /// folded over a run of partitions, [`Measured::standing_for`]) counts
+    /// as all of them — in the bucket sizes the split plans from, the rows
+    /// a split moves and, through its widths, the bytes charged — so the
+    /// shuffle accounts for the partials each simulated partition ships.
+    /// This is the only place a shuffle is charged.
     pub(super) fn land<S: Into<Measured>>(
         &mut self,
         sources: Vec<(S, Vec<(u64, Value)>)>,
         split: Option<SplitKind>,
     ) -> Landed {
         let parts_n = self.dop() as u64;
-        let mut sizes = vec![0u64; parts_n as usize];
+        let mut lens = vec![0usize; parts_n as usize];
         let routes: Vec<Vec<u32>> = sources
             .iter()
             .map(|(_, keys)| {
                 let route = keys.iter().map(|&(h, _)| (h % parts_n) as u32);
-                route.inspect(|&d| sizes[d as usize] += 1).collect()
+                route.inspect(|&d| lens[d as usize] += 1).collect()
             })
             .collect();
-        let mut dests: Vec<Measured> = sizes
-            .iter()
-            .map(|&n| Measured::with_capacity(n as usize))
-            .collect();
-        let mut keys: Vec<Vec<(u64, Value)>> = sizes
-            .iter()
-            .map(|&n| Vec::with_capacity(n as usize))
-            .collect();
+        let mut dests: Vec<Measured> = lens.iter().map(|&n| Measured::with_capacity(n)).collect();
+        let mut keys: Vec<Vec<(u64, Value)>> =
+            lens.iter().map(|&n| Vec::with_capacity(n)).collect();
         for ((rows, side), route) in sources.into_iter().zip(&routes) {
             rows.into().scatter(route, &mut dests);
             scatter(side, route, &mut keys, |k| k);
         }
+        let sizes: Vec<u64> = dests.iter().map(Measured::simulated_len).collect();
         let plan = self.plan_bucket_splits(split, &sizes);
         if let (Some(plan), Some(kind)) = (&plan, split) {
             self.stats.split_rows_moved += apply_split(plan, kind, &mut dests, &mut keys);
@@ -529,7 +532,7 @@ fn placed_by(d: &Partitioned, key: &Lambda, parts_n: usize) -> bool {
 /// sub-partitioned layout in its place (rows, widths and keys stay
 /// row-aligned, so sub-partitions carry their bytes like the buckets they
 /// came from), and returns the number of rows placed outside their bucket's
-/// first sub-partition.
+/// first sub-partition, each counted as the simulated rows it stands for.
 ///
 /// [`SplitKind::Balanced`] cuts a hot bucket into contiguous, near-equal row
 /// chunks — concatenating the sub-partitions in slot order reproduces the
@@ -571,7 +574,11 @@ fn apply_split(
                 .map(|&(h, _)| (skew::sub_hash(h) % w as u64) as u32)
                 .collect(),
         };
-        moved += route.iter().filter(|&&sub| sub != 0).count() as u64;
+        let stand_ins = rows.stand_ins().zip(&route);
+        moved += stand_ins
+            .filter(|&(_, &sub)| sub != 0)
+            .map(|(m, _)| m)
+            .sum::<u64>();
         let first = dests.len();
         dests.resize_with(first + w, Measured::default);
         keys.resize_with(first + w, Vec::new);

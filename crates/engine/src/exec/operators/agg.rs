@@ -3,7 +3,12 @@
 //!
 //! One loop folds a partition, [`Combiner::fold_part`]: an `aggBy`'s
 //! combiner over its input's rows or inside its input chain's wave, and a
-//! driver-side `fold` as a combiner with one constant key.
+//! driver-side `fold` as a combiner with one constant key. A task folds a
+//! run of partitions ([`Combiner::fold_run`]): through that loop one by
+//! one, or — when every slot of the fold pre-combines — into one kernel
+//! state that ships one partial per key for the whole run, each partial
+//! standing for the simulated partials of the partitions that reached its
+//! key.
 
 use std::borrow::Cow;
 use std::mem::take;
@@ -18,6 +23,7 @@ use crate::exec::operators::narrow::{kernel_shaped, NarrowSite, StageCounts};
 use crate::exec::prepare::{
     prepare_lambda, sample_rows, Feed, PreparedScalar, SPECIALIZE_SAMPLE_ROWS,
 };
+use crate::exec::schedule::Outcome;
 use crate::exec::*;
 
 /// The layout claim of grouped rows: hash-partitioned by their key, `.0`.
@@ -29,10 +35,12 @@ fn by_group_key(parts: usize) -> Partitioning {
 }
 
 impl Session<'_> {
-    /// Runs a `Plan::Fold` as a combiner with one constant key: each
-    /// partition folds into at most one group ([`Combiner::fold_part`]) and
+    /// Runs a `Plan::Fold` as a combiner with one constant key: each run of
+    /// partitions folds into at most one group ([`Combiner::fold_run`]) and
     /// ships its accumulator, or `zero` when it has none, to the driver,
-    /// which combines the partials with `uni`.
+    /// which combines the partials with `uni`. The partials are charged as
+    /// the simulated partitions ship them: an accumulator for each that
+    /// reached the group, `zero` for each that did not.
     pub(crate) fn exec_fold(
         &mut self,
         input: &Plan,
@@ -48,19 +56,44 @@ impl Session<'_> {
             |st| &mut st.vector_fallbacks,
             |rows| comb.specialize(&[], rows),
         );
-        let catalog = self.catalog;
-        let partials = self.run_tasks(true, d.parts.len(), d.total_rows(), |pi, tally| {
-            let (_, folded) =
-                comb.fold_part(&d.parts[pi], None, kernel.as_ref(), catalog, tally)?;
-            Ok(folded?.only_acc().unwrap_or_else(|| comb.zero.clone()))
+        let (catalog, kernel) = (self.catalog, kernel.as_ref());
+        let mut shares = self.run_ranges(true, d.parts.len(), d.total_rows(), |run, out| {
+            let ship = |(_, groups): PartFold<'_>| Ok(groups?.fold_share());
+            comb.fold_run(&d.parts, run, None, kernel, catalog, out, ship);
         })?;
+        refold_if_mixed(
+            &mut shares,
+            |s| s.scalar,
+            |s| s.run,
+            |pi| {
+                comb.refold(&d.parts[pi], None, kernel, catalog)
+                    .1
+                    .fold_share()
+            },
+        );
         // The partials are one more partition: the one shipped to the
-        // driver.
-        let partials = Part::from(partials);
-        let partial_bytes = partials.bytes();
+        // driver, one accumulator per run. A run is charged for its
+        // simulated partitions: its accumulator's width for each that
+        // reached the group, `zero`'s for each that did not. Only a kernel
+        // pre-combines, and every accumulator a kernel folds is its
+        // `acc_width` wide, so the run's accumulator is as wide as each of
+        // its partitions' would be.
+        let (mut stands, mut ships) = (Vec::new(), Vec::new());
+        for share in shares.into_iter().filter(|s| s.run > 0) {
+            let (acc, reached) = share.acc.unwrap_or_else(|| (comb.zero.clone(), 0));
+            stands.push((u64::from(reached), share.run as u64));
+            ships.push(acc);
+        }
+        let ships = Part::from(ships);
+        let zero_bytes = Part::from(vec![comb.zero.clone()]).bytes();
+        ships.bytes();
+        let widths = ships.carried_widths().expect("measured just now");
+        let partial_bytes = (widths.iter().zip(&stands))
+            .map(|(&w, &(reached, run))| reached * w + (run - reached) * zero_bytes)
+            .sum();
         let mut acc = comb.zero.clone();
         let mut ucx = comb.uni.ctx(&comb.base);
-        for p in partials.into_rows() {
+        for p in ships.into_rows() {
             acc = comb
                 .uni
                 .call(&[acc, p], &mut ucx, self.catalog)
@@ -163,7 +196,7 @@ impl Session<'_> {
     /// nothing (so they can be built ahead of the chain's wave without
     /// moving a charge), and the chain and the fold specialize together.
     /// Every other site runs its input first and the combiner as a wave of
-    /// its own. Either way [`Combiner::fold_part`] folds each partition.
+    /// its own. Either way [`Combiner::fold_run`] folds each task's run.
     pub(crate) fn exec_agg_by(
         &mut self,
         input: &Plan,
@@ -211,17 +244,23 @@ impl Session<'_> {
             |rows| comb.specialize(&[], rows),
         );
 
-        // Combiner phase: per-partition partial aggregation, fanned out on
-        // the pool ([`Combiner::fold_part`]). The key hash is computed once
-        // per group (kernel) or row (scalar loop) and carried with each
+        // Combiner phase: partial aggregation per run of partitions, fanned
+        // out on the pool ([`Combiner::fold_run`]). The key hash is computed
+        // once per group (kernel) or row (scalar loop) and carried with each
         // partial so neither the partial shuffle nor the merge phase
         // re-hashes.
-        let catalog = self.catalog;
-        let partial_lists = self.run_tasks(true, d.parts.len(), d.total_rows(), |pi, tally| {
-            let (_, folded) =
-                comb.fold_part(&d.parts[pi], None, agg_vec.as_ref(), catalog, tally)?;
-            Ok(folded?.shipped())
-        })?;
+        let (catalog, kernel) = (self.catalog, agg_vec.as_ref());
+        let mut partial_lists =
+            self.run_ranges(true, d.parts.len(), d.total_rows(), |run, out| {
+                let ship = |(_, groups): PartFold<'_>| Ok(groups?.shipped());
+                comb.fold_run(&d.parts, run, None, kernel, catalog, out, ship);
+            })?;
+        refold_if_mixed(
+            &mut partial_lists,
+            Shipped::scalar,
+            |s| s.run,
+            |pi| comb.refold(&d.parts[pi], None, kernel, catalog).1.shipped(),
+        );
         self.charge_combiner(key, fold, d.total_rows(), d.max_part_rows(), || {
             d.max_part_bytes()
         });
@@ -270,8 +309,8 @@ impl Session<'_> {
     }
 
     /// Runs an `aggBy` whose combiner kernel takes its input chain as a
-    /// prefix ([`Session::fused_kernel`]): each task runs its partition's
-    /// chain and combiner in one pass ([`Combiner::fold_part`] over the
+    /// prefix ([`Session::fused_kernel`]): each task runs its partitions'
+    /// chain and combiner in one pass ([`Combiner::fold_run`] over the
     /// chain), and the chain's rows are never materialized.
     ///
     /// The two waves' counting stays. A task tallies the chain's batches
@@ -292,14 +331,18 @@ impl Session<'_> {
         fold: &FoldOp,
         split: Option<SplitKind>,
     ) -> Result<PlanResult, ExecError> {
-        let (d, catalog) = (&site.input, self.catalog);
+        let (d, catalog, kernel) = (&site.input, self.catalog, Some(&agg_vec));
         let n = d.parts.len();
-        let ran = self.run_tasks(false, n, d.total_rows(), |pi, tally| {
-            let part = &d.parts[pi];
-            let (entered, folded) =
-                comb.fold_part(part, Some(&site), Some(&agg_vec), catalog, tally)?;
-            Ok((entered, folded.map(Folded::shipped)))
+        let mut ran = self.run_ranges(false, n, d.total_rows(), |run, out| {
+            let ship = |(entered, groups): PartFold<'_>| Ok((entered, groups.map(Folded::shipped)));
+            comb.fold_run(&d.parts, run, Some(&site), kernel, catalog, out, ship);
         })?;
+        let scalar = |(_, s): &(_, Result<Shipped, _>)| s.as_ref().is_ok_and(Shipped::scalar);
+        let run = |(_, s): &(_, Result<Shipped, _>)| s.as_ref().map_or(1, |s| s.run);
+        refold_if_mixed(&mut ran, scalar, run, |pi| {
+            let (entered, groups) = comb.refold(&d.parts[pi], Some(&site), kernel, catalog);
+            (entered, Ok(groups.shipped()))
+        });
         let mut counts = StageCounts::new(site.n_stages());
         let held: Vec<Mutex<Option<_>>> = ran
             .into_iter()
@@ -346,13 +389,13 @@ impl Session<'_> {
     ) -> Result<PlanResult, ExecError> {
         let (catalog, uni_prep, base) = (self.catalog, &comb.uni, &comb.base);
 
-        // Shuffle only the partials (one per key per partition) through the
+        // Shuffle only the partials (one per key per run) through the
         // shuffle's routing: the accumulators move beside the `(hash, key)`
-        // pairs the combiner carried, each charged as the `(key, acc)` pair
-        // it stands for. They move as typed columns when every task's
-        // kernel covered its partition, and all as rows otherwise — one
-        // decision, made here. Because the combiner already
-        // collapsed each partition to one partial per key, partial buckets
+        // pairs the combiner carried, each charged as the `(key, acc)`
+        // pairs of the simulated partials it stands for. They move as typed
+        // columns when every task's kernel covered its partitions, and all
+        // as rows otherwise — one decision, made here. Because the combiner
+        // already collapsed each run to one partial per key, partial buckets
         // are rarely skewed — but heavy key *cardinality* skew still
         // concentrates partials, and the key-preserving split keeps every
         // copy of a key in one sub-partition, so the merge phase stays a
@@ -361,15 +404,12 @@ impl Session<'_> {
             Some((kernel, _)) => m.into_rows_with(|cols, i| kernel.acc_value(cols, i)),
             None => m,
         };
-        let columns = partial_lists.iter().all(|(m, _)| m.is_columns());
-        let partial_lists = match columns {
-            true => partial_lists,
-            false => partial_lists
-                .into_iter()
-                .map(|(m, keys)| (as_rows(m), keys))
-                .collect(),
-        };
-        let landed = self.land(partial_lists, split);
+        let columns = partial_lists.iter().all(|s| s.accs.is_columns());
+        let partial_lists = partial_lists.into_iter().map(|s| match columns {
+            true => (s.accs, s.keys),
+            false => (as_rows(s.accs), s.keys),
+        });
+        let landed = self.land(partial_lists.collect(), split);
 
         // Merge phase: the same reduction over the partials, grouped by the
         // carried keys under `Value` equality and combining the
@@ -380,7 +420,11 @@ impl Session<'_> {
         // decision samples the first partials as values, and a refusal
         // turns the columns into rows. Each partition is drained by the one
         // task body that runs for it (an injected failure skips the body),
-        // so keys and accumulators are moved, never cloned or rebuilt.
+        // so keys and accumulators are moved, never cloned or rebuilt. A
+        // partial counts as the simulated partials it stands for, in the
+        // merge's records and in the batches its kernel is tallied: a
+        // partial stands for more than one only when every partial is
+        // kernel-typed, so the kernel then folds a partition whole.
         let merge_vec = match &agg_vec {
             Some((kernel, _)) => {
                 let first = landed.dests.iter().find(|m| m.len() > 0);
@@ -394,7 +438,7 @@ impl Session<'_> {
             }
             None => None,
         };
-        let lens = landed.dests.iter().map(|d| d.len() as u64);
+        let lens = landed.dests.iter().map(Measured::simulated_len);
         let (merge_rows, merge_max_rows) = (lens.clone().sum(), lens.max().unwrap_or(0));
         let merge_parts = landed.dests.len();
         let cells: Vec<Mutex<Option<_>>> = landed
@@ -407,17 +451,19 @@ impl Session<'_> {
                 } else {
                     as_rows(accs)
                 };
-                Mutex::new(Some((accs.into_payload(), keys)))
+                let simulated = accs.simulated_len();
+                Mutex::new(Some((accs.into_payload(), keys, simulated)))
             })
             .collect();
         let merged_lists = self.run_tasks(true, merge_parts, merge_rows, |pi, tally| {
-            let (accs, keys) = cells[pi]
+            let (accs, keys, simulated) = cells[pi]
                 .lock()
                 .expect("partial partition lock poisoned")
                 .take()
                 .expect("partial partition drained once");
             let n = keys.len();
-            let prefix = agg_kernel_prefix(merge_vec.as_ref(), n, tally, |k, rows, st| {
+            let mut ran = Tally::default();
+            let prefix = agg_kernel_prefix(merge_vec.as_ref(), n, &mut ran, |k, rows, st| {
                 let batch = match &accs {
                     Payload::Accs(cols) => Partials::Columns(cols, rows.start),
                     Payload::Rows(accs) => Partials::Values(&accs[rows.clone()]),
@@ -428,6 +474,13 @@ impl Session<'_> {
                 Some((kernel, st, covered)) => (kernel.finish(st), covered),
                 None => (Vec::new(), 0),
             };
+            match &merge_vec {
+                Some((_, batch_rows)) if covered == n => tally.batches(simulated, *batch_rows),
+                _ => {
+                    debug_assert_eq!(simulated, n as u64, "only kernel-typed partials stand in");
+                    tally.add(ran);
+                }
+            }
             let merged: Vec<Value> = if covered == n {
                 groups
                     .into_iter()
@@ -476,9 +529,37 @@ struct Combiner<'p> {
 /// The scalar fold's interpreter environments: `key`'s, `sng`'s and `uni`'s.
 type FoldCtx<'b> = (Env<'b>, Env<'b>, Env<'b>);
 
-/// A combiner's partials: the accumulators, with the `(hash, key)` pairs
-/// that route them.
-type Shipped = (Measured, Vec<(u64, Value)>);
+/// One partition's fold ([`Combiner::fold_part`], [`Combiner::fold_run`]):
+/// the rows that entered each of the chain's stage boundaries, and its
+/// groups or its first fold error.
+type PartFold<'k> = (Vec<u64>, Result<Folded<'k>, ValueError>);
+
+/// A combiner's partials from one partition: the accumulators, with the
+/// `(hash, key)` pairs that route them.
+struct Shipped {
+    accs: Measured,
+    keys: Vec<(u64, Value)>,
+    /// The partitions the partials were folded over, from this one on: one,
+    /// more for a run that pre-combined, none at the run's later partitions.
+    run: usize,
+}
+
+impl Shipped {
+    /// Whether the interpreter folded some of these partials.
+    fn scalar(&self) -> bool {
+        !self.accs.is_columns()
+    }
+}
+
+/// A driver-side fold's partial from one partition ([`Folded::fold_share`]):
+/// the accumulator of the one group its constant key makes, if any row
+/// reached it, with how many of the run's partitions did; `run` as
+/// [`Shipped::run`]; and whether the interpreter folded the accumulator.
+struct FoldShare {
+    acc: Option<(Value, u32)>,
+    run: usize,
+    scalar: bool,
+}
 
 impl<'p> Combiner<'p> {
     /// The combiner kernel over rows that `stages` (a chain of kernel
@@ -528,112 +609,315 @@ impl<'p> Combiner<'p> {
         )
     }
 
+    /// Folds the partitions `run` of `parts` — one task's range
+    /// ([`Session::run_ranges`]) — and pushes what `ship` makes of each
+    /// partition's fold onto `out`, in order, up to the first chain error.
+    ///
+    /// When the run holds several partitions and every slot of the kernel
+    /// pre-combines ([`AggKernel::pre_combines`]), the run folds into one
+    /// kernel state: each partition's batches are counted as its own fold
+    /// counts them ([`Counts`]), each group is stamped with the partitions
+    /// whose rows reached it ([`Stamps`]), and the run's one partial per key
+    /// goes to its first partition, [`Folded::InRun`] to the others.
+    /// Contiguous runs concatenate in partition order, so keys keep their
+    /// first-seen order and exact slots their bits. A batch that aborts
+    /// makes the run fold partition by partition, as every other run does
+    /// ([`Combiner::fold_part`]), each partition shipped before the next is
+    /// folded.
+    #[allow(clippy::too_many_arguments)]
+    fn fold_run<'k, T>(
+        &self,
+        parts: &[Part],
+        run: Range<usize>,
+        chain: Option<&NarrowSite<'_>>,
+        kernel: Option<&'k (AggKernel, usize)>,
+        catalog: &Catalog,
+        out: &mut Vec<Outcome<T>>,
+        ship: impl Fn(PartFold<'k>) -> Result<T, ValueError>,
+    ) {
+        let combined = kernel.filter(|(k, _)| run.len() > 1 && k.pre_combines());
+        if let Some(folds) =
+            combined.and_then(|k| self.fold_combined(&parts[run.clone()], chain, k))
+        {
+            out.extend(
+                folds
+                    .into_iter()
+                    .map(|(fold, tally)| Ok((ship(fold)?, tally))),
+            );
+            return;
+        }
+        for pi in run {
+            let fold = self.fold_part(&parts[pi], chain, kernel, catalog);
+            let ended = fold.is_err();
+            out.push(fold.and_then(|(fold, tally)| Ok((ship(fold)?, tally))));
+            if ended {
+                break;
+            }
+        }
+    }
+
+    /// [`Combiner::fold_run`]'s pre-combined run: `None` as soon as a batch
+    /// aborts.
+    fn fold_combined<'k>(
+        &self,
+        parts: &[Part],
+        chain: Option<&NarrowSite<'_>>,
+        (kernel, batch_rows): &'k (AggKernel, usize),
+    ) -> Option<Vec<(PartFold<'k>, Tally)>> {
+        let (mut st, mut stamps) = (kernel.new_state(), Stamps::default());
+        let mut counted = Vec::with_capacity(parts.len());
+        for (i, part) in parts.iter().enumerate() {
+            let mut counts = Counts::new(chain);
+            for chunk in part.chunks(*batch_rows) {
+                if !counts.absorb(kernel, &mut st, chunk, *batch_rows) {
+                    return None;
+                }
+                stamps.hit(st.batch_groups(), i as u32);
+            }
+            counted.push(counts.finish(true));
+        }
+        let mut groups = Some(Folded::Kernel(kernel, st, parts.len(), stamps));
+        let folds = counted.into_iter().map(|(entered, tally)| {
+            let groups = groups.take().unwrap_or(Folded::InRun);
+            ((entered, Ok(groups)), tally)
+        });
+        Some(folds.collect())
+    }
+
     /// Folds one partition — the rows `chain` leaves of it, or its rows
     /// themselves without a chain — in batches of input rows. A batch the
     /// kernel takes runs the chain, `key` and `sng` — over the pairs an
-    /// unnest head yields ([`Feed`]) — and folds the rows the chain leaves;
-    /// it tallies one batch of the chain's, and one of the combiner's each
-    /// time the rows it folded fill a batch, as a combiner's own wave
-    /// batches the chain's output. From the first batch that aborts (a
+    /// unnest head yields ([`Feed`]) — and folds the rows the chain leaves
+    /// ([`Counts::absorb`]). From the first batch that aborts (a
     /// non-conforming row, or an error on a lane) on — and throughout,
     /// without a kernel — the partition runs through the scalar chain and
     /// the scalar fold, seeded with the kernel's groups. A chain error ends
     /// the task. The first fold error is held while the chain runs to the
-    /// partition's end, and then takes the place of the groups. Returns the
-    /// rows that entered each of the chain's stage boundaries, and the
-    /// groups.
+    /// partition's end, and then takes the place of the groups.
     fn fold_part<'k>(
         &self,
         part: &[Value],
         chain: Option<&NarrowSite<'_>>,
         kernel: Option<&'k (AggKernel, usize)>,
         catalog: &Catalog,
-        tally: &mut Tally,
-    ) -> Result<(Vec<u64>, Result<Folded<'k>, ValueError>), ValueError> {
-        let nstages = chain.map_or(0, |site| site.n_stages());
+    ) -> Outcome<PartFold<'k>> {
         let batch_rows = kernel.map_or(usize::MAX, |&(_, batch_rows)| batch_rows);
-        let mut entered = vec![0u64; nstages + 1];
+        let mut counts = Counts::new(chain);
         let mut st = kernel.map(|(kernel, _)| (kernel, kernel.new_state()));
         let (mut accs, mut held, mut cx) = (InsertionMap::new(), None, None);
-        let mut feed = Feed::new(chain.and_then(|site| site.unnest()));
-        // Rows the kernel folded that no combiner batch has tallied yet.
-        let mut folded = 0;
         for chunk in part.chunks(batch_rows) {
             if let Some((kernel, state)) = st.as_mut() {
-                let out = entered[nstages];
-                let ran = feed.run(chunk, &mut entered, |rows, counts| {
-                    let ran = kernel.absorb(rows, state);
-                    if ran {
-                        kernel.count(state, counts);
-                    }
-                    ran
-                });
-                if ran {
-                    if chain.is_some() {
-                        tally.batch(chunk.len());
-                    }
-                    folded += (entered[nstages] - out) as usize;
-                    while folded >= batch_rows {
-                        tally.batch(batch_rows);
-                        folded -= batch_rows;
-                    }
+                if counts.absorb(kernel, state, chunk, batch_rows) {
                     continue;
                 }
                 let (kernel, st) = st.take().expect("the kernel folds until it aborts");
                 accs = seeded(kernel.finish(st));
             }
             let rows = match chain {
-                Some(site) => Cow::Owned(site.interp_pass(chunk, catalog, &mut entered)?),
+                Some(site) => Cow::Owned(site.interp_pass(chunk, catalog, &mut counts.entered)?),
                 None => Cow::Borrowed(chunk),
             };
             if held.is_none() {
                 held = self.fold_rows(&mut accs, &rows, &mut cx, catalog).err();
             }
         }
+        let (entered, tally) = counts.finish(st.is_some());
         let groups = match (held, st) {
             (Some(e), _) => Err(e),
-            (None, Some((kernel, st))) => {
-                if folded > 0 {
-                    tally.batch(folded);
-                }
-                Ok(Folded::Kernel(kernel, st))
-            }
+            (None, Some((kernel, st))) => Ok(Folded::Kernel(kernel, st, 1, Stamps::default())),
             (None, None) => Ok(Folded::Rows(accs)),
         };
-        Ok((entered, groups))
+        Ok(((entered, groups), tally))
+    }
+
+    /// A partition folded again, on the driver, for [`refold_if_mixed`]: a
+    /// partition of a run that pre-combined, which the wave already folded
+    /// and counted without error. Its stage counts, and its groups.
+    fn refold<'k>(
+        &self,
+        part: &[Value],
+        chain: Option<&NarrowSite<'_>>,
+        kernel: Option<&'k (AggKernel, usize)>,
+        catalog: &Catalog,
+    ) -> (Vec<u64>, Folded<'k>) {
+        let refolded = self
+            .fold_part(part, chain, kernel, catalog)
+            .map(|(fold, _)| fold);
+        let (entered, groups) = refolded.expect("a pre-combined run refolds without error");
+        (
+            entered,
+            groups.expect("a pre-combined run folds without error"),
+        )
     }
 }
 
-/// One partition's groups ([`Combiner::fold_part`]): the kernel's state
-/// when the kernel folded every row, the scalar loop's groups otherwise.
-/// A task moves it once, into what it ships, so the state is not boxed.
+/// A partition's counts while the kernel folds its batches: the rows that
+/// entered each of the chain's stage boundaries, the batches tallied, and
+/// the rows folded that no combiner batch has tallied yet.
+struct Counts<'s> {
+    feed: Feed<'s>,
+    chained: bool,
+    entered: Vec<u64>,
+    folded: usize,
+    tally: Tally,
+}
+
+impl<'s> Counts<'s> {
+    fn new(chain: Option<&'s NarrowSite<'_>>) -> Self {
+        Counts {
+            feed: Feed::new(chain.and_then(|site| site.unnest())),
+            chained: chain.is_some(),
+            entered: vec![0; chain.map_or(0, |site| site.n_stages()) + 1],
+            folded: 0,
+            tally: Tally::default(),
+        }
+    }
+
+    /// Runs the chain, `key` and `sng` over the batch `chunk` and folds the
+    /// rows the chain leaves into `st`. A batch the kernel takes tallies one
+    /// batch of the chain's, and one of the combiner's each time the rows it
+    /// folded fill a batch, as a combiner's own wave batches the chain's
+    /// output. `false`, with nothing counted, when the batch aborts.
+    fn absorb(
+        &mut self,
+        kernel: &AggKernel,
+        st: &mut AggState,
+        chunk: &[Value],
+        batch_rows: usize,
+    ) -> bool {
+        let last = self.entered.len() - 1;
+        let out = self.entered[last];
+        let ran = self.feed.run(chunk, &mut self.entered, |rows, counts| {
+            let ran = kernel.absorb(rows, st);
+            if ran {
+                kernel.count(st, counts);
+            }
+            ran
+        });
+        if ran {
+            if self.chained {
+                self.tally.batch(chunk.len());
+            }
+            self.folded += (self.entered[last] - out) as usize;
+            while self.folded >= batch_rows {
+                self.tally.batch(batch_rows);
+                self.folded -= batch_rows;
+            }
+        }
+        ran
+    }
+
+    /// The stage counts and the tally — with the rows folded since the last
+    /// full batch tallied as one more when the kernel `covered` the
+    /// partition.
+    fn finish(mut self, covered: bool) -> (Vec<u64>, Tally) {
+        if covered && self.folded > 0 {
+            self.tally.batch(self.folded);
+        }
+        (self.entered, self.tally)
+    }
+}
+
+/// Per group of a kernel's fold over a run of partitions: the last
+/// partition whose batch reached it, and how many did — the simulated
+/// partials its one partial stands for. Empty for a one-partition run.
+#[derive(Default)]
+struct Stamps {
+    last: Vec<u32>,
+    reached: Vec<u32>,
+}
+
+impl Stamps {
+    /// Stamps the groups a batch of partition `part` folded into.
+    fn hit(&mut self, groups: impl Iterator<Item = usize>, part: u32) {
+        for g in groups {
+            if g == self.last.len() {
+                self.last.push(part);
+                self.reached.push(1);
+            } else if self.last[g] != part {
+                self.last[g] = part;
+                self.reached[g] += 1;
+            }
+        }
+    }
+}
+
+/// Keeps pre-combination exact. A run's partials merge to the bits its
+/// partitions' own would only while every accumulator has the kernel's
+/// types, and a partition the interpreter folded may leave them (an `Int`
+/// sum that met a `Float`). So when any share is `scalar`, every run that
+/// pre-combined (a share whose `run` exceeds one) is refolded partition by
+/// partition on the driver through `refold`; the wave already counted those
+/// partitions, so nothing more is counted.
+fn refold_if_mixed<S>(
+    shares: &mut [S],
+    scalar: impl Fn(&S) -> bool,
+    run: impl Fn(&S) -> usize,
+    refold: impl Fn(usize) -> S,
+) {
+    if !shares.iter().any(scalar) {
+        return;
+    }
+    let mut pi = 0;
+    while pi < shares.len() {
+        let n = run(&shares[pi]).max(1);
+        if n > 1 {
+            for (q, share) in shares[pi..pi + n].iter_mut().enumerate() {
+                *share = refold(pi + q);
+            }
+        }
+        pi += n;
+    }
+}
+
+/// One partition's groups ([`Combiner::fold_part`], [`Combiner::fold_run`]).
+/// A task moves them once, into what it ships, so the state is not boxed.
 #[allow(clippy::large_enum_variant)]
 enum Folded<'k> {
-    Kernel(&'k AggKernel, AggState),
+    /// The kernel's state over a run of this many partitions, with the
+    /// partitions that reached each group.
+    Kernel(&'k AggKernel, AggState, usize, Stamps),
+    /// The scalar loop's groups.
     Rows(InsertionMap<Value, Value>),
+    /// None: the partition's groups are its run's first partition's.
+    InRun,
 }
 
 impl Folded<'_> {
     /// The groups as a combiner's partials; a kernel's accumulators ship as
     /// its typed columns.
     fn shipped(self) -> Shipped {
-        match self {
-            Folded::Kernel(kernel, st) => {
+        let ((accs, keys), run) = match self {
+            Folded::Kernel(kernel, st, run, stamps) => {
                 let (keys, cols) = kernel.finish_columns(st);
-                Measured::partial_columns(keys, cols, kernel.acc_width())
+                let (accs, keys) = Measured::partial_columns(keys, cols, kernel.acc_width());
+                match stamps.reached.is_empty() {
+                    true => ((accs, keys), run),
+                    false => ((accs.standing_for(stamps.reached), keys), run),
+                }
             }
-            Folded::Rows(accs) => {
-                Measured::partials(accs.into_iter().map(|e| (e.hash, e.key, e.value)))
-            }
-        }
+            Folded::Rows(accs) => (
+                Measured::partials(accs.into_iter().map(|e| (e.hash, e.key, e.value))),
+                1,
+            ),
+            Folded::InRun => ((Measured::default(), Vec::new()), 0),
+        };
+        Shipped { accs, keys, run }
     }
 
     /// The accumulator of the one group a constant key leaves, if any.
-    fn only_acc(self) -> Option<Value> {
-        match self {
-            Folded::Kernel(kernel, st) => kernel.finish(st).pop().map(|(_, acc)| acc),
-            Folded::Rows(accs) => accs.into_iter().next().map(|e| e.value),
-        }
+    fn fold_share(self) -> FoldShare {
+        let (acc, run, scalar) = match self {
+            Folded::Kernel(kernel, st, run, stamps) => {
+                let reached = stamps.reached.first().copied().unwrap_or(1);
+                let acc = kernel.finish(st).pop().map(|(_, acc)| (acc, reached));
+                (acc, run, false)
+            }
+            Folded::Rows(accs) => (accs.into_iter().next().map(|e| (e.value, 1)), 1, true),
+            Folded::InRun => (None, 0, false),
+        };
+        let scalar = scalar && acc.is_some();
+        FoldShare { acc, run, scalar }
     }
 }
 

@@ -3,9 +3,12 @@
 //! schedule's wave counter, retries and speculation. Both are private to
 //! this module.
 
+use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
 use super::*;
-use crate::fault::{self, SpeculationPolicy, TaskError, TaskFault};
-use crate::pool::Parallelism;
+use crate::fault::{self, SpeculationPolicy, TaskFault};
+use crate::pool::{Parallelism, Settled};
 
 /// Per-run dispatch state.
 pub(super) struct Waves {
@@ -32,11 +35,14 @@ impl Waves {
     }
 }
 
-/// Rows and batches a task body ran through typed kernels. Every body passed
-/// to [`Session::run_tasks`] reports into the one it is handed;
-/// [`Session::tally`] is the only place the two telemetry counters grow. A
-/// body runs exactly once per partition, so the sums do not depend on the
-/// schedule.
+/// Rows and batches a task body ran through typed kernels, for one
+/// partition. Every body passed to [`Session::run_tasks`] or
+/// [`Session::run_ranges`] reports into one per partition;
+/// [`Session::tally`] is the only place the two telemetry counters grow.
+/// Counts are per simulated partition — a body that folds a run of
+/// partitions in one pass still counts each partition's batches as that
+/// partition's own pass would — so the sums do not depend on how the
+/// schedule cut the wave into runs.
 #[derive(Default)]
 pub(super) struct Tally {
     rows: u64,
@@ -54,11 +60,59 @@ impl Tally {
         self.rows += other.rows;
         self.batches += other.batches;
     }
+
+    /// The batches `rows` rows fill, `batch_rows` to a batch, the last one
+    /// perhaps short.
+    pub(super) fn batches(&mut self, rows: u64, batch_rows: usize) {
+        self.rows += rows;
+        self.batches += rows.div_ceil(batch_rows as u64);
+    }
 }
 
+/// What a run's body reports for one partition of its range, in partition
+/// order ([`Session::run_ranges`]): the partition's value and its tally, or
+/// its error.
+pub(super) type Outcome<T> = Result<(T, Tally), ValueError>;
+
 impl Session<'_> {
-    /// Runs `n` index-addressed partition tasks with panic containment and
-    /// partition-granularity retry.
+    /// [`Session::run_ranges`] for a body that takes one partition at a
+    /// time: each run loops its range, up to the first partition that
+    /// raises.
+    pub(super) fn run_tasks<T, F>(
+        &mut self,
+        wide: bool,
+        n: usize,
+        total_rows: u64,
+        f: F,
+    ) -> Result<Vec<T>, ExecError>
+    where
+        T: Send,
+        F: Fn(usize, &mut Tally) -> Result<T, ValueError> + Sync,
+    {
+        self.run_ranges(wide, n, total_rows, |run, out| {
+            for pi in run {
+                let mut tally = Tally::default();
+                let outcome = f(pi, &mut tally).map(|v| (v, tally));
+                let raised = outcome.is_err();
+                out.push(outcome);
+                if raised {
+                    break;
+                }
+            }
+        })
+    }
+
+    /// Runs `n` index-addressed partitions as tasks with panic containment
+    /// and partition-granularity retry.
+    ///
+    /// A task is a *run*: a contiguous range of partitions, handed to one
+    /// body call, which pushes one [`Outcome`] per partition of the range in
+    /// order onto the vector it is handed (and may stop after the first
+    /// error). Each wave cuts its pending partitions at the injected
+    /// failures, at gaps, and into at most one run per executing thread
+    /// within each stretch, so a wave on one thread without failures is one
+    /// run. Fates, retries, stragglers and the error rule below stay per
+    /// partition; a panic is the first unreported partition's of its run.
     ///
     /// Every per-partition operator body runs through this one loop.
     /// Without an injecting [`FaultConfig`] it runs under
@@ -92,8 +146,8 @@ impl Session<'_> {
     /// `speculation_wins`, and the losing copy's duplicate runtime is
     /// charged as wasted cluster work (`speculation_wasted_secs`, spread
     /// over the cluster DOP). The race is settled on the driver from the
-    /// precomputed fates, so the task body still runs **exactly once** per
-    /// partition per wave — single-consumption inputs (the shuffle's
+    /// precomputed fates, so each partition is reported **exactly once** per
+    /// wave that runs it — single-consumption inputs (the shuffle's
     /// owned-partition move-out) are never double-drained, which is what
     /// makes the dispatch path task-cloning-safe.
     ///
@@ -114,7 +168,7 @@ impl Session<'_> {
     ///    backoff is charged, so a budget-exhausted run never pays for a
     ///    wave that will not start and `ExecError::Timeout::at_secs`
     ///    excludes it.
-    pub(super) fn run_tasks<T, F>(
+    pub(super) fn run_ranges<T, F>(
         &mut self,
         wide: bool,
         n: usize,
@@ -123,7 +177,7 @@ impl Session<'_> {
     ) -> Result<Vec<T>, ExecError>
     where
         T: Send,
-        F: Fn(usize, &mut Tally) -> Result<T, ValueError> + Sync,
+        F: Fn(Range<usize>, &mut Vec<Outcome<T>>) + Sync,
     {
         let cfg = self.fault_cfg().unwrap_or_else(FaultConfig::disabled);
         let site = self.waves.sites;
@@ -154,38 +208,50 @@ impl Session<'_> {
             } else {
                 total_rows * pending.len() as u64 / n.max(1) as u64
             };
-            let settled = self
+            let executors = self.waves.par.executors(wide, pending.len(), wave_rows);
+            let runs = cut_runs(&pending, &fates, executors);
+            let reports = self
                 .waves
                 .par
-                .run_settled(wide, pending.len(), wave_rows, |wi| match fates[wi] {
-                    // A killed task never runs its body — its partition's
-                    // work is lost and must be redone on retry.
-                    TaskFault::Fail => Err(TaskError::Injected),
-                    // Each body reports the rows it ran through kernels
-                    // into a tally of its own, folded in as it settles.
-                    _ => {
-                        let mut tally = Tally::default();
-                        let v = f(pending[wi], &mut tally).map_err(TaskError::Eval)?;
-                        Ok((v, tally))
-                    }
+                .run_settled(wide, runs.len(), wave_rows, |ri| {
+                    let (ws, mut out) = (&runs[ri], Vec::with_capacity(runs[ri].len()));
+                    let range = pending[ws.start]..pending[ws.end - 1] + 1;
+                    let panicked = catch_unwind(AssertUnwindSafe(|| f(range, &mut out))).err();
+                    (out, panicked)
                 });
+            // Each partition's outcome, by wave index; a killed task never
+            // runs its body — its partition's work is lost and must be
+            // redone on retry.
+            let mut settled: Vec<Option<Settled<Outcome<T>>>> =
+                (0..pending.len()).map(|_| None).collect();
+            for (ws, report) in runs.iter().zip(reports) {
+                let (out, panicked) = report.expect("a run's body contains its panics");
+                let mut wis = ws.clone();
+                for (outcome, wi) in out.into_iter().zip(wis.by_ref()) {
+                    settled[wi] = Some(Ok(outcome));
+                }
+                if let Some(payload) = panicked {
+                    settled[wis.next().unwrap_or(ws.end - 1)] = Some(Err(payload));
+                }
+            }
             // Settle before any straggler accounting.
             let mut failed: Vec<usize> = Vec::new();
             for (wi, s) in settled.into_iter().enumerate() {
                 let pi = pending[wi];
                 let e = match s {
-                    Ok(Ok((v, tally))) => {
+                    Some(Ok(Ok((v, tally)))) => {
                         self.tally(tally);
                         results[pi] = Some(v);
                         continue;
                     }
-                    Ok(Err(TaskError::Injected)) => {
+                    None if fates[wi] == TaskFault::Fail => {
                         self.stats.tasks_failed += 1;
                         failed.push(pi);
                         continue;
                     }
-                    Ok(Err(TaskError::Eval(e))) => e,
-                    Err(payload) => {
+                    None => unreachable!("a run reports each partition up to its first error"),
+                    Some(Ok(Err(e))) => e,
+                    Some(Err(payload)) => {
                         self.stats.tasks_failed += 1;
                         fault::panic_value_error(payload)
                     }
@@ -281,6 +347,29 @@ impl Session<'_> {
     }
 }
 
+/// Cuts a wave's pending partitions into runs, as ranges of wave indices: a
+/// run never holds a partition whose fate is an injected failure, nor spans
+/// a gap between pending partitions, and each stretch between cuts is split
+/// into runs of at most `⌈live / executors⌉` partitions, `live` the
+/// partitions that run.
+fn cut_runs(pending: &[usize], fates: &[TaskFault], executors: usize) -> Vec<Range<usize>> {
+    let live = fates.iter().filter(|&&f| f != TaskFault::Fail).count();
+    let most = live.div_ceil(executors.max(1)).max(1);
+    let mut runs: Vec<Range<usize>> = Vec::with_capacity(executors);
+    for wi in 0..pending.len() {
+        if fates[wi] == TaskFault::Fail {
+            continue;
+        }
+        match runs.last_mut() {
+            Some(r) if r.end == wi && pending[wi] == pending[wi - 1] + 1 && r.len() < most => {
+                r.end += 1;
+            }
+            _ => runs.push(wi..wi + 1),
+        }
+    }
+    runs
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,5 +440,83 @@ mod tests {
                 .expect_err("partitions 1 and 3 raise");
             assert_eq!(format!("{err:?}"), r#"Eval(Arithmetic("p1"))"#);
         }
+    }
+
+    #[test]
+    fn a_wave_runs_runs_of_partitions_cut_at_its_failures() {
+        use std::sync::atomic::{AtomicU32, Ordering};
+        // The first chaos seed that fails partition 3 of the first wave.
+        let chaos = (0..)
+            .map(FaultConfig::chaos)
+            .find(|cfg| cfg.task_fault(0, 3, 0) == TaskFault::Fail)
+            .expect("some seed fails partition 3 at attempt 0");
+        // The attempt at which a partition's body runs: its first unfailed.
+        let settles = |pi: usize| {
+            (0..)
+                .find(|&a| chaos.task_fault(0, pi as u64, a) != TaskFault::Fail)
+                .expect("a partition settles")
+        };
+        let wave = |threads: usize| {
+            let engine = Engine::new(ClusterSpec::tiny(), Personality::sparrow())
+                .with_parallelism_threshold(0)
+                .with_worker_threads(Some(threads))
+                .with_faults(chaos);
+            let catalog = Catalog::new();
+            let mut session = Session::new(&engine, &catalog, true);
+            let ran: Vec<AtomicU32> = (0..8).map(|_| AtomicU32::new(0)).collect();
+            let ranges = Mutex::new(Vec::new());
+            let got = session
+                .run_ranges(true, 8, 800, |run, out| {
+                    ranges.lock().expect("ranges lock").push(run.clone());
+                    for pi in run {
+                        ran[pi].fetch_add(1, Ordering::Relaxed);
+                        let mut tally = Tally::default();
+                        tally.batch(pi + 1);
+                        out.push(Ok((pi * 10, tally)));
+                    }
+                })
+                .expect("every partition settles within its retries");
+            let ranges = ranges.into_inner().expect("ranges lock");
+            assert_eq!(got, (0..8).map(|pi| pi * 10).collect::<Vec<_>>());
+            for (pi, n) in ran.iter().enumerate() {
+                assert_eq!(n.load(Ordering::Relaxed), 1, "partition {pi} ran once");
+            }
+            // A range runs in one wave, at the attempt every partition of
+            // it settles at, so none of them failed there.
+            for r in &ranges {
+                assert!(r.clone().all(|pi| settles(pi) == settles(r.start)), "{r:?}");
+            }
+            (got, session.stats.clone(), ranges)
+        };
+        let (got, stats, ranges) = wave(1);
+        assert!(settles(3) > 0);
+        assert!(ranges.iter().any(|r| r.len() > 1), "{ranges:?}");
+        assert_eq!(stats.rows_vectorized, (1..=8).sum::<u64>());
+        assert_eq!(stats.tasks_retried, stats.tasks_failed);
+        for threads in [2, 4] {
+            let (t_got, t_stats, _) = wave(threads);
+            assert_eq!((&t_got, &t_stats), (&got, &stats), "{threads} threads");
+        }
+        // A panic in the middle of a one-thread run is its partition's:
+        // the partitions before it settle and tally, none after it runs.
+        let one =
+            Engine::new(ClusterSpec::tiny(), Personality::sparrow()).with_worker_threads(Some(1));
+        let catalog = Catalog::new();
+        let mut session = Session::new(&one, &catalog, true);
+        let err = session
+            .run_tasks(true, 8, 800, |pi, tally| {
+                assert!(pi <= 5, "partition {pi} ran after the panic");
+                tally.batch(1);
+                match pi {
+                    5 => panic!("p5"),
+                    _ => Ok(pi),
+                }
+            })
+            .expect_err("partition 5 panics");
+        assert!(format!("{err:?}").contains("panicked: p5"), "{err:?}");
+        assert_eq!(
+            (session.stats.tasks_failed, session.stats.rows_vectorized),
+            (1, 5)
+        );
     }
 }

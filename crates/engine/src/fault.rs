@@ -491,16 +491,6 @@ pub enum TaskFault {
     Straggle(f64),
 }
 
-/// Why one partition task did not produce a value.
-#[derive(Debug)]
-pub enum TaskError {
-    /// An injected fault — transient by definition, so retryable.
-    Injected,
-    /// A real evaluation error (including a contained panic). Deterministic,
-    /// so never retried: it aborts the operator exactly like today.
-    Eval(ValueError),
-}
-
 /// Converts a caught panic payload into the typed error the executor
 /// surfaces. A payload that *is* a [`ValueError`] (a UDF error thrown across
 /// an unwind boundary) is downcast back into the typed error; string

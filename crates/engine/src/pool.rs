@@ -255,6 +255,20 @@ impl Parallelism {
         self.threads > 1 && total_rows >= self.threshold
     }
 
+    /// How many threads [`Parallelism::run_settled`] runs `n` tasks over
+    /// `total_rows` rows on: one when the wave runs serially, the thread
+    /// count (at most `n`) when it fans out.
+    pub fn executors(&self, wide: bool, n: usize, total_rows: u64) -> usize {
+        // `n <= 1` has nothing to fan out — skip slot/scope setup entirely.
+        let serial =
+            n <= 1 || !self.gate(total_rows) || (wide && self.mode == ParallelismMode::PerOperator);
+        if serial {
+            1
+        } else {
+            self.threads.min(n)
+        }
+    }
+
     /// Index-addressed fan-out with **per-task panic containment**: every
     /// task settles and the result vector holds each task's value or its
     /// caught panic payload, in index order. This is the substrate of the
@@ -283,10 +297,7 @@ impl Parallelism {
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        // `n <= 1` has nothing to fan out — skip slot/scope setup entirely.
-        let serial =
-            n <= 1 || !self.gate(total_rows) || (wide && self.mode == ParallelismMode::PerOperator);
-        if serial {
+        if self.executors(wide, n, total_rows) == 1 {
             return (0..n)
                 .map(|i| catch_unwind(AssertUnwindSafe(|| f(i))))
                 .collect();

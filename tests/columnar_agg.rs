@@ -1328,3 +1328,172 @@ fn pagerank_s_and_cc_s_messages_fold_inside_their_combiners() {
         );
     }
 }
+
+/// 1 600 rows of [`agg_row`](agg_programs::agg_row)'s shape over 40 int
+/// keys, a third of them on key 0, in sixteen partitions of 100. Row 850,
+/// in partition 8 — the middle of a one-thread run — gets `odd` in the
+/// `Int` fold input when given. The floats are not halves: their sums
+/// depend on the order they are added in.
+fn hot_key_rows(odd: Option<Value>) -> Vec<Value> {
+    (0..1600i64)
+        .map(|i| {
+            let key = if i % 3 == 0 { 0 } else { i * 7 % 40 };
+            let vi = match &odd {
+                Some(v) if i == 850 => v.clone(),
+                _ => Value::Int(i % 13 - 6),
+            };
+            Value::tuple(vec![
+                Value::Int(key),
+                Value::str("a"),
+                Value::str("b"),
+                Value::Float(0.0),
+                vi,
+                Value::Float(0.1 * (i % 11) as f64 + 1e-3 * i as f64),
+            ])
+        })
+        .collect()
+}
+
+/// `sum` of the `Int` fold input from `zero`, as a custom fold.
+fn int_sum_from(zero: i64) -> ScalarExpr {
+    let (a, b) = (ScalarExpr::var("a"), ScalarExpr::var("b"));
+    BagExpr::of_value(ScalarExpr::var("g").get(1))
+        .map(Lambda::new(["x"], x().get(VI)))
+        .fold(FoldOp::custom(
+            ScalarExpr::lit(Value::Int(zero)),
+            Lambda::new(["x"], x()),
+            Lambda::new(["a", "b"], a.add(b)),
+        ))
+}
+
+/// Runs `p` over `rows` on a sixteen-partition cluster, on both engine
+/// tiers across [`MATRIX`], with and without chaos and skew splitting.
+/// Every run must agree with the first kernel run of its chaos and skew
+/// setting on rows (bit for bit), on its first error and on every
+/// [`ExecStats`] field — the interpreter tier on all but its own telemetry
+/// — and the first kernel run with the reference interpreter, unless
+/// `exact_interp` is off: a fold whose `zero` is no unit of its `uni` adds
+/// its `zero` once per partial, so only the engine's tiers agree on it.
+fn assert_runs_agree_on_sixteen_partitions(
+    cell: &str,
+    p: &Program,
+    rows: Vec<Value>,
+    exact_interp: bool,
+) {
+    let catalog = Catalog::new().with("rows", rows);
+    let want = Interp::new(&catalog).run(p);
+    let kernels_prog = compile(p);
+    let interp_prog = interpreted(p);
+    let sixteen = ClusterSpec {
+        nodes: 8,
+        ..ClusterSpec::tiny()
+    };
+    assert_eq!(sixteen.dop(), 16);
+    let skew_cfg = SkewConfig::default().with_min_part_rows(8);
+    for chaos in [None, Some(FaultConfig::chaos(0x5EED))] {
+        for skew_on in [false, true] {
+            let mk = |tier: &str, mode: ParallelismMode, threads: usize| {
+                let mut e = Engine::new(sixteen, Personality::sparrow())
+                    .with_parallelism_mode(mode)
+                    .with_worker_threads(Some(threads))
+                    .with_vectorized_eval(BatchConfig::new(32));
+                if let Some(cfg) = chaos {
+                    e = e.with_faults(cfg);
+                }
+                if skew_on {
+                    e = e.with_skew_splitting(skew_cfg);
+                }
+                let prog = if tier == "interp" {
+                    &interp_prog
+                } else {
+                    &kernels_prog
+                };
+                e.run(prog, &catalog)
+            };
+            let base = mk("kernels", MATRIX[0].0, MATRIX[0].1);
+            match (&want, &base) {
+                (Ok(want), Ok(base)) => {
+                    assert!(base.stats.rows_vectorized > 0, "{cell}: {}", base.stats);
+                    if exact_interp {
+                        assert_matches_interp(cell, want, base);
+                    }
+                }
+                (Err(want), Err(ExecError::Eval(got))) => {
+                    assert_eq!(format!("{got:?}"), format!("{want:?}"), "{cell}");
+                }
+                (want, base) => panic!("{cell}: interpreter {want:?}, engine {base:?}"),
+            }
+            for tier in ["kernels", "interp"] {
+                for &(m, t) in &MATRIX {
+                    let what = format!("{cell}: {tier} {m:?}×{t} chaos {chaos:?} skew {skew_on}");
+                    match (mk(tier, m, t), &base) {
+                        (Ok(run), Ok(base)) => {
+                            assert_same_runs(&what, &run, base);
+                            if tier == "kernels" {
+                                assert_eq!(run.stats, base.stats, "{what}");
+                            } else {
+                                assert_eq!(
+                                    run.stats.without_tier_telemetry(),
+                                    base.stats.without_tier_telemetry(),
+                                    "{what}"
+                                );
+                            }
+                            assert_eq!(
+                                run.stats.simulated_secs.to_bits(),
+                                base.stats.simulated_secs.to_bits(),
+                                "{what}"
+                            );
+                        }
+                        (Err(e), Err(base)) => {
+                            assert_eq!(format!("{e:?}"), format!("{base:?}"), "{what}")
+                        }
+                        (run, _) => {
+                            panic!("{what}: {:?} where the first run gave {base:?}", run.err())
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_combiner_ships_one_partial_per_key_per_run_alike_on_every_tier() {
+    let key = x().get(0);
+    let keep_all = x().get(VI).eq(x().get(VI));
+    // Slots that pre-combine: int count, sum, min and max, `exists`, a
+    // float min and a `forall`-shaped `&&`.
+    let exact: Vec<ScalarExpr> = [2, 9, 3, 4, 7, 5, 12].map(|w| fold_expr(w, 0)).into();
+    assert_runs_agree_on_sixteen_partitions(
+        "pre-combinable folds",
+        &agg_program(keep_all.clone(), key.clone(), exact.clone()),
+        hot_key_rows(None),
+        true,
+    );
+    // A float sum and an int sum from 5 must not pre-combine: either would
+    // change the rows' bits if it did.
+    for (cell, fold, exact_interp) in [
+        ("float sum", fold_expr(1, 0), true),
+        ("int sum from 5", int_sum_from(5), false),
+    ] {
+        assert_runs_agree_on_sixteen_partitions(
+            cell,
+            &agg_program(keep_all.clone(), key.clone(), vec![fold]),
+            hot_key_rows(None),
+            exact_interp,
+        );
+    }
+    // A row that does not conform, in the middle partition of a run: a
+    // `Float` the int sum takes, and a string it raises on.
+    for (cell, odd) in [
+        ("odd float", Value::Float(2.5)),
+        ("odd string", Value::str("x")),
+    ] {
+        assert_runs_agree_on_sixteen_partitions(
+            cell,
+            &agg_program(keep_all.clone(), key.clone(), exact.clone()),
+            hot_key_rows(Some(odd)),
+            true,
+        );
+    }
+}

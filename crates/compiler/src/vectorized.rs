@@ -32,6 +32,10 @@
 //!   byte-slice kernels. A low-cardinality sample dictionary-encodes the
 //!   column, so hash/contains run once per distinct value; a batch whose
 //!   strings outgrow the `u32` offsets aborts like any non-conforming one.
+//!   An output row copies no string it forwards ([`MatNode`]): a forwarded
+//!   string, opaque value or sub-tuple, or a constant, is cloned as the
+//!   interpreter clones it; computed columns, `If` merges and forwarded
+//!   numbers are built from lanes.
 //! - **Branch-free `If` via selection vectors.** An `If` splits the
 //!   selection by its condition and each branch runs only over its lanes,
 //!   so an error (or debug overflow panic) in a branch a lane does not take
@@ -268,20 +272,17 @@ enum VVal {
     },
 }
 
-/// Recipe for materializing output rows from columns.
+/// Recipe for materializing a value per lane: a column is built from its
+/// lanes, while a forwarded part of the input row or a constant is shared
+/// with the value it came from, as the interpreter shares it.
 #[derive(Clone, Debug)]
 enum MatNode {
     Col(Col),
     Tup(Vec<MatNode>),
-}
-
-#[derive(Clone, Debug)]
-enum OutSpec {
-    /// Build each output row from columns (the chain contains a Map).
-    Rows(MatNode),
-    /// Filter-only chain: output is the surviving input rows, cloned —
-    /// exactly what the scalar filter pushes (`Arc` sharing preserved).
-    PassThrough,
+    /// The component at this path of the lane's input row, cloned.
+    Pass(Vec<usize>),
+    /// A constant, cloned.
+    Const(Value),
 }
 
 /// A UDF and the base scope its free names resolve in.
@@ -393,7 +394,7 @@ fn out(chain: &Chain) -> SelId {
 pub struct VectorPipeline {
     kernels: Kernels,
     chain: Chain,
-    out: OutSpec,
+    out: MatNode,
 }
 
 /// Reusable per-task columnar scratch: typed register files plus selection
@@ -437,10 +438,11 @@ pub fn specialize_sampled(
 ) -> Option<VectorPipeline> {
     let mut b = Builder::new(samples);
     let (cur, chain) = b.chain(stages)?;
+    // A filter-only chain's output is its surviving input rows, shared.
     let out = if stages.iter().any(|s| matches!(s, VecStageSpec::Map(..))) {
-        OutSpec::Rows(b.mat_node(cur)?)
+        b.mat_node(cur, true)?
     } else {
-        OutSpec::PassThrough
+        MatNode::Pass(Vec::new())
     };
     Some(VectorPipeline {
         kernels: b.finish(),
@@ -486,18 +488,11 @@ impl<'s> Builder<'s> {
     /// them are distinct. Non-conforming sample rows are simply skipped —
     /// conformance is enforced per batch by the load itself.
     fn dict_for_path(&self, path: &[usize]) -> bool {
-        let mut seen: Vec<&str> = Vec::new();
-        let mut total = 0usize;
-        for row in self.samples {
-            if let Some(Value::Str(st)) = path_get(row, path) {
-                total += 1;
-                let st: &str = st;
-                if !seen.contains(&st) {
-                    seen.push(st);
-                }
-            }
-        }
-        total >= DICT_MIN_SAMPLE && seen.len() * 2 <= total
+        let strs: Vec<&Value> = (self.samples.iter())
+            .filter_map(|row| path_get(row, path).filter(|v| matches!(v, Value::Str(_))))
+            .collect();
+        let distinct = (0..strs.len()).filter(|&i| !strs[..i].contains(&strs[i]));
+        strs.len() >= DICT_MIN_SAMPLE && distinct.count() * 2 <= strs.len()
     }
 
     /// A fresh register of file `ty`. Registers are single-assignment: each
@@ -822,11 +817,15 @@ impl<'s> Builder<'s> {
         }
     }
 
-    /// Output-row materialization recipe for the final abstract value.
-    fn mat_node(&mut self, v: VVal) -> Option<MatNode> {
+    /// Materialization recipe for the final abstract value. When `share`d,
+    /// what the kernels did not compute is shared from its source: an input
+    /// component (a string or opaque leaf, or a whole sub-tuple with a leaf)
+    /// by its path, a constant by itself. Every input leaf still loads: the
+    /// loads are the batch's conformance check.
+    fn mat_node(&mut self, v: VVal, share: bool) -> Option<MatNode> {
         match v {
             VVal::Tup(fs) => {
-                let fs = fs.into_iter().map(|f| self.mat_node(f));
+                let fs = fs.into_iter().map(|f| self.mat_node(f, share));
                 fs.collect::<Option<_>>().map(MatNode::Tup)
             }
             VVal::Arg {
@@ -835,11 +834,28 @@ impl<'s> Builder<'s> {
             } => {
                 let fs = fs.into_iter().enumerate().map(|(i, shape)| {
                     let path = path.iter().copied().chain([i]).collect();
-                    self.mat_node(VVal::Arg { path, shape })
+                    self.mat_node(VVal::Arg { path, shape }, share)
                 });
-                fs.collect::<Option<_>>().map(MatNode::Tup)
+                let built = fs.collect::<Option<_>>().map(MatNode::Tup)?;
+                // A loaded leaf below `path` proves every row has `path`.
+                let below = |p: &Vec<usize>| p.len() > path.len() && p.starts_with(&path);
+                let shared = share && self.loads.keys().any(below);
+                Some(if shared { MatNode::Pass(path) } else { built })
             }
-            v => self.resolve(v).map(MatNode::Col),
+            v => {
+                let c = self.resolve(v)?;
+                let passes = share && matches!(c.ty, Ty::S | Ty::V);
+                let src = self.instrs.iter().find_map(|i| match i {
+                    VInstr::Load { dst, path: p, .. } if *dst == c && passes => {
+                        Some(MatNode::Pass(p.clone()))
+                    }
+                    VInstr::Splat { dst, v } if *dst == c && share => {
+                        Some(MatNode::Const(v.clone()))
+                    }
+                    _ => None,
+                });
+                Some(src.unwrap_or(MatNode::Col(c)))
+            }
         }
     }
 }
@@ -915,27 +931,16 @@ fn cmp_holds(op: BinOp, o: Ordering) -> bool {
 /// `min_of(a, b)` on floats: `if a <= b { a } else { b }` under `Value`'s
 /// total order (`total_cmp`).
 fn min_total(a: f64, b: f64) -> f64 {
-    if a.total_cmp(&b) != Ordering::Greater {
-        a
-    } else {
-        b
-    }
+    std::cmp::min_by(a, b, f64::total_cmp)
 }
 
-/// `max_of(a, b)` on floats: `if a >= b { a } else { b }` under `total_cmp`.
+/// `max_of(a, b)` on floats: `if a >= b { a } else { b }` under `total_cmp`
+/// (whose ties are bit-identical, so which one it picks is moot).
 fn max_total(a: f64, b: f64) -> f64 {
-    if a.total_cmp(&b) != Ordering::Less {
-        a
-    } else {
-        b
-    }
+    std::cmp::max_by(a, b, f64::total_cmp)
 }
 
 impl Kernels {
-    fn new_scratch(&self) -> VectorScratch {
-        VectorScratch::new(&self.n_regs, self.n_sels)
-    }
-
     /// Runs every kernel over one batch, leaving the results in `s`'s
     /// registers. `false` = the batch aborted (shape mismatch or a runtime
     /// error on a selected lane); register contents are then unspecified.
@@ -956,7 +961,7 @@ impl VectorPipeline {
 
     /// Fresh per-task scratch buffers for this program.
     pub fn new_scratch(&self) -> VectorScratch {
-        self.kernels.new_scratch()
+        VectorScratch::new(&self.kernels.n_regs, self.kernels.n_sels)
     }
 
     /// The lanes of the last batch [`run_batch`](Self::run_batch) evaluated
@@ -989,18 +994,15 @@ impl VectorPipeline {
             return false;
         }
         count(&self.chain, s, counts);
-        let lanes = self.out_lanes(s).iter().map(|&l| l as usize);
-        match &self.out {
-            OutSpec::PassThrough => out.extend(lanes.map(|l| rows[l].clone())),
-            OutSpec::Rows(m) => out.extend(lanes.map(|l| mat_value(m, s, l))),
-        }
+        let lanes = self.out_lanes(s).iter();
+        out.extend(lanes.map(|&l| mat_value(&self.out, s, rows, l as usize)));
         true
     }
 }
 
-/// Lane `l` of the columns of `m` as one `Value` — a column type's
-/// materialization.
-fn mat_value(m: &MatNode, s: &VectorScratch, l: usize) -> Value {
+/// Lane `l` of `m` as one `Value` — a column type's materialization, or a
+/// clone of the part of `rows[l]` or the constant it shares.
+fn mat_value(m: &MatNode, s: &VectorScratch, rows: &[Value], l: usize) -> Value {
     match m {
         MatNode::Col(c) => match c.ty {
             Ty::I => Value::Int(s.i[c.reg][l]),
@@ -1012,7 +1014,9 @@ fn mat_value(m: &MatNode, s: &VectorScratch, l: usize) -> Value {
             ),
             Ty::V => s.v[c.reg][l].clone(),
         },
-        MatNode::Tup(fs) => Value::Tuple(fs.iter().map(|f| mat_value(f, s, l)).collect()),
+        MatNode::Tup(fs) => Value::Tuple(fs.iter().map(|f| mat_value(f, s, rows, l)).collect()),
+        MatNode::Pass(path) => path_get(&rows[l], path).expect("a loaded path").clone(),
+        MatNode::Const(v) => v.clone(),
     }
 }
 
@@ -1202,14 +1206,10 @@ fn merge_str(s: &mut VectorScratch, n: usize, dst: Reg, arms: [(SelId, Reg); 2])
         let src = &s.s[src];
         s.sels[sel].iter().all(|&l| {
             let l = l as usize;
-            match d.push_bytes(src.lane(l)) {
-                Some((start, len)) => {
-                    d.starts[l] = start;
-                    d.lens[l] = len;
-                    true
-                }
-                None => false,
-            }
+            let range = d.push_bytes(src.lane(l));
+            range
+                .map(|(start, len)| (d.starts[l], d.lens[l]) = (start, len))
+                .is_some()
         })
     });
     s.s[dst] = d;
@@ -1378,19 +1378,16 @@ fn step(instr: &VInstr, rows: &[Value], s: &mut VectorScratch, n: usize) -> bool
 /// A string [`VInstr::Load`] without dictionary encoding: every lane's
 /// bytes go into the arena back-to-back.
 fn load_str_plain(d: &mut StrCol, rows: &[Value], path: &[usize]) -> bool {
-    for row in rows {
-        match path_get(row, path) {
-            Some(Value::Str(st)) => match d.push_bytes(st.as_bytes()) {
-                Some((start, len)) => {
-                    d.starts.push(start);
-                    d.lens.push(len);
-                }
-                None => return false, // arena outgrew u32 offsets
-            },
-            _ => return false, // shape mismatch
-        }
-    }
-    true
+    rows.iter().all(|row| {
+        let Some(Value::Str(st)) = path_get(row, path) else {
+            return false; // shape mismatch
+        };
+        // `None` when the arena would outgrow `u32` offsets.
+        let range = d.push_bytes(st.as_bytes());
+        range
+            .map(|(start, len)| (d.starts.push(start), d.lens.push(len)))
+            .is_some()
+    })
 }
 
 /// A string [`VInstr::Load`] with dictionary encoding: each distinct string
@@ -1526,6 +1523,7 @@ fn key_is_typed(m: &MatNode) -> bool {
     match m {
         MatNode::Col(c) => c.ty != Ty::V,
         MatNode::Tup(fs) => fs.iter().all(key_is_typed),
+        MatNode::Pass(_) | MatNode::Const(_) => false,
     }
 }
 
@@ -1598,7 +1596,7 @@ pub fn specialize_agg(input: &AggInput<'_>, uni: &Lambda, samples: &[Value]) -> 
         AggInput::Partials => (None, row, None),
     };
     let key = match key_v {
-        Some(k) => Some(b.mat_node(k).filter(key_is_typed)?),
+        Some(k) => Some(b.mat_node(k, false).filter(key_is_typed)?),
         None => None,
     };
     let mut slots = Vec::with_capacity(ops.len());
@@ -1767,6 +1765,7 @@ fn lane_hash(m: &MatNode, s: &VectorScratch, l: usize, h: u64) -> u64 {
             Ty::V => unreachable!("group keys have typed leaves only"),
         },
         MatNode::Tup(fs) => fs.iter().fold(h, |h, f| lane_hash(f, s, l, h)),
+        MatNode::Pass(_) | MatNode::Const(_) => unreachable!("group keys are columns"),
     }
 }
 
@@ -1825,7 +1824,7 @@ impl AggKernel {
     /// Fresh per-task fold state.
     pub fn new_state(&self) -> AggState {
         AggState {
-            scratch: self.kernels.new_scratch(),
+            scratch: VectorScratch::new(&self.kernels.n_regs, self.kernels.n_sels),
             keys: Vec::new(),
             table: GroupTable::new(),
             accs: VectorScratch::new(&self.n_accs, 0),
@@ -1981,7 +1980,7 @@ impl AggKernel {
             }
             gids[l] = g;
             if created {
-                keys.push(mat_value(key, s, l));
+                keys.push(mat_value(key, s, &[], l));
             }
         }
     }
@@ -2002,7 +2001,7 @@ impl AggKernel {
     /// Partial `l`'s accumulator in `accs` as a `Value` — the one place an
     /// accumulator becomes one.
     pub fn acc_value(&self, accs: &AccCols, l: usize) -> Value {
-        mat_value(&self.acc, &accs.0, l)
+        mat_value(&self.acc, &accs.0, &[], l)
     }
 
     /// The serialized width every accumulator of this kernel has

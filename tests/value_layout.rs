@@ -10,6 +10,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use emma::emma_compiler::interp::{self, Env};
 use emma::emma_compiler::vectorized::{specialize_sampled, VecStageSpec};
@@ -111,6 +112,109 @@ fn a_kernel_materialized_tuple_is_one_allocation_per_row() {
     assert!(ok);
     assert_eq!(out, rows);
     assert_eq!(n, rows.len() as u64);
+}
+
+/// The output of a warm batch of the map `lam` as a kernel over `rows`, and
+/// the allocations that batch made. The kernel is specialized against the
+/// first row alone, so no string column is dictionary-encoded.
+fn warm_kernel_batch(lam: &Lambda, rows: &[Value]) -> (Vec<Value>, u64) {
+    let base = HashMap::new();
+    let p = specialize_sampled(&[VecStageSpec::Map(lam, &base)], &rows[..1])
+        .expect("the map specializes");
+    let mut s = p.new_scratch();
+    let mut counts = vec![0; p.n_stages() + 1];
+    let mut out = Vec::with_capacity(rows.len());
+    // The first batch grows the scratch columns.
+    assert!(p.run_batch(rows, &mut s, &mut counts, &mut out));
+    out.clear();
+    let (ok, n) = allocs(|| p.run_batch(rows, &mut s, &mut counts, &mut out));
+    assert!(ok);
+    (out, n)
+}
+
+/// 16 `(i, "a<i>", "b<i>")` rows.
+fn string_rows() -> Vec<Value> {
+    let row = |i: i64| {
+        [
+            Value::Int(i),
+            Value::str(format!("a{i}")),
+            Value::str(format!("b{i}")),
+        ]
+    };
+    (0..16).map(|i| Value::tuple(row(i))).collect()
+}
+
+fn str_arc(v: &Value) -> &Arc<str> {
+    match v {
+        Value::Str(s) => s,
+        v => panic!("{v:?} is no string"),
+    }
+}
+
+#[test]
+fn a_kernel_output_shares_the_strings_it_forwards() {
+    let x = || ScalarExpr::var("x");
+    let lam = Lambda::new(["x"], ScalarExpr::Tuple(vec![x().get(0), x().get(2)]));
+    let rows = string_rows();
+    let (out, n) = warm_kernel_batch(&lam, &rows);
+    assert_eq!(n, rows.len() as u64, "one tuple per row, no string copy");
+    for (o, r) in out.iter().zip(&rows) {
+        assert_eq!(o.field(0).unwrap(), r.field(0).unwrap());
+        let (o, r) = (str_arc(o.field(1).unwrap()), str_arc(r.field(2).unwrap()));
+        assert!(Arc::ptr_eq(o, r), "{o} is a copy of its input");
+    }
+}
+
+#[test]
+fn a_kernel_output_shares_its_string_literal() {
+    let lam = Lambda::new(
+        ["x"],
+        ScalarExpr::Tuple(vec![ScalarExpr::var("x").get(0), ScalarExpr::lit("spam")]),
+    );
+    let rows = string_rows();
+    let (out, n) = warm_kernel_batch(&lam, &rows);
+    assert_eq!(n, rows.len() as u64, "one tuple per row, no string copy");
+    let first = str_arc(out[0].field(1).unwrap());
+    assert_eq!(&**first, "spam");
+    for o in &out {
+        assert!(Arc::ptr_eq(str_arc(o.field(1).unwrap()), first));
+    }
+}
+
+#[test]
+fn a_kernel_output_shares_a_forwarded_tuple() {
+    let x = || ScalarExpr::var("x");
+    let lam = Lambda::new(["x"], ScalarExpr::Tuple(vec![x().get(0), x()]));
+    let nested = |i: i64| Value::tuple([Value::Int(i), Value::str(format!("s{i}"))]);
+    // Odd rows are wider than the sampled first one, and forward whole, as
+    // the interpreter forwards them.
+    let rows: Vec<Value> = (0..16)
+        .map(|i| match i % 2 {
+            0 => Value::tuple([Value::Int(i), nested(i)]),
+            _ => Value::tuple([Value::Int(i), nested(i), Value::Null]),
+        })
+        .collect();
+    let (out, n) = warm_kernel_batch(&lam, &rows);
+    assert_eq!(n, rows.len() as u64, "one tuple per row, no copy of `x`");
+    for (o, r) in out.iter().zip(&rows) {
+        assert_eq!(o.field(1).unwrap(), r);
+        let (Value::Tuple(o), Value::Tuple(r)) = (o.field(1).unwrap(), r) else {
+            panic!("{o:?} forwards no tuple");
+        };
+        assert!(Arc::ptr_eq(o, r));
+    }
+}
+
+#[test]
+fn a_string_key_kernel_makes_no_allocation_per_row() {
+    // `x -> x.1`: the shape of a string key the key path evaluates.
+    let lam = Lambda::new(["x"], ScalarExpr::var("x").get(1));
+    let rows = string_rows();
+    let (out, n) = warm_kernel_batch(&lam, &rows);
+    assert_eq!(n, 0);
+    for (o, r) in out.iter().zip(&rows) {
+        assert!(Arc::ptr_eq(str_arc(o), str_arc(r.field(1).unwrap())));
+    }
 }
 
 /// Tuples (and a few values around them) whose hash and `Debug` text are

@@ -425,6 +425,94 @@ fn a_narrow_chain_replays_exactly_the_batches_a_float_aborts() {
     }
 }
 
+/// A kernel shares the strings it forwards, but still loads them: the load
+/// is the batch's conformance check. `x -> (x.2, x.0 % x.1)` over 10 000
+/// `(Int, Int, Str)` rows forwards `x.2`; one row holds an `Int` there, far
+/// past the rows the site samples. Its batch aborts and the interpreter
+/// replays it, so the `Int` reaches the sink and that batch alone is neither
+/// vectorized nor executed. With a zero modulus on a later row, the run
+/// raises the interpreter's first error. Rows, error and tier telemetry are
+/// the same on every thread count, dispatch mode and under chaos.
+#[test]
+fn a_forwarded_string_that_does_not_conform_aborts_and_replays_its_batch() {
+    let body = ScalarExpr::Tuple(vec![x().get(2), x().get(0).rem(x().get(1))]);
+    let map = BagExpr::read("xs").map(Lambda::new(["x"], body));
+    let p = Program::new(vec![Stmt::write("out", map)]);
+    let prog = parallelize(&p, &OptimizerFlags::all());
+    let interp_prog = parallelize(&p, &OptimizerFlags::all().with_compiled_eval(false));
+    let (n, int_at, zero_at) = (10_000usize, 5_555usize, 7_777usize);
+    let catalog = |zero: bool| {
+        let mut rows: Vec<Value> = (0..n as i64)
+            .map(|i| {
+                Value::tuple([
+                    Value::Int(i),
+                    Value::Int(1 + i % 7),
+                    Value::str(format!("s{i}")),
+                ])
+            })
+            .collect();
+        rows[int_at] = Value::tuple([Value::Int(1), Value::Int(3), Value::Int(7)]);
+        if zero {
+            rows[zero_at] = Value::tuple([Value::Int(1), Value::Int(0), Value::str("z")]);
+        }
+        Catalog::new().with("xs", rows)
+    };
+    // Sources are cut into `dop` contiguous partitions and each partition
+    // into batches from its start.
+    let (part, batch) = (
+        n.div_ceil(ClusterSpec::tiny().dop()),
+        BatchConfig::default().batch_rows,
+    );
+    let batches: usize = (0..n)
+        .step_by(part)
+        .map(|s| part.min(n - s).div_ceil(batch))
+        .sum();
+    let (start, len) = (int_at / part * part, part.min(n - int_at / part * part));
+    let aborted = batch.min(len - (int_at - start) / batch * batch);
+    let runs = |catalog: &Catalog| {
+        let chaos = [None, Some(FaultConfig::chaos(0xFA17))];
+        let engines = chaos.into_iter().flat_map(|c| {
+            MATRIX.iter().map(move |&(m, t)| {
+                let e = engine()
+                    .with_parallelism_mode(m)
+                    .with_worker_threads(Some(t));
+                match c {
+                    Some(c) => e.with_faults(c),
+                    None => e,
+                }
+            })
+        });
+        engines.map(|e| e.run(&prog, catalog)).collect::<Vec<_>>()
+    };
+
+    let catalog_ok = catalog(false);
+    let interp = engine()
+        .run(&interp_prog, &catalog_ok)
+        .expect("interpreter");
+    let want = format!("{:?}", interp.writes["out"]);
+    assert!(
+        want.contains("Tuple([Int(7), Int(1)])"),
+        "the forwarded `Int` reaches the sink"
+    );
+    for run in runs(&catalog_ok) {
+        let run = run.expect("engine");
+        assert_eq!(format!("{:?}", run.writes["out"]), want);
+        let s = &run.stats;
+        assert_eq!(s.rows_vectorized, (n - aborted) as u64, "{s}");
+        assert_eq!(s.batches_executed, batches as u64 - 1, "{s}");
+        assert_eq!(s.vector_fallbacks, 0, "{s}");
+    }
+
+    let catalog_err = catalog(true);
+    let want = engine()
+        .run(&interp_prog, &catalog_err)
+        .expect_err("% 0 raises");
+    for run in runs(&catalog_err) {
+        let got = run.expect_err("% 0 raises on every tier");
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
+    }
+}
+
 /// A map body carrying a nested fold resists specialization: the refusal
 /// lands in `vector_fallbacks`, never in the key-path counter.
 #[test]

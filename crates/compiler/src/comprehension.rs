@@ -30,7 +30,7 @@ use crate::value::Value;
 
 /// The monad a comprehension constructs its result in.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Monad {
+pub(crate) enum Monad {
     /// `[[ e | qs ]]^Bag` — construct a bag of head values.
     Bag,
     /// `flatten [[ e | qs ]]` — the head is bag-valued; union the heads.
@@ -42,7 +42,7 @@ pub enum Monad {
 /// How an existentially introduced generator joins with the rest of the
 /// comprehension.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SemiKind {
+pub(crate) enum SemiKind {
     /// From a positive `exists` — lowers to a left semi-join.
     Exists,
     /// From a negated `exists` — lowers to a left anti-join.
@@ -52,7 +52,7 @@ pub enum SemiKind {
 /// A generator source: an atomic bag expression, or a nested comprehension
 /// (before normalization splices it away).
 #[derive(Clone, Debug, PartialEq)]
-pub enum GenSource {
+pub(crate) enum GenSource {
     /// A non-comprehended bag term (`Read`, `Ref`, `GroupBy`, …).
     Atom(BagExpr),
     /// A nested comprehension.
@@ -61,7 +61,7 @@ pub enum GenSource {
 
 /// A generator qualifier `var ← source`.
 #[derive(Clone, Debug, PartialEq)]
-pub struct Generator {
+pub(crate) struct Generator {
     /// The bound variable.
     pub var: String,
     /// Where the values come from.
@@ -72,7 +72,7 @@ pub struct Generator {
 
 /// A qualifier: generator or guard.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Qual {
+pub(crate) enum Qual {
     /// `x ← xs`.
     Gen(Generator),
     /// A boolean filter.
@@ -81,7 +81,7 @@ pub enum Qual {
 
 /// A monad comprehension `[[ head | quals ]]^monad`.
 #[derive(Clone, Debug, PartialEq)]
-pub struct Comprehension {
+pub(crate) struct Comprehension {
     /// The head expression (bag-valued for [`Monad::FlattenBag`]).
     pub head: ScalarExpr,
     /// Qualifiers, in dependency order.
@@ -92,7 +92,7 @@ pub struct Comprehension {
 
 impl Comprehension {
     /// Variables bound by this comprehension's generators.
-    pub fn gen_vars(&self) -> HashSet<String> {
+    pub(crate) fn gen_vars(&self) -> HashSet<String> {
         self.quals
             .iter()
             .filter_map(|q| match q {
@@ -113,7 +113,7 @@ fn is_comprehended(e: &BagExpr) -> bool {
 }
 
 /// Resugars the source position of a generator.
-pub fn resugar_source(e: &BagExpr, gen: &mut NameGen) -> GenSource {
+pub(crate) fn resugar_source(e: &BagExpr, gen: &mut NameGen) -> GenSource {
     if is_comprehended(e) {
         GenSource::Comp(Box::new(resugar(e, gen)))
     } else {
@@ -130,7 +130,7 @@ pub fn resugar_source(e: &BagExpr, gen: &mut NameGen) -> GenSource {
 /// t0.flatMap(x ⟼ t)    ⇒ flatten [[ t | x ← MC⁻¹(t0) ]]^Bag
 /// t0.fold(e, s, u)      ⇒ [[ x | x ← MC⁻¹(t0) ]]^fold(e,s,u)
 /// ```
-pub fn resugar(e: &BagExpr, gen: &mut NameGen) -> Comprehension {
+pub(crate) fn resugar(e: &BagExpr, gen: &mut NameGen) -> Comprehension {
     match e {
         BagExpr::Map { input, f } => Comprehension {
             head: f.body.clone(),
@@ -179,7 +179,7 @@ pub fn resugar(e: &BagExpr, gen: &mut NameGen) -> Comprehension {
 
 /// Resugars a terminal fold `t0.fold(e, s, u)` into
 /// `[[ x | x ← MC⁻¹(t0) ]]^fold`.
-pub fn resugar_fold(bag: &BagExpr, op: &FoldOp, gen: &mut NameGen) -> Comprehension {
+pub(crate) fn resugar_fold(bag: &BagExpr, op: &FoldOp, gen: &mut NameGen) -> Comprehension {
     let v = gen.fresh("x");
     Comprehension {
         head: ScalarExpr::var(v.clone()),
@@ -194,7 +194,7 @@ pub fn resugar_fold(bag: &BagExpr, op: &FoldOp, gen: &mut NameGen) -> Comprehens
 
 /// Options controlling which normalization rules fire.
 #[derive(Clone, Copy, Debug)]
-pub struct NormalizeOpts {
+pub(crate) struct NormalizeOpts {
     /// Enable the head/generator unnesting (fusion) rules.
     pub fusion: bool,
     /// Enable exists-unnesting of nested existential guards.
@@ -212,7 +212,7 @@ impl Default for NormalizeOpts {
 
 /// Statistics of a normalization run (feeds the optimization report).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NormalizeStats {
+pub(crate) struct NormalizeStats {
     /// Generator/head unnesting (fusion) rule applications.
     pub fusions: usize,
     /// Exists-unnesting rule applications.
@@ -221,7 +221,7 @@ pub struct NormalizeStats {
 
 /// Normalizes a comprehension to a flat form whose generators are all atoms:
 /// applies guard splitting and the paper's three rewrite rules to fixpoint.
-pub fn normalize(
+pub(crate) fn normalize(
     mut c: Comprehension,
     opts: NormalizeOpts,
     gen: &mut NameGen,
@@ -484,7 +484,7 @@ fn is_exists(op: &FoldOp) -> bool {
 /// On fold-monad comprehensions and on existential generators (which have no
 /// direct operator-chain form; they arise only from exists-unnesting and are
 /// consumed by semi-join lowering).
-pub fn desugar(c: &Comprehension, gen: &mut NameGen) -> BagExpr {
+pub(crate) fn desugar(c: &Comprehension, gen: &mut NameGen) -> BagExpr {
     assert!(
         !matches!(c.monad, Monad::Fold(_)),
         "cannot desugar a fold comprehension to a bag expression"
@@ -615,11 +615,10 @@ impl fmt::Display for Comprehension {
 mod tests {
     use super::*;
     use crate::freshen::freshen_bag;
-    use std::collections::HashMap;
 
     fn fresh(e: &BagExpr) -> (BagExpr, NameGen) {
         let mut gen = NameGen::new();
-        let f = freshen_bag(e, &HashMap::new(), &mut gen);
+        let f = freshen_bag(e, &mut gen);
         (f, gen)
     }
 

@@ -25,7 +25,7 @@ use crate::interp::Catalog;
 use crate::value::{Value, ValueError};
 
 /// Parses one CSV field into a value.
-pub fn parse_field(field: &str) -> Value {
+pub(crate) fn parse_field(field: &str) -> Value {
     let f = field.trim();
     if f.is_empty() {
         return Value::Null;
@@ -54,7 +54,7 @@ pub fn parse_field(field: &str) -> Value {
 }
 
 /// Parses one CSV line into a row value.
-pub fn parse_line(line: &str) -> Value {
+pub(crate) fn parse_line(line: &str) -> Value {
     let fields: Vec<Value> = line.split(',').map(parse_field).collect();
     if fields.len() == 1 {
         fields.into_iter().next().expect("one field")
@@ -64,7 +64,7 @@ pub fn parse_line(line: &str) -> Value {
 }
 
 /// Serializes one value as a CSV field.
-pub fn format_field(v: &Value) -> Result<String, ValueError> {
+pub(crate) fn format_field(v: &Value) -> Result<String, ValueError> {
     match v {
         Value::Null => Ok(String::new()),
         Value::Bool(b) => Ok(b.to_string()),
@@ -95,7 +95,7 @@ pub fn format_field(v: &Value) -> Result<String, ValueError> {
 }
 
 /// Serializes one row as a CSV line.
-pub fn format_line(row: &Value) -> Result<String, ValueError> {
+pub(crate) fn format_line(row: &Value) -> Result<String, ValueError> {
     match row {
         Value::Tuple(fields) => {
             let parts: Result<Vec<String>, _> = fields.iter().map(format_field).collect();

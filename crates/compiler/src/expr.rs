@@ -778,7 +778,7 @@ pub enum TermMut<'a> {
 
 impl<'a> Term<'a> {
     /// The direct sub-terms, in evaluation order.
-    pub fn for_each_child(self, mut visit: impl FnMut(Term<'a>)) {
+    pub(crate) fn for_each_child(self, mut visit: impl FnMut(Term<'a>)) {
         match self {
             Term::Scalar(e) => e.for_each_child(visit),
             Term::Bag(b) => b.for_each_child(visit),
@@ -795,7 +795,7 @@ impl<'a> Term<'a> {
     }
 
     /// The names this term binds in its children.
-    pub fn binders(self) -> &'a [String] {
+    pub(crate) fn binders(self) -> &'a [String] {
         match self {
             Term::Lambda(lam) => &lam.params,
             Term::BagLambda(param, _) => std::slice::from_ref(param),
@@ -825,7 +825,7 @@ impl<'a> Term<'a> {
     }
 
     /// Every bag `Ref` name at or below this term, pre-order (binder-blind).
-    pub fn for_each_bag_ref(self, mut visit: impl FnMut(&'a str)) {
+    pub(crate) fn for_each_bag_ref(self, mut visit: impl FnMut(&'a str)) {
         self.walk(&mut |t| {
             if let Term::Bag(BagExpr::Ref { name }) = t {
                 visit(name)
@@ -836,7 +836,7 @@ impl<'a> Term<'a> {
 
 impl<'a> TermMut<'a> {
     /// The direct sub-terms, in evaluation order.
-    pub fn for_each_child(self, mut visit: impl FnMut(TermMut<'a>)) {
+    pub(crate) fn for_each_child(self, mut visit: impl FnMut(TermMut<'a>)) {
         match self {
             TermMut::Scalar(e) => e.for_each_child_mut(visit),
             TermMut::Bag(b) => b.for_each_child_mut(visit),
@@ -846,7 +846,7 @@ impl<'a> TermMut<'a> {
     }
 
     /// The names this term binds in its children.
-    pub fn binders(&mut self) -> &mut [String] {
+    pub(crate) fn binders(&mut self) -> &mut [String] {
         match self {
             TermMut::Lambda(lam) => &mut lam.params,
             TermMut::BagLambda(param, _) => std::slice::from_mut(&mut **param),
@@ -856,7 +856,7 @@ impl<'a> TermMut<'a> {
 
     /// Replaces free occurrences of the scalar variable `name` with
     /// `replacement`, in place. A binder of `name` shadows it.
-    pub fn substitute(mut self, name: &str, replacement: &ScalarExpr) {
+    pub(crate) fn substitute(mut self, name: &str, replacement: &ScalarExpr) {
         if let TermMut::Scalar(e) = &mut self {
             if matches!(&**e, ScalarExpr::Var(n) if n == name) {
                 **e = replacement.clone();
@@ -871,7 +871,7 @@ impl<'a> TermMut<'a> {
     /// Replaces every bag `Ref { name }` with `replacement`, in place — the
     /// inlining of Section 4.1. Binder-blind: driver bag names are never
     /// rebound inside a term.
-    pub fn substitute_ref(self, name: &str, replacement: &BagExpr) {
+    pub(crate) fn substitute_ref(self, name: &str, replacement: &BagExpr) {
         match self {
             TermMut::Bag(b) if matches!(&*b, BagExpr::Ref { name: n } if n == name) => {
                 *b = replacement.clone()

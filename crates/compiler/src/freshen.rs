@@ -8,37 +8,32 @@
 //! driver-level variable names (which live in a single global scope) are left
 //! untouched.
 
-use std::collections::HashMap;
-
 use crate::bag_expr::BagExpr;
 use crate::expr::{ScalarExpr, TermMut};
 use crate::program::{Program, Stmt};
 
 /// Monotone counter handing out fresh binder names.
 #[derive(Debug, Default)]
-pub struct NameGen {
+pub(crate) struct NameGen {
     next: usize,
 }
 
 impl NameGen {
     /// Creates a fresh-name generator.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Returns a fresh name derived from `base` (its pre-`$` stem).
-    pub fn fresh(&mut self, base: &str) -> String {
+    pub(crate) fn fresh(&mut self, base: &str) -> String {
         let stem = base.split('$').next().unwrap_or(base);
         self.next += 1;
         format!("{stem}${}", self.next)
     }
 }
 
-/// Environment mapping in-scope original binder names to their fresh names.
-type Scope = HashMap<String, String>;
-
 /// Freshens all binders in a program.
-pub fn freshen_program(p: &Program, gen: &mut NameGen) -> Program {
+pub(crate) fn freshen_program(p: &Program, gen: &mut NameGen) -> Program {
     let mut p = p.clone();
     freshen_stmts(&mut p.body, gen);
     p
@@ -51,15 +46,6 @@ fn freshen_stmts(stmts: &mut [Stmt], gen: &mut NameGen) {
         s.for_each_term_mut(|t| freshen(t, &mut Vec::new(), gen));
         s.blocks_mut().for_each(|b| freshen_stmts(b, gen));
     }
-}
-
-/// Freshens binders in a standalone bag expression; `scope` renames the
-/// variables it maps.
-pub fn freshen_bag(b: &BagExpr, scope: &Scope, gen: &mut NameGen) -> BagExpr {
-    let mut b = b.clone();
-    let mut scope: Vec<(String, String)> = scope.clone().into_iter().collect();
-    freshen(TermMut::Bag(&mut b), &mut scope, gen);
-    b
 }
 
 /// Renames every binder below `t` in visit order, and every variable or bag
@@ -79,6 +65,15 @@ fn freshen(mut t: TermMut<'_>, scope: &mut Vec<(String, String)>, gen: &mut Name
     }
     t.for_each_child(|c| freshen(c, scope, gen));
     scope.truncate(depth);
+}
+
+/// Freshens binders in a standalone bag expression. The pipeline freshens
+/// whole programs; this entry point lets the tests freshen one bag.
+#[cfg(test)]
+pub(crate) fn freshen_bag(b: &BagExpr, gen: &mut NameGen) -> BagExpr {
+    let mut b = b.clone();
+    freshen(TermMut::Bag(&mut b), &mut Vec::new(), gen);
+    b
 }
 
 #[cfg(test)]
@@ -108,7 +103,7 @@ mod tests {
                 ),
             ));
         let mut gen = NameGen::new();
-        let fresh = freshen_bag(&e, &Scope::new(), &mut gen);
+        let fresh = freshen_bag(&e, &mut gen);
         let mut names = Vec::new();
         binders(&fresh, &mut names);
         let set: HashSet<&String> = names.iter().collect();
@@ -122,7 +117,7 @@ mod tests {
             ScalarExpr::var("p").add(ScalarExpr::var("epsilon")),
         ));
         let mut gen = NameGen::new();
-        let fresh = freshen_bag(&e, &Scope::new(), &mut gen);
+        let fresh = freshen_bag(&e, &mut gen);
         let fv = fresh.free_vars();
         assert!(fv.contains("points"));
         assert!(fv.contains("epsilon"));
@@ -133,7 +128,7 @@ mod tests {
     fn bound_references_are_renamed_consistently() {
         let e = BagExpr::read("xs").map(Lambda::new(["x"], ScalarExpr::var("x").get(1)));
         let mut gen = NameGen::new();
-        let fresh = freshen_bag(&e, &Scope::new(), &mut gen);
+        let fresh = freshen_bag(&e, &mut gen);
         match fresh {
             BagExpr::Map { f, .. } => {
                 assert_eq!(f.params[0], "x$1");

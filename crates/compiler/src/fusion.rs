@@ -25,7 +25,7 @@ use crate::freshen::NameGen;
 
 /// Attempts fold-group fusion on every groupBy generator of the (normalized)
 /// comprehension. Returns the number of groupBys fused.
-pub fn fuse_fold_group(c: &mut Comprehension, gen: &mut NameGen) -> usize {
+pub(crate) fn fuse_fold_group(c: &mut Comprehension, gen: &mut NameGen) -> usize {
     let mut fused = 0;
     for qi in 0..c.quals.len() {
         let Qual::Gen(g) = &c.quals[qi] else { continue };
@@ -249,7 +249,7 @@ mod tests {
                 ]),
             ));
         let mut gen = NameGen::new();
-        let e = freshen_bag(&e, &HashMap::new(), &mut gen);
+        let e = freshen_bag(&e, &mut gen);
         let c = resugar(&e, &mut gen);
         let (n, _) = normalize(c, NormalizeOpts::default(), &mut gen);
         (n, gen)
@@ -298,7 +298,7 @@ mod tests {
                 ]),
             ));
         let mut gen = NameGen::new();
-        let e = freshen_bag(&e, &HashMap::new(), &mut gen);
+        let e = freshen_bag(&e, &mut gen);
         let c = resugar(&e, &mut gen);
         let (mut n, _) = normalize(c, NormalizeOpts::default(), &mut gen);
         assert_eq!(fuse_fold_group(&mut n, &mut gen), 0);
@@ -319,7 +319,7 @@ mod tests {
                     .count(),
             ));
         let mut gen = NameGen::new();
-        let e = freshen_bag(&e, &HashMap::new(), &mut gen);
+        let e = freshen_bag(&e, &mut gen);
         let c = resugar(&e, &mut gen);
         let (mut n, _) = normalize(c, NormalizeOpts::default(), &mut gen);
         assert_eq!(fuse_fold_group(&mut n, &mut gen), 1);

@@ -145,7 +145,7 @@ impl<'a> Env<'a> {
     }
 
     /// Looks up a variable, innermost binding first.
-    pub fn lookup(&self, name: &str) -> Result<&Value, ValueError> {
+    pub(crate) fn lookup(&self, name: &str) -> Result<&Value, ValueError> {
         self.locals
             .iter()
             .rev()
@@ -259,7 +259,7 @@ pub fn eval_scalar<'a>(
 }
 
 /// Applies a reified fold to a slice of elements.
-pub fn eval_fold<'a>(
+pub(crate) fn eval_fold<'a>(
     fold: &'a FoldOp,
     elems: &[Value],
     env: &mut Env<'a>,
@@ -307,7 +307,7 @@ pub fn eval_bag_with_binding<'a>(
 }
 
 /// Evaluates a bag expression to its elements.
-pub fn eval_bag<'a>(
+pub(crate) fn eval_bag<'a>(
     b: &'a BagExpr,
     env: &mut Env<'a>,
     catalog: &Catalog,
@@ -391,7 +391,7 @@ pub fn agg_rows(accs: InsertionMap<Value, Value>) -> Vec<Value> {
 }
 
 /// Evaluates a binary operator on values.
-pub fn eval_binop(op: BinOp, l: Value, r: Value) -> Result<Value, ValueError> {
+pub(crate) fn eval_binop(op: BinOp, l: Value, r: Value) -> Result<Value, ValueError> {
     use BinOp::*;
     match op {
         Add => match (&l, &r) {
@@ -462,7 +462,7 @@ pub fn eval_binop(op: BinOp, l: Value, r: Value) -> Result<Value, ValueError> {
 }
 
 /// Evaluates a builtin function on values.
-pub fn eval_builtin(f: BuiltinFn, args: &[Value]) -> Result<Value, ValueError> {
+pub(crate) fn eval_builtin(f: BuiltinFn, args: &[Value]) -> Result<Value, ValueError> {
     match f {
         BuiltinFn::Sqrt => Ok(Value::Float(args[0].as_float()?.sqrt())),
         BuiltinFn::Abs => match &args[0] {

@@ -11,12 +11,12 @@
 //! ([`expr::ScalarExpr`]). Every stage of the paper's Figure 1 pipeline then
 //! operates exactly as described:
 //!
-//! 1. **Recovering comprehensions** ([`comprehension`]): MC⁻¹ resugaring of
+//! 1. **Recovering comprehensions** (`comprehension`): MC⁻¹ resugaring of
 //!    `map`/`flatMap`/`withFilter`/`fold` chains, single-use inlining, and
 //!    normalization (head unnesting, generator fusion, exists-unnesting).
-//! 2. **Logical optimization** ([`fusion`]): fold-group fusion via banana
+//! 2. **Logical optimization** (`fusion`): fold-group fusion via banana
 //!    split + fold-build fusion, rewriting `groupBy` to `aggBy`.
-//! 3. **Lowering** ([`lower`]): Grust-style combinator rules (Figure 2)
+//! 3. **Lowering** (`lower`): Grust-style combinator rules (Figure 2)
 //!    driven by the Figure 3a state machine, producing abstract dataflow
 //!    [`plan::Plan`]s.
 //! 4. **Physical optimization** ([`physical`]): caching of multiply
@@ -35,13 +35,13 @@
 #![warn(missing_docs)]
 
 pub mod bag_expr;
-pub mod comprehension;
+mod comprehension;
 pub mod csvio;
 pub mod expr;
-pub mod freshen;
-pub mod fusion;
+mod freshen;
+mod fusion;
 pub mod interp;
-pub mod lower;
+mod lower;
 pub mod physical;
 pub mod physical_pipeline;
 pub mod pipeline;
@@ -49,6 +49,9 @@ pub mod plan;
 pub mod program;
 pub mod value;
 pub mod vectorized;
+
+#[cfg(test)]
+mod roundtrip;
 
 pub use bag_expr::{BagExpr, BagLambda};
 pub use expr::{BinOp, BuiltinFn, FoldKind, FoldOp, Lambda, ScalarExpr, UnOp};

@@ -36,7 +36,7 @@ use crate::plan::{JoinKind, JoinStrategy, Plan};
 
 /// Compiles a bag expression through the full logical pipeline:
 /// resugar → normalize → fold-group fusion → combinator lowering.
-pub fn lower_bag(
+pub(crate) fn lower_bag(
     e: &BagExpr,
     flags: &OptimizerFlags,
     gen: &mut NameGen,
@@ -47,7 +47,7 @@ pub fn lower_bag(
 }
 
 /// Compiles a terminal fold over a bag expression to a scalar-producing plan.
-pub fn lower_fold(
+pub(crate) fn lower_fold(
     bag: &BagExpr,
     op: &FoldOp,
     flags: &OptimizerFlags,
@@ -98,7 +98,7 @@ impl GState {
 }
 
 /// Lowers a normalized comprehension to a dataflow plan.
-pub fn lower_comp(
+pub(crate) fn lower_comp(
     c: Comprehension,
     flags: &OptimizerFlags,
     gen: &mut NameGen,

@@ -65,7 +65,7 @@ pub enum PipelineStage {
 
 impl PipelineStage {
     /// The stage's UDF.
-    pub fn term(&self) -> Term<'_> {
+    pub(crate) fn term(&self) -> Term<'_> {
         match self {
             PipelineStage::Map { f } | PipelineStage::Filter { p: f } => Term::Lambda(f),
             PipelineStage::FlatMap { param, body } => Term::BagLambda(param, body),
@@ -73,7 +73,7 @@ impl PipelineStage {
     }
 
     /// Operator name of the standalone node this stage was fused from.
-    pub fn op_name(&self) -> &'static str {
+    pub(crate) fn op_name(&self) -> &'static str {
         match self {
             PipelineStage::Map { .. } => "Map",
             PipelineStage::Filter { .. } => "Filter",

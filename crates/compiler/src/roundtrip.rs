@@ -7,13 +7,13 @@
 
 use std::collections::{HashMap, HashSet};
 
-use emma_compiler::bag_expr::{BagExpr, BagLambda};
-use emma_compiler::comprehension::{desugar, normalize, resugar, NormalizeOpts};
-use emma_compiler::expr::{FoldOp, Lambda, ScalarExpr, Term};
-use emma_compiler::freshen::{freshen_bag, NameGen};
-use emma_compiler::fusion::fuse_fold_group;
-use emma_compiler::interp::{eval_bag, Catalog, Env};
-use emma_compiler::value::Value;
+use crate::bag_expr::{BagExpr, BagLambda};
+use crate::comprehension::{desugar, normalize, resugar, NormalizeOpts};
+use crate::expr::{FoldOp, Lambda, ScalarExpr, Term};
+use crate::freshen::{freshen_bag, NameGen};
+use crate::fusion::fuse_fold_group;
+use crate::interp::{eval_bag, Catalog, Env};
+use crate::value::Value;
 use proptest::prelude::*;
 
 /// The catalog both sides evaluate against: two tables of `(Int, Int)` rows.
@@ -201,7 +201,7 @@ proptest! {
     fn normalization_roundtrip_preserves_semantics(e in chain()) {
         let cat = catalog();
         let mut gen = NameGen::new();
-        let e = freshen_bag(&e, &HashMap::new(), &mut gen);
+        let e = freshen_bag(&e, &mut gen);
         let before = eval(&e, &cat);
 
         let comp = resugar(&e, &mut gen);
@@ -242,7 +242,7 @@ proptest! {
                 ]),
             ));
         let mut gen = NameGen::new();
-        let grouped = freshen_bag(&grouped, &HashMap::new(), &mut gen);
+        let grouped = freshen_bag(&grouped, &mut gen);
         let before = eval(&grouped, &cat);
 
         let comp = resugar(&grouped, &mut gen);
@@ -261,7 +261,7 @@ proptest! {
         let cat = catalog();
         let before = eval(&e, &cat);
         let mut gen = NameGen::new();
-        let fresh = freshen_bag(&e, &HashMap::new(), &mut gen);
+        let fresh = freshen_bag(&e, &mut gen);
         let after = eval(&fresh, &cat);
         prop_assert_eq!(Value::bag(before), Value::bag(after));
     }
@@ -289,7 +289,7 @@ proptest! {
     #[test]
     fn freshening_keeps_free_variables_and_makes_binders_unique(e in chain()) {
         let mut gen = NameGen::new();
-        let fresh = freshen_bag(&e, &HashMap::new(), &mut gen);
+        let fresh = freshen_bag(&e, &mut gen);
         prop_assert_eq!(fresh.free_vars(), e.free_vars());
         let names = binders(&fresh);
         let unique: HashSet<&String> = names.iter().collect();

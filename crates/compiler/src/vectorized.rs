@@ -453,7 +453,7 @@ pub fn specialize_sampled(
 
 /// Minimum conforming sample rows before the dictionary heuristic may
 /// fire — a dictionary decided from a couple of rows is noise.
-pub const DICT_MIN_SAMPLE: usize = 8;
+pub(crate) const DICT_MIN_SAMPLE: usize = 8;
 
 struct Builder<'s> {
     /// The driver-side sample rows (shape from the first, encoding
@@ -821,7 +821,8 @@ impl<'s> Builder<'s> {
     /// what the kernels did not compute is shared from its source: an input
     /// component (a string or opaque leaf, or a whole sub-tuple with a leaf)
     /// by its path, a constant by itself. Every input leaf still loads: the
-    /// loads are the batch's conformance check.
+    /// loads are the batch's conformance check. No load checks a tuple's
+    /// arity, so a forwarded input tuple is shared whole or refused.
     fn mat_node(&mut self, v: VVal, share: bool) -> Option<MatNode> {
         match v {
             VVal::Tup(fs) => {
@@ -836,11 +837,10 @@ impl<'s> Builder<'s> {
                     let path = path.iter().copied().chain([i]).collect();
                     self.mat_node(VVal::Arg { path, shape }, share)
                 });
-                let built = fs.collect::<Option<_>>().map(MatNode::Tup)?;
+                fs.collect::<Option<Vec<_>>>()?;
                 // A loaded leaf below `path` proves every row has `path`.
                 let below = |p: &Vec<usize>| p.len() > path.len() && p.starts_with(&path);
-                let shared = share && self.loads.keys().any(below);
-                Some(if shared { MatNode::Pass(path) } else { built })
+                (share && self.loads.keys().any(below)).then_some(MatNode::Pass(path))
             }
             v => {
                 let c = self.resolve(v)?;
@@ -1578,8 +1578,8 @@ pub struct AggKernel {
 /// Specializes a fused `aggBy` phase against a driver-side sample (see
 /// [`specialize_sampled`]). `None` — the caller counts a fallback and runs
 /// the scalar loop — when `key`/`sng` resist typing, the key has an opaque
-/// leaf, `uni` is not slot-wise, or a slot's operator does not fit its
-/// zero/value types.
+/// leaf or forwards an input tuple, `uni` is not slot-wise, or a slot's
+/// operator does not fit its zero/value types.
 pub fn specialize_agg(input: &AggInput<'_>, uni: &Lambda, samples: &[Value]) -> Option<AggKernel> {
     let (ops, tuple_acc) = slot_ops(uni)?;
     let mut b = Builder::new(samples);

@@ -51,40 +51,12 @@ impl<A: Clone> InsTree<A> {
 
     /// Structural recursion in insert representation:
     /// `fold_ins(e, c)` substitutes `e` for `Emp` and `c` for `Cons`.
-    pub fn fold_ins<B>(&self, e: B, c: &impl Fn(&A, B) -> B) -> B {
+    pub(crate) fn fold_ins<B>(&self, e: B, c: &impl Fn(&A, B) -> B) -> B {
         match self {
             InsTree::Emp => e,
             InsTree::Cons(x, rest) => {
                 let tail = rest.fold_ins(e, c);
                 c(x, tail)
-            }
-        }
-    }
-}
-
-/// The iterator-based `scan` from the paper, driven by the insert algebra:
-/// each `next()` pattern-matches one `cons` off the tree — exactly what a
-/// database scan operator does conceptually.
-pub struct Scan<A> {
-    tree: InsTree<A>,
-}
-
-impl<A: Clone> Scan<A> {
-    /// Starts a scan over the given constructor tree.
-    pub fn new(tree: InsTree<A>) -> Self {
-        Scan { tree }
-    }
-}
-
-impl<A: Clone> Iterator for Scan<A> {
-    type Item = A;
-
-    fn next(&mut self) -> Option<A> {
-        match std::mem::replace(&mut self.tree, InsTree::Emp) {
-            InsTree::Emp => None,
-            InsTree::Cons(x, rest) => {
-                self.tree = *rest;
-                Some(x)
             }
         }
     }
@@ -102,21 +74,6 @@ pub enum UnionTree<A> {
 }
 
 impl<A: Clone> UnionTree<A> {
-    /// Builds a right-leaning union tree from a slice.
-    pub fn from_slice(xs: &[A]) -> Self {
-        match xs {
-            [] => UnionTree::Emp,
-            [x] => UnionTree::Sng(x.clone()),
-            _ => {
-                let mid = xs.len() / 2;
-                UnionTree::Uni(
-                    Box::new(Self::from_slice(&xs[..mid])),
-                    Box::new(Self::from_slice(&xs[mid..])),
-                )
-            }
-        }
-    }
-
     /// The bag this tree denotes.
     pub fn to_bag(&self) -> DataBag<A> {
         let mut out = Vec::new();
@@ -189,20 +146,6 @@ impl<A: Clone> UnionTree<A> {
             t => t,
         }
     }
-
-    /// Number of elements in the denoted bag.
-    pub fn len(&self) -> usize {
-        match self {
-            UnionTree::Emp => 0,
-            UnionTree::Sng(_) => 1,
-            UnionTree::Uni(l, r) => l.len() + r.len(),
-        }
-    }
-
-    /// `true` iff the denoted bag is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 /// Converts an insert-representation tree to a union-representation tree
@@ -213,27 +156,31 @@ pub fn ins_to_union<A: Clone>(t: &InsTree<A>) -> UnionTree<A> {
     })
 }
 
-/// Converts a union-representation tree to an insert-representation tree.
-pub fn union_to_ins<A: Clone>(t: &UnionTree<A>) -> InsTree<A> {
-    let elems = t.to_bag().fetch();
-    InsTree::from_slice(&elems)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<A: Clone> UnionTree<A> {
+        /// Builds a right-leaning union tree from a slice.
+        fn from_slice(xs: &[A]) -> Self {
+            match xs {
+                [] => UnionTree::Emp,
+                [x] => UnionTree::Sng(x.clone()),
+                _ => {
+                    let mid = xs.len() / 2;
+                    UnionTree::Uni(
+                        Box::new(Self::from_slice(&xs[..mid])),
+                        Box::new(Self::from_slice(&xs[mid..])),
+                    )
+                }
+            }
+        }
+    }
 
     #[test]
     fn ins_tree_round_trips() {
         let t = InsTree::from_slice(&[2, 42]);
         assert!(t.to_bag().bag_eq(&DataBag::from_seq(vec![42, 2])));
-    }
-
-    #[test]
-    fn scan_yields_all_elements() {
-        let t = InsTree::from_slice(&[3, 5, 7]);
-        let scanned: Vec<i64> = Scan::new(t).collect();
-        assert_eq!(scanned, vec![3, 5, 7]);
     }
 
     #[test]
@@ -261,8 +208,6 @@ mod tests {
         let ins = InsTree::from_slice(&xs);
         let uni = ins_to_union(&ins);
         assert!(uni.to_bag().bag_eq(&ins.to_bag()));
-        let back = union_to_ins(&uni);
-        assert!(back.to_bag().bag_eq(&ins.to_bag()));
     }
 
     #[test]

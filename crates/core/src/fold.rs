@@ -36,7 +36,7 @@ pub struct Fold<A, B> {
 
 impl<A, B: Clone + 'static> Fold<A, B> {
     /// Creates a fold from its three components.
-    pub fn new(
+    pub(crate) fn new(
         zero: B,
         sng: impl Fn(&A) -> B + 'static,
         uni: impl Fn(B, B) -> B + 'static,
@@ -51,7 +51,7 @@ impl<A, B: Clone + 'static> Fold<A, B> {
     /// Applies the fold to a sequence of elements (left-to-right evaluation;
     /// any evaluation order gives the same result when the fold is
     /// well-defined).
-    pub fn apply<'a>(&self, items: impl IntoIterator<Item = &'a A>) -> B
+    pub(crate) fn apply<'a>(&self, items: impl IntoIterator<Item = &'a A>) -> B
     where
         A: 'a,
     {
@@ -80,46 +80,6 @@ impl<A: 'static, B: Clone + 'static> Fold<A, B> {
             uni: Box::new(move |(x1, x2), (y1, y2)| (u1(x1, y1), u2(x2, y2))),
         }
     }
-
-    /// Post-composes a finishing function, yielding a [`FinishedFold`].
-    ///
-    /// A finisher such as `sum / count` is not itself a fold (it must run
-    /// exactly once, on the fully combined result), so composition produces
-    /// the dedicated [`FinishedFold`] type rather than another `Fold`.
-    pub fn and_then<C>(self, f: impl Fn(B) -> C + 'static) -> FinishedFold<A, B, C> {
-        FinishedFold::new(self, f)
-    }
-}
-
-/// A fold paired with a finishing function, `finish ∘ fold`.
-///
-/// Folds compose in parallel (partial results combine with `uni`), but a
-/// *finisher* such as `sum / count` must run exactly once at the end. The
-/// engine ships `fold` parts to workers and applies `finish` on the combined
-/// result.
-pub struct FinishedFold<A, B, C> {
-    /// The distributable structural recursion.
-    pub fold: Fold<A, B>,
-    /// Applied once to the fully combined fold result.
-    pub finish: Box<dyn Fn(B) -> C>,
-}
-
-impl<A, B: Clone + 'static, C> FinishedFold<A, B, C> {
-    /// Creates a finished fold from a fold and a finishing function.
-    pub fn new(fold: Fold<A, B>, finish: impl Fn(B) -> C + 'static) -> Self {
-        FinishedFold {
-            fold,
-            finish: Box::new(finish),
-        }
-    }
-
-    /// Folds the items and applies the finisher.
-    pub fn apply<'a>(&self, items: impl IntoIterator<Item = &'a A>) -> C
-    where
-        A: 'a,
-    {
-        (self.finish)(self.fold.apply(items))
-    }
 }
 
 /// Commonly used fold constructors (the aliases of Listing 3).
@@ -131,66 +91,21 @@ pub mod aliases {
         Fold::new(0, |_| 1, |x, y| x + y)
     }
 
-    /// `sum` over a projection: fold(0, s, +).
-    pub fn sum_by<A: 'static>(s: impl Fn(&A) -> f64 + 'static) -> Fold<A, f64> {
-        Fold::new(0.0, s, |x, y| x + y)
-    }
-
     /// `sum` over integer projections.
     pub fn isum_by<A: 'static>(s: impl Fn(&A) -> i64 + 'static) -> Fold<A, i64> {
         Fold::new(0, s, |x, y| x + y)
-    }
-
-    /// `exists p`: fold(false, p, ∨).
-    pub fn exists<A: 'static>(p: impl Fn(&A) -> bool + 'static) -> Fold<A, bool> {
-        Fold::new(false, p, |x, y| x || y)
-    }
-
-    /// `forall p`: fold(true, p, ∧).
-    pub fn forall<A: 'static>(p: impl Fn(&A) -> bool + 'static) -> Fold<A, bool> {
-        Fold::new(true, p, |x, y| x && y)
-    }
-
-    /// `min` by a totally ordered projection; `None` on the empty bag.
-    pub fn min_by_key<A: Clone + 'static, K: PartialOrd + 'static>(
-        key: impl Fn(&A) -> K + 'static,
-    ) -> Fold<A, Option<A>> {
-        let key2 = std::rc::Rc::new(key);
-        let key3 = key2.clone();
-        Fold::new(
-            None,
-            move |a: &A| Some(a.clone()),
-            move |x, y| match (x, y) {
-                (None, r) => r,
-                (l, None) => l,
-                (Some(l), Some(r)) => {
-                    if key3(&l) <= key3(&r) {
-                        Some(l)
-                    } else {
-                        Some(r)
-                    }
-                }
-            },
-        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::aliases;
-    use super::*;
 
     #[test]
     fn count_folds() {
         let f = aliases::count::<i64>();
         assert_eq!(f.apply(&[1, 2, 3]), 3);
         assert_eq!(f.apply(&[]), 0);
-    }
-
-    #[test]
-    fn sum_folds() {
-        let f = aliases::sum_by(|x: &f64| *x);
-        assert_eq!(f.apply(&[1.0, 2.0, 3.5]), 6.5);
     }
 
     #[test]
@@ -202,35 +117,5 @@ mod tests {
         let (s, c) = split.apply(&xs);
         assert_eq!(s, sum.apply(&xs));
         assert_eq!(c, cnt.apply(&xs));
-    }
-
-    #[test]
-    fn min_by_key_picks_first_on_tie() {
-        let f = aliases::min_by_key(|x: &(i64, &str)| x.0);
-        let xs = vec![(2, "b"), (1, "a"), (1, "c")];
-        assert_eq!(f.apply(&xs), Some((1, "a")));
-    }
-
-    #[test]
-    fn exists_and_forall() {
-        let ex = aliases::exists(|x: &i64| *x > 2);
-        let fa = aliases::forall(|x: &i64| *x > 0);
-        assert!(ex.apply(&[1, 2, 3]));
-        assert!(!ex.apply(&[1, 2]));
-        assert!(fa.apply(&[1, 2, 3]));
-        assert!(!fa.apply(&[0, 1]));
-        // Empty-bag conventions.
-        assert!(!ex.apply(&[]));
-        assert!(fa.apply(&[]));
-    }
-
-    #[test]
-    fn finished_fold_applies_finisher_once() {
-        let avg = FinishedFold::new(
-            aliases::sum_by(|x: &f64| *x).zip(aliases::count()),
-            |(s, c)| if c == 0 { 0.0 } else { s / c as f64 },
-        );
-        assert_eq!(avg.apply(&[1.0, 2.0, 3.0]), 2.0);
-        assert_eq!(avg.apply(&[]), 0.0);
     }
 }

@@ -102,12 +102,12 @@ impl<K: Eq, V> InsertionMap<K, V> {
     }
 
     /// The number of distinct keys.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
     /// True when no key has been inserted.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 

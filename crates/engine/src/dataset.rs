@@ -32,7 +32,7 @@ pub struct Partitioning {
 
 impl Partitioning {
     /// Whether this partitioning satisfies a requirement.
-    pub fn satisfies(&self, key: &Lambda, parts: usize) -> bool {
+    pub(crate) fn satisfies(&self, key: &Lambda, parts: usize) -> bool {
         self.parts == parts && self.key.alpha_eq(key)
     }
 }
@@ -140,7 +140,7 @@ impl Part {
 
     /// Approximate serialized bytes of the rows: walks them if no holder of
     /// this partition has before.
-    pub fn bytes(&self) -> u64 {
+    pub(crate) fn bytes(&self) -> u64 {
         self.widths().total
     }
 
@@ -156,7 +156,7 @@ impl Part {
     }
 
     /// The rows: moved out if this is the last holder, copied otherwise.
-    pub fn into_rows(self) -> Vec<Value> {
+    pub(crate) fn into_rows(self) -> Vec<Value> {
         Arc::try_unwrap(self.0).map_or_else(|shared| shared.rows.clone(), |block| block.rows)
     }
 }
@@ -450,21 +450,8 @@ impl Partitioned {
         Ok(Partitioned::clone(&blocks))
     }
 
-    /// `n` empty partitions.
-    pub fn empty(n: usize) -> Self {
-        Partitioned {
-            parts: (0..n.max(1)).map(|_| Part::default()).collect(),
-            partitioning: None,
-        }
-    }
-
-    /// Number of partitions.
-    pub fn num_parts(&self) -> usize {
-        self.parts.len()
-    }
-
     /// Total number of rows.
-    pub fn total_rows(&self) -> u64 {
+    pub(crate) fn total_rows(&self) -> u64 {
         self.parts.iter().map(|p| p.len() as u64).sum()
     }
 
@@ -474,22 +461,22 @@ impl Partitioned {
     }
 
     /// Total approximate serialized bytes.
-    pub fn total_bytes(&self) -> u64 {
+    pub(crate) fn total_bytes(&self) -> u64 {
         self.part_bytes().sum()
     }
 
     /// Rows in the largest partition (per-slot CPU time driver).
-    pub fn max_part_rows(&self) -> u64 {
+    pub(crate) fn max_part_rows(&self) -> u64 {
         self.parts.iter().map(|p| p.len() as u64).max().unwrap_or(0)
     }
 
     /// Bytes of the largest partition (skew measurement).
-    pub fn max_part_bytes(&self) -> u64 {
+    pub(crate) fn max_part_bytes(&self) -> u64 {
         self.part_bytes().max().unwrap_or(0)
     }
 
     /// Gathers all rows into one vector (the `collect` data motion).
-    pub fn collect_rows(&self) -> Vec<Value> {
+    pub(crate) fn collect_rows(&self) -> Vec<Value> {
         let mut out = Vec::with_capacity(self.total_rows() as usize);
         for p in &self.parts {
             out.extend(p.iter().cloned());
@@ -534,7 +521,7 @@ mod tests {
     #[test]
     fn from_rows_distributes_everything() {
         let p = Partitioned::from_rows(ints(10), 3);
-        assert_eq!(p.num_parts(), 3);
+        assert_eq!(p.parts.len(), 3);
         assert_eq!(p.total_rows(), 10);
         assert_eq!(p.collect_rows(), ints(10));
     }
@@ -547,19 +534,11 @@ mod tests {
         assert_eq!(lens(&Partitioned::from_rows(ints(0), 2)), [0, 0]);
         assert_eq!(lens(&Partitioned::from_rows(ints(5), 0)), [5]);
         let sparse = Partitioned::from_rows(ints(3), 320);
-        assert_eq!(sparse.num_parts(), 320);
+        assert_eq!(sparse.parts.len(), 320);
         assert_eq!(lens(&sparse)[..4], [1, 1, 1, 0]);
         for block in &Partitioned::from_rows(ints(1000), 7).parts {
             assert_eq!(block.0.rows.capacity(), block.len());
         }
-    }
-
-    #[test]
-    fn empty_has_no_rows_but_partitions() {
-        let p = Partitioned::empty(4);
-        assert_eq!(p.num_parts(), 4);
-        assert_eq!(p.total_rows(), 0);
-        assert_eq!(p.total_bytes(), 0);
     }
 
     #[test]
@@ -747,7 +726,7 @@ mod tests {
         }
         // Another partition count is another layout.
         let other = Partitioned::of_dataset(&catalog, "xs", 5).unwrap();
-        assert_eq!((other.num_parts(), other.total_bytes()), (5, 800));
+        assert_eq!((other.parts.len(), other.total_bytes()), (5, 800));
         // A clone of the catalog holds equal rows, so it shares the blocks.
         let cloned = Partitioned::of_dataset(&catalog.clone(), "xs", 4).unwrap();
         assert!(Arc::ptr_eq(&cloned.parts[0].0, &first.parts[0].0));

@@ -115,7 +115,7 @@ pub struct Engine {
 
 /// Default for [`Engine::parallelism_threshold`]: below this many rows the
 /// fan-out overhead outweighs the per-partition work.
-pub const DEFAULT_PARALLELISM_THRESHOLD: u64 = 4_096;
+pub(crate) const DEFAULT_PARALLELISM_THRESHOLD: u64 = 4_096;
 
 impl Engine {
     /// Creates an engine.

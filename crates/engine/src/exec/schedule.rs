@@ -2,13 +2,18 @@
 //! [`Session::run_tasks`], which owns the worker pool, the failure
 //! schedule's wave counter, retries and speculation. Both are private to
 //! this module.
+//!
+//! A wave has one panic-containment layer: [`Session::run_ranges`] catches
+//! a panic around each run's body and attributes it to the first partition
+//! of the run that reported no outcome. The pool below it only fans the
+//! runs out and collects what they return.
 
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use super::*;
 use crate::fault::{self, SpeculationPolicy, TaskFault};
-use crate::pool::{Parallelism, Settled};
+use crate::pool::Parallelism;
 
 /// Per-run dispatch state.
 pub(super) struct Waves {
@@ -222,10 +227,9 @@ impl Session<'_> {
             // Each partition's outcome, by wave index; a killed task never
             // runs its body — its partition's work is lost and must be
             // redone on retry.
-            let mut settled: Vec<Option<Settled<Outcome<T>>>> =
+            let mut settled: Vec<Option<std::thread::Result<Outcome<T>>>> =
                 (0..pending.len()).map(|_| None).collect();
-            for (ws, report) in runs.iter().zip(reports) {
-                let (out, panicked) = report.expect("a run's body contains its panics");
+            for (ws, (out, panicked)) in runs.iter().zip(reports) {
                 let mut wis = ws.clone();
                 for (outcome, wi) in out.into_iter().zip(wis.by_ref()) {
                     settled[wi] = Some(Ok(outcome));
@@ -417,6 +421,53 @@ mod tests {
                 assert_eq!(first_error(engine, raise, panic), want);
             }
             assert_eq!((want.2, want.3), (0.0, 0.0), "no fault charge");
+        }
+    }
+
+    /// The one containment layer is `run_ranges`' catch around each run:
+    /// a panic below an evaluation error is the wave's error, attributed to
+    /// its partition, however the wave is dispatched and cut into runs.
+    #[test]
+    fn a_panic_below_an_error_raises_alike_on_every_thread_count_and_mode() {
+        // A chaos seed that fails partition 0 of the first wave, so the
+        // retry below the panic charges the clock.
+        let chaos = (0..)
+            .map(FaultConfig::chaos)
+            .find(|cfg| cfg.task_fault(0, 0, 0) == TaskFault::Fail)
+            .expect("some seed fails partition 0 at attempt 0");
+        for faults in [FaultConfig::disabled(), chaos] {
+            let mut want = None;
+            for (wide, mode, threads) in [true, false]
+                .into_iter()
+                .flat_map(|w| [ParallelismMode::Pool, ParallelismMode::PerOperator].map(|m| (w, m)))
+                .flat_map(|(w, m)| [1, 2, 4].map(|t| (w, m, t)))
+            {
+                let engine = Engine::new(ClusterSpec::tiny(), Personality::sparrow())
+                    .with_parallelism_threshold(0)
+                    .with_parallelism_mode(mode)
+                    .with_worker_threads(Some(threads))
+                    .with_faults(faults);
+                let catalog = Catalog::new();
+                let mut session = Session::new(&engine, &catalog, true);
+                let err = session
+                    .run_tasks(wide, 8, 800, |pi, _| match pi {
+                        2 => panic!("p2"),
+                        5 => Err(ValueError::Arithmetic("p5".into())),
+                        _ => Ok(pi),
+                    })
+                    .expect_err("partition 2 panics and partition 5 raises");
+                let st = &session.stats;
+                let got = (
+                    format!("{err:?}"),
+                    st.tasks_failed,
+                    st.simulated_secs.to_bits(),
+                );
+                assert!(got.0.contains("panicked: p2"), "{got:?}");
+                let want = want.get_or_insert_with(|| got.clone());
+                assert_eq!(&got, want, "wide {wide}, {mode:?}, {threads} threads");
+            }
+            let want = want.expect("some configuration ran");
+            assert_eq!(want.1 > 1, faults.injects(), "{want:?}");
         }
     }
 

@@ -108,7 +108,7 @@ impl SpeculationPolicy {
     /// The delay threshold above which a straggler is cloned, given the
     /// wave's full delay profile (one entry per task, 0.0 for non-stragglers).
     /// `All` admits every positive delay. Pure: sorts a copy, no RNG.
-    pub fn clone_threshold(&self, wave_delays: &[f64]) -> f64 {
+    pub(crate) fn clone_threshold(&self, wave_delays: &[f64]) -> f64 {
         match *self {
             SpeculationPolicy::All => 0.0,
             SpeculationPolicy::Quantile(q) => {
@@ -496,7 +496,7 @@ pub enum TaskFault {
 /// an unwind boundary) is downcast back into the typed error; string
 /// payloads keep their message; anything else gets a generic marker. The
 /// original text is never discarded.
-pub fn panic_value_error(payload: Box<dyn Any + Send>) -> ValueError {
+pub(crate) fn panic_value_error(payload: Box<dyn Any + Send>) -> ValueError {
     let payload = match payload.downcast::<ValueError>() {
         Ok(e) => return *e,
         Err(p) => p,

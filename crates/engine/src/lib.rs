@@ -29,10 +29,10 @@
 pub mod cluster;
 mod cost;
 pub mod dataset;
-pub mod exec;
-pub mod fault;
-pub mod metrics;
-pub mod pool;
+mod exec;
+mod fault;
+mod metrics;
+mod pool;
 pub mod service;
 pub mod skew;
 
@@ -41,10 +41,10 @@ pub use dataset::{Partitioned, Partitioning};
 pub use emma_compiler::vectorized::BatchConfig;
 pub use exec::{Engine, EngineRun};
 pub use fault::{
-    CheckpointConfig, CheckpointPolicy, CostDrivenConfig, FaultConfig, SpeculationPolicy, TaskFault,
+    CheckpointConfig, CheckpointPolicy, CostDrivenConfig, FaultConfig, SpeculationPolicy,
 };
 pub use metrics::{ExecError, ExecStats};
-pub use pool::{ParallelismMode, WorkerPool};
+pub use pool::ParallelismMode;
 pub use service::{
     AdmissionDecision, ServiceConfig, ServiceStats, SessionCacheStats, SessionReport,
     SessionService, SharedCatalogCache,

@@ -316,7 +316,7 @@ impl fmt::Display for ExecStats {
 }
 
 /// Formats a byte count with a binary-unit suffix.
-pub fn human_bytes(b: u64) -> String {
+pub(crate) fn human_bytes(b: u64) -> String {
     const UNITS: [&str; 5] = ["B", "KiB", "MiB", "GiB", "TiB"];
     let mut v = b as f64;
     let mut u = 0;

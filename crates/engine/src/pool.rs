@@ -17,21 +17,22 @@
 //!   fresh thread scope per narrow pass (Map, Filter, FlatMap, fused
 //!   pipelines — one engine path), everything else serial.
 //!
-//! Determinism: tasks are indexed by partition, results land in
-//! per-partition slots, and error selection takes the **lowest-index**
-//! failure — so the observable outcome never depends on scheduling order.
-//! The simulated-cost accounting never happens on workers (charges are
-//! derived from aggregate counts after the parallel section), so the cost
-//! model is oblivious to the thread count.
+//! Determinism: tasks are indexed by partition and results land in
+//! per-partition slots, so the observable outcome never depends on
+//! scheduling order. The simulated-cost accounting never happens on workers
+//! (charges are derived from aggregate counts after the parallel section),
+//! so the cost model is oblivious to the thread count.
+//!
+//! Panics are contained one layer up: every task wave hands this module a
+//! body that catches its own panics and attributes them to a partition
+//! (`Session::run_ranges`). The pool keeps one catch of its own, in
+//! [`Job::work`], only so that a worker thread never dies; the submitter
+//! re-raises the first payload it caught once every task has settled.
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
-
-/// The outcome of one contained task: `Ok` with the closure's value, or the
-/// caught panic payload (same shape as [`std::thread::Result`]).
-pub type Settled<T> = std::thread::Result<T>;
 
 /// How the engine maps per-partition work onto OS threads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -60,15 +61,15 @@ struct Job {
 
 struct JobState {
     remaining: usize,
-    /// Caught panic payloads, tagged with the panicking task's index. The
-    /// *lowest-index* payload is the one surfaced to the submitter, so the
-    /// observable panic never depends on scheduling order.
-    panics: Vec<(usize, Box<dyn Any + Send>)>,
+    /// The first caught panic payload, re-raised by the submitter.
+    panic: Option<Box<dyn Any + Send>>,
 }
 
 impl Job {
     /// Claims and runs tasks until the batch is exhausted. Called by pool
-    /// workers and by the submitting thread itself.
+    /// workers and by the submitting thread itself. A panicking task is
+    /// caught here, before any lock is held, so no worker unwinds and no
+    /// mutex is poisoned.
     fn work(&self) {
         loop {
             let i = self.next.fetch_add(1, Ordering::Relaxed);
@@ -78,7 +79,7 @@ impl Job {
             let outcome = catch_unwind(AssertUnwindSafe(|| (self.task)(i)));
             let mut st = self.state.lock().unwrap();
             if let Err(payload) = outcome {
-                st.panics.push((i, payload));
+                st.panic.get_or_insert(payload);
             }
             st.remaining -= 1;
             if st.remaining == 0 {
@@ -91,7 +92,7 @@ impl Job {
 
 /// A fixed-size pool of workers created once and reused for every parallel
 /// section of a run.
-pub struct WorkerPool {
+struct WorkerPool {
     sender: Option<mpsc::Sender<Arc<Job>>>,
     workers: Vec<std::thread::JoinHandle<()>>,
     size: usize,
@@ -99,7 +100,7 @@ pub struct WorkerPool {
 
 impl WorkerPool {
     /// Spawns `size` workers blocked on the job channel.
-    pub fn new(size: usize) -> Self {
+    fn new(size: usize) -> Self {
         let (sender, receiver) = mpsc::channel::<Arc<Job>>();
         let receiver = Arc::new(Mutex::new(receiver));
         let workers = (0..size)
@@ -124,51 +125,15 @@ impl WorkerPool {
         }
     }
 
-    /// The number of pool workers (the submitting thread also participates,
-    /// so up to `size + 1` threads execute a batch).
-    pub fn size(&self) -> usize {
-        self.size
-    }
-
-    /// Runs `f(0..total)` across the pool, blocking until every task has
-    /// finished. If any task panicked, re-raises the **lowest-index**
-    /// panicking task's original payload (after all tasks settle) via
-    /// [`resume_unwind`], so the message survives and the choice of payload
-    /// does not depend on scheduling order.
-    pub fn run(&self, total: usize, f: &(dyn Fn(usize) + Sync)) {
-        if let Some((_, payload)) = self.try_run(total, f) {
-            resume_unwind(payload);
-        }
-    }
-
-    /// Runs `f(0..total)` across the pool with per-task panic containment:
-    /// every task settles, and if any panicked the lowest-index task's
-    /// `(index, payload)` is returned instead of unwinding. The pool stays
-    /// fully usable afterwards — workers never unwind (panics are caught
-    /// inside [`Job::work`] before any lock is held), so no mutex is ever
-    /// poisoned and no worker thread is lost.
-    pub fn try_run(
-        &self,
-        total: usize,
-        f: &(dyn Fn(usize) + Sync),
-    ) -> Option<(usize, Box<dyn Any + Send>)> {
-        if total == 0 {
-            return None;
-        }
-        if self.size == 0 || total == 1 {
-            // Inline path: still contain per-task panics so every task runs
-            // and the lowest-index payload wins, matching the pooled path.
-            let mut first: Option<(usize, Box<dyn Any + Send>)> = None;
-            for i in 0..total {
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(i))) {
-                    if first.is_none() {
-                        first = Some((i, payload));
-                    }
-                }
-            }
-            return first;
-        }
-        // Erase the borrow lifetime; see the `Job` safety comment.
+    /// Runs `f(0..total)` across the pool and the calling thread, blocking
+    /// until every task has finished. If any task panicked, re-raises the
+    /// first caught payload via [`resume_unwind`] once all tasks have
+    /// settled, so the message survives and the pool stays usable.
+    fn run(&self, total: usize, f: &(dyn Fn(usize) + Sync)) {
+        // SAFETY: only the lifetime is erased. `Job::task` is dereferenced
+        // only for a claimed index below `total`, and this call returns only
+        // after all `total` tasks have finished (`remaining == 0`); a worker
+        // that dequeues the job later claims no index.
         let task: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(f) };
         let job = Arc::new(Job {
             task,
@@ -176,12 +141,12 @@ impl WorkerPool {
             total,
             state: Mutex::new(JobState {
                 remaining: total,
-                panics: Vec::new(),
+                panic: None,
             }),
             done: Condvar::new(),
         });
         // Wake at most one worker per remaining task; the caller works too.
-        let helpers = self.size.min(total - 1);
+        let helpers = self.size.min(total.saturating_sub(1));
         if let Some(sender) = &self.sender {
             for _ in 0..helpers {
                 let _ = sender.send(Arc::clone(&job));
@@ -192,10 +157,10 @@ impl WorkerPool {
         while st.remaining > 0 {
             st = job.done.wait(st).unwrap();
         }
-        let mut panics = std::mem::take(&mut st.panics);
-        drop(st);
-        panics.sort_by_key(|(i, _)| *i);
-        panics.into_iter().next()
+        if let Some(payload) = st.panic.take() {
+            drop(st);
+            resume_unwind(payload);
+        }
     }
 }
 
@@ -211,7 +176,7 @@ impl Drop for WorkerPool {
 
 /// Per-run parallel-execution context: mode, cached thread count, the
 /// row-count gate, and (in pool mode) the persistent pool itself.
-pub struct Parallelism {
+pub(crate) struct Parallelism {
     mode: ParallelismMode,
     /// Cached `available_parallelism` (or the configured override) — probed
     /// once per run instead of once per operator call.
@@ -225,7 +190,11 @@ pub struct Parallelism {
 impl Parallelism {
     /// Builds the context, probing the thread count once and (in pool mode,
     /// when useful) spawning the persistent pool.
-    pub fn new(mode: ParallelismMode, threads_override: Option<usize>, threshold: u64) -> Self {
+    pub(crate) fn new(
+        mode: ParallelismMode,
+        threads_override: Option<usize>,
+        threshold: u64,
+    ) -> Self {
         let threads = threads_override.unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -245,11 +214,6 @@ impl Parallelism {
         }
     }
 
-    /// The cached worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Whether an operator over `total_rows` rows should fan out at all.
     fn gate(&self, total_rows: u64) -> bool {
         self.threads > 1 && total_rows >= self.threshold
@@ -258,7 +222,7 @@ impl Parallelism {
     /// How many threads [`Parallelism::run_settled`] runs `n` tasks over
     /// `total_rows` rows on: one when the wave runs serially, the thread
     /// count (at most `n`) when it fans out.
-    pub fn executors(&self, wide: bool, n: usize, total_rows: u64) -> usize {
+    pub(crate) fn executors(&self, wide: bool, n: usize, total_rows: u64) -> usize {
         // `n <= 1` has nothing to fan out — skip slot/scope setup entirely.
         let serial =
             n <= 1 || !self.gate(total_rows) || (wide && self.mode == ParallelismMode::PerOperator);
@@ -269,45 +233,34 @@ impl Parallelism {
         }
     }
 
-    /// Index-addressed fan-out with **per-task panic containment**: every
-    /// task settles and the result vector holds each task's value or its
-    /// caught panic payload, in index order. This is the substrate of the
-    /// engine's fault-tolerant task waves — a panicking row no longer tears
-    /// down the batch, and the executor decides per slot whether to surface,
-    /// convert, or retry.
+    /// Index-addressed fan-out: runs `f(0..n)` and returns every task's
+    /// value in index order once all of them have settled.
     ///
     /// `wide` selects the serial/parallel policy: wide operators (fold
     /// partials, `aggBy` combining, shuffle bucketing, join probing) stay
     /// serial in per-operator mode (the seed never parallelized them),
     /// narrow passes fan out in both modes — per-operator mode spawns the
     /// seed's fresh thread scope, pool mode dispatches to the persistent
-    /// pool. Below the row gate everything runs serially. The policy only moves work between
-    /// threads — the settled outcomes are identical either way. That
-    /// property is what lets the fault-tolerant executor vary `total_rows`
-    /// per retry wave (gating on the surviving partitions' share of the
-    /// batch) and race speculative task clones settled on the driver,
-    /// without perturbing any deterministic counter.
+    /// pool. Below the row gate everything runs serially. The policy only
+    /// moves work between threads — the values are identical either way.
+    /// That property is what lets the fault-tolerant executor vary
+    /// `total_rows` per retry wave (gating on the surviving partitions'
+    /// share of the batch) without perturbing any deterministic counter.
     ///
-    /// Task count `n` is whatever layout the caller's wave has — under
-    /// skew-aware splitting a wide wave carries one task per *sub*-partition
-    /// (sum of the split ways), so sub-partitions settle, fail, and retry
-    /// individually with no extra plumbing here.
-    pub fn run_settled<T, F>(&self, wide: bool, n: usize, total_rows: u64, f: F) -> Vec<Settled<T>>
+    /// `f` must not panic: a task wave's body contains its own panics. One
+    /// that escapes anyway reaches the caller after every task has settled.
+    pub(crate) fn run_settled<T, F>(&self, wide: bool, n: usize, total_rows: u64, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
         if self.executors(wide, n, total_rows) == 1 {
-            return (0..n)
-                .map(|i| catch_unwind(AssertUnwindSafe(|| f(i))))
-                .collect();
+            return (0..n).map(f).collect();
         }
-        let slots: Vec<Mutex<Option<Settled<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let fill = |i: usize| {
-            // Catch inside the fill so the slot-store itself never unwinds;
-            // the pool/scope below therefore cannot observe a panic.
-            let outcome = catch_unwind(AssertUnwindSafe(|| f(i)));
-            *slots[i].lock().unwrap() = Some(outcome);
+            let value = f(i);
+            *slots[i].lock().unwrap() = Some(value);
         };
         match &self.pool {
             Some(pool) => pool.run(n, &fill),
@@ -331,7 +284,7 @@ impl Parallelism {
         }
         slots
             .into_iter()
-            .map(|s| s.into_inner().unwrap().expect("settled slot filled"))
+            .map(|s| s.into_inner().unwrap().expect("every task filled its slot"))
             .collect()
     }
 }
@@ -404,22 +357,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_surfaces_lowest_index_panic() {
-        let pool = WorkerPool::new(3);
-        for _ in 0..20 {
-            let (i, payload) = pool
-                .try_run(16, &|i| {
-                    if i % 2 == 1 {
-                        panic!("odd {i}");
-                    }
-                })
-                .expect("some task panicked");
-            assert_eq!(i, 1);
-            assert_eq!(payload.downcast_ref::<String>().unwrap(), "odd 1");
-        }
-    }
-
-    #[test]
     fn pool_usable_after_panicked_batch() {
         let pool = WorkerPool::new(2);
         for round in 0..3 {
@@ -441,41 +378,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn run_settled_contains_panics_per_task() {
-        for (mode, wide) in [
-            (ParallelismMode::Pool, false),
-            (ParallelismMode::Pool, true),
-            (ParallelismMode::PerOperator, false),
-            (ParallelismMode::PerOperator, true),
-        ] {
-            let par = Parallelism::new(mode, Some(4), 0);
-            let settled = par.run_settled(wide, 8, u64::MAX, |i| {
-                if i == 2 || i == 6 {
-                    panic!("task {i} died");
-                }
-                i * 10
-            });
-            assert_eq!(settled.len(), 8);
-            for (i, s) in settled.iter().enumerate() {
-                match s {
-                    Ok(v) => {
-                        assert_ne!(i, 2);
-                        assert_ne!(i, 6);
-                        assert_eq!(*v, i * 10);
-                    }
-                    Err(p) => {
-                        assert!(i == 2 || i == 6);
-                        assert_eq!(
-                            p.downcast_ref::<String>().unwrap(),
-                            &format!("task {i} died")
-                        );
-                    }
-                }
-            }
-        }
-    }
-
     /// Settled results come back in task order, so the engine's in-order
     /// scan surfaces the lowest-index error whatever the scheduling.
     #[test]
@@ -488,10 +390,7 @@ mod tests {
                 Ok(i as u64)
             }
         });
-        let r: Result<Vec<u64>, String> = settled
-            .into_iter()
-            .map(|s| s.expect("no task panicked"))
-            .collect();
+        let r: Result<Vec<u64>, String> = settled.into_iter().collect();
         assert_eq!(r.unwrap_err(), "fail 5");
     }
 
@@ -504,7 +403,7 @@ mod tests {
         let out = par.run_settled(false, parts.len(), u64::MAX, |i| parts[i].clone());
         assert_eq!(out.len(), 6);
         for (a, b) in out.iter().zip(&parts) {
-            assert_eq!(a.as_ref().expect("no task panicked"), b);
+            assert_eq!(a, b);
         }
     }
 }

@@ -42,7 +42,7 @@ use emma_compiler::value::Value;
 
 use crate::dataset::Partitioned;
 use crate::exec::{Engine, EngineRun};
-use crate::metrics::{ExecError, ExecStats, ATTOS_PER_SEC};
+use crate::metrics::{ExecError, ATTOS_PER_SEC};
 
 // ------------------------------------------------------------ fingerprints
 
@@ -57,7 +57,7 @@ use crate::metrics::{ExecError, ExecStats, ATTOS_PER_SEC};
 /// The fingerprint hashes the full structural debug rendering of the plan,
 /// and [`SharedCatalogCache`] verifies candidates with plan equality on
 /// every hit, so a hash collision costs a comparison — never a wrong bag.
-pub fn shareable_fingerprint(plan: &Plan) -> Option<u64> {
+pub(crate) fn shareable_fingerprint(plan: &Plan) -> Option<u64> {
     let mut closed = true;
     plan.visit(&mut |p| {
         // Driver-environment references: the result depends on session
@@ -104,7 +104,6 @@ struct SharedEntry {
 struct CacheInner {
     entries: HashMap<u64, Vec<SharedEntry>>,
     count: usize,
-    bytes: u64,
     stats: HashMap<u64, SessionCacheStats>,
 }
 
@@ -124,7 +123,7 @@ pub struct SharedCatalogCache {
 
 impl SharedCatalogCache {
     /// An empty cache.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -151,7 +150,6 @@ impl SharedCatalogCache {
     /// First writer wins; a concurrent duplicate is dropped (both copies
     /// are bit-identical by the determinism contract).
     pub(crate) fn insert(&self, fp: u64, plan: &Plan, data: Partitioned, session: u64) {
-        let bytes = data.total_bytes();
         let mut inner = self.inner.lock().unwrap();
         let bucket = inner.entries.entry(fp).or_default();
         if bucket.iter().any(|e| &e.plan == plan) {
@@ -163,7 +161,6 @@ impl SharedCatalogCache {
             owner: session,
         });
         inner.count += 1;
-        inner.bytes += bytes;
     }
 
     /// Number of memoized sub-plan results.
@@ -171,13 +168,8 @@ impl SharedCatalogCache {
         self.inner.lock().unwrap().count
     }
 
-    /// Approximate bytes held across all entries.
-    pub fn total_bytes(&self) -> u64 {
-        self.inner.lock().unwrap().bytes
-    }
-
     /// Traffic counters for one session (zero if the session never ran).
-    pub fn session_stats(&self, session: u64) -> SessionCacheStats {
+    pub(crate) fn session_stats(&self, session: u64) -> SessionCacheStats {
         self.inner
             .lock()
             .unwrap()
@@ -415,11 +407,6 @@ impl SessionReport {
             Some(Ok(run)) => Some(run),
             _ => None,
         }
-    }
-
-    /// The run's deterministic counters, if the session completed.
-    pub fn stats(&self) -> Option<&ExecStats> {
-        self.run().map(|r| &r.stats)
     }
 }
 

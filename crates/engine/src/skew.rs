@@ -66,7 +66,7 @@ impl SkewConfig {
 /// Mirrors `emma_compiler::plan::SkewEligibility`; the engine keeps its own
 /// copy so `skew.rs` stays free of compiler types.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SplitKind {
+pub(crate) enum SplitKind {
     /// Rows of a hot partition are split into contiguous chunks, preserving
     /// row order. Any key may land in several sub-partitions; the consumer
     /// must merge (groupBy two-phase) or tolerate duplicates of a key
@@ -95,17 +95,12 @@ pub struct SplitPlan {
 
 impl SplitPlan {
     /// The original partition index that output slot `pi` belongs to.
-    pub fn parent(&self, pi: usize) -> usize {
+    pub(crate) fn parent(&self, pi: usize) -> usize {
         self.parents[pi]
     }
 
-    /// True when at least one partition was actually split.
-    pub fn is_split(&self) -> bool {
-        self.ways.iter().any(|&w| w > 1)
-    }
-
     /// Number of partitions with fan-out > 1.
-    pub fn partitions_split(&self) -> u64 {
+    pub(crate) fn partitions_split(&self) -> u64 {
         self.ways.iter().filter(|&&w| w > 1).count() as u64
     }
 }
@@ -130,7 +125,7 @@ pub fn skew_ratio(sizes: &[u64]) -> f64 {
 /// worth splitting, so its imbalance is not skew worth reporting either —
 /// a handful of post-combiner partials spread over hundreds of buckets
 /// would otherwise score in the dozens.
-pub fn observed_skew_ratio(cfg: &SkewConfig, sizes: &[u64]) -> f64 {
+pub(crate) fn observed_skew_ratio(cfg: &SkewConfig, sizes: &[u64]) -> f64 {
     if sizes.iter().max().is_some_and(|&m| m >= cfg.min_part_rows) {
         skew_ratio(sizes)
     } else {
@@ -199,7 +194,7 @@ const SUB_SALT: u64 = 0x5157_4b45_5353_4c54; // "QWKESSLT"
 
 /// Secondary hash used to route rows of a hot partition to sub-partitions in
 /// a key-preserving way: same key hash → same sub-partition.
-pub fn sub_hash(h: u64) -> u64 {
+pub(crate) fn sub_hash(h: u64) -> u64 {
     fmix64(h ^ SUB_SALT)
 }
 
@@ -234,7 +229,6 @@ mod tests {
         assert_eq!(plan.offsets, vec![0, 3, 4, 5]);
         assert_eq!(plan.output_parts, 6);
         assert_eq!(plan.parents, vec![0, 0, 0, 1, 2, 3]);
-        assert!(plan.is_split());
         assert_eq!(plan.partitions_split(), 1);
         assert_eq!(plan.parent(2), 0);
         assert_eq!(plan.parent(5), 3);

@@ -24,9 +24,8 @@ use emma_compiler::value::Value;
 use emma_datagen::distributions::{self, KeyDistribution};
 use emma_engine::cluster::{ClusterSpec, Personality};
 use emma_engine::dataset::value_hash;
-use emma_engine::exec::EngineRun;
 use emma_engine::skew::{self, SkewConfig};
-use emma_engine::{BatchConfig, Engine, ExecStats, FaultConfig, ParallelismMode};
+use emma_engine::{BatchConfig, Engine, EngineRun, ExecStats, FaultConfig, ParallelismMode};
 use proptest::prelude::*;
 
 #[path = "../../../tests/common/string_exprs.rs"]

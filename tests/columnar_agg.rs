@@ -426,6 +426,39 @@ fn element_division_by_zero_on_one_row() {
     );
 }
 
+/// An `aggBy` key that forwards an input tuple whole is the row's own
+/// tuple, whatever its arity: a kernel built from the sampled row's shape
+/// would cut `(1, 2, 3)` to `(1, 2)`, and a sampled empty tuple to `()`.
+#[test]
+fn a_key_that_forwards_a_tuple_keeps_each_row_s_arity() {
+    let tuple = |xs: &[i64]| Value::tuple(xs.iter().map(|&i| Value::Int(i)).collect::<Vec<_>>());
+    let g = || ScalarExpr::var("g");
+    for (key, rows, odd) in [
+        (x(), tuple(&[1, 2]), tuple(&[1, 2, 3])),
+        (
+            x().get(1),
+            Value::tuple(vec![Value::Int(1), tuple(&[])]),
+            Value::tuple(vec![Value::Int(1), tuple(&[5])]),
+        ),
+    ] {
+        let mut rows = vec![rows; 63];
+        rows.push(odd);
+        let catalog = Catalog::new().with("rows", rows);
+        let p = Program::new(vec![Stmt::write(
+            "out",
+            BagExpr::read("rows")
+                .group_by(Lambda::new(["x"], key))
+                .map(Lambda::new(
+                    ["g"],
+                    ScalarExpr::Tuple(vec![g().get(0), BagExpr::of_value(g().get(1)).count()]),
+                )),
+        )]);
+        let want = Interp::new(&catalog).run(&p).expect("interpreter");
+        assert_eq!(want.writes["out"].len(), 2, "{:?}", want.writes);
+        assert_tiers_agree(&p, &catalog, 5, true);
+    }
+}
+
 #[test]
 fn q1_plan_runs_its_agg_by_through_the_kernel() {
     let catalog = tpch::catalog(&TpchSpec {
